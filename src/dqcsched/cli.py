@@ -26,10 +26,8 @@ def _cmd_init_config(args) -> int:
 
 
 def _ppo_environment(config: harness.ExperimentConfig):
-    network = build_network(
-        config.n_nodes, config.qpu_capacity, config.quality_mix,
-        seed=config.ppo_seed, comm_qubits_per_node=config.comm_qubits,
-    )
+    network = build_network(config.n_nodes, config.qpu_capacity, config.quality_mix,
+                            seed=config.ppo_seed)
     catalog = harness.build_catalog(config, network)
     return network, catalog
 

@@ -54,19 +54,14 @@ def estimate_execution_time(job, assigned_nodes, network: Network, params: ExecM
     local = job.profile.local_depth * params.local_gate_ns
     if not job.cross_block_pairs:
         return local
+    delay = network.delay_ns
     if params.epr_serialization == "serial":
-        epr = sum(
-            network.link(nodes[a], nodes[b]).state_delay_ns
-            for a, b in job.cross_block_pairs
-        )
+        epr = sum(delay[nodes[a]][nodes[b]] for a, b in job.cross_block_pairs)
     else:
         per_link: Counter = Counter()
         for a, b in job.cross_block_pairs:
             per_link[(nodes[a], nodes[b])] += 1
-        epr = max(
-            count * network.link(u, v).state_delay_ns
-            for (u, v), count in per_link.items()
-        )
+        epr = max(count * delay[u][v] for (u, v), count in per_link.items())
     return local + int(round(epr))
 
 

@@ -1,10 +1,10 @@
 """Experiment harness: runs slot simulations across schedulers and seeds,
 collects per-slot metrics, and emits summary and CDF tables as CSV.
 
-Under one seed, every scheduler receives the identical job stream and an
-identically built network, so per-slot comparisons are paired. All outputs
-are plain CSV (comma separator, header row, LF endings, '.' decimals);
-plotting is left to external tools.
+Under one seed, every scheduler receives the identical job stream and the
+same network, so per-slot comparisons are paired. All outputs are plain
+CSV (comma separator, header row, LF endings, '.' decimals); plotting is
+left to external tools.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ class ExperimentConfig:
     quality_mix: dict[str, float] = field(
         default_factory=lambda: {"bad": 0.2, "medium": 0.3, "good": 0.5}
     )
-    comm_qubits: int = 1
     local_gate_ns: int = 1000
     epr_serialization: str = "serial"
     n_slots: int = 200
@@ -155,40 +154,33 @@ def _resolve_scheduler(name: str, config: ExperimentConfig, ppo_agents):
 def run_experiment(config: ExperimentConfig, ppo_agents=None) -> list[SlotRecord]:
     """Run every (setting, seed, scheduler) cell and collect slot records.
 
-    Per (setting, seed) the job stream is generated once and fed to every
-    scheduler; each scheduler gets its own network instance built from the
-    same seed, so links are identical across the comparison.
+    Per seed one network and one catalog are built and shared by every
+    setting and scheduler; per (setting, seed) the job stream is generated
+    once and fed to every scheduler, so comparisons are paired.
     """
     config.validate()
     exec_params = config.exec_params()
+    run_fns = {name: _resolve_scheduler(name, config, ppo_agents)
+               for name in config.schedulers}
+    environments = {}
+    for seed in config.seeds:
+        net = build_network(config.n_nodes, config.qpu_capacity,
+                            config.quality_mix, seed=seed)
+        environments[seed] = net, build_catalog(config, net)
     records: list[SlotRecord] = []
     for setting in config.settings:
         for seed in config.seeds:
-            reference_net = build_network(
-                config.n_nodes, config.qpu_capacity, config.quality_mix,
-                seed=seed, comm_qubits_per_node=config.comm_qubits,
-            )
-            catalog = build_catalog(config, reference_net)
+            net, catalog = environments[seed]
             wcfg = workload.WorkloadConfig(
                 catalog=catalog,
                 lam=setting.lam if setting.lam is not None else 0.0,
                 bias_alpha=setting.bias_alpha,
-                n_slots=config.n_slots,
                 fixed_count=setting.fixed_count,
-                seed=seed,
             )
             rng = _workload_rng(seed)
-            queues = [
-                workload.generate_slot_jobs(wcfg, t, rng)
-                for t in range(config.n_slots)
-            ]
-            for name in config.schedulers:
-                run_fn = _resolve_scheduler(name, config, ppo_agents)
-                net = build_network(
-                    config.n_nodes, config.qpu_capacity, config.quality_mix,
-                    seed=seed, comm_qubits_per_node=config.comm_qubits,
-                )
-                clock = 0
+            queues = [workload.generate_slot_jobs(wcfg, rng)
+                      for _ in range(config.n_slots)]
+            for name, run_fn in run_fns.items():
                 for slot, queue in enumerate(queues):
                     if not queue:
                         records.append(SlotRecord(
@@ -207,9 +199,6 @@ def run_experiment(config: ExperimentConfig, ppo_agents=None) -> list[SlotRecord
                         selp=report.selp,
                         fairness=report.fairness,
                     ))
-                    clock += report.makespan_ns
-                    for node in range(config.n_nodes):
-                        net.advance_availability(node, clock)
     return records
 
 
@@ -409,7 +398,6 @@ def config_from_parsed(parsed: ParsedConfig) -> ExperimentConfig:
         n_nodes=net.get_int("nodes", base.n_nodes),
         qpu_capacity=net.get_int("qpu_capacity", base.qpu_capacity),
         quality_mix=net.get_mapping("quality_mix", base.quality_mix),
-        comm_qubits=net.get_int("comm_qubits", base.comm_qubits),
         local_gate_ns=(exc.get_int("local_gate_ns", base.local_gate_ns)
                        if exc else base.local_gate_ns),
         epr_serialization=(exc.get_str("epr_serialization", base.epr_serialization)

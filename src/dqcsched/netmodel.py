@@ -124,21 +124,24 @@ def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Network:
-    """Fully connected QPU network with per-pair link profiles.
+    """Immutable, fully connected QPU network with per-pair link profiles.
 
-    ``availability_ns`` tracks each node's next-free time on the global
-    simulation clock; it only ever moves forward. Everything else is
-    immutable after construction.
+    ``delay_ns`` is the n x n matrix of link state delays (zero diagonal),
+    read by the execution model and by node selection. Node selection
+    memoises its answers in ``_selection_memo``, which lives and dies with
+    the instance, so a cached choice can never be served to another network.
     """
 
     n_nodes: int
     qpu_capacity: int
-    links: dict[tuple[int, int], LinkProfile]
-    comm_qubits_per_node: int = 1
-    availability_ns: list[int] = field(default_factory=list)
-    mean_state_delay_ns: float = 0.0
+    links: dict[tuple[int, int], LinkProfile] = field(hash=False)
+    mean_state_delay_ns: float = field(init=False)
+    delay_ns: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
+    _selection_memo: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -146,27 +149,16 @@ class Network:
         expected = {p for p in itertools.combinations(range(self.n_nodes), 2)}
         if set(self.links) != expected:
             raise ValueError("links must cover exactly all unordered node pairs")
-        if not self.availability_ns:
-            self.availability_ns = [0] * self.n_nodes
-        if self.links and self.mean_state_delay_ns == 0.0:
-            self.mean_state_delay_ns = float(
-                np.mean([lp.state_delay_ns for lp in self.links.values()])
-            )
+        delay = [[0.0] * self.n_nodes for _ in range(self.n_nodes)]
+        for (a, b), profile in self.links.items():
+            delay[a][b] = delay[b][a] = profile.state_delay_ns
+        mean = (float(np.mean([lp.state_delay_ns for lp in self.links.values()]))
+                if self.links else 0.0)
+        object.__setattr__(self, "delay_ns", tuple(map(tuple, delay)))
+        object.__setattr__(self, "mean_state_delay_ns", mean)
 
     def link(self, a: int, b: int) -> LinkProfile:
         return self.links[_pair(a, b)]
-
-    def link_weight(self, a: int, b: int) -> float:
-        """Weight used by node selection: the pair's state delay."""
-        return self.links[_pair(a, b)].state_delay_ns
-
-    def advance_availability(self, node: int, t_ns: int) -> None:
-        if t_ns < self.availability_ns[node]:
-            raise ValueError(
-                f"availability of node {node} may not move backwards "
-                f"({self.availability_ns[node]} -> {t_ns})"
-            )
-        self.availability_ns[node] = t_ns
 
 
 def build_network(
@@ -174,7 +166,6 @@ def build_network(
     qpu_capacity: int,
     quality_mix: dict[str, float],
     seed: int,
-    comm_qubits_per_node: int = 1,
 ) -> Network:
     """Build a fully connected network with seeded per-pair quality sampling.
 
@@ -201,12 +192,7 @@ def build_network(
     for a, b in itertools.combinations(range(n_nodes), 2):
         cls_idx = int(rng.choice(len(classes), p=probs))
         links[(a, b)] = profiles[classes[cls_idx]]
-    return Network(
-        n_nodes=n_nodes,
-        qpu_capacity=qpu_capacity,
-        links=links,
-        comm_qubits_per_node=comm_qubits_per_node,
-    )
+    return Network(n_nodes=n_nodes, qpu_capacity=qpu_capacity, links=links)
 
 
 def homogeneous_network(n_nodes: int, qpu_capacity: int, quality: str = "good") -> Network:

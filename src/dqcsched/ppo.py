@@ -497,8 +497,8 @@ class PpoAgent:
         buffer: list[Transition] = []
         window_rewards: list[float] = []
         log: list[TrainLogEntry] = []
-        for ep in range(episodes):
-            queue = workload.generate_slot_jobs(wcfg, ep, self.env_rng)
+        for _ in range(episodes):
+            queue = workload.generate_slot_jobs(wcfg, self.env_rng)
             stages, transitions = self.rollout(queue, sample=True)
             schedule = self.build_schedule(queue, stages, node_selection)
             reward = self.episode_reward(queue, stages, schedule)

@@ -210,22 +210,31 @@ def select_nodes(free_nodes, k: int, network: Network) -> tuple[int, ...]:
 
     Weight of a pair is its state delay. Ties resolve to the
     lexicographically smallest id set; k = 1 returns the lowest free id.
+    Answers are memoised on the network per (free set, k).
     """
-    free_sorted = sorted(free_nodes)
+    free_sorted = tuple(sorted(free_nodes))
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(free_sorted) < k:
         raise ValueError(f"need {k} free nodes, only {len(free_sorted)} available")
-    best: tuple[int, ...] | None = None
-    best_weight = float("inf")
-    for combo in itertools.combinations(free_sorted, k):
-        weight = sum(
-            network.link_weight(a, b) for a, b in itertools.combinations(combo, 2)
-        )
-        if weight < best_weight:
-            best = combo
-            best_weight = weight
-    return best
+    memo = network._selection_memo
+    key = (free_sorted, k)
+    if key not in memo:
+        memo[key] = _min_weight_subset(free_sorted, k, network.delay_ns)
+    return memo[key]
+
+
+def _min_weight_subset(free_sorted, k: int, delay_ns) -> tuple[int, ...]:
+    # Every k-subset at once, in lexicographic order. Pair weights are added
+    # one column at a time in itertools.combinations(combo, 2) order, so each
+    # total equals a left-to-right float sum over the subset's pairs; argmin
+    # keeps the first, i.e. lexicographically smallest, minimum.
+    combos = np.array(list(itertools.combinations(free_sorted, k)))
+    delay = np.array(delay_ns)
+    weight = np.zeros(len(combos))
+    for i, j in itertools.combinations(range(k), 2):
+        weight += delay[combos[:, i], combos[:, j]]
+    return tuple(int(node) for node in combos[np.argmin(weight)])
 
 
 def epr_schedule(

@@ -219,10 +219,7 @@ class WorkloadConfig:
     catalog: tuple[JobDescriptor, ...]
     lam: float = 5.0
     bias_alpha: float = 0.0
-    n_slots: int = 200
     fixed_count: int | None = None
-    seed: int = 0
-    qubit_range: tuple[int, int] = (5, 15)
 
     def __post_init__(self) -> None:
         if not self.catalog:
@@ -315,18 +312,12 @@ def selection_probabilities(n: int, bias_alpha: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def generate_slot_jobs(
-    config: WorkloadConfig,
-    slot_index: int,
-    rng: np.random.Generator,
-) -> list[JobDescriptor]:
+def generate_slot_jobs(config: WorkloadConfig, rng: np.random.Generator) -> list[JobDescriptor]:
     """Draw one slot's job batch from the catalog.
 
     Batch size is Poisson(lam) unless ``fixed_count`` is set. Ids are fresh
-    per slot (0..count-1); ``slot_index`` is accepted for caller bookkeeping
-    and does not influence the draw.
+    per slot (0..count-1).
     """
-    del slot_index
     if config.fixed_count is not None:
         count = config.fixed_count
     else:

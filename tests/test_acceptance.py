@@ -231,7 +231,7 @@ def _dominance_corpus():
     for seed in range(1000):
         rng = make_rng(seed, 2)
         cfg = WorkloadConfig(catalog=catalog, lam=5.0)
-        queue = generate_slot_jobs(cfg, 0, rng)
+        queue = generate_slot_jobs(cfg, rng)
         if queue:
             queues.append(queue)
     return net, queues
@@ -480,8 +480,8 @@ def test_criterion_7_training_sanity():
     wcfg = WorkloadConfig(catalog=catalog, lam=5.0, fixed_count=5)
     eval_rng = make_rng(99)
     trained_ms, untrained_ms = [], []
-    for slot in range(100):
-        queue = generate_slot_jobs(wcfg, slot, eval_rng)
+    for _ in range(100):
+        queue = generate_slot_jobs(wcfg, eval_rng)
         trained_ms.append(agent.schedule(queue).makespan_ns())
         untrained_ms.append(untrained.schedule(queue).makespan_ns())
     mean_trained = float(np.mean(trained_ms))

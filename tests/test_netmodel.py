@@ -1,5 +1,6 @@
 """Link physics and network construction."""
 
+import dataclasses
 import itertools
 import math
 
@@ -162,14 +163,14 @@ class TestBuildNetwork:
         with pytest.raises(ValueError):
             build_network(4, 3, {"excellent": 1.0}, seed=0)
 
-    def test_availability_monotone(self):
-        net = homogeneous_network(3, 2)
-        net.advance_availability(0, 10)
-        net.advance_availability(0, 10)
-        net.advance_availability(0, 25)
-        with pytest.raises(ValueError):
-            net.advance_availability(0, 5)
-        assert net.availability_ns == [25, 0, 0]
+    def test_frozen_with_delay_matrix(self):
+        net = build_network(5, 3, {"bad": 0.5, "good": 0.5}, seed=3)
+        for a, b in itertools.product(range(5), repeat=2):
+            expected = 0.0 if a == b else net.link(a, b).state_delay_ns
+            assert net.delay_ns[a][b] == expected
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.n_nodes = 6
+        assert net == build_network(5, 3, {"bad": 0.5, "good": 0.5}, seed=3)
 
     def test_mean_state_delay(self):
         net = homogeneous_network(4, 2, "good")

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from conftest import make_job, make_rng, unit_exec_params, weighted_network
-from dqcsched.netmodel import homogeneous_network
+from dqcsched.netmodel import LINK_PRESETS, LinkProfile, homogeneous_network
 from dqcsched.schedulers import (
     SCHEDULER_NAMES,
     SchedulingError,
@@ -170,25 +170,38 @@ class TestSelectNodes:
         assert select_nodes([0, 1, 2, 3], 3, net) == (0, 1, 2)
 
     def test_matches_brute_force_minimum(self):
+        # Weight pools: distinct-ish integers, tie-heavy {1, 2, 3} and the
+        # three preset state delays. Free sets are random subsets of up to 12
+        # nodes, passed unsorted; every query is asked twice (the second time
+        # reordered) so memoised answers are checked against the reference.
         rng = make_rng(33)
-        for trial in range(50):
-            n = int(rng.integers(3, 7))
-            weights = {
-                (a, b): float(rng.integers(1, 1000))
-                for a, b in itertools.combinations(range(n), 2)
-            }
+        presets = [LinkProfile.from_params(p).state_delay_ns
+                   for p in LINK_PRESETS.values()]
+        pools = (None, [1.0, 2.0, 3.0], presets)
+        for trial in range(60):
+            pool = pools[trial % len(pools)]
+            n = int(rng.integers(3, 13))
+            pairs = list(itertools.combinations(range(n), 2))
+            if pool is None:
+                weights = {pair: float(rng.integers(1, 1000)) for pair in pairs}
+            else:
+                weights = {pair: float(rng.choice(pool)) for pair in pairs}
             net = weighted_network(n, weights)
-            k = int(rng.integers(1, n + 1))
-            chosen = select_nodes(range(n), k, net)
-            best = min(
-                itertools.combinations(range(n), k),
-                key=lambda combo: (
-                    sum(net.link_weight(a, b)
-                        for a, b in itertools.combinations(combo, 2)),
-                    combo,
-                ),
-            )
-            assert chosen == best
+
+            def total(combo):
+                weight = 0.0
+                for pair in itertools.combinations(combo, 2):
+                    weight += weights[pair]
+                return weight
+
+            queries = []
+            for _ in range(5):
+                free = [int(x) for x in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+                queries.append((free, int(rng.integers(1, len(free) + 1))))
+            for free, k in queries + [(free[::-1], k) for free, k in queries]:
+                best = min(itertools.combinations(sorted(free), k),
+                           key=lambda combo: (total(combo), combo))
+                assert select_nodes(free, k, net) == best
 
     def test_insufficient_nodes(self):
         net = weighted_network(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1})

@@ -193,13 +193,13 @@ class TestSlotGeneration:
 
     def test_lambda_zero_empty_queue(self):
         cfg = WorkloadConfig(catalog=self.catalog, lam=0.0)
-        assert generate_slot_jobs(cfg, 0, make_rng(0)) == []
+        assert generate_slot_jobs(cfg, make_rng(0)) == []
 
     def test_fixed_count_mode(self):
         cfg = WorkloadConfig(catalog=self.catalog, lam=5.0, fixed_count=5)
         rng = make_rng(4)
-        for slot in range(20):
-            queue = generate_slot_jobs(cfg, slot, rng)
+        for _ in range(20):
+            queue = generate_slot_jobs(cfg, rng)
             assert len(queue) == 5
             assert [j.id for j in queue] == list(range(5))
 
@@ -210,8 +210,8 @@ class TestSlotGeneration:
         for name, cfg in (("biased", biased), ("uniform", uniform)):
             rng = make_rng(77)
             gates, jobs = 0, 0
-            for slot in range(10_000):
-                for job in generate_slot_jobs(cfg, slot, rng):
+            for _ in range(10_000):
+                for job in generate_slot_jobs(cfg, rng):
                     gates += job.nonlocal_gates
                     jobs += 1
             totals[name] = gates / jobs
@@ -219,9 +219,9 @@ class TestSlotGeneration:
 
     def test_same_seed_same_stream(self):
         cfg = WorkloadConfig(catalog=self.catalog, lam=4.0, bias_alpha=0.5)
-        stream1 = [tuple(j.profile.kind for j in generate_slot_jobs(cfg, t, make_rng(9, t)))
+        stream1 = [tuple(j.profile.kind for j in generate_slot_jobs(cfg, make_rng(9, t)))
                    for t in range(30)]
-        stream2 = [tuple(j.profile.kind for j in generate_slot_jobs(cfg, t, make_rng(9, t)))
+        stream2 = [tuple(j.profile.kind for j in generate_slot_jobs(cfg, make_rng(9, t)))
                    for t in range(30)]
         assert stream1 == stream2
 
