@@ -8,7 +8,8 @@ Grammar (one construct per line):
 
 Values keep their raw text; typed accessors convert on demand and report
 the offending line on failure. Duplicate keys within a section and keys
-outside any section are errors.
+outside any section are errors, and so, once the reader is done, is any
+key it never read.
 """
 
 from __future__ import annotations
@@ -141,6 +142,17 @@ class ParsedConfig:
 
     def sections_with_prefix(self, prefix: str) -> list[Section]:
         return [s for n, s in self.sections.items() if n.startswith(prefix)]
+
+    def reject_unread(self) -> None:
+        """Fail on the first key, in file order, that no accessor has read."""
+        unread = [(line, key, sec.name) for sec in self.sections.values()
+                  for key, (_, line) in sec.entries.items() if key not in sec.read]
+        if unread:
+            line, key, name = min(unread)
+            raise ConfigError(
+                f"{self.source}:{line}: key {key!r} in section [{name}] is not "
+                f"used (unknown, or overridden by another key)"
+            )
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ParsedConfig:

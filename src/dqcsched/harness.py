@@ -156,7 +156,8 @@ def run_experiment(config: ExperimentConfig, ppo_agents=None) -> list[SlotRecord
 
     Per seed one network and one catalog are built and shared by every
     setting and scheduler; per (setting, seed) the job stream is generated
-    once and fed to every scheduler, so comparisons are paired.
+    once and fed to every scheduler, so comparisons are paired. Each cell's
+    non-empty schedules are reduced to metrics in one pass.
     """
     config.validate()
     exec_params = config.exec_params()
@@ -181,6 +182,10 @@ def run_experiment(config: ExperimentConfig, ppo_agents=None) -> list[SlotRecord
             queues = [workload.generate_slot_jobs(wcfg, rng)
                       for _ in range(config.n_slots)]
             for name, run_fn in run_fns.items():
+                reports = iter(metrics_mod.compute_reports(
+                    [run_fn(queue, net, exec_params) for queue in queues if queue],
+                    config.n_nodes,
+                ))
                 for slot, queue in enumerate(queues):
                     if not queue:
                         records.append(SlotRecord(
@@ -188,8 +193,7 @@ def run_experiment(config: ExperimentConfig, ppo_agents=None) -> list[SlotRecord
                             seed=seed, slot=slot, n_jobs=0,
                         ))
                         continue
-                    schedule = run_fn(queue, net, exec_params)
-                    report = metrics_mod.compute_report(schedule, config.n_nodes)
+                    report = next(reports)
                     records.append(SlotRecord(
                         setting=setting.label, scheduler=name,
                         seed=seed, slot=slot, n_jobs=len(queue),
@@ -422,6 +426,7 @@ def config_from_parsed(parsed: ParsedConfig) -> ExperimentConfig:
         _ = build_network(config.n_nodes, config.qpu_capacity, config.quality_mix, seed=0)
     except ValueError as exc_err:
         raise ConfigError(f"{parsed.source}: {exc_err}") from None
+    parsed.reject_unread()
     config.validate()
     return config
 

@@ -1,9 +1,10 @@
-"""Evaluation metrics for one slot's completed schedule.
+"""Evaluation metrics for completed slot schedules.
 
 Five quantities: makespan, QPU utilization, non-local gate density
 (normalized pairwise temporal overlap), per-job execution-latency
 performance (ELP) with its geometric mean (SELP), and fairness
-(one minus the ELP spread).
+(one minus the ELP spread). They are reduced for a whole cell of slot
+schedules at once; the floats equal those of reducing each slot alone.
 """
 
 from __future__ import annotations
@@ -31,85 +32,82 @@ class MetricsReport:
     t_max_ns: int
 
 
-def makespan(schedule: Schedule) -> int:
-    """Latest finish minus earliest start, in ns."""
-    if not schedule.placements:
-        raise EmptyScheduleError("makespan of an empty schedule is undefined")
-    return schedule.makespan_ns()
+def compute_reports(schedules: list[Schedule], n_qpu: int,
+                    slot_arrival_ns: int = 0) -> list[MetricsReport]:
+    """All five metrics for each schedule of a cell, in input order.
 
-
-def qpu_utilization(schedule: Schedule, n_qpu: int) -> float:
-    """Busy node-time over total node-time: sum(duration * nodes) / (M * n)."""
-    if not schedule.placements:
-        raise EmptyScheduleError("utilization of an empty schedule is undefined")
+    - Makespan is latest finish minus earliest start; utilization is
+      sum(duration * nodes) / (makespan * n_qpu).
+    - Gate density is t_overlap / t_max: the pairwise overlap time over the
+      sum of pairwise duration sums (0 for a single placement). Pairwise
+      overlap summed over pairs is the integral of C(c(t), 2), c(t) being
+      the number of running placements, which an event sweep gives exactly
+      in integers; every placement is in n - 1 pairs, so t_max is
+      (n - 1) * sum(durations).
+    - ELP is duration over latency, latency being finish minus the slot
+      arrival instant; SELP is exp(mean(log(ELP))) and fairness is one
+      minus the population standard deviation of the ELPs. Slots are
+      stacked by job count, unpadded, so each row reduces in the same
+      order as a one-slot array would.
+    """
     if n_qpu < 1:
         raise ValueError(f"n_qpu must be >= 1, got {n_qpu}")
-    busy = sum(p.duration_ns * len(p.assigned_nodes) for p in schedule.placements)
-    return busy / (makespan(schedule) * n_qpu)
+    if not all(s.placements for s in schedules):
+        raise EmptyScheduleError("metrics of an empty schedule are undefined")
+    if not schedules:
+        return []
+    flat = [p for s in schedules for p in s.placements]
+    start = np.array([p.start_ns for p in flat], dtype=np.int64)
+    finish = np.array([p.finish_ns for p in flat], dtype=np.int64)
+    width = np.array([len(p.assigned_nodes) for p in flat], dtype=np.int64)
+    latency = finish - slot_arrival_ns
+    if (latency <= 0).any():
+        bad = int(np.argmax(latency <= 0))
+        raise ValueError(f"job {flat[bad].job_id} has non-positive latency {latency[bad]}")
+    counts = np.array([len(s.placements) for s in schedules])
+    offsets = np.cumsum(counts) - counts
+    duration = finish - start
+    makespans = (np.maximum.reduceat(finish, offsets)
+                 - np.minimum.reduceat(start, offsets)).tolist()
+    busy = np.add.reduceat(duration * width, offsets).tolist()
+    t_max = ((counts - 1) * np.add.reduceat(duration, offsets)).tolist()
 
+    # Events sorted by (slot, time); every slot ends with c(t) back at 0,
+    # so the segment between two slots carries no pairs.
+    slot = np.repeat(np.arange(len(schedules)), counts)
+    times = np.concatenate((start, finish))
+    order = np.lexsort((times, np.concatenate((slot, slot))))
+    times = times[order]
+    running = np.cumsum(np.where(order < len(flat), 1, -1))[:-1]
+    pair_time = running * (running - 1) // 2 * (times[1:] - times[:-1])
+    t_overlap = np.add.reduceat(pair_time, 2 * offsets).tolist()
 
-def overlap_terms(schedule: Schedule) -> tuple[int, int]:
-    """Pairwise overlap time and its ceiling (sum of pairwise duration sums)."""
-    ps = schedule.placements
-    t_overlap = 0
-    t_max = 0
-    for i in range(len(ps)):
-        for j in range(i + 1, len(ps)):
-            t_overlap += max(
-                0, min(ps[i].finish_ns, ps[j].finish_ns) - max(ps[i].start_ns, ps[j].start_ns)
-            )
-            t_max += ps[i].duration_ns + ps[j].duration_ns
-    return t_overlap, t_max
-
-
-def nonlocal_gate_density(schedule: Schedule) -> float:
-    """Fraction of potential execution overlap actually realized.
-
-    Single-placement schedules have no pairs and report 0 (no entanglement
-    contention).
-    """
-    if not schedule.placements:
-        raise EmptyScheduleError("gate density of an empty schedule is undefined")
-    t_overlap, t_max = overlap_terms(schedule)
-    if t_max == 0:
-        return 0.0
-    return t_overlap / t_max
-
-
-def elp_selp_fairness(
-    schedule: Schedule, slot_arrival_ns: int = 0
-) -> tuple[tuple[float, ...], float, float]:
-    """Per-job execution/latency ratio, its geometric mean, and fairness.
-
-    Latency is finish time minus the slot arrival instant (all jobs of a
-    slot arrive together), so waiting time is start minus slot start.
-    Fairness is one minus the population standard deviation of the ratios.
-    """
-    if not schedule.placements:
-        raise EmptyScheduleError("latency metrics of an empty schedule are undefined")
-    elp = []
-    for p in schedule.placements:
-        latency = p.finish_ns - slot_arrival_ns
-        if latency <= 0:
-            raise ValueError(f"job {p.job_id} has non-positive latency {latency}")
-        elp.append(p.duration_ns / latency)
-    arr = np.asarray(elp)
-    selp = float(np.exp(np.mean(np.log(arr))))
-    fairness = 1.0 - float(np.std(arr))
-    return tuple(elp), selp, fairness
+    elp = duration / latency
+    selp = np.empty(len(schedules))
+    fairness = np.empty(len(schedules))
+    for n in set(counts.tolist()):
+        rows = np.flatnonzero(counts == n)
+        group = elp[offsets[rows, None] + np.arange(n)]
+        selp[rows] = np.exp(np.mean(np.log(group), axis=1))
+        fairness[rows] = 1.0 - np.std(group, axis=1)
+    elp = elp.tolist()
+    return [
+        MetricsReport(
+            makespan_ns=m,
+            qpu_utilization=b / (m * n_qpu),
+            nonlocal_gate_density=(o / tm) if tm else 0.0,
+            elp=tuple(elp[a:a + n]),
+            selp=s,
+            fairness=f,
+            t_overlap_ns=o,
+            t_max_ns=tm,
+        )
+        for m, b, o, tm, a, n, s, f in zip(
+            makespans, busy, t_overlap, t_max, offsets.tolist(), counts.tolist(),
+            selp.tolist(), fairness.tolist())
+    ]
 
 
 def compute_report(schedule: Schedule, n_qpu: int, slot_arrival_ns: int = 0) -> MetricsReport:
     """All five metrics for one schedule."""
-    elp, selp, fairness = elp_selp_fairness(schedule, slot_arrival_ns)
-    t_overlap, t_max = overlap_terms(schedule)
-    return MetricsReport(
-        makespan_ns=makespan(schedule),
-        qpu_utilization=qpu_utilization(schedule, n_qpu),
-        nonlocal_gate_density=(t_overlap / t_max) if t_max else 0.0,
-        elp=elp,
-        selp=selp,
-        fairness=fairness,
-        t_overlap_ns=t_overlap,
-        t_max_ns=t_max,
-    )
+    return compute_reports([schedule], n_qpu, slot_arrival_ns)[0]

@@ -11,6 +11,7 @@ entropy terms on a from-scratch network (:mod:`dqcsched.nn`).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -529,16 +530,6 @@ class PpoAgent:
         save_weights(path, self)
 
 
-def ppo_schedule(queue, agent: PpoAgent, node_selection: bool = False) -> Schedule:
-    """Schedule one queue with a trained (or untrained) agent."""
-    return agent.schedule(queue, node_selection=node_selection)
-
-
-def train(agent: PpoAgent, episodes: int, bias_alpha: float = 0.0) -> list[TrainLogEntry]:
-    """Train ``agent`` in place; returns the per-update training log."""
-    return agent.train(episodes, bias_alpha=bias_alpha)
-
-
 # -- weight file format ----------------------------------------------------
 #
 # Flat binary, little endian:
@@ -580,32 +571,70 @@ def save_weights(path: str, agent: PpoAgent) -> None:
 
 
 def load_weights(path: str) -> tuple[dict, list[np.ndarray]]:
-    """Read a weight file; returns (metadata dict, weight arrays)."""
+    """Read a weight file; returns (metadata dict, weight arrays).
+
+    The file must hold exactly the arrays and bytes its header declares,
+    with the shapes the metadata implies; anything else is a ValueError
+    naming the path.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a scheduler weight file")
-        version, n_arr = struct.unpack("<II", fh.read(8))
+        data = fh.read()
+    if data[:4] != _MAGIC:
+        raise ValueError(f"{path}: not a scheduler weight file")
+    try:
+        version, n_arr = struct.unpack_from("<II", data, 4)
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported weight file version {version}")
+        pos = 12
         shapes = []
         for _ in range(n_arr):
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shapes.append(struct.unpack(f"<{ndim}I", fh.read(4 * ndim)))
-        arrays = []
-        for shape in shapes:
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape)
-            arrays.append(data.copy())
+            (ndim,) = struct.unpack_from("<I", data, pos)
+            shapes.append(struct.unpack_from(f"<{ndim}I", data, pos + 4))
+            pos += 4 + 4 * ndim
+    except struct.error:
+        raise ValueError(f"{path}: truncated weight file header") from None
+    counts = [math.prod(shape) for shape in shapes]
+    if len(data) != pos + 8 * sum(counts):
+        raise ValueError(f"{path}: header declares {pos + 8 * sum(counts)} bytes, "
+                         f"file has {len(data)}")
+    arrays = []
+    for shape, count in zip(shapes, counts):
+        arrays.append(np.frombuffer(data, "<f8", count, pos).reshape(shape).copy())
+        pos += 8 * count
+    if not arrays or arrays[0].ndim != 1 or len(arrays[0]) < 5:
+        raise ValueError(f"{path}: missing metadata vector")
     meta_vec = arrays[0]
-    meta = {
-        "j_max": int(meta_vec[0]),
-        "n_features": int(meta_vec[1]),
-        "reward_variant": REWARD_VARIANTS[int(meta_vec[2])],
-        "latency_mode": LATENCY_MODES[int(meta_vec[3])],
-        "time_scale": float(meta_vec[4]),
-        "hidden": tuple(int(h) for h in meta_vec[5:]),
-    }
+    try:
+        meta = {
+            "j_max": int(meta_vec[0]),
+            "n_features": int(meta_vec[1]),
+            "reward_variant": REWARD_VARIANTS[int(meta_vec[2])],
+            "latency_mode": LATENCY_MODES[int(meta_vec[3])],
+            "time_scale": float(meta_vec[4]),
+            "hidden": tuple(int(h) for h in meta_vec[5:]),
+        }
+        # Every entry must be the exact code save_weights writes: no
+        # fractions, no negative (wrapping) variant or mode indices.
+        valid = np.array_equal(meta_vec, [
+            meta["j_max"], meta["n_features"],
+            REWARD_VARIANTS.index(meta["reward_variant"]),
+            LATENCY_MODES.index(meta["latency_mode"]),
+            meta["time_scale"], *meta["hidden"],
+        ])
+    except (IndexError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise ValueError(f"{path}: bad metadata {meta_vec.tolist()}")
+    expected = [meta_vec.shape, (meta["n_features"],)]
+    for n_out in (meta["j_max"], 1):
+        sizes = [meta["j_max"] * meta["n_features"], *meta["hidden"], n_out]
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
+            expected += [(fan_in, fan_out), (fan_out,)]
+    if len(arrays) != len(expected):
+        raise ValueError(f"{path}: expected {len(expected)} arrays, found {len(arrays)}")
+    for k, (arr, shape) in enumerate(zip(arrays, expected)):
+        if arr.shape != shape:
+            raise ValueError(f"{path}: array {k} has shape {arr.shape}, expected {shape}")
     return meta, arrays[1:]
 
 

@@ -11,6 +11,7 @@ asynchronously as jobs complete.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -173,24 +174,15 @@ def resource_prioritize_schedule(
     while remaining:
         pool = remaining[: enumeration_cap]
         m = len(pool)
-        bits = (np.arange(1, 2 ** m)[:, None] >> np.arange(m)) & 1
+        bits, counts = _subset_tables(m)
         demand = bits @ np.array([j.required_qpus for j in pool])
         est_sum = bits @ np.array([j.est_exec_ns for j in pool], dtype=float)
-        counts = bits.sum(axis=1)
-        feasible = demand <= network.n_nodes
-        util = np.where(feasible, demand, -1)
-        best_util = util.max()
-        mean_t = np.where(util == best_util, est_sum / counts, np.inf)
-        best_mean = mean_t.min()
-        candidates = np.nonzero(mean_t == best_mean)[0]
-        best_ids = None
-        best_mask = None
-        for c in candidates:
-            ids = tuple(sorted(pool[k].id for k in range(m) if bits[c, k]))
-            if best_ids is None or ids < best_ids:
-                best_ids = ids
-                best_mask = c
-        chosen_idx = [k for k in range(m) if bits[best_mask, k]]
+        util = np.where(demand <= network.n_nodes, demand, -1)
+        mean_t = np.where(util == util.max(), est_sum / counts, np.inf)
+        ids = [j.id for j in pool]
+        masks = (np.flatnonzero(mean_t == mean_t.min()) + 1).tolist()
+        chosen_idx = min(([k for k in range(m) if mask >> k & 1] for mask in masks),
+                         key=lambda ks: sorted(ids[k] for k in ks))
         free = list(range(network.n_nodes))
         stage_placements = []
         for k in chosen_idx:
@@ -200,9 +192,17 @@ def resource_prioritize_schedule(
         placements.extend(stage_placements)
         barrier = max(p.finish_ns for p in stage_placements)
         stage += 1
-        chosen_set = set(chosen_idx)
-        remaining = [j for i, j in enumerate(remaining) if i not in chosen_set]
+        remaining = [j for i, j in enumerate(remaining) if i not in chosen_idx]
     return Schedule(placements)
+
+
+@functools.cache
+def _subset_tables(m: int):
+    """Membership of the non-empty subsets of m jobs (row r: bit mask r + 1)
+    as a boolean matrix, and its row sums."""
+    bits = ((np.arange(1, 2 ** m)[:, None] >> np.arange(m)) & 1).astype(bool)
+    bits.setflags(write=False)
+    return bits, bits.sum(axis=1)
 
 
 def select_nodes(free_nodes, k: int, network: Network) -> tuple[int, ...]:

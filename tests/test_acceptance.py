@@ -17,7 +17,7 @@ import pytest
 from conftest import make_job, make_rng, unit_exec_params
 from dqcsched import harness
 from dqcsched.execmodel import ExecModelParams
-from dqcsched.metrics import compute_report, overlap_terms
+from dqcsched.metrics import compute_report
 from dqcsched.netmodel import (
     LINK_PRESETS,
     build_network,
@@ -106,7 +106,7 @@ def test_criterion_2_metric_oracles():
             entries.append(Placement(i, (i % 6,), start, start + dur, 0))
             intervals.append((start, start + dur))
         schedule = Schedule(entries)
-        t_overlap, _ = overlap_terms(schedule)
+        t_overlap = compute_report(schedule, 6).t_overlap_ns
         ok &= t_overlap == sweep_line_overlap(intervals)
 
         queue = [make_job(i, int(rng.integers(1, 7)), int(rng.integers(1, 100)))

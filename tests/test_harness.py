@@ -68,6 +68,32 @@ class TestConfigParser:
         with pytest.raises(ConfigError, match="lam5"):
             harness.load_config(str(path))
 
+    @pytest.mark.parametrize("old,new,key,section", [
+        ("[setting lam5_bias]\nlambda = 5\nbias_alpha = 0.5\n",
+         "[setting lam5_bias]\nlambda = 5\nbias_alpah = 0.5\n",
+         "bias_alpah", "setting lam5_bias"),
+        ("qpu_capacity = 3\n", "qpu_capacity = 3\ncomm_qubits = 7\n",
+         "comm_qubits", "network"),
+        ("seed_count = 30\n", "seed_count = 30\nseeds = 1, 2\n", "seed_count", "run"),
+    ])
+    def test_unread_key_rejected_with_line(self, tmp_path, old, new, key, section):
+        text = default_config_text().replace(old, new)
+        line = text.splitlines().index(next(
+            ln for ln in text.splitlines() if ln.startswith(key + " ="))) + 1
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"bad.cfg:{line}: key '{key}' "
+                                              rf"in section \[{section}\]"):
+            harness.load_config(str(path))
+
+    @pytest.mark.parametrize("relpath", [
+        "configs/benchmark.cfg", "perfbench/configs/sweep.cfg",
+        "perfbench/configs/sweep-wide.cfg", "perfbench/configs/ppo-train.cfg",
+    ])
+    def test_shipped_configs_load(self, relpath):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, relpath)
+        assert harness.load_config(path).settings
+
     def test_bad_quality_mix_rejected(self, tmp_path):
         text = default_config_text().replace(
             "quality_mix = bad:0.2, medium:0.3, good:0.5",
@@ -243,8 +269,7 @@ class TestCli:
     def test_init_config_roundtrip(self, tmp_path):
         path = str(tmp_path / "default.cfg")
         assert cli.main(["init-config", "--out", path]) == 0
-        config = harness.load_config(path)
-        assert config.settings == default_benchmark_config().settings
+        assert harness.load_config(path) == default_benchmark_config()
 
     def test_train_and_run_ppo(self, tmp_path):
         cfg_text = default_config_text()

@@ -1,20 +1,19 @@
-"""Metric worked examples, bounds, and the overlap sweep-line oracle."""
+"""Metric worked examples, bounds, and oracles for the cell reduction.
+
+The oracles are the per-slot forms the batched reduction must reproduce
+float for float: the O(n^2) pairwise overlap loop, a sweep-line overlap,
+and one numpy log/mean/exp/std call chain per slot for SELP and fairness.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_job, make_rng, unit_exec_params
-from dqcsched.metrics import (
-    EmptyScheduleError,
-    compute_report,
-    elp_selp_fairness,
-    makespan,
-    nonlocal_gate_density,
-    overlap_terms,
-    qpu_utilization,
-)
+from dqcsched.metrics import EmptyScheduleError, compute_report, compute_reports
 from dqcsched.netmodel import homogeneous_network
 from dqcsched.schedulers import Placement, Schedule, fifo_schedule
 
@@ -24,54 +23,85 @@ def raw_schedule(entries):
     return Schedule([Placement(*e) for e in entries])
 
 
+def report(entries, n_qpu=4):
+    return compute_report(raw_schedule(entries), n_qpu)
+
+
+def overlap_terms(schedule):
+    """Pairwise overlap time and its ceiling (sum of pairwise duration sums)."""
+    ps = schedule.placements
+    t_overlap = 0
+    t_max = 0
+    for i in range(len(ps)):
+        for j in range(i + 1, len(ps)):
+            t_overlap += max(
+                0, min(ps[i].finish_ns, ps[j].finish_ns) - max(ps[i].start_ns, ps[j].start_ns)
+            )
+            t_max += ps[i].duration_ns + ps[j].duration_ns
+    return t_overlap, t_max
+
+
+def oracle_report(schedule, n_qpu, slot_arrival_ns=0):
+    """The per-slot reduction, field for field in MetricsReport order."""
+    ps = schedule.placements
+    makespan = max(p.finish_ns for p in ps) - min(p.start_ns for p in ps)
+    busy = sum(p.duration_ns * len(p.assigned_nodes) for p in ps)
+    t_overlap, t_max = overlap_terms(schedule)
+    elp = [p.duration_ns / (p.finish_ns - slot_arrival_ns) for p in ps]
+    arr = np.asarray(elp)
+    selp = float(np.exp(np.mean(np.log(arr))))
+    fairness = 1.0 - float(np.std(arr))
+    return (makespan, busy / (makespan * n_qpu), (t_overlap / t_max) if t_max else 0.0,
+            tuple(elp), selp, fairness, t_overlap, t_max)
+
+
+def as_fields(rep):
+    return (rep.makespan_ns, rep.qpu_utilization, rep.nonlocal_gate_density, rep.elp,
+            rep.selp, rep.fairness, rep.t_overlap_ns, rep.t_max_ns)
+
+
 class TestMakespan:
     def test_single_job(self):
-        s = raw_schedule([(0, (0, 1), 0, 10, 0)])
-        assert makespan(s) == 10
+        assert report([(0, (0, 1), 0, 10, 0)]).makespan_ns == 10
 
     def test_two_disjoint_jobs(self):
-        s = raw_schedule([(0, (0,), 0, 10, 0), (1, (0,), 20, 25, 1)])
-        assert makespan(s) == 25
+        assert report([(0, (0,), 0, 10, 0), (1, (0,), 20, 25, 1)]).makespan_ns == 25
 
     def test_translation_invariance(self):
         delta = 1_000_000
         base = [(0, (0,), 0, 10, 0), (1, (1,), 5, 30, 0)]
         shifted = [(i, n, s + delta, f + delta, st) for i, n, s, f, st in base]
-        assert makespan(raw_schedule(base)) == makespan(raw_schedule(shifted))
+        assert report(base).makespan_ns == report(shifted).makespan_ns
 
     def test_empty_schedule_is_error(self):
         with pytest.raises(EmptyScheduleError):
-            makespan(Schedule([]))
+            compute_report(Schedule([]), 4)
 
 
 class TestQpuUtilization:
     def test_single_job(self):
-        s = raw_schedule([(0, (0, 1), 0, 10, 0)])
-        assert qpu_utilization(s, 4) == 0.5
+        assert report([(0, (0, 1), 0, 10, 0)]).qpu_utilization == 0.5
 
     def test_saturated(self):
-        s = raw_schedule([(0, (0, 1), 0, 10, 0), (1, (2, 3), 0, 10, 0)])
-        assert qpu_utilization(s, 4) == 1.0
+        assert report([(0, (0, 1), 0, 10, 0), (1, (2, 3), 0, 10, 0)]).qpu_utilization == 1.0
 
     def test_serializing_halves_utilization(self):
-        parallel = raw_schedule([(0, (0, 1), 0, 10, 0), (1, (2, 3), 0, 10, 0)])
-        serial = raw_schedule([(0, (0, 1), 0, 10, 0), (1, (2, 3), 10, 20, 1)])
-        assert qpu_utilization(serial, 4) == qpu_utilization(parallel, 4) / 2
+        parallel = report([(0, (0, 1), 0, 10, 0), (1, (2, 3), 0, 10, 0)])
+        serial = report([(0, (0, 1), 0, 10, 0), (1, (2, 3), 10, 20, 1)])
+        assert serial.qpu_utilization == parallel.qpu_utilization / 2
 
 
 class TestNonlocalGateDensity:
     def test_two_identical_concurrent_jobs(self):
-        s = raw_schedule([(0, (0,), 0, 10, 0), (1, (1,), 0, 10, 0)])
-        assert nonlocal_gate_density(s) == 0.5
-        assert overlap_terms(s) == (10, 20)
+        rep = report([(0, (0,), 0, 10, 0), (1, (1,), 0, 10, 0)])
+        assert rep.nonlocal_gate_density == 0.5
+        assert (rep.t_overlap_ns, rep.t_max_ns) == (10, 20)
 
     def test_disjoint_in_time(self):
-        s = raw_schedule([(0, (0,), 0, 10, 0), (1, (0,), 10, 20, 1)])
-        assert nonlocal_gate_density(s) == 0.0
+        assert report([(0, (0,), 0, 10, 0), (1, (0,), 10, 20, 1)]).nonlocal_gate_density == 0.0
 
     def test_single_job_defined_as_zero(self):
-        s = raw_schedule([(0, (0, 1), 0, 10, 0)])
-        assert nonlocal_gate_density(s) == 0.0
+        assert report([(0, (0, 1), 0, 10, 0)]).nonlocal_gate_density == 0.0
 
 
 def sweep_line_overlap(intervals):
@@ -96,33 +126,31 @@ class TestOverlapOracle:
                 dur = int(rng.integers(1, 300))
                 entries.append((i, (i,), start, start + dur, 0))
                 intervals.append((start, start + dur))
-            t_overlap, _ = overlap_terms(raw_schedule(entries))
-            assert t_overlap == sweep_line_overlap(intervals)
+            schedule = raw_schedule(entries)
+            rep = compute_report(schedule, 4)
+            assert rep.t_overlap_ns == sweep_line_overlap(intervals)
+            assert (rep.t_overlap_ns, rep.t_max_ns) == overlap_terms(schedule)
 
 
 class TestElpSelpFairness:
     def test_all_jobs_start_at_arrival(self):
-        s = raw_schedule([(0, (0,), 0, 10, 0), (1, (1,), 0, 25, 0)])
-        elp, selp, fairness = elp_selp_fairness(s)
-        assert elp == (1.0, 1.0)
-        assert selp == 1.0
-        assert fairness == 1.0
+        rep = report([(0, (0,), 0, 10, 0), (1, (1,), 0, 25, 0)])
+        assert rep.elp == (1.0, 1.0)
+        assert rep.selp == 1.0
+        assert rep.fairness == 1.0
 
     def test_two_serialized_jobs(self):
-        s = raw_schedule([(0, (0,), 0, 10, 0), (1, (0,), 10, 20, 1)])
-        elp, selp, fairness = elp_selp_fairness(s)
-        assert elp == (1.0, 0.5)
-        assert abs(selp - math.sqrt(0.5)) < 1e-12
-        assert abs(fairness - 0.75) < 1e-12
+        rep = report([(0, (0,), 0, 10, 0), (1, (0,), 10, 20, 1)])
+        assert rep.elp == (1.0, 0.5)
+        assert abs(rep.selp - math.sqrt(0.5)) < 1e-12
+        assert abs(rep.fairness - 0.75) < 1e-12
 
     def test_label_permutation_invariance(self):
         entries = [(0, (0,), 0, 7, 0), (1, (1,), 0, 20, 0), (2, (0,), 20, 31, 1)]
-        s1 = raw_schedule(entries)
-        s2 = raw_schedule(list(reversed(entries)))
-        _, selp1, fair1 = elp_selp_fairness(s1)
-        _, selp2, fair2 = elp_selp_fairness(s2)
-        assert selp1 == selp2
-        assert fair1 == fair2
+        rep1 = report(entries)
+        rep2 = report(list(reversed(entries)))
+        assert rep1.selp == rep2.selp
+        assert rep1.fairness == rep2.fairness
 
     def test_selp_is_exp_mean_log(self):
         rng = make_rng(42)
@@ -133,7 +161,8 @@ class TestElpSelpFairness:
                 start = int(rng.integers(0, 100))
                 dur = int(rng.integers(1, 100))
                 entries.append((i, (i,), start, start + dur, 0))
-            elp, selp, fairness = elp_selp_fairness(raw_schedule(entries))
+            rep = report(entries)
+            elp, selp, fairness = rep.elp, rep.selp, rep.fairness
             product_form = float(np.prod(elp)) ** (1.0 / len(elp))
             assert abs(selp - product_form) < 1e-12
             assert selp <= np.mean(elp) + 1e-12  # geometric <= arithmetic
@@ -162,3 +191,75 @@ class TestBoundsOnSchedulerOutput:
             assert all(0.0 < e <= 1.0 for e in report.elp)
             assert 0.0 < report.selp <= 1.0
             assert report.fairness <= 1.0
+
+
+# -- the cell reduction against the per-slot oracle ----------------------------
+
+DURATIONS = st.integers(1, 10**9)
+
+
+@st.composite
+def slot_schedules(draw, n_jobs=st.integers(1, 20)):
+    """A staged (barrier) schedule or an ASAP-like one with free overlaps."""
+    n = draw(n_jobs)
+    widths = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        placements, barrier, stage = [], 0, 0
+        while len(placements) < n:
+            size = draw(st.integers(1, n - len(placements)))
+            durations = draw(st.lists(DURATIONS, min_size=size, max_size=size))
+            for d in durations:
+                i = len(placements)
+                placements.append(Placement(i, tuple(range(widths[i])), barrier,
+                                            barrier + d, stage))
+            barrier += max(durations)
+            stage += 1
+    else:
+        starts = draw(st.lists(st.integers(0, 10**9), min_size=n, max_size=n))
+        durations = draw(st.lists(DURATIONS, min_size=n, max_size=n))
+        placements = [Placement(i, tuple(range(w)), s, s + d, 0)
+                      for i, (w, s, d) in enumerate(zip(widths, starts, durations))]
+    order = draw(st.permutations(range(n)))
+    return Schedule([placements[k] for k in order])
+
+
+CELLS = st.lists(slot_schedules(), min_size=1, max_size=12)
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestCellReduction:
+    @PROPERTY
+    @given(cell=CELLS, n_qpu=st.integers(6, 12))
+    @example(cell=[raw_schedule([(0, (0,), 0, 10, 0)]),
+                   raw_schedule([(0, (0,), 0, 10, 0), (1, (1,), 0, 10, 0)]),
+                   raw_schedule([(0, (0, 1), 3, 9, 0)])], n_qpu=6)
+    def test_matches_per_slot_oracle_repr_exactly(self, cell, n_qpu):
+        reports = compute_reports(cell, n_qpu)
+        assert len(reports) == len(cell)
+        for schedule, rep in zip(cell, reports):
+            assert repr(as_fields(rep)) == repr(oracle_report(schedule, n_qpu))
+            if len(schedule) == 1:
+                assert rep.nonlocal_gate_density == 0.0
+
+    @PROPERTY
+    @given(cell=CELLS, at=st.integers(0, 12))
+    def test_non_positive_latency_raises(self, cell, at):
+        bad = raw_schedule([(7, (0,), 0, 0, 0)])
+        with pytest.raises(ValueError, match="job 7 has non-positive latency 0"):
+            compute_reports(cell[:at] + [bad] + cell[at:], 6)
+        latest = max(p.finish_ns for s in cell for p in s.placements)
+        with pytest.raises(ValueError, match="non-positive latency"):
+            compute_reports(cell, 6, slot_arrival_ns=latest)
+
+    @PROPERTY
+    @given(cell=CELLS, at=st.integers(0, 12))
+    def test_empty_schedule_in_cell_raises(self, cell, at):
+        with pytest.raises(EmptyScheduleError):
+            compute_reports(cell[:at] + [Schedule([])] + cell[at:], 6)
+
+    def test_empty_cell_has_no_reports(self):
+        assert compute_reports([], 6) == []
+
+    def test_n_qpu_must_be_positive(self):
+        with pytest.raises(ValueError, match="n_qpu"):
+            compute_report(raw_schedule([(0, (0,), 0, 10, 0)]), 0)

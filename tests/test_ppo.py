@@ -1,6 +1,7 @@
 """RL scheduler: encoding, rewards, losses, gradients, rollout, persistence."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from dqcsched.ppo import (
     epr_reward,
     load_agent,
     policy_loss_parts,
-    ppo_schedule,
     ppo_update,
     stage_latencies,
     value_loss_parts,
@@ -337,7 +337,7 @@ class TestPpoSchedule:
         agent = small_agent()
         jobs = [make_job(i, q, 10 * (i + 1), epr=i)
                 for i, q in enumerate((2, 3, 1, 5, 2))]
-        schedule = ppo_schedule(jobs, agent)
+        schedule = agent.schedule(jobs, node_selection=False)
         assert sorted(p.job_id for p in schedule.placements) == list(range(5))
         for stage in schedule.stages():
             used = set()
@@ -348,8 +348,8 @@ class TestPpoSchedule:
     def test_deterministic_inference(self):
         agent = small_agent(seed=4)
         jobs = [make_job(i, 2, 10 + i, epr=i) for i in range(5)]
-        s1 = ppo_schedule(jobs, agent)
-        s2 = ppo_schedule(jobs, agent)
+        s1 = agent.schedule(jobs, node_selection=False)
+        s2 = agent.schedule(jobs, node_selection=False)
         assert s1.placements == s2.placements
 
     def test_epr_biased_policy_mimics_epr_scheduler(self):
@@ -373,7 +373,7 @@ class TestPpoSchedule:
 
     def test_empty_queue(self):
         agent = small_agent()
-        assert ppo_schedule([], agent).placements == []
+        assert agent.schedule([], node_selection=False).placements == []
 
 
 class TestTraining:
@@ -416,6 +416,47 @@ class TestPersistence:
                 == agent.value_net.flat_parameters()).all()
         jobs = [make_job(i, 2, 10 + 3 * i, epr=i) for i in range(5)]
         assert loaded.schedule(jobs).placements == agent.schedule(jobs).placements
+
+    @staticmethod
+    def saved_bytes(tmp_path):
+        agent = small_agent(seed=13)
+        path = tmp_path / "weights.bin"
+        agent.save(str(path))
+        return agent, path.read_bytes()
+
+    def assert_rejected(self, path, data, agent, fragment):
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=fragment) as err:
+            load_agent(str(path), agent.network, PARAMS, agent.catalog)
+        assert str(path) in str(err.value)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        agent, data = self.saved_bytes(tmp_path)
+        bad = tmp_path / "short.bin"
+        self.assert_rejected(bad, data[:-8], agent, "declares")
+        self.assert_rejected(bad, data[:20], agent, "truncated")
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        agent, data = self.saved_bytes(tmp_path)
+        self.assert_rejected(tmp_path / "long.bin", data + b"\x00" * 8, agent, "declares")
+
+    def test_missing_array_or_wrong_shape_rejected(self, tmp_path):
+        # The last array is the value head's bias, shape (1,): one 8-byte
+        # table entry and one float64. The table lists the 1-D metadata and
+        # feature-scale vectors, then every network parameter.
+        agent, data = self.saved_bytes(tmp_path)
+        params = agent.policy.parameters() + agent.value_net.parameters()
+        table_end = 12 + sum(4 + 4 * ndim for ndim in [1, 1] + [a.ndim for a in params])
+        n_arr = struct.unpack_from("<I", data, 8)[0]
+        short = (data[:8] + struct.pack("<I", n_arr - 1) + data[12:table_end - 8]
+                 + data[table_end:-8])
+        self.assert_rejected(tmp_path / "missing.bin", short, agent, "arrays")
+        # Metadata claiming j_max = 4 implies a 16-row first policy layer.
+        j_max_4 = data[:table_end] + struct.pack("<d", 4.0) + data[table_end + 8:]
+        self.assert_rejected(tmp_path / "shape.bin", j_max_4, agent, r"array 2 has shape")
+        # A variant index of -1 would otherwise wrap to the last variant.
+        variant = data[:table_end + 16] + struct.pack("<d", -1.0) + data[table_end + 24:]
+        self.assert_rejected(tmp_path / "variant.bin", variant, agent, "bad metadata")
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -3,13 +3,17 @@
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import make_job, make_rng, unit_exec_params, weighted_network
-from dqcsched.netmodel import LINK_PRESETS, LinkProfile, homogeneous_network
+from dqcsched.netmodel import LINK_PRESETS, LinkProfile, build_network, homogeneous_network
 from dqcsched.schedulers import (
     SCHEDULER_NAMES,
+    Schedule,
     SchedulingError,
+    _place,
+    _validate_queue,
     asap_schedule,
     epr_schedule,
     fifo_schedule,
@@ -113,6 +117,67 @@ class TestResourcePrioritize:
                 assert stage_ids == expected
                 remaining = [j for j in remaining if j.id not in expected]
             assert remaining == []
+
+
+def reference_resource_schedule(queue, network, exec_params, enumeration_cap=12):
+    """The subset search with per-stage tables and a bit-scanning tie-break."""
+    _validate_queue(queue, network)
+    placements = []
+    remaining = list(queue)
+    barrier = 0
+    stage = 0
+    while remaining:
+        pool = remaining[: enumeration_cap]
+        m = len(pool)
+        bits = (np.arange(1, 2 ** m)[:, None] >> np.arange(m)) & 1
+        demand = bits @ np.array([j.required_qpus for j in pool])
+        est_sum = bits @ np.array([j.est_exec_ns for j in pool], dtype=float)
+        counts = bits.sum(axis=1)
+        feasible = demand <= network.n_nodes
+        util = np.where(feasible, demand, -1)
+        best_util = util.max()
+        mean_t = np.where(util == best_util, est_sum / counts, np.inf)
+        best_mean = mean_t.min()
+        candidates = np.nonzero(mean_t == best_mean)[0]
+        best_ids = None
+        best_mask = None
+        for c in candidates:
+            ids = tuple(sorted(pool[k].id for k in range(m) if bits[c, k]))
+            if best_ids is None or ids < best_ids:
+                best_ids = ids
+                best_mask = c
+        chosen_idx = [k for k in range(m) if bits[best_mask, k]]
+        free = list(range(network.n_nodes))
+        stage_placements = []
+        for k in chosen_idx:
+            job = pool[k]
+            nodes, free = free[: job.required_qpus], free[job.required_qpus:]
+            stage_placements.append(_place(job, nodes, barrier, stage, network, exec_params))
+        placements.extend(stage_placements)
+        barrier = max(p.finish_ns for p in stage_placements)
+        stage += 1
+        chosen_set = set(chosen_idx)
+        remaining = [j for i, j in enumerate(remaining) if i not in chosen_set]
+    return Schedule(placements)
+
+
+@pytest.mark.parametrize("n_nodes", [6, 12])
+def test_resource_matches_reference_search(n_nodes):
+    """Random queues of 1-20 jobs with few distinct sizes and times, so many
+    subsets tie on demand and mean; small caps make pools overflow the cap;
+    shuffled ids make the id-set tie-break differ from arrival order."""
+    net = build_network(n_nodes, 3, {"bad": 0.2, "medium": 0.3, "good": 0.5}, seed=5)
+    rng = make_rng(53, n_nodes)
+    for _ in range(150):
+        n = int(rng.integers(1, 21))
+        ids = rng.permutation(100)[:n] if rng.random() < 0.5 else np.arange(n)
+        sizes = rng.choice([1, 2, 3, n_nodes // 2, n_nodes], size=n)
+        times = rng.choice([10, 20, 30, 45], size=n)
+        queue = [make_job(int(i), int(q), int(t)) for i, q, t in zip(ids, sizes, times)]
+        cap = int(rng.choice([1, 3, 5, 12]))
+        got = resource_prioritize_schedule(queue, net, PARAMS, enumeration_cap=cap)
+        want = reference_resource_schedule(queue, net, PARAMS, enumeration_cap=cap)
+        assert got.placements == want.placements
 
 
 class TestEpr:
