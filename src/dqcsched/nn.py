@@ -17,7 +17,6 @@ class Mlp:
     def __init__(self, layer_sizes: list[int], rng: np.random.Generator):
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
-        self.layer_sizes = list(layer_sizes)
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         for i, (fan_in, fan_out) in enumerate(zip(layer_sizes, layer_sizes[1:])):
@@ -30,18 +29,19 @@ class Mlp:
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Returns (output, cache of per-layer activations) for a batch."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        activations = [x]
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            h = z if i == last else np.tanh(z)
-            activations.append(h)
-        return h, activations
+        activations = [np.atleast_2d(np.asarray(x, dtype=float))]
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            activations.append(np.tanh(activations[-1] @ w + b))
+        out = activations[-1] @ self.weights[-1] + self.biases[-1]
+        activations.append(out)
+        return out, activations
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[0]
+        """Output of :meth:`forward` without the activation cache."""
+        h = np.atleast_2d(np.asarray(x, dtype=float))
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = np.tanh(h @ w + b)
+        return h @ self.weights[-1] + self.biases[-1]
 
     def backward(self, activations: list[np.ndarray], grad_out: np.ndarray
                  ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -61,11 +61,7 @@ class Mlp:
         return grads
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def flat_parameters(self) -> np.ndarray:
         return np.concatenate([p.ravel() for p in self.parameters()])
@@ -80,7 +76,7 @@ class Mlp:
 
 
 class Adam:
-    """Adaptive-moment gradient descent over a list of parameter arrays."""
+    """Adaptive-moment gradient descent; moments are flat over all parameters."""
 
     def __init__(self, params: list[np.ndarray], lr: float = 3e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -89,30 +85,36 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self._bounds = np.cumsum([0] + [p.size for p in params]).tolist()
+        self.m = np.zeros(self._bounds[-1])
+        self.v = np.zeros(self._bounds[-1])
         self.t = 0
 
     def step(self, grads: list[np.ndarray]) -> None:
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        g = np.concatenate([grad.ravel() for grad in grads])
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
+        update = self.lr * (self.m / b1t) / (np.sqrt(self.v / b2t) + self.eps)
+        for p, lo, hi in zip(self.params, self._bounds, self._bounds[1:]):
+            p -= update[lo:hi].reshape(p.shape)
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Softmax over the entries where ``mask`` is True; zeros elsewhere."""
+    """Softmax over the last axis where ``mask`` is True; zeros elsewhere.
+
+    A batch of rows gives the same bits as one call per row.
+    """
     logits = np.asarray(logits, dtype=float)
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
+    if not mask.any(axis=-1).all():
         raise ValueError("masked_softmax needs at least one selectable entry")
     shifted = np.where(mask, logits, -np.inf)
-    shifted = shifted - shifted[mask].max()
+    shifted = shifted - shifted.max(axis=-1, keepdims=True)
     exp = np.where(mask, np.exp(shifted), 0.0)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def masked_entropy(probs: np.ndarray, mask: np.ndarray) -> float:

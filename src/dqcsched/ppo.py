@@ -25,6 +25,7 @@ from .schedulers import Placement, Schedule, SchedulingError, select_nodes
 
 REWARD_VARIANTS = ("plain", "node_selection")
 LATENCY_MODES = ("cumulative", "immediate")
+_PROB_SUM_TOL = math.sqrt(np.finfo(float).eps)  # Generator.choice's tolerance
 
 
 @dataclass
@@ -185,6 +186,15 @@ def epr_reward(
     return r_epr, -r_lat + r_epr
 
 
+def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """``rng.choice(len(probs), p=probs)`` by numpy's own algorithm, at less cost."""
+    if (probs < 0.0).any() or not abs(probs.sum() - 1.0) <= _PROB_SUM_TOL:
+        raise ValueError(f"not a probability vector: {probs.tolist()}")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def policy_loss_parts(
     logits: np.ndarray,
     masks: np.ndarray,
@@ -199,9 +209,7 @@ def policy_loss_parts(
     for one batch; gradients already include the 1/batch averaging.
     """
     n = logits.shape[0]
-    probs = np.zeros_like(logits)
-    for i in range(n):
-        probs[i] = masked_softmax(logits[i], masks[i])
+    probs = masked_softmax(logits, masks)
     idx = np.arange(n)
     logp_new = np.log(probs[idx, actions])
     ratio = np.exp(logp_new - logp_old)
@@ -246,9 +254,9 @@ def ppo_update(
     policy: Mlp,
     value_net: Mlp,
     config: PpoConfig,
-    policy_opt: Adam | None = None,
-    value_opt: Adam | None = None,
-    rng: np.random.Generator | None = None,
+    policy_opt: Adam,
+    value_opt: Adam,
+    rng: np.random.Generator,
 ) -> list[tuple[float, float, float]]:
     """Minibatch gradient steps on the combined loss; clears the buffer.
 
@@ -256,12 +264,6 @@ def ppo_update(
     """
     if not buffer:
         raise ValueError("ppo_update requires a non-empty buffer")
-    if policy_opt is None:
-        policy_opt = Adam(policy.parameters(), lr=config.learning_rate)
-    if value_opt is None:
-        value_opt = Adam(value_net.parameters(), lr=config.learning_rate)
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(config.seed))
 
     obs = np.stack([tr.obs for tr in buffer])
     masks = np.stack([tr.mask for tr in buffer])
@@ -352,11 +354,6 @@ class PpoAgent:
     def encode(self, queue) -> PpoState:
         return encode_state(queue, self.config.j_max, self.time_scale)
 
-    def _obs(self, state: PpoState, selected: np.ndarray) -> np.ndarray:
-        scaled = state.matrix / self.feature_scales
-        scaled = np.where(selected[:, None], 0.0, scaled)
-        return scaled.ravel()
-
     def select_stage(
         self,
         state: PpoState,
@@ -368,9 +365,11 @@ class PpoAgent:
 
         Each pick renormalizes the softmax over the not-yet-selected,
         non-padding jobs that still fit the remaining node budget, so every
-        emitted stage respects the budget by construction.
+        emitted stage respects the budget by construction. Only sampled
+        picks, which training learns from, return transitions.
         """
         n_vals = state.matrix[:, 0].astype(int)
+        scaled = state.matrix / self.feature_scales
         picks: list[int] = []
         transitions: list[Transition] = []
         cap = n_max
@@ -378,18 +377,15 @@ class PpoAgent:
             mask = ~state.padding & ~selected & (n_vals <= cap)
             if not mask.any():
                 break
-            obs = self._obs(state, selected)
-            logits = self.policy(obs)[0]
-            probs = masked_softmax(logits, mask)
+            obs = np.where(selected[:, None], 0.0, scaled).ravel()
+            probs = masked_softmax(self.policy(obs)[0], mask)
             if sample:
-                action = int(self.action_rng.choice(len(probs), p=probs))
+                action = sample_index(probs, self.action_rng)
+                transitions.append(Transition(
+                    obs=obs, mask=mask, action=action, logp=float(np.log(probs[action])),
+                    value=float(self.value_net(obs)[0, 0])))
             else:
                 action = int(np.argmax(probs))
-            value = float(self.value_net(obs)[0, 0])
-            transitions.append(Transition(
-                obs=obs, mask=mask, action=action,
-                logp=float(np.log(probs[action])), value=value,
-            ))
             picks.append(action)
             selected[action] = True
             cap -= n_vals[action]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -206,7 +206,7 @@ def partition_job(
     return dataclasses.replace(draft, est_exec_ns=est)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkloadConfig:
     """Arrival process and job-mix settings for one simulation setting.
 
@@ -214,12 +214,14 @@ class WorkloadConfig:
     ``bias_alpha`` > 0, selection weights grow with catalog position so
     heavier jobs become more likely. ``fixed_count`` overrides the Poisson
     draw with a constant batch size (used for the RL comparison).
+    ``probabilities`` holds the read-only catalog selection weights.
     """
 
     catalog: tuple[JobDescriptor, ...]
     lam: float = 5.0
     bias_alpha: float = 0.0
     fixed_count: int | None = None
+    probabilities: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.catalog:
@@ -231,6 +233,9 @@ class WorkloadConfig:
         gates = [j.nonlocal_gates for j in self.catalog]
         if any(a > b for a, b in zip(gates, gates[1:])):
             raise ValueError("catalog must be ordered ascending by nonlocal_gates")
+        probs = selection_probabilities(len(self.catalog), self.bias_alpha)
+        probs.flags.writeable = False
+        object.__setattr__(self, "probabilities", probs)
 
 
 def default_catalog(
@@ -324,6 +329,8 @@ def generate_slot_jobs(config: WorkloadConfig, rng: np.random.Generator) -> list
         count = sample_arrival_count(config.lam, rng)
     if count == 0:
         return []
-    probs = selection_probabilities(len(config.catalog), config.bias_alpha)
-    picks = rng.choice(len(config.catalog), size=count, p=probs)
-    return [dataclasses.replace(config.catalog[i], id=k) for k, i in enumerate(picks)]
+    picks = rng.choice(len(config.catalog), size=count, p=config.probabilities)
+    jobs = [config.catalog[i] for i in picks]
+    return [JobDescriptor(k, j.required_qpus, j.epr_pairs, j.nonlocal_gates,
+                          j.est_exec_ns, j.profile, j.cross_block_pairs)
+            for k, j in enumerate(jobs)]

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_job, make_rng, unit_exec_params
 from dqcsched.netmodel import homogeneous_network
-from dqcsched.nn import Mlp, masked_entropy, masked_softmax
+from dqcsched.nn import Adam, Mlp, masked_entropy, masked_softmax
 from dqcsched.ppo import (
     PpoAgent,
     PpoConfig,
@@ -19,6 +19,7 @@ from dqcsched.ppo import (
     load_agent,
     policy_loss_parts,
     ppo_update,
+    sample_index,
     stage_latencies,
     value_loss_parts,
 )
@@ -26,6 +27,53 @@ from dqcsched.schedulers import epr_schedule
 from dqcsched.workload import build_circuit_profile, default_catalog, partition_job
 
 PARAMS = unit_exec_params()
+
+
+# -- references: the per-row / per-array code the faster paths replaced ------
+
+
+def reference_masked_softmax(logits, mask):
+    logits = np.asarray(logits, dtype=float)
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any():
+        raise ValueError("masked_softmax needs at least one selectable entry")
+    shifted = np.where(mask, logits, -np.inf)
+    shifted = shifted - shifted[mask].max()
+    exp = np.where(mask, np.exp(shifted), 0.0)
+    return exp / exp.sum()
+
+
+def reference_forward(net, x):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    activations = [x]
+    h = x
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = h @ w + b
+        h = z if i == last else np.tanh(z)
+        activations.append(h)
+    return h, activations
+
+
+class ReferenceAdam:
+    def __init__(self, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, grads):
+        self.t += 1
+        b1t = 1.0 - self.beta1 ** self.t
+        b2t = 1.0 - self.beta2 ** self.t
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
+            v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
 
 def small_agent(j_max=5, seed=0, **cfg_kwargs):
@@ -91,6 +139,92 @@ class TestMaskedSoftmax:
         assert masked_entropy(skewed, mask) < h_uniform
         assert masked_entropy(skewed, mask) >= 0.0
 
+    def test_batch_is_bit_identical_to_rows(self):
+        rng = make_rng(56)
+        for scale in (0.01, 0.1, 1.0, 3.0, 10.0, 30.0):
+            for n, k in ((1, 5), (64, 5), (37, 8), (16, 20), (3, 130)):
+                logits = rng.normal(size=(n, k)) * scale
+                masks = rng.random((n, k)) < 0.5
+                masks[: n // 2] = False  # half the rows: one selectable entry
+                masks[np.arange(n), rng.integers(0, k, size=n)] = True
+                expected = np.stack([reference_masked_softmax(l, m)
+                                     for l, m in zip(logits, masks)])
+                assert np.array_equal(masked_softmax(logits, masks), expected)
+                assert np.array_equal(masked_softmax(logits[0], masks[0]), expected[0])
+
+    def test_fully_masked_row_rejected(self):
+        masks = np.ones((4, 5), dtype=bool)
+        masks[2] = False
+        with pytest.raises(ValueError, match="selectable"):
+            masked_softmax(np.zeros((4, 5)), masks)
+        with pytest.raises(ValueError, match="selectable"):
+            masked_softmax(np.zeros(5), masks[2])
+
+
+class TestBitExactRewrites:
+    def test_call_equals_forward_output(self):
+        rng = make_rng(57)
+        for sizes in ([20, 64, 64, 5], [20, 64, 64, 1], [3, 2]):
+            net = Mlp(sizes, rng)
+            for b in net.biases:
+                b[...] = rng.normal(size=b.shape)
+            for x in (rng.normal(size=sizes[0]), rng.normal(size=(1, sizes[0])),
+                      rng.normal(size=(9, sizes[0]))):
+                out, cache = net.forward(x)
+                ref_out, ref_cache = reference_forward(net, x)
+                assert np.array_equal(net(x), out)
+                assert np.array_equal(out, ref_out)
+                assert all(np.array_equal(a, b) for a, b in zip(cache, ref_cache))
+                assert len(cache) == len(ref_cache)
+
+    def test_flat_adam_equals_per_array_adam(self):
+        rng = make_rng(58)
+        params = [rng.normal(size=shape) for shape in ((20, 64), (64,), (64, 5), (5,))]
+        ours = [p.copy() for p in params]
+        theirs = [p.copy() for p in params]
+        opt, ref = Adam(ours, lr=1e-2), ReferenceAdam(theirs, lr=1e-2)
+        for _ in range(5):
+            grads = [rng.normal(size=p.shape) * rng.choice([1e-6, 1.0, 1e3])
+                     for p in params]
+            opt.step(grads)
+            ref.step(grads)
+            assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+        assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in ref.m]))
+        assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
+
+    def test_sample_index_draws_like_generator_choice(self):
+        rng = make_rng(59)
+        ours, theirs = make_rng(60), make_rng(60)
+        for _ in range(20_000):
+            k = int(rng.integers(1, 9))
+            mask = rng.random(k) < 0.6
+            mask[int(rng.integers(0, k))] = True
+            probs = masked_softmax(rng.normal(size=k) * rng.choice([0.1, 1.0, 10.0]), mask)
+            assert sample_index(probs, ours) == theirs.choice(k, p=probs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_sample_index_at_the_ends_of_the_uniform_range(self):
+        class FixedUniform:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        low, high = FixedUniform(0.0), FixedUniform(np.nextafter(1.0, 0.0))
+        # a leading masked entry is never drawn, not even by u = 0
+        assert sample_index(masked_softmax(np.zeros(2), [False, True]), low) == 1
+        # ten 0.1 entries sum to the largest double below 1; the top draw
+        # still lands on the last entry, and never past a masked tail
+        assert sample_index(masked_softmax(np.zeros(10), np.ones(10, bool)), high) == 9
+        assert sample_index(masked_softmax(np.zeros(4), [True] * 3 + [False]), high) == 2
+
+    def test_sample_index_rejects_non_distributions(self):
+        rng = make_rng(61)
+        for probs in ([0.5, 0.6], [1.2, -0.2], [0.5, np.nan], [0.25, 0.25]):
+            with pytest.raises(ValueError, match="probability"):
+                sample_index(np.array(probs), rng)
+
 
 class TestSelectStage:
     def test_resource_budget_one_per_stage(self):
@@ -109,12 +243,15 @@ class TestSelectStage:
         for trial in range(50):
             jobs = [make_job(i, int(rng.integers(1, 6)), int(rng.integers(1, 50)))
                     for i in range(5)]
-            stages, transitions = agent.rollout(jobs, sample=bool(trial % 2))
+            sample = bool(trial % 2)
+            stages, transitions = agent.rollout(jobs, sample=sample)
             seen = []
             for picks in stages:
                 assert sum(jobs[i].required_qpus for i in picks) <= 6
                 seen.extend(picks)
             assert sorted(seen) == list(range(5))
+            # one transition per sampled pick; argmax rollouts keep none
+            assert [tr.action for tr in transitions] == (seen if sample else [])
             for tr in transitions:
                 assert tr.mask[tr.action]
                 assert abs(np.exp(tr.logp) - masked_softmax(
@@ -400,7 +537,8 @@ class TestTraining:
     def test_update_requires_buffer(self):
         agent = small_agent()
         with pytest.raises(ValueError):
-            ppo_update([], agent.policy, agent.value_net, agent.config)
+            ppo_update([], agent.policy, agent.value_net, agent.config,
+                       agent.policy_opt, agent.value_opt, agent.update_rng)
 
 
 class TestPersistence:

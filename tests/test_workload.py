@@ -1,5 +1,6 @@
 """Circuit profiles, partitioning, arrivals and biased selection."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -202,6 +203,18 @@ class TestSlotGeneration:
             queue = generate_slot_jobs(cfg, rng)
             assert len(queue) == 5
             assert [j.id for j in queue] == list(range(5))
+            # every other field is copied from a catalog entry
+            assert all(any(dataclasses.replace(j, id=c.id) == c for c in self.catalog)
+                       for j in queue)
+
+    def test_probabilities_fixed_and_read_only(self):
+        cfg = WorkloadConfig(catalog=self.catalog, lam=5.0, bias_alpha=0.5)
+        expected = selection_probabilities(len(self.catalog), 0.5)
+        assert np.array_equal(cfg.probabilities, expected)
+        with pytest.raises(ValueError):
+            cfg.probabilities[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.bias_alpha = 0.0
 
     def test_bias_increases_mean_nonlocal_gates(self):
         biased = WorkloadConfig(catalog=self.catalog, lam=5.0, bias_alpha=0.5)
