@@ -87,20 +87,20 @@ def _cmd_run(args) -> int:
                     f"model's job capacity {agent.config.j_max}"
                 )
         agents = {name: agent for name in requested_ppo}
-    records = harness.run_experiment(config, ppo_agents=agents)
+    table = harness.run_experiment(config, ppo_agents=agents)
     os.makedirs(args.out, exist_ok=True)
     slots_path = os.path.join(args.out, harness.SLOTS_CSV)
-    harness.write_slots_csv(records, slots_path)
+    harness.write_slots_csv(table, slots_path)
     summary_path = os.path.join(args.out, "summary.csv")
-    harness.write_summary_csv(harness.summarize(records), summary_path)
-    print(f"wrote {len(records)} slot records -> {slots_path}")
+    harness.write_summary_csv(harness.summarize(table), summary_path)
+    print(f"wrote {len(table)} slot records -> {slots_path}")
     print(f"wrote summary -> {summary_path}")
     return 0
 
 
 def _cmd_summarize(args) -> int:
-    records = harness.read_slots_csv(os.path.join(args.indir, harness.SLOTS_CSV))
-    rows = harness.summarize(records)
+    table = harness.read_slots_csv(os.path.join(args.indir, harness.SLOTS_CSV))
+    rows = harness.summarize(table)
     out = args.out or os.path.join(args.indir, "summary.csv")
     harness.write_summary_csv(rows, out)
     print(f"wrote {len(rows)} summary rows -> {out}")
@@ -108,8 +108,8 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_cdf(args) -> int:
-    records = harness.read_slots_csv(os.path.join(args.indir, harness.SLOTS_CSV))
-    rows = harness.cdf_export(records, args.metric, setting=args.setting)
+    table = harness.read_slots_csv(os.path.join(args.indir, harness.SLOTS_CSV))
+    rows = harness.cdf_export(table, args.metric, setting=args.setting)
     out = args.out or os.path.join(args.indir, f"cdf_{args.metric}.csv")
     harness.write_cdf_csv(rows, out)
     print(f"wrote {len(rows)} CDF points -> {out}")

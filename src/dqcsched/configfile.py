@@ -50,30 +50,24 @@ class Section:
     def get_str(self, key: str, default: str | None = None) -> str | None:
         if key not in self.entries and default is not None:
             return default
-        value, _ = self._require(key)
-        return value
+        return self._require(key)[0]
+
+    def _number(self, key: str, default, kind, expects: str):
+        if key not in self.entries:
+            return default
+        value, line = self._require(key)
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(
+                f"{self._where(line)}: key {key!r} expects {expects}, got {value!r}"
+            ) from None
 
     def get_int(self, key: str, default: int | None = None) -> int | None:
-        if key not in self.entries:
-            return default
-        value, line = self._require(key)
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(
-                f"{self._where(line)}: key {key!r} expects an integer, got {value!r}"
-            ) from None
+        return self._number(key, default, int, "an integer")
 
     def get_float(self, key: str, default: float | None = None) -> float | None:
-        if key not in self.entries:
-            return default
-        value, line = self._require(key)
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(
-                f"{self._where(line)}: key {key!r} expects a number, got {value!r}"
-            ) from None
+        return self._number(key, default, float, "a number")
 
     def get_list(self, key: str, default: list[str] | None = None) -> list[str] | None:
         if key not in self.entries:
@@ -137,8 +131,9 @@ class ParsedConfig:
             raise ConfigError(f"{self.source}: missing section [{name}]")
         return self.sections[name]
 
-    def optional_section(self, name: str) -> Section | None:
-        return self.sections.get(name)
+    def optional_section(self, name: str) -> Section:
+        """The named section, or an empty one where every key takes its default."""
+        return self.sections.get(name) or Section(name, 0, self.source)
 
     def sections_with_prefix(self, prefix: str) -> list[Section]:
         return [s for n, s in self.sections.items() if n.startswith(prefix)]

@@ -214,7 +214,8 @@ class WorkloadConfig:
     ``bias_alpha`` > 0, selection weights grow with catalog position so
     heavier jobs become more likely. ``fixed_count`` overrides the Poisson
     draw with a constant batch size (used for the RL comparison).
-    ``probabilities`` holds the read-only catalog selection weights.
+    ``probabilities`` holds the read-only catalog selection weights and
+    ``cumulative`` the normalised running sum ``Generator.choice`` draws on.
     """
 
     catalog: tuple[JobDescriptor, ...]
@@ -222,20 +223,22 @@ class WorkloadConfig:
     bias_alpha: float = 0.0
     fixed_count: int | None = None
     probabilities: np.ndarray = field(init=False, repr=False, compare=False)
+    cumulative: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.catalog:
             raise ValueError("catalog must not be empty")
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if not 0.0 <= self.bias_alpha <= 1.0:
-            raise ValueError(f"bias_alpha must lie in [0, 1], got {self.bias_alpha}")
         gates = [j.nonlocal_gates for j in self.catalog]
         if any(a > b for a, b in zip(gates, gates[1:])):
             raise ValueError("catalog must be ordered ascending by nonlocal_gates")
         probs = selection_probabilities(len(self.catalog), self.bias_alpha)
-        probs.flags.writeable = False
-        object.__setattr__(self, "probabilities", probs)
+        cumulative = probs.cumsum()
+        cumulative /= cumulative[-1]
+        for name, table in (("probabilities", probs), ("cumulative", cumulative)):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
 
 def default_catalog(
@@ -329,7 +332,9 @@ def generate_slot_jobs(config: WorkloadConfig, rng: np.random.Generator) -> list
         count = sample_arrival_count(config.lam, rng)
     if count == 0:
         return []
-    picks = rng.choice(len(config.catalog), size=count, p=config.probabilities)
+    # Generator.choice(n, size=count, p=probabilities), without its per-call
+    # checks and running sum: the same draws and generator state.
+    picks = config.cumulative.searchsorted(rng.random(count), side="right")
     jobs = [config.catalog[i] for i in picks]
     return [JobDescriptor(k, j.required_qpus, j.epr_pairs, j.nonlocal_gates,
                           j.est_exec_ns, j.profile, j.cross_block_pairs)

@@ -1,7 +1,9 @@
 """Output digests: two short `dqcsched run` slices must reproduce the
 `slots.csv` bytes recorded before any performance work, and a short PPO
 training must reproduce its weights file, its log and the `slots.csv` of
-scheduling with those weights.
+scheduling with those weights. The read path is pinned too: the benchmark
+slice's `summary.csv`, its `summarize` output and its makespan CDF, and a
+run whose setting label needs CSV quoting.
 
 A speedup that changes these digests changes behaviour. The digests depend
 on the float formatting and summation of the interpreter and numpy, so the
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dqcsched import cli
+from dqcsched import cli, harness
 
 PINNED = ((3, 11), "2.4")
 pytestmark = pytest.mark.skipif(
@@ -84,8 +86,37 @@ j_max = 5
 seed = 3
 """
 
+QUOTED_CFG = """\
+[network]
+nodes = 6
+qpu_capacity = 3
+quality_mix = bad:0.2, medium:0.3, good:0.5
+
+[workload]
+n_slots = 20
+
+[setting a,"b"]
+lambda = 5
+bias_alpha = 0.5
+
+[setting lam8]
+lambda = 8
+bias_alpha = 0
+
+[run]
+schedulers = fifo, asap
+seeds = 0
+"""
+
 BENCHMARK_SLICE_SHA256 = "75a102d2a3ce43cfb414aa812057ca101f0eb1d30e5715a219085bbaa6ee62fb"
 WIDE_SLICE_SHA256 = "ef7b394fe98cb9bf675cca0101e094c5aecd3931ce76960934230cd2d4538cb5"
+READ_PATH_SHA256 = {
+    "summary": "ddd2fd3f632f4f0394b27cd346dd0f2bda883460aa0b2360c7264ca8dfd3ebc4",
+    "summarize": "ddd2fd3f632f4f0394b27cd346dd0f2bda883460aa0b2360c7264ca8dfd3ebc4",
+    "cdf": "ad7796c57b9851b22f8bc677d23bd56d10702dcda1754591f9cda930e13698bf",
+    "cdf_lam8_bias": "79fdcd669aa1259aa16e2c5994119cb2207bc967efa95de4e7f017f4ec52fd67",
+}
+QUOTED_SLOTS_SHA256 = "b97ed0713e9b2881cb5495a58600534775afecd8ba3bf60603e2104e8993c3ff"
 PPO_SHA256 = {
     "weights": "a6bd1ee3a63b1a9420696cdac9555fb459dce2e546f38caeef7da80bbf768af0",
     "log": "c2dbffa625905688930650cfa5316f46ab33b031f7af9130e5b667296c213398",
@@ -106,10 +137,39 @@ def run_digest(tmp_path, config_text: str, *extra: str) -> str:
     return file_digest(os.path.join(out, "slots.csv"))
 
 
-def test_benchmark_slice_digest(tmp_path):
+def benchmark_slice_text() -> str:
     text = BENCHMARK_CFG.read_text().replace("n_slots = 200", "n_slots = 20")
     assert "n_slots = 20\n" in text
-    assert run_digest(tmp_path, text, "--seed", "0") == BENCHMARK_SLICE_SHA256
+    return text
+
+
+def test_benchmark_slice_digest(tmp_path):
+    assert run_digest(tmp_path, benchmark_slice_text(), "--seed", "0") == BENCHMARK_SLICE_SHA256
+
+
+def test_read_path_digests(tmp_path):
+    run_digest(tmp_path, benchmark_slice_text(), "--seed", "0")
+    out = str(tmp_path / "out")
+    read = os.path.join(out, "summary_read.csv")
+    by_setting = os.path.join(out, "cdf_lam8_bias.csv")
+    assert cli.main(["summarize", "--in", out, "--out", read]) == 0
+    assert cli.main(["cdf", "--in", out, "--metric", "makespan_ns"]) == 0
+    assert cli.main(["cdf", "--in", out, "--metric", "makespan_ns",
+                     "--setting", "lam8_bias", "--out", by_setting]) == 0
+    digests = {
+        "summary": file_digest(os.path.join(out, "summary.csv")),
+        "summarize": file_digest(read),
+        "cdf": file_digest(os.path.join(out, "cdf_makespan_ns.csv")),
+        "cdf_lam8_bias": file_digest(by_setting),
+    }
+    assert digests == READ_PATH_SHA256
+
+
+def test_quoted_label_digest_and_read_back(tmp_path):
+    assert run_digest(tmp_path, QUOTED_CFG) == QUOTED_SLOTS_SHA256
+    table = harness.read_slots_csv(str(tmp_path / "out" / "slots.csv"))
+    assert table == harness.run_experiment(harness.load_config(str(tmp_path / "slice.cfg")))
+    assert set(table.setting) == {'a,"b"', "lam8"}
 
 
 def test_wide_node_selection_slice_digest(tmp_path):

@@ -1,23 +1,32 @@
 """Experiment harness: config parsing, pairing, aggregation, CSV, CLI."""
 
+import csv
 import os
+import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqcsched import cli, harness
 from dqcsched.configfile import ConfigError, parse_config_text
 from dqcsched.harness import (
+    METRIC_FIELDS,
     ExperimentConfig,
     SettingSpec,
-    SlotRecord,
+    SlotTable,
+    SummaryRow,
     bootstrap_mean_diff_ci,
     cdf_export,
     default_benchmark_config,
     default_config_text,
+    metric_values,
     read_slots_csv,
     run_experiment,
     summarize,
+    write_cdf_csv,
     write_slots_csv,
 )
 
@@ -26,6 +35,11 @@ TINY = ExperimentConfig(
     seeds=(0, 1),
     n_slots=8,
 )
+
+
+def table_of(*rows) -> SlotTable:
+    """A table from full rows in ``harness._SLOT_COLUMNS`` order."""
+    return SlotTable(*zip(*rows))
 
 
 class TestConfigParser:
@@ -106,10 +120,10 @@ class TestConfigParser:
 
 class TestRunExperiment:
     def test_paired_job_streams(self):
-        records = run_experiment(TINY)
+        table = run_experiment(TINY)
         per_key = {}
-        for r in records:
-            per_key.setdefault((r.seed, r.slot), []).append(r.n_jobs)
+        for seed, slot, n_jobs in zip(table.seed, table.slot, table.n_jobs):
+            per_key.setdefault((seed, slot), []).append(n_jobs)
         for counts in per_key.values():
             assert len(set(counts)) == 1  # every scheduler saw the same queue
 
@@ -118,18 +132,19 @@ class TestRunExperiment:
             settings=(SettingSpec("idle", lam=0.0),),
             seeds=(0,), n_slots=3, schedulers=("fifo",),
         )
-        records = run_experiment(config)
-        assert len(records) == 3
-        assert all(r.n_jobs == 0 and r.makespan_ns is None for r in records)
+        table = run_experiment(config)
+        assert len(table) == 3
+        assert table.n_jobs == (0, 0, 0)
+        assert all(getattr(table, f) == (None,) * 3 for f in METRIC_FIELDS)
 
     def test_deterministic_reruns(self):
         assert run_experiment(TINY) == run_experiment(TINY)
 
     def test_one_record_per_cell(self):
-        records = run_experiment(TINY)
-        keys = {(r.setting, r.scheduler, r.seed, r.slot) for r in records}
-        assert len(keys) == len(records)
-        assert len(records) == 1 * len(TINY.schedulers) * 2 * 8
+        table = run_experiment(TINY)
+        keys = set(zip(table.setting, table.scheduler, table.seed, table.slot))
+        assert len(keys) == len(table)
+        assert len(table) == 1 * len(TINY.schedulers) * 2 * 8
 
     def test_unknown_scheduler_rejected(self):
         config = ExperimentConfig(
@@ -147,33 +162,49 @@ class TestRunExperiment:
 
 class TestCsvRoundtrip:
     def test_slots_roundtrip_bit_stable(self, tmp_path):
-        records = run_experiment(TINY)
+        table = run_experiment(TINY)
         path1 = tmp_path / "slots.csv"
         path2 = tmp_path / "again.csv"
-        write_slots_csv(records, str(path1))
+        write_slots_csv(table, str(path1))
         roundtripped = read_slots_csv(str(path1))
-        assert roundtripped == records
+        assert roundtripped == table
         write_slots_csv(roundtripped, str(path2))
         assert path1.read_bytes() == path2.read_bytes()
+
+    def test_columns_must_have_equal_lengths(self):
+        with pytest.raises(ValueError, match="equal lengths"):
+            SlotTable(setting=("s",), scheduler=("fifo", "asap"))
+
+    def test_wrong_header_names_expected_columns(self, tmp_path):
+        path = tmp_path / "slots.csv"
+        path.write_text("setting,scheduler,seed,slot,n_jobs,makespan,qpu_utilization,"
+                        "nonlocal_gate_density,selp,fairness\n")
+        with pytest.raises(ValueError, match=r"slots.csv:1: header .* expected columns "
+                                             r"setting,scheduler,seed,slot,n_jobs,"
+                                             r"makespan_ns,qpu_utilization"):
+            read_slots_csv(str(path))
+
+    def test_short_row_reports_line(self, tmp_path):
+        path = tmp_path / "slots.csv"
+        write_slots_csv(table_of(("s", "fifo", 0, 0, 1, 7, 0.1, 0.0, 1.0, 1.0),
+                                 ("s", "fifo", 0, 1, 0) + (None,) * 5), str(path))
+        path.write_text(path.read_text() + "s,fifo,0,2,1,7,0.1,0.0,1.0\n")
+        with pytest.raises(ValueError, match="slots.csv:4: expected 10 fields, got 9"):
+            read_slots_csv(str(path))
 
 
 class TestSummarize:
     def test_single_record_is_its_own_summary(self):
-        record = SlotRecord(setting="s", scheduler="fifo", seed=0, slot=0,
-                            n_jobs=2, makespan_ns=100, qpu_utilization=0.5,
-                            nonlocal_gate_density=0.25, selp=0.8, fairness=0.9)
-        rows = summarize([record])
+        rows = summarize(table_of(("s", "fifo", 0, 0, 2, 100, 0.5, 0.25, 0.8, 0.9)))
         assert len(rows) == 1
         row = rows[0]
         assert (row.makespan_ns, row.qpu_utilization, row.selp) == (100.0, 0.5, 0.8)
 
     def test_mean_over_known_records(self):
-        recs = [
-            SlotRecord("s", "fifo", 0, i, 1, makespan_ns=m, qpu_utilization=u,
-                       nonlocal_gate_density=0.0, selp=1.0, fairness=1.0)
+        row = summarize(table_of(*(
+            ("s", "fifo", 0, i, 1, m, u, 0.0, 1.0, 1.0)
             for i, (m, u) in enumerate([(100, 0.2), (300, 0.6)])
-        ]
-        row = summarize(recs)[0]
+        )))[0]
         assert row.makespan_ns == 200.0
         assert row.qpu_utilization == pytest.approx(0.4)
 
@@ -191,24 +222,20 @@ class TestSummarize:
 
 class TestCdfExport:
     def test_single_value(self):
-        recs = [SlotRecord("s", "fifo", 0, 0, 1, makespan_ns=7,
-                           qpu_utilization=0.1, nonlocal_gate_density=0.0,
-                           selp=1.0, fairness=1.0)]
-        assert cdf_export(recs, "makespan_ns") == [("fifo", 7.0, 1.0)]
+        table = table_of(("s", "fifo", 0, 0, 1, 7, 0.1, 0.0, 1.0, 1.0))
+        assert cdf_export(table, "makespan_ns") == [("fifo", 7.0, 1.0)]
 
     def test_three_values(self):
-        recs = [
-            SlotRecord("s", "fifo", 0, i, 1, makespan_ns=m, qpu_utilization=0.1,
-                       nonlocal_gate_density=0.0, selp=1.0, fairness=1.0)
+        rows = cdf_export(table_of(*(
+            ("s", "fifo", 0, i, 1, m, 0.1, 0.0, 1.0, 1.0)
             for i, m in enumerate([3, 1, 2])
-        ]
-        rows = cdf_export(recs, "makespan_ns")
+        )), "makespan_ns")
         assert rows == [("fifo", 1.0, 1 / 3), ("fifo", 2.0, 2 / 3), ("fifo", 3.0, 1.0)]
 
     def test_nondecreasing_and_ends_at_one(self):
-        records = run_experiment(TINY)
+        table = run_experiment(TINY)
         for metric in harness.METRIC_FIELDS:
-            rows = cdf_export(records, metric)
+            rows = cdf_export(table, metric)
             per_sched = {}
             for name, value, prob in rows:
                 per_sched.setdefault(name, []).append((value, prob))
@@ -218,7 +245,17 @@ class TestCdfExport:
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
-            cdf_export([], "latency")
+            cdf_export(SlotTable(), "latency")
+
+    def test_absent_setting_rejected(self, tmp_path):
+        table = table_of(("lam5", "fifo", 0, 0, 1, 7, 0.1, 0.0, 1.0, 1.0),
+                         ("lam8", "fifo", 0, 0, 1, 9, 0.1, 0.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="'nosuch'.*present: lam5, lam8"):
+            cdf_export(table, "makespan_ns", setting="nosuch")
+        write_slots_csv(table, str(tmp_path / "slots.csv"))
+        assert cli.main(["cdf", "--in", str(tmp_path), "--metric", "selp",
+                         "--setting", "nosuch"]) == 1
+        assert not (tmp_path / "cdf_selp.csv").exists()
 
 
 class TestBootstrap:
@@ -300,5 +337,168 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg2), "--out", out,
                          "--schedulers", "ppo,ppo-ns,epr",
                          "--weights", weights]) == 0
-        records = read_slots_csv(os.path.join(out, "slots.csv"))
-        assert {r.scheduler for r in records} == {"ppo", "ppo-ns", "epr"}
+        table = read_slots_csv(os.path.join(out, "slots.csv"))
+        assert set(table.scheduler) == {"ppo", "ppo-ns", "epr"}
+
+
+# -- the row-per-slot read path, kept as a reference for the columnar one -----
+
+
+@dataclass(frozen=True)
+class RefSlotRecord:
+    setting: str
+    scheduler: str
+    seed: int
+    slot: int
+    n_jobs: int
+    makespan_ns: int | None = None
+    qpu_utilization: float | None = None
+    nonlocal_gate_density: float | None = None
+    selp: float | None = None
+    fairness: float | None = None
+
+
+def ref_format_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def ref_write_slots_csv(records, path):
+    columns = ("setting", "scheduler", "seed", "slot", "n_jobs") + METRIC_FIELDS
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for r in records:
+            writer.writerow([ref_format_cell(getattr(r, col)) for col in columns])
+
+
+def ref_read_slots_csv(path):
+    records = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            empty = row["makespan_ns"] == ""
+            records.append(RefSlotRecord(
+                setting=row["setting"],
+                scheduler=row["scheduler"],
+                seed=int(row["seed"]),
+                slot=int(row["slot"]),
+                n_jobs=int(row["n_jobs"]),
+                makespan_ns=None if empty else int(row["makespan_ns"]),
+                qpu_utilization=None if empty else float(row["qpu_utilization"]),
+                nonlocal_gate_density=None if empty else float(row["nonlocal_gate_density"]),
+                selp=None if empty else float(row["selp"]),
+                fairness=None if empty else float(row["fairness"]),
+            ))
+    return records
+
+
+def ref_summarize(records):
+    order = []
+    groups = {}
+    for r in records:
+        key = (r.setting, r.scheduler)
+        if key not in groups:
+            groups[key] = []
+            order.append(key)
+        if r.makespan_ns is not None:
+            groups[key].append(r)
+    return [
+        SummaryRow(setting=key[0], scheduler=key[1], **{
+            f: float(np.mean([getattr(r, f) for r in groups[key]]))
+            for f in METRIC_FIELDS
+        })
+        for key in order if groups[key]
+    ]
+
+
+def ref_cdf_export(records, metric, setting=None):
+    order = []
+    values = {}
+    for r in records:
+        if setting is not None and r.setting != setting:
+            continue
+        if getattr(r, metric) is None:
+            continue
+        if r.scheduler not in values:
+            values[r.scheduler] = []
+            order.append(r.scheduler)
+        values[r.scheduler].append(float(getattr(r, metric)))
+    rows = []
+    for name in order:
+        vals = sorted(values[name])
+        n = len(vals)
+        rows.extend((name, v, (k + 1) / n) for k, v in enumerate(vals))
+    return rows
+
+
+def ref_write_cdf_csv(rows, path):
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("scheduler", "value", "cum_prob"))
+        for name, value, prob in rows:
+            writer.writerow([name, ref_format_cell(float(value)), ref_format_cell(prob)])
+
+
+def ref_metric_values(records, setting, scheduler, metric):
+    selected = [r for r in records if r.setting == setting and r.scheduler == scheduler
+                and getattr(r, metric) is not None]
+    selected.sort(key=lambda r: (r.seed, r.slot))
+    return np.array([getattr(r, metric) for r in selected], dtype=float)
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# Labels that csv.writer must quote sit next to plain ones and the empty one.
+LABELS = st.sampled_from(["lam5", "lam8_bias", 'a,"b"', "x y", ""])
+SCHEDULERS = st.sampled_from(["fifo", "asap", 'q"uote', "c,omma"])
+VALUES = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
+SLOTS = st.lists(st.one_of(st.none(), st.tuples(
+    st.integers(1, 9), st.integers(1, 2 ** 40), VALUES, VALUES, VALUES, VALUES,
+)), min_size=1, max_size=6)
+# (setting, scheduler, seed, all slots empty, slots); repeated (setting,
+# scheduler) pairs over several seeds interleave the summary groups.
+CELLS = st.lists(st.tuples(LABELS, SCHEDULERS, st.integers(0, 3), st.booleans(), SLOTS),
+                 min_size=1, max_size=8)
+
+
+def cell_rows(cells):
+    rows = []
+    for setting, scheduler, seed, idle, slots in cells:
+        for k, metrics in enumerate(slots):
+            if idle or metrics is None:
+                rows.append((setting, scheduler, seed, k, 0) + (None,) * 5)
+            else:
+                rows.append((setting, scheduler, seed, k) + metrics)
+    return rows
+
+
+class TestColumnarMatchesRowReference:
+    @PROPERTY
+    @given(cells=CELLS, pick=st.integers(0, 50))
+    def test_read_reduce_and_write_match(self, cells, pick):
+        rows = cell_rows(cells)
+        table = table_of(*rows)
+        records = [RefSlotRecord(*row) for row in rows]
+        setting, scheduler = rows[pick % len(rows)][:2]
+        with tempfile.TemporaryDirectory() as tmp:
+            new, ref = os.path.join(tmp, "new.csv"), os.path.join(tmp, "ref.csv")
+            write_slots_csv(table, new)
+            ref_write_slots_csv(records, ref)
+            with open(new, "rb") as a, open(ref, "rb") as b:
+                assert a.read() == b.read()
+            assert read_slots_csv(new) == table
+            assert ref_read_slots_csv(new) == records
+            assert summarize(table) == ref_summarize(records)
+            for metric in METRIC_FIELDS:
+                for chosen in (None, setting):
+                    cdf = cdf_export(table, metric, setting=chosen)
+                    assert cdf == ref_cdf_export(records, metric, setting=chosen)
+                write_cdf_csv(cdf, new)
+                ref_write_cdf_csv(cdf, ref)
+                with open(new, "rb") as a, open(ref, "rb") as b:
+                    assert a.read() == b.read()
+                assert np.array_equal(
+                    metric_values(table, setting, scheduler, metric),
+                    ref_metric_values(records, setting, scheduler, metric))

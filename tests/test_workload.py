@@ -213,8 +213,26 @@ class TestSlotGeneration:
         assert np.array_equal(cfg.probabilities, expected)
         with pytest.raises(ValueError):
             cfg.probabilities[0] = 1.0
+        with pytest.raises(ValueError):
+            cfg.cumulative[0] = 1.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.bias_alpha = 0.0
+
+    @pytest.mark.parametrize("n", [1, 3, 15, 30])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_draws_match_generator_choice(self, n, alpha):
+        net = homogeneous_network(12, 3, "good")
+        catalog = default_catalog(net, self.params, qubit_sizes=(5, 10, 15, 20, 25, 30))[:n]
+        index_of = {id(job.profile): job.id for job in catalog}
+        for size in range(1, 40):
+            cfg = WorkloadConfig(catalog=catalog, fixed_count=size, bias_alpha=alpha)
+            rng, reference = make_rng(size), make_rng(size)
+            drawn = np.array([index_of[id(j.profile)] for j in generate_slot_jobs(cfg, rng)])
+            expected = reference.choice(n, size=size, p=cfg.probabilities)
+            assert np.array_equal(drawn, expected)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            table = cfg.cumulative.searchsorted(make_rng(size).random(size), side="right")
+            assert table.dtype == expected.dtype and np.array_equal(table, expected)
 
     def test_bias_increases_mean_nonlocal_gates(self):
         biased = WorkloadConfig(catalog=self.catalog, lam=5.0, bias_alpha=0.5)
