@@ -130,8 +130,9 @@ class Network:
 
     ``delay_ns`` is the n x n matrix of link state delays (zero diagonal),
     read by the execution model and by node selection. Node selection
-    memoises its answers in ``_selection_memo``, which lives and dies with
-    the instance, so a cached choice can never be served to another network.
+    memoises its answers in ``_selection_memo`` and placement pricing its
+    durations in ``_duration_memo``; both live and die with the instance, so
+    a cached answer can never be served to another network.
     """
 
     n_nodes: int
@@ -140,6 +141,9 @@ class Network:
     mean_state_delay_ns: float = field(init=False)
     delay_ns: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
     _selection_memo: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    _duration_memo: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 

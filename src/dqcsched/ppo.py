@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import execmodel, workload
+from . import workload
 from .execmodel import ExecModelParams
 from .netmodel import Network
 from .nn import Adam, Mlp, masked_softmax
-from .schedulers import Placement, Schedule, SchedulingError, select_nodes
+from .schedulers import Placement, Schedule, SchedulingError, _place, select_nodes
 
 REWARD_VARIANTS = ("plain", "node_selection")
 LATENCY_MODES = ("cumulative", "immediate")
@@ -431,16 +431,9 @@ class PpoAgent:
                 else:
                     nodes = tuple(free[: job.required_qpus])
                 free = [n for n in free if n not in nodes]
-                duration = execmodel.estimate_execution_time(
-                    job, nodes, network, exec_params
+                stage_placements.append(
+                    _place(job, nodes, barrier, stage_idx, network, exec_params)
                 )
-                stage_placements.append(Placement(
-                    job_id=job.id,
-                    assigned_nodes=tuple(sorted(nodes)),
-                    start_ns=barrier,
-                    finish_ns=barrier + duration,
-                    stage_index=stage_idx,
-                ))
             placements.extend(stage_placements)
             barrier = max(p.finish_ns for p in stage_placements)
         return Schedule(placements)

@@ -11,8 +11,8 @@ asynchronously as jobs complete.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,15 +87,15 @@ def _validate_queue(queue, network: Network) -> None:
 
 def _place(job, nodes, start_ns: int, stage: int, network: Network,
            params: ExecModelParams) -> Placement:
+    """Price ``job`` on ``nodes``, memoised on the network by all else the
+    price reads; a wrong-length node tuple always reaches the exec model."""
     nodes = tuple(sorted(nodes))
-    duration = execmodel.estimate_execution_time(job, nodes, network, params)
-    return Placement(
-        job_id=job.id,
-        assigned_nodes=nodes,
-        start_ns=start_ns,
-        finish_ns=start_ns + duration,
-        stage_index=stage,
-    )
+    memo = network._duration_memo
+    key = (params, job.profile.local_depth, job.cross_block_pairs, nodes)
+    duration = memo.get(key) if len(nodes) == job.required_qpus else None
+    if duration is None:
+        duration = memo[key] = execmodel.estimate_execution_time(job, nodes, network, params)
+    return Placement(job.id, nodes, start_ns, start_ns + duration, stage)
 
 
 def fifo_schedule(queue, network: Network, exec_params: ExecModelParams) -> Schedule:
@@ -173,36 +173,57 @@ def resource_prioritize_schedule(
     stage = 0
     while remaining:
         pool = remaining[: enumeration_cap]
-        m = len(pool)
-        bits, counts = _subset_tables(m)
-        demand = bits @ np.array([j.required_qpus for j in pool])
-        est_sum = bits @ np.array([j.est_exec_ns for j in pool], dtype=float)
-        util = np.where(demand <= network.n_nodes, demand, -1)
-        mean_t = np.where(util == util.max(), est_sum / counts, np.inf)
-        ids = [j.id for j in pool]
-        masks = (np.flatnonzero(mean_t == mean_t.min()) + 1).tolist()
-        chosen_idx = min(([k for k in range(m) if mask >> k & 1] for mask in masks),
-                         key=lambda ks: sorted(ids[k] for k in ks))
+        chosen = _max_demand_subset(pool, network.n_nodes)
         free = list(range(network.n_nodes))
         stage_placements = []
-        for k in chosen_idx:
-            job = pool[k]
-            nodes, free = free[: job.required_qpus], free[job.required_qpus:]
-            stage_placements.append(_place(job, nodes, barrier, stage, network, exec_params))
+        for k, job in enumerate(pool):
+            if chosen >> k & 1:
+                nodes, free = free[: job.required_qpus], free[job.required_qpus:]
+                stage_placements.append(_place(job, nodes, barrier, stage, network, exec_params))
         placements.extend(stage_placements)
         barrier = max(p.finish_ns for p in stage_placements)
         stage += 1
-        remaining = [j for i, j in enumerate(remaining) if i not in chosen_idx]
+        remaining = [j for i, j in enumerate(remaining) if not chosen >> i & 1]
     return Schedule(placements)
 
 
-@functools.cache
-def _subset_tables(m: int):
-    """Membership of the non-empty subsets of m jobs (row r: bit mask r + 1)
-    as a boolean matrix, and its row sums."""
-    bits = ((np.arange(1, 2 ** m)[:, None] >> np.arange(m)) & 1).astype(bool)
-    bits.setflags(write=False)
-    return bits, bits.sum(axis=1)
+def _max_demand_subset(pool, n_nodes: int) -> int:
+    """Bit mask (bit k: ``pool[k]``) of the subset with maximal demand <=
+    ``n_nodes``, then minimal mean estimate, sorted ids and mask, found by a
+    depth-first search that extends a subset only while it fits and stops a
+    branch once the rest of the pool cannot lift it to the best demand.
+    Integer estimates sum exactly in a double, so each mean is bit-exact.
+    """
+    demand = [j.required_qpus for j in pool]
+    est = [j.est_exec_ns for j in pool]
+    reach = list(itertools.accumulate(reversed(demand)))[::-1]
+    best = [0, math.inf, 0, None]  # demand, mean, mask, tie key once needed
+
+    def tie_key(mask):
+        return sorted(j.id for k, j in enumerate(pool) if mask >> k & 1), mask
+
+    def extend(start, used, total, count, mask):
+        for k in range(start, len(pool)):
+            if used + reach[k] < best[0]:
+                break
+            d = used + demand[k]
+            if d > n_nodes:
+                continue
+            sub_total, sub_mask = total + est[k], mask | 1 << k
+            if d >= best[0]:
+                mean = sub_total / (count + 1)
+                if d > best[0] or mean < best[1]:
+                    best[:] = d, mean, sub_mask, None
+                elif mean == best[1]:
+                    best[3] = best[3] or tie_key(best[2])
+                    key = tie_key(sub_mask)
+                    if key < best[3]:
+                        best[:] = d, mean, sub_mask, key
+            if d < n_nodes:
+                extend(k + 1, d, sub_total, count + 1, sub_mask)
+
+    extend(0, 0, 0, 0, 0)
+    return best[2]
 
 
 def select_nodes(free_nodes, k: int, network: Network) -> tuple[int, ...]:

@@ -1,9 +1,11 @@
-"""Output digests: two short `dqcsched run` slices must reproduce the
-`slots.csv` bytes recorded before any performance work, and a short PPO
-training must reproduce its weights file, its log and the `slots.csv` of
-scheduling with those weights. The read path is pinned too: the benchmark
-slice's `summary.csv`, its `summarize` output and its makespan CDF, and a
-run whose setting label needs CSV quoting.
+"""Output digests: short `dqcsched run` slices must reproduce recorded
+`slots.csv` bytes. The serial benchmark slice and the wide slice were
+recorded before any performance work, the per-link-parallel benchmark slice
+before placement prices were memoised. A short PPO training must reproduce
+its weights file, its log and the `slots.csv` of scheduling with those
+weights. The read path is pinned too: the benchmark slice's `summary.csv`,
+its `summarize` output and its makespan CDF, and a run whose setting label
+needs CSV quoting.
 
 A speedup that changes these digests changes behaviour. The digests depend
 on the float formatting and summation of the interpreter and numpy, so the
@@ -109,6 +111,7 @@ seeds = 0
 """
 
 BENCHMARK_SLICE_SHA256 = "75a102d2a3ce43cfb414aa812057ca101f0eb1d30e5715a219085bbaa6ee62fb"
+PARALLEL_SLICE_SHA256 = "01c5ee576becb8f18ab7266a98f9978b66a0db39294fc25a693ce640d2ceb3bb"
 WIDE_SLICE_SHA256 = "ef7b394fe98cb9bf675cca0101e094c5aecd3931ce76960934230cd2d4538cb5"
 READ_PATH_SHA256 = {
     "summary": "ddd2fd3f632f4f0394b27cd346dd0f2bda883460aa0b2360c7264ca8dfd3ebc4",
@@ -145,6 +148,13 @@ def benchmark_slice_text() -> str:
 
 def test_benchmark_slice_digest(tmp_path):
     assert run_digest(tmp_path, benchmark_slice_text(), "--seed", "0") == BENCHMARK_SLICE_SHA256
+
+
+def test_benchmark_slice_per_link_parallel_digest(tmp_path):
+    text = benchmark_slice_text().replace(
+        "epr_serialization = serial\n", "epr_serialization = per-link-parallel\n")
+    assert "per-link-parallel" in text
+    assert run_digest(tmp_path, text, "--seed", "0") == PARALLEL_SLICE_SHA256
 
 
 def test_read_path_digests(tmp_path):

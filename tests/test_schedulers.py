@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import make_job, make_rng, unit_exec_params, weighted_network
+from dqcsched import execmodel
+from dqcsched.execmodel import ExecModelParams, estimate_execution_time
 from dqcsched.netmodel import LINK_PRESETS, LinkProfile, build_network, homogeneous_network
 from dqcsched.schedulers import (
     SCHEDULER_NAMES,
@@ -22,6 +24,7 @@ from dqcsched.schedulers import (
     resource_prioritize_schedule,
     select_nodes,
 )
+from dqcsched.workload import default_catalog
 
 PARAMS = unit_exec_params()
 
@@ -161,23 +164,113 @@ def reference_resource_schedule(queue, network, exec_params, enumeration_cap=12)
     return Schedule(placements)
 
 
+def assert_resource_matches_reference(queue, net, cap):
+    got = resource_prioritize_schedule(queue, net, PARAMS, enumeration_cap=cap)
+    want = reference_resource_schedule(queue, net, PARAMS, enumeration_cap=cap)
+    assert got.placements == want.placements
+
+
 @pytest.mark.parametrize("n_nodes", [6, 12])
 def test_resource_matches_reference_search(n_nodes):
     """Random queues of 1-20 jobs with few distinct sizes and times, so many
     subsets tie on demand and mean; small caps make pools overflow the cap;
-    shuffled ids make the id-set tie-break differ from arrival order."""
+    shuffled ids make the id-set tie-break differ from arrival order. Then
+    pools of 1-QPU jobs with tied times, where every subset of up to
+    ``n_nodes`` jobs fits (the search's worst case), and queues longer than
+    12 jobs around the default cap."""
     net = build_network(n_nodes, 3, {"bad": 0.2, "medium": 0.3, "good": 0.5}, seed=5)
     rng = make_rng(53, n_nodes)
+
+    def random_ids(n):
+        return rng.permutation(100)[:n] if rng.random() < 0.5 else np.arange(n)
+
     for _ in range(150):
         n = int(rng.integers(1, 21))
-        ids = rng.permutation(100)[:n] if rng.random() < 0.5 else np.arange(n)
+        ids = random_ids(n)
         sizes = rng.choice([1, 2, 3, n_nodes // 2, n_nodes], size=n)
         times = rng.choice([10, 20, 30, 45], size=n)
         queue = [make_job(int(i), int(q), int(t)) for i, q, t in zip(ids, sizes, times)]
-        cap = int(rng.choice([1, 3, 5, 12]))
-        got = resource_prioritize_schedule(queue, net, PARAMS, enumeration_cap=cap)
-        want = reference_resource_schedule(queue, net, PARAMS, enumeration_cap=cap)
-        assert got.placements == want.placements
+        assert_resource_matches_reference(queue, net, int(rng.choice([1, 3, 5, 12])))
+    for _ in range(8):
+        n = int(rng.integers(7, 17))
+        times = rng.choice([20, 30], size=n) if rng.random() < 0.5 else [20] * n
+        queue = [make_job(int(i), 1, int(t)) for i, t in zip(random_ids(n), times)]
+        assert_resource_matches_reference(queue, net, 12)
+    for cap in (1, 11, 12, 13):
+        for _ in range(4):
+            n = int(rng.integers(13, 19))
+            sizes = rng.choice([1, 2, 3, n_nodes // 2], size=n)
+            times = rng.choice([10, 20, 30, 45], size=n)
+            queue = [make_job(int(i), int(q), int(t))
+                     for i, q, t in zip(random_ids(n), sizes, times)]
+            assert_resource_matches_reference(queue, net, cap)
+
+
+class TestDurationMemo:
+    """``_place`` prices through a memo on the network; every answer must
+    equal a direct exec-model call."""
+
+    MIXED = {"bad": 0.2, "medium": 0.3, "good": 0.5}
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        direct = execmodel.estimate_execution_time
+
+        def count(*args):
+            calls.append(args)
+            return direct(*args)
+
+        monkeypatch.setattr(execmodel, "estimate_execution_time", count)
+        return calls
+
+    @staticmethod
+    def price(job, nodes, net, params):
+        return _place(job, nodes, 0, 0, net, params).duration_ns
+
+    @pytest.mark.parametrize("policy", ["serial", "per-link-parallel"])
+    def test_hit_equals_direct_call(self, counted, policy):
+        net = build_network(6, 3, self.MIXED, seed=7)
+        both = [ExecModelParams(gate, policy) for gate in (1000, 400)]
+        jobs = default_catalog(net, both[0], qubit_sizes=(5, 10, 15))
+        assert any(job.cross_block_pairs for job in jobs)
+        placements = [(job, nodes, params) for params in both for job in jobs
+                      for nodes in itertools.combinations(range(6), job.required_qpus)]
+        for job, nodes, params in placements * 2:
+            assert self.price(job, nodes[::-1], net, params) == \
+                estimate_execution_time(job, nodes, net, params)
+        # the second pass is served from the memo
+        assert len(counted) == len(net._duration_memo) <= len(placements)
+
+    def test_separate_entries_per_network_and_params(self):
+        nets = [homogeneous_network(6, 3, quality) for quality in ("good", "medium")]
+        all_params = [ExecModelParams(local_gate_ns=1000),
+                      ExecModelParams(local_gate_ns=250, epr_serialization="per-link-parallel")]
+        job = default_catalog(nets[0], all_params[0], qubit_sizes=(15,))[-1]
+        nodes = tuple(range(job.required_qpus))
+        prices = []
+        for net in nets:
+            for params in all_params:
+                prices.append(self.price(job, nodes, net, params))
+                assert prices[-1] == estimate_execution_time(job, nodes, net, params)
+        assert len(set(prices)) == 4
+        assert [len(net._duration_memo) for net in nets] == [2, 2]
+
+    def test_wrong_length_rejected_on_warm_memo(self):
+        net = homogeneous_network(4, 3, "good")
+        wide, narrow = make_job(0, 3, 10), make_job(1, 2, 10)
+        assert self.price(wide, (0, 1, 2), net, PARAMS) == 10
+        assert self.price(narrow, (0, 1), net, PARAMS) == 10
+        with pytest.raises(ValueError, match="requires 2 nodes, got 3"):
+            self.price(narrow, (0, 1, 2), net, PARAMS)
+        with pytest.raises(ValueError, match="requires 3 nodes, got 2"):
+            self.price(wide, (0, 1), net, PARAMS)
+
+    def test_make_job_prices_exactly(self):
+        net = homogeneous_network(4, 3, "good")
+        for gate, t_ns in itertools.product((7, 3), (10, 20, 10, 35)):
+            job = make_job(t_ns, 2, t_ns)
+            assert self.price(job, (1, 3), net, ExecModelParams(gate)) == gate * t_ns
 
 
 class TestEpr:
