@@ -1,9 +1,9 @@
 """Minimal fully connected network with hand-written reverse-mode gradients.
 
 Only the operations the RL scheduler needs are implemented: affine layers
-with tanh hidden activations, a masked softmax with log-probabilities and
-entropy, and an Adam optimizer. Everything is float64 numpy, so analytic
-gradients can be checked against central finite differences.
+with tanh hidden activations, a masked softmax, and an Adam optimizer.
+Everything is float64 numpy, so analytic gradients can be checked against
+central finite differences.
 """
 
 from __future__ import annotations
@@ -116,9 +116,3 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     exp = np.where(mask, np.exp(shifted), 0.0)
     return exp / exp.sum(axis=-1, keepdims=True)
 
-
-def masked_entropy(probs: np.ndarray, mask: np.ndarray) -> float:
-    """Shannon entropy of a masked distribution."""
-    p = probs[mask]
-    p = p[p > 0]
-    return float(-(p * np.log(p)).sum())

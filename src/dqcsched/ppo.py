@@ -11,6 +11,8 @@ entropy terms on a from-scratch network (:mod:`dqcsched.nn`).
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -58,6 +60,8 @@ class PpoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.n_features != 4:
+            raise ValueError(f"n_features must be 4 (the encoded columns), got {self.n_features}")
         if not 0.0 < self.clip_eps < 1.0:
             raise ValueError(f"clip_eps must lie in (0, 1), got {self.clip_eps}")
         if self.minibatch > self.update_every:
@@ -78,6 +82,8 @@ class PpoState:
 
     matrix: np.ndarray  # (j_max, 4): [n_j, e_j, g_j, t_hat]
     padding: np.ndarray  # (j_max,) bool, True where no job exists
+    node_counts: list[int]  # matrix[:, 0] as ints
+    scaled: np.ndarray | None = None  # matrix / feature scales, set by PpoAgent.encode
 
 
 @dataclass
@@ -110,7 +116,8 @@ def encode_state(queue, j_max: int, time_scale: float) -> PpoState:
             job.est_exec_ns / time_scale,
         )
         padding[row] = False
-    return PpoState(matrix=matrix, padding=padding)
+    return PpoState(matrix=matrix, padding=padding,
+                    node_counts=matrix[:, 0].astype(int).tolist())
 
 
 def stage_latencies(
@@ -186,13 +193,16 @@ def epr_reward(
     return r_epr, -r_lat + r_epr
 
 
-def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """``rng.choice(len(probs), p=probs)`` by numpy's own algorithm, at less cost."""
-    if (probs < 0.0).any() or not abs(probs.sum() - 1.0) <= _PROB_SUM_TOL:
-        raise ValueError(f"not a probability vector: {probs.tolist()}")
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+def sample_index(probs, rng: np.random.Generator) -> int:
+    """``rng.choice(len(probs), p=probs)`` for a list or an array, by numpy's
+    own algorithm (``cumsum`` over its last entry, then ``searchsorted``)."""
+    values = probs.tolist() if isinstance(probs, np.ndarray) else list(probs)
+    cdf = list(itertools.accumulate(values))
+    # The check sums in numpy's order, which is left to right below 8 entries.
+    total = cdf[-1] if 0 < len(cdf) < 8 else np.add.reduce(values)
+    if not abs(total - 1.0) <= _PROB_SUM_TOL or min(values) < 0.0:
+        raise ValueError(f"not a probability vector: {values}")
+    return bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())
 
 
 def policy_loss_parts(
@@ -352,7 +362,9 @@ class PpoAgent:
     # -- observation and action ------------------------------------------
 
     def encode(self, queue) -> PpoState:
-        return encode_state(queue, self.config.j_max, self.time_scale)
+        state = encode_state(queue, self.config.j_max, self.time_scale)
+        state.scaled = state.matrix / self.feature_scales
+        return state
 
     def select_stage(
         self,
@@ -367,27 +379,42 @@ class PpoAgent:
         non-padding jobs that still fit the remaining node budget, so every
         emitted stage respects the budget by construction. Only sampled
         picks, which training learns from, return transitions.
+
+        Picks match :func:`masked_softmax` bit for bit: the forward pass,
+        ``np.exp`` and the normalising sum (numpy's order differs from 8
+        entries up) stay numpy; the rest is Python floats over ``j_max``.
         """
-        n_vals = state.matrix[:, 0].astype(int)
-        scaled = state.matrix / self.feature_scales
+        n_vals = state.node_counts
+        scaled = state.matrix / self.feature_scales if state.scaled is None else state.scaled
+        obs = np.where(selected[:, None], 0.0, scaled)  # a picked row is zeroed
+        flat = obs.ravel()
+        rows = [r for r, taken in enumerate((state.padding | selected).tolist()) if not taken]
         picks: list[int] = []
         transitions: list[Transition] = []
         cap = n_max
-        while True:
-            mask = ~state.padding & ~selected & (n_vals <= cap)
-            if not mask.any():
-                break
-            obs = np.where(selected[:, None], 0.0, scaled).ravel()
-            probs = masked_softmax(self.policy(obs)[0], mask)
+        while feasible := [r for r in rows if n_vals[r] <= cap]:
+            x = flat.copy() if sample else flat
+            logits = self.policy(x)[0].tolist()
+            top = max(logits[r] for r in feasible)
+            shifted = [-math.inf] * len(logits)
+            for r in feasible:
+                shifted[r] = logits[r] - top
+            exp = np.exp(shifted)
+            total = float(exp.sum())
+            probs = [e / total for e in exp.tolist()]
             if sample:
                 action = sample_index(probs, self.action_rng)
+                mask = np.zeros(len(probs), dtype=bool)
+                mask[feasible] = True
                 transitions.append(Transition(
-                    obs=obs, mask=mask, action=action, logp=float(np.log(probs[action])),
-                    value=float(self.value_net(obs)[0, 0])))
+                    obs=x, mask=mask, action=action, logp=float(np.log(probs[action])),
+                    value=float(self.value_net(x)[0, 0])))
             else:
-                action = int(np.argmax(probs))
+                action = max(feasible, key=probs.__getitem__)  # first max, as np.argmax
             picks.append(action)
+            rows.remove(action)
             selected[action] = True
+            obs[action] = 0.0
             cap -= n_vals[action]
         return picks, transitions
 
@@ -400,7 +427,7 @@ class PpoAgent:
         selected = state.padding.copy()
         stages: list[list[int]] = []
         transitions: list[Transition] = []
-        while not selected.all():
+        while not all(selected.tolist()):
             picks, trs = self.select_stage(state, selected, n_max, sample=sample)
             if not picks:
                 break
@@ -452,9 +479,9 @@ class PpoAgent:
 
     def episode_reward(self, queue, stages: list[list[int]],
                        schedule: Schedule) -> float:
-        durations = {p.job_id: p.duration_ns for p in schedule.placements}
+        placements = iter(schedule.placements)  # build_schedule keeps pick order
         reward_stages = [
-            [(float(queue[row].epr_pairs), float(durations[queue[row].id]))
+            [(float(queue[row].epr_pairs), float(next(placements).duration_ns))
              for row in picks]
             for picks in stages
         ]
@@ -587,9 +614,11 @@ def load_weights(path: str) -> tuple[dict, list[np.ndarray]]:
         raise ValueError(f"{path}: header declares {pos + 8 * sum(counts)} bytes, "
                          f"file has {len(data)}")
     arrays = []
-    for shape, count in zip(shapes, counts):
+    for k, (shape, count) in enumerate(zip(shapes, counts)):
         arrays.append(np.frombuffer(data, "<f8", count, pos).reshape(shape).copy())
         pos += 8 * count
+        if not np.isfinite(arrays[-1]).all():
+            raise ValueError(f"{path}: array {k} holds a NaN or infinite value")
     if not arrays or arrays[0].ndim != 1 or len(arrays[0]) < 5:
         raise ValueError(f"{path}: missing metadata vector")
     meta_vec = arrays[0]
@@ -609,7 +638,7 @@ def load_weights(path: str) -> tuple[dict, list[np.ndarray]]:
             REWARD_VARIANTS.index(meta["reward_variant"]),
             LATENCY_MODES.index(meta["latency_mode"]),
             meta["time_scale"], *meta["hidden"],
-        ])
+        ]) and meta["n_features"] == 4  # the columns encode_state writes
     except (IndexError, ValueError, OverflowError):
         valid = False
     if not valid:

@@ -1,5 +1,8 @@
 """RL scheduler: encoding, rewards, losses, gradients, rollout, persistence."""
 
+import dataclasses
+import functools
+import itertools
 import math
 import struct
 
@@ -8,7 +11,7 @@ import pytest
 
 from conftest import make_job, make_rng, unit_exec_params
 from dqcsched.netmodel import homogeneous_network
-from dqcsched.nn import Adam, Mlp, masked_entropy, masked_softmax
+from dqcsched.nn import Adam, Mlp, masked_softmax
 from dqcsched.ppo import (
     PpoAgent,
     PpoConfig,
@@ -41,6 +44,39 @@ def reference_masked_softmax(logits, mask):
     shifted = shifted - shifted[mask].max()
     exp = np.where(mask, np.exp(shifted), 0.0)
     return exp / exp.sum()
+
+
+def reference_sample_index(probs, rng):
+    if (probs < 0.0).any() or not abs(probs.sum() - 1.0) <= math.sqrt(np.finfo(float).eps):
+        raise ValueError(f"not a probability vector: {probs.tolist()}")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def reference_select_stage(agent, state, selected, n_max, sample=False):
+    n_vals = state.matrix[:, 0].astype(int)
+    scaled = state.matrix / agent.feature_scales
+    picks = []
+    transitions = []
+    cap = n_max
+    while True:
+        mask = ~state.padding & ~selected & (n_vals <= cap)
+        if not mask.any():
+            break
+        obs = np.where(selected[:, None], 0.0, scaled).ravel()
+        probs = masked_softmax(agent.policy(obs)[0], mask)
+        if sample:
+            action = reference_sample_index(probs, agent.action_rng)
+            transitions.append(Transition(
+                obs=obs, mask=mask, action=action, logp=float(np.log(probs[action])),
+                value=float(agent.value_net(obs)[0, 0])))
+        else:
+            action = int(np.argmax(probs))
+        picks.append(action)
+        selected[action] = True
+        cap -= n_vals[action]
+    return picks, transitions
 
 
 def reference_forward(net, x):
@@ -130,15 +166,6 @@ class TestMaskedSoftmax:
             assert abs(probs.sum() - 1.0) < 1e-12
             assert (probs[~mask] == 0.0).all()
 
-    def test_entropy_maximal_for_uniform(self):
-        mask = np.array([True, True, True, False])
-        uniform = masked_softmax(np.zeros(4), mask)
-        h_uniform = masked_entropy(uniform, mask)
-        assert abs(h_uniform - math.log(3)) < 1e-12
-        skewed = masked_softmax(np.array([2.0, 0.0, -1.0, 0.0]), mask)
-        assert masked_entropy(skewed, mask) < h_uniform
-        assert masked_entropy(skewed, mask) >= 0.0
-
     def test_batch_is_bit_identical_to_rows(self):
         rng = make_rng(56)
         for scale in (0.01, 0.1, 1.0, 3.0, 10.0, 30.0):
@@ -219,6 +246,36 @@ class TestBitExactRewrites:
         assert sample_index(masked_softmax(np.zeros(10), np.ones(10, bool)), high) == 9
         assert sample_index(masked_softmax(np.zeros(4), [True] * 3 + [False]), high) == 2
 
+    def test_sample_index_takes_lists_and_arrays(self):
+        rng = make_rng(62)
+        from_list, from_array, theirs = make_rng(63), make_rng(63), make_rng(63)
+        for _ in range(5_000):
+            k = int(rng.integers(1, 12))
+            mask = rng.random(k) < 0.6
+            mask[int(rng.integers(0, k))] = True
+            probs = masked_softmax(rng.normal(size=k) * rng.choice([0.1, 1.0, 10.0]), mask)
+            expected = theirs.choice(k, p=probs)
+            assert sample_index(probs.tolist(), from_list) == expected
+            assert sample_index(probs, from_array) == expected
+        assert from_list.bit_generator.state == theirs.bit_generator.state
+        assert from_array.bit_generator.state == theirs.bit_generator.state
+        for probs in ([], [0.5, 0.6], [1.2, -0.2], [0.5, math.nan], [math.nan, 0.5],
+                      [0.1] * 8 + [0.25], [0.2] * 8 + [-0.6]):
+            with pytest.raises(ValueError, match="probability"):
+                sample_index(probs, rng)
+
+    def test_numpy_sums_left_to_right_below_eight_entries(self):
+        # sample_index's check sums in numpy's order and the pick loop keeps
+        # numpy's normalising sum: the order changes at 8 entries
+        rng = make_rng(65)
+        mismatches = [0] * 10
+        for n in range(1, 10):
+            for _ in range(2_000):
+                v = rng.random(n) * rng.choice([1e-3, 1.0, 1e3])
+                mismatches[n] += v.sum() != list(itertools.accumulate(v.tolist()))[-1]
+        assert mismatches[1:8] == [0] * 7
+        assert mismatches[8] > 0 and mismatches[9] > 0
+
     def test_sample_index_rejects_non_distributions(self):
         rng = make_rng(61)
         for probs in ([0.5, 0.6], [1.2, -0.2], [0.5, np.nan], [0.25, 0.25]):
@@ -262,6 +319,68 @@ class TestSelectStage:
         jobs = [make_job(0, 2, 10), make_job(1, 2, 10)]
         stages, _ = agent.rollout(jobs)
         assert sorted(i for picks in stages for i in picks) == [0, 1]
+
+
+class TestSelectStageMatchesReference:
+    """The Python-scalar pick loop against the numpy loop it replaced.
+
+    With 8 or more entries numpy's sum no longer adds left to right, so the
+    j_max 8 and 9 cases catch a Python-order normalising sum.
+    """
+
+    @staticmethod
+    def stages(select, state, n_max, sample, preselected):
+        selected = state.padding | preselected
+        out = []
+        while not selected.all():
+            picks, transitions = select(state, selected, n_max, sample=sample)
+            if not picks:
+                break
+            out.append((picks, transitions))
+        return out, selected
+
+    @pytest.mark.parametrize("j_max", [1, 2, 5, 8, 9])
+    def test_picks_transitions_and_rng_match(self, j_max):
+        rng = make_rng(64, j_max)
+        agent = small_agent(j_max=j_max)
+        n_nodes = agent.network.n_nodes
+        last_weight = agent.policy.weights[-1].copy()
+        for case in range(420):
+            for b in agent.policy.biases + agent.value_net.biases:
+                b[...] = rng.normal(size=b.shape) * rng.choice([0.1, 1.0, 5.0])
+            # every fifth case: logits equal to a bias with repeated values, so
+            # argmax ties must go to the first index
+            tied = case % 5 == 4
+            agent.policy.weights[-1][...] = 0.0 if tied else last_weight
+            if tied:
+                agent.policy.biases[-1][...] = rng.integers(1, 3, size=j_max) * 0.5
+            n_max = int(rng.integers(1, n_nodes))
+            jobs = [make_job(i, int(rng.integers(1, n_max + 1)), int(rng.integers(1, 90)),
+                             epr=int(rng.integers(0, 12)))
+                    for i in range(int(rng.integers(1, j_max + 1)))]
+            state = agent.encode(jobs)
+            preselected = (rng.random(j_max) < 0.2) if case % 4 == 3 else np.zeros(j_max, bool)
+            sample = bool(case % 2)
+            start = agent.action_rng.bit_generator.state
+            ours, ours_sel = self.stages(agent.select_stage, state, n_max, sample, preselected)
+            after = agent.action_rng.bit_generator.state
+            agent.action_rng.bit_generator.state = start
+            theirs, theirs_sel = self.stages(functools.partial(reference_select_stage, agent),
+                                             state, n_max, sample, preselected)
+            assert agent.action_rng.bit_generator.state == after
+            assert np.array_equal(ours_sel, theirs_sel)
+            assert [picks for picks, _ in ours] == [picks for picks, _ in theirs]
+            ours_trs = [tr for _, trs in ours for tr in trs]
+            theirs_trs = [tr for _, trs in theirs for tr in trs]
+            assert len(ours_trs) == len(theirs_trs)
+            assert len(ours_trs) == (sum(len(picks) for picks, _ in ours) if sample else 0)
+            for a, b in zip(ours_trs, theirs_trs):
+                for f in dataclasses.fields(Transition):
+                    x, y = getattr(a, f.name), getattr(b, f.name)
+                    if isinstance(y, np.ndarray):
+                        assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+                    else:
+                        assert x == y, f.name
 
 
 class TestStageLatencies:
@@ -595,6 +714,32 @@ class TestPersistence:
         # A variant index of -1 would otherwise wrap to the last variant.
         variant = data[:table_end + 16] + struct.pack("<d", -1.0) + data[table_end + 24:]
         self.assert_rejected(tmp_path / "variant.bin", variant, agent, "bad metadata")
+
+    def test_n_features_other_than_four_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="n_features"):
+            PpoConfig(n_features=5)
+        # The metadata vector opens the data: [j_max, n_features, ...].
+        agent, data = self.saved_bytes(tmp_path)
+        table_end = len(data) - 8 * sum(
+            a.size for a in [np.zeros(7), agent.feature_scales]
+            + agent.policy.parameters() + agent.value_net.parameters())
+        assert struct.unpack_from("<2d", data, table_end) == (5.0, 4.0)
+        five = data[:table_end + 8] + struct.pack("<d", 5.0) + data[table_end + 16:]
+        self.assert_rejected(tmp_path / "features.bin", five, agent, "bad metadata")
+
+    def test_non_finite_weights_rejected(self, tmp_path):
+        agent, data = self.saved_bytes(tmp_path)
+        n_arr = struct.unpack_from("<I", data, 8)[0]
+        # 7 metadata entries (5 fixed + two hidden sizes) and 4 feature
+        # scales precede the first policy weight, array 2.
+        first_weight = len(data) - 8 * sum(
+            a.size for a in agent.policy.parameters() + agent.value_net.parameters())
+        for value in (math.nan, math.inf, -math.inf):
+            patched = (data[:first_weight] + struct.pack("<d", value)
+                       + data[first_weight + 8:])
+            self.assert_rejected(tmp_path / "nan.bin", patched, agent, "array 2 holds")
+            last = data[:-8] + struct.pack("<d", value)
+            self.assert_rejected(tmp_path / "inf.bin", last, agent, f"array {n_arr - 1} holds")
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
