@@ -52,19 +52,19 @@ def compute_reports(schedules: list[Schedule], n_qpu: int,
     """
     if n_qpu < 1:
         raise ValueError(f"n_qpu must be >= 1, got {n_qpu}")
-    if not all(s.placements for s in schedules):
+    if not all(map(len, schedules)):
         raise EmptyScheduleError("metrics of an empty schedule are undefined")
     if not schedules:
         return []
-    flat = [p for s in schedules for p in s.placements]
-    start = np.array([p.start_ns for p in flat], dtype=np.int64)
-    finish = np.array([p.finish_ns for p in flat], dtype=np.int64)
-    width = np.array([len(p.assigned_nodes) for p in flat], dtype=np.int64)
+    start = np.array([t for s in schedules for t in s.start_ns], dtype=np.int64)
+    finish = np.array([t for s in schedules for t in s.finish_ns], dtype=np.int64)
+    width = np.array([len(n) for s in schedules for n in s.assigned_nodes], dtype=np.int64)
     latency = finish - slot_arrival_ns
     if (latency <= 0).any():
         bad = int(np.argmax(latency <= 0))
-        raise ValueError(f"job {flat[bad].job_id} has non-positive latency {latency[bad]}")
-    counts = np.array([len(s.placements) for s in schedules])
+        job_id = [j for s in schedules for j in s.job_id][bad]
+        raise ValueError(f"job {job_id} has non-positive latency {latency[bad]}")
+    counts = np.array(list(map(len, schedules)))
     offsets = np.cumsum(counts) - counts
     duration = finish - start
     makespans = (np.maximum.reduceat(finish, offsets)
@@ -78,7 +78,7 @@ def compute_reports(schedules: list[Schedule], n_qpu: int,
     times = np.concatenate((start, finish))
     order = np.lexsort((times, np.concatenate((slot, slot))))
     times = times[order]
-    running = np.cumsum(np.where(order < len(flat), 1, -1))[:-1]
+    running = np.cumsum(np.where(order < len(start), 1, -1))[:-1]
     pair_time = running * (running - 1) // 2 * (times[1:] - times[:-1])
     t_overlap = np.add.reduceat(pair_time, 2 * offsets).tolist()
 

@@ -37,11 +37,13 @@ class Mlp:
         return out, activations
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Output of :meth:`forward` without the activation cache."""
-        h = np.atleast_2d(np.asarray(x, dtype=float))
+        """Output of :meth:`forward` without the activation cache. A float64
+        ``1 × n`` row or batch is used as given: normalising returns it as is."""
+        if not (type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64):
+            x = np.atleast_2d(np.asarray(x, dtype=float))
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(h @ w + b)
-        return h @ self.weights[-1] + self.biases[-1]
+            x = np.tanh(x @ w + b)
+        return x @ self.weights[-1] + self.biases[-1]
 
     def backward(self, activations: list[np.ndarray], grad_out: np.ndarray
                  ) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ from . import workload
 from .execmodel import ExecModelParams
 from .netmodel import Network
 from .nn import Adam, Mlp, masked_softmax
-from .schedulers import Placement, Schedule, SchedulingError, _place, select_nodes
+from .schedulers import Schedule, _place_stage
 
 REWARD_VARIANTS = ("plain", "node_selection")
 LATENCY_MODES = ("cumulative", "immediate")
@@ -387,7 +388,7 @@ class PpoAgent:
         n_vals = state.node_counts
         scaled = state.matrix / self.feature_scales if state.scaled is None else state.scaled
         obs = np.where(selected[:, None], 0.0, scaled)  # a picked row is zeroed
-        flat = obs.ravel()
+        flat = obs.reshape(1, -1)  # the policy's 1 × n input row, a view of obs
         rows = [r for r, taken in enumerate((state.padding | selected).tolist()) if not taken]
         picks: list[int] = []
         transitions: list[Transition] = []
@@ -407,7 +408,7 @@ class PpoAgent:
                 mask = np.zeros(len(probs), dtype=bool)
                 mask[feasible] = True
                 transitions.append(Transition(
-                    obs=x, mask=mask, action=action, logp=float(np.log(probs[action])),
+                    obs=x[0], mask=mask, action=action, logp=float(np.log(probs[action])),
                     value=float(self.value_net(x)[0, 0])))
             else:
                 action = max(feasible, key=probs.__getitem__)  # first max, as np.argmax
@@ -444,26 +445,13 @@ class PpoAgent:
         """Barrier-synchronized placement of the rolled-out stages."""
         network = network if network is not None else self.network
         exec_params = exec_params if exec_params is not None else self.exec_params
-        placements: list[Placement] = []
+        schedule = Schedule()
+        place = schedule.pricer(network, exec_params)
         barrier = 0
         for stage_idx, picks in enumerate(stages):
-            free = list(range(network.n_nodes))
-            stage_placements = []
-            for row in picks:
-                job = queue[row]
-                if job.required_qpus > len(free):
-                    raise SchedulingError(job.id, "stage exceeds free nodes")
-                if node_selection:
-                    nodes = select_nodes(free, job.required_qpus, network)
-                else:
-                    nodes = tuple(free[: job.required_qpus])
-                free = [n for n in free if n not in nodes]
-                stage_placements.append(
-                    _place(job, nodes, barrier, stage_idx, network, exec_params)
-                )
-            placements.extend(stage_placements)
-            barrier = max(p.finish_ns for p in stage_placements)
-        return Schedule(placements)
+            barrier = _place_stage(place, [queue[row] for row in picks], network,
+                                   barrier, stage_idx, node_selection)
+        return schedule
 
     def schedule(self, queue, node_selection: bool | None = None,
                  network: Network | None = None,
@@ -479,9 +467,10 @@ class PpoAgent:
 
     def episode_reward(self, queue, stages: list[list[int]],
                        schedule: Schedule) -> float:
-        placements = iter(schedule.placements)  # build_schedule keeps pick order
+        # build_schedule appends in pick order
+        durations = map(operator.sub, schedule.finish_ns, schedule.start_ns)
         reward_stages = [
-            [(float(queue[row].epr_pairs), float(next(placements).duration_ns))
+            [(float(queue[row].epr_pairs), float(next(durations)))
              for row in picks]
             for picks in stages
         ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,30 +47,66 @@ class Placement:
         return self.finish_ns - self.start_ns
 
 
-@dataclass
 class Schedule:
-    """Scheduler output: placements grouped into stages."""
+    """Scheduler output as five parallel columns, one entry per job in
+    placement order: job id, node tuple, start, finish and stage.
 
-    placements: list[Placement] = field(default_factory=list)
+    ``Schedule(placements)`` builds the columns from :class:`Placement`
+    objects, and :attr:`placements` is a view built on demand.
+    """
+
+    __slots__ = ("job_id", "assigned_nodes", "start_ns", "finish_ns", "stage_index")
+
+    def __init__(self, placements=()):
+        rows = [(p.job_id, p.assigned_nodes, p.start_ns, p.finish_ns, p.stage_index)
+                for p in placements]
+        self.job_id, self.assigned_nodes, self.start_ns, self.finish_ns, self.stage_index = (
+            map(list, zip(*rows)) if rows else ([], [], [], [], []))
+
+    @property
+    def placements(self) -> list[Placement]:
+        return list(map(Placement, self.job_id, self.assigned_nodes, self.start_ns,
+                        self.finish_ns, self.stage_index))
 
     def __len__(self) -> int:
-        return len(self.placements)
+        return len(self.job_id)
 
     def stages(self) -> list[list[Placement]]:
-        if not self.placements:
-            return []
-        n_stages = max(p.stage_index for p in self.placements) + 1
-        grouped: list[list[Placement]] = [[] for _ in range(n_stages)]
+        grouped: list[list[Placement]] = [[] for _ in range(max(self.stage_index, default=-1) + 1)]
         for p in self.placements:
             grouped[p.stage_index].append(p)
         return grouped
 
     def makespan_ns(self) -> int:
-        if not self.placements:
-            return 0
-        return max(p.finish_ns for p in self.placements) - min(
-            p.start_ns for p in self.placements
-        )
+        return max(self.finish_ns) - min(self.start_ns) if self.job_id else 0
+
+    def pricer(self, network: Network, params: ExecModelParams):
+        """The step every scheduler places through: ``place(job, nodes,
+        start_ns, stage)`` prices ``job`` on ``nodes``, given in ascending id
+        order, appends it and returns its finish. Prices are memoised on the
+        network by (params, the job's price key, nodes); a wrong-length node
+        tuple always reaches the exec model, which raises."""
+        memo = network._duration_memo
+        add_id, add_nodes, add_start, add_finish, add_stage = (
+            self.job_id.append, self.assigned_nodes.append, self.start_ns.append,
+            self.finish_ns.append, self.stage_index.append)
+
+        def place(job, nodes, start_ns: int, stage: int) -> int:
+            nodes = tuple(nodes)
+            key = (params, job.price_key, nodes)
+            duration = memo.get(key) if len(nodes) == job.required_qpus else None
+            if duration is None:
+                duration = memo[key] = execmodel.estimate_execution_time(
+                    job, nodes, network, params)
+            finish = start_ns + duration
+            add_id(job.id)
+            add_nodes(nodes)
+            add_start(start_ns)
+            add_finish(finish)
+            add_stage(stage)
+            return finish
+
+        return place
 
 
 def _validate_queue(queue, network: Network) -> None:
@@ -78,24 +114,55 @@ def _validate_queue(queue, network: Network) -> None:
         if job.required_qpus < 1:
             raise SchedulingError(job.id, "requires fewer than one QPU")
         if job.required_qpus > network.n_nodes:
-            raise SchedulingError(
-                job.id,
-                f"requires {job.required_qpus} QPUs but the network has "
-                f"{network.n_nodes}",
-            )
+            raise SchedulingError(job.id, f"requires {job.required_qpus} QPUs but the "
+                                  f"network has {network.n_nodes}")
 
 
-def _place(job, nodes, start_ns: int, stage: int, network: Network,
-           params: ExecModelParams) -> Placement:
-    """Price ``job`` on ``nodes``, memoised on the network by all else the
-    price reads; a wrong-length node tuple always reaches the exec model."""
-    nodes = tuple(sorted(nodes))
-    memo = network._duration_memo
-    key = (params, job.profile.local_depth, job.cross_block_pairs, nodes)
-    duration = memo.get(key) if len(nodes) == job.required_qpus else None
-    if duration is None:
-        duration = memo[key] = execmodel.estimate_execution_time(job, nodes, network, params)
-    return Placement(job.id, nodes, start_ns, start_ns + duration, stage)
+def _place_stage(place, jobs, network: Network, barrier: int, stage: int,
+                 node_selection: bool = False) -> int:
+    """Start ``jobs`` together at ``barrier``, in order, each on the lowest
+    free ids or, with ``node_selection``, on the free subset with the best
+    internal links. Returns the stage's end: the running max of its
+    finishes from ``barrier``, which is its latest finish since durations
+    are never negative."""
+    free = list(range(network.n_nodes))
+    end = barrier
+    for job in jobs:
+        if job.required_qpus > len(free):
+            raise SchedulingError(job.id, "stage exceeds free nodes")
+        if node_selection:
+            nodes = select_nodes(free, job.required_qpus, network)
+            free = [n for n in free if n not in nodes]
+        else:
+            nodes, free = free[: job.required_qpus], free[job.required_qpus:]
+        end = max(end, place(job, nodes, barrier, stage))
+    return end
+
+
+def _in_order_stages(queue, network: Network, exec_params: ExecModelParams,
+                     node_selection: bool = False, strict_order: bool = True) -> Schedule:
+    """Stages filled from ``queue`` in order: each remaining job that fits
+    the free nodes joins the stage; under ``strict_order`` the stage closes
+    at the first job that does not fit."""
+    schedule = Schedule()
+    place = schedule.pricer(network, exec_params)
+    remaining = list(queue)
+    barrier = stage = 0
+    while remaining:
+        jobs, deferred, n_free = [], [], network.n_nodes
+        for idx, job in enumerate(remaining):
+            if job.required_qpus <= n_free:
+                jobs.append(job)
+                n_free -= job.required_qpus
+            elif strict_order:
+                deferred = remaining[idx:]
+                break
+            else:
+                deferred.append(job)
+        barrier = _place_stage(place, jobs, network, barrier, stage, node_selection)
+        remaining = deferred
+        stage += 1
+    return schedule
 
 
 def fifo_schedule(queue, network: Network, exec_params: ExecModelParams) -> Schedule:
@@ -106,49 +173,14 @@ def fifo_schedule(queue, network: Network, exec_params: ExecModelParams) -> Sche
     has finished.
     """
     _validate_queue(queue, network)
-    placements: list[Placement] = []
-    barrier = 0
-    stage = 0
-    i = 0
-    while i < len(queue):
-        free = list(range(network.n_nodes))
-        stage_placements: list[Placement] = []
-        while i < len(queue) and queue[i].required_qpus <= len(free):
-            job = queue[i]
-            nodes, free = free[: job.required_qpus], free[job.required_qpus:]
-            stage_placements.append(_place(job, nodes, barrier, stage, network, exec_params))
-            i += 1
-        placements.extend(stage_placements)
-        barrier = max(p.finish_ns for p in stage_placements)
-        stage += 1
-    return Schedule(placements)
+    return _in_order_stages(queue, network, exec_params)
 
 
 def list_schedule(queue, network: Network, exec_params: ExecModelParams) -> Schedule:
     """FIFO ordering, but any later job that fits the free nodes joins the
     stage; the stage closes when no remaining job fits."""
     _validate_queue(queue, network)
-    placements: list[Placement] = []
-    remaining = list(queue)
-    barrier = 0
-    stage = 0
-    while remaining:
-        free = list(range(network.n_nodes))
-        stage_placements: list[Placement] = []
-        deferred = []
-        for job in remaining:
-            if job.required_qpus <= len(free):
-                nodes, free = free[: job.required_qpus], free[job.required_qpus:]
-                stage_placements.append(
-                    _place(job, nodes, barrier, stage, network, exec_params)
-                )
-            else:
-                deferred.append(job)
-        remaining = deferred
-        placements.extend(stage_placements)
-        barrier = max(p.finish_ns for p in stage_placements)
-        stage += 1
-    return Schedule(placements)
+    return _in_order_stages(queue, network, exec_params, strict_order=False)
 
 
 def resource_prioritize_schedule(
@@ -167,24 +199,18 @@ def resource_prioritize_schedule(
     if enumeration_cap < 1:
         raise ValueError(f"enumeration_cap must be >= 1, got {enumeration_cap}")
     _validate_queue(queue, network)
-    placements: list[Placement] = []
+    schedule = Schedule()
+    place = schedule.pricer(network, exec_params)
     remaining = list(queue)
-    barrier = 0
-    stage = 0
+    barrier = stage = 0
     while remaining:
         pool = remaining[: enumeration_cap]
         chosen = _max_demand_subset(pool, network.n_nodes)
-        free = list(range(network.n_nodes))
-        stage_placements = []
-        for k, job in enumerate(pool):
-            if chosen >> k & 1:
-                nodes, free = free[: job.required_qpus], free[job.required_qpus:]
-                stage_placements.append(_place(job, nodes, barrier, stage, network, exec_params))
-        placements.extend(stage_placements)
-        barrier = max(p.finish_ns for p in stage_placements)
+        jobs = [job for k, job in enumerate(pool) if chosen >> k & 1]
+        barrier = _place_stage(place, jobs, network, barrier, stage)
         stage += 1
         remaining = [j for i, j in enumerate(remaining) if not chosen >> i & 1]
-    return Schedule(placements)
+    return schedule
 
 
 def _max_demand_subset(pool, n_nodes: int) -> int:
@@ -274,70 +300,39 @@ def epr_schedule(
     """
     _validate_queue(queue, network)
     remaining = sorted(queue, key=lambda j: (j.epr_pairs, j.est_exec_ns, j.id))
-    placements: list[Placement] = []
-    barrier = 0
-    stage = 0
-    while remaining:
-        free = list(range(network.n_nodes))
-        stage_placements: list[Placement] = []
-        deferred: list = []
-        for idx, job in enumerate(remaining):
-            if job.required_qpus <= len(free):
-                if node_selection:
-                    nodes = select_nodes(free, job.required_qpus, network)
-                else:
-                    nodes = tuple(free[: job.required_qpus])
-                free = [n for n in free if n not in nodes]
-                stage_placements.append(
-                    _place(job, nodes, barrier, stage, network, exec_params)
-                )
-            elif strict_order:
-                deferred = remaining[idx:]
-                break
-            else:
-                deferred.append(job)
-        remaining = deferred
-        placements.extend(stage_placements)
-        barrier = max(p.finish_ns for p in stage_placements)
-        stage += 1
-    return Schedule(placements)
+    return _in_order_stages(remaining, network, exec_params, node_selection, strict_order)
 
 
 def asap_schedule(queue, network: Network, exec_params: ExecModelParams) -> Schedule:
     """Nodes are released asynchronously; freed nodes go to the first
     pending jobs (arrival order) that fit them.
 
-    Each round starts at the earliest time when some remaining job fits the
-    nodes free at that time.
+    Each round starts at the earliest release time at which some remaining
+    job fits the nodes free by then: the k-th smallest release time, k
+    being the smallest remaining demand. The round hands out the nodes free
+    at that time in id order.
     """
     _validate_queue(queue, network)
-    placements: list[Placement] = []
+    schedule = Schedule()
+    place = schedule.pricer(network, exec_params)
     avail = [0] * network.n_nodes
     remaining = list(queue)
     stage = 0
     while remaining:
-        for t in sorted(set(avail)):
-            candidates = [n for n in range(network.n_nodes) if avail[n] <= t]
-            used: set[int] = set()
-            deferred: list = []
-            placed_any = False
-            for job in remaining:
-                free = [n for n in candidates if n not in used]
-                if job.required_qpus <= len(free):
-                    nodes = tuple(free[: job.required_qpus])
-                    p = _place(job, nodes, t, stage, network, exec_params)
-                    placements.append(p)
-                    for n in nodes:
-                        avail[n] = p.finish_ns
-                    used.update(nodes)
-                    placed_any = True
-                else:
-                    deferred.append(job)
-            if placed_any:
-                remaining = deferred
-                break
+        t = sorted(avail)[min(job.required_qpus for job in remaining) - 1]
+        free = [n for n, release in enumerate(avail) if release <= t]
+        deferred: list = []
+        for job in remaining:
+            if job.required_qpus <= len(free):
+                nodes, free = free[: job.required_qpus], free[job.required_qpus:]
+                finish = place(job, nodes, t, stage)
+                for n in nodes:
+                    avail[n] = finish
+            else:
+                deferred.append(job)
+        remaining = deferred
         stage += 1
-    return Schedule(placements)
+    return schedule
 
 
 def get_scheduler(name: str):

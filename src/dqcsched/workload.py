@@ -159,7 +159,9 @@ class JobDescriptor:
 
     ``cross_block_pairs`` lists, per cross-partition gate, the indices of the
     two qubit blocks it connects; the execution model maps these onto the
-    links of an actual node assignment.
+    links of an actual node assignment. ``price_key``, derived on every
+    ``__init__``, is the ``repr`` of all a price reads besides the nodes,
+    (``profile.local_depth``, ``cross_block_pairs``): a hash-caching string.
     """
 
     id: int
@@ -169,6 +171,11 @@ class JobDescriptor:
     est_exec_ns: int
     profile: CircuitProfile
     cross_block_pairs: tuple[tuple[int, int], ...] = ()
+    price_key: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "price_key", repr(
+            (self.profile.local_depth, self.cross_block_pairs)))
 
 
 def partition_job(
@@ -335,7 +342,8 @@ def generate_slot_jobs(config: WorkloadConfig, rng: np.random.Generator) -> list
     # Generator.choice(n, size=count, p=probabilities), without its per-call
     # checks and running sum: the same draws and generator state.
     picks = config.cumulative.searchsorted(rng.random(count), side="right")
-    jobs = [config.catalog[i] for i in picks]
-    return [JobDescriptor(k, j.required_qpus, j.epr_pairs, j.nonlocal_gates,
-                          j.est_exec_ns, j.profile, j.cross_block_pairs)
-            for k, j in enumerate(jobs)]
+    # Copies of catalog entries under fresh ids, price keys carried, not re-derived
+    jobs = [object.__new__(JobDescriptor) for _ in range(count)]
+    for k, (job, i) in enumerate(zip(jobs, picks.tolist())):
+        job.__dict__.update(config.catalog[i].__dict__, id=k)
+    return jobs

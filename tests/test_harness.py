@@ -2,6 +2,8 @@
 
 import csv
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import dataclass
 
@@ -302,6 +304,21 @@ class TestCli:
     def test_missing_file_is_config_error(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "none.cfg"),
                          "--out", str(tmp_path)]) == 2
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        """``python -m dqcsched`` prints the CLI help and exits with the
+        CLI's return code (2 for a config error)."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+
+        def run(*args):
+            return subprocess.run([sys.executable, "-m", "dqcsched", *args],
+                                  capture_output=True, text=True, env=env, timeout=60)
+
+        shown = run("--help")
+        assert shown.returncode == 0, shown.stderr
+        assert shown.stdout.startswith("usage: dqcsched")
+        missing = run("run", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path))
+        assert missing.returncode == 2 and "config error" in missing.stderr
 
     def test_init_config_roundtrip(self, tmp_path):
         path = str(tmp_path / "default.cfg")

@@ -26,7 +26,7 @@ from dqcsched.ppo import (
     stage_latencies,
     value_loss_parts,
 )
-from dqcsched.schedulers import epr_schedule
+from dqcsched.schedulers import SchedulingError, epr_schedule
 from dqcsched.workload import build_circuit_profile, default_catalog, partition_job
 
 PARAMS = unit_exec_params()
@@ -203,6 +203,18 @@ class TestBitExactRewrites:
                 assert np.array_equal(out, ref_out)
                 assert all(np.array_equal(a, b) for a, b in zip(cache, ref_cache))
                 assert len(cache) == len(ref_cache)
+
+    def test_single_rows_as_given_or_normalised_agree(self):
+        """A float64 ``1 × n`` row skips the input normalisation; 1-D,
+        list, float32-exact and Fortran-ordered forms of it go through
+        it, and every form gives the reference forward's bits."""
+        rng = make_rng(59)
+        net = Mlp([20, 64, 64, 5], rng)
+        row = rng.normal(size=(1, 20)).astype(np.float32).astype(float)
+        want = reference_forward(net, row)[0]
+        for x in (row, row[0], row[0].tolist(), row.tolist(), row.astype(np.float32),
+                  np.asfortranarray(row)):
+            assert np.array_equal(net(x), want)
 
     def test_flat_adam_equals_per_array_adam(self):
         rng = make_rng(58)
@@ -630,6 +642,13 @@ class TestPpoSchedule:
     def test_empty_queue(self):
         agent = small_agent()
         assert agent.schedule([], node_selection=False).placements == []
+
+    @pytest.mark.parametrize("node_selection", [False, True])
+    def test_overfull_stage_rejected(self, node_selection):
+        agent = small_agent()
+        jobs = [make_job(0, 4, 10), make_job(1, 3, 10)]
+        with pytest.raises(SchedulingError, match="job 1: stage exceeds free nodes"):
+            agent.build_schedule(jobs, [[0, 1]], node_selection)
 
 
 class TestTraining:

@@ -1,5 +1,6 @@
 """Scheduler hand traces and structural invariants."""
 
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -10,11 +11,12 @@ from conftest import make_job, make_rng, unit_exec_params, weighted_network
 from dqcsched import execmodel
 from dqcsched.execmodel import ExecModelParams, estimate_execution_time
 from dqcsched.netmodel import LINK_PRESETS, LinkProfile, build_network, homogeneous_network
+from dqcsched.ppo import PpoAgent, PpoConfig
 from dqcsched.schedulers import (
     SCHEDULER_NAMES,
+    Placement,
     Schedule,
     SchedulingError,
-    _place,
     _validate_queue,
     asap_schedule,
     epr_schedule,
@@ -125,7 +127,8 @@ class TestResourcePrioritize:
 def reference_resource_schedule(queue, network, exec_params, enumeration_cap=12):
     """The subset search with per-stage tables and a bit-scanning tie-break."""
     _validate_queue(queue, network)
-    placements = []
+    schedule = Schedule()
+    place = schedule.pricer(network, exec_params)
     remaining = list(queue)
     barrier = 0
     stage = 0
@@ -151,17 +154,16 @@ def reference_resource_schedule(queue, network, exec_params, enumeration_cap=12)
                 best_mask = c
         chosen_idx = [k for k in range(m) if bits[best_mask, k]]
         free = list(range(network.n_nodes))
-        stage_placements = []
+        stage_start = len(schedule)
         for k in chosen_idx:
             job = pool[k]
             nodes, free = free[: job.required_qpus], free[job.required_qpus:]
-            stage_placements.append(_place(job, nodes, barrier, stage, network, exec_params))
-        placements.extend(stage_placements)
-        barrier = max(p.finish_ns for p in stage_placements)
+            place(job, nodes, barrier, stage)
+        barrier = max(schedule.finish_ns[stage_start:])
         stage += 1
         chosen_set = set(chosen_idx)
         remaining = [j for i, j in enumerate(remaining) if i not in chosen_set]
-    return Schedule(placements)
+    return schedule
 
 
 def assert_resource_matches_reference(queue, net, cap):
@@ -207,8 +209,8 @@ def test_resource_matches_reference_search(n_nodes):
 
 
 class TestDurationMemo:
-    """``_place`` prices through a memo on the network; every answer must
-    equal a direct exec-model call."""
+    """``Schedule.pricer`` prices through a memo on the network; every answer
+    must equal a direct exec-model call."""
 
     MIXED = {"bad": 0.2, "medium": 0.3, "good": 0.5}
 
@@ -226,7 +228,9 @@ class TestDurationMemo:
 
     @staticmethod
     def price(job, nodes, net, params):
-        return _place(job, nodes, 0, 0, net, params).duration_ns
+        schedule = Schedule()
+        schedule.pricer(net, params)(job, nodes, 0, 0)
+        return schedule.placements[0].duration_ns
 
     @pytest.mark.parametrize("policy", ["serial", "per-link-parallel"])
     def test_hit_equals_direct_call(self, counted, policy):
@@ -381,6 +385,116 @@ class TestAsap:
         queue = [make_job(i, 4, 10) for i in range(3)]
         s = asap_schedule(queue, four_node_network, PARAMS)
         assert job_times(s) == {0: (0, 10), 1: (10, 20), 2: (20, 30)}
+
+
+def place_directly(job, nodes, start_ns, stage, network, exec_params):
+    """A placement priced by a direct exec-model call, with no memo."""
+    nodes = tuple(sorted(nodes))
+    finish = start_ns + estimate_execution_time(job, nodes, network, exec_params)
+    return Placement(job.id, nodes, start_ns, finish, stage)
+
+
+def reference_asap_schedule(queue, network, exec_params):
+    """The release-time scan ``asap_schedule`` replaced, verbatim but for
+    pricing each placement by a direct exec-model call."""
+    _validate_queue(queue, network)
+    placements = []
+    avail = [0] * network.n_nodes
+    remaining = list(queue)
+    stage = 0
+    while remaining:
+        for t in sorted(set(avail)):
+            candidates = [n for n in range(network.n_nodes) if avail[n] <= t]
+            used: set[int] = set()
+            deferred: list = []
+            placed_any = False
+            for job in remaining:
+                free = [n for n in candidates if n not in used]
+                if job.required_qpus <= len(free):
+                    nodes = tuple(free[: job.required_qpus])
+                    p = place_directly(job, nodes, t, stage, network, exec_params)
+                    placements.append(p)
+                    for n in nodes:
+                        avail[n] = p.finish_ns
+                    used.update(nodes)
+                    placed_any = True
+                else:
+                    deferred.append(job)
+            if placed_any:
+                remaining = deferred
+                break
+        stage += 1
+    return Schedule(placements)
+
+
+@pytest.mark.parametrize("n_nodes", [4, 6, 12])
+def test_asap_matches_release_scan(n_nodes):
+    """350 random queues per network size, 1 050 in all, on random mixed
+    networks. Synthetic jobs take durations from three values, so finishes
+    and release times tie, and sizes include jobs that need every node;
+    every fifth queue holds only such jobs. Every third queue draws
+    catalog jobs instead, whose prices depend on the nodes they get."""
+    mix = {"bad": 0.2, "medium": 0.3, "good": 0.5}
+    real = ExecModelParams()
+    nets = [build_network(n_nodes, 3, mix, seed=seed) for seed in range(4)]
+    catalogs = [[j for j in default_catalog(net, real) if j.required_qpus <= n_nodes]
+                for net in nets]
+    rng = make_rng(71, n_nodes)
+    for trial in range(350):
+        k = int(rng.integers(len(nets)))
+        n = int(rng.integers(1, 16))
+        ids = [int(i) for i in rng.permutation(100)[:n]]
+        if trial % 3 == 0:
+            picks = rng.integers(len(catalogs[k]), size=n)
+            queue = [dataclasses.replace(catalogs[k][c], id=i) for c, i in zip(picks, ids)]
+            params = real
+        else:
+            sizes = [n_nodes] * n if trial % 5 == 0 else \
+                rng.choice([1, 2, 3, n_nodes // 2, n_nodes - 1, n_nodes], size=n)
+            times = rng.choice([10, 20, 30], size=n)
+            queue = [make_job(i, int(q), int(t)) for i, q, t in zip(ids, sizes, times)]
+            params = PARAMS
+        got = asap_schedule(queue, nets[k], params)
+        assert got.placements == reference_asap_schedule(queue, nets[k], params).placements
+
+
+COLUMNS = ("job_id", "assigned_nodes", "start_ns", "finish_ns", "stage_index")
+
+
+def assert_columns_match_placements(schedule):
+    """``schedule`` against one rebuilt from ``Placement`` objects made
+    directly from its columns, and against per-``Placement`` stage and
+    makespan rules."""
+    columns = [getattr(schedule, name) for name in COLUMNS]
+    direct = [Placement(*row) for row in zip(*columns)]
+    rebuilt = Schedule(direct)
+    assert [getattr(rebuilt, name) for name in COLUMNS] == columns
+    assert Schedule(schedule.placements).placements == schedule.placements == direct
+    n_stages = max((p.stage_index for p in direct), default=-1) + 1
+    stages = [[p for p in direct if p.stage_index == k] for k in range(n_stages)]
+    assert schedule.stages() == rebuilt.stages() == stages
+    makespan = (max(p.finish_ns for p in direct) - min(p.start_ns for p in direct)
+                if direct else 0)
+    assert schedule.makespan_ns() == rebuilt.makespan_ns() == makespan
+    assert len(schedule) == len(rebuilt) == len(direct)
+
+
+def test_columns_round_trip_through_placements():
+    """Every scheduler and an untrained PPO agent, with and without node
+    selection, on random queues of 0-8 jobs over a mixed network."""
+    net = build_network(6, 3, {"bad": 0.2, "medium": 0.3, "good": 0.5}, seed=9)
+    agent = PpoAgent(PpoConfig(j_max=8), net, PARAMS, default_catalog(net, PARAMS))
+    runs = ALL_SCHEDULERS + [
+        (f"ppo-{ns}", lambda q, n, p, ns=ns: agent.schedule(q, ns, n, p)) for ns in (False, True)]
+    rng = make_rng(72)
+    for _ in range(60):
+        queue = [make_job(i, int(rng.integers(1, 7)), int(rng.integers(1, 40)),
+                          epr=int(rng.integers(0, 20)))
+                 for i in range(int(rng.integers(0, 9)))]
+        for _, fn in runs:
+            assert_columns_match_placements(fn(queue, net, PARAMS))
+    assert_columns_match_placements(Schedule())
+    assert Schedule([]).placements == [] and Schedule().stages() == []
 
 
 def check_invariants(queue, schedule, n_nodes):

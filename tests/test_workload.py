@@ -1,13 +1,16 @@
 """Circuit profiles, partitioning, arrivals and biased selection."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from conftest import make_rng, unit_exec_params
-from dqcsched.netmodel import homogeneous_network
+from dqcsched.execmodel import ExecModelParams, estimate_execution_time
+from dqcsched.netmodel import build_network, homogeneous_network
+from dqcsched.schedulers import asap_schedule
 from dqcsched.workload import (
     CIRCUIT_KINDS,
     WorkloadConfig,
@@ -289,3 +292,61 @@ class TestCatalogFile:
         net = homogeneous_network(6, 3, "good")
         with pytest.raises(ValueError, match="catalog.txt:1"):
             catalog_from_file(str(path), net, unit_exec_params())
+
+
+class TestPriceKey:
+    """The per-job key the duration memo prices by stands in exactly for
+    (``profile.local_depth``, ``cross_block_pairs``)."""
+
+    @staticmethod
+    def catalogs(net):
+        params = unit_exec_params()
+        return [default_catalog(net, params, qubit_sizes=sizes, reps=reps)
+                for sizes in ((5, 10, 15), (4, 6, 8, 12)) for reps in (1, 2)]
+
+    def test_keys_equal_exactly_when_priced_content_equal(self):
+        jobs = [job for capacity in (2, 3)
+                for catalog in self.catalogs(homogeneous_network(6, capacity, "good"))
+                for job in catalog]
+        assert len({j.price_key for j in jobs}) > 20
+        for a, b in itertools.combinations(jobs, 2):
+            same = (a.profile.local_depth, a.cross_block_pairs) == \
+                (b.profile.local_depth, b.cross_block_pairs)
+            assert (a.price_key == b.price_key) == same
+
+    def test_replace_derives_a_fresh_key(self):
+        job = default_catalog(homogeneous_network(6, 3, "good"), unit_exec_params())[-1]
+        assert job.cross_block_pairs
+        local = dataclasses.replace(job, cross_block_pairs=())
+        assert local.price_key == repr((job.profile.local_depth, ()))
+        assert dataclasses.replace(job, id=99).price_key == job.price_key
+
+    def test_drawn_jobs_carry_their_catalog_key(self):
+        catalog = self.catalogs(homogeneous_network(6, 3, "good"))[1]
+        index_of = {id(job.profile): job.id for job in catalog}
+        cfg = WorkloadConfig(catalog=catalog, lam=6.0, bias_alpha=0.5)
+        rng = make_rng(81)
+        for _ in range(200):
+            for job in generate_slot_jobs(cfg, rng):
+                entry = catalog[index_of[id(job.profile)]]
+                assert job.price_key is entry.price_key
+                assert dataclasses.replace(job, id=entry.id) == entry
+
+    def test_catalogs_sharing_a_network_never_hit_stale(self):
+        """Catalogs of two capacities and two size sets, drawn and priced on
+        one network with one memo, against direct exec-model calls."""
+        net = build_network(6, 3, {"bad": 0.2, "medium": 0.3, "good": 0.5}, seed=4)
+        params = ExecModelParams()
+        catalogs = [c for capacity in (2, 3)
+                    for c in self.catalogs(homogeneous_network(6, capacity, "good"))]
+        rng = make_rng(82)
+        for _ in range(3):
+            for catalog in catalogs:
+                cfg = WorkloadConfig(catalog=catalog, lam=5.0)
+                queue = [j for j in generate_slot_jobs(cfg, rng) if j.required_qpus <= 6]
+                schedule = asap_schedule(queue, net, params)
+                by_id = {j.id: j for j in queue}
+                for p in schedule.placements:
+                    assert p.duration_ns == estimate_execution_time(
+                        by_id[p.job_id], p.assigned_nodes, net, params)
+        assert len(net._duration_memo) > 20
