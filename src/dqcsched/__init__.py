@@ -2,7 +2,7 @@
 jobs over a fully connected, heterogeneous QPU network."""
 
 from .execmodel import ExecModelParams, estimate_execution_time, estimate_execution_time_nominal
-from .metrics import MetricsReport, compute_report, compute_reports
+from .metrics import MetricsReport, compute_report, compute_reports, metric_columns
 from .netmodel import (
     LINK_PRESETS,
     LinkParams,

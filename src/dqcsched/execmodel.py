@@ -11,7 +11,7 @@ placement, using the network-wide mean state delay).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .netmodel import Network
 
@@ -26,17 +26,20 @@ class ExecModelParams:
     default ``serial`` policy every entanglement attempt of a job is
     serialized (one communication qubit per node); ``per-link-parallel``
     lets distinct links generate pairs concurrently, so only the busiest
-    link counts.
+    link counts. ``key``, every field as a plain tuple, keys the duration memo
+    without a call of the generated ``__hash__``; ``__init__`` derives it.
     """
 
     local_gate_ns: int = 1000
     epr_serialization: str = "serial"
+    key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.local_gate_ns <= 0:
             raise ValueError(f"local_gate_ns must be > 0, got {self.local_gate_ns}")
         if self.epr_serialization not in EPR_POLICIES:
             raise ValueError(f"unknown EPR policy: {self.epr_serialization!r}")
+        object.__setattr__(self, "key", (self.local_gate_ns, self.epr_serialization))
 
 
 def estimate_execution_time(job, assigned_nodes, network: Network, params: ExecModelParams) -> int:

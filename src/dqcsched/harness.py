@@ -170,7 +170,8 @@ def run_experiment(config: ExperimentConfig, ppo_agents=None) -> SlotTable:
     Per seed one network and one catalog are built and shared by every
     setting and scheduler; per (setting, seed) the job stream is generated
     once and fed to every scheduler, so comparisons are paired. Each cell's
-    non-empty schedules are reduced to metrics in one pass.
+    non-empty schedules are reduced to metric columns in one pass, which the
+    table takes as they are, with None inserted for each empty slot.
     """
     config.validate()
     exec_params = config.exec_params()
@@ -194,19 +195,19 @@ def run_experiment(config: ExperimentConfig, ppo_agents=None) -> SlotTable:
             )
             rng = _workload_rng(seed)
             queues = [workload.generate_slot_jobs(wcfg, rng) for _ in range(n_slots)]
+            empty = [i for i, queue in enumerate(queues) if not queue]
             for name, run_fn in run_fns.items():
-                reports = iter(metrics_mod.compute_reports(
-                    [run_fn(queue, net, exec_params) for queue in queues if queue],
-                    config.n_nodes,
-                ))
-                per_slot = [next(reports) if queue else None for queue in queues]
+                cell = metrics_mod.metric_columns(
+                    [run_fn(queue, net, exec_params) for queue in queues if queue], config.n_nodes)
                 columns["setting"] += [setting.label] * n_slots
                 columns["scheduler"] += [name] * n_slots
                 columns["seed"] += [seed] * n_slots
                 columns["slot"] += range(n_slots)
                 columns["n_jobs"] += map(len, queues)
-                for f in METRIC_FIELDS:
-                    columns[f] += [None if r is None else getattr(r, f) for r in per_slot]
+                for f, values in zip(METRIC_FIELDS, cell):
+                    for i in empty:  # ascending, so each None lands at its slot
+                        values.insert(i, None)
+                    columns[f] += values
     return SlotTable(**columns)
 
 
@@ -214,11 +215,6 @@ def run_experiment(config: ExperimentConfig, ppo_agents=None) -> SlotTable:
 
 _CHUNK_ROWS = 128  # 512-row chunks of reader rows raised sweep-wide's peak RSS by 1%
 _ROW_FORMAT = ",".join(["{}"] * len(_SLOT_COLUMNS)) + "\n"
-
-
-def _format_cell(value) -> str:
-    """A cell as written: empty for None, ``repr`` for floats (it round-trips)."""
-    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
 
 
 def _csv_labels(values) -> dict[str, str]:
@@ -230,10 +226,12 @@ def _csv_labels(values) -> dict[str, str]:
 
 
 def write_slots_csv(table: SlotTable, path: str) -> None:
-    """Write ``table`` with exactly the bytes ``csv.writer`` gives."""
+    """Write ``table`` with exactly the bytes ``csv.writer`` gives: ``format(x,
+    "")`` of a float is its ``repr``, so only None needs replacing, by ""."""
     labels = _csv_labels(table.setting + table.scheduler)
     cells = [map(labels.__getitem__, col) for col in (table.setting, table.scheduler)]
-    cells += [map(_format_cell, col) for col in table.columns()[2:]]
+    cells += [table.seed, table.slot, table.n_jobs]
+    cells += [["" if v is None else v for v in getattr(table, f)] for f in METRIC_FIELDS]
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(_SLOT_COLUMNS) + "\n")
         fh.writelines(map(_ROW_FORMAT.format, *cells))
@@ -314,8 +312,7 @@ def write_summary_csv(rows: list[SummaryRow], path: str) -> None:
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("setting", "scheduler") + METRIC_FIELDS)
-        writer.writerows([row.setting, row.scheduler]
-                         + [_format_cell(getattr(row, f)) for f in METRIC_FIELDS]
+        writer.writerows([row.setting, row.scheduler] + [getattr(row, f) for f in METRIC_FIELDS]
                          for row in rows)
 
 

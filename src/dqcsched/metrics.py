@@ -3,13 +3,21 @@
 Five quantities: makespan, QPU utilization, non-local gate density
 (normalized pairwise temporal overlap), per-job execution-latency
 performance (ELP) with its geometric mean (SELP), and fairness
-(one minus the ELP spread). They are reduced for a whole cell of slot
-schedules at once; the floats equal those of reducing each slot alone.
+(one minus the ELP spread), reduced for a whole cell of slot schedules at
+once with the floats of reducing each slot alone. Once per cell run the
+integer ``reduceat`` sums and every elementwise float step of ``np.mean``
+and ``np.std``, on flat arrays. Once per distinct job count, each float sum
+is one ``np.add.reduce(block.reshape(rows, count), axis=1)`` over that
+count's rows, made one block by a stable sort: each row's pairwise sum, as
+in ``np.mean(axis=1)``. Float ``reduceat`` adds a0 + pairwise(a1...), and
+padding rows to one width regroups the pairwise blocks from 8 entries up;
+both round differently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -32,9 +40,10 @@ class MetricsReport:
     t_max_ns: int
 
 
-def compute_reports(schedules: list[Schedule], n_qpu: int,
-                    slot_arrival_ns: int = 0) -> list[MetricsReport]:
-    """All five metrics for each schedule of a cell, in input order.
+def metric_columns(schedules: list[Schedule], n_qpu: int, slot_arrival_ns: int = 0):
+    """The cell's metrics as lists, one entry per schedule: makespan_ns,
+    qpu_utilization, nonlocal_gate_density, selp, fairness, t_overlap_ns and
+    t_max_ns; then every job's ELP as one flat array in schedule order.
 
     - Makespan is latest finish minus earliest start; utilization is
       sum(duration * nodes) / (makespan * n_qpu).
@@ -46,26 +55,28 @@ def compute_reports(schedules: list[Schedule], n_qpu: int,
       (n - 1) * sum(durations).
     - ELP is duration over latency, latency being finish minus the slot
       arrival instant; SELP is exp(mean(log(ELP))) and fairness is one
-      minus the population standard deviation of the ELPs. Slots are
-      stacked by job count, unpadded, so each row reduces in the same
-      order as a one-slot array would.
+      minus the population standard deviation of the ELPs, replaying
+      numpy's ``_mean`` and ``_var`` (ddof 0) step by step.
     """
     if n_qpu < 1:
         raise ValueError(f"n_qpu must be >= 1, got {n_qpu}")
-    if not all(map(len, schedules)):
+    sizes = [len(s.job_id) for s in schedules]
+    if not all(sizes):
         raise EmptyScheduleError("metrics of an empty schedule are undefined")
     if not schedules:
-        return []
-    start = np.array([t for s in schedules for t in s.start_ns], dtype=np.int64)
-    finish = np.array([t for s in schedules for t in s.finish_ns], dtype=np.int64)
-    width = np.array([len(n) for s in schedules for n in s.assigned_nodes], dtype=np.int64)
+        return [], [], [], [], [], [], [], np.empty(0)
+    total = sum(sizes)
+    start = np.array(list(chain.from_iterable(s.start_ns for s in schedules)), np.int64)
+    finish = np.array(list(chain.from_iterable(s.finish_ns for s in schedules)), np.int64)
+    width = np.array(list(map(len, chain.from_iterable(s.assigned_nodes for s in schedules))),
+                     np.int64)
     latency = finish - slot_arrival_ns
     if (latency <= 0).any():
         bad = int(np.argmax(latency <= 0))
-        job_id = [j for s in schedules for j in s.job_id][bad]
+        job_id = list(chain.from_iterable(s.job_id for s in schedules))[bad]
         raise ValueError(f"job {job_id} has non-positive latency {latency[bad]}")
-    counts = np.array(list(map(len, schedules)))
-    offsets = np.cumsum(counts) - counts
+    counts = np.array(sizes)
+    offsets = np.add.accumulate(counts) - counts
     duration = finish - start
     makespans = (np.maximum.reduceat(finish, offsets)
                  - np.minimum.reduceat(start, offsets)).tolist()
@@ -74,38 +85,43 @@ def compute_reports(schedules: list[Schedule], n_qpu: int,
 
     # Events sorted by (slot, time); every slot ends with c(t) back at 0,
     # so the segment between two slots carries no pairs.
-    slot = np.repeat(np.arange(len(schedules)), counts)
+    slot = np.arange(len(schedules)).repeat(counts)
     times = np.concatenate((start, finish))
     order = np.lexsort((times, np.concatenate((slot, slot))))
     times = times[order]
-    running = np.cumsum(np.where(order < len(start), 1, -1))[:-1]
+    running = np.add.accumulate(np.where(order < total, 1, -1))[:-1]
     pair_time = running * (running - 1) // 2 * (times[1:] - times[:-1])
     t_overlap = np.add.reduceat(pair_time, 2 * offsets).tolist()
 
     elp = duration / latency
-    selp = np.empty(len(schedules))
-    fairness = np.empty(len(schedules))
-    for n in set(counts.tolist()):
-        rows = np.flatnonzero(counts == n)
-        group = elp[offsets[rows, None] + np.arange(n)]
-        selp[rows] = np.exp(np.mean(np.log(group), axis=1))
-        fairness[rows] = 1.0 - np.std(group, axis=1)
-    elp = elp.tolist()
-    return [
-        MetricsReport(
-            makespan_ns=m,
-            qpu_utilization=b / (m * n_qpu),
-            nonlocal_gate_density=(o / tm) if tm else 0.0,
-            elp=tuple(elp[a:a + n]),
-            selp=s,
-            fairness=f,
-            t_overlap_ns=o,
-            t_max_ns=tm,
-        )
-        for m, b, o, tm, a, n, s, f in zip(
-            makespans, busy, t_overlap, t_max, offsets.tolist(), counts.tolist(),
-            selp.tolist(), fairness.tolist())
-    ]
+    rows = counts.argsort(kind="stable")  # each count's rows become one block
+    n = counts[rows]
+    x = elp[(offsets[rows] - (np.add.accumulate(n) - n)).repeat(n) + np.arange(total)]
+    blocks = [(k, r) for k, r in enumerate(np.bincount(counts).tolist()) if r]
+    edges = list(accumulate((k * r for k, r in blocks), initial=0))
+
+    def row_sums(values):
+        return np.concatenate([np.add.reduce(values[a:b].reshape(r, k), axis=1)
+                               for (k, r), a, b in zip(blocks, edges, edges[1:])])
+
+    selp, fairness = np.empty(len(n)), np.empty(len(n))
+    selp[rows] = np.exp(row_sums(np.log(x)) / n)
+    x -= (row_sums(x) / n).repeat(n)
+    x *= x
+    fairness[rows] = 1.0 - np.sqrt(row_sums(x) / n)
+    utilization = [b / (m * n_qpu) for b, m in zip(busy, makespans)]
+    density = [(o / tm) if tm else 0.0 for o, tm in zip(t_overlap, t_max)]
+    return (makespans, utilization, density, selp.tolist(), fairness.tolist(),
+            t_overlap, t_max, elp)
+
+
+def compute_reports(schedules: list[Schedule], n_qpu: int,
+                    slot_arrival_ns: int = 0) -> list[MetricsReport]:
+    """All five metrics for each schedule of a cell, in input order."""
+    *columns, elp = metric_columns(schedules, n_qpu, slot_arrival_ns)
+    elp, bounds = elp.tolist(), list(accumulate(map(len, schedules), initial=0))
+    return [MetricsReport(m, u, d, tuple(elp[a:b]), s, f, o, tm)
+            for m, u, d, s, f, o, tm, a, b in zip(*columns, bounds, bounds[1:])]
 
 
 def compute_report(schedule: Schedule, n_qpu: int, slot_arrival_ns: int = 0) -> MetricsReport:

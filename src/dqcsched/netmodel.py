@@ -25,9 +25,8 @@ class LinkParams:
     """Physical parameters of one QPU-to-QPU entanglement link.
 
     Efficiencies are unitless in [0, 1]; ``alpha_db_per_km`` is the fiber
-    attenuation factor, ``distance_km`` the link length, ``cycle_time_ns``
-    the duration of a single entanglement generation attempt and
-    ``fidelity`` the quality of the generated pair.
+    attenuation factor, ``distance_km`` the link length and ``cycle_time_ns``
+    the duration of a single entanglement generation attempt.
     """
 
     eta_ion: float
@@ -37,7 +36,6 @@ class LinkParams:
     alpha_db_per_km: float
     distance_km: float
     cycle_time_ns: int
-    fidelity: float
 
     def __post_init__(self) -> None:
         for name in ("eta_ion", "eta_fc", "eta_det", "eta_penalty"):
@@ -48,8 +46,6 @@ class LinkParams:
             raise ValueError(f"distance_km must be >= 0, got {self.distance_km}")
         if self.cycle_time_ns <= 0:
             raise ValueError(f"cycle_time_ns must be > 0, got {self.cycle_time_ns}")
-        if not 0.0 < self.fidelity <= 1.0:
-            raise ValueError(f"fidelity must lie in (0, 1], got {self.fidelity}")
 
 
 # Trapped-ion link presets at 0.1 km, one per quality class.
@@ -57,17 +53,14 @@ LINK_PRESETS: dict[str, LinkParams] = {
     "bad": LinkParams(
         eta_ion=0.87, eta_fc=0.5, eta_det=0.75, eta_penalty=0.12,
         alpha_db_per_km=0.2, distance_km=0.1, cycle_time_ns=1_800_000,
-        fidelity=0.88,
     ),
     "medium": LinkParams(
         eta_ion=0.87, eta_fc=0.5, eta_det=0.75, eta_penalty=0.20,
         alpha_db_per_km=0.2, distance_km=0.1, cycle_time_ns=1_000_000,
-        fidelity=0.95,
     ),
     "good": LinkParams(
         eta_ion=0.87, eta_fc=0.7, eta_det=0.90, eta_penalty=0.20,
         alpha_db_per_km=0.2, distance_km=0.1, cycle_time_ns=200_000,
-        fidelity=0.95,
     ),
 }
 
@@ -118,12 +111,6 @@ class LinkProfile:
         )
 
 
-def _pair(a: int, b: int) -> tuple[int, int]:
-    if a == b:
-        raise ValueError(f"self-link ({a}, {b}) not allowed")
-    return (a, b) if a < b else (b, a)
-
-
 @dataclass(frozen=True)
 class Network:
     """Immutable, fully connected QPU network with per-pair link profiles.
@@ -160,9 +147,6 @@ class Network:
                 if self.links else 0.0)
         object.__setattr__(self, "delay_ns", tuple(map(tuple, delay)))
         object.__setattr__(self, "mean_state_delay_ns", mean)
-
-    def link(self, a: int, b: int) -> LinkProfile:
-        return self.links[_pair(a, b)]
 
 
 def build_network(

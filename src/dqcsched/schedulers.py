@@ -84,16 +84,16 @@ class Schedule:
         """The step every scheduler places through: ``place(job, nodes,
         start_ns, stage)`` prices ``job`` on ``nodes``, given in ascending id
         order, appends it and returns its finish. Prices are memoised on the
-        network by (params, the job's price key, nodes); a wrong-length node
-        tuple always reaches the exec model, which raises."""
-        memo = network._duration_memo
+        network by (``params.key``, the job's price key, nodes); a wrong-length
+        node tuple always reaches the exec model, which raises."""
+        memo, params_key = network._duration_memo, params.key
         add_id, add_nodes, add_start, add_finish, add_stage = (
             self.job_id.append, self.assigned_nodes.append, self.start_ns.append,
             self.finish_ns.append, self.stage_index.append)
 
         def place(job, nodes, start_ns: int, stage: int) -> int:
             nodes = tuple(nodes)
-            key = (params, job.price_key, nodes)
+            key = (params_key, job.price_key, nodes)
             duration = memo.get(key) if len(nodes) == job.required_qpus else None
             if duration is None:
                 duration = memo[key] = execmodel.estimate_execution_time(

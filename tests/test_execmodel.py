@@ -132,3 +132,19 @@ class TestNominalEstimate:
             ExecModelParams(local_gate_ns=0)
         with pytest.raises(ValueError):
             ExecModelParams(epr_serialization="burst")
+
+
+class TestParamsKey:
+    def test_key_is_every_field(self):
+        params = ExecModelParams(local_gate_ns=400, epr_serialization="per-link-parallel")
+        assert params.key == tuple(getattr(params, f.name)
+                                   for f in dataclasses.fields(params) if f.init)
+        assert "key" not in repr(params) and params == ExecModelParams(400, "per-link-parallel")
+
+    @pytest.mark.parametrize("change", [{"local_gate_ns": 401}, {"epr_serialization": "serial"}])
+    def test_replace_rederives_key(self, change):
+        params = ExecModelParams(local_gate_ns=400, epr_serialization="per-link-parallel")
+        changed = dataclasses.replace(params, **change)
+        assert changed.key != params.key
+        assert changed.key == tuple(getattr(changed, f.name)
+                                    for f in dataclasses.fields(changed) if f.init)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqcsched import cli, harness
+from dqcsched import cli, harness, metrics
 from dqcsched.configfile import ConfigError, parse_config_text
 from dqcsched.harness import (
     METRIC_FIELDS,
@@ -31,6 +31,7 @@ from dqcsched.harness import (
     write_cdf_csv,
     write_slots_csv,
 )
+from dqcsched.schedulers import Placement, Schedule
 
 TINY = ExperimentConfig(
     settings=(SettingSpec("lam3", lam=3.0),),
@@ -141,6 +142,46 @@ class TestRunExperiment:
 
     def test_deterministic_reruns(self):
         assert run_experiment(TINY) == run_experiment(TINY)
+
+    def test_metric_columns_are_compute_reports_fields(self):
+        """Each cell's metric columns, rebuilt slot by slot from the same job
+        stream through ``compute_reports``, compared ``repr``-exactly."""
+        config = ExperimentConfig(
+            settings=(SettingSpec("lam1", lam=1.0), SettingSpec("lam8", lam=8.0)),
+            seeds=(0, 1), n_slots=12)
+        table = run_experiment(config)
+        assert None in table.makespan_ns and None not in table.makespan_ns[-12:]
+        expected: dict[str, list] = {f: [] for f in METRIC_FIELDS}
+        params = config.exec_params()
+        for setting in config.settings:
+            for seed in config.seeds:
+                net = harness.build_network(config.n_nodes, config.qpu_capacity,
+                                            config.quality_mix, seed=seed)
+                wcfg = harness.workload.WorkloadConfig(
+                    catalog=harness.build_catalog(config, net), lam=setting.lam)
+                rng = harness._workload_rng(seed)
+                queues = [harness.workload.generate_slot_jobs(wcfg, rng)
+                          for _ in range(config.n_slots)]
+                for name in config.schedulers:
+                    run = harness.get_scheduler(name)
+                    reports = iter(metrics.compute_reports(
+                        [run(q, net, params) for q in queues if q], config.n_nodes))
+                    per_slot = [next(reports) if q else None for q in queues]
+                    for f in METRIC_FIELDS:
+                        expected[f] += [None if r is None else getattr(r, f) for r in per_slot]
+        for f in METRIC_FIELDS:
+            assert repr(getattr(table, f)) == repr(tuple(expected[f]))
+
+    def test_no_metrics_report_built(self, monkeypatch):
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("MetricsReport built on the run path")
+
+        monkeypatch.setattr(metrics.MetricsReport, "__init__", forbidden)
+        with pytest.raises(AssertionError, match="run path"):
+            metrics.compute_reports([Schedule([Placement(0, (0,), 0, 10, 0)])], 6)
+        table = run_experiment(TINY)
+        assert len(table) == len(TINY.schedulers) * 2 * 8
+        assert None not in table.makespan_ns
 
     def test_one_record_per_cell(self):
         table = run_experiment(TINY)

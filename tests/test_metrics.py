@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_job, make_rng, unit_exec_params
-from dqcsched.metrics import EmptyScheduleError, compute_report, compute_reports
+from dqcsched.metrics import (EmptyScheduleError, compute_report, compute_reports,
+                              metric_columns)
 from dqcsched.netmodel import homogeneous_network
 from dqcsched.schedulers import Placement, Schedule, fifo_schedule
 
@@ -227,6 +228,31 @@ CELLS = st.lists(slot_schedules(), min_size=1, max_size=12)
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
+@st.composite
+def wide_cells(draw):
+    """Up to 60 schedules whose job counts come from a pool of at most five,
+    so counts repeat, with up to 40 jobs per slot, so rows cross numpy's
+    pairwise-sum thresholds at 8, 16 and 32 entries. The counts of the
+    schedules, their starts, durations and widths come from a drawn seed,
+    which keeps a 2 400-job cell within hypothesis's draw budget."""
+    pool = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+    size = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cell = []
+    for n in rng.choice(pool, size).tolist():
+        starts = rng.integers(0, 10**9, n, endpoint=True).tolist()
+        durations = rng.integers(1, 10**9, n, endpoint=True).tolist()
+        widths = rng.integers(1, 7, n).tolist()
+        cell.append(raw_schedule([(i, tuple(range(w)), s, s + d, 0) for i, (s, d, w)
+                                  in enumerate(zip(starts, durations, widths))]))
+    return cell
+
+
+def uniform_cell(counts):
+    """One schedule per count, job i of each running [0, 1 + 7 * i)."""
+    return [raw_schedule([(i, (0,), 0, 1 + 7 * i, 0) for i in range(n)]) for n in counts]
+
+
 class TestCellReduction:
     @PROPERTY
     @given(cell=CELLS, n_qpu=st.integers(6, 12))
@@ -240,6 +266,15 @@ class TestCellReduction:
             assert repr(as_fields(rep)) == repr(oracle_report(schedule, n_qpu))
             if len(schedule) == 1:
                 assert rep.nonlocal_gate_density == 0.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(cell=wide_cells(), n_qpu=st.integers(6, 12))
+    @example(cell=uniform_cell([40, 7, 8, 40, 9, 16, 17, 8, 33, 32, 31, 7, 1, 40]), n_qpu=6)
+    def test_wide_cells_match_per_slot_oracle_repr_exactly(self, cell, n_qpu):
+        reports = compute_reports(cell, n_qpu)
+        assert [len(rep.elp) for rep in reports] == [len(s) for s in cell]
+        for schedule, rep in zip(cell, reports):
+            assert repr(as_fields(rep)) == repr(oracle_report(schedule, n_qpu))
 
     @PROPERTY
     @given(cell=CELLS, at=st.integers(0, 12))
@@ -259,6 +294,7 @@ class TestCellReduction:
 
     def test_empty_cell_has_no_reports(self):
         assert compute_reports([], 6) == []
+        assert metric_columns([], 6)[:7] == ([],) * 7
 
     def test_n_qpu_must_be_positive(self):
         with pytest.raises(ValueError, match="n_qpu"):
