@@ -45,7 +45,7 @@ def _cmd_train_ppo(args) -> int:
     )
     per_update = math.ceil(agent.config.update_every / agent.config.j_max)
     log = agent.train(per_update * updates)
-    agent.save(args.out)
+    ppo.save_weights(args.out, agent)
     log_path = args.log if args.log else args.out + ".log.csv"
     with open(log_path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -20,18 +20,14 @@ class ConfigError(Exception):
 
 
 class Section:
-    def __init__(self, name: str, line: int, source: str):
+    def __init__(self, name: str, source: str):
         self.name = name
-        self.line = line
         self.source = source
         self.entries: dict[str, tuple[str, int]] = {}
         self.read: set[str] = set()
 
     def _where(self, line: int) -> str:
         return f"{self.source}:{line}"
-
-    def has(self, key: str) -> bool:
-        return key in self.entries
 
     def raw(self, key: str, default: str | None = None) -> str | None:
         if key not in self.entries:
@@ -133,7 +129,7 @@ class ParsedConfig:
 
     def optional_section(self, name: str) -> Section:
         """The named section, or an empty one where every key takes its default."""
-        return self.sections.get(name) or Section(name, 0, self.source)
+        return self.sections.get(name) or Section(name, self.source)
 
     def sections_with_prefix(self, prefix: str) -> list[Section]:
         return [s for n, s in self.sections.items() if n.startswith(prefix)]
@@ -166,7 +162,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ParsedConfig:
                 raise ConfigError(f"{source}:{lineno}: empty section name")
             if name in parsed.sections:
                 raise ConfigError(f"{source}:{lineno}: duplicate section [{name}]")
-            current = Section(name, lineno, source)
+            current = Section(name, source)
             parsed.sections[name] = current
             continue
         if "=" not in line:

@@ -150,7 +150,7 @@ def build_catalog(config: ExperimentConfig, network: Network):
     )
 
 
-def _resolve_scheduler(name: str, config: ExperimentConfig, ppo_agents):
+def _resolve_scheduler(name: str, ppo_agents):
     if name in PPO_SCHEDULER_NAMES:
         if not ppo_agents or name not in ppo_agents:
             raise ConfigError(
@@ -175,7 +175,7 @@ def run_experiment(config: ExperimentConfig, ppo_agents=None) -> SlotTable:
     """
     config.validate()
     exec_params = config.exec_params()
-    run_fns = {name: _resolve_scheduler(name, config, ppo_agents)
+    run_fns = {name: _resolve_scheduler(name, ppo_agents)
                for name in config.schedulers}
     environments = {}
     for seed in config.seeds:

@@ -98,16 +98,14 @@ class LinkProfile:
     params: LinkParams
     success_prob: float
     state_delay_ns: float
-    quality: str | None = None
 
     @classmethod
-    def from_params(cls, params: LinkParams, quality: str | None = None) -> "LinkProfile":
+    def from_params(cls, params: LinkParams) -> "LinkProfile":
         p_s = entanglement_success_probability(params)
         return cls(
             params=params,
             success_prob=p_s,
             state_delay_ns=state_delay(params.cycle_time_ns, p_s),
-            quality=quality,
         )
 
 
@@ -175,7 +173,7 @@ def build_network(
     probs = probs / probs.sum()
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    profiles = {c: LinkProfile.from_params(LINK_PRESETS[c], quality=c) for c in classes}
+    profiles = {c: LinkProfile.from_params(LINK_PRESETS[c]) for c in classes}
     links: dict[tuple[int, int], LinkProfile] = {}
     for a, b in itertools.combinations(range(n_nodes), 2):
         cls_idx = int(rng.choice(len(classes), p=probs))

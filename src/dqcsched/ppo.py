@@ -24,11 +24,12 @@ from . import workload
 from .execmodel import ExecModelParams
 from .netmodel import Network
 from .nn import Adam, Mlp, masked_softmax
-from .schedulers import Schedule, _place_stage
+from .schedulers import Schedule, _place_stages, _validate_queue
 
 REWARD_VARIANTS = ("plain", "node_selection")
 LATENCY_MODES = ("cumulative", "immediate")
 _PROB_SUM_TOL = math.sqrt(np.finfo(float).eps)  # Generator.choice's tolerance
+N_FEATURES = 4  # the columns encode_state writes
 
 
 @dataclass
@@ -42,7 +43,6 @@ class PpoConfig:
     """
 
     j_max: int = 5
-    n_features: int = 4
     clip_eps: float = 0.2
     value_coef: float = 0.5
     entropy_coef: float = 0.01
@@ -61,8 +61,6 @@ class PpoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_features != 4:
-            raise ValueError(f"n_features must be 4 (the encoded columns), got {self.n_features}")
         if not 0.0 < self.clip_eps < 1.0:
             raise ValueError(f"clip_eps must lie in (0, 1), got {self.clip_eps}")
         if self.minibatch > self.update_every:
@@ -81,7 +79,7 @@ class PpoConfig:
 class PpoState:
     """Fixed-size observation: one feature row per job, zero rows padded."""
 
-    matrix: np.ndarray  # (j_max, 4): [n_j, e_j, g_j, t_hat]
+    matrix: np.ndarray  # (j_max, N_FEATURES): [n_j, g_j, g_j, t_hat]
     padding: np.ndarray  # (j_max,) bool, True where no job exists
     node_counts: list[int]  # matrix[:, 0] as ints
     scaled: np.ndarray | None = None  # matrix / feature scales, set by PpoAgent.encode
@@ -107,12 +105,12 @@ def encode_state(queue, j_max: int, time_scale: float) -> PpoState:
         raise ValueError(f"queue of {len(queue)} jobs exceeds j_max={j_max}")
     if time_scale <= 0:
         raise ValueError(f"time_scale must be > 0, got {time_scale}")
-    matrix = np.zeros((j_max, 4))
+    matrix = np.zeros((j_max, N_FEATURES))
     padding = np.ones(j_max, dtype=bool)
     for row, job in enumerate(queue):
         matrix[row] = (
             job.required_qpus,
-            job.epr_pairs,
+            job.nonlocal_gates,
             job.nonlocal_gates,
             job.est_exec_ns / time_scale,
         )
@@ -341,7 +339,7 @@ class PpoAgent:
         if feature_scales is None:
             feature_scales = np.array([
                 max(max(j.required_qpus for j in catalog), 1),
-                max(max(j.epr_pairs for j in catalog), 1),
+                max(max(j.nonlocal_gates for j in catalog), 1),
                 max(max(j.nonlocal_gates for j in catalog), 1),
                 1.0,
             ], dtype=float)
@@ -354,7 +352,7 @@ class PpoAgent:
         self.env_rng = np.random.Generator(np.random.PCG64(env_ss))
         self.update_rng = np.random.Generator(np.random.PCG64(upd_ss))
 
-        in_dim = config.j_max * config.n_features
+        in_dim = config.j_max * N_FEATURES
         self.policy = Mlp([in_dim, *config.hidden, config.j_max], init_rng)
         self.value_net = Mlp([in_dim, *config.hidden, 1], init_rng)
         self.policy_opt = Adam(self.policy.parameters(), lr=config.learning_rate)
@@ -419,19 +417,19 @@ class PpoAgent:
             cap -= n_vals[action]
         return picks, transitions
 
-    def rollout(self, queue, sample: bool = False, n_max: int | None = None
+    def rollout(self, queue, sample: bool = False, network: Network | None = None
                 ) -> tuple[list[list[int]], list[Transition]]:
-        """All stages for one queue; returns pick indices and transitions."""
-        if n_max is None:
-            n_max = self.network.n_nodes
+        """Pick indices per stage and transitions for one queue on ``network``
+        (default: the agent's); a job that does not fit it is a SchedulingError."""
+        network = network if network is not None else self.network
+        _validate_queue(queue, network)
+        n_max = network.n_nodes
         state = self.encode(queue)
         selected = state.padding.copy()
         stages: list[list[int]] = []
         transitions: list[Transition] = []
         while not all(selected.tolist()):
             picks, trs = self.select_stage(state, selected, n_max, sample=sample)
-            if not picks:
-                break
             stages.append(picks)
             transitions.extend(trs)
         return stages, transitions
@@ -443,15 +441,10 @@ class PpoAgent:
                        network: Network | None = None,
                        exec_params: ExecModelParams | None = None) -> Schedule:
         """Barrier-synchronized placement of the rolled-out stages."""
-        network = network if network is not None else self.network
-        exec_params = exec_params if exec_params is not None else self.exec_params
-        schedule = Schedule()
-        place = schedule.pricer(network, exec_params)
-        barrier = 0
-        for stage_idx, picks in enumerate(stages):
-            barrier = _place_stage(place, [queue[row] for row in picks], network,
-                                   barrier, stage_idx, node_selection)
-        return schedule
+        return _place_stages(([queue[r] for r in picks] for picks in stages),
+                             network if network is not None else self.network,
+                             exec_params if exec_params is not None else self.exec_params,
+                             node_selection)
 
     def schedule(self, queue, node_selection: bool | None = None,
                  network: Network | None = None,
@@ -459,18 +452,15 @@ class PpoAgent:
         """Deterministic (argmax) scheduling of one queue."""
         if node_selection is None:
             node_selection = self.config.reward_variant == "node_selection"
-        if not queue:
-            return Schedule([])
-        net = network if network is not None else self.network
-        stages, _ = self.rollout(queue, sample=False, n_max=net.n_nodes)
-        return self.build_schedule(queue, stages, node_selection, net, exec_params)
+        stages, _ = self.rollout(queue, sample=False, network=network)
+        return self.build_schedule(queue, stages, node_selection, network, exec_params)
 
     def episode_reward(self, queue, stages: list[list[int]],
                        schedule: Schedule) -> float:
         # build_schedule appends in pick order
         durations = map(operator.sub, schedule.finish_ns, schedule.start_ns)
         reward_stages = [
-            [(float(queue[row].epr_pairs), float(next(durations)))
+            [(float(queue[row].nonlocal_gates), float(next(durations)))
              for row in picks]
             for picks in stages
         ]
@@ -529,11 +519,6 @@ class PpoAgent:
                 window_rewards = []
         return log
 
-    # -- persistence -------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        save_weights(path, self)
-
 
 # -- weight file format ----------------------------------------------------
 #
@@ -556,7 +541,7 @@ def save_weights(path: str, agent: PpoAgent) -> None:
     cfg = agent.config
     meta = np.array([
         cfg.j_max,
-        cfg.n_features,
+        N_FEATURES,
         REWARD_VARIANTS.index(cfg.reward_variant),
         LATENCY_MODES.index(cfg.latency_mode),
         agent.time_scale,
@@ -627,7 +612,7 @@ def load_weights(path: str) -> tuple[dict, list[np.ndarray]]:
             REWARD_VARIANTS.index(meta["reward_variant"]),
             LATENCY_MODES.index(meta["latency_mode"]),
             meta["time_scale"], *meta["hidden"],
-        ]) and meta["n_features"] == 4  # the columns encode_state writes
+        ]) and meta["n_features"] == N_FEATURES
     except (IndexError, ValueError, OverflowError):
         valid = False
     if not valid:
@@ -655,7 +640,6 @@ def load_agent(
     meta, arrays = load_weights(path)
     config = PpoConfig(
         j_max=meta["j_max"],
-        n_features=meta["n_features"],
         reward_variant=meta["reward_variant"],
         latency_mode=meta["latency_mode"],
         hidden=meta["hidden"],

@@ -118,38 +118,39 @@ def _validate_queue(queue, network: Network) -> None:
                                   f"network has {network.n_nodes}")
 
 
-def _place_stage(place, jobs, network: Network, barrier: int, stage: int,
-                 node_selection: bool = False) -> int:
-    """Start ``jobs`` together at ``barrier``, in order, each on the lowest
-    free ids or, with ``node_selection``, on the free subset with the best
-    internal links. Returns the stage's end: the running max of its
-    finishes from ``barrier``, which is its latest finish since durations
-    are never negative."""
-    free = list(range(network.n_nodes))
-    end = barrier
-    for job in jobs:
-        if job.required_qpus > len(free):
-            raise SchedulingError(job.id, "stage exceeds free nodes")
-        if node_selection:
-            nodes = select_nodes(free, job.required_qpus, network)
-            free = [n for n in free if n not in nodes]
-        else:
-            nodes, free = free[: job.required_qpus], free[job.required_qpus:]
-        end = max(end, place(job, nodes, barrier, stage))
-    return end
-
-
-def _in_order_stages(queue, network: Network, exec_params: ExecModelParams,
-                     node_selection: bool = False, strict_order: bool = True) -> Schedule:
-    """Stages filled from ``queue`` in order: each remaining job that fits
-    the free nodes joins the stage; under ``strict_order`` the stage closes
-    at the first job that does not fit."""
+def _place_stages(stages, network: Network, exec_params: ExecModelParams,
+                  node_selection: bool = False) -> Schedule:
+    """Barrier-staged placement of ``stages``, an iterable of job lists.
+    A stage's jobs start together at the previous stage's end, in order,
+    each on the lowest free ids or, with ``node_selection``, on the free
+    subset with the best internal links. A stage ends at its latest finish,
+    kept as a running max from its start since durations are never negative."""
     schedule = Schedule()
     place = schedule.pricer(network, exec_params)
+    barrier = 0
+    for stage, jobs in enumerate(stages):
+        free = list(range(network.n_nodes))
+        end = barrier
+        for job in jobs:
+            if job.required_qpus > len(free):
+                raise SchedulingError(job.id, "stage exceeds free nodes")
+            if node_selection:
+                nodes = select_nodes(free, job.required_qpus, network)
+                free = [n for n in free if n not in nodes]
+            else:
+                nodes, free = free[: job.required_qpus], free[job.required_qpus:]
+            end = max(end, place(job, nodes, barrier, stage))
+        barrier = end
+    return schedule
+
+
+def _in_order_stages(queue, n_nodes: int, strict_order: bool = True):
+    """Job lists, one per stage, filled from ``queue`` in order: each remaining
+    job that fits the free nodes joins the stage; under ``strict_order`` the
+    stage closes at the first job that does not fit."""
     remaining = list(queue)
-    barrier = stage = 0
     while remaining:
-        jobs, deferred, n_free = [], [], network.n_nodes
+        jobs, deferred, n_free = [], [], n_nodes
         for idx, job in enumerate(remaining):
             if job.required_qpus <= n_free:
                 jobs.append(job)
@@ -159,10 +160,8 @@ def _in_order_stages(queue, network: Network, exec_params: ExecModelParams,
                 break
             else:
                 deferred.append(job)
-        barrier = _place_stage(place, jobs, network, barrier, stage, node_selection)
+        yield jobs
         remaining = deferred
-        stage += 1
-    return schedule
 
 
 def fifo_schedule(queue, network: Network, exec_params: ExecModelParams) -> Schedule:
@@ -173,14 +172,15 @@ def fifo_schedule(queue, network: Network, exec_params: ExecModelParams) -> Sche
     has finished.
     """
     _validate_queue(queue, network)
-    return _in_order_stages(queue, network, exec_params)
+    return _place_stages(_in_order_stages(queue, network.n_nodes), network, exec_params)
 
 
 def list_schedule(queue, network: Network, exec_params: ExecModelParams) -> Schedule:
     """FIFO ordering, but any later job that fits the free nodes joins the
     stage; the stage closes when no remaining job fits."""
     _validate_queue(queue, network)
-    return _in_order_stages(queue, network, exec_params, strict_order=False)
+    return _place_stages(_in_order_stages(queue, network.n_nodes, strict_order=False),
+                         network, exec_params)
 
 
 def resource_prioritize_schedule(
@@ -199,18 +199,15 @@ def resource_prioritize_schedule(
     if enumeration_cap < 1:
         raise ValueError(f"enumeration_cap must be >= 1, got {enumeration_cap}")
     _validate_queue(queue, network)
-    schedule = Schedule()
-    place = schedule.pricer(network, exec_params)
-    remaining = list(queue)
-    barrier = stage = 0
-    while remaining:
-        pool = remaining[: enumeration_cap]
-        chosen = _max_demand_subset(pool, network.n_nodes)
-        jobs = [job for k, job in enumerate(pool) if chosen >> k & 1]
-        barrier = _place_stage(place, jobs, network, barrier, stage)
-        stage += 1
-        remaining = [j for i, j in enumerate(remaining) if not chosen >> i & 1]
-    return schedule
+
+    def stages(remaining):
+        while remaining:
+            pool = remaining[: enumeration_cap]
+            chosen = _max_demand_subset(pool, network.n_nodes)
+            yield [job for k, job in enumerate(pool) if chosen >> k & 1]
+            remaining = [j for i, j in enumerate(remaining) if not chosen >> i & 1]
+
+    return _place_stages(stages(list(queue)), network, exec_params)
 
 
 def _max_demand_subset(pool, n_nodes: int) -> int:
@@ -299,8 +296,9 @@ def epr_schedule(
     subset with the best internal links instead of the lowest ids.
     """
     _validate_queue(queue, network)
-    remaining = sorted(queue, key=lambda j: (j.epr_pairs, j.est_exec_ns, j.id))
-    return _in_order_stages(remaining, network, exec_params, node_selection, strict_order)
+    remaining = sorted(queue, key=lambda j: (j.nonlocal_gates, j.est_exec_ns, j.id))
+    return _place_stages(_in_order_stages(remaining, network.n_nodes, strict_order),
+                         network, exec_params, node_selection)
 
 
 def asap_schedule(queue, network: Network, exec_params: ExecModelParams) -> Schedule:

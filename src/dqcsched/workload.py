@@ -39,7 +39,6 @@ class CircuitProfile:
     n_qubits: int
     reps: int
     two_qubit_gates: tuple[tuple[int, int], ...]
-    single_qubit_gates: int
     local_depth: int
 
 
@@ -136,13 +135,11 @@ def build_circuit_profile(
                 ops.append((q, q + 1))
 
     two_qubit = tuple(op for op in ops if len(op) == 2)
-    singles = sum(1 for op in ops if len(op) == 1)
     return CircuitProfile(
         kind=kind,
         n_qubits=n,
         reps=reps if kind in ("QAOA", "VQE") else 1,
         two_qubit_gates=two_qubit,
-        single_qubit_gates=singles,
         local_depth=_depth_of(ops),
     )
 
@@ -166,7 +163,6 @@ class JobDescriptor:
 
     id: int
     required_qpus: int
-    epr_pairs: int
     nonlocal_gates: int
     est_exec_ns: int
     profile: CircuitProfile
@@ -189,7 +185,8 @@ def partition_job(
 
     Block ``i`` holds qubits [i*capacity, (i+1)*capacity). Every two-qubit
     gate whose endpoints land in different blocks becomes a non-local gate
-    consuming one entangled pair. The nominal execution estimate is
+    consuming one entangled pair, so ``nonlocal_gates`` is also the job's
+    entangled-pair demand. The nominal execution estimate is
     attached so schedulers can rank the job before placement.
     """
     if qpu_capacity < 2:
@@ -203,7 +200,6 @@ def partition_job(
     draft = JobDescriptor(
         id=job_id,
         required_qpus=required,
-        epr_pairs=len(cross),
         nonlocal_gates=len(cross),
         est_exec_ns=0,
         profile=profile,
@@ -221,15 +217,14 @@ class WorkloadConfig:
     ``bias_alpha`` > 0, selection weights grow with catalog position so
     heavier jobs become more likely. ``fixed_count`` overrides the Poisson
     draw with a constant batch size (used for the RL comparison).
-    ``probabilities`` holds the read-only catalog selection weights and
-    ``cumulative`` the normalised running sum ``Generator.choice`` draws on.
+    ``cumulative`` is the read-only normalised running sum of the catalog
+    selection weights, which ``Generator.choice`` draws on.
     """
 
     catalog: tuple[JobDescriptor, ...]
     lam: float = 5.0
     bias_alpha: float = 0.0
     fixed_count: int | None = None
-    probabilities: np.ndarray = field(init=False, repr=False, compare=False)
     cumulative: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -243,9 +238,8 @@ class WorkloadConfig:
         probs = selection_probabilities(len(self.catalog), self.bias_alpha)
         cumulative = probs.cumsum()
         cumulative /= cumulative[-1]
-        for name, table in (("probabilities", probs), ("cumulative", cumulative)):
-            table.flags.writeable = False
-            object.__setattr__(self, name, table)
+        cumulative.flags.writeable = False
+        object.__setattr__(self, "cumulative", cumulative)
 
 
 def default_catalog(
@@ -255,15 +249,8 @@ def default_catalog(
     reps: int = 1,
 ) -> tuple[JobDescriptor, ...]:
     """All five families at each size, sorted ascending by non-local gates."""
-    jobs = [
-        partition_job(build_circuit_profile(kind, n, reps), network.qpu_capacity,
-                      network, exec_params)
-        for kind in CIRCUIT_KINDS
-        for n in qubit_sizes
-    ]
-    jobs.sort(key=lambda j: (j.nonlocal_gates, j.est_exec_ns, j.profile.kind,
-                             j.profile.n_qubits))
-    return tuple(dataclasses.replace(j, id=i) for i, j in enumerate(jobs))
+    entries = [(kind, n, reps) for kind in CIRCUIT_KINDS for n in qubit_sizes]
+    return _sorted_catalog(entries, network, exec_params)
 
 
 def catalog_from_file(
@@ -296,6 +283,13 @@ def catalog_from_file(
                 ) from None
     if not entries:
         raise ValueError(f"{path}: catalog file lists no jobs")
+    return _sorted_catalog(entries, network, exec_params)
+
+
+def _sorted_catalog(entries, network: Network, exec_params: ExecModelParams
+                    ) -> tuple[JobDescriptor, ...]:
+    """One job per (kind, n_qubits, reps) entry, sorted by (non-local gates,
+    estimate, kind, size) and numbered 0.. in that order."""
     jobs = [
         partition_job(build_circuit_profile(kind, n, reps), network.qpu_capacity,
                       network, exec_params)

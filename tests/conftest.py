@@ -29,10 +29,10 @@ def make_job(job_id: int, q: int, t_ns: int, epr: int = 0) -> JobDescriptor:
     """
     profile = CircuitProfile(
         kind="GHZ", n_qubits=max(q, 2), reps=1,
-        two_qubit_gates=(), single_qubit_gates=0, local_depth=t_ns,
+        two_qubit_gates=(), local_depth=t_ns,
     )
     return JobDescriptor(
-        id=job_id, required_qpus=q, epr_pairs=epr, nonlocal_gates=epr,
+        id=job_id, required_qpus=q, nonlocal_gates=epr,
         est_exec_ns=t_ns, profile=profile, cross_block_pairs=(),
     )
 
@@ -47,10 +47,10 @@ def weighted_network(n_nodes: int, weights: dict[tuple[int, int], float],
     links = {}
     for (a, b), delay in weights.items():
         params = LINK_PRESETS["good"]
-        base = LinkProfile.from_params(params, "good")
+        base = LinkProfile.from_params(params)
         links[(a, b)] = LinkProfile(
             params=params, success_prob=base.success_prob,
-            state_delay_ns=float(delay), quality=None,
+            state_delay_ns=float(delay),
         )
     return Network(n_nodes=n_nodes, qpu_capacity=qpu_capacity, links=links)
 

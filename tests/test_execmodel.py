@@ -74,7 +74,6 @@ class TestEstimateExecutionTime:
             base,
             cross_block_pairs=base.cross_block_pairs * 2,
             nonlocal_gates=base.nonlocal_gates * 2,
-            epr_pairs=base.epr_pairs * 2,
         )
         local = base.profile.local_depth
         d1 = estimate_execution_time(base, (0, 1), net, params) - local

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqcsched import cli, harness, metrics
+from dqcsched import cli, harness, metrics, ppo
 from dqcsched.configfile import ConfigError, parse_config_text
 from dqcsched.harness import (
     METRIC_FIELDS,
@@ -31,7 +31,9 @@ from dqcsched.harness import (
     write_cdf_csv,
     write_slots_csv,
 )
+from dqcsched.netmodel import build_network
 from dqcsched.schedulers import Placement, Schedule
+from dqcsched.workload import default_catalog
 
 TINY = ExperimentConfig(
     settings=(SettingSpec("lam3", lam=3.0),),
@@ -397,6 +399,29 @@ class TestCli:
                          "--weights", weights]) == 0
         table = read_slots_csv(os.path.join(out, "slots.csv"))
         assert set(table.scheduler) == {"ppo", "ppo-ns", "epr"}
+
+    def test_ppo_rejects_a_job_wider_than_the_network(self, tmp_path, capsys):
+        """A 30-qubit catalog needs 10 QPUs per job on 6 nodes. ``train-ppo``
+        and ``run`` with ``ppo`` fail like ``fifo``: exit 1, naming the job."""
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("[network]\nnodes = 6\nqpu_capacity = 3\n"
+                       "[workload]\nn_slots = 2\nqubit_sizes = 30\n"
+                       "[setting fixed5]\nfixed_count = 5\n"
+                       "[run]\nschedulers = fifo\nseeds = 0\n")
+        config = harness.load_config(str(cfg))
+        net = build_network(6, 3, config.quality_mix, seed=config.ppo_seed)
+        untrained = ppo.PpoAgent(ppo.PpoConfig(), net, config.exec_params(),
+                                 default_catalog(net, config.exec_params()))
+        weights = str(tmp_path / "ppo.bin")
+        ppo.save_weights(weights, untrained)
+        message = "job 0: requires 10 QPUs but the network has 6"
+        for argv in (["train-ppo", "--config", str(cfg), "--out", str(tmp_path / "w.bin")],
+                     ["run", "--config", str(cfg), "--out", str(tmp_path / "fifo"),
+                      "--schedulers", "fifo"],
+                     ["run", "--config", str(cfg), "--out", str(tmp_path / "ppo"),
+                      "--schedulers", "ppo", "--weights", weights]):
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # -- the row-per-slot read path, kept as a reference for the columnar one -----

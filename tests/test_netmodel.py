@@ -130,13 +130,13 @@ class TestBuildNetwork:
         mix = {"bad": 1 / 3, "medium": 1 / 3, "good": 1 / 3}
         n1 = build_network(5, 3, mix, seed=42)
         n2 = build_network(5, 3, mix, seed=42)
-        assert {k: v.quality for k, v in n1.links.items()} == \
-               {k: v.quality for k, v in n2.links.items()}
+        assert {k: v.state_delay_ns for k, v in n1.links.items()} == \
+               {k: v.state_delay_ns for k, v in n2.links.items()}
 
     def test_seed_changes_assignment(self):
         mix = {"bad": 1 / 3, "medium": 1 / 3, "good": 1 / 3}
         draws = {
-            seed: tuple(build_network(5, 3, mix, seed=seed).links[p].quality
+            seed: tuple(build_network(5, 3, mix, seed=seed).links[p].state_delay_ns
                         for p in itertools.combinations(range(5), 2))
             for seed in range(10)
         }
@@ -146,10 +146,13 @@ class TestBuildNetwork:
         # Monte-Carlo: 1000 seeds x 10 pairs; each class within 5% of 1/3.
         mix = {"bad": 1 / 3, "medium": 1 / 3, "good": 1 / 3}
         counts = {"bad": 0, "medium": 0, "good": 0}
+        # each class has its own state delay, so the delay names the class
+        by_delay = {LinkProfile.from_params(LINK_PRESETS[c]).state_delay_ns: c for c in counts}
+        assert len(by_delay) == 3
         for seed in range(1000):
             net = build_network(5, 3, mix, seed=seed)
             for profile in net.links.values():
-                counts[profile.quality] += 1
+                counts[by_delay[profile.state_delay_ns]] += 1
         total = sum(counts.values())
         assert total == 1000 * 10
         for cls in counts:

@@ -23,10 +23,11 @@ from dqcsched.ppo import (
     policy_loss_parts,
     ppo_update,
     sample_index,
+    save_weights,
     stage_latencies,
     value_loss_parts,
 )
-from dqcsched.schedulers import SchedulingError, epr_schedule
+from dqcsched.schedulers import SchedulingError, epr_schedule, fifo_schedule
 from dqcsched.workload import build_circuit_profile, default_catalog, partition_job
 
 PARAMS = unit_exec_params()
@@ -650,6 +651,28 @@ class TestPpoSchedule:
         with pytest.raises(SchedulingError, match="job 1: stage exceeds free nodes"):
             agent.build_schedule(jobs, [[0, 1]], node_selection)
 
+    def test_job_wider_than_network_rejected_not_dropped(self):
+        """The rollout rejects a job no stage can hold with FIFO's error,
+        for scheduling on the agent's network or another one, and in
+        training, instead of returning the other jobs' stages."""
+        agent = small_agent()
+        jobs = [make_job(0, 1, 10), make_job(1, 10, 10), make_job(2, 1, 10)]
+        message = "job 1: requires 10 QPUs but the network has 6"
+        with pytest.raises(SchedulingError, match=message):
+            fifo_schedule(jobs, agent.network, PARAMS)
+        for sample in (False, True):
+            with pytest.raises(SchedulingError, match=message):
+                agent.rollout(jobs, sample=sample)
+        with pytest.raises(SchedulingError, match=message):
+            agent.schedule(jobs)
+        four = homogeneous_network(4, 3, "good")
+        with pytest.raises(SchedulingError, match="job 3: requires 5 QPUs but the network has 4"):
+            agent.schedule([make_job(3, 5, 10)], network=four)
+        wide = dataclasses.replace(agent.catalog[-1], required_qpus=7)
+        agent.catalog = (*agent.catalog[:-1], wide)
+        with pytest.raises(SchedulingError, match="requires 7 QPUs but the network has 6"):
+            agent.train(episodes=20, bias_alpha=1.0)
+
 
 class TestTraining:
     def test_zero_episodes_leaves_policy_unchanged(self):
@@ -684,7 +707,7 @@ class TestPersistence:
         agent = small_agent(seed=13)
         agent.train(episodes=64)
         path = str(tmp_path / "weights.bin")
-        agent.save(path)
+        save_weights(path, agent)
         loaded = load_agent(path, agent.network, PARAMS, agent.catalog)
         assert (loaded.policy.flat_parameters()
                 == agent.policy.flat_parameters()).all()
@@ -697,7 +720,7 @@ class TestPersistence:
     def saved_bytes(tmp_path):
         agent = small_agent(seed=13)
         path = tmp_path / "weights.bin"
-        agent.save(str(path))
+        save_weights(str(path), agent)
         return agent, path.read_bytes()
 
     def assert_rejected(self, path, data, agent, fragment):
@@ -735,8 +758,6 @@ class TestPersistence:
         self.assert_rejected(tmp_path / "variant.bin", variant, agent, "bad metadata")
 
     def test_n_features_other_than_four_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="n_features"):
-            PpoConfig(n_features=5)
         # The metadata vector opens the data: [j_max, n_features, ...].
         agent, data = self.saved_bytes(tmp_path)
         table_end = len(data) - 8 * sum(

@@ -304,7 +304,7 @@ class TestEpr:
             ]
             s = epr_schedule(queue, four_node_network, PARAMS, strict_order=True)
             stages = by_stage(s)
-            eprs = {j.id: j.epr_pairs for j in queue}
+            eprs = {j.id: j.nonlocal_gates for j in queue}
             stage0_min = min(eprs[i] for i in stages[0])
             for later in stages[1:]:
                 assert all(eprs[i] >= stage0_min for i in later)

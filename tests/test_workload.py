@@ -60,7 +60,6 @@ class TestCircuitProfiles:
     def test_vqe_five(self):
         p = build_circuit_profile("VQE", 5, reps=1)
         assert len(p.two_qubit_gates) == 4
-        assert p.single_qubit_gates == 10
         assert p.two_qubit_gates == ((0, 1), (1, 2), (2, 3), (3, 4))
 
     def test_graph_state_five_uses_fixed_edge_set(self):
@@ -77,8 +76,6 @@ class TestCircuitProfiles:
         for reps in (1, 2, 3) if kind in ("QAOA", "VQE") else (1,):
             p = build_circuit_profile(kind, n, reps=reps)
             assert len(p.two_qubit_gates) == expected_two_qubit_count(kind, n, reps)
-            if kind == "VQE":
-                assert p.single_qubit_gates == 2 * n * reps
             for a, b in p.two_qubit_gates:
                 assert a != b and 0 <= a < n and 0 <= b < n
             assert p.local_depth >= 1
@@ -108,7 +105,7 @@ class TestPartitionJob:
         job = partition_job(build_circuit_profile("GHZ", 5), 3, self.net, self.params)
         assert job.required_qpus == 2
         assert job.nonlocal_gates == 2
-        assert job.epr_pairs == 2
+        assert len(job.cross_block_pairs) == 2  # one entangled pair per gate
         # gates (0,3) and (0,4) span blocks {0,1,2} and {3,4}
         assert job.cross_block_pairs == ((0, 1), (0, 1))
 
@@ -117,7 +114,7 @@ class TestPartitionJob:
         job = partition_job(build_circuit_profile("GHZ", 5), 8, net, self.params)
         assert job.required_qpus == 1
         assert job.nonlocal_gates == 0
-        assert job.epr_pairs == 0
+        assert job.cross_block_pairs == ()
 
     def test_qft_six_capacity_three(self):
         job = partition_job(build_circuit_profile("QFT", 6), 3, self.net, self.params)
@@ -135,7 +132,7 @@ class TestPartitionJob:
             assert job.required_qpus == math.ceil(n / capacity)
             if job.required_qpus == 1:
                 assert job.nonlocal_gates == 0
-            assert job.epr_pairs == job.nonlocal_gates
+            assert len(job.cross_block_pairs) == job.nonlocal_gates
             assert job.est_exec_ns > 0
 
     def test_capacity_below_two_rejected(self):
@@ -212,10 +209,8 @@ class TestSlotGeneration:
 
     def test_probabilities_fixed_and_read_only(self):
         cfg = WorkloadConfig(catalog=self.catalog, lam=5.0, bias_alpha=0.5)
-        expected = selection_probabilities(len(self.catalog), 0.5)
-        assert np.array_equal(cfg.probabilities, expected)
-        with pytest.raises(ValueError):
-            cfg.probabilities[0] = 1.0
+        expected = selection_probabilities(len(self.catalog), 0.5).cumsum()
+        assert np.array_equal(cfg.cumulative, expected / expected[-1])
         with pytest.raises(ValueError):
             cfg.cumulative[0] = 1.0
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -231,7 +226,7 @@ class TestSlotGeneration:
             cfg = WorkloadConfig(catalog=catalog, fixed_count=size, bias_alpha=alpha)
             rng, reference = make_rng(size), make_rng(size)
             drawn = np.array([index_of[id(j.profile)] for j in generate_slot_jobs(cfg, rng)])
-            expected = reference.choice(n, size=size, p=cfg.probabilities)
+            expected = reference.choice(n, size=size, p=selection_probabilities(n, alpha))
             assert np.array_equal(drawn, expected)
             assert rng.bit_generator.state == reference.bit_generator.state
             table = cfg.cumulative.searchsorted(make_rng(size).random(size), side="right")
