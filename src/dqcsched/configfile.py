@@ -7,9 +7,9 @@ Grammar (one construct per line):
     key = value                    inside a section; value runs to line end
 
 Values keep their raw text; typed accessors convert on demand and report
-the offending line on failure. Duplicate keys within a section and keys
-outside any section are errors, and so, once the reader is done, is any
-key it never read.
+the offending line on failure. Duplicate keys within a section, keys
+outside any section and an item repeated within one list or mapping value
+are errors, and so, once the reader is done, is any key it never read.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ class Section:
         self.entries: dict[str, tuple[str, int]] = {}
         self.read: set[str] = set()
 
-    def _where(self, line: int) -> str:
-        return f"{self.source}:{line}"
+    def error(self, key: str, message: str) -> ConfigError:
+        """A ConfigError about ``key`` that names its file and line."""
+        return ConfigError(f"{self.source}:{self.entries[key][1]}: key {key!r} {message}")
 
     def raw(self, key: str, default: str | None = None) -> str | None:
         if key not in self.entries:
@@ -51,13 +52,11 @@ class Section:
     def _number(self, key: str, default, kind, expects: str):
         if key not in self.entries:
             return default
-        value, line = self._require(key)
+        value, _ = self._require(key)
         try:
             return kind(value)
         except ValueError:
-            raise ConfigError(
-                f"{self._where(line)}: key {key!r} expects {expects}, got {value!r}"
-            ) from None
+            raise self.error(key, f"expects {expects}, got {value!r}") from None
 
     def get_int(self, key: str, default: int | None = None) -> int | None:
         return self._number(key, default, int, "an integer")
@@ -65,55 +64,49 @@ class Section:
     def get_float(self, key: str, default: float | None = None) -> float | None:
         return self._number(key, default, float, "a number")
 
-    def get_list(self, key: str, default: list[str] | None = None) -> list[str] | None:
+    def get_list(self, key: str, default: list | None = None, kind=str,
+                 expects: str = "a comma-separated list") -> list | None:
+        """Comma-separated items converted by ``kind``, none of them repeated."""
         if key not in self.entries:
             return default
-        value, line = self._require(key)
-        items = [item.strip() for item in value.split(",") if item.strip()]
+        value, _ = self._require(key)
+        try:
+            items = [kind(item.strip()) for item in value.split(",") if item.strip()]
+        except ValueError:
+            raise self.error(key, f"expects {expects}") from None
         if not items:
-            raise ConfigError(
-                f"{self._where(line)}: key {key!r} expects a comma-separated list"
-            )
+            raise self.error(key, "expects a comma-separated list")
+        repeated = [item for k, item in enumerate(items) if item in items[:k]]
+        if repeated:
+            raise self.error(key, f"lists {repeated[0]!r} more than once")
         return items
 
     def get_int_list(self, key: str, default: list[int] | None = None) -> list[int] | None:
-        items = self.get_list(key)
-        if items is None:
-            return default
-        _, line = self.entries[key]
-        try:
-            return [int(item) for item in items]
-        except ValueError:
-            raise ConfigError(
-                f"{self._where(line)}: key {key!r} expects a list of integers"
-            ) from None
+        return self.get_list(key, default, int, "a list of integers")
 
     def get_mapping(self, key: str, default: dict[str, float] | None = None
                     ) -> dict[str, float] | None:
         """Parse ``name:number, name:number`` pairs."""
         if key not in self.entries:
             return default
-        value, line = self._require(key)
+        value, _ = self._require(key)
         out: dict[str, float] = {}
         for item in value.split(","):
             item = item.strip()
             if not item:
                 continue
             if ":" not in item:
-                raise ConfigError(
-                    f"{self._where(line)}: key {key!r} expects 'name:number' "
-                    f"pairs, got {item!r}"
-                )
+                raise self.error(key, f"expects 'name:number' pairs, got {item!r}")
             name, _, num = item.partition(":")
             name = name.strip()
+            if name in out:
+                raise self.error(key, f"names {name!r} more than once")
             try:
                 out[name] = float(num.strip())
             except ValueError:
-                raise ConfigError(
-                    f"{self._where(line)}: bad number for {name!r} in key {key!r}"
-                ) from None
+                raise self.error(key, f"has a bad number for {name!r}") from None
         if not out:
-            raise ConfigError(f"{self._where(line)}: key {key!r} is empty")
+            raise self.error(key, "is empty")
         return out
 
 

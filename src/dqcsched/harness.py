@@ -10,6 +10,7 @@ left to external tools.
 from __future__ import annotations
 
 import csv
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from itertools import islice
@@ -22,6 +23,7 @@ from . import workload
 from .configfile import ConfigError, ParsedConfig, parse_config_file
 from .execmodel import ExecModelParams
 from .netmodel import Network, build_network
+from .ppo import REWARD_VARIANTS
 from .schedulers import SCHEDULER_NAMES, get_scheduler
 
 PPO_SCHEDULER_NAMES = ("ppo", "ppo-ns")
@@ -389,12 +391,14 @@ def config_from_parsed(parsed: ParsedConfig) -> ExperimentConfig:
     for sec in parsed.sections_with_prefix("setting"):
         label = sec.name[len("setting"):].strip() or sec.name
         lam = sec.get_float("lambda")
+        if lam is not None and not 0.0 <= lam < math.inf:
+            raise sec.error("lambda", f"must be a finite number >= 0, got {lam}")
         fixed = sec.get_int("fixed_count")
+        if fixed is not None and fixed < 1:
+            raise sec.error("fixed_count", f"must be >= 1, got {fixed}")
         bias = sec.get_float("bias_alpha", 0.0)
         if not 0.0 <= bias <= 1.0:
-            raise ConfigError(
-                f"{sec.source}: setting {label!r}: bias_alpha must lie in [0, 1]"
-            )
+            raise sec.error("bias_alpha", f"must lie in [0, 1], got {bias}")
         settings.append(SettingSpec(label, lam=lam, fixed_count=fixed, bias_alpha=bias))
 
     seeds = run.get_int_list("seeds")
@@ -405,6 +409,12 @@ def config_from_parsed(parsed: ParsedConfig) -> ExperimentConfig:
         seeds = list(range(count))
 
     ppo_sec = parsed.optional_section("ppo")
+    variant = ppo_sec.get_str("variant", base.ppo_variant)
+    if variant.replace("-", "_") not in REWARD_VARIANTS:
+        raise ppo_sec.error("variant", f"must be plain or node-selection, got {variant!r}")
+    j_max = ppo_sec.get_int("j_max", base.ppo_j_max)
+    if j_max < 1:
+        raise ppo_sec.error("j_max", f"must be >= 1, got {j_max}")
     config = ExperimentConfig(
         n_nodes=net.get_int("nodes", base.n_nodes),
         qpu_capacity=net.get_int("qpu_capacity", base.qpu_capacity),
@@ -419,8 +429,8 @@ def config_from_parsed(parsed: ParsedConfig) -> ExperimentConfig:
         schedulers=tuple(run.get_list("schedulers", list(base.schedulers))),
         seeds=tuple(seeds),
         ppo_updates=ppo_sec.get_int("updates", base.ppo_updates),
-        ppo_variant=ppo_sec.get_str("variant", base.ppo_variant),
-        ppo_j_max=ppo_sec.get_int("j_max", base.ppo_j_max),
+        ppo_variant=variant,
+        ppo_j_max=j_max,
         ppo_seed=ppo_sec.get_int("seed", base.ppo_seed),
         ppo_weights=ppo_sec.raw("weights_file"),
     )

@@ -40,7 +40,7 @@ class MetricsReport:
     t_max_ns: int
 
 
-def metric_columns(schedules: list[Schedule], n_qpu: int, slot_arrival_ns: int = 0):
+def metric_columns(schedules: list[Schedule], n_qpu: int):
     """The cell's metrics as lists, one entry per schedule: makespan_ns,
     qpu_utilization, nonlocal_gate_density, selp, fairness, t_overlap_ns and
     t_max_ns; then every job's ELP as one flat array in schedule order.
@@ -53,8 +53,8 @@ def metric_columns(schedules: list[Schedule], n_qpu: int, slot_arrival_ns: int =
       the number of running placements, which an event sweep gives exactly
       in integers; every placement is in n - 1 pairs, so t_max is
       (n - 1) * sum(durations).
-    - ELP is duration over latency, latency being finish minus the slot
-      arrival instant; SELP is exp(mean(log(ELP))) and fairness is one
+    - ELP is duration over latency, which is the finish, since every job of
+      a slot arrives at 0; SELP is exp(mean(log(ELP))) and fairness is one
       minus the population standard deviation of the ELPs, replaying
       numpy's ``_mean`` and ``_var`` (ddof 0) step by step.
     """
@@ -70,11 +70,10 @@ def metric_columns(schedules: list[Schedule], n_qpu: int, slot_arrival_ns: int =
     finish = np.array(list(chain.from_iterable(s.finish_ns for s in schedules)), np.int64)
     width = np.array(list(map(len, chain.from_iterable(s.assigned_nodes for s in schedules))),
                      np.int64)
-    latency = finish - slot_arrival_ns
-    if (latency <= 0).any():
-        bad = int(np.argmax(latency <= 0))
+    if (finish <= 0).any():
+        bad = int(np.argmax(finish <= 0))
         job_id = list(chain.from_iterable(s.job_id for s in schedules))[bad]
-        raise ValueError(f"job {job_id} has non-positive latency {latency[bad]}")
+        raise ValueError(f"job {job_id} has non-positive latency {finish[bad]}")
     counts = np.array(sizes)
     offsets = np.add.accumulate(counts) - counts
     duration = finish - start
@@ -93,7 +92,7 @@ def metric_columns(schedules: list[Schedule], n_qpu: int, slot_arrival_ns: int =
     pair_time = running * (running - 1) // 2 * (times[1:] - times[:-1])
     t_overlap = np.add.reduceat(pair_time, 2 * offsets).tolist()
 
-    elp = duration / latency
+    elp = duration / finish
     rows = counts.argsort(kind="stable")  # each count's rows become one block
     n = counts[rows]
     x = elp[(offsets[rows] - (np.add.accumulate(n) - n)).repeat(n) + np.arange(total)]
@@ -115,15 +114,14 @@ def metric_columns(schedules: list[Schedule], n_qpu: int, slot_arrival_ns: int =
             t_overlap, t_max, elp)
 
 
-def compute_reports(schedules: list[Schedule], n_qpu: int,
-                    slot_arrival_ns: int = 0) -> list[MetricsReport]:
+def compute_reports(schedules: list[Schedule], n_qpu: int) -> list[MetricsReport]:
     """All five metrics for each schedule of a cell, in input order."""
-    *columns, elp = metric_columns(schedules, n_qpu, slot_arrival_ns)
+    *columns, elp = metric_columns(schedules, n_qpu)
     elp, bounds = elp.tolist(), list(accumulate(map(len, schedules), initial=0))
     return [MetricsReport(m, u, d, tuple(elp[a:b]), s, f, o, tm)
             for m, u, d, s, f, o, tm, a, b in zip(*columns, bounds, bounds[1:])]
 
 
-def compute_report(schedule: Schedule, n_qpu: int, slot_arrival_ns: int = 0) -> MetricsReport:
+def compute_report(schedule: Schedule, n_qpu: int) -> MetricsReport:
     """All five metrics for one schedule."""
-    return compute_reports([schedule], n_qpu, slot_arrival_ns)[0]
+    return compute_reports([schedule], n_qpu)[0]

@@ -78,15 +78,14 @@ class Mlp:
 
 
 class Adam:
-    """Adaptive-moment gradient descent; moments are flat over all parameters."""
+    """Adaptive-moment gradient descent; moments are flat over all parameters.
+    The moment decay rates and ``EPS`` are the defaults of Kingma & Ba (2015)."""
 
-    def __init__(self, params: list[np.ndarray], lr: float = 3e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[np.ndarray], lr: float = 3e-4):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._bounds = np.cumsum([0] + [p.size for p in params]).tolist()
         self.m = np.zeros(self._bounds[-1])
         self.v = np.zeros(self._bounds[-1])
@@ -94,12 +93,12 @@ class Adam:
 
     def step(self, grads: list[np.ndarray]) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - self.BETA1 ** self.t
+        b2t = 1.0 - self.BETA2 ** self.t
         g = np.concatenate([grad.ravel() for grad in grads])
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
-        update = self.lr * (self.m / b1t) / (np.sqrt(self.v / b2t) + self.eps)
+        self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * g
+        self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * g * g
+        update = self.lr * (self.m / b1t) / (np.sqrt(self.v / b2t) + self.EPS)
         for p, lo, hi in zip(self.params, self._bounds, self._bounds[1:]):
             p -= update[lo:hi].reshape(p.shape)
 

@@ -30,49 +30,34 @@ REWARD_VARIANTS = ("plain", "node_selection")
 LATENCY_MODES = ("cumulative", "immediate")
 _PROB_SUM_TOL = math.sqrt(np.finfo(float).eps)  # Generator.choice's tolerance
 N_FEATURES = 4  # the columns encode_state writes
+# The standard PPO settings (Schulman et al., 2017), fixed for every run.
+CLIP_EPS = 0.2
+VALUE_COEF = 0.5
+ENTROPY_COEF = 0.01
+GAE_LAMBDA = 0.95
+DISCOUNT = 0.99
 
 
 @dataclass
 class PpoConfig:
-    """Hyperparameters of the RL scheduler.
+    """Hyperparameters of the RL scheduler that a run or a test sets.
 
-    ``update_every`` counts buffered transitions between gradient updates;
-    ``latency_mode`` picks how the stage waiting offset accumulates (the
-    default sums all preceding stage maxima; ``immediate`` offsets by only
-    the directly preceding stage).
+    ``update_every`` counts buffered transitions between gradient updates.
     """
 
     j_max: int = 5
-    clip_eps: float = 0.2
-    value_coef: float = 0.5
-    entropy_coef: float = 0.01
     minibatch: int = 64
     update_every: int = 1024
     epochs: int = 4
     reward_variant: str = "plain"
-    alpha_reward: float = 1.0
-    gamma_pressure: float = 1.0
-    beta_positional: float = 1.0
-    gae_lambda: float = 0.95
-    discount: float = 0.99
-    learning_rate: float = 3e-4
     hidden: tuple[int, ...] = (64, 64)
-    latency_mode: str = "cumulative"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.clip_eps < 1.0:
-            raise ValueError(f"clip_eps must lie in (0, 1), got {self.clip_eps}")
         if self.minibatch > self.update_every:
             raise ValueError("minibatch must not exceed update_every")
         if self.reward_variant not in REWARD_VARIANTS:
             raise ValueError(f"unknown reward variant: {self.reward_variant!r}")
-        if self.latency_mode not in LATENCY_MODES:
-            raise ValueError(f"unknown latency mode: {self.latency_mode!r}")
-        for name in ("value_coef", "entropy_coef", "alpha_reward",
-                     "gamma_pressure", "beta_positional"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -291,15 +276,15 @@ def ppo_update(
             mb = order[lo: lo + config.minibatch]
             logits, cache_p = policy.forward(obs[mb])
             loss_pi, d_pi, entropy, d_ent = policy_loss_parts(
-                logits, masks[mb], actions[mb], logp_old[mb], adv[mb], config.clip_eps
+                logits, masks[mb], actions[mb], logp_old[mb], adv[mb], CLIP_EPS
             )
-            dlogits = d_pi - config.entropy_coef * d_ent
+            dlogits = d_pi - ENTROPY_COEF * d_ent
             grads_p = policy.backward(cache_p, dlogits)
             policy_opt.step([g for pair in grads_p for g in pair])
 
             values, cache_v = value_net.forward(obs[mb])
             loss_v, d_v = value_loss_parts(values[:, 0], rets[mb])
-            grads_v = value_net.backward(cache_v, (config.value_coef * d_v)[:, None])
+            grads_v = value_net.backward(cache_v, (VALUE_COEF * d_v)[:, None])
             value_opt.step([g for pair in grads_v for g in pair])
             stats.append((loss_pi, loss_v, entropy))
         arr = np.array(stats)
@@ -355,8 +340,8 @@ class PpoAgent:
         in_dim = config.j_max * N_FEATURES
         self.policy = Mlp([in_dim, *config.hidden, config.j_max], init_rng)
         self.value_net = Mlp([in_dim, *config.hidden, 1], init_rng)
-        self.policy_opt = Adam(self.policy.parameters(), lr=config.learning_rate)
-        self.value_opt = Adam(self.value_net.parameters(), lr=config.learning_rate)
+        self.policy_opt = Adam(self.policy.parameters())
+        self.value_opt = Adam(self.value_net.parameters())
 
     # -- observation and action ------------------------------------------
 
@@ -464,15 +449,7 @@ class PpoAgent:
              for row in picks]
             for picks in stages
         ]
-        _, reward = epr_reward(
-            reward_stages,
-            variant=self.config.reward_variant,
-            alpha=self.config.alpha_reward,
-            gamma=self.config.gamma_pressure,
-            beta=self.config.beta_positional,
-            latency_mode=self.config.latency_mode,
-        )
-        return reward
+        return epr_reward(reward_stages, variant=self.config.reward_variant)[1]
 
     # -- training ----------------------------------------------------------
 
@@ -500,7 +477,7 @@ class PpoAgent:
             reward = self.episode_reward(queue, stages, schedule)
             for tr in transitions:
                 tr.reward = reward
-            compute_gae(transitions, cfg.discount, cfg.gae_lambda)
+            compute_gae(transitions, DISCOUNT, GAE_LAMBDA)
             buffer.extend(transitions)
             window_rewards.append(reward)
             if len(buffer) >= cfg.update_every:
@@ -543,7 +520,7 @@ def save_weights(path: str, agent: PpoAgent) -> None:
         cfg.j_max,
         N_FEATURES,
         REWARD_VARIANTS.index(cfg.reward_variant),
-        LATENCY_MODES.index(cfg.latency_mode),
+        LATENCY_MODES.index("cumulative"),  # the mode episode_reward uses
         agent.time_scale,
         *cfg.hidden,
     ], dtype=float)
@@ -641,7 +618,6 @@ def load_agent(
     config = PpoConfig(
         j_max=meta["j_max"],
         reward_variant=meta["reward_variant"],
-        latency_mode=meta["latency_mode"],
         hidden=meta["hidden"],
     )
     agent = PpoAgent(

@@ -22,6 +22,7 @@ from .execmodel import ExecModelParams
 from .netmodel import Network
 
 SCHEDULER_NAMES = ("fifo", "list", "resource", "epr", "epr-ns", "asap")
+ENUMERATION_CAP = 12  # resource searches subsets of at most this many queued jobs
 
 
 class SchedulingError(Exception):
@@ -183,26 +184,20 @@ def list_schedule(queue, network: Network, exec_params: ExecModelParams) -> Sche
                          network, exec_params)
 
 
-def resource_prioritize_schedule(
-    queue,
-    network: Network,
-    exec_params: ExecModelParams,
-    enumeration_cap: int = 12,
-) -> Schedule:
+def resource_prioritize_schedule(queue, network: Network,
+                                 exec_params: ExecModelParams) -> Schedule:
     """Each round runs the job subset with maximal total QPU demand.
 
     Ties are broken by smaller mean estimated time, then by the
     lexicographically smallest job-id set. Subsets are enumerated over the
-    first ``enumeration_cap`` remaining jobs (arrival order), which bounds
+    first ``ENUMERATION_CAP`` remaining jobs (arrival order), which bounds
     the exponential search.
     """
-    if enumeration_cap < 1:
-        raise ValueError(f"enumeration_cap must be >= 1, got {enumeration_cap}")
     _validate_queue(queue, network)
 
     def stages(remaining):
         while remaining:
-            pool = remaining[: enumeration_cap]
+            pool = remaining[:ENUMERATION_CAP]
             chosen = _max_demand_subset(pool, network.n_nodes)
             yield [job for k, job in enumerate(pool) if chosen >> k & 1]
             remaining = [j for i, j in enumerate(remaining) if not chosen >> i & 1]

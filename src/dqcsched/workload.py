@@ -42,22 +42,13 @@ class CircuitProfile:
     local_depth: int
 
 
+FIVE_QUBIT_GRAPH = ((0, 1), (1, 2), (2, 3), (0, 4))  # the fixed experimental graph
+
+
 def _ring_edges(n: int) -> list[tuple[int, int]]:
+    """The path 0..n-1 closed by (0, n-1); two qubits share one edge."""
     if n == 2:
         return [(0, 1)]
-    return [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-
-
-def default_graph_edges(n: int) -> list[tuple[int, int]]:
-    """Default graph-state edge set: a path with one long chord.
-
-    The five-qubit default is the fixed experimental graph
-    (0-1, 1-2, 2-3, 0-4); other sizes use a path 0..n-1 plus (0, n-1).
-    """
-    if n == 2:
-        return [(0, 1)]
-    if n == 5:
-        return [(0, 1), (1, 2), (2, 3), (0, 4)]
     return [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
 
 
@@ -76,16 +67,12 @@ def _depth_of(ops: list[tuple]) -> int:
     return max(layers.values(), default=0)
 
 
-def build_circuit_profile(
-    kind: str,
-    n_qubits: int,
-    reps: int = 1,
-    graph_edges: list[tuple[int, int]] | None = None,
-) -> CircuitProfile:
+def build_circuit_profile(kind: str, n_qubits: int, reps: int = 1) -> CircuitProfile:
     """Materialize the ordered gate list of one circuit family.
 
     GHZ: Hadamard on qubit 0, then a CNOT from qubit 0 to every other qubit.
-    GraphState: Hadamard everywhere, one CZ per graph edge.
+    GraphState: Hadamard everywhere, one CZ per edge of ``FIVE_QUBIT_GRAPH``
+    on five qubits, of the closed ring on other sizes.
     QAOA: Hadamard everywhere, then per repetition a CNOT-Rz-CNOT block per
     MaxCut ring edge plus one mixer rotation per qubit.
     QFT: per qubit a Hadamard followed by controlled rotations onto every
@@ -107,16 +94,12 @@ def build_circuit_profile(
         for q in range(1, n):
             ops.append((0, q))
     elif kind == "GraphState":
-        edges = graph_edges if graph_edges is not None else default_graph_edges(n)
-        _check_edges(edges, n)
         ops.extend((q,) for q in range(n))
-        ops.extend(edges)
+        ops.extend(FIVE_QUBIT_GRAPH if n == 5 else _ring_edges(n))
     elif kind == "QAOA":
-        edges = graph_edges if graph_edges is not None else _ring_edges(n)
-        _check_edges(edges, n)
         ops.extend((q,) for q in range(n))
         for _ in range(reps):
-            for i, j in edges:
+            for i, j in _ring_edges(n):
                 ops.append((i, j))
                 ops.append((j,))
                 ops.append((i, j))
@@ -142,12 +125,6 @@ def build_circuit_profile(
         two_qubit_gates=two_qubit,
         local_depth=_depth_of(ops),
     )
-
-
-def _check_edges(edges, n: int) -> None:
-    for i, j in edges:
-        if i == j or not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"invalid edge ({i}, {j}) for {n} qubits")
 
 
 @dataclass(frozen=True)
@@ -179,7 +156,6 @@ def partition_job(
     qpu_capacity: int,
     network: Network,
     exec_params: ExecModelParams,
-    job_id: int = -1,
 ) -> JobDescriptor:
     """Cut a circuit into contiguous qubit blocks of ``qpu_capacity``.
 
@@ -198,7 +174,7 @@ def partition_job(
         if a // qpu_capacity != b // qpu_capacity
     )
     draft = JobDescriptor(
-        id=job_id,
+        id=-1,
         required_qpus=required,
         nonlocal_gates=len(cross),
         est_exec_ns=0,

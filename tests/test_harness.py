@@ -320,12 +320,15 @@ class TestBootstrap:
 
 
 class TestCli:
-    def write_config(self, tmp_path):
+    @staticmethod
+    def write_config_text():
         text = default_config_text()
         text = text.replace("seed_count = 30", "seed_count = 2")
-        text = text.replace("n_slots = 200", "n_slots = 5")
+        return text.replace("n_slots = 200", "n_slots = 5")
+
+    def write_config(self, tmp_path):
         path = tmp_path / "bench.cfg"
-        path.write_text(text)
+        path.write_text(self.write_config_text())
         return str(path)
 
     def test_run_summarize_cdf(self, tmp_path):
@@ -399,6 +402,39 @@ class TestCli:
                          "--weights", weights]) == 0
         table = read_slots_csv(os.path.join(out, "slots.csv"))
         assert set(table.scheduler) == {"ppo", "ppo-ns", "epr"}
+
+    @pytest.mark.parametrize("old, new", [
+        ("seed_count = 2", "seeds = 0, 0"),
+        ("schedulers = fifo, list, resource, epr, epr-ns, asap", "schedulers = fifo, fifo"),
+        ("qubit_sizes = 5, 10, 15", "qubit_sizes = 5, 5"),
+        ("quality_mix = bad:0.2", "quality_mix = good:0.2"),
+        ("lambda = 5", "lambda = nan"),
+        ("lambda = 5", "lambda = inf"),
+        ("lambda = 5", "lambda = -1"),
+        ("lambda = 5", "fixed_count = 0"),
+        ("lambda = 5", "fixed_count = -2"),
+        ("bias_alpha = 0", "bias_alpha = 2"),
+        ("j_max = 5", "j_max = 0"),
+        ("variant = plain", "variant = bogus"),
+    ])
+    def test_bad_value_rejected_at_parse_time(self, tmp_path, capsys, old, new):
+        """A repeated list item or a value no run can use is a config error:
+        exit 2 naming the file and line, before any output is written."""
+        text = self.write_config_text().replace(old, new, 1)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        line = next(k for k, row in enumerate(text.splitlines(), 1) if row.startswith(new))
+        out = tmp_path / "out"
+        command = ["train-ppo", "--config", str(cfg), "--out", str(out), "--updates", "1"] \
+            if new.startswith(("j_max", "variant")) else \
+            ["run", "--config", str(cfg), "--out", str(out)]
+        assert cli.main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}:{line}: key '{new.split()[0]}' ")
+        for numpy_message in ("lam < 0", "lam value too large", "negative dimensions",
+                              "division by zero"):
+            assert numpy_message not in err
+        assert not out.exists()
 
     def test_ppo_rejects_a_job_wider_than_the_network(self, tmp_path, capsys):
         """A 30-qubit catalog needs 10 QPUs per job on 6 nodes. ``train-ppo``

@@ -13,6 +13,7 @@ from dqcsched.execmodel import ExecModelParams, estimate_execution_time
 from dqcsched.netmodel import LINK_PRESETS, LinkProfile, build_network, homogeneous_network
 from dqcsched.ppo import PpoAgent, PpoConfig
 from dqcsched.schedulers import (
+    ENUMERATION_CAP,
     SCHEDULER_NAMES,
     Placement,
     Schedule,
@@ -124,7 +125,7 @@ class TestResourcePrioritize:
             assert remaining == []
 
 
-def reference_resource_schedule(queue, network, exec_params, enumeration_cap=12):
+def reference_resource_schedule(queue, network, exec_params):
     """The subset search with per-stage tables and a bit-scanning tie-break."""
     _validate_queue(queue, network)
     schedule = Schedule()
@@ -133,7 +134,7 @@ def reference_resource_schedule(queue, network, exec_params, enumeration_cap=12)
     barrier = 0
     stage = 0
     while remaining:
-        pool = remaining[: enumeration_cap]
+        pool = remaining[:ENUMERATION_CAP]
         m = len(pool)
         bits = (np.arange(1, 2 ** m)[:, None] >> np.arange(m)) & 1
         demand = bits @ np.array([j.required_qpus for j in pool])
@@ -166,20 +167,19 @@ def reference_resource_schedule(queue, network, exec_params, enumeration_cap=12)
     return schedule
 
 
-def assert_resource_matches_reference(queue, net, cap):
-    got = resource_prioritize_schedule(queue, net, PARAMS, enumeration_cap=cap)
-    want = reference_resource_schedule(queue, net, PARAMS, enumeration_cap=cap)
+def assert_resource_matches_reference(queue, net):
+    got = resource_prioritize_schedule(queue, net, PARAMS)
+    want = reference_resource_schedule(queue, net, PARAMS)
     assert got.placements == want.placements
 
 
 @pytest.mark.parametrize("n_nodes", [6, 12])
 def test_resource_matches_reference_search(n_nodes):
     """Random queues of 1-20 jobs with few distinct sizes and times, so many
-    subsets tie on demand and mean; small caps make pools overflow the cap;
-    shuffled ids make the id-set tie-break differ from arrival order. Then
-    pools of 1-QPU jobs with tied times, where every subset of up to
-    ``n_nodes`` jobs fits (the search's worst case), and queues longer than
-    12 jobs around the default cap."""
+    subsets tie on demand and mean; shuffled ids make the id-set tie-break
+    differ from arrival order. Then pools of 1-QPU jobs with tied times,
+    where every subset of up to ``n_nodes`` jobs fits (the search's worst
+    case), and queues of 13-20 jobs, whose pools overflow the cap of 12."""
     net = build_network(n_nodes, 3, {"bad": 0.2, "medium": 0.3, "good": 0.5}, seed=5)
     rng = make_rng(53, n_nodes)
 
@@ -192,20 +192,19 @@ def test_resource_matches_reference_search(n_nodes):
         sizes = rng.choice([1, 2, 3, n_nodes // 2, n_nodes], size=n)
         times = rng.choice([10, 20, 30, 45], size=n)
         queue = [make_job(int(i), int(q), int(t)) for i, q, t in zip(ids, sizes, times)]
-        assert_resource_matches_reference(queue, net, int(rng.choice([1, 3, 5, 12])))
+        assert_resource_matches_reference(queue, net)
     for _ in range(8):
         n = int(rng.integers(7, 17))
         times = rng.choice([20, 30], size=n) if rng.random() < 0.5 else [20] * n
         queue = [make_job(int(i), 1, int(t)) for i, t in zip(random_ids(n), times)]
-        assert_resource_matches_reference(queue, net, 12)
-    for cap in (1, 11, 12, 13):
-        for _ in range(4):
-            n = int(rng.integers(13, 19))
-            sizes = rng.choice([1, 2, 3, n_nodes // 2], size=n)
-            times = rng.choice([10, 20, 30, 45], size=n)
-            queue = [make_job(int(i), int(q), int(t))
-                     for i, q, t in zip(random_ids(n), sizes, times)]
-            assert_resource_matches_reference(queue, net, cap)
+        assert_resource_matches_reference(queue, net)
+    for _ in range(16):
+        n = int(rng.integers(13, 21))
+        sizes = rng.choice([1, 2, 3, n_nodes // 2], size=n)
+        times = rng.choice([10, 20, 30, 45], size=n)
+        queue = [make_job(int(i), int(q), int(t))
+                 for i, q, t in zip(random_ids(n), sizes, times)]
+        assert_resource_matches_reference(queue, net)
 
 
 class TestDurationMemo:

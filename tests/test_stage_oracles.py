@@ -2,9 +2,10 @@
 
 The references are the stage loops that ``_place_stages`` replaced, copied
 verbatim: ``_place_stage`` with ``_in_order_stages`` (FIFO, LIST, EPR and
-EPR-NS), the ``resource`` round loop, and ``PpoAgent.build_schedule``. The
-only edit is EPR's sort key, which read ``epr_pairs``, a field that always
-equalled ``nonlocal_gates``. Every test compares the library's schedule with
+EPR-NS), the ``resource`` round loop, and ``PpoAgent.build_schedule``. Two
+edits: EPR's sort key read ``epr_pairs``, a field that always equalled
+``nonlocal_gates``, and the ``resource`` loop took its cap as an argument
+that no run set, where it now reads ``ENUMERATION_CAP``. Every test compares the library's schedule with
 the reference's column for column, or both errors word for word, on
 hypothesis-drawn queues and networks.
 """
@@ -23,6 +24,7 @@ from dqcsched.schedulers import (
     Schedule,
     SchedulingError,
     _max_demand_subset,
+    ENUMERATION_CAP,
     _validate_queue,
     epr_schedule,
     get_scheduler,
@@ -87,17 +89,15 @@ def reference_in_order_stages(queue, network: Network, exec_params: ExecModelPar
     return schedule
 
 
-def reference_resource_schedule(queue, network: Network, exec_params: ExecModelParams,
-                                enumeration_cap: int = 12) -> Schedule:
-    if enumeration_cap < 1:
-        raise ValueError(f"enumeration_cap must be >= 1, got {enumeration_cap}")
+def reference_resource_schedule(queue, network: Network,
+                                exec_params: ExecModelParams) -> Schedule:
     _validate_queue(queue, network)
     schedule = Schedule()
     place = schedule.pricer(network, exec_params)
     remaining = list(queue)
     barrier = stage = 0
     while remaining:
-        pool = remaining[: enumeration_cap]
+        pool = remaining[:ENUMERATION_CAP]
         chosen = _max_demand_subset(pool, network.n_nodes)
         jobs = [job for k, job in enumerate(pool) if chosen >> k & 1]
         barrier = reference_place_stage(place, jobs, network, barrier, stage)
@@ -162,17 +162,17 @@ def outcome(run):
 
 
 @st.composite
-def environments(draw):
+def environments(draw, max_jobs=12):
     """(network, exec params, queue): a ``build_network`` of 2-8 nodes and a
-    queue of up to 12 jobs under distinct ids not in arrival order. Half the
-    queues are synthetic jobs whose durations come from four values, so
-    stage ends tie; the other half are catalog jobs, whose prices depend on
-    the nodes they get. One synthetic queue in ten may hold a job wider than
-    the network."""
+    queue of up to ``max_jobs`` jobs under distinct ids not in arrival
+    order. Half the queues are synthetic jobs whose durations come from four
+    values, so stage ends tie; the other half are catalog jobs, whose prices
+    depend on the nodes they get. One synthetic queue in ten may hold a job
+    wider than the network."""
     n_nodes = draw(st.integers(2, 8))
     network = build_network(n_nodes, 3, draw(st.sampled_from(MIXES)),
                             seed=draw(st.integers(0, 30)))
-    n_jobs = draw(st.integers(0, 12))
+    n_jobs = draw(st.integers(0, max_jobs))
     ids = draw(st.lists(st.integers(0, 99), min_size=n_jobs, max_size=n_jobs, unique=True))
     if draw(st.booleans()):
         params = ExecModelParams(epr_serialization=draw(
@@ -198,11 +198,12 @@ def test_staged_schedulers_match_reference_loops(name, env):
 
 
 @PROPERTY
-@given(env=environments(), cap=st.integers(1, 13), node_selection=st.booleans())
-def test_resource_cap_and_epr_skip_match_reference_loops(env, cap, node_selection):
+@given(env=environments(max_jobs=20), node_selection=st.booleans())
+def test_resource_cap_and_epr_skip_match_reference_loops(env, node_selection):
+    """Queues of up to 20 jobs, so ``resource`` pools overflow the cap of 12."""
     network, params, queue = env
-    assert outcome(lambda: resource_prioritize_schedule(queue, network, params, cap)) == \
-        outcome(lambda: reference_resource_schedule(queue, network, params, cap))
+    assert outcome(lambda: resource_prioritize_schedule(queue, network, params)) == \
+        outcome(lambda: reference_resource_schedule(queue, network, params))
     assert outcome(lambda: epr_schedule(queue, network, params, node_selection, False)) == \
         outcome(lambda: reference_epr_schedule(queue, network, params, node_selection, False))
 
