@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import harness, ppo
-from .configfile import ConfigError
+from .configfile import ConfigError, first_repeat
 from .netmodel import build_network
 
 
@@ -61,7 +61,7 @@ def _cmd_train_ppo(args) -> int:
 def _cmd_run(args) -> int:
     config = harness.load_config(args.config)
     if args.schedulers:
-        config.schedulers = tuple(s.strip() for s in args.schedulers.split(","))
+        config.schedulers = args.schedulers
     if args.seed is not None:
         config.seeds = (args.seed,)
     agents = None
@@ -116,6 +116,15 @@ def _cmd_cdf(args) -> int:
     return 0
 
 
+def _scheduler_list(value: str) -> tuple[str, ...]:
+    """``--schedulers``: a comma list, under the config's repeated-item rule."""
+    names = tuple(name.strip() for name in value.split(","))
+    repeated = first_repeat(names)
+    if repeated is not None:
+        raise argparse.ArgumentTypeError(f"lists {repeated!r} more than once")
+    return names
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dqcsched",
@@ -126,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the benchmark and write CSVs")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--schedulers", help="comma list overriding the config")
+    p_run.add_argument("--schedulers", type=_scheduler_list,
+                       help="comma list overriding the config")
     p_run.add_argument("--seed", type=int, help="run a single seed only")
     p_run.add_argument("--weights", help="ppo weights file")
     p_run.set_defaults(func=_cmd_run)

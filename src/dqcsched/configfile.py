@@ -19,6 +19,11 @@ class ConfigError(Exception):
     """Configuration file problem, with file/line context in the message."""
 
 
+def first_repeat(items: list):
+    """The first item that an earlier one equals, or None if all differ."""
+    return next((item for k, item in enumerate(items) if item in items[:k]), None)
+
+
 class Section:
     def __init__(self, name: str, source: str):
         self.name = name
@@ -76,9 +81,9 @@ class Section:
             raise self.error(key, f"expects {expects}") from None
         if not items:
             raise self.error(key, "expects a comma-separated list")
-        repeated = [item for k, item in enumerate(items) if item in items[:k]]
-        if repeated:
-            raise self.error(key, f"lists {repeated[0]!r} more than once")
+        repeated = first_repeat(items)
+        if repeated is not None:
+            raise self.error(key, f"lists {repeated!r} more than once")
         return items
 
     def get_int_list(self, key: str, default: list[int] | None = None) -> list[int] | None:

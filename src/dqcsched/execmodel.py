@@ -26,8 +26,8 @@ class ExecModelParams:
     default ``serial`` policy every entanglement attempt of a job is
     serialized (one communication qubit per node); ``per-link-parallel``
     lets distinct links generate pairs concurrently, so only the busiest
-    link counts. ``key``, every field as a plain tuple, keys the duration memo
-    without a call of the generated ``__hash__``; ``__init__`` derives it.
+    link counts. ``key``, every field as a plain tuple, keys a network's price
+    tables without a call of the generated ``__hash__``; ``__init__`` derives it.
     """
 
     local_gate_ns: int = 1000
@@ -66,6 +66,40 @@ def estimate_execution_time(job, assigned_nodes, network: Network, params: ExecM
             per_link[(nodes[a], nodes[b])] += 1
         epr = max(count * delay[u][v] for (u, v), count in per_link.items())
     return local + int(round(epr))
+
+
+class PriceClass:
+    """The prices of one class of jobs, equal in price key and demand, on one
+    network under one set of params, which every call passes. A network keeps
+    its classes in ``_price_tables[params.key][price_key, demand]``, so no
+    price reaches another network or other params; a class holds no reference
+    to its network, so the two form no cycle.
+    ``row[first]`` holds the nodes and duration of the span ``first ..
+    first + demand - 1``, and ``by_nodes`` the duration on any ascending
+    node tuple. Both fill on first use, a span through ``by_nodes``, so each
+    node tuple costs one exec-model call. A price reads only the params, the
+    price key and the nodes, so the class's first job prices all of it."""
+
+    __slots__ = ("job", "row", "by_nodes")
+
+    def __init__(self, job, n_nodes: int):
+        self.job = job
+        self.row = [None] * (n_nodes - job.required_qpus + 1)
+        self.by_nodes: dict[tuple[int, ...], int] = {}
+
+    def price(self, nodes: tuple[int, ...], network: Network, params: ExecModelParams) -> int:
+        duration = self.by_nodes.get(nodes)
+        if duration is None:
+            duration = self.by_nodes[nodes] = estimate_execution_time(
+                self.job, nodes, network, params)
+        return duration
+
+    def span(self, first: int, network: Network, params: ExecModelParams
+             ) -> tuple[tuple[int, ...], int]:
+        """Fill ``row[first]`` and return it."""
+        nodes = tuple(range(first, first + self.job.required_qpus))
+        hit = self.row[first] = nodes, self.price(nodes, network, params)
+        return hit
 
 
 def estimate_execution_time_nominal(job, network: Network, params: ExecModelParams) -> int:

@@ -10,7 +10,6 @@ left to external tools.
 from __future__ import annotations
 
 import csv
-import math
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from itertools import islice
@@ -380,6 +379,15 @@ def bootstrap_mean_diff_ci(
 # -- config file binding -------------------------------------------------------
 
 
+def _check(sec, key: str, check, *args) -> None:
+    """Run a ``workload`` check on a config value; a ValueError it raises
+    becomes a ConfigError that names ``key``'s file and line."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise sec.error(key, f"is invalid: {exc}") from None
+
+
 def config_from_parsed(parsed: ParsedConfig) -> ExperimentConfig:
     base = ExperimentConfig()
     net = parsed.section("network")
@@ -391,8 +399,9 @@ def config_from_parsed(parsed: ParsedConfig) -> ExperimentConfig:
     for sec in parsed.sections_with_prefix("setting"):
         label = sec.name[len("setting"):].strip() or sec.name
         lam = sec.get_float("lambda")
-        if lam is not None and not 0.0 <= lam < math.inf:
-            raise sec.error("lambda", f"must be a finite number >= 0, got {lam}")
+        if lam is not None and not 0.0 <= lam <= workload.POISSON_LAM_MAX:
+            raise sec.error("lambda", f"must lie in [0, {workload.POISSON_LAM_MAX:.6g}] "
+                            f"(numpy's Poisson limit), got {lam}")
         fixed = sec.get_int("fixed_count")
         if fixed is not None and fixed < 1:
             raise sec.error("fixed_count", f"must be >= 1, got {fixed}")
@@ -415,16 +424,32 @@ def config_from_parsed(parsed: ParsedConfig) -> ExperimentConfig:
     j_max = ppo_sec.get_int("j_max", base.ppo_j_max)
     if j_max < 1:
         raise ppo_sec.error("j_max", f"must be >= 1, got {j_max}")
+    n_nodes = net.get_int("nodes", base.n_nodes)
+    capacity = net.get_int("qpu_capacity", base.qpu_capacity)
+    _check(net, "qpu_capacity", workload.required_qpus, workload.MIN_QUBITS, capacity)
+    reps = wl.get_int("reps", base.reps)
+    qubit_sizes = tuple(wl.get_int_list("qubit_sizes", list(base.qubit_sizes)))
+    catalog_file = wl.raw("catalog_file")
+    if catalog_file is None:  # else the catalog file sets the sizes and reps
+        _check(wl, "reps", workload.check_circuit_shape, workload.MIN_QUBITS, reps)
+        for size in qubit_sizes:
+            _check(wl, "qubit_sizes", workload.check_circuit_shape, size, reps)
+            need = workload.required_qpus(size, capacity)
+            if need > n_nodes:  # blame the first key that set the sizes or the network
+                sec, key = ((wl, "qubit_sizes") if "qubit_sizes" in wl.entries else
+                            (net, "nodes" if "nodes" in net.entries else "qpu_capacity"))
+                raise sec.error(key, f"makes a {size}-qubit circuit need {need} QPUs, "
+                                f"but the network has {n_nodes} nodes")
     config = ExperimentConfig(
-        n_nodes=net.get_int("nodes", base.n_nodes),
-        qpu_capacity=net.get_int("qpu_capacity", base.qpu_capacity),
+        n_nodes=n_nodes,
+        qpu_capacity=capacity,
         quality_mix=net.get_mapping("quality_mix", base.quality_mix),
         local_gate_ns=exc.get_int("local_gate_ns", base.local_gate_ns),
         epr_serialization=exc.get_str("epr_serialization", base.epr_serialization),
         n_slots=wl.get_int("n_slots", base.n_slots),
-        qubit_sizes=tuple(wl.get_int_list("qubit_sizes", list(base.qubit_sizes))),
-        reps=wl.get_int("reps", base.reps),
-        catalog_file=wl.raw("catalog_file"),
+        qubit_sizes=qubit_sizes,
+        reps=reps,
+        catalog_file=catalog_file,
         settings=tuple(settings),
         schedulers=tuple(run.get_list("schedulers", list(base.schedulers))),
         seeds=tuple(seeds),

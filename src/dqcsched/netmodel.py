@@ -115,9 +115,12 @@ class Network:
 
     ``delay_ns`` is the n x n matrix of link state delays (zero diagonal),
     read by the execution model and by node selection. Node selection
-    memoises its answers in ``_selection_memo`` and placement pricing its
-    durations in ``_duration_memo``; both live and die with the instance, so
-    a cached answer can never be served to another network.
+    memoises its answers in ``_selection_memo``. Placement pricing keeps, per
+    ``ExecModelParams.key`` in ``_price_tables``, a dict of
+    ``execmodel.PriceClass`` keyed by (job price key, demand), each filled on
+    first use.
+    Both live and die with the instance, so a cached answer can never be
+    served to another network.
     """
 
     n_nodes: int
@@ -128,7 +131,7 @@ class Network:
     _selection_memo: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    _duration_memo: dict = field(
+    _price_tables: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 

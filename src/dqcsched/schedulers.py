@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import execmodel
-from .execmodel import ExecModelParams
+from .execmodel import ExecModelParams, PriceClass
 from .netmodel import Network
 
 SCHEDULER_NAMES = ("fifo", "list", "resource", "epr", "epr-ns", "asap")
@@ -81,33 +80,11 @@ class Schedule:
     def makespan_ns(self) -> int:
         return max(self.finish_ns) - min(self.start_ns) if self.job_id else 0
 
-    def pricer(self, network: Network, params: ExecModelParams):
-        """The step every scheduler places through: ``place(job, nodes,
-        start_ns, stage)`` prices ``job`` on ``nodes``, given in ascending id
-        order, appends it and returns its finish. Prices are memoised on the
-        network by (``params.key``, the job's price key, nodes); a wrong-length
-        node tuple always reaches the exec model, which raises."""
-        memo, params_key = network._duration_memo, params.key
-        add_id, add_nodes, add_start, add_finish, add_stage = (
-            self.job_id.append, self.assigned_nodes.append, self.start_ns.append,
-            self.finish_ns.append, self.stage_index.append)
-
-        def place(job, nodes, start_ns: int, stage: int) -> int:
-            nodes = tuple(nodes)
-            key = (params_key, job.price_key, nodes)
-            duration = memo.get(key) if len(nodes) == job.required_qpus else None
-            if duration is None:
-                duration = memo[key] = execmodel.estimate_execution_time(
-                    job, nodes, network, params)
-            finish = start_ns + duration
-            add_id(job.id)
-            add_nodes(nodes)
-            add_start(start_ns)
-            add_finish(finish)
-            add_stage(stage)
-            return finish
-
-        return place
+    def appenders(self) -> tuple:
+        """The ``append`` of each column, in column order: what a scheduler
+        places a job through, so no :class:`Placement` is built."""
+        return (self.job_id.append, self.assigned_nodes.append, self.start_ns.append,
+                self.finish_ns.append, self.stage_index.append)
 
 
 def _validate_queue(queue, network: Network) -> None:
@@ -127,20 +104,34 @@ def _place_stages(stages, network: Network, exec_params: ExecModelParams,
     subset with the best internal links. A stage ends at its latest finish,
     kept as a running max from its start since durations are never negative."""
     schedule = Schedule()
-    place = schedule.pricer(network, exec_params)
+    add_id, add_nodes, add_start, add_finish, add_stage = schedule.appenders()
+    table = network._price_tables.setdefault(exec_params.key, {})
+    n_nodes = network.n_nodes
+    all_nodes = list(range(n_nodes))  # never mutated: node selection rebinds ``free``
     barrier = 0
     for stage, jobs in enumerate(stages):
-        free = list(range(network.n_nodes))
-        end = barrier
+        used, end, free = 0, barrier, all_nodes
         for job in jobs:
-            if job.required_qpus > len(free):
+            d = job.required_qpus
+            if used + d > n_nodes:
                 raise SchedulingError(job.id, "stage exceeds free nodes")
+            key = job.price_key, d
+            cls = table.get(key) or table.setdefault(key, PriceClass(job, n_nodes))
             if node_selection:
-                nodes = select_nodes(free, job.required_qpus, network)
+                nodes = select_nodes(free, d, network)
                 free = [n for n in free if n not in nodes]
-            else:
-                nodes, free = free[: job.required_qpus], free[job.required_qpus:]
-            end = max(end, place(job, nodes, barrier, stage))
+                duration = cls.price(nodes, network, exec_params)
+            else:  # the free nodes are used .. n_nodes - 1
+                nodes, duration = cls.row[used] or cls.span(used, network, exec_params)
+            used += d
+            finish = barrier + duration
+            add_id(job.id)
+            add_nodes(nodes)
+            add_start(barrier)
+            add_finish(finish)
+            add_stage(stage)
+            if finish > end:
+                end = finish
         barrier = end
     return schedule
 
@@ -307,7 +298,8 @@ def asap_schedule(queue, network: Network, exec_params: ExecModelParams) -> Sche
     """
     _validate_queue(queue, network)
     schedule = Schedule()
-    place = schedule.pricer(network, exec_params)
+    add_id, add_nodes, add_start, add_finish, add_stage = schedule.appenders()
+    table = network._price_tables.setdefault(exec_params.key, {})
     avail = [0] * network.n_nodes
     remaining = list(queue)
     stage = 0
@@ -316,9 +308,17 @@ def asap_schedule(queue, network: Network, exec_params: ExecModelParams) -> Sche
         free = [n for n, release in enumerate(avail) if release <= t]
         deferred: list = []
         for job in remaining:
-            if job.required_qpus <= len(free):
-                nodes, free = free[: job.required_qpus], free[job.required_qpus:]
-                finish = place(job, nodes, t, stage)
+            d = job.required_qpus
+            if d <= len(free):
+                key = job.price_key, d
+                cls = table.get(key) or table.setdefault(key, PriceClass(job, len(avail)))
+                nodes, free = tuple(free[:d]), free[d:]
+                finish = t + cls.price(nodes, network, exec_params)
+                add_id(job.id)
+                add_nodes(nodes)
+                add_start(t)
+                add_finish(finish)
+                add_stage(stage)
                 for n in nodes:
                     avail[n] = finish
             else:

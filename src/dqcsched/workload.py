@@ -24,6 +24,8 @@ CIRCUIT_KINDS = ("GHZ", "GraphState", "QAOA", "QFT", "VQE")
 
 MIN_QUBITS = 2
 MAX_QUBITS = 64
+# numpy's largest Poisson mean: Generator.poisson raises "lam value too large" above it
+POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,14 @@ def _depth_of(ops: list[tuple]) -> int:
     return max(layers.values(), default=0)
 
 
+def check_circuit_shape(n_qubits: int, reps: int) -> None:
+    """Raise ValueError unless a circuit of ``n_qubits`` and ``reps`` can be built."""
+    if not MIN_QUBITS <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must lie in [{MIN_QUBITS}, {MAX_QUBITS}], got {n_qubits}")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+
+
 def build_circuit_profile(kind: str, n_qubits: int, reps: int = 1) -> CircuitProfile:
     """Materialize the ordered gate list of one circuit family.
 
@@ -82,10 +92,7 @@ def build_circuit_profile(kind: str, n_qubits: int, reps: int = 1) -> CircuitPro
     """
     if kind not in CIRCUIT_KINDS:
         raise ValueError(f"unknown circuit kind: {kind!r}")
-    if not MIN_QUBITS <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must lie in [{MIN_QUBITS}, {MAX_QUBITS}], got {n_qubits}")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    check_circuit_shape(n_qubits, reps)
 
     n = n_qubits
     ops: list[tuple] = []
@@ -151,6 +158,13 @@ class JobDescriptor:
             (self.profile.local_depth, self.cross_block_pairs)))
 
 
+def required_qpus(n_qubits: int, qpu_capacity: int) -> int:
+    """The QPUs a circuit of ``n_qubits`` needs: one per block of ``qpu_capacity``."""
+    if qpu_capacity < 2:
+        raise ValueError(f"qpu_capacity must be >= 2, got {qpu_capacity}")
+    return math.ceil(n_qubits / qpu_capacity)
+
+
 def partition_job(
     profile: CircuitProfile,
     qpu_capacity: int,
@@ -165,9 +179,7 @@ def partition_job(
     entangled-pair demand. The nominal execution estimate is
     attached so schedulers can rank the job before placement.
     """
-    if qpu_capacity < 2:
-        raise ValueError(f"qpu_capacity must be >= 2, got {qpu_capacity}")
-    required = math.ceil(profile.n_qubits / qpu_capacity)
+    required = required_qpus(profile.n_qubits, qpu_capacity)
     cross = tuple(
         (min(a // qpu_capacity, b // qpu_capacity), max(a // qpu_capacity, b // qpu_capacity))
         for a, b in profile.two_qubit_gates

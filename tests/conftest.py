@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dqcsched import execmodel
 from dqcsched.execmodel import ExecModelParams
 from dqcsched.netmodel import (
     LINK_PRESETS,
@@ -35,6 +36,40 @@ def make_job(job_id: int, q: int, t_ns: int, epr: int = 0) -> JobDescriptor:
         id=job_id, required_qpus=q, nonlocal_gates=epr,
         est_exec_ns=t_ns, profile=profile, cross_block_pairs=(),
     )
+
+
+def reference_pricer(schedule, network: Network, params: ExecModelParams):
+    """``Schedule.pricer`` as it was before price tables replaced it, kept as
+    the price oracle for the schedulers' tables. One edit: the memo is a dict
+    of this pricer's own, where it was one per network, so each reference
+    schedule prices every new (params, price key, nodes) afresh.
+
+    The step every scheduler places through: ``place(job, nodes,
+    start_ns, stage)`` prices ``job`` on ``nodes``, given in ascending id
+    order, appends it and returns its finish. Prices are memoised on the
+    network by (``params.key``, the job's price key, nodes); a wrong-length
+    node tuple always reaches the exec model, which raises."""
+    memo, params_key = {}, params.key
+    add_id, add_nodes, add_start, add_finish, add_stage = (
+        schedule.job_id.append, schedule.assigned_nodes.append, schedule.start_ns.append,
+        schedule.finish_ns.append, schedule.stage_index.append)
+
+    def place(job, nodes, start_ns: int, stage: int) -> int:
+        nodes = tuple(nodes)
+        key = (params_key, job.price_key, nodes)
+        duration = memo.get(key) if len(nodes) == job.required_qpus else None
+        if duration is None:
+            duration = memo[key] = execmodel.estimate_execution_time(
+                job, nodes, network, params)
+        finish = start_ns + duration
+        add_id(job.id)
+        add_nodes(nodes)
+        add_start(start_ns)
+        add_finish(finish)
+        add_stage(stage)
+        return finish
+
+    return place
 
 
 def unit_exec_params() -> ExecModelParams:

@@ -416,6 +416,12 @@ class TestCli:
         ("bias_alpha = 0", "bias_alpha = 2"),
         ("j_max = 5", "j_max = 0"),
         ("variant = plain", "variant = bogus"),
+        ("qpu_capacity = 3", "qpu_capacity = 1"),
+        ("reps = 1", "reps = 0"),
+        ("qubit_sizes = 5, 10, 15", "qubit_sizes = 1"),
+        ("qubit_sizes = 5, 10, 15", "qubit_sizes = 99"),
+        ("qubit_sizes = 5, 10, 15", "qubit_sizes = 30"),
+        ("lambda = 5", "lambda = 1e300"),
     ])
     def test_bad_value_rejected_at_parse_time(self, tmp_path, capsys, old, new):
         """A repeated list item or a value no run can use is a config error:
@@ -436,12 +442,44 @@ class TestCli:
             assert numpy_message not in err
         assert not out.exists()
 
+    def test_catalog_file_leaves_sizes_and_reps_unchecked(self, tmp_path):
+        """With a ``catalog_file`` the file sets the sizes and reps, so a
+        leftover ``qubit_sizes`` or ``reps`` no run reads is not rejected."""
+        catalog = tmp_path / "small.txt"
+        catalog.write_text("GHZ 5 1\n")
+        text = self.write_config_text().replace(
+            "qubit_sizes = 5, 10, 15", f"qubit_sizes = 99, 1\ncatalog_file = {catalog}", 1)
+        cfg = tmp_path / "catalog.cfg"
+        cfg.write_text(text.replace("reps = 1", "reps = 0", 1))
+        out = str(tmp_path / "out")
+        assert cli.main(["run", "--config", str(cfg), "--out", out,
+                         "--schedulers", "fifo"]) == 0
+        table = read_slots_csv(os.path.join(out, "slots.csv"))
+        assert set(table.scheduler) == {"fifo"}
+
+    def test_repeated_scheduler_override_is_a_usage_error(self, tmp_path, capsys):
+        """``--schedulers`` goes through the config's repeated-item rule: exit 2
+        with a usage error naming the flag, before any output is written."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", self.write_config(tmp_path), "--out", str(out),
+                      "--schedulers", "fifo,asap,fifo"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dqcsched run")
+        assert "error: argument --schedulers: lists 'fifo' more than once" in err
+        assert not out.exists()
+
     def test_ppo_rejects_a_job_wider_than_the_network(self, tmp_path, capsys):
         """A 30-qubit catalog needs 10 QPUs per job on 6 nodes. ``train-ppo``
-        and ``run`` with ``ppo`` fail like ``fifo``: exit 1, naming the job."""
+        and ``run`` with ``ppo`` fail like ``fifo``: exit 1, naming the job.
+        The catalog comes from a file, since ``qubit_sizes = 30`` on 6 nodes
+        is rejected at parse time."""
+        catalog = tmp_path / "wide.txt"
+        catalog.write_text("GHZ 30 1\n")
         cfg = tmp_path / "wide.cfg"
         cfg.write_text("[network]\nnodes = 6\nqpu_capacity = 3\n"
-                       "[workload]\nn_slots = 2\nqubit_sizes = 30\n"
+                       f"[workload]\nn_slots = 2\ncatalog_file = {catalog}\n"
                        "[setting fixed5]\nfixed_count = 5\n"
                        "[run]\nschedulers = fifo\nseeds = 0\n")
         config = harness.load_config(str(cfg))

@@ -1,15 +1,17 @@
 """Scheduler hand traces and structural invariants."""
 
 import dataclasses
+import gc
 import itertools
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import make_job, make_rng, unit_exec_params, weighted_network
+from conftest import make_job, make_rng, reference_pricer, unit_exec_params, weighted_network
 from dqcsched import execmodel
-from dqcsched.execmodel import ExecModelParams, estimate_execution_time
+from dqcsched.execmodel import ExecModelParams, PriceClass, estimate_execution_time
 from dqcsched.netmodel import LINK_PRESETS, LinkProfile, build_network, homogeneous_network
 from dqcsched.ppo import PpoAgent, PpoConfig
 from dqcsched.schedulers import (
@@ -129,7 +131,7 @@ def reference_resource_schedule(queue, network, exec_params):
     """The subset search with per-stage tables and a bit-scanning tie-break."""
     _validate_queue(queue, network)
     schedule = Schedule()
-    place = schedule.pricer(network, exec_params)
+    place = reference_pricer(schedule, network, exec_params)
     remaining = list(queue)
     barrier = 0
     stage = 0
@@ -208,8 +210,10 @@ def test_resource_matches_reference_search(n_nodes):
 
 
 class TestDurationMemo:
-    """``Schedule.pricer`` prices through a memo on the network; every answer
-    must equal a direct exec-model call."""
+    """Prices come from price tables on the network: per ``params.key``, one
+    class per (price key, demand), holding a row by first node for spans and
+    a dict by node tuple. Every answer must equal a direct exec-model call,
+    made once per distinct (params, class, nodes)."""
 
     MIXED = {"bad": 0.2, "medium": 0.3, "good": 0.5}
 
@@ -226,10 +230,19 @@ class TestDurationMemo:
         return calls
 
     @staticmethod
-    def price(job, nodes, net, params):
-        schedule = Schedule()
-        schedule.pricer(net, params)(job, nodes, 0, 0)
-        return schedule.placements[0].duration_ns
+    def price_class(job, net, params):
+        table = net._price_tables.setdefault(params.key, {})
+        key = job.price_key, job.required_qpus
+        return table.get(key) or table.setdefault(key, PriceClass(job, net.n_nodes))
+
+    @classmethod
+    def price(cls, job, nodes, net, params):
+        return cls.price_class(job, net, params).price(tuple(nodes), net, params)
+
+    @staticmethod
+    def n_entries(net):
+        return sum(len(c.by_nodes) for table in net._price_tables.values()
+                   for c in table.values())
 
     @pytest.mark.parametrize("policy", ["serial", "per-link-parallel"])
     def test_hit_equals_direct_call(self, counted, policy):
@@ -240,10 +253,18 @@ class TestDurationMemo:
         placements = [(job, nodes, params) for params in both for job in jobs
                       for nodes in itertools.combinations(range(6), job.required_qpus)]
         for job, nodes, params in placements * 2:
-            assert self.price(job, nodes[::-1], net, params) == \
-                estimate_execution_time(job, nodes, net, params)
-        # the second pass is served from the memo
-        assert len(counted) == len(net._duration_memo) <= len(placements)
+            direct = estimate_execution_time(job, nodes, net, params)
+            # block i runs on the i-th smallest node, whatever the tuple's order
+            assert estimate_execution_time(job, nodes[::-1], net, params) == direct
+            assert self.price(job, nodes, net, params) == direct
+            first = nodes[0]
+            if nodes == tuple(range(first, first + len(nodes))):  # a span
+                entry = self.price_class(job, net, params)
+                assert (entry.row[first] or entry.span(first, net, params)) == (nodes, direct)
+        # one call per distinct (params, class, nodes); the second pass and
+        # the spans are served from the tables
+        distinct = {(params.key, job.price_key, nodes) for job, nodes, params in placements}
+        assert len(counted) == len(distinct) == self.n_entries(net) <= len(placements)
 
     def test_separate_entries_per_network_and_params(self):
         nets = [homogeneous_network(6, 3, quality) for quality in ("good", "medium")]
@@ -254,16 +275,27 @@ class TestDurationMemo:
         prices = []
         for net in nets:
             for params in all_params:
-                prices.append(self.price(job, nodes, net, params))
-                assert prices[-1] == estimate_execution_time(job, nodes, net, params)
+                for schedule in (fifo_schedule([job], net, params),
+                                 asap_schedule([job], net, params)):
+                    prices.append(schedule.placements[0].duration_ns)
+                    assert prices[-1] == estimate_execution_time(job, nodes, net, params)
         assert len(set(prices)) == 4
-        assert [len(net._duration_memo) for net in nets] == [2, 2]
+        assert [len(net._price_tables) for net in nets] == [2, 2]
+        assert [self.n_entries(net) for net in nets] == [2, 2]
 
     def test_wrong_length_rejected_on_warm_memo(self):
+        """Jobs of one price key but two demands are two classes; a node
+        tuple of the wrong length still reaches the exec model, which raises."""
         net = homogeneous_network(4, 3, "good")
         wide, narrow = make_job(0, 3, 10), make_job(1, 2, 10)
+        assert wide.price_key == narrow.price_key
+        for queue in ([wide, narrow], [narrow, wide]):
+            schedule = fifo_schedule(queue, net, PARAMS)
+            assert schedule.assigned_nodes == [tuple(range(j.required_qpus)) for j in queue]
+            assert [p.duration_ns for p in schedule.placements] == [10, 10]
         assert self.price(wide, (0, 1, 2), net, PARAMS) == 10
         assert self.price(narrow, (0, 1), net, PARAMS) == 10
+        assert len(net._price_tables[PARAMS.key]) == 2
         with pytest.raises(ValueError, match="requires 2 nodes, got 3"):
             self.price(narrow, (0, 1, 2), net, PARAMS)
         with pytest.raises(ValueError, match="requires 3 nodes, got 2"):
@@ -274,6 +306,45 @@ class TestDurationMemo:
         for gate, t_ns in itertools.product((7, 3), (10, 20, 10, 35)):
             job = make_job(t_ns, 2, t_ns)
             assert self.price(job, (1, 3), net, ExecModelParams(gate)) == gate * t_ns
+
+    def test_network_with_tables_freed_without_the_cycle_collector(self):
+        """The tables hold no reference back to their network, so dropping a
+        priced network frees it at once. A cycle would keep every network of
+        a long run, and the jobs its classes hold, until a full collection."""
+        net = build_network(6, 3, self.MIXED, seed=3)
+        queue = list(default_catalog(net, PARAMS))[:4]
+        for name in SCHEDULER_NAMES:
+            get_scheduler(name)(queue, net, PARAMS)
+        assert self.n_entries(net) > 0
+        alive = weakref.ref(net)
+        gc.disable()
+        try:
+            del net
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("policy", ["serial", "per-link-parallel"])
+    def test_schedulers_share_one_call_per_class_and_nodes(self, counted, policy):
+        """All six schedulers on one network: spans, selected subsets and
+        ASAP's node sets share the tables, so the exec model is called once
+        per distinct (class, nodes) the placements hold, and every duration
+        is its answer."""
+        net = build_network(6, 3, self.MIXED, seed=11)
+        params = ExecModelParams(epr_serialization=policy)
+        catalog = default_catalog(net, params)
+        rng = make_rng(71)
+        placed = set()
+        for _ in range(40):
+            queue = [dataclasses.replace(catalog[k], id=i)
+                     for i, k in enumerate(rng.integers(0, len(catalog), size=8))]
+            for name in SCHEDULER_NAMES:
+                for p in get_scheduler(name)(queue, net, params).placements:
+                    job = queue[p.job_id]
+                    assert p.duration_ns == estimate_execution_time(
+                        job, p.assigned_nodes, net, params)
+                    placed.add((job.price_key, job.required_qpus, p.assigned_nodes))
+        assert len(counted) == len(placed) == self.n_entries(net)
 
 
 class TestEpr:

@@ -1,26 +1,30 @@
-"""Differential oracles for the barrier-stage loop ``_place_stages``.
+"""Differential oracles for the barrier-stage loop ``_place_stages``, for
+ASAP's loop and for the price tables they place through.
 
 The references are the stage loops that ``_place_stages`` replaced, copied
 verbatim: ``_place_stage`` with ``_in_order_stages`` (FIFO, LIST, EPR and
-EPR-NS), the ``resource`` round loop, and ``PpoAgent.build_schedule``. Two
-edits: EPR's sort key read ``epr_pairs``, a field that always equalled
-``nonlocal_gates``, and the ``resource`` loop took its cap as an argument
-that no run set, where it now reads ``ENUMERATION_CAP``. Every test compares the library's schedule with
-the reference's column for column, or both errors word for word, on
+EPR-NS), the ``resource`` round loop, and ``PpoAgent.build_schedule``; and
+ASAP's loop as it was before price tables. All of them price through
+``reference_pricer`` (``conftest.py``), a copy of ``Schedule.pricer``, where
+they called that method. Two other edits: EPR's sort key read ``epr_pairs``,
+a field that always equalled ``nonlocal_gates``, and the ``resource`` loop
+took its cap as an argument that no run set, where it now reads
+``ENUMERATION_CAP``. Every test compares the library's schedule with the
+reference's column for column, or both errors word for word, on
 hypothesis-drawn queues and networks.
 """
-
 import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_job, unit_exec_params
-from dqcsched.execmodel import ExecModelParams
+from conftest import make_job, reference_pricer, unit_exec_params
+from dqcsched.execmodel import EPR_POLICIES, ExecModelParams
 from dqcsched.netmodel import Network, build_network
 from dqcsched.ppo import PpoAgent, PpoConfig
 from dqcsched.schedulers import (
+    SCHEDULER_NAMES,
     Schedule,
     SchedulingError,
     _max_demand_subset,
@@ -69,7 +73,7 @@ def reference_in_order_stages(queue, network: Network, exec_params: ExecModelPar
     the free nodes joins the stage; under ``strict_order`` the stage closes
     at the first job that does not fit."""
     schedule = Schedule()
-    place = schedule.pricer(network, exec_params)
+    place = reference_pricer(schedule, network, exec_params)
     remaining = list(queue)
     barrier = stage = 0
     while remaining:
@@ -93,7 +97,7 @@ def reference_resource_schedule(queue, network: Network,
                                 exec_params: ExecModelParams) -> Schedule:
     _validate_queue(queue, network)
     schedule = Schedule()
-    place = schedule.pricer(network, exec_params)
+    place = reference_pricer(schedule, network, exec_params)
     remaining = list(queue)
     barrier = stage = 0
     while remaining:
@@ -132,11 +136,35 @@ def reference_build_schedule(self, queue, stages: list[list[int]],
     network = network if network is not None else self.network
     exec_params = exec_params if exec_params is not None else self.exec_params
     schedule = Schedule()
-    place = schedule.pricer(network, exec_params)
+    place = reference_pricer(schedule, network, exec_params)
     barrier = 0
     for stage_idx, picks in enumerate(stages):
         barrier = reference_place_stage(place, [queue[row] for row in picks], network,
                                         barrier, stage_idx, node_selection)
+    return schedule
+
+
+def reference_asap_schedule(queue, network: Network, exec_params: ExecModelParams) -> Schedule:
+    _validate_queue(queue, network)
+    schedule = Schedule()
+    place = reference_pricer(schedule, network, exec_params)
+    avail = [0] * network.n_nodes
+    remaining = list(queue)
+    stage = 0
+    while remaining:
+        t = sorted(avail)[min(job.required_qpus for job in remaining) - 1]
+        free = [n for n, release in enumerate(avail) if release <= t]
+        deferred: list = []
+        for job in remaining:
+            if job.required_qpus <= len(free):
+                nodes, free = free[: job.required_qpus], free[job.required_qpus:]
+                finish = place(job, nodes, t, stage)
+                for n in nodes:
+                    avail[n] = finish
+            else:
+                deferred.append(job)
+        remaining = deferred
+        stage += 1
     return schedule
 
 
@@ -146,6 +174,7 @@ REFERENCES = {
     "resource": reference_resource_schedule,
     "epr": reference_epr_schedule,
     "epr-ns": lambda q, n, p: reference_epr_schedule(q, n, p, node_selection=True),
+    "asap": reference_asap_schedule,
 }
 
 
@@ -226,3 +255,26 @@ def test_ppo_build_schedule_matches_reference_loop(env, data, node_selection):
     assert outcome(lambda: agent.build_schedule(queue, stages, node_selection, other, params)) \
         == outcome(lambda: reference_build_schedule(agent, queue, stages, node_selection,
                                                     other, params))
+
+
+@PROPERTY
+@given(env=environments())
+def test_every_scheduler_prices_as_the_reference_on_shared_tables(env):
+    """All six schedulers and an untrained agent's ``build_schedule`` on its
+    own rollout, with and without node selection, one after another on one
+    network under both EPR policies. Each run meets price tables that the
+    runs before it filled, so a price served from the wrong row, class or
+    params would differ from the reference pricer's."""
+    network, params, queue = env
+    for policy in EPR_POLICIES:
+        params = dataclasses.replace(params, epr_serialization=policy)
+        for name in SCHEDULER_NAMES:
+            assert outcome(lambda: get_scheduler(name)(queue, network, params)) == \
+                outcome(lambda: REFERENCES[name](queue, network, params))
+        agent = PpoAgent(PpoConfig(j_max=12), network, params, default_catalog(network, params))
+        if any(job.required_qpus > network.n_nodes for job in queue):
+            continue  # the rollout rejects the queue, as every scheduler did above
+        stages, _ = agent.rollout(queue)
+        for node_selection in (False, True):
+            assert outcome(lambda: agent.build_schedule(queue, stages, node_selection)) == \
+                outcome(lambda: reference_build_schedule(agent, queue, stages, node_selection))

@@ -290,7 +290,7 @@ class TestCatalogFile:
 
 
 class TestPriceKey:
-    """The per-job key the duration memo prices by stands in exactly for
+    """The per-job key the price tables are keyed by stands in exactly for
     (``profile.local_depth``, ``cross_block_pairs``)."""
 
     @staticmethod
@@ -329,7 +329,7 @@ class TestPriceKey:
 
     def test_catalogs_sharing_a_network_never_hit_stale(self):
         """Catalogs of two capacities and two size sets, drawn and priced on
-        one network with one memo, against direct exec-model calls."""
+        one network with one set of price tables, against direct exec-model calls."""
         net = build_network(6, 3, {"bad": 0.2, "medium": 0.3, "good": 0.5}, seed=4)
         params = ExecModelParams()
         catalogs = [c for capacity in (2, 3)
@@ -344,4 +344,4 @@ class TestPriceKey:
                 for p in schedule.placements:
                     assert p.duration_ns == estimate_execution_time(
                         by_id[p.job_id], p.assigned_nodes, net, params)
-        assert len(net._duration_memo) > 20
+        assert sum(len(c.by_nodes) for c in net._price_tables[params.key].values()) > 20
