@@ -33,10 +33,9 @@ def _ppo_environment(config: harness.ExperimentConfig):
 
 
 def _cmd_train_ppo(args) -> int:
-    config = harness.load_config(args.config)
+    config = harness.load_config(args.config, variant=args.variant)
     updates = args.updates if args.updates is not None else config.ppo_updates
-    variant = args.variant if args.variant is not None else config.ppo_variant
-    variant = {"plain": "plain", "node-selection": "node_selection"}.get(variant, variant)
+    variant = config.ppo_variant.replace("-", "_")
     network, catalog = _ppo_environment(config)
     agent = ppo.PpoAgent(
         ppo.PpoConfig(j_max=config.ppo_j_max, reward_variant=variant,
@@ -59,9 +58,7 @@ def _cmd_train_ppo(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = harness.load_config(args.config)
-    if args.schedulers:
-        config.schedulers = args.schedulers
+    config = harness.load_config(args.config, args.schedulers)
     if args.seed is not None:
         config.seeds = (args.seed,)
     agents = None

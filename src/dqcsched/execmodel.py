@@ -108,15 +108,22 @@ def estimate_execution_time_nominal(job, network: Network, params: ExecModelPara
     This is the figure schedulers (and the RL state encoding) see before
     nodes are chosen; it does not depend on any particular assignment.
     """
-    local = job.profile.local_depth * params.local_gate_ns
-    if not job.cross_block_pairs:
+    return nominal_execution_time(job.profile.local_depth, job.cross_block_pairs,
+                                  network, params)
+
+
+def nominal_execution_time(local_depth: int, cross_block_pairs, network: Network,
+                           params: ExecModelParams) -> int:
+    """The nominal estimate of a job of this depth and these cross-block pairs."""
+    local = local_depth * params.local_gate_ns
+    if not cross_block_pairs:
         return local
     mean_delay = network.mean_state_delay_ns
     if params.epr_serialization == "serial":
-        epr = len(job.cross_block_pairs) * mean_delay
+        epr = len(cross_block_pairs) * mean_delay
     else:
         per_link: Counter = Counter()
-        for pair in job.cross_block_pairs:
+        for pair in cross_block_pairs:
             per_link[pair] += 1
         epr = max(per_link.values()) * mean_delay
     return local + int(round(epr))

@@ -21,9 +21,9 @@ from . import metrics as metrics_mod
 from . import workload
 from .configfile import ConfigError, ParsedConfig, parse_config_file
 from .execmodel import ExecModelParams
-from .netmodel import Network, build_network
+from .netmodel import Network, build_network, quality_probabilities
 from .ppo import REWARD_VARIANTS
-from .schedulers import SCHEDULER_NAMES, get_scheduler
+from .schedulers import SCHEDULER_NAMES, check_selection_size, get_scheduler
 
 PPO_SCHEDULER_NAMES = ("ppo", "ppo-ns")
 SLOTS_CSV = "slots.csv"
@@ -388,7 +388,34 @@ def _check(sec, key: str, check, *args) -> None:
         raise sec.error(key, f"is invalid: {exc}") from None
 
 
-def config_from_parsed(parsed: ParsedConfig) -> ExperimentConfig:
+def _catalog_file_demands(wl, path: str, capacity: int, n_nodes: int) -> set[int]:
+    """The QPU demands of a catalog file's jobs, each line read and checked
+    like a ``qubit_sizes`` entry, no circuit built; a bad line is a
+    ConfigError naming the catalog file's path and line."""
+    try:
+        lines = workload.read_catalog_file(path)
+    except OSError as exc:
+        raise wl.error("catalog_file", f"cannot be read: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    demands = set()
+    for lineno, _, size, reps in lines:
+        try:
+            workload.check_circuit_shape(size, reps)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        need = workload.required_qpus(size, capacity)
+        if need > n_nodes:
+            raise ConfigError(f"{path}:{lineno}: a {size}-qubit circuit needs {need} QPUs, "
+                              f"but the network has {n_nodes} nodes")
+        demands.add(need)
+    return demands
+
+
+def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
+                       ) -> ExperimentConfig:
+    """The checked config of ``parsed``. ``schedulers`` and ``variant``, the
+    CLI's overrides, replace the config's values, if given, before the checks."""
     base = ExperimentConfig()
     net = parsed.section("network")
     exc = parsed.optional_section("exec")
@@ -418,15 +445,21 @@ def config_from_parsed(parsed: ParsedConfig) -> ExperimentConfig:
         seeds = list(range(count))
 
     ppo_sec = parsed.optional_section("ppo")
-    variant = ppo_sec.get_str("variant", base.ppo_variant)
-    if variant.replace("-", "_") not in REWARD_VARIANTS:
-        raise ppo_sec.error("variant", f"must be plain or node-selection, got {variant!r}")
+    listed_variant = ppo_sec.get_str("variant", base.ppo_variant)
+    if listed_variant.replace("-", "_") not in REWARD_VARIANTS:
+        raise ppo_sec.error("variant", f"must be plain or node-selection, "
+                            f"got {listed_variant!r}")
+    variant = variant or listed_variant
     j_max = ppo_sec.get_int("j_max", base.ppo_j_max)
     if j_max < 1:
         raise ppo_sec.error("j_max", f"must be >= 1, got {j_max}")
     n_nodes = net.get_int("nodes", base.n_nodes)
+    if n_nodes < 2:
+        raise net.error("nodes", f"must be >= 2, got {n_nodes}")
     capacity = net.get_int("qpu_capacity", base.qpu_capacity)
     _check(net, "qpu_capacity", workload.required_qpus, workload.MIN_QUBITS, capacity)
+    quality_mix = net.get_mapping("quality_mix", base.quality_mix)
+    _check(net, "quality_mix", quality_probabilities, quality_mix)
     reps = wl.get_int("reps", base.reps)
     qubit_sizes = tuple(wl.get_int_list("qubit_sizes", list(base.qubit_sizes)))
     catalog_file = wl.raw("catalog_file")
@@ -440,10 +473,18 @@ def config_from_parsed(parsed: ParsedConfig) -> ExperimentConfig:
                             (net, "nodes" if "nodes" in net.entries else "qpu_capacity"))
                 raise sec.error(key, f"makes a {size}-qubit circuit need {need} QPUs, "
                                 f"but the network has {n_nodes} nodes")
+        demands = {workload.required_qpus(size, capacity) for size in qubit_sizes}
+    else:
+        demands = _catalog_file_demands(wl, catalog_file, capacity, n_nodes)
+    listed = tuple(run.get_list("schedulers", list(base.schedulers)))
+    schedulers = tuple(schedulers) if schedulers else listed
+    if {"epr-ns", "ppo-ns"} & set(schedulers) or variant.replace("-", "_") == "node_selection":
+        for k in sorted(demands):  # the whole network is free at each stage's start
+            _check(net, "nodes", check_selection_size, n_nodes, k)
     config = ExperimentConfig(
         n_nodes=n_nodes,
         qpu_capacity=capacity,
-        quality_mix=net.get_mapping("quality_mix", base.quality_mix),
+        quality_mix=quality_mix,
         local_gate_ns=exc.get_int("local_gate_ns", base.local_gate_ns),
         epr_serialization=exc.get_str("epr_serialization", base.epr_serialization),
         n_slots=wl.get_int("n_slots", base.n_slots),
@@ -451,7 +492,7 @@ def config_from_parsed(parsed: ParsedConfig) -> ExperimentConfig:
         reps=reps,
         catalog_file=catalog_file,
         settings=tuple(settings),
-        schedulers=tuple(run.get_list("schedulers", list(base.schedulers))),
+        schedulers=schedulers,
         seeds=tuple(seeds),
         ppo_updates=ppo_sec.get_int("updates", base.ppo_updates),
         ppo_variant=variant,
@@ -461,7 +502,6 @@ def config_from_parsed(parsed: ParsedConfig) -> ExperimentConfig:
     )
     try:
         config.exec_params()
-        _ = build_network(config.n_nodes, config.qpu_capacity, config.quality_mix, seed=0)
     except ValueError as exc_err:
         raise ConfigError(f"{parsed.source}: {exc_err}") from None
     parsed.reject_unread()
@@ -469,8 +509,8 @@ def config_from_parsed(parsed: ParsedConfig) -> ExperimentConfig:
     return config
 
 
-def load_config(path: str) -> ExperimentConfig:
-    return config_from_parsed(parse_config_file(path))
+def load_config(path: str, schedulers=None, variant=None) -> ExperimentConfig:
+    return config_from_parsed(parse_config_file(path), schedulers, variant)
 
 
 def default_config_text() -> str:

@@ -13,6 +13,7 @@ elsewhere in the package are integer nanoseconds.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,13 +115,13 @@ class Network:
     """Immutable, fully connected QPU network with per-pair link profiles.
 
     ``delay_ns`` is the n x n matrix of link state delays (zero diagonal),
-    read by the execution model and by node selection. Node selection
-    memoises its answers in ``_selection_memo``. Placement pricing keeps, per
-    ``ExecModelParams.key`` in ``_price_tables``, a dict of
-    ``execmodel.PriceClass`` keyed by (job price key, demand), each filled on
-    first use.
-    Both live and die with the instance, so a cached answer can never be
-    served to another network.
+    read by the execution model and by node selection. Node selection keeps
+    one pick table, ``_selection_memo``: keyed by (free-node bit mask, k),
+    it holds the picked nodes and the mask of the nodes left free.
+    Placement pricing keeps, per ``ExecModelParams.key`` in
+    ``_price_tables``, a dict of ``execmodel.PriceClass`` keyed by (job
+    price key, demand), each filled on first use. Both live and die with
+    the instance, so a cached answer can never be served to another network.
     """
 
     n_nodes: int
@@ -150,6 +151,26 @@ class Network:
         object.__setattr__(self, "mean_state_delay_ns", mean)
 
 
+def quality_probabilities(quality_mix: dict[str, float]) -> tuple[list[str], np.ndarray]:
+    """The classes of ``quality_mix`` in ``QUALITY_CLASSES`` order and their
+    proportions, normalised. A ValueError unless every name is a preset and
+    every proportion is finite and >= 0, the proportions summing to 1."""
+    if not quality_mix:
+        raise ValueError("quality_mix must not be empty")
+    for name in quality_mix:
+        if name not in LINK_PRESETS:
+            raise ValueError(f"unknown link quality class: {name!r}")
+    for name, share in quality_mix.items():
+        if not 0.0 <= share < math.inf:  # NaN fails too
+            raise ValueError(f"quality_mix proportion of {name!r} must be finite and "
+                             f">= 0, got {share}")
+    classes = [c for c in QUALITY_CLASSES if c in quality_mix]
+    probs = np.array([quality_mix[c] for c in classes], dtype=float)
+    if abs(probs.sum() - 1.0) > 1e-9:
+        raise ValueError(f"quality_mix proportions must sum to 1, got {probs.sum()}")
+    return classes, probs / probs.sum()
+
+
 def build_network(
     n_nodes: int,
     qpu_capacity: int,
@@ -159,28 +180,22 @@ def build_network(
     """Build a fully connected network with seeded per-pair quality sampling.
 
     ``quality_mix`` maps preset names (``bad``/``medium``/``good``) to
-    proportions summing to 1. Each unordered pair draws its class
-    independently; the same seed always yields the same network.
+    proportions summing to 1 (see :func:`quality_probabilities`). Each
+    unordered pair draws its class independently; the same seed always
+    yields the same network.
     """
     if n_nodes < 2:
         raise ValueError(f"build_network requires n_nodes >= 2, got {n_nodes}")
-    if not quality_mix:
-        raise ValueError("quality_mix must not be empty")
-    for name in quality_mix:
-        if name not in LINK_PRESETS:
-            raise ValueError(f"unknown link quality class: {name!r}")
-    classes = [c for c in QUALITY_CLASSES if c in quality_mix]
-    probs = np.array([quality_mix[c] for c in classes], dtype=float)
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError(f"quality_mix proportions must sum to 1, got {probs.sum()}")
-    probs = probs / probs.sum()
-
+    classes, probs = quality_probabilities(quality_mix)
+    profiles = [LinkProfile.from_params(LINK_PRESETS[c]) for c in classes]
+    pairs = list(itertools.combinations(range(n_nodes), 2))
+    # Generator.choice(len(classes), p=probs) once per pair, in one call: its
+    # cdf, one rng.random() per pair and searchsorted, so the same draws.
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
     rng = np.random.Generator(np.random.PCG64(seed))
-    profiles = {c: LinkProfile.from_params(LINK_PRESETS[c]) for c in classes}
-    links: dict[tuple[int, int], LinkProfile] = {}
-    for a, b in itertools.combinations(range(n_nodes), 2):
-        cls_idx = int(rng.choice(len(classes), p=probs))
-        links[(a, b)] = profiles[classes[cls_idx]]
+    picks = cdf.searchsorted(rng.random(len(pairs)), side="right")
+    links = dict(zip(pairs, map(profiles.__getitem__, picks.tolist())))
     return Network(n_nodes=n_nodes, qpu_capacity=qpu_capacity, links=links)
 
 

@@ -22,6 +22,7 @@ from .netmodel import Network
 
 SCHEDULER_NAMES = ("fifo", "list", "resource", "epr", "epr-ns", "asap")
 ENUMERATION_CAP = 12  # resource searches subsets of at most this many queued jobs
+MAX_SELECTION_SUBSETS = 250_000  # C(20, 10) = 184 756 fits: a 15 MB array of subsets
 
 
 class SchedulingError(Exception):
@@ -107,10 +108,10 @@ def _place_stages(stages, network: Network, exec_params: ExecModelParams,
     add_id, add_nodes, add_start, add_finish, add_stage = schedule.appenders()
     table = network._price_tables.setdefault(exec_params.key, {})
     n_nodes = network.n_nodes
-    all_nodes = list(range(n_nodes))  # never mutated: node selection rebinds ``free``
+    picks = network._selection_memo
     barrier = 0
     for stage, jobs in enumerate(stages):
-        used, end, free = 0, barrier, all_nodes
+        used, end, free = 0, barrier, (1 << n_nodes) - 1  # free: node bit mask
         for job in jobs:
             d = job.required_qpus
             if used + d > n_nodes:
@@ -118,9 +119,12 @@ def _place_stages(stages, network: Network, exec_params: ExecModelParams,
             key = job.price_key, d
             cls = table.get(key) or table.setdefault(key, PriceClass(job, n_nodes))
             if node_selection:
-                nodes = select_nodes(free, d, network)
-                free = [n for n in free if n not in nodes]
-                duration = cls.price(nodes, network, exec_params)
+                hit = picks.get((free, d))
+                if hit is None:  # select_nodes fills the table
+                    select_nodes([n for n in range(n_nodes) if free >> n & 1], d, network)
+                    hit = picks[free, d]
+                nodes, free = hit
+                duration = cls.by_nodes.get(nodes) or cls.price(nodes, network, exec_params)
             else:  # the free nodes are used .. n_nodes - 1
                 nodes, duration = cls.row[used] or cls.span(used, network, exec_params)
             used += d
@@ -235,23 +239,39 @@ def _max_demand_subset(pool, n_nodes: int) -> int:
     return best[2]
 
 
+def check_selection_size(n_free: int, k: int) -> None:
+    """Raise ValueError if picking ``k`` of ``n_free`` nodes would score more
+    than ``MAX_SELECTION_SUBSETS`` subsets: node selection holds them all."""
+    count = math.comb(n_free, k)
+    if count > MAX_SELECTION_SUBSETS:
+        raise ValueError(f"node selection of {k} of {n_free} nodes would score C({n_free}, "
+                         f"{k}) = {count} subsets, above {MAX_SELECTION_SUBSETS}")
+
+
 def select_nodes(free_nodes, k: int, network: Network) -> tuple[int, ...]:
     """The k free nodes whose internal links have minimum total weight.
 
     Weight of a pair is its state delay. Ties resolve to the
     lexicographically smallest id set; k = 1 returns the lowest free id.
-    Answers are memoised on the network per (free set, k).
+    Answers are memoised on the network in ``_selection_memo``, keyed by
+    (free-node bit mask, k), each with the mask of the nodes left free.
     """
     free_sorted = tuple(sorted(free_nodes))
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(free_sorted) < k:
         raise ValueError(f"need {k} free nodes, only {len(free_sorted)} available")
+    mask = sum(1 << n for n in free_sorted)  # a negative id raises ValueError
+    if mask.bit_count() < len(free_sorted) or mask >> network.n_nodes:
+        raise ValueError(f"free nodes must be distinct ids below {network.n_nodes}, "
+                         f"got {free_sorted}")
     memo = network._selection_memo
-    key = (free_sorted, k)
-    if key not in memo:
-        memo[key] = _min_weight_subset(free_sorted, k, network.delay_ns)
-    return memo[key]
+    hit = memo.get((mask, k))
+    if hit is None:
+        check_selection_size(len(free_sorted), k)
+        nodes = _min_weight_subset(free_sorted, k, network.delay_ns)
+        hit = memo[mask, k] = nodes, mask - sum(1 << n for n in nodes)
+    return hit[0]
 
 
 def _min_weight_subset(free_sorted, k: int, delay_ns) -> tuple[int, ...]:
@@ -259,12 +279,14 @@ def _min_weight_subset(free_sorted, k: int, delay_ns) -> tuple[int, ...]:
     # one column at a time in itertools.combinations(combo, 2) order, so each
     # total equals a left-to-right float sum over the subset's pairs; argmin
     # keeps the first, i.e. lexicographically smallest, minimum.
-    combos = np.array(list(itertools.combinations(free_sorted, k)))
-    delay = np.array(delay_ns)
+    n = len(delay_ns)
+    combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(free_sorted, k)),
+                         dtype=np.intp).reshape(-1, k)
+    delay = np.array(delay_ns).ravel()
     weight = np.zeros(len(combos))
     for i, j in itertools.combinations(range(k), 2):
-        weight += delay[combos[:, i], combos[:, j]]
-    return tuple(int(node) for node in combos[np.argmin(weight)])
+        weight += delay.take(combos[:, i] * n + combos[:, j])
+    return tuple(combos[np.argmin(weight)].tolist())
 
 
 def epr_schedule(

@@ -10,7 +10,6 @@ optional bias toward jobs late in the catalog.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -177,24 +176,22 @@ def partition_job(
     gate whose endpoints land in different blocks becomes a non-local gate
     consuming one entangled pair, so ``nonlocal_gates`` is also the job's
     entangled-pair demand. The nominal execution estimate is
-    attached so schedulers can rank the job before placement.
+    attached so schedulers can rank the job before placement. The id is -1.
     """
+    return JobDescriptor(-1, *_job_fields(profile, qpu_capacity, network, exec_params))
+
+
+def _job_fields(profile: CircuitProfile, qpu_capacity: int, network: Network,
+                exec_params: ExecModelParams) -> tuple:
+    """:func:`partition_job`'s ``JobDescriptor`` fields after the id, in order."""
     required = required_qpus(profile.n_qubits, qpu_capacity)
     cross = tuple(
         (min(a // qpu_capacity, b // qpu_capacity), max(a // qpu_capacity, b // qpu_capacity))
         for a, b in profile.two_qubit_gates
         if a // qpu_capacity != b // qpu_capacity
     )
-    draft = JobDescriptor(
-        id=-1,
-        required_qpus=required,
-        nonlocal_gates=len(cross),
-        est_exec_ns=0,
-        profile=profile,
-        cross_block_pairs=cross,
-    )
-    est = execmodel.estimate_execution_time_nominal(draft, network, exec_params)
-    return dataclasses.replace(draft, est_exec_ns=est)
+    est = execmodel.nominal_execution_time(profile.local_depth, cross, network, exec_params)
+    return required, len(cross), est, profile, cross
 
 
 @dataclass(frozen=True)
@@ -246,12 +243,21 @@ def catalog_from_file(
     network: Network,
     exec_params: ExecModelParams,
 ) -> tuple[JobDescriptor, ...]:
-    """Catalog override: one ``kind n_qubits reps`` triple per line.
+    """Catalog override: the jobs of :func:`read_catalog_file`, sorted the
+    same way as the default catalog."""
+    entries = [(kind, n, reps) for _, kind, n, reps in read_catalog_file(path)]
+    return _sorted_catalog(entries, network, exec_params)
 
-    Commas and whitespace both separate fields; ``#`` starts a comment.
-    The resulting catalog is sorted the same way as the default one.
+
+def read_catalog_file(path: str) -> list[tuple[int, str, int, int]]:
+    """(line number, kind, n_qubits, reps) per job line of a catalog file,
+    one ``kind n_qubits reps`` triple per line, no circuit built.
+
+    Commas and whitespace both separate fields; ``#`` starts a comment. A
+    malformed line or an unknown kind raises ValueError naming the path and
+    line, and so does a file that lists no jobs (naming the path).
     """
-    entries: list[tuple[str, int, int]] = []
+    entries: list[tuple[int, str, int, int]] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -263,29 +269,28 @@ def catalog_from_file(
                     f"{path}:{lineno}: expected 'kind n_qubits reps', got {raw.strip()!r}"
                 )
             kind, n_s, reps_s = fields
+            if kind not in CIRCUIT_KINDS:
+                raise ValueError(f"{path}:{lineno}: unknown circuit kind: {kind!r}")
             try:
-                entries.append((kind, int(n_s), int(reps_s)))
+                entries.append((lineno, kind, int(n_s), int(reps_s)))
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: n_qubits and reps must be integers"
                 ) from None
     if not entries:
         raise ValueError(f"{path}: catalog file lists no jobs")
-    return _sorted_catalog(entries, network, exec_params)
+    return entries
 
 
 def _sorted_catalog(entries, network: Network, exec_params: ExecModelParams
                     ) -> tuple[JobDescriptor, ...]:
     """One job per (kind, n_qubits, reps) entry, sorted by (non-local gates,
-    estimate, kind, size) and numbered 0.. in that order."""
-    jobs = [
-        partition_job(build_circuit_profile(kind, n, reps), network.qpu_capacity,
-                      network, exec_params)
-        for kind, n, reps in entries
-    ]
-    jobs.sort(key=lambda j: (j.nonlocal_gates, j.est_exec_ns, j.profile.kind,
-                             j.profile.n_qubits))
-    return tuple(dataclasses.replace(j, id=i) for i, j in enumerate(jobs))
+    estimate, kind, size) and numbered 0.. in that order: each job is built
+    once, under its final id."""
+    jobs = [_job_fields(build_circuit_profile(kind, n, reps), network.qpu_capacity,
+                        network, exec_params) for kind, n, reps in entries]
+    jobs.sort(key=lambda f: (f[1], f[2], f[3].kind, f[3].n_qubits))
+    return tuple(JobDescriptor(i, *fields) for i, fields in enumerate(jobs))
 
 
 def sample_arrival_count(lam: float, rng: np.random.Generator) -> int:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,15 @@ from dqcsched import execmodel
 from dqcsched.execmodel import ExecModelParams
 from dqcsched.netmodel import (
     LINK_PRESETS,
+    QUALITY_CLASSES,
     LinkProfile,
     Network,
     build_network,
     homogeneous_network,
 )
 from dqcsched.workload import CircuitProfile, JobDescriptor
+
+MIXES = ({"good": 1.0}, {"bad": 0.2, "medium": 0.3, "good": 0.5}, {"bad": 0.5, "good": 0.5})
 
 
 def make_rng(*key: int) -> np.random.Generator:
@@ -70,6 +75,42 @@ def reference_pricer(schedule, network: Network, params: ExecModelParams):
         return finish
 
     return place
+
+
+def reference_build_network(n_nodes: int, qpu_capacity: int,
+                            quality_mix: dict[str, float], seed: int) -> Network:
+    """``build_network`` as it was before it drew every pair's class at once,
+    kept as the oracle for that draw: one ``rng.choice`` per pair, in
+    ``itertools.combinations`` order. Only the valid-input path is kept."""
+    classes = [c for c in QUALITY_CLASSES if c in quality_mix]
+    probs = np.array([quality_mix[c] for c in classes], dtype=float)
+    probs = probs / probs.sum()
+    rng = np.random.Generator(np.random.PCG64(seed))
+    profiles = {c: LinkProfile.from_params(LINK_PRESETS[c]) for c in classes}
+    links: dict[tuple[int, int], LinkProfile] = {}
+    for a, b in itertools.combinations(range(n_nodes), 2):
+        cls_idx = int(rng.choice(len(classes), p=probs))
+        links[(a, b)] = profiles[classes[cls_idx]]
+    return Network(n_nodes=n_nodes, qpu_capacity=qpu_capacity, links=links)
+
+
+def reference_select_nodes(free_nodes, k: int, network: Network) -> tuple[int, ...]:
+    """``select_nodes`` as it was before its memo was keyed by a free-node bit
+    mask, without the memo, kept as the node-selection oracle: every k-subset
+    of the sorted free nodes in lexicographic order, pair weights added one
+    column at a time in ``combinations(combo, 2)`` order, and the first
+    minimum."""
+    free_sorted = tuple(sorted(free_nodes))
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if len(free_sorted) < k:
+        raise ValueError(f"need {k} free nodes, only {len(free_sorted)} available")
+    combos = np.array(list(itertools.combinations(free_sorted, k)))
+    delay = np.array(network.delay_ns)
+    weight = np.zeros(len(combos))
+    for i, j in itertools.combinations(range(k), 2):
+        weight += delay[combos[:, i], combos[:, j]]
+    return tuple(int(node) for node in combos[np.argmin(weight)])
 
 
 def unit_exec_params() -> ExecModelParams:

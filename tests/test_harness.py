@@ -1,6 +1,7 @@
 """Experiment harness: config parsing, pairing, aggregation, CSV, CLI."""
 
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -31,9 +32,16 @@ from dqcsched.harness import (
     write_cdf_csv,
     write_slots_csv,
 )
+from dqcsched.execmodel import ExecModelParams
 from dqcsched.netmodel import build_network
-from dqcsched.schedulers import Placement, Schedule
-from dqcsched.workload import default_catalog
+from dqcsched.schedulers import (
+    MAX_SELECTION_SUBSETS,
+    Placement,
+    Schedule,
+    SchedulingError,
+    check_selection_size,
+)
+from dqcsched.workload import catalog_from_file, default_catalog
 
 TINY = ExperimentConfig(
     settings=(SettingSpec("lam3", lam=3.0),),
@@ -422,6 +430,14 @@ class TestCli:
         ("qubit_sizes = 5, 10, 15", "qubit_sizes = 99"),
         ("qubit_sizes = 5, 10, 15", "qubit_sizes = 30"),
         ("lambda = 5", "lambda = 1e300"),
+        ("quality_mix = bad:0.2, medium:0.3, good:0.5",
+         "quality_mix = bad:-0.5, medium:0, good:1.5"),
+        ("quality_mix = bad:0.2, medium:0.3, good:0.5",
+         "quality_mix = bad:nan, medium:0.5, good:0.5"),
+        ("quality_mix = bad:0.2, medium:0.3, good:0.5",
+         "quality_mix = bad:inf, medium:0.3, good:0.5"),
+        ("nodes = 6", "nodes = 1"),
+        ("nodes = 6", "nodes = 40"),
     ])
     def test_bad_value_rejected_at_parse_time(self, tmp_path, capsys, old, new):
         """A repeated list item or a value no run can use is a config error:
@@ -438,7 +454,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {cfg}:{line}: key '{new.split()[0]}' ")
         for numpy_message in ("lam < 0", "lam value too large", "negative dimensions",
-                              "division by zero"):
+                              "division by zero", "Probabilities"):
             assert numpy_message not in err
         assert not out.exists()
 
@@ -472,30 +488,99 @@ class TestCli:
 
     def test_ppo_rejects_a_job_wider_than_the_network(self, tmp_path, capsys):
         """A 30-qubit catalog needs 10 QPUs per job on 6 nodes. ``train-ppo``
-        and ``run`` with ``ppo`` fail like ``fifo``: exit 1, naming the job.
-        The catalog comes from a file, since ``qubit_sizes = 30`` on 6 nodes
-        is rejected at parse time."""
+        and ``run`` with ``fifo`` or ``ppo`` reject it at parse time: exit 2,
+        naming the catalog file's line, before any output is written. The
+        library rejects such a job in a PPO rollout as FIFO does."""
         catalog = tmp_path / "wide.txt"
-        catalog.write_text("GHZ 30 1\n")
+        catalog.write_text("# one job\nGHZ 30 1\n")
         cfg = tmp_path / "wide.cfg"
         cfg.write_text("[network]\nnodes = 6\nqpu_capacity = 3\n"
                        f"[workload]\nn_slots = 2\ncatalog_file = {catalog}\n"
                        "[setting fixed5]\nfixed_count = 5\n"
                        "[run]\nschedulers = fifo\nseeds = 0\n")
-        config = harness.load_config(str(cfg))
-        net = build_network(6, 3, config.quality_mix, seed=config.ppo_seed)
-        untrained = ppo.PpoAgent(ppo.PpoConfig(), net, config.exec_params(),
-                                 default_catalog(net, config.exec_params()))
+        net = build_network(6, 3, {"good": 1.0}, seed=0)
+        params = ExecModelParams()
+        untrained = ppo.PpoAgent(ppo.PpoConfig(), net, params, default_catalog(net, params))
         weights = str(tmp_path / "ppo.bin")
         ppo.save_weights(weights, untrained)
-        message = "job 0: requires 10 QPUs but the network has 6"
+        wide = catalog_from_file(str(catalog), net, params)
+        with pytest.raises(SchedulingError, match="job 0: requires 10 QPUs but the network has 6"):
+            untrained.rollout(list(wide))
+        message = f"{catalog}:2: a 30-qubit circuit needs 10 QPUs, but the network has 6 nodes"
         for argv in (["train-ppo", "--config", str(cfg), "--out", str(tmp_path / "w.bin")],
                      ["run", "--config", str(cfg), "--out", str(tmp_path / "fifo"),
                       "--schedulers", "fifo"],
                      ["run", "--config", str(cfg), "--out", str(tmp_path / "ppo"),
                       "--schedulers", "ppo", "--weights", weights]):
-            assert cli.main(argv) == 1
-            assert capsys.readouterr().err == f"error: {message}\n"
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ppo.bin", "wide.cfg", "wide.txt"]
+
+    @pytest.mark.parametrize("bad, fragment", [
+        ("GHZ 1 1", "n_qubits must lie in [2, 64], got 1"),
+        ("VQE 5 0", "reps must be >= 1, got 0"),
+        ("QFT 99 1", "n_qubits must lie in [2, 64], got 99"),
+        ("Bogus 5 1", "unknown circuit kind: 'Bogus'"),
+        ("GHZ 5", "expected 'kind n_qubits reps', got 'GHZ 5  # third line'"),
+        ("GHZ five 1", "n_qubits and reps must be integers"),
+    ])
+    def test_catalog_file_lines_checked_at_parse_time(self, tmp_path, capsys, bad, fragment):
+        """Each catalog-file line is checked like a ``qubit_sizes`` entry when
+        the config is read: exit 2 naming the file's path and line."""
+        catalog = tmp_path / "bad.txt"
+        catalog.write_text(f"GHZ 5 1\n\n{bad}  # third line\n")
+        text = self.write_config_text().replace(
+            "qubit_sizes = 5, 10, 15", f"catalog_file = {catalog}", 1)
+        cfg = tmp_path / "catalog.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {catalog}:3: {fragment}\n"
+        assert not out.exists()
+
+    def test_unreadable_catalog_file_names_the_key(self, tmp_path, capsys):
+        text = self.write_config_text().replace(
+            "qubit_sizes = 5, 10, 15", f"catalog_file = {tmp_path / 'none.txt'}", 1)
+        cfg = tmp_path / "catalog.cfg"
+        cfg.write_text(text)
+        line = text.splitlines().index(f"catalog_file = {tmp_path / 'none.txt'}") + 1
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {cfg}:{line}: key 'catalog_file' cannot be read: ")
+
+    def test_node_selection_size_guard(self, tmp_path, capsys):
+        """Where ``epr-ns`` or ``ppo-ns`` is requested, from the config or by
+        ``--schedulers``, or node-selection training, from the config or by
+        ``train-ppo --variant``, a network whose node selection would score more
+        than ``MAX_SELECTION_SUBSETS`` subsets is a config error naming n, k
+        and the count. Checked by arithmetic and parsing alone: no network of
+        that size is built."""
+        assert math.comb(20, 10) <= MAX_SELECTION_SUBSETS < math.comb(21, 10)
+        check_selection_size(20, 10)
+        with pytest.raises(ValueError, match=rf"10 of 21 nodes would score C\(21, 10\) = "
+                                             rf"{math.comb(21, 10)} subsets"):
+            check_selection_size(21, 10)
+        text = self.write_config_text().replace("nodes = 6", "nodes = 40", 1)
+        line = text.splitlines().index("nodes = 40") + 1
+        plain = tmp_path / "plain.cfg"
+        plain.write_text(text.replace(
+            "schedulers = fifo, list, resource, epr, epr-ns, asap", "schedulers = fifo, asap"))
+        assert harness.load_config(str(plain)).n_nodes == 40  # no node selection asked for
+        for command, extra in (("run", ["--schedulers", "fifo,epr-ns"]),
+                               ("run", ["--schedulers", "ppo-ns"]),
+                               ("train-ppo", ["--variant", "node-selection"])):
+            out = tmp_path / "out"
+            assert cli.main([command, "--config", str(plain), "--out", str(out), *extra]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: {plain}:{line}: key 'nodes' is invalid: node selection of 5 "
+                f"of 40 nodes would score C(40, 5) = {math.comb(40, 5)} subsets, above "
+                f"{MAX_SELECTION_SUBSETS}\n")
+            assert not out.exists()
+        ns_training = tmp_path / "ns.cfg"
+        ns_training.write_text(plain.read_text().replace("variant = plain",
+                                                         "variant = node-selection"))
+        with pytest.raises(ConfigError, match="node selection of 5 of 40 nodes"):
+            harness.load_config(str(ns_training))
 
 
 # -- the row-per-slot read path, kept as a reference for the columnar one -----

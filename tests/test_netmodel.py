@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from conftest import MIXES, reference_build_network
 from dqcsched.netmodel import (
     LINK_PRESETS,
     LinkParams,
@@ -165,6 +166,28 @@ class TestBuildNetwork:
             build_network(4, 3, {"good": 0.7}, seed=0)
         with pytest.raises(ValueError):
             build_network(4, 3, {"excellent": 1.0}, seed=0)
+
+    @pytest.mark.parametrize("mix", [
+        {"bad": -0.5, "good": 1.5},
+        {"bad": math.nan, "good": 1.0},
+        {"medium": 0.5, "good": math.nan},
+        {"bad": math.inf, "good": 0.5},
+        {"bad": -math.inf, "good": 1.0},
+    ])
+    def test_rejects_negative_nan_or_infinite_proportion(self, mix):
+        """What ``Generator.choice`` rejected when it drew each pair's class
+        is rejected by ``build_network`` itself, naming the mix."""
+        with pytest.raises(ValueError, match="quality_mix"):
+            build_network(4, 3, mix, seed=0)
+
+    def test_one_draw_matches_the_per_pair_choice_loop(self):
+        """Every pair's class drawn at once gives the links and delay matrix
+        of one ``rng.choice`` per pair, also for a mix with a zero share."""
+        mixes = [*MIXES, {"bad": 0.4, "medium": 0.0, "good": 0.6}]
+        for n, mix, seed in itertools.product(range(2, 15), mixes, range(51)):
+            got = build_network(n, 3, mix, seed)
+            want = reference_build_network(n, 3, mix, seed)
+            assert got.links == want.links and got.delay_ns == want.delay_ns
 
     def test_frozen_with_delay_matrix(self):
         net = build_network(5, 3, {"bad": 0.5, "good": 0.5}, seed=3)

@@ -9,8 +9,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import make_job, make_rng, reference_pricer, unit_exec_params, weighted_network
-from dqcsched import execmodel
+from conftest import (
+    make_job,
+    make_rng,
+    reference_pricer,
+    reference_select_nodes,
+    unit_exec_params,
+    weighted_network,
+)
+from dqcsched import execmodel, schedulers
 from dqcsched.execmodel import ExecModelParams, PriceClass, estimate_execution_time
 from dqcsched.netmodel import LINK_PRESETS, LinkProfile, build_network, homogeneous_network
 from dqcsched.ppo import PpoAgent, PpoConfig
@@ -308,14 +315,18 @@ class TestDurationMemo:
             assert self.price(job, (1, 3), net, ExecModelParams(gate)) == gate * t_ns
 
     def test_network_with_tables_freed_without_the_cycle_collector(self):
-        """The tables hold no reference back to their network, so dropping a
-        priced network frees it at once. A cycle would keep every network of
-        a long run, and the jobs its classes hold, until a full collection."""
-        net = build_network(6, 3, self.MIXED, seed=3)
-        queue = list(default_catalog(net, PARAMS))[:4]
+        """The price and pick tables hold no reference back to their network,
+        so dropping a priced network whose node picks are memoised frees it
+        at once. A cycle would keep every network of a long run, and the jobs
+        its classes hold, until a full collection."""
+        net = build_network(12, 3, self.MIXED, seed=3)
+        queue = list(default_catalog(net, PARAMS))[:8]
         for name in SCHEDULER_NAMES:
             get_scheduler(name)(queue, net, PARAMS)
-        assert self.n_entries(net) > 0
+        agent = PpoAgent(PpoConfig(j_max=8), net, PARAMS, default_catalog(net, PARAMS))
+        agent.schedule(queue, node_selection=True)
+        del agent
+        assert self.n_entries(net) > 0 and len(net._selection_memo) > 1
         alive = weakref.ref(net)
         gc.disable()
         try:
@@ -439,6 +450,47 @@ class TestSelectNodes:
         net = weighted_network(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
         with pytest.raises(ValueError):
             select_nodes([0, 1], 3, net)
+
+    @pytest.mark.parametrize("free", [[0, 0, 1], [0, 1, 3], [-1, 0, 1]])
+    def test_repeated_or_unknown_ids_rejected(self, free):
+        net = weighted_network(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
+        with pytest.raises(ValueError):
+            select_nodes(free, 2, net)
+        assert net._selection_memo == {}
+
+    def test_memo_keyed_by_free_mask_holds_the_rest(self):
+        """One memo entry per (free-node bit mask, k), whatever order the free
+        nodes come in, holding the pick and the mask of the nodes left free."""
+        net = build_network(8, 3, {"bad": 0.5, "good": 0.5}, seed=4)
+        picked = select_nodes([6, 1, 3, 0], 2, net)
+        assert select_nodes([0, 1, 3, 6], 2, net) == picked
+        mask = 0b1001011
+        assert net._selection_memo == {
+            (mask, 2): (picked, mask - sum(1 << n for n in picked))}
+
+    def test_wide_free_sets_match_the_reference(self):
+        """Up to 12 nodes: each memoised answer equals the memo-free copy of
+        the subset search as it was before the free-mask table."""
+        rng = make_rng(35)
+        for seed in range(12):
+            n = int(rng.integers(9, 13))
+            net = build_network(n, 3, {"bad": 0.2, "medium": 0.3, "good": 0.5}, seed)
+            for _ in range(8):
+                free = [int(x) for x in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+                k = int(rng.integers(1, len(free) + 1))
+                want = reference_select_nodes(free, k, net)
+                assert select_nodes(free, k, net) == want == select_nodes(free[::-1], k, net)
+
+    def test_size_guard_before_any_subset_is_built(self, monkeypatch):
+        """A cold pick that would score more than ``MAX_SELECTION_SUBSETS``
+        subsets raises, naming n, k and the count; a memoised one is served."""
+        net = homogeneous_network(6, 3, "good")
+        assert select_nodes(range(6), 3, net) == (0, 1, 2)
+        monkeypatch.setattr(schedulers, "MAX_SELECTION_SUBSETS", 19)
+        assert select_nodes(range(6), 3, net) == (0, 1, 2)
+        with pytest.raises(ValueError, match=r"3 of 5 nodes would score C\(5, 3\) = 10"):
+            monkeypatch.setattr(schedulers, "MAX_SELECTION_SUBSETS", 9)
+            select_nodes(range(1, 6), 3, net)
 
 
 class TestAsap:

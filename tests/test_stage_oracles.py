@@ -6,12 +6,15 @@ verbatim: ``_place_stage`` with ``_in_order_stages`` (FIFO, LIST, EPR and
 EPR-NS), the ``resource`` round loop, and ``PpoAgent.build_schedule``; and
 ASAP's loop as it was before price tables. All of them price through
 ``reference_pricer`` (``conftest.py``), a copy of ``Schedule.pricer``, where
-they called that method. Two other edits: EPR's sort key read ``epr_pairs``,
-a field that always equalled ``nonlocal_gates``, and the ``resource`` loop
-took its cap as an argument that no run set, where it now reads
-``ENUMERATION_CAP``. Every test compares the library's schedule with the
-reference's column for column, or both errors word for word, on
-hypothesis-drawn queues and networks.
+they called that method. Three other edits: the stage loop picks nodes
+through ``reference_select_nodes`` (``conftest.py``), a memo-free copy of
+``select_nodes`` from before its free-mask table, so a wrong table entry
+cannot reach both sides; EPR's sort key read ``epr_pairs``, a field that
+always equalled ``nonlocal_gates``; and the ``resource`` loop took its cap
+as an argument that no run set, where it now reads ``ENUMERATION_CAP``.
+Every test compares the library's schedule with the reference's column for
+column, or both errors word for word, on hypothesis-drawn queues and
+networks.
 """
 import dataclasses
 
@@ -19,7 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_job, reference_pricer, unit_exec_params
+from conftest import (
+    MIXES,
+    make_job,
+    reference_pricer,
+    reference_select_nodes,
+    unit_exec_params,
+)
 from dqcsched.execmodel import EPR_POLICIES, ExecModelParams
 from dqcsched.netmodel import Network, build_network
 from dqcsched.ppo import PpoAgent, PpoConfig
@@ -33,13 +42,11 @@ from dqcsched.schedulers import (
     epr_schedule,
     get_scheduler,
     resource_prioritize_schedule,
-    select_nodes,
 )
 from dqcsched.workload import default_catalog
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 COLUMNS = ("job_id", "assigned_nodes", "start_ns", "finish_ns", "stage_index")
-MIXES = ({"good": 1.0}, {"bad": 0.2, "medium": 0.3, "good": 0.5}, {"bad": 0.5, "good": 0.5})
 
 
 # -- references: the stage loops as they were before ``_place_stages`` --------
@@ -58,7 +65,7 @@ def reference_place_stage(place, jobs, network: Network, barrier: int, stage: in
         if job.required_qpus > len(free):
             raise SchedulingError(job.id, "stage exceeds free nodes")
         if node_selection:
-            nodes = select_nodes(free, job.required_qpus, network)
+            nodes = reference_select_nodes(free, job.required_qpus, network)
             free = [n for n in free if n not in nodes]
         else:
             nodes, free = free[: job.required_qpus], free[job.required_qpus:]
@@ -192,13 +199,14 @@ def outcome(run):
 
 @st.composite
 def environments(draw, max_jobs=12):
-    """(network, exec params, queue): a ``build_network`` of 2-8 nodes and a
+    """(network, exec params, queue): a ``build_network`` of 2-12 nodes, so
+    node selection meets wide free sets, and a
     queue of up to ``max_jobs`` jobs under distinct ids not in arrival
     order. Half the queues are synthetic jobs whose durations come from four
     values, so stage ends tie; the other half are catalog jobs, whose prices
     depend on the nodes they get. One synthetic queue in ten may hold a job
     wider than the network."""
-    n_nodes = draw(st.integers(2, 8))
+    n_nodes = draw(st.integers(2, 12))
     network = build_network(n_nodes, 3, draw(st.sampled_from(MIXES)),
                             seed=draw(st.integers(0, 30)))
     n_jobs = draw(st.integers(0, max_jobs))

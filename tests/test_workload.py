@@ -8,17 +8,23 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, unit_exec_params
-from dqcsched.execmodel import ExecModelParams, estimate_execution_time
+from dqcsched.execmodel import (
+    ExecModelParams,
+    estimate_execution_time,
+    estimate_execution_time_nominal,
+)
 from dqcsched.netmodel import build_network, homogeneous_network
 from dqcsched.schedulers import asap_schedule
 from dqcsched.workload import (
     CIRCUIT_KINDS,
+    JobDescriptor,
     WorkloadConfig,
     build_circuit_profile,
     catalog_from_file,
     default_catalog,
     generate_slot_jobs,
     partition_job,
+    required_qpus,
     sample_arrival_count,
     selection_probabilities,
 )
@@ -345,3 +351,77 @@ class TestPriceKey:
                     assert p.duration_ns == estimate_execution_time(
                         by_id[p.job_id], p.assigned_nodes, net, params)
         assert sum(len(c.by_nodes) for c in net._price_tables[params.key].values()) > 20
+
+
+# -- catalogs as they were built before each entry was constructed once -------
+
+
+def reference_partition_job(profile, qpu_capacity, network, exec_params):
+    """``partition_job`` as it was: a draft job, its nominal estimate, then a
+    ``dataclasses.replace`` that adds it."""
+    required = required_qpus(profile.n_qubits, qpu_capacity)
+    cross = tuple(
+        (min(a // qpu_capacity, b // qpu_capacity), max(a // qpu_capacity, b // qpu_capacity))
+        for a, b in profile.two_qubit_gates
+        if a // qpu_capacity != b // qpu_capacity
+    )
+    draft = JobDescriptor(
+        id=-1,
+        required_qpus=required,
+        nonlocal_gates=len(cross),
+        est_exec_ns=0,
+        profile=profile,
+        cross_block_pairs=cross,
+    )
+    est = estimate_execution_time_nominal(draft, network, exec_params)
+    return dataclasses.replace(draft, est_exec_ns=est)
+
+
+def reference_sorted_catalog(entries, network, exec_params):
+    """``_sorted_catalog`` as it was: sort the partitioned jobs, then renumber
+    each with ``dataclasses.replace``."""
+    jobs = [
+        reference_partition_job(build_circuit_profile(kind, n, reps), network.qpu_capacity,
+                                network, exec_params)
+        for kind, n, reps in entries
+    ]
+    jobs.sort(key=lambda j: (j.nonlocal_gates, j.est_exec_ns, j.profile.kind,
+                             j.profile.n_qubits))
+    return tuple(dataclasses.replace(j, id=i) for i, j in enumerate(jobs))
+
+
+class TestCatalogMatchesReference:
+    """Every catalog entry equals, field for field and in order, the entry
+    built the old way, ``price_key`` included (``vars`` holds every field)."""
+
+    NETWORKS = [build_network(n, capacity, {"bad": 0.2, "medium": 0.3, "good": 0.5}, seed)
+                for n, capacity, seed in ((6, 3, 0), (12, 3, 5), (6, 2, 1), (8, 5, 2))]
+    PARAMS = [ExecModelParams(), ExecModelParams(700, "per-link-parallel")]
+
+    def test_default_catalog(self):
+        for net, params, reps in itertools.product(self.NETWORKS, self.PARAMS, (1, 2)):
+            for sizes in ((5, 10, 15), (2, 3, 4, 7), tuple(range(5, 31))):
+                entries = [(kind, n, reps) for kind in CIRCUIT_KINDS for n in sizes]
+                got = default_catalog(net, params, qubit_sizes=sizes, reps=reps)
+                want = reference_sorted_catalog(entries, net, params)
+                assert [vars(job) for job in got] == [vars(job) for job in want]
+
+    def test_catalog_from_file(self, tmp_path):
+        """Repeated and tied lines keep their file order among equals."""
+        lines = ["VQE 8 2", "GHZ 5 1", "QFT, 6, 1", "GHZ 5 1", "QAOA 4 3", "GraphState 5 1",
+                 "GHZ 2 1", "VQE 2 1", "QFT 12 1"]
+        path = tmp_path / "catalog.txt"
+        path.write_text("# mixed\n" + "\n".join(lines) + "\n")
+        entries = [(kind, int(n), int(reps)) for kind, n, reps in
+                   (line.replace(",", " ").split() for line in lines)]
+        for net, params in itertools.product(self.NETWORKS, self.PARAMS):
+            got = catalog_from_file(str(path), net, params)
+            want = reference_sorted_catalog(entries, net, params)
+            assert [vars(job) for job in got] == [vars(job) for job in want]
+
+    def test_partition_job(self):
+        for net, params in itertools.product(self.NETWORKS, self.PARAMS):
+            for kind, n in itertools.product(CIRCUIT_KINDS, (2, 5, 9, 17)):
+                profile = build_circuit_profile(kind, n, 2)
+                assert vars(partition_job(profile, net.qpu_capacity, net, params)) == \
+                    vars(reference_partition_job(profile, net.qpu_capacity, net, params))
