@@ -122,6 +122,18 @@ def _scheduler_list(value: str) -> tuple[str, ...]:
     return names
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer that is at least ``low``."""
+    def parse(value: str) -> int:
+        try:
+            if int(value) >= low:
+                return int(value)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expects an integer >= {low}, got {value!r}")
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dqcsched",
@@ -134,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--schedulers", type=_scheduler_list,
                        help="comma list overriding the config")
-    p_run.add_argument("--seed", type=int, help="run a single seed only")
+    p_run.add_argument("--seed", type=_int_at_least(0), help="run a single seed only")
     p_run.add_argument("--weights", help="ppo weights file")
     p_run.set_defaults(func=_cmd_run)
 
@@ -154,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train-ppo", help="train the RL scheduler")
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--out", required=True, help="weights file to write")
-    p_train.add_argument("--updates", type=int)
+    p_train.add_argument("--updates", type=_int_at_least(1))
     p_train.add_argument("--variant", choices=["plain", "node-selection"])
     p_train.add_argument("--log", help="training log CSV path")
     p_train.set_defaults(func=_cmd_train_ppo)

@@ -388,6 +388,15 @@ def _check(sec, key: str, check, *args) -> None:
         raise sec.error(key, f"is invalid: {exc}") from None
 
 
+def _int_at_least(sec, key: str, default: int | None, low: int) -> int | None:
+    """``sec``'s integer ``key``, ``default`` if absent; a value below
+    ``low`` is a ConfigError that names the key's file and line."""
+    value = sec.get_int(key, default)
+    if value is not None and value < low:
+        raise sec.error(key, f"must be >= {low}, got {value}")
+    return value
+
+
 def _catalog_file_demands(wl, path: str, capacity: int, n_nodes: int) -> set[int]:
     """The QPU demands of a catalog file's jobs, each line read and checked
     like a ``qubit_sizes`` entry, no circuit built; a bad line is a
@@ -429,9 +438,7 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
         if lam is not None and not 0.0 <= lam <= workload.POISSON_LAM_MAX:
             raise sec.error("lambda", f"must lie in [0, {workload.POISSON_LAM_MAX:.6g}] "
                             f"(numpy's Poisson limit), got {lam}")
-        fixed = sec.get_int("fixed_count")
-        if fixed is not None and fixed < 1:
-            raise sec.error("fixed_count", f"must be >= 1, got {fixed}")
+        fixed = _int_at_least(sec, "fixed_count", None, 1)
         bias = sec.get_float("bias_alpha", 0.0)
         if not 0.0 <= bias <= 1.0:
             raise sec.error("bias_alpha", f"must lie in [0, 1], got {bias}")
@@ -439,10 +446,9 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
 
     seeds = run.get_int_list("seeds")
     if seeds is None:
-        count = run.get_int("seed_count", 30)
-        if count < 1:
-            raise ConfigError(f"{run.source}: seed_count must be >= 1")
-        seeds = list(range(count))
+        seeds = list(range(_int_at_least(run, "seed_count", len(base.seeds), 1)))
+    elif min(seeds) < 0:
+        raise run.error("seeds", f"must be >= 0, got {min(seeds)}")
 
     ppo_sec = parsed.optional_section("ppo")
     listed_variant = ppo_sec.get_str("variant", base.ppo_variant)
@@ -450,12 +456,7 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
         raise ppo_sec.error("variant", f"must be plain or node-selection, "
                             f"got {listed_variant!r}")
     variant = variant or listed_variant
-    j_max = ppo_sec.get_int("j_max", base.ppo_j_max)
-    if j_max < 1:
-        raise ppo_sec.error("j_max", f"must be >= 1, got {j_max}")
-    n_nodes = net.get_int("nodes", base.n_nodes)
-    if n_nodes < 2:
-        raise net.error("nodes", f"must be >= 2, got {n_nodes}")
+    n_nodes = _int_at_least(net, "nodes", base.n_nodes, 2)
     capacity = net.get_int("qpu_capacity", base.qpu_capacity)
     _check(net, "qpu_capacity", workload.required_qpus, workload.MIN_QUBITS, capacity)
     quality_mix = net.get_mapping("quality_mix", base.quality_mix)
@@ -481,29 +482,28 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
     if {"epr-ns", "ppo-ns"} & set(schedulers) or variant.replace("-", "_") == "node_selection":
         for k in sorted(demands):  # the whole network is free at each stage's start
             _check(net, "nodes", check_selection_size, n_nodes, k)
+    local_gate_ns = _int_at_least(exc, "local_gate_ns", base.local_gate_ns, 1)
+    policy = exc.get_str("epr_serialization", base.epr_serialization)
+    _check(exc, "epr_serialization", ExecModelParams, local_gate_ns, policy)
     config = ExperimentConfig(
         n_nodes=n_nodes,
         qpu_capacity=capacity,
         quality_mix=quality_mix,
-        local_gate_ns=exc.get_int("local_gate_ns", base.local_gate_ns),
-        epr_serialization=exc.get_str("epr_serialization", base.epr_serialization),
-        n_slots=wl.get_int("n_slots", base.n_slots),
+        local_gate_ns=local_gate_ns,
+        epr_serialization=policy,
+        n_slots=_int_at_least(wl, "n_slots", base.n_slots, 1),
         qubit_sizes=qubit_sizes,
         reps=reps,
         catalog_file=catalog_file,
         settings=tuple(settings),
         schedulers=schedulers,
         seeds=tuple(seeds),
-        ppo_updates=ppo_sec.get_int("updates", base.ppo_updates),
+        ppo_updates=_int_at_least(ppo_sec, "updates", base.ppo_updates, 1),
         ppo_variant=variant,
-        ppo_j_max=j_max,
-        ppo_seed=ppo_sec.get_int("seed", base.ppo_seed),
+        ppo_j_max=_int_at_least(ppo_sec, "j_max", base.ppo_j_max, 1),
+        ppo_seed=_int_at_least(ppo_sec, "seed", base.ppo_seed, 0),
         ppo_weights=ppo_sec.raw("weights_file"),
     )
-    try:
-        config.exec_params()
-    except ValueError as exc_err:
-        raise ConfigError(f"{parsed.source}: {exc_err}") from None
     parsed.reject_unread()
     config.validate()
     return config

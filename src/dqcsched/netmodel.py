@@ -115,13 +115,14 @@ class Network:
     """Immutable, fully connected QPU network with per-pair link profiles.
 
     ``delay_ns`` is the n x n matrix of link state delays (zero diagonal),
-    read by the execution model and by node selection. Node selection keeps
-    one pick table, ``_selection_memo``: keyed by (free-node bit mask, k),
-    it holds the picked nodes and the mask of the nodes left free.
-    Placement pricing keeps, per ``ExecModelParams.key`` in
-    ``_price_tables``, a dict of ``execmodel.PriceClass`` keyed by (job
-    price key, demand), each filled on first use. Both live and die with
-    the instance, so a cached answer can never be served to another network.
+    read by the execution model and by node selection. Placement picks and
+    prices through three tables, each filled on first use. The pick tables,
+    ``_selection_memo`` for node selection and ``_lowest_picks`` for the
+    lowest free ids, map (free-node bit mask, k) to the k picked nodes and
+    the mask of the nodes left free. ``_price_tables`` holds one dict per
+    ``ExecModelParams.key``, mapping (job price key, node tuple) to the
+    duration. All live and die with the instance, so a cached answer can
+    never be served to another network.
     """
 
     n_nodes: int
@@ -130,6 +131,9 @@ class Network:
     mean_state_delay_ns: float = field(init=False)
     delay_ns: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
     _selection_memo: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    _lowest_picks: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
     _price_tables: dict = field(

@@ -27,7 +27,7 @@ from .nn import Adam, Mlp, masked_softmax
 from .schedulers import Schedule, _place_stages, _validate_queue
 
 REWARD_VARIANTS = ("plain", "node_selection")
-LATENCY_MODES = ("cumulative", "immediate")
+LATENCY_MODES = ("cumulative",)  # the weight file's latency code indexes this
 _PROB_SUM_TOL = math.sqrt(np.finfo(float).eps)  # Generator.choice's tolerance
 N_FEATURES = 4  # the columns encode_state writes
 # The standard PPO settings (Schulman et al., 2017), fixed for every run.
@@ -105,27 +105,21 @@ def encode_state(queue, j_max: int, time_scale: float) -> PpoState:
 
 
 def stage_latencies(
-    stage_exec: list[list[float]], mode: str = "cumulative"
+    stage_exec: list[list[float]],
 ) -> tuple[list[float], float, float, float]:
     """Per-job latencies, their sum, the serial worst case, and the ratio.
 
-    Each job's latency is its execution time plus a stage waiting offset.
-    Under ``cumulative`` the offset is the sum of all preceding stage
-    maxima; under ``immediate`` only the directly preceding stage's maximum
-    counts. The worst case is the fully serialized descending ordering.
+    Each job's latency is its execution time plus a stage waiting offset,
+    the sum of all preceding stage maxima (the ``cumulative`` mode). The
+    worst case is the fully serialized descending ordering.
     """
-    if mode not in LATENCY_MODES:
-        raise ValueError(f"unknown latency mode: {mode!r}")
     if not stage_exec or any(not s for s in stage_exec):
         raise ValueError("stage_latencies requires non-empty stages")
     latencies: list[float] = []
     offset = 0.0
-    prev_max = 0.0
     for stage in stage_exec:
-        wait = offset if mode == "cumulative" else prev_max
-        latencies.extend(e + wait for e in stage)
-        prev_max = max(stage)
-        offset += prev_max
+        latencies.extend(e + offset for e in stage)
+        offset += max(stage)
     total = sum(latencies)
     all_exec = sorted((e for s in stage_exec for e in s), reverse=True)
     n = len(all_exec)
@@ -139,7 +133,6 @@ def epr_reward(
     alpha: float = 1.0,
     gamma: float = 1.0,
     beta: float = 1.0,
-    latency_mode: str = "cumulative",
 ) -> tuple[float, float]:
     """EPR-aware incentive and the combined episode reward.
 
@@ -173,7 +166,7 @@ def epr_reward(
         d_prev = max(d for d, _ in stage)
     r_epr = alpha * total / count
     stage_exec = [[e for _, e in stage] for stage in stages]
-    _, _, _, r_lat = stage_latencies(stage_exec, latency_mode)
+    _, _, _, r_lat = stage_latencies(stage_exec)
     return r_epr, -r_lat + r_epr
 
 

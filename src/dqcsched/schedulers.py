@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .execmodel import ExecModelParams, PriceClass
+from . import execmodel
+from .execmodel import ExecModelParams
 from .netmodel import Network
 
 SCHEDULER_NAMES = ("fifo", "list", "resource", "epr", "epr-ns", "asap")
@@ -106,28 +107,19 @@ def _place_stages(stages, network: Network, exec_params: ExecModelParams,
     kept as a running max from its start since durations are never negative."""
     schedule = Schedule()
     add_id, add_nodes, add_start, add_finish, add_stage = schedule.appenders()
-    table = network._price_tables.setdefault(exec_params.key, {})
-    n_nodes = network.n_nodes
-    picks = network._selection_memo
+    prices = network._price_tables.setdefault(exec_params.key, {})
+    picks = network._selection_memo if node_selection else network._lowest_picks
+    everyone = (1 << network.n_nodes) - 1
     barrier = 0
     for stage, jobs in enumerate(stages):
-        used, end, free = 0, barrier, (1 << n_nodes) - 1  # free: node bit mask
+        end, free = barrier, everyone  # free: node bit mask
         for job in jobs:
-            d = job.required_qpus
-            if used + d > n_nodes:
-                raise SchedulingError(job.id, "stage exceeds free nodes")
-            key = job.price_key, d
-            cls = table.get(key) or table.setdefault(key, PriceClass(job, n_nodes))
-            if node_selection:
-                hit = picks.get((free, d))
-                if hit is None:  # select_nodes fills the table
-                    select_nodes([n for n in range(n_nodes) if free >> n & 1], d, network)
-                    hit = picks[free, d]
-                nodes, free = hit
-                duration = cls.by_nodes.get(nodes) or cls.price(nodes, network, exec_params)
-            else:  # the free nodes are used .. n_nodes - 1
-                nodes, duration = cls.row[used] or cls.span(used, network, exec_params)
-            used += d
+            nodes, free = picks.get((free, job.required_qpus)) or _pick(
+                job, free, network, node_selection)
+            duration = prices.get((job.price_key, nodes))
+            if duration is None:
+                duration = prices[job.price_key, nodes] = execmodel.estimate_execution_time(
+                    job, nodes, network, exec_params)
             finish = barrier + duration
             add_id(job.id)
             add_nodes(nodes)
@@ -138,6 +130,28 @@ def _place_stages(stages, network: Network, exec_params: ExecModelParams,
                 end = finish
         barrier = end
     return schedule
+
+
+def _pick(job, free: int, network: Network, node_selection: bool
+          ) -> tuple[tuple[int, ...], int]:
+    """Fill the pick table entry for ``job``'s demand d on the free-node bit
+    mask ``free`` and return it: the ascending nodes picked and the mask left
+    free. With ``node_selection`` the pick is ``select_nodes``' answer, which
+    it stores in ``_selection_memo``; without, the lowest d free ids, stored
+    in ``_lowest_picks``. A mask of fewer than d nodes is never stored."""
+    d = job.required_qpus
+    if free.bit_count() < d:
+        raise SchedulingError(job.id, "stage exceeds free nodes")
+    if node_selection:
+        select_nodes([n for n in range(network.n_nodes) if free >> n & 1], d, network)
+        return network._selection_memo[free, d]
+    nodes, rest = [], free
+    for _ in range(d):
+        low = rest & -rest
+        nodes.append(low.bit_length() - 1)
+        rest -= low
+    hit = network._lowest_picks[free, d] = tuple(nodes), rest
+    return hit
 
 
 def _in_order_stages(queue, n_nodes: int, strict_order: bool = True):
@@ -321,30 +335,33 @@ def asap_schedule(queue, network: Network, exec_params: ExecModelParams) -> Sche
     _validate_queue(queue, network)
     schedule = Schedule()
     add_id, add_nodes, add_start, add_finish, add_stage = schedule.appenders()
-    table = network._price_tables.setdefault(exec_params.key, {})
+    prices = network._price_tables.setdefault(exec_params.key, {})
+    picks = network._lowest_picks
     avail = [0] * network.n_nodes
     remaining = list(queue)
     stage = 0
     while remaining:
         t = sorted(avail)[min(job.required_qpus for job in remaining) - 1]
-        free = [n for n, release in enumerate(avail) if release <= t]
+        free = sum(1 << n for n, release in enumerate(avail) if release <= t)
         deferred: list = []
         for job in remaining:
-            d = job.required_qpus
-            if d <= len(free):
-                key = job.price_key, d
-                cls = table.get(key) or table.setdefault(key, PriceClass(job, len(avail)))
-                nodes, free = tuple(free[:d]), free[d:]
-                finish = t + cls.price(nodes, network, exec_params)
-                add_id(job.id)
-                add_nodes(nodes)
-                add_start(t)
-                add_finish(finish)
-                add_stage(stage)
-                for n in nodes:
-                    avail[n] = finish
-            else:
+            if job.required_qpus > free.bit_count():
                 deferred.append(job)
+                continue
+            nodes, free = picks.get((free, job.required_qpus)) or _pick(
+                job, free, network, False)
+            duration = prices.get((job.price_key, nodes))
+            if duration is None:
+                duration = prices[job.price_key, nodes] = execmodel.estimate_execution_time(
+                    job, nodes, network, exec_params)
+            finish = t + duration
+            add_id(job.id)
+            add_nodes(nodes)
+            add_start(t)
+            add_finish(finish)
+            add_stage(stage)
+            for n in nodes:
+                avail[n] = finish
         remaining = deferred
         stage += 1
     return schedule

@@ -438,6 +438,14 @@ class TestCli:
          "quality_mix = bad:inf, medium:0.3, good:0.5"),
         ("nodes = 6", "nodes = 1"),
         ("nodes = 6", "nodes = 40"),
+        ("seed_count = 2", "seeds = -1"),
+        ("seed_count = 2", "seed_count = 0"),
+        ("seed = 0", "seed = -1"),
+        ("updates = 200", "updates = 0"),
+        ("updates = 200", "updates = -3"),
+        ("n_slots = 5", "n_slots = 0"),
+        ("local_gate_ns = 1000", "local_gate_ns = 0"),
+        ("epr_serialization = serial", "epr_serialization = bogus"),
     ])
     def test_bad_value_rejected_at_parse_time(self, tmp_path, capsys, old, new):
         """A repeated list item or a value no run can use is a config error:
@@ -448,13 +456,13 @@ class TestCli:
         line = next(k for k, row in enumerate(text.splitlines(), 1) if row.startswith(new))
         out = tmp_path / "out"
         command = ["train-ppo", "--config", str(cfg), "--out", str(out), "--updates", "1"] \
-            if new.startswith(("j_max", "variant")) else \
+            if new.startswith(("j_max", "variant", "seed =", "updates")) else \
             ["run", "--config", str(cfg), "--out", str(out)]
         assert cli.main(command) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {cfg}:{line}: key '{new.split()[0]}' ")
         for numpy_message in ("lam < 0", "lam value too large", "negative dimensions",
-                              "division by zero", "Probabilities"):
+                              "division by zero", "Probabilities", "non-negative"):
             assert numpy_message not in err
         assert not out.exists()
 
@@ -484,6 +492,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage: dqcsched run")
         assert "error: argument --schedulers: lists 'fifo' more than once" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("run", "--seed", "-1"),
+        ("run", "--seed", "x"),
+        ("train-ppo", "--updates", "-3"),
+        ("train-ppo", "--updates", "0"),
+    ])
+    def test_bad_flag_value_is_a_usage_error(self, tmp_path, capsys, command, flag, value):
+        """A negative ``run --seed`` or a ``train-ppo --updates`` below 1 is
+        a usage error naming the flag: exit 2 before any output is written."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", self.write_config(tmp_path), "--out", str(out),
+                      flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: dqcsched {command}")
+        low = 0 if flag == "--seed" else 1
+        assert f"error: argument {flag}: expects an integer >= {low}, got '{value}'" in err
         assert not out.exists()
 
     def test_ppo_rejects_a_job_wider_than_the_network(self, tmp_path, capsys):

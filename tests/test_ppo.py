@@ -433,12 +433,8 @@ class TestStageLatencies:
             ratio = stage_latencies(stages)[3]
             assert 0.0 < ratio <= 1.0 + 1e-12
 
-    def test_immediate_mode_offsets_by_one_stage_only(self):
-        stages = [[4.0], [2.0], [1.0]]
-        cumulative = stage_latencies(stages, mode="cumulative")[0]
-        immediate = stage_latencies(stages, mode="immediate")[0]
-        assert cumulative == [4.0, 6.0, 7.0]
-        assert immediate == [4.0, 6.0, 3.0]
+    def test_offset_is_the_sum_of_preceding_stage_maxima(self):
+        assert stage_latencies([[4.0], [2.0, 3.0], [1.0]])[0] == [4.0, 6.0, 7.0, 8.0]
 
 
 class TestEprReward:
@@ -766,6 +762,17 @@ class TestPersistence:
         assert struct.unpack_from("<2d", data, table_end) == (5.0, 4.0)
         five = data[:table_end + 8] + struct.pack("<d", 5.0) + data[table_end + 16:]
         self.assert_rejected(tmp_path / "features.bin", five, agent, "bad metadata")
+
+    def test_latency_code_other_than_cumulative_rejected(self, tmp_path):
+        # [j_max, n_features, variant, latency, ...]: save_weights writes
+        # latency code 0, ``cumulative``, the only mode; code 1 is not a mode.
+        agent, data = self.saved_bytes(tmp_path)
+        table_end = len(data) - 8 * sum(
+            a.size for a in [np.zeros(7), agent.feature_scales]
+            + agent.policy.parameters() + agent.value_net.parameters())
+        assert struct.unpack_from("<d", data, table_end + 24) == (0.0,)
+        latency = data[:table_end + 24] + struct.pack("<d", 1.0) + data[table_end + 32:]
+        self.assert_rejected(tmp_path / "latency.bin", latency, agent, "bad metadata")
 
     def test_non_finite_weights_rejected(self, tmp_path):
         agent, data = self.saved_bytes(tmp_path)

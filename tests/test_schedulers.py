@@ -18,7 +18,7 @@ from conftest import (
     weighted_network,
 )
 from dqcsched import execmodel, schedulers
-from dqcsched.execmodel import ExecModelParams, PriceClass, estimate_execution_time
+from dqcsched.execmodel import ExecModelParams, estimate_execution_time
 from dqcsched.netmodel import LINK_PRESETS, LinkProfile, build_network, homogeneous_network
 from dqcsched.ppo import PpoAgent, PpoConfig
 from dqcsched.schedulers import (
@@ -237,19 +237,18 @@ class TestDurationMemo:
         return calls
 
     @staticmethod
-    def price_class(job, net, params):
-        table = net._price_tables.setdefault(params.key, {})
-        key = job.price_key, job.required_qpus
-        return table.get(key) or table.setdefault(key, PriceClass(job, net.n_nodes))
-
-    @classmethod
-    def price(cls, job, nodes, net, params):
-        return cls.price_class(job, net, params).price(tuple(nodes), net, params)
+    def price(job, nodes, net, params):
+        """The placement loops' price step: the flat table's entry for (price
+        key, nodes), filled by one exec-model call on a miss."""
+        prices = net._price_tables.setdefault(params.key, {})
+        key = job.price_key, tuple(nodes)
+        if key not in prices:
+            prices[key] = execmodel.estimate_execution_time(job, key[1], net, params)
+        return prices[key]
 
     @staticmethod
     def n_entries(net):
-        return sum(len(c.by_nodes) for table in net._price_tables.values()
-                   for c in table.values())
+        return sum(map(len, net._price_tables.values()))
 
     @pytest.mark.parametrize("policy", ["serial", "per-link-parallel"])
     def test_hit_equals_direct_call(self, counted, policy):
@@ -266,10 +265,12 @@ class TestDurationMemo:
             assert self.price(job, nodes, net, params) == direct
             first = nodes[0]
             if nodes == tuple(range(first, first + len(nodes))):  # a span
-                entry = self.price_class(job, net, params)
-                assert (entry.row[first] or entry.span(first, net, params)) == (nodes, direct)
-        # one call per distinct (params, class, nodes); the second pass and
-        # the spans are served from the tables
+                # the lowest-ids pick once nodes 0 .. first - 1 are taken
+                free = (1 << 6) - (1 << first)
+                left = free - sum(1 << n for n in nodes)
+                assert schedulers._pick(job, free, net, False) == (nodes, left)
+        # one call per distinct (params, price key, nodes); the second pass
+        # is served from the tables
         distinct = {(params.key, job.price_key, nodes) for job, nodes, params in placements}
         assert len(counted) == len(distinct) == self.n_entries(net) <= len(placements)
 
@@ -291,8 +292,10 @@ class TestDurationMemo:
         assert [self.n_entries(net) for net in nets] == [2, 2]
 
     def test_wrong_length_rejected_on_warm_memo(self):
-        """Jobs of one price key but two demands are two classes; a node
-        tuple of the wrong length still reaches the exec model, which raises."""
+        """Jobs of one price key but two demands never share an entry: a
+        pick's length is its job's demand, so each demand keys its own node
+        tuples. A tuple of the wrong length reaches only the exec model,
+        which raises, warm table or not."""
         net = homogeneous_network(4, 3, "good")
         wide, narrow = make_job(0, 3, 10), make_job(1, 2, 10)
         assert wide.price_key == narrow.price_key
@@ -300,13 +303,13 @@ class TestDurationMemo:
             schedule = fifo_schedule(queue, net, PARAMS)
             assert schedule.assigned_nodes == [tuple(range(j.required_qpus)) for j in queue]
             assert [p.duration_ns for p in schedule.placements] == [10, 10]
-        assert self.price(wide, (0, 1, 2), net, PARAMS) == 10
-        assert self.price(narrow, (0, 1), net, PARAMS) == 10
-        assert len(net._price_tables[PARAMS.key]) == 2
+        assert net._price_tables[PARAMS.key] == {(wide.price_key, (0, 1, 2)): 10,
+                                                 (narrow.price_key, (0, 1)): 10}
+        assert all(len(nodes) == d for (_, d), (nodes, _) in net._lowest_picks.items())
         with pytest.raises(ValueError, match="requires 2 nodes, got 3"):
-            self.price(narrow, (0, 1, 2), net, PARAMS)
+            estimate_execution_time(narrow, (0, 1, 2), net, PARAMS)
         with pytest.raises(ValueError, match="requires 3 nodes, got 2"):
-            self.price(wide, (0, 1), net, PARAMS)
+            estimate_execution_time(wide, (0, 1), net, PARAMS)
 
     def test_make_job_prices_exactly(self):
         net = homogeneous_network(4, 3, "good")
@@ -326,7 +329,8 @@ class TestDurationMemo:
         agent = PpoAgent(PpoConfig(j_max=8), net, PARAMS, default_catalog(net, PARAMS))
         agent.schedule(queue, node_selection=True)
         del agent
-        assert self.n_entries(net) > 0 and len(net._selection_memo) > 1
+        assert self.n_entries(net) > 0
+        assert len(net._selection_memo) > 1 and len(net._lowest_picks) > 1
         alive = weakref.ref(net)
         gc.disable()
         try:
@@ -337,10 +341,10 @@ class TestDurationMemo:
 
     @pytest.mark.parametrize("policy", ["serial", "per-link-parallel"])
     def test_schedulers_share_one_call_per_class_and_nodes(self, counted, policy):
-        """All six schedulers on one network: spans, selected subsets and
-        ASAP's node sets share the tables, so the exec model is called once
-        per distinct (class, nodes) the placements hold, and every duration
-        is its answer."""
+        """All six schedulers on one network: lowest-id and selected picks
+        share the price table, so the exec model is called once per distinct
+        (price key, nodes) the placements hold, and every duration is its
+        answer."""
         net = build_network(6, 3, self.MIXED, seed=11)
         params = ExecModelParams(epr_serialization=policy)
         catalog = default_catalog(net, params)
@@ -354,8 +358,46 @@ class TestDurationMemo:
                     job = queue[p.job_id]
                     assert p.duration_ns == estimate_execution_time(
                         job, p.assigned_nodes, net, params)
-                    placed.add((job.price_key, job.required_qpus, p.assigned_nodes))
+                    placed.add((job.price_key, p.assigned_nodes))
         assert len(counted) == len(placed) == self.n_entries(net)
+
+    def test_fifo_and_asap_share_pick_and_price_entries(self, counted):
+        """A queue that fits one stage places alike under FIFO and ASAP, and
+        whichever runs second finds every pick and price in the tables the
+        first filled: no new entry, no exec-model call, no node selection."""
+        catalog = default_catalog(build_network(6, 3, self.MIXED, seed=5), PARAMS,
+                                  qubit_sizes=(5, 10))
+        queue = [dataclasses.replace(catalog[k], id=i) for i, k in enumerate((-1, 0))]
+        assert [job.required_qpus for job in queue] == [4, 2]
+        for first, second in ((fifo_schedule, asap_schedule), (asap_schedule, fifo_schedule)):
+            net = build_network(6, 3, self.MIXED, seed=5)
+            placed = first(queue, net, PARAMS).assigned_nodes
+            assert placed == [(0, 1, 2, 3), (4, 5)]
+            tables = dict(net._lowest_picks), dict(net._price_tables[PARAMS.key])
+            assert len(tables[0]) == len(tables[1]) == len(counted) == 2
+            assert second(queue, net, PARAMS).assigned_nodes == placed
+            assert (net._lowest_picks, net._price_tables[PARAMS.key]) == tables
+            assert len(counted) == 2 and net._selection_memo == {}
+            counted.clear()
+
+    def test_lowest_pick_oracle_on_every_mask(self):
+        """Every free mask and demand of an 8-node network: the lowest-ids
+        pick is the d smallest free ids with the rest left free, stored under
+        (mask, d); a mask of fewer than d nodes raises and stores nothing."""
+        net = homogeneous_network(8, 3, "good")
+        for free, d in itertools.product(range(1 << 8), range(1, 9)):
+            ids = [n for n in range(8) if free >> n & 1]
+            job = make_job(7, d, 10)
+            if len(ids) < d:
+                with pytest.raises(SchedulingError, match="stage exceeds free nodes"):
+                    schedulers._pick(job, free, net, False)
+                continue
+            want = tuple(ids[:d]), sum(1 << n for n in ids[d:])
+            assert schedulers._pick(job, free, net, False) == want
+            assert net._lowest_picks[free, d] == want
+        assert len(net._lowest_picks) == sum(
+            1 for free in range(1 << 8) for d in range(1, free.bit_count() + 1))
+        assert net._selection_memo == {}
 
 
 class TestEpr:
