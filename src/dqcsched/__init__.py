@@ -1,7 +1,7 @@
 """Discrete-slot simulator and schedulers for distributed quantum computing
 jobs over a fully connected, heterogeneous QPU network."""
 
-from .execmodel import ExecModelParams, estimate_execution_time, estimate_execution_time_nominal
+from .execmodel import ExecModelParams, estimate_execution_time, nominal_execution_time
 from .metrics import MetricsReport, compute_report, compute_reports, metric_columns
 from .netmodel import (
     LINK_PRESETS,

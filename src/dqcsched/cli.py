@@ -114,11 +114,15 @@ def _cmd_cdf(args) -> int:
 
 
 def _scheduler_list(value: str) -> tuple[str, ...]:
-    """``--schedulers``: a comma list, under the config's repeated-item rule."""
+    """``--schedulers``: a comma list of known names, under the config's
+    repeated-item rule."""
     names = tuple(name.strip() for name in value.split(","))
     repeated = first_repeat(names)
     if repeated is not None:
         raise argparse.ArgumentTypeError(f"lists {repeated!r} more than once")
+    for name in names:
+        if name not in harness.KNOWN_SCHEDULERS:
+            raise argparse.ArgumentTypeError(f"lists unknown scheduler {name!r}")
     return names
 
 

@@ -25,15 +25,20 @@ def first_repeat(items: list):
 
 
 class Section:
-    def __init__(self, name: str, source: str):
+    def __init__(self, name: str, source: str, line: int | None = None):
         self.name = name
         self.source = source
+        self.line = line  # of the header; None for a section the file lacks
         self.entries: dict[str, tuple[str, int]] = {}
         self.read: set[str] = set()
 
     def error(self, key: str, message: str) -> ConfigError:
         """A ConfigError about ``key`` that names its file and line."""
         return ConfigError(f"{self.source}:{self.entries[key][1]}: key {key!r} {message}")
+
+    def header_error(self, message: str) -> ConfigError:
+        """A ConfigError about the section itself that names its header's line."""
+        return ConfigError(f"{self.source}:{self.line}: section [{self.name}] {message}")
 
     def raw(self, key: str, default: str | None = None) -> str | None:
         if key not in self.entries:
@@ -160,7 +165,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ParsedConfig:
                 raise ConfigError(f"{source}:{lineno}: empty section name")
             if name in parsed.sections:
                 raise ConfigError(f"{source}:{lineno}: duplicate section [{name}]")
-            current = Section(name, source)
+            current = Section(name, source, lineno)
             parsed.sections[name] = current
             continue
         if "=" not in line:

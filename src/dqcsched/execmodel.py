@@ -68,19 +68,14 @@ def estimate_execution_time(job, assigned_nodes, network: Network, params: ExecM
     return local + int(round(epr))
 
 
-def estimate_execution_time_nominal(job, network: Network, params: ExecModelParams) -> int:
-    """Node-blind duration estimate: every link delay replaced by the mean.
+def nominal_execution_time(local_depth: int, cross_block_pairs, network: Network,
+                           params: ExecModelParams) -> int:
+    """Node-blind duration estimate of a job of this local depth and these
+    cross-block pairs: every link delay replaced by the network-wide mean.
 
     This is the figure schedulers (and the RL state encoding) see before
     nodes are chosen; it does not depend on any particular assignment.
     """
-    return nominal_execution_time(job.profile.local_depth, job.cross_block_pairs,
-                                  network, params)
-
-
-def nominal_execution_time(local_depth: int, cross_block_pairs, network: Network,
-                           params: ExecModelParams) -> int:
-    """The nominal estimate of a job of this depth and these cross-block pairs."""
     local = local_depth * params.local_gate_ns
     if not cross_block_pairs:
         return local

@@ -26,6 +26,8 @@ from .ppo import REWARD_VARIANTS
 from .schedulers import SCHEDULER_NAMES, check_selection_size, get_scheduler
 
 PPO_SCHEDULER_NAMES = ("ppo", "ppo-ns")
+KNOWN_SCHEDULERS = SCHEDULER_NAMES + PPO_SCHEDULER_NAMES
+QUBIT_SIZES = (5, 10, 15)  # the default catalog: every circuit family at each size
 SLOTS_CSV = "slots.csv"
 
 
@@ -55,9 +57,8 @@ class ExperimentConfig:
     local_gate_ns: int = 1000
     epr_serialization: str = "serial"
     n_slots: int = 200
-    qubit_sizes: tuple[int, ...] = (5, 10, 15)
-    reps: int = 1
-    catalog_file: str | None = None
+    catalog_entries: tuple[tuple[str, int, int], ...] = tuple(  # (kind, n_qubits, reps)
+        (kind, n, 1) for kind in workload.CIRCUIT_KINDS for n in QUBIT_SIZES)
     settings: tuple[SettingSpec, ...] = ()
     schedulers: tuple[str, ...] = ("fifo", "list", "resource", "epr", "epr-ns", "asap")
     seeds: tuple[int, ...] = tuple(range(30))
@@ -82,9 +83,8 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if self.n_slots < 1:
             raise ConfigError("n_slots must be >= 1")
-        known = set(SCHEDULER_NAMES) | set(PPO_SCHEDULER_NAMES)
         for name in self.schedulers:
-            if name not in known:
+            if name not in KNOWN_SCHEDULERS:
                 raise ConfigError(f"unknown scheduler {name!r}")
         labels = [s.label for s in self.settings]
         if len(set(labels)) != len(labels):
@@ -142,13 +142,7 @@ def _workload_rng(seed: int) -> np.random.Generator:
 
 
 def build_catalog(config: ExperimentConfig, network: Network):
-    if config.catalog_file is not None:
-        return workload.catalog_from_file(
-            config.catalog_file, network, config.exec_params()
-        )
-    return workload.default_catalog(
-        network, config.exec_params(), qubit_sizes=config.qubit_sizes, reps=config.reps
-    )
+    return workload.sorted_catalog(config.catalog_entries, network, config.exec_params())
 
 
 def _resolve_scheduler(name: str, ppo_agents):
@@ -397,28 +391,41 @@ def _int_at_least(sec, key: str, default: int | None, low: int) -> int | None:
     return value
 
 
-def _catalog_file_demands(wl, path: str, capacity: int, n_nodes: int) -> set[int]:
-    """The QPU demands of a catalog file's jobs, each line read and checked
-    like a ``qubit_sizes`` entry, no circuit built; a bad line is a
-    ConfigError naming the catalog file's path and line."""
-    try:
-        lines = workload.read_catalog_file(path)
-    except OSError as exc:
-        raise wl.error("catalog_file", f"cannot be read: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    demands = set()
+def _catalog_entries(wl, net, capacity: int, n_nodes: int) -> tuple[tuple[str, int, int], ...]:
+    """The catalog's (kind, n_qubits, reps) entries: the ``catalog_file``'s
+    job lines, read once, or every circuit family at each ``qubit_sizes``
+    entry. One loop checks each entry's shape and QPU need; an error names
+    the catalog file's path and line, or the key that set the entry."""
+    path = wl.raw("catalog_file")
+    reps = wl.get_int("reps", 1)
+    sizes = wl.get_int_list("qubit_sizes", list(QUBIT_SIZES))
+    if path is None:
+        _check(wl, "reps", workload.check_circuit_shape, workload.MIN_QUBITS, reps)
+        lines = [(None, kind, size, reps) for kind in workload.CIRCUIT_KINDS for size in sizes]
+    else:  # the catalog file sets the sizes and reps
+        try:
+            lines = workload.read_catalog_file(path)
+        except OSError as exc:
+            raise wl.error("catalog_file", f"cannot be read: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     for lineno, _, size, reps in lines:
         try:
             workload.check_circuit_shape(size, reps)
         except ValueError as exc:
+            if lineno is None:
+                raise wl.error("qubit_sizes", f"is invalid: {exc}") from None
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
         need = workload.required_qpus(size, capacity)
-        if need > n_nodes:
+        if need > n_nodes and lineno is not None:
             raise ConfigError(f"{path}:{lineno}: a {size}-qubit circuit needs {need} QPUs, "
                               f"but the network has {n_nodes} nodes")
-        demands.add(need)
-    return demands
+        if need > n_nodes:  # blame the first key that set the sizes or the network
+            sec, key = ((wl, "qubit_sizes") if "qubit_sizes" in wl.entries else
+                        (net, "nodes" if "nodes" in net.entries else "qpu_capacity"))
+            raise sec.error(key, f"makes a {size}-qubit circuit need {need} QPUs, "
+                            f"but the network has {n_nodes} nodes")
+    return tuple((kind, size, reps) for _, kind, size, reps in lines)
 
 
 def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
@@ -434,6 +441,8 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
     settings = []
     for sec in parsed.sections_with_prefix("setting"):
         label = sec.name[len("setting"):].strip() or sec.name
+        if label in [s.label for s in settings]:
+            raise sec.header_error(f"repeats the setting label {label!r}")
         lam = sec.get_float("lambda")
         if lam is not None and not 0.0 <= lam <= workload.POISSON_LAM_MAX:
             raise sec.error("lambda", f"must lie in [0, {workload.POISSON_LAM_MAX:.6g}] "
@@ -442,6 +451,8 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
         bias = sec.get_float("bias_alpha", 0.0)
         if not 0.0 <= bias <= 1.0:
             raise sec.error("bias_alpha", f"must lie in [0, 1], got {bias}")
+        if (lam is None) == (fixed is None):
+            raise sec.header_error("needs exactly one of lambda / fixed_count")
         settings.append(SettingSpec(label, lam=lam, fixed_count=fixed, bias_alpha=bias))
 
     seeds = run.get_int_list("seeds")
@@ -461,23 +472,12 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
     _check(net, "qpu_capacity", workload.required_qpus, workload.MIN_QUBITS, capacity)
     quality_mix = net.get_mapping("quality_mix", base.quality_mix)
     _check(net, "quality_mix", quality_probabilities, quality_mix)
-    reps = wl.get_int("reps", base.reps)
-    qubit_sizes = tuple(wl.get_int_list("qubit_sizes", list(base.qubit_sizes)))
-    catalog_file = wl.raw("catalog_file")
-    if catalog_file is None:  # else the catalog file sets the sizes and reps
-        _check(wl, "reps", workload.check_circuit_shape, workload.MIN_QUBITS, reps)
-        for size in qubit_sizes:
-            _check(wl, "qubit_sizes", workload.check_circuit_shape, size, reps)
-            need = workload.required_qpus(size, capacity)
-            if need > n_nodes:  # blame the first key that set the sizes or the network
-                sec, key = ((wl, "qubit_sizes") if "qubit_sizes" in wl.entries else
-                            (net, "nodes" if "nodes" in net.entries else "qpu_capacity"))
-                raise sec.error(key, f"makes a {size}-qubit circuit need {need} QPUs, "
-                                f"but the network has {n_nodes} nodes")
-        demands = {workload.required_qpus(size, capacity) for size in qubit_sizes}
-    else:
-        demands = _catalog_file_demands(wl, catalog_file, capacity, n_nodes)
+    catalog_entries = _catalog_entries(wl, net, capacity, n_nodes)
+    demands = {workload.required_qpus(size, capacity) for _, size, _ in catalog_entries}
     listed = tuple(run.get_list("schedulers", list(base.schedulers)))
+    for name in listed:
+        if name not in KNOWN_SCHEDULERS:
+            raise run.error("schedulers", f"lists unknown scheduler {name!r}")
     schedulers = tuple(schedulers) if schedulers else listed
     if {"epr-ns", "ppo-ns"} & set(schedulers) or variant.replace("-", "_") == "node_selection":
         for k in sorted(demands):  # the whole network is free at each stage's start
@@ -492,9 +492,7 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
         local_gate_ns=local_gate_ns,
         epr_serialization=policy,
         n_slots=_int_at_least(wl, "n_slots", base.n_slots, 1),
-        qubit_sizes=qubit_sizes,
-        reps=reps,
-        catalog_file=catalog_file,
+        catalog_entries=catalog_entries,
         settings=tuple(settings),
         schedulers=schedulers,
         seeds=tuple(seeds),
@@ -536,8 +534,8 @@ epr_serialization = {cfg.epr_serialization}
 
 [workload]
 n_slots = {cfg.n_slots}
-qubit_sizes = {", ".join(str(q) for q in cfg.qubit_sizes)}
-reps = {cfg.reps}
+qubit_sizes = {", ".join(map(str, QUBIT_SIZES))}
+reps = 1
 
 {settings}[run]
 schedulers = {", ".join(cfg.schedulers)}

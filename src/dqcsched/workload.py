@@ -235,18 +235,7 @@ def default_catalog(
 ) -> tuple[JobDescriptor, ...]:
     """All five families at each size, sorted ascending by non-local gates."""
     entries = [(kind, n, reps) for kind in CIRCUIT_KINDS for n in qubit_sizes]
-    return _sorted_catalog(entries, network, exec_params)
-
-
-def catalog_from_file(
-    path: str,
-    network: Network,
-    exec_params: ExecModelParams,
-) -> tuple[JobDescriptor, ...]:
-    """Catalog override: the jobs of :func:`read_catalog_file`, sorted the
-    same way as the default catalog."""
-    entries = [(kind, n, reps) for _, kind, n, reps in read_catalog_file(path)]
-    return _sorted_catalog(entries, network, exec_params)
+    return sorted_catalog(entries, network, exec_params)
 
 
 def read_catalog_file(path: str) -> list[tuple[int, str, int, int]]:
@@ -282,8 +271,8 @@ def read_catalog_file(path: str) -> list[tuple[int, str, int, int]]:
     return entries
 
 
-def _sorted_catalog(entries, network: Network, exec_params: ExecModelParams
-                    ) -> tuple[JobDescriptor, ...]:
+def sorted_catalog(entries, network: Network, exec_params: ExecModelParams
+                   ) -> tuple[JobDescriptor, ...]:
     """One job per (kind, n_qubits, reps) entry, sorted by (non-local gates,
     estimate, kind, size) and numbered 0.. in that order: each job is built
     once, under its final id."""

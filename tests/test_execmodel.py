@@ -8,7 +8,7 @@ from conftest import make_job, weighted_network
 from dqcsched.execmodel import (
     ExecModelParams,
     estimate_execution_time,
-    estimate_execution_time_nominal,
+    nominal_execution_time,
 )
 from dqcsched.netmodel import LINK_PRESETS, LinkProfile, build_network, homogeneous_network
 from dqcsched.workload import build_circuit_profile, partition_job
@@ -98,7 +98,8 @@ class TestNominalEstimate:
         params = ExecModelParams()
         job = partition_job(build_circuit_profile("GHZ", 5), 8, net, params)
         assert job.required_qpus == 1
-        nominal = estimate_execution_time_nominal(job, net, params)
+        nominal = nominal_execution_time(job.profile.local_depth, job.cross_block_pairs,
+                                         net, params)
         assert nominal == estimate_execution_time(job, (2,), net, params)
 
     def test_uses_mean_of_heterogeneous_links(self):
@@ -109,20 +110,24 @@ class TestNominalEstimate:
             cross_block_pairs=((0, 1), (0, 1)),
         )
         # mean delay = 30, two cross gates
-        assert estimate_execution_time_nominal(job, net, params) == 1 + 60
+        nominal = nominal_execution_time(job.profile.local_depth, job.cross_block_pairs,
+                                         net, params)
+        assert nominal == 1 + 60
 
     def test_assignment_independent(self):
         net = build_network(5, 3, {"bad": 0.3, "good": 0.7}, seed=11)
         params = ExecModelParams()
         job = ghz5_job(net, params)
-        assert (estimate_execution_time_nominal(job, net, params)
-                == estimate_execution_time_nominal(job, net, params))
+        depth, pairs = job.profile.local_depth, job.cross_block_pairs
+        assert (nominal_execution_time(depth, pairs, net, params)
+                == nominal_execution_time(depth, pairs, net, params))
 
     def test_matches_actual_on_homogeneous_network(self):
         net = homogeneous_network(4, 3, "medium")
         params = ExecModelParams()
         job = ghz5_job(net, params)
-        nominal = estimate_execution_time_nominal(job, net, params)
+        nominal = nominal_execution_time(job.profile.local_depth, job.cross_block_pairs,
+                                         net, params)
         actual = estimate_execution_time(job, (0, 1), net, params)
         assert abs(nominal - actual) <= 1
 

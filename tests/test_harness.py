@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqcsched import cli, harness, metrics, ppo
+from dqcsched import cli, harness, metrics, ppo, workload
 from dqcsched.configfile import ConfigError, parse_config_text
 from dqcsched.harness import (
     METRIC_FIELDS,
@@ -41,7 +41,7 @@ from dqcsched.schedulers import (
     SchedulingError,
     check_selection_size,
 )
-from dqcsched.workload import catalog_from_file, default_catalog
+from dqcsched.workload import default_catalog, sorted_catalog
 
 TINY = ExperimentConfig(
     settings=(SettingSpec("lam3", lam=3.0),),
@@ -204,6 +204,23 @@ class TestRunExperiment:
             settings=(SettingSpec("x", lam=1.0),), schedulers=("sjf",), seeds=(0,))
         with pytest.raises(ConfigError):
             run_experiment(config)
+
+    def test_run_uses_the_catalog_read_with_the_config(self, tmp_path):
+        """A loaded config holds its ``catalog_file``'s entries as read then:
+        the file rewritten, or deleted, every seed's run gives the same table."""
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text("GHZ 5 1\nQFT 6 1\nVQE 8 2\n")
+        cfg = tmp_path / "catalog.cfg"
+        cfg.write_text(f"[network]\nnodes = 6\n[workload]\nn_slots = 4\n"
+                       f"catalog_file = {catalog}\n[setting lam3]\nlambda = 3\n"
+                       "[run]\nschedulers = fifo, asap\nseeds = 0, 1, 2\n")
+        config = harness.load_config(str(cfg))
+        table = run_experiment(config)
+        catalog.write_text("QFT 12 1\n")
+        assert run_experiment(harness.load_config(str(cfg))) != table
+        assert run_experiment(config) == table
+        catalog.unlink()
+        assert run_experiment(config) == table
 
     def test_ppo_without_weights_rejected(self):
         config = ExperimentConfig(
@@ -414,6 +431,7 @@ class TestCli:
     @pytest.mark.parametrize("old, new", [
         ("seed_count = 2", "seeds = 0, 0"),
         ("schedulers = fifo, list, resource, epr, epr-ns, asap", "schedulers = fifo, fifo"),
+        ("schedulers = fifo, list, resource, epr, epr-ns, asap", "schedulers = sjf, list"),
         ("qubit_sizes = 5, 10, 15", "qubit_sizes = 5, 5"),
         ("quality_mix = bad:0.2", "quality_mix = good:0.2"),
         ("lambda = 5", "lambda = nan"),
@@ -531,7 +549,7 @@ class TestCli:
         untrained = ppo.PpoAgent(ppo.PpoConfig(), net, params, default_catalog(net, params))
         weights = str(tmp_path / "ppo.bin")
         ppo.save_weights(weights, untrained)
-        wide = catalog_from_file(str(catalog), net, params)
+        wide = sorted_catalog([("GHZ", 30, 1)], net, params)
         with pytest.raises(SchedulingError, match="job 0: requires 10 QPUs but the network has 6"):
             untrained.rollout(list(wide))
         message = f"{catalog}:2: a 30-qubit circuit needs 10 QPUs, but the network has 6 nodes"
@@ -575,6 +593,68 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(
             f"config error: {cfg}:{line}: key 'catalog_file' cannot be read: ")
+
+    def test_run_and_train_read_the_catalog_file_once(self, tmp_path, monkeypatch):
+        """A ``run`` of three seeds and a ``train-ppo`` each read the
+        ``catalog_file`` once, when the config is loaded."""
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text("GHZ 5 1\nQFT 6 1\n")
+        text = self.write_config_text().replace(
+            "qubit_sizes = 5, 10, 15", f"catalog_file = {catalog}", 1)
+        cfg = tmp_path / "catalog.cfg"
+        cfg.write_text(text.replace("seed_count = 2", "seed_count = 3"))
+        reads = []
+        read = workload.read_catalog_file
+        monkeypatch.setattr(workload, "read_catalog_file",
+                            lambda path: reads.append(path) or read(path))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                         "--schedulers", "fifo"]) == 0
+        assert reads == [str(catalog)]
+        assert cli.main(["train-ppo", "--config", str(cfg), "--out", str(tmp_path / "w.bin"),
+                         "--updates", "1"]) == 0
+        assert reads == [str(catalog)] * 2
+
+    @pytest.mark.parametrize("old, new", [
+        ("lambda = 5\n", ""),
+        ("lambda = 5\n", "lambda = 5\nfixed_count = 5\n"),
+    ])
+    def test_setting_rate_error_names_the_header(self, tmp_path, capsys, old, new):
+        """A ``[setting ...]`` with neither or both of ``lambda`` and
+        ``fixed_count`` is a config error naming its header's line."""
+        text = self.write_config_text().replace("[setting lam5]\n" + old,
+                                                "[setting lam5]\n" + new, 1)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        line = text.splitlines().index("[setting lam5]") + 1
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:{line}: section [setting lam5] needs exactly one of "
+            "lambda / fixed_count\n")
+
+    def test_repeated_setting_label_names_the_second_header(self, tmp_path, capsys):
+        """Two headers whose labels strip to the same text are a config error
+        naming the second header's line."""
+        text = self.write_config_text() + "\n[settinglam5]\nlambda = 3\n"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        line = text.splitlines().index("[settinglam5]") + 1
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:{line}: section [settinglam5] repeats the setting "
+            "label 'lam5'\n")
+
+    def test_unknown_scheduler_override_is_a_usage_error(self, tmp_path, capsys):
+        """An unknown name in ``--schedulers`` is a usage error naming the
+        flag, as a repeated one is."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", self.write_config(tmp_path), "--out", str(out),
+                      "--schedulers", "fifo,sjf"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dqcsched run")
+        assert "error: argument --schedulers: lists unknown scheduler 'sjf'" in err
+        assert not out.exists()
 
     def test_node_selection_size_guard(self, tmp_path, capsys):
         """Where ``epr-ns`` or ``ppo-ns`` is requested, from the config or by

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, unit_exec_params
+from dqcsched import harness
+from dqcsched.configfile import parse_config_text
 from dqcsched.execmodel import (
     ExecModelParams,
     estimate_execution_time,
-    estimate_execution_time_nominal,
+    nominal_execution_time,
 )
 from dqcsched.netmodel import build_network, homogeneous_network
 from dqcsched.schedulers import asap_schedule
@@ -20,13 +22,14 @@ from dqcsched.workload import (
     JobDescriptor,
     WorkloadConfig,
     build_circuit_profile,
-    catalog_from_file,
     default_catalog,
     generate_slot_jobs,
     partition_job,
+    read_catalog_file,
     required_qpus,
     sample_arrival_count,
     selection_probabilities,
+    sorted_catalog,
 )
 
 
@@ -280,7 +283,9 @@ class TestCatalogFile:
             "VQE 8 2\n"
         )
         net = homogeneous_network(6, 3, "good")
-        catalog = catalog_from_file(str(path), net, unit_exec_params())
+        entries = [line[1:] for line in read_catalog_file(str(path))]
+        assert entries == [("GHZ", 5, 1), ("QFT", 6, 1), ("VQE", 8, 2)]
+        catalog = sorted_catalog(entries, net, unit_exec_params())
         assert len(catalog) == 3
         kinds = {j.profile.kind for j in catalog}
         assert kinds == {"GHZ", "QFT", "VQE"}
@@ -290,9 +295,8 @@ class TestCatalogFile:
     def test_bad_line_reports_location(self, tmp_path):
         path = tmp_path / "catalog.txt"
         path.write_text("GHZ 5\n")
-        net = homogeneous_network(6, 3, "good")
         with pytest.raises(ValueError, match="catalog.txt:1"):
-            catalog_from_file(str(path), net, unit_exec_params())
+            read_catalog_file(str(path))
 
 
 class TestPriceKey:
@@ -373,12 +377,12 @@ def reference_partition_job(profile, qpu_capacity, network, exec_params):
         profile=profile,
         cross_block_pairs=cross,
     )
-    est = estimate_execution_time_nominal(draft, network, exec_params)
+    est = nominal_execution_time(profile.local_depth, cross, network, exec_params)
     return dataclasses.replace(draft, est_exec_ns=est)
 
 
 def reference_sorted_catalog(entries, network, exec_params):
-    """``_sorted_catalog`` as it was: sort the partitioned jobs, then renumber
+    """``sorted_catalog`` as it was: sort the partitioned jobs, then renumber
     each with ``dataclasses.replace``."""
     jobs = [
         reference_partition_job(build_circuit_profile(kind, n, reps), network.qpu_capacity,
@@ -415,9 +419,30 @@ class TestCatalogMatchesReference:
         entries = [(kind, int(n), int(reps)) for kind, n, reps in
                    (line.replace(",", " ").split() for line in lines)]
         for net, params in itertools.product(self.NETWORKS, self.PARAMS):
-            got = catalog_from_file(str(path), net, params)
+            got = sorted_catalog([line[1:] for line in read_catalog_file(str(path))],
+                                 net, params)
             want = reference_sorted_catalog(entries, net, params)
             assert [vars(job) for job in got] == [vars(job) for job in want]
+
+    def test_config_catalog(self, tmp_path):
+        """``harness.build_catalog`` builds a config's entries, from
+        ``qubit_sizes`` or from a ``catalog_file`` in line order, as the
+        reference does."""
+        path = tmp_path / "catalog.txt"
+        path.write_text("VQE 8 2\nGHZ 5 1\nQFT, 12, 1\nGHZ 5 1\n")
+        sources = {
+            "qubit_sizes = 2, 9\nreps = 2": [(k, n, 2) for k in CIRCUIT_KINDS for n in (2, 9)],
+            f"catalog_file = {path}": [("VQE", 8, 2), ("GHZ", 5, 1), ("QFT", 12, 1), ("GHZ", 5, 1)],
+        }
+        for workload_keys, entries in sources.items():
+            config = harness.config_from_parsed(parse_config_text(
+                f"[network]\nnodes = 12\n[workload]\n{workload_keys}\n"
+                "[setting a]\nlambda = 1\n[run]\nseeds = 0\n"))
+            assert config.catalog_entries == tuple(entries)
+            for net in self.NETWORKS:
+                got = harness.build_catalog(config, net)
+                want = reference_sorted_catalog(entries, net, config.exec_params())
+                assert [vars(job) for job in got] == [vars(job) for job in want]
 
     def test_partition_job(self):
         for net, params in itertools.product(self.NETWORKS, self.PARAMS):
