@@ -440,9 +440,11 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
 
     settings = []
     for sec in parsed.sections_with_prefix("setting"):
-        label = sec.name[len("setting"):].strip() or sec.name
+        label = sec.name[len("setting"):].strip()
         if label in [s.label for s in settings]:
             raise sec.header_error(f"repeats the setting label {label!r}")
+        if not sec.name[len("setting"):][:1].isspace():
+            raise sec.header_error("is not named [setting <label>]")
         lam = sec.get_float("lambda")
         if lam is not None and not 0.0 <= lam <= workload.POISSON_LAM_MAX:
             raise sec.error("lambda", f"must lie in [0, {workload.POISSON_LAM_MAX:.6g}] "

@@ -61,7 +61,7 @@ class Schedule:
 
     def __init__(self, placements=()):
         rows = [(p.job_id, p.assigned_nodes, p.start_ns, p.finish_ns, p.stage_index)
-                for p in placements]
+                for p in placements] if placements else ()
         self.job_id, self.assigned_nodes, self.start_ns, self.finish_ns, self.stage_index = (
             map(list, zip(*rows)) if rows else ([], [], [], [], []))
 
@@ -203,54 +203,64 @@ def resource_prioritize_schedule(queue, network: Network,
     the exponential search.
     """
     _validate_queue(queue, network)
+    ascending = all(a.id < b.id for a, b in itertools.pairwise(queue))
 
     def stages(remaining):
         while remaining:
             pool = remaining[:ENUMERATION_CAP]
-            chosen = _max_demand_subset(pool, network.n_nodes)
+            chosen = _max_demand_subset(pool, network.n_nodes, ascending)
             yield [job for k, job in enumerate(pool) if chosen >> k & 1]
             remaining = [j for i, j in enumerate(remaining) if not chosen >> i & 1]
 
     return _place_stages(stages(list(queue)), network, exec_params)
 
 
-def _max_demand_subset(pool, n_nodes: int) -> int:
+def _max_demand_subset(pool, n_nodes: int, ascending: bool = False) -> int:
     """Bit mask (bit k: ``pool[k]``) of the subset with maximal demand <=
-    ``n_nodes``, then minimal mean estimate, sorted ids and mask, found by a
-    depth-first search that extends a subset only while it fits and stops a
-    branch once the rest of the pool cannot lift it to the best demand.
+    ``n_nodes``, then minimal mean estimate, sorted ids and mask. Demands
+    are at least 1, so a pool that fits whole is its own answer; any other
+    is searched by ``_extend``. ``ascending``: the pool's ids strictly ascend.
     Integer estimates sum exactly in a double, so each mean is bit-exact.
     """
-    demand = [j.required_qpus for j in pool]
-    est = [j.est_exec_ns for j in pool]
-    reach = list(itertools.accumulate(reversed(demand)))[::-1]
-    best = [0, math.inf, 0, None]  # demand, mean, mask, tie key once needed
-
-    def tie_key(mask):
-        return sorted(j.id for k, j in enumerate(pool) if mask >> k & 1), mask
-
-    def extend(start, used, total, count, mask):
-        for k in range(start, len(pool)):
-            if used + reach[k] < best[0]:
-                break
-            d = used + demand[k]
-            if d > n_nodes:
-                continue
-            sub_total, sub_mask = total + est[k], mask | 1 << k
-            if d >= best[0]:
-                mean = sub_total / (count + 1)
-                if d > best[0] or mean < best[1]:
-                    best[:] = d, mean, sub_mask, None
-                elif mean == best[1]:
-                    best[3] = best[3] or tie_key(best[2])
-                    key = tie_key(sub_mask)
-                    if key < best[3]:
-                        best[:] = d, mean, sub_mask, key
-            if d < n_nodes:
-                extend(k + 1, d, sub_total, count + 1, sub_mask)
-
-    extend(0, 0, 0, 0, 0)
+    n = len(pool)
+    demand, est, reach, total = [0] * n, [0] * n, [0] * n, 0  # reach[k]: pool[k:]'s demand
+    for k in range(n - 1, -1, -1):
+        demand[k], est[k] = pool[k].required_qpus, pool[k].est_exec_ns
+        total = reach[k] = total + demand[k]
+    if total <= n_nodes:
+        return (1 << n) - 1
+    best = [0, math.inf, 0]  # demand, mean, mask
+    _extend(None if ascending else [j.id for j in pool], demand, est, reach, n_nodes, best,
+            0, 0, 0, 0, 0)
     return best[2]
+
+
+def _extend(ids, demand, est, reach, n_nodes: int, best: list,
+            start: int, used: int, total: int, count: int, mask: int) -> None:
+    """Depth-first search from the subset ``mask`` (``count`` jobs, demand
+    ``used``, estimate sum ``total``) over the jobs from ``start`` on, cut
+    where the rest of the pool cannot reach the demand in ``best``. Subsets
+    come in lexicographic order of their indices, the order of their sorted
+    ids when those ascend (``ids`` None), so a tie then keeps the incumbent."""
+    for k in range(start, len(demand)):
+        if used + reach[k] < best[0]:
+            break
+        d = used + demand[k]
+        if d > n_nodes:
+            continue
+        sub_total, sub_mask = total + est[k], mask | 1 << k
+        if d >= best[0]:
+            mean = sub_total / (count + 1)
+            if d > best[0] or mean < best[1] or mean == best[1] and ids is not None and (
+                    _tie_key(ids, sub_mask) < _tie_key(ids, best[2])):
+                best[:] = d, mean, sub_mask
+        if d < n_nodes:
+            _extend(ids, demand, est, reach, n_nodes, best, k + 1, d, sub_total, count + 1,
+                    sub_mask)
+
+
+def _tie_key(ids, mask: int) -> tuple[list, int]:
+    return sorted(i for k, i in enumerate(ids) if mask >> k & 1), mask
 
 
 def check_selection_size(n_free: int, k: int) -> None:
@@ -329,8 +339,9 @@ def asap_schedule(queue, network: Network, exec_params: ExecModelParams) -> Sche
 
     Each round starts at the earliest release time at which some remaining
     job fits the nodes free by then: the k-th smallest release time, k
-    being the smallest remaining demand. The round hands out the nodes free
-    at that time in id order.
+    being the smallest remaining demand; round 0 starts at 0 on every node.
+    The round hands out the nodes free at that time in id order, counting
+    them down as it places.
     """
     _validate_queue(queue, network)
     schedule = Schedule()
@@ -339,15 +350,21 @@ def asap_schedule(queue, network: Network, exec_params: ExecModelParams) -> Sche
     picks = network._lowest_picks
     avail = [0] * network.n_nodes
     remaining = list(queue)
-    stage = 0
+    stage, t, free, n_free = 0, 0, (1 << network.n_nodes) - 1, network.n_nodes
     while remaining:
-        t = sorted(avail)[min(job.required_qpus for job in remaining) - 1]
-        free = sum(1 << n for n, release in enumerate(avail) if release <= t)
+        if stage:
+            t = sorted(avail)[min([job.required_qpus for job in remaining]) - 1]
+            free = n_free = 0
+            for n, release in enumerate(avail):
+                if release <= t:
+                    free |= 1 << n
+                    n_free += 1
         deferred: list = []
         for job in remaining:
-            if job.required_qpus > free.bit_count():
+            if job.required_qpus > n_free:
                 deferred.append(job)
                 continue
+            n_free -= job.required_qpus
             nodes, free = picks.get((free, job.required_qpus)) or _pick(
                 job, free, network, False)
             duration = prices.get((job.price_key, nodes))

@@ -643,6 +643,24 @@ class TestCli:
             f"config error: {cfg}:{line}: section [settinglam5] repeats the setting "
             "label 'lam5'\n")
 
+    @pytest.mark.parametrize("header", ["settings", "setting", "settinglam7"])
+    def test_setting_header_needs_whitespace_and_a_label(self, tmp_path, capsys, header):
+        """A section whose name starts with ``setting`` but is not ``setting``,
+        whitespace and a label is a config error naming its header's line: no
+        setting labelled ``s``, ``setting`` or ``lam7`` is run."""
+        text = self.write_config_text() + f"\n[{header}]\nlambda = 3\n"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        line = text.splitlines().index(f"[{header}]") + 1
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:{line}: section [{header}] is not named "
+            "[setting <label>]\n")
+        assert not out.exists()
+        tabbed = parse_config_text(text.replace(f"[{header}]", "[setting\tlam7]"))
+        assert [s.label for s in harness.config_from_parsed(tabbed).settings][-1] == "lam7"
+
     def test_unknown_scheduler_override_is_a_usage_error(self, tmp_path, capsys):
         """An unknown name in ``--schedulers`` is a usage error naming the
         flag, as a repeated one is."""

@@ -12,11 +12,16 @@ through ``reference_select_nodes`` (``conftest.py``), a memo-free copy of
 cannot reach both sides; EPR's sort key read ``epr_pairs``, a field that
 always equalled ``nonlocal_gates``; and the ``resource`` loop took its cap
 as an argument that no run set, where it now reads ``ENUMERATION_CAP``.
-Every test compares the library's schedule with the reference's column for
-column, or both errors word for word, on hypothesis-drawn queues and
-networks.
+The ``resource`` loop searches through ``reference_max_demand_subset``, a
+verbatim copy of ``_max_demand_subset`` from before the search took its
+state as arguments, so the loop oracle does not check the search against
+itself. Every test compares the library's schedule with the reference's
+column for column, or both errors word for word, on hypothesis-drawn queues
+and networks.
 """
 import dataclasses
+import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +105,45 @@ def reference_in_order_stages(queue, network: Network, exec_params: ExecModelPar
     return schedule
 
 
+def reference_max_demand_subset(pool, n_nodes: int) -> int:
+    """Bit mask (bit k: ``pool[k]``) of the subset with maximal demand <=
+    ``n_nodes``, then minimal mean estimate, sorted ids and mask, found by a
+    depth-first search that extends a subset only while it fits and stops a
+    branch once the rest of the pool cannot lift it to the best demand.
+    Integer estimates sum exactly in a double, so each mean is bit-exact.
+    """
+    demand = [j.required_qpus for j in pool]
+    est = [j.est_exec_ns for j in pool]
+    reach = list(itertools.accumulate(reversed(demand)))[::-1]
+    best = [0, math.inf, 0, None]  # demand, mean, mask, tie key once needed
+
+    def tie_key(mask):
+        return sorted(j.id for k, j in enumerate(pool) if mask >> k & 1), mask
+
+    def extend(start, used, total, count, mask):
+        for k in range(start, len(pool)):
+            if used + reach[k] < best[0]:
+                break
+            d = used + demand[k]
+            if d > n_nodes:
+                continue
+            sub_total, sub_mask = total + est[k], mask | 1 << k
+            if d >= best[0]:
+                mean = sub_total / (count + 1)
+                if d > best[0] or mean < best[1]:
+                    best[:] = d, mean, sub_mask, None
+                elif mean == best[1]:
+                    best[3] = best[3] or tie_key(best[2])
+                    key = tie_key(sub_mask)
+                    if key < best[3]:
+                        best[:] = d, mean, sub_mask, key
+            if d < n_nodes:
+                extend(k + 1, d, sub_total, count + 1, sub_mask)
+
+    extend(0, 0, 0, 0, 0)
+    return best[2]
+
+
 def reference_resource_schedule(queue, network: Network,
                                 exec_params: ExecModelParams) -> Schedule:
     _validate_queue(queue, network)
@@ -109,7 +153,7 @@ def reference_resource_schedule(queue, network: Network,
     barrier = stage = 0
     while remaining:
         pool = remaining[:ENUMERATION_CAP]
-        chosen = _max_demand_subset(pool, network.n_nodes)
+        chosen = reference_max_demand_subset(pool, network.n_nodes)
         jobs = [job for k, job in enumerate(pool) if chosen >> k & 1]
         barrier = reference_place_stage(place, jobs, network, barrier, stage)
         stage += 1
@@ -223,6 +267,38 @@ def environments(draw, max_jobs=12):
                       epr=draw(st.integers(0, 6)))
              for i in ids]
     return network, unit_exec_params(), queue
+
+
+@st.composite
+def pools(draw):
+    """(pool, n_nodes): 1-12 jobs for 1-12 nodes, whose demands come from at
+    most three values and estimates from at most three, so that many subsets
+    tie on demand and mean. The ids ascend, are shuffled, or are drawn from
+    0-3, so that they repeat."""
+    n_nodes, size = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    demands = draw(st.lists(st.integers(1, n_nodes), min_size=1, max_size=3))
+    times = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+    order = draw(st.sampled_from(("ascending", "shuffled", "repeated")))
+    if order == "repeated":
+        ids = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    else:
+        ids = draw(st.lists(st.integers(0, 99), min_size=size, max_size=size, unique=True))
+        ids = sorted(ids) if order == "ascending" else ids
+    return [make_job(i, draw(st.sampled_from(demands)), draw(st.sampled_from(times)))
+            for i in ids], n_nodes
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(args=pools())
+def test_max_demand_subset_matches_reference_search(args):
+    """The search on both of its paths: the general tie-break on every pool,
+    and the one that keeps the incumbent on every pool whose ids strictly
+    ascend."""
+    pool, n_nodes = args
+    want = reference_max_demand_subset(pool, n_nodes)
+    assert _max_demand_subset(pool, n_nodes) == want
+    if all(a.id < b.id for a, b in itertools.pairwise(pool)):
+        assert _max_demand_subset(pool, n_nodes, ascending=True) == want
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCES))
