@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import os
 import sys
@@ -35,10 +36,9 @@ def _ppo_environment(config: harness.ExperimentConfig):
 def _cmd_train_ppo(args) -> int:
     config = harness.load_config(args.config, variant=args.variant)
     updates = args.updates if args.updates is not None else config.ppo_updates
-    variant = config.ppo_variant.replace("-", "_")
     network, catalog = _ppo_environment(config)
     agent = ppo.PpoAgent(
-        ppo.PpoConfig(j_max=config.ppo_j_max, reward_variant=variant,
+        ppo.PpoConfig(j_max=config.ppo_j_max, reward_variant=config.ppo_variant,
                       seed=config.ppo_seed),
         network, config.exec_params(), catalog,
     )
@@ -60,31 +60,22 @@ def _cmd_train_ppo(args) -> int:
 def _cmd_run(args) -> int:
     config = harness.load_config(args.config, args.schedulers)
     if args.seed is not None:
-        config.seeds = (args.seed,)
-    agents = None
-    requested_ppo = [s for s in config.schedulers if s in harness.PPO_SCHEDULER_NAMES]
-    if requested_ppo:
+        config = dataclasses.replace(config, seeds=(args.seed,))
+    agent = None
+    if set(harness.PPO_SCHEDULER_NAMES) & set(config.schedulers):
         weights = args.weights or config.ppo_weights
         if not weights:
-            raise ConfigError(
-                "ppo schedulers need a weights file (--weights or [ppo] weights_file)"
-            )
-        for setting in config.settings:
-            if setting.fixed_count is None:
-                raise ConfigError(
-                    f"setting {setting.label!r}: ppo schedulers require "
-                    f"fixed_count (the model input size is fixed)"
-                )
+            raise ConfigError(f"{args.config}: ppo schedulers need a weights file "
+                              "(--weights or [ppo] weights_file)")
         network, catalog = _ppo_environment(config)
         agent = ppo.load_agent(weights, network, config.exec_params(), catalog)
-        for setting in config.settings:
+        for setting in config.settings:  # each has a fixed_count, checked at parse time
             if setting.fixed_count > agent.config.j_max:
                 raise ConfigError(
-                    f"setting {setting.label!r}: fixed_count exceeds the "
-                    f"model's job capacity {agent.config.j_max}"
-                )
-        agents = {name: agent for name in requested_ppo}
-    table = harness.run_experiment(config, ppo_agents=agents)
+                    f"{args.config}: setting {setting.label!r}: fixed_count "
+                    f"{setting.fixed_count} exceeds the model's job capacity "
+                    f"{agent.config.j_max}")
+    table = harness.run_experiment(config, agent)
     os.makedirs(args.out, exist_ok=True)
     slots_path = os.path.join(args.out, harness.SLOTS_CSV)
     harness.write_slots_csv(table, slots_path)

@@ -27,7 +27,6 @@ from .schedulers import SCHEDULER_NAMES, check_selection_size, get_scheduler
 
 PPO_SCHEDULER_NAMES = ("ppo", "ppo-ns")
 KNOWN_SCHEDULERS = SCHEDULER_NAMES + PPO_SCHEDULER_NAMES
-QUBIT_SIZES = (5, 10, 15)  # the default catalog: every circuit family at each size
 SLOTS_CSV = "slots.csv"
 
 
@@ -47,7 +46,7 @@ class SettingSpec:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     n_nodes: int = 6
     qpu_capacity: int = 3
@@ -58,9 +57,9 @@ class ExperimentConfig:
     epr_serialization: str = "serial"
     n_slots: int = 200
     catalog_entries: tuple[tuple[str, int, int], ...] = tuple(  # (kind, n_qubits, reps)
-        (kind, n, 1) for kind in workload.CIRCUIT_KINDS for n in QUBIT_SIZES)
+        (kind, n, 1) for kind in workload.CIRCUIT_KINDS for n in workload.QUBIT_SIZES)
     settings: tuple[SettingSpec, ...] = ()
-    schedulers: tuple[str, ...] = ("fifo", "list", "resource", "epr", "epr-ns", "asap")
+    schedulers: tuple[str, ...] = SCHEDULER_NAMES
     seeds: tuple[int, ...] = tuple(range(30))
     ppo_updates: int = 200
     ppo_variant: str = "plain"
@@ -145,21 +144,19 @@ def build_catalog(config: ExperimentConfig, network: Network):
     return workload.sorted_catalog(config.catalog_entries, network, config.exec_params())
 
 
-def _resolve_scheduler(name: str, ppo_agents):
-    if name in PPO_SCHEDULER_NAMES:
-        if not ppo_agents or name not in ppo_agents:
-            raise ConfigError(
-                f"scheduler {name!r} requires trained weights (train-ppo first)"
-            )
-        agent = ppo_agents[name]
-        node_selection = name == "ppo-ns"
-        return lambda queue, net, params: agent.schedule(
-            queue, node_selection=node_selection, network=net, exec_params=params
-        )
-    return get_scheduler(name)
+def _resolve_scheduler(name: str, ppo_agent):
+    """A classical scheduler by name, or ``ppo_agent`` scheduling with node
+    selection for ``ppo-ns`` and without it for ``ppo``."""
+    if name not in PPO_SCHEDULER_NAMES:
+        return get_scheduler(name)
+    if ppo_agent is None:
+        raise ConfigError(f"scheduler {name!r} requires trained weights (train-ppo first)")
+    node_selection = name == "ppo-ns"
+    return lambda queue, net, params: ppo_agent.schedule(
+        queue, node_selection=node_selection, network=net, exec_params=params)
 
 
-def run_experiment(config: ExperimentConfig, ppo_agents=None) -> SlotTable:
+def run_experiment(config: ExperimentConfig, ppo_agent=None) -> SlotTable:
     """Run every (setting, seed, scheduler) cell and collect the slot table.
 
     Per seed one network and one catalog are built and shared by every
@@ -170,8 +167,7 @@ def run_experiment(config: ExperimentConfig, ppo_agents=None) -> SlotTable:
     """
     config.validate()
     exec_params = config.exec_params()
-    run_fns = {name: _resolve_scheduler(name, ppo_agents)
-               for name in config.schedulers}
+    run_fns = {name: _resolve_scheduler(name, ppo_agent) for name in config.schedulers}
     environments = {}
     for seed in config.seeds:
         net = build_network(config.n_nodes, config.qpu_capacity,
@@ -398,7 +394,7 @@ def _catalog_entries(wl, net, capacity: int, n_nodes: int) -> tuple[tuple[str, i
     the catalog file's path and line, or the key that set the entry."""
     path = wl.raw("catalog_file")
     reps = wl.get_int("reps", 1)
-    sizes = wl.get_int_list("qubit_sizes", list(QUBIT_SIZES))
+    sizes = wl.get_int_list("qubit_sizes", list(workload.QUBIT_SIZES))
     if path is None:
         _check(wl, "reps", workload.check_circuit_shape, workload.MIN_QUBITS, reps)
         lines = [(None, kind, size, reps) for kind in workload.CIRCUIT_KINDS for size in sizes]
@@ -456,6 +452,8 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
         if (lam is None) == (fixed is None):
             raise sec.header_error("needs exactly one of lambda / fixed_count")
         settings.append(SettingSpec(label, lam=lam, fixed_count=fixed, bias_alpha=bias))
+    if not settings:
+        raise ConfigError(f"{parsed.source}: at least one [setting ...] is required")
 
     seeds = run.get_int_list("seeds")
     if seeds is None:
@@ -468,7 +466,7 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
     if listed_variant.replace("-", "_") not in REWARD_VARIANTS:
         raise ppo_sec.error("variant", f"must be plain or node-selection, "
                             f"got {listed_variant!r}")
-    variant = variant or listed_variant
+    variant = (variant or listed_variant).replace("-", "_")  # REWARD_VARIANTS' spelling
     n_nodes = _int_at_least(net, "nodes", base.n_nodes, 2)
     capacity = net.get_int("qpu_capacity", base.qpu_capacity)
     _check(net, "qpu_capacity", workload.required_qpus, workload.MIN_QUBITS, capacity)
@@ -481,9 +479,13 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
         if name not in KNOWN_SCHEDULERS:
             raise run.error("schedulers", f"lists unknown scheduler {name!r}")
     schedulers = tuple(schedulers) if schedulers else listed
-    if {"epr-ns", "ppo-ns"} & set(schedulers) or variant.replace("-", "_") == "node_selection":
+    if {"epr-ns", "ppo-ns"} & set(schedulers) or variant == "node_selection":
         for k in sorted(demands):  # the whole network is free at each stage's start
             _check(net, "nodes", check_selection_size, n_nodes, k)
+    if set(PPO_SCHEDULER_NAMES) & set(schedulers):  # the model input has j_max rows
+        for sec in parsed.sections_with_prefix("setting"):
+            if "fixed_count" not in sec.entries:
+                raise sec.header_error("needs fixed_count for the ppo schedulers")
     local_gate_ns = _int_at_least(exc, "local_gate_ns", base.local_gate_ns, 1)
     policy = exc.get_str("epr_serialization", base.epr_serialization)
     _check(exc, "epr_serialization", ExecModelParams, local_gate_ns, policy)
@@ -505,7 +507,6 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
         ppo_weights=ppo_sec.raw("weights_file"),
     )
     parsed.reject_unread()
-    config.validate()
     return config
 
 
@@ -536,7 +537,7 @@ epr_serialization = {cfg.epr_serialization}
 
 [workload]
 n_slots = {cfg.n_slots}
-qubit_sizes = {", ".join(map(str, QUBIT_SIZES))}
+qubit_sizes = {", ".join(map(str, workload.QUBIT_SIZES))}
 reps = 1
 
 {settings}[run]

@@ -27,7 +27,6 @@ from .nn import Adam, Mlp, masked_softmax
 from .schedulers import Schedule, _place_stages, _validate_queue
 
 REWARD_VARIANTS = ("plain", "node_selection")
-LATENCY_MODES = ("cumulative",)  # the weight file's latency code indexes this
 _PROB_SUM_TOL = math.sqrt(np.finfo(float).eps)  # Generator.choice's tolerance
 N_FEATURES = 4  # the columns encode_state writes
 # The standard PPO settings (Schulman et al., 2017), fixed for every run.
@@ -350,7 +349,7 @@ class PpoAgent:
         n_max: int,
         sample: bool = False,
     ) -> tuple[list[int], list[Transition]]:
-        """Greedily fill one stage; mutates ``selected``.
+        """Greedily fill one stage of :meth:`encode`'s ``state``; mutates ``selected``.
 
         Each pick renormalizes the softmax over the not-yet-selected,
         non-padding jobs that still fit the remaining node budget, so every
@@ -362,8 +361,7 @@ class PpoAgent:
         entries up) stay numpy; the rest is Python floats over ``j_max``.
         """
         n_vals = state.node_counts
-        scaled = state.matrix / self.feature_scales if state.scaled is None else state.scaled
-        obs = np.where(selected[:, None], 0.0, scaled)  # a picked row is zeroed
+        obs = np.where(selected[:, None], 0.0, state.scaled)  # a picked row is zeroed
         flat = obs.reshape(1, -1)  # the policy's 1 × n input row, a view of obs
         rows = [r for r, taken in enumerate((state.padding | selected).tolist()) if not taken]
         picks: list[int] = []
@@ -456,7 +454,6 @@ class PpoAgent:
         node_selection = cfg.reward_variant == "node_selection"
         wcfg = workload.WorkloadConfig(
             catalog=self.catalog,
-            lam=float(cfg.j_max),
             bias_alpha=bias_alpha,
             fixed_count=cfg.j_max,
         )
@@ -499,7 +496,7 @@ class PpoAgent:
 #   table   per array: ndim uint32, then ndim uint32 dims
 #   data    per array: row-major float64 values
 #
-# Array order: meta vector [j_max, n_features, variant_id, latency_id,
+# Array order: meta vector [j_max, n_features, variant_id, latency code 0,
 # time_scale, hidden sizes...], feature scales, then policy weight/bias
 # pairs, then value weight/bias pairs.
 
@@ -513,7 +510,7 @@ def save_weights(path: str, agent: PpoAgent) -> None:
         cfg.j_max,
         N_FEATURES,
         REWARD_VARIANTS.index(cfg.reward_variant),
-        LATENCY_MODES.index("cumulative"),  # the mode episode_reward uses
+        0,  # the latency code: 0 is cumulative, the one mode episode_reward has
         agent.time_scale,
         *cfg.hidden,
     ], dtype=float)
@@ -571,16 +568,14 @@ def load_weights(path: str) -> tuple[dict, list[np.ndarray]]:
             "j_max": int(meta_vec[0]),
             "n_features": int(meta_vec[1]),
             "reward_variant": REWARD_VARIANTS[int(meta_vec[2])],
-            "latency_mode": LATENCY_MODES[int(meta_vec[3])],
             "time_scale": float(meta_vec[4]),
             "hidden": tuple(int(h) for h in meta_vec[5:]),
         }
         # Every entry must be the exact code save_weights writes: no
-        # fractions, no negative (wrapping) variant or mode indices.
+        # fractions, no negative (wrapping) variant index, latency code 0.
         valid = np.array_equal(meta_vec, [
             meta["j_max"], meta["n_features"],
-            REWARD_VARIANTS.index(meta["reward_variant"]),
-            LATENCY_MODES.index(meta["latency_mode"]),
+            REWARD_VARIANTS.index(meta["reward_variant"]), 0,
             meta["time_scale"], *meta["hidden"],
         ]) and meta["n_features"] == N_FEATURES
     except (IndexError, ValueError, OverflowError):

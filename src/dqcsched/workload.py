@@ -20,9 +20,11 @@ from .execmodel import ExecModelParams
 from .netmodel import Network
 
 CIRCUIT_KINDS = ("GHZ", "GraphState", "QAOA", "QFT", "VQE")
+QUBIT_SIZES = (5, 10, 15)  # the default catalog: every circuit family at each size
 
 MIN_QUBITS = 2
 MAX_QUBITS = 64
+MAX_REPS = 64  # a circuit's gate list grows with reps, and is built for every seed
 # numpy's largest Poisson mean: Generator.poisson raises "lam value too large" above it
 POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
@@ -74,6 +76,8 @@ def check_circuit_shape(n_qubits: int, reps: int) -> None:
         raise ValueError(f"n_qubits must lie in [{MIN_QUBITS}, {MAX_QUBITS}], got {n_qubits}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    if reps > MAX_REPS:
+        raise ValueError(f"reps must be <= {MAX_REPS}, got {reps}")
 
 
 def build_circuit_profile(kind: str, n_qubits: int, reps: int = 1) -> CircuitProfile:
@@ -230,7 +234,7 @@ class WorkloadConfig:
 def default_catalog(
     network: Network,
     exec_params: ExecModelParams,
-    qubit_sizes: tuple[int, ...] = (5, 10, 15),
+    qubit_sizes: tuple[int, ...] = QUBIT_SIZES,
     reps: int = 1,
 ) -> tuple[JobDescriptor, ...]:
     """All five families at each size, sorted ascending by non-local gates."""

@@ -1,8 +1,10 @@
 """Experiment harness: config parsing, pairing, aggregation, CSV, CLI."""
 
 import csv
+import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -120,6 +122,12 @@ class TestConfigParser:
     def test_shipped_configs_load(self, relpath):
         path = os.path.join(os.path.dirname(__file__), os.pardir, relpath)
         assert harness.load_config(path).settings
+
+    def test_shipped_benchmark_config_is_the_default_text(self):
+        """``configs/benchmark.cfg`` is what ``init-config`` writes, byte for byte."""
+        shipped = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.cfg")
+        with open(shipped, encoding="utf-8", newline="") as fh:
+            assert fh.read() == default_config_text()
 
     def test_bad_quality_mix_rejected(self, tmp_path):
         text = default_config_text().replace(
@@ -444,6 +452,7 @@ class TestCli:
         ("variant = plain", "variant = bogus"),
         ("qpu_capacity = 3", "qpu_capacity = 1"),
         ("reps = 1", "reps = 0"),
+        ("reps = 1", "reps = 65"),
         ("qubit_sizes = 5, 10, 15", "qubit_sizes = 1"),
         ("qubit_sizes = 5, 10, 15", "qubit_sizes = 99"),
         ("qubit_sizes = 5, 10, 15", "qubit_sizes = 30"),
@@ -565,6 +574,7 @@ class TestCli:
     @pytest.mark.parametrize("bad, fragment", [
         ("GHZ 1 1", "n_qubits must lie in [2, 64], got 1"),
         ("VQE 5 0", "reps must be >= 1, got 0"),
+        ("VQE 5 65", "reps must be <= 64, got 65"),
         ("QFT 99 1", "n_qubits must lie in [2, 64], got 99"),
         ("Bogus 5 1", "unknown circuit kind: 'Bogus'"),
         ("GHZ 5", "expected 'kind n_qubits reps', got 'GHZ 5  # third line'"),
@@ -707,6 +717,125 @@ class TestCli:
                                                          "variant = node-selection"))
         with pytest.raises(ConfigError, match="node selection of 5 of 40 nodes"):
             harness.load_config(str(ns_training))
+
+    def test_reps_bound_is_max_reps(self, tmp_path):
+        """``reps`` may reach ``workload.MAX_REPS`` (one more is a case of the
+        parse-time tests above). A 20-digit value, which would stall the
+        catalog build, is rejected when the config is read, naming the key's
+        line or the catalog file's."""
+        huge = "12345678901234567890"
+        text = self.write_config_text()
+        line = text.splitlines().index("reps = 1") + 1
+        at_max = tmp_path / "max.cfg"
+        at_max.write_text(text.replace("reps = 1", f"reps = {workload.MAX_REPS}", 1))
+        assert {reps for _, _, reps in harness.load_config(str(at_max)).catalog_entries} \
+            == {64}
+        huge_reps = tmp_path / "huge.cfg"
+        huge_reps.write_text(text.replace("reps = 1", f"reps = {huge}", 1))
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text(f"VQE 5 64\nQAOA 6 {huge}\n")
+        from_file = tmp_path / "file.cfg"
+        from_file.write_text(text.replace("qubit_sizes = 5, 10, 15",
+                                          f"catalog_file = {catalog}", 1))
+        for cfg, where in ((huge_reps, f"{huge_reps}:{line}: key 'reps' is invalid: "),
+                           (from_file, f"{catalog}:2: ")):
+            with pytest.raises(ConfigError) as err:
+                harness.load_config(str(cfg))
+            assert str(err.value) == f"{where}reps must be <= 64, got {huge}"
+
+    def ppo_config(self, tmp_path, *counts):
+        """The test config with its first ``len(counts)`` settings' ``lambda``
+        lines replaced, in order, by ``fixed_count`` lines of ``counts``."""
+        text = self.write_config_text()
+        for count in counts:
+            text = re.sub(r"lambda = \d+", f"fixed_count = {count}", text, count=1)
+        path = tmp_path / "ppo.cfg"
+        path.write_text(text)
+        return path
+
+    @pytest.mark.parametrize("argv, where", [
+        (["run", "--schedulers", "fifo,ppo"], "cli"),
+        (["run", "--schedulers", "ppo-ns", "--weights", "none.bin"], "cli"),
+        (["run"], "file"),
+        (["train-ppo", "--updates", "1"], "file"),
+    ])
+    def test_ppo_setting_rule_names_the_poisson_header(self, tmp_path, capsys, argv, where):
+        """Where ``ppo`` or ``ppo-ns`` is scheduled, by ``--schedulers`` or by
+        ``[run] schedulers``, each ``[setting ...]`` needs ``fixed_count``: the
+        first one with ``lambda`` is a config error naming its header's line,
+        for ``train-ppo`` too, before any weights are read or output written."""
+        cfg = self.ppo_config(tmp_path, 5)
+        text = cfg.read_text()
+        if where == "file":
+            text = text.replace("schedulers = fifo, list", "schedulers = ppo, fifo, list", 1)
+            cfg.write_text(text)
+        line = text.splitlines().index("[setting lam5_bias]") + 1
+        out = tmp_path / "out"
+        assert cli.main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:{line}: section [setting lam5_bias] needs fixed_count "
+            "for the ppo schedulers\n")
+        assert not out.exists()
+
+    def test_ppo_without_weights_names_the_config(self, tmp_path, capsys):
+        cfg = self.ppo_config(tmp_path, 5, 5, 5, 5)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out),
+                         "--schedulers", "ppo"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}: ppo schedulers need a weights file "
+            "(--weights or [ppo] weights_file)\n")
+        assert not out.exists()
+
+    def test_fixed_count_above_the_model_capacity(self, tmp_path, capsys):
+        """A ``fixed_count`` above the loaded weights' ``j_max`` is a config
+        error naming the config, the setting and the capacity; one equal to
+        it or below runs."""
+        net = build_network(6, 3, {"good": 1.0}, seed=0)
+        params = ExecModelParams()
+        weights = str(tmp_path / "ppo.bin")
+        ppo.save_weights(weights, ppo.PpoAgent(ppo.PpoConfig(j_max=5), net, params,
+                                               default_catalog(net, params)))
+        cfg = self.ppo_config(tmp_path, 6, 3, 4, 5)
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg), "--out", str(out), "--schedulers", "ppo-ns",
+                "--weights", weights]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}: setting 'lam5': fixed_count 6 exceeds the model's "
+            "job capacity 5\n")
+        assert not out.exists()
+        cfg.write_text(cfg.read_text().replace("fixed_count = 6", "fixed_count = 4", 1))
+        assert cli.main(argv) == 0
+        assert set(read_slots_csv(str(out / "slots.csv")).n_jobs) == {3, 4, 5}
+
+    def test_variant_is_stored_in_the_reward_variant_spelling(self):
+        text = self.write_config_text()
+        for listed, override in (("node-selection", None), ("node_selection", None),
+                                 ("plain", "node-selection")):
+            parsed = parse_config_text(text.replace("variant = plain", f"variant = {listed}"))
+            assert harness.config_from_parsed(parsed, variant=override).ppo_variant \
+                == "node_selection"
+        assert harness.config_from_parsed(parse_config_text(text)).ppo_variant == "plain"
+
+    def test_no_setting_section_names_the_config(self, tmp_path, capsys):
+        text = self.write_config_text()
+        start, end = text.index("[setting lam5]"), text.index("[run]")
+        cfg = tmp_path / "bare.cfg"
+        cfg.write_text(text[:start] + text[end:])
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}: at least one [setting ...] is required\n")
+
+    def test_run_seed_replaces_the_seeds_of_a_frozen_config(self, tmp_path):
+        cfg = self.write_config(tmp_path)
+        config = harness.load_config(cfg)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.seeds = (1,)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out), "--schedulers", "fifo",
+                         "--seed", "7"]) == 0
+        assert set(read_slots_csv(str(out / "slots.csv")).seed) == {7}
 
 
 # -- the row-per-slot read path, kept as a reference for the columnar one -----

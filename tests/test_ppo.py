@@ -20,6 +20,7 @@ from dqcsched.ppo import (
     encode_state,
     epr_reward,
     load_agent,
+    load_weights,
     policy_loss_parts,
     ppo_update,
     sample_index,
@@ -711,6 +712,8 @@ class TestPersistence:
                 == agent.value_net.flat_parameters()).all()
         jobs = [make_job(i, 2, 10 + 3 * i, epr=i) for i in range(5)]
         assert loaded.schedule(jobs).placements == agent.schedule(jobs).placements
+        meta, _ = load_weights(path)  # the latency code is checked, not returned
+        assert set(meta) == {"j_max", "n_features", "reward_variant", "time_scale", "hidden"}
 
     @staticmethod
     def saved_bytes(tmp_path):
