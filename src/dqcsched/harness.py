@@ -13,7 +13,7 @@ import csv
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from itertools import islice
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .schedulers import SCHEDULER_NAMES, check_selection_size, get_scheduler
 PPO_SCHEDULER_NAMES = ("ppo", "ppo-ns")
 KNOWN_SCHEDULERS = SCHEDULER_NAMES + PPO_SCHEDULER_NAMES
 SLOTS_CSV = "slots.csv"
+MAX_SEED_COUNT = 10**6  # each seed is a whole network's run: a million is days of simulation
+MAX_LOCAL_GATE_NS = 10**6  # 1 ms a layer keeps the int64 sums of metrics far from overflow
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,8 @@ class SettingSpec:
 class ExperimentConfig:
     n_nodes: int = 6
     qpu_capacity: int = 3
-    quality_mix: dict[str, float] = field(
-        default_factory=lambda: {"bad": 0.2, "medium": 0.3, "good": 0.5}
+    quality_mix: MappingProxyType = field(  # read-only, as the frozen config around it
+        default_factory=lambda: MappingProxyType({"bad": 0.2, "medium": 0.3, "good": 0.5})
     )
     local_gate_ns: int = 1000
     epr_serialization: str = "serial"
@@ -378,12 +380,15 @@ def _check(sec, key: str, check, *args) -> None:
         raise sec.error(key, f"is invalid: {exc}") from None
 
 
-def _int_at_least(sec, key: str, default: int | None, low: int) -> int | None:
+def _int_at_least(sec, key: str, default: int | None, low: int,
+                  high: int | None = None) -> int | None:
     """``sec``'s integer ``key``, ``default`` if absent; a value below
-    ``low`` is a ConfigError that names the key's file and line."""
+    ``low`` or above ``high`` is a ConfigError that names the key's file and line."""
     value = sec.get_int(key, default)
     if value is not None and value < low:
         raise sec.error(key, f"must be >= {low}, got {value}")
+    if value is not None and high is not None and value > high:
+        raise sec.error(key, f"must be <= {high}, got {value}")
     return value
 
 
@@ -457,7 +462,7 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
 
     seeds = run.get_int_list("seeds")
     if seeds is None:
-        seeds = list(range(_int_at_least(run, "seed_count", len(base.seeds), 1)))
+        seeds = list(range(_int_at_least(run, "seed_count", len(base.seeds), 1, MAX_SEED_COUNT)))
     elif min(seeds) < 0:
         raise run.error("seeds", f"must be >= 0, got {min(seeds)}")
 
@@ -470,7 +475,7 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
     n_nodes = _int_at_least(net, "nodes", base.n_nodes, 2)
     capacity = net.get_int("qpu_capacity", base.qpu_capacity)
     _check(net, "qpu_capacity", workload.required_qpus, workload.MIN_QUBITS, capacity)
-    quality_mix = net.get_mapping("quality_mix", base.quality_mix)
+    quality_mix = MappingProxyType(net.get_mapping("quality_mix", base.quality_mix))
     _check(net, "quality_mix", quality_probabilities, quality_mix)
     catalog_entries = _catalog_entries(wl, net, capacity, n_nodes)
     demands = {workload.required_qpus(size, capacity) for _, size, _ in catalog_entries}
@@ -486,7 +491,7 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
         for sec in parsed.sections_with_prefix("setting"):
             if "fixed_count" not in sec.entries:
                 raise sec.header_error("needs fixed_count for the ppo schedulers")
-    local_gate_ns = _int_at_least(exc, "local_gate_ns", base.local_gate_ns, 1)
+    local_gate_ns = _int_at_least(exc, "local_gate_ns", base.local_gate_ns, 1, MAX_LOCAL_GATE_NS)
     policy = exc.get_str("epr_serialization", base.epr_serialization)
     _check(exc, "epr_serialization", ExecModelParams, local_gate_ns, policy)
     config = ExperimentConfig(

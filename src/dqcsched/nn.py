@@ -38,8 +38,8 @@ class Mlp:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Output of :meth:`forward` without the activation cache. A float64
-        ``1 × n`` row or batch is used as given: normalising returns it as is."""
-        if not (type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64):
+        batch or stack of ``1 × n`` rows is used as given, as normalising would."""
+        if not (type(x) is np.ndarray and x.ndim > 1 and x.dtype == np.float64):
             x = np.atleast_2d(np.asarray(x, dtype=float))
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             x = np.tanh(x @ w + b)

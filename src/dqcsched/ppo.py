@@ -16,7 +16,7 @@ import itertools
 import math
 import operator
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,8 +65,6 @@ class PpoState:
 
     matrix: np.ndarray  # (j_max, N_FEATURES): [n_j, g_j, g_j, t_hat]
     padding: np.ndarray  # (j_max,) bool, True where no job exists
-    node_counts: list[int]  # matrix[:, 0] as ints
-    scaled: np.ndarray | None = None  # matrix / feature scales, set by PpoAgent.encode
 
 
 @dataclass
@@ -81,6 +79,18 @@ class Transition:
     reward: float = 0.0
     advantage: float = 0.0
     ret: float = 0.0
+
+
+@dataclass
+class _Episode:
+    """One queue's rollout so far, and the rows and stage nodes it has left."""
+
+    node_counts: list[int]
+    rows: list[int]
+    uniforms: list[float]  # one a pick, drawn in advance; empty for argmax picks
+    cap: int = 0  # no stage is open yet
+    stages: list[list[int]] = field(default_factory=list)
+    transitions: list[Transition] = field(default_factory=list)
 
 
 def encode_state(queue, j_max: int, time_scale: float) -> PpoState:
@@ -99,8 +109,7 @@ def encode_state(queue, j_max: int, time_scale: float) -> PpoState:
             job.est_exec_ns / time_scale,
         )
         padding[row] = False
-    return PpoState(matrix=matrix, padding=padding,
-                    node_counts=matrix[:, 0].astype(int).tolist())
+    return PpoState(matrix=matrix, padding=padding)
 
 
 def stage_latencies(
@@ -169,16 +178,17 @@ def epr_reward(
     return r_epr, -r_lat + r_epr
 
 
-def sample_index(probs, rng: np.random.Generator) -> int:
+def sample_index(probs, u: float) -> int:
     """``rng.choice(len(probs), p=probs)`` for a list or an array, by numpy's
-    own algorithm (``cumsum`` over its last entry, then ``searchsorted``)."""
+    own algorithm (``cumsum`` over its last entry, then ``searchsorted``),
+    given the uniform ``u = rng.random()`` that it draws."""
     values = probs.tolist() if isinstance(probs, np.ndarray) else list(probs)
     cdf = list(itertools.accumulate(values))
     # The check sums in numpy's order, which is left to right below 8 entries.
     total = cdf[-1] if 0 < len(cdf) < 8 else np.add.reduce(values)
     if not abs(total - 1.0) <= _PROB_SUM_TOL or min(values) < 0.0:
         raise ValueError(f"not a probability vector: {values}")
-    return bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())
+    return bisect.bisect_right([c / cdf[-1] for c in cdf], u)
 
 
 def policy_loss_parts(
@@ -335,63 +345,67 @@ class PpoAgent:
         self.policy_opt = Adam(self.policy.parameters())
         self.value_opt = Adam(self.value_net.parameters())
 
-    # -- observation and action ------------------------------------------
+    # -- action ------------------------------------------------------------
 
-    def encode(self, queue) -> PpoState:
-        state = encode_state(queue, self.config.j_max, self.time_scale)
-        state.scaled = state.matrix / self.feature_scales
-        return state
+    def select_stage(self, live: list[_Episode], obs: np.ndarray, n_max: int,
+                     sample: bool) -> None:
+        """One pick of each live episode, whose row of ``obs``, the ``(L, 1, n)``
+        stack of the live episodes' policy inputs, is zeroed.
 
-    def select_stage(
-        self,
-        state: PpoState,
-        selected: np.ndarray,
-        n_max: int,
-        sample: bool = False,
-    ) -> tuple[list[int], list[Transition]]:
-        """Greedily fill one stage of :meth:`encode`'s ``state``; mutates ``selected``.
-
-        Each pick renormalizes the softmax over the not-yet-selected,
-        non-padding jobs that still fit the remaining node budget, so every
-        emitted stage respects the budget by construction. Only sampled
-        picks, which training learns from, return transitions.
-
-        Picks match :func:`masked_softmax` bit for bit: the forward pass,
-        ``np.exp`` and the normalising sum (numpy's order differs from 8
-        entries up) stay numpy; the rest is Python floats over ``j_max``.
+        An episode picks from the softmax over its rows that fit the nodes
+        left in its stage, or opens a stage of ``n_max`` nodes. The nets run
+        once over the stack, for which numpy's matmul makes each row's own
+        single-row gemv (or dot) call, so picks match :func:`masked_softmax`
+        and a one-episode loop bit for bit, as do one ``np.exp`` and one row
+        sum over all rows. Only sampled picks keep transitions.
         """
-        n_vals = state.node_counts
-        obs = np.where(selected[:, None], 0.0, state.scaled)  # a picked row is zeroed
-        flat = obs.reshape(1, -1)  # the policy's 1 × n input row, a view of obs
-        rows = [r for r, taken in enumerate((state.padding | selected).tolist()) if not taken]
-        picks: list[int] = []
-        transitions: list[Transition] = []
-        cap = n_max
-        while feasible := [r for r in rows if n_vals[r] <= cap]:
-            x = flat.copy() if sample else flat
-            logits = self.policy(x)[0].tolist()
-            top = max(logits[r] for r in feasible)
-            shifted = [-math.inf] * len(logits)
+        x = obs.copy() if sample else obs  # transitions keep rows of the copy
+        logits = self.policy(x)[:, 0].tolist()
+        values = self.value_net(x)[:, 0, 0].tolist() if sample else None
+        feasibles, shifted = [], []
+        for ep, row in zip(live, logits):
+            if not (feasible := [r for r in ep.rows if ep.node_counts[r] <= ep.cap]):
+                ep.stages.append([])  # the next stage, which every checked job fits
+                ep.cap, feasible = n_max, list(ep.rows)
+            top = max([row[r] for r in feasible])
+            shifted.append(masked := [-math.inf] * len(row))
             for r in feasible:
-                shifted[r] = logits[r] - top
-            exp = np.exp(shifted)
-            total = float(exp.sum())
-            probs = [e / total for e in exp.tolist()]
+                masked[r] = row[r] - top
+            feasibles.append(feasible)
+        exp = np.exp(shifted)
+        totals = np.add.reduce(exp, axis=1).tolist()  # exp.sum(axis=1), minus a wrapper
+        for i, (ep, feasible, row, total) in enumerate(zip(live, feasibles, exp.tolist(), totals)):
+            probs = [e / total for e in row]
             if sample:
-                action = sample_index(probs, self.action_rng)
+                action = sample_index(probs, ep.uniforms[len(ep.transitions)])
                 mask = np.zeros(len(probs), dtype=bool)
                 mask[feasible] = True
-                transitions.append(Transition(
-                    obs=x[0], mask=mask, action=action, logp=float(np.log(probs[action])),
-                    value=float(self.value_net(x)[0, 0])))
+                ep.transitions.append(Transition(
+                    obs=x[i, 0], mask=mask, action=action, logp=float(np.log(probs[action])),
+                    value=values[i]))
             else:
                 action = max(feasible, key=probs.__getitem__)  # first max, as np.argmax
-            picks.append(action)
-            rows.remove(action)
-            selected[action] = True
-            obs[action] = 0.0
-            cap -= n_vals[action]
-        return picks, transitions
+            ep.stages[-1].append(action)
+            ep.rows.remove(action)
+            ep.cap -= ep.node_counts[action]
+            obs[i, 0, action * N_FEATURES:(action + 1) * N_FEATURES] = 0.0
+
+    def _rollouts(self, queues: list, n_max: int, draws: np.ndarray | None
+                  ) -> list[tuple[list[list[int]], list[Transition]]]:
+        """Stages and transitions of each checked queue, its episodes stepped
+        in lockstep; ``draws`` holds the action uniforms of a sampled rollout
+        in episode-then-pick order, as one-episode loops would draw them."""
+        matrices = [encode_state(q, self.config.j_max, self.time_scale).matrix for q in queues]
+        obs = (np.array(matrices) / self.feature_scales).reshape(len(queues), 1, -1)
+        uniforms = iter(draws.tolist() if draws is not None else ())
+        episodes = [_Episode([job.required_qpus for job in q], list(range(len(q))),
+                             list(itertools.islice(uniforms, len(q)))) for q in queues]
+        live = episodes
+        while keep := [i for i, ep in enumerate(live) if ep.rows]:
+            if len(keep) < len(live):  # finished episodes leave the stack
+                live, obs = [live[i] for i in keep], obs[keep]
+            self.select_stage(live, obs, n_max, draws is not None)
+        return [(ep.stages, ep.transitions) for ep in episodes]
 
     def rollout(self, queue, sample: bool = False, network: Network | None = None
                 ) -> tuple[list[list[int]], list[Transition]]:
@@ -399,16 +413,8 @@ class PpoAgent:
         (default: the agent's); a job that does not fit it is a SchedulingError."""
         network = network if network is not None else self.network
         _validate_queue(queue, network)
-        n_max = network.n_nodes
-        state = self.encode(queue)
-        selected = state.padding.copy()
-        stages: list[list[int]] = []
-        transitions: list[Transition] = []
-        while not all(selected.tolist()):
-            picks, trs = self.select_stage(state, selected, n_max, sample=sample)
-            stages.append(picks)
-            transitions.extend(trs)
-        return stages, transitions
+        draws = self.action_rng.random(len(queue)) if sample else None
+        return self._rollouts([queue], network.n_nodes, draws)[0]
 
     # -- schedule construction -------------------------------------------
 
@@ -447,8 +453,10 @@ class PpoAgent:
     def train(self, episodes: int, bias_alpha: float = 0.0) -> list[TrainLogEntry]:
         """Roll out fixed-size slots, updating every ``update_every`` picks.
 
-        Every transition of an episode receives the episode reward;
-        advantages come from generalized advantage estimation.
+        The episodes of an update window roll out in lockstep, their queues
+        and action uniforms drawn first, in episode order. Every transition
+        of an episode receives the episode reward; advantages come from
+        generalized advantage estimation.
         """
         cfg = self.config
         node_selection = cfg.reward_variant == "node_selection"
@@ -457,20 +465,27 @@ class PpoAgent:
             bias_alpha=bias_alpha,
             fixed_count=cfg.j_max,
         )
-        buffer: list[Transition] = []
-        window_rewards: list[float] = []
         log: list[TrainLogEntry] = []
-        for _ in range(episodes):
-            queue = workload.generate_slot_jobs(wcfg, self.env_rng)
-            stages, transitions = self.rollout(queue, sample=True)
-            schedule = self.build_schedule(queue, stages, node_selection)
-            reward = self.episode_reward(queue, stages, schedule)
-            for tr in transitions:
-                tr.reward = reward
-            compute_gae(transitions, DISCOUNT, GAE_LAMBDA)
-            buffer.extend(transitions)
-            window_rewards.append(reward)
-            if len(buffer) >= cfg.update_every:
+        while episodes > 0:
+            queues, n_picks = [], 0  # a window: the episodes that fill the buffer
+            while episodes > 0 and n_picks < cfg.update_every:
+                queues.append(workload.generate_slot_jobs(wcfg, self.env_rng))
+                _validate_queue(queues[-1], self.network)
+                n_picks += len(queues[-1])  # one transition per job
+                episodes -= 1
+            draws = self.action_rng.random(n_picks)
+            buffer: list[Transition] = []
+            window_rewards: list[float] = []
+            for queue, (stages, transitions) in zip(
+                    queues, self._rollouts(queues, self.network.n_nodes, draws)):
+                schedule = self.build_schedule(queue, stages, node_selection)
+                reward = self.episode_reward(queue, stages, schedule)
+                for tr in transitions:
+                    tr.reward = reward
+                compute_gae(transitions, DISCOUNT, GAE_LAMBDA)
+                buffer.extend(transitions)
+                window_rewards.append(reward)
+            if n_picks >= cfg.update_every:
                 stats = ppo_update(
                     buffer, self.policy, self.value_net, cfg,
                     self.policy_opt, self.value_opt, self.update_rng,
@@ -483,7 +498,6 @@ class PpoAgent:
                     value_loss=float(mean_stats[1]),
                     entropy=float(mean_stats[2]),
                 ))
-                window_rewards = []
         return log
 
 

@@ -129,6 +129,21 @@ class TestConfigParser:
         with open(shipped, encoding="utf-8", newline="") as fh:
             assert fh.read() == default_config_text()
 
+    def test_quality_mix_is_read_only(self, tmp_path):
+        """A loaded config, like the default one, cannot be changed through
+        its ``quality_mix``, and the readers of the mix still work."""
+        path = tmp_path / "bench.cfg"
+        path.write_text(default_config_text())
+        for config in (harness.load_config(str(path)), ExperimentConfig()):
+            with pytest.raises(TypeError):
+                config.quality_mix["bad"] = 0.9
+            assert dict(config.quality_mix) == {"bad": 0.2, "medium": 0.3, "good": 0.5}
+            network = build_network(config.n_nodes, config.qpu_capacity, config.quality_mix,
+                                    seed=0)
+            assert network == build_network(config.n_nodes, config.qpu_capacity,
+                                            dict(config.quality_mix), seed=0)
+        assert "quality_mix = bad:0.2, medium:0.3, good:0.5\n" in default_config_text()
+
     def test_bad_quality_mix_rejected(self, tmp_path):
         text = default_config_text().replace(
             "quality_mix = bad:0.2, medium:0.3, good:0.5",
@@ -742,6 +757,28 @@ class TestCli:
             with pytest.raises(ConfigError) as err:
                 harness.load_config(str(cfg))
             assert str(err.value) == f"{where}reps must be <= 64, got {huge}"
+
+    @pytest.mark.parametrize("key, bound", [("seed_count", harness.MAX_SEED_COUNT),
+                                            ("local_gate_ns", harness.MAX_LOCAL_GATE_NS)])
+    def test_huge_seed_count_and_gate_time_rejected_at_parse_time(self, tmp_path, capsys,
+                                                                   key, bound):
+        """A 20-digit ``seed_count`` or ``local_gate_ns`` passed the parser and
+        then failed in the run with a bare message from C integer conversion.
+        Each now has an upper bound, checked when the config is read."""
+        text = re.sub(r"seed_count = \d+", "seed_count = 1", self.write_config_text())
+        old = next(row for row in text.splitlines() if row.startswith(f"{key} ="))
+        for value in (12345678901234567890, bound + 1):
+            cfg = tmp_path / "huge.cfg"
+            cfg.write_text(text.replace(old, f"{key} = {value}", 1))
+            line = text.splitlines().index(old) + 1
+            out = tmp_path / "out"
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (f"config error: {cfg}:{line}: key '{key}' "
+                                               f"must be <= {bound}, got {value}\n")
+            assert not out.exists()
+        if key == "local_gate_ns":  # the largest gate time runs to the end
+            cfg.write_text(text.replace(old, f"{key} = {bound}", 1))
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
 
     def ppo_config(self, tmp_path, *counts):
         """The test config with its first ``len(counts)`` settings' ``lambda``

@@ -1,7 +1,6 @@
 """RL scheduler: encoding, rewards, losses, gradients, rollout, persistence."""
 
 import dataclasses
-import functools
 import itertools
 import math
 import struct
@@ -190,6 +189,48 @@ class TestMaskedSoftmax:
             masked_softmax(np.zeros(5), masks[2])
 
 
+class TestLockstepNumerics:
+    """Canaries for what lockstep rollouts rest on: a new numpy or BLAS that
+    breaks one of these properties fails here by name, before any digest."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 205, 256])
+    def test_stacked_rows_forward_like_single_rows(self, batch):
+        rng = make_rng(66, batch)
+        agent = small_agent()
+        for net in (agent.policy, agent.value_net):
+            for b in net.biases:
+                b[...] = rng.normal(size=b.shape)
+        x = rng.random((batch, 1, 20)) * rng.choice([0.1, 1.0, 50.0], size=(batch, 1, 1))
+        x.reshape(batch, 5, 4)[rng.random((batch, 5)) < 0.4] = 0.0  # picked or padded jobs
+        for net in (agent.policy, agent.value_net):
+            stacked = net(x)
+            assert stacked.shape == (batch, 1, net.weights[-1].shape[1])
+            mismatched = [i for i in range(batch) if not np.array_equal(stacked[i], net(x[i]))]
+            assert mismatched == [], "a (B, 1, n) @ (n, h) product no longer rounds " \
+                "like B single-row products"
+
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_row_exp_and_sum_like_one_row(self, width):
+        rng = make_rng(67, width)
+        # shifted logits: each row's top entry 0, infeasible entries -inf
+        rows = -np.abs(rng.normal(size=(300, width))) * rng.choice([0.1, 1.0, 30.0], (300, 1))
+        rows[rng.random((300, width)) < 0.3] = -math.inf
+        rows[np.arange(300), rng.integers(0, width, 300)] = 0.0
+        exp = np.exp(rows.tolist())
+        totals = exp.sum(axis=1)
+        for row, e, total in zip(rows, exp, totals):
+            one = np.exp(row.tolist())
+            assert np.array_equal(one, e), "np.exp over rows no longer matches one row"
+            assert one.sum() == total, "a row sum no longer adds in a lone row's order"
+
+    def test_generator_random_k_like_k_calls(self):
+        batch, single = make_rng(68), make_rng(68)
+        for k in (0, 1, 5, 1025, 4100):
+            assert batch.random(k).tolist() == [single.random() for _ in range(k)], \
+                "Generator.random(k) no longer draws what k random() calls draw"
+            assert batch.bit_generator.state == single.bit_generator.state
+
+
 class TestBitExactRewrites:
     def test_call_equals_forward_output(self):
         rng = make_rng(57)
@@ -241,18 +282,11 @@ class TestBitExactRewrites:
             mask = rng.random(k) < 0.6
             mask[int(rng.integers(0, k))] = True
             probs = masked_softmax(rng.normal(size=k) * rng.choice([0.1, 1.0, 10.0]), mask)
-            assert sample_index(probs, ours) == theirs.choice(k, p=probs)
+            assert sample_index(probs, ours.random()) == theirs.choice(k, p=probs)
         assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_sample_index_at_the_ends_of_the_uniform_range(self):
-        class FixedUniform:
-            def __init__(self, u):
-                self.u = u
-
-            def random(self):
-                return self.u
-
-        low, high = FixedUniform(0.0), FixedUniform(np.nextafter(1.0, 0.0))
+        low, high = 0.0, np.nextafter(1.0, 0.0)
         # a leading masked entry is never drawn, not even by u = 0
         assert sample_index(masked_softmax(np.zeros(2), [False, True]), low) == 1
         # ten 0.1 entries sum to the largest double below 1; the top draw
@@ -269,14 +303,14 @@ class TestBitExactRewrites:
             mask[int(rng.integers(0, k))] = True
             probs = masked_softmax(rng.normal(size=k) * rng.choice([0.1, 1.0, 10.0]), mask)
             expected = theirs.choice(k, p=probs)
-            assert sample_index(probs.tolist(), from_list) == expected
-            assert sample_index(probs, from_array) == expected
+            assert sample_index(probs.tolist(), from_list.random()) == expected
+            assert sample_index(probs, from_array.random()) == expected
         assert from_list.bit_generator.state == theirs.bit_generator.state
         assert from_array.bit_generator.state == theirs.bit_generator.state
         for probs in ([], [0.5, 0.6], [1.2, -0.2], [0.5, math.nan], [math.nan, 0.5],
                       [0.1] * 8 + [0.25], [0.2] * 8 + [-0.6]):
             with pytest.raises(ValueError, match="probability"):
-                sample_index(probs, rng)
+                sample_index(probs, rng.random())
 
     def test_numpy_sums_left_to_right_below_eight_entries(self):
         # sample_index's check sums in numpy's order and the pick loop keeps
@@ -294,19 +328,15 @@ class TestBitExactRewrites:
         rng = make_rng(61)
         for probs in ([0.5, 0.6], [1.2, -0.2], [0.5, np.nan], [0.25, 0.25]):
             with pytest.raises(ValueError, match="probability"):
-                sample_index(np.array(probs), rng)
+                sample_index(np.array(probs), rng.random())
 
 
 class TestSelectStage:
     def test_resource_budget_one_per_stage(self):
         agent = small_agent(j_max=2)
         jobs = [make_job(0, 3, 10), make_job(1, 3, 10)]
-        state = agent.encode(jobs)
-        selected = state.padding.copy()
-        picks1, _ = agent.select_stage(state, selected, n_max=4)
-        picks2, _ = agent.select_stage(state, selected, n_max=4)
-        assert len(picks1) == 1 and len(picks2) == 1
-        assert set(picks1) | set(picks2) == {0, 1}
+        stages, _ = agent.rollout(jobs, network=homogeneous_network(4, 3, "good"))
+        assert sorted(stages) == [[0], [1]]
 
     def test_feasibility_and_no_duplicates(self):
         agent = small_agent()
@@ -336,22 +366,25 @@ class TestSelectStage:
 
 
 class TestSelectStageMatchesReference:
-    """The Python-scalar pick loop against the numpy loop it replaced.
+    """The lockstep pick loop against one numpy loop per queue, the loop it
+    replaced two rewrites ago.
 
-    With 8 or more entries numpy's sum no longer adds left to right, so the
-    j_max 8 and 9 cases catch a Python-order normalising sum.
+    Each case steps a batch of queues of mixed lengths, so episodes finish
+    at different steps and the stacked forwards shrink as they do. With 8 or
+    more entries numpy's sum no longer adds left to right, so the j_max 8
+    and 9 cases catch a Python-order normalising sum.
     """
 
     @staticmethod
-    def stages(select, state, n_max, sample, preselected):
-        selected = state.padding | preselected
-        out = []
+    def reference_rollout(agent, jobs, n_max, sample):
+        state = encode_state(jobs, agent.config.j_max, agent.time_scale)
+        selected = state.padding.copy()
+        stages, transitions = [], []
         while not selected.all():
-            picks, transitions = select(state, selected, n_max, sample=sample)
-            if not picks:
-                break
-            out.append((picks, transitions))
-        return out, selected
+            picks, trs = reference_select_stage(agent, state, selected, n_max, sample)
+            stages.append(picks)
+            transitions.extend(trs)
+        return stages, transitions
 
     @pytest.mark.parametrize("j_max", [1, 2, 5, 8, 9])
     def test_picks_transitions_and_rng_match(self, j_max):
@@ -369,25 +402,23 @@ class TestSelectStageMatchesReference:
             if tied:
                 agent.policy.biases[-1][...] = rng.integers(1, 3, size=j_max) * 0.5
             n_max = int(rng.integers(1, n_nodes))
-            jobs = [make_job(i, int(rng.integers(1, n_max + 1)), int(rng.integers(1, 90)),
-                             epr=int(rng.integers(0, 12)))
-                    for i in range(int(rng.integers(1, j_max + 1)))]
-            state = agent.encode(jobs)
-            preselected = (rng.random(j_max) < 0.2) if case % 4 == 3 else np.zeros(j_max, bool)
+            queues = [[make_job(i, int(rng.integers(1, n_max + 1)), int(rng.integers(1, 90)),
+                                epr=int(rng.integers(0, 12)))
+                       for i in range(int(rng.integers(0 if k else 1, j_max + 1)))]
+                      for k in range(int(rng.integers(1, 5)))]
             sample = bool(case % 2)
             start = agent.action_rng.bit_generator.state
-            ours, ours_sel = self.stages(agent.select_stage, state, n_max, sample, preselected)
+            draws = agent.action_rng.random(sum(map(len, queues))) if sample else None
+            ours = agent._rollouts(queues, n_max, draws)
             after = agent.action_rng.bit_generator.state
             agent.action_rng.bit_generator.state = start
-            theirs, theirs_sel = self.stages(functools.partial(reference_select_stage, agent),
-                                             state, n_max, sample, preselected)
+            theirs = [self.reference_rollout(agent, jobs, n_max, sample) for jobs in queues]
             assert agent.action_rng.bit_generator.state == after
-            assert np.array_equal(ours_sel, theirs_sel)
-            assert [picks for picks, _ in ours] == [picks for picks, _ in theirs]
+            assert [stages for stages, _ in ours] == [stages for stages, _ in theirs]
             ours_trs = [tr for _, trs in ours for tr in trs]
             theirs_trs = [tr for _, trs in theirs for tr in trs]
             assert len(ours_trs) == len(theirs_trs)
-            assert len(ours_trs) == (sum(len(picks) for picks, _ in ours) if sample else 0)
+            assert len(ours_trs) == (sum(map(len, queues)) if sample else 0)
             for a, b in zip(ours_trs, theirs_trs):
                 for f in dataclasses.fields(Transition):
                     x, y = getattr(a, f.name), getattr(b, f.name)
@@ -622,9 +653,8 @@ class TestPpoSchedule:
         agent = small_agent()
 
         class EprBias:
-            def __call__(self, obs):
-                rows = obs.reshape(5, 4)
-                return -100.0 * rows[:, 1][None, :]
+            def __call__(self, obs):  # a stack of 1 × 20 rows
+                return -100.0 * obs.reshape(-1, 1, 5, 4)[..., 1]
 
         agent.policy = EprBias()
         net = agent.network

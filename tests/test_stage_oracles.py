@@ -18,11 +18,19 @@ state as arguments, so the loop oracle does not check the search against
 itself. Every test compares the library's schedule with the reference's
 column for column, or both errors word for word, on hypothesis-drawn queues
 and networks.
+
+PPO training has its own oracle: ``reference_train``, the sequential
+episode loop that lockstep rollouts replaced, with the ``rollout``,
+``select_stage``, ``encode`` and ``sample_index`` it called, copied
+verbatim as functions of the agent. One edit: ``reference_encode`` sets
+``node_counts``, which ``encode_state`` no longer returns.
 """
+import bisect
 import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +44,21 @@ from conftest import (
 )
 from dqcsched.execmodel import EPR_POLICIES, ExecModelParams
 from dqcsched.netmodel import Network, build_network
-from dqcsched.ppo import PpoAgent, PpoConfig
+from dqcsched import workload
+from dqcsched.ppo import (
+    _PROB_SUM_TOL,
+    DISCOUNT,
+    GAE_LAMBDA,
+    REWARD_VARIANTS,
+    PpoAgent,
+    PpoConfig,
+    PpoState,
+    TrainLogEntry,
+    Transition,
+    compute_gae,
+    encode_state,
+    ppo_update,
+)
 from dqcsched.schedulers import (
     SCHEDULER_NAMES,
     Schedule,
@@ -229,6 +251,124 @@ REFERENCES = {
 }
 
 
+
+# -- references: PPO training as it was before lockstep rollouts -------------
+
+
+def reference_sample_index(probs, rng: np.random.Generator) -> int:
+    """``rng.choice(len(probs), p=probs)`` for a list or an array, by numpy's
+    own algorithm (``cumsum`` over its last entry, then ``searchsorted``)."""
+    values = probs.tolist() if isinstance(probs, np.ndarray) else list(probs)
+    cdf = list(itertools.accumulate(values))
+    # The check sums in numpy's order, which is left to right below 8 entries.
+    total = cdf[-1] if 0 < len(cdf) < 8 else np.add.reduce(values)
+    if not abs(total - 1.0) <= _PROB_SUM_TOL or min(values) < 0.0:
+        raise ValueError(f"not a probability vector: {values}")
+    return bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())
+
+
+def reference_encode(self, queue) -> PpoState:
+    state = encode_state(queue, self.config.j_max, self.time_scale)
+    state.node_counts = state.matrix[:, 0].astype(int).tolist()
+    state.scaled = state.matrix / self.feature_scales
+    return state
+
+
+def reference_select_stage(
+    self,
+    state: PpoState,
+    selected: np.ndarray,
+    n_max: int,
+    sample: bool = False,
+) -> tuple[list[int], list[Transition]]:
+    n_vals = state.node_counts
+    obs = np.where(selected[:, None], 0.0, state.scaled)  # a picked row is zeroed
+    flat = obs.reshape(1, -1)  # the policy's 1 × n input row, a view of obs
+    rows = [r for r, taken in enumerate((state.padding | selected).tolist()) if not taken]
+    picks: list[int] = []
+    transitions: list[Transition] = []
+    cap = n_max
+    while feasible := [r for r in rows if n_vals[r] <= cap]:
+        x = flat.copy() if sample else flat
+        logits = self.policy(x)[0].tolist()
+        top = max(logits[r] for r in feasible)
+        shifted = [-math.inf] * len(logits)
+        for r in feasible:
+            shifted[r] = logits[r] - top
+        exp = np.exp(shifted)
+        total = float(exp.sum())
+        probs = [e / total for e in exp.tolist()]
+        if sample:
+            action = reference_sample_index(probs, self.action_rng)
+            mask = np.zeros(len(probs), dtype=bool)
+            mask[feasible] = True
+            transitions.append(Transition(
+                obs=x[0], mask=mask, action=action, logp=float(np.log(probs[action])),
+                value=float(self.value_net(x)[0, 0])))
+        else:
+            action = max(feasible, key=probs.__getitem__)  # first max, as np.argmax
+        picks.append(action)
+        rows.remove(action)
+        selected[action] = True
+        obs[action] = 0.0
+        cap -= n_vals[action]
+    return picks, transitions
+
+
+def reference_rollout(self, queue, sample: bool = False, network: Network | None = None
+                      ) -> tuple[list[list[int]], list[Transition]]:
+    network = network if network is not None else self.network
+    _validate_queue(queue, network)
+    n_max = network.n_nodes
+    state = reference_encode(self, queue)
+    selected = state.padding.copy()
+    stages: list[list[int]] = []
+    transitions: list[Transition] = []
+    while not all(selected.tolist()):
+        picks, trs = reference_select_stage(self, state, selected, n_max, sample=sample)
+        stages.append(picks)
+        transitions.extend(trs)
+    return stages, transitions
+
+
+def reference_train(self, episodes: int, bias_alpha: float = 0.0) -> list[TrainLogEntry]:
+    cfg = self.config
+    node_selection = cfg.reward_variant == "node_selection"
+    wcfg = workload.WorkloadConfig(
+        catalog=self.catalog,
+        bias_alpha=bias_alpha,
+        fixed_count=cfg.j_max,
+    )
+    buffer: list[Transition] = []
+    window_rewards: list[float] = []
+    log: list[TrainLogEntry] = []
+    for _ in range(episodes):
+        queue = workload.generate_slot_jobs(wcfg, self.env_rng)
+        stages, transitions = reference_rollout(self, queue, sample=True)
+        schedule = self.build_schedule(queue, stages, node_selection)
+        reward = self.episode_reward(queue, stages, schedule)
+        for tr in transitions:
+            tr.reward = reward
+        compute_gae(transitions, DISCOUNT, GAE_LAMBDA)
+        buffer.extend(transitions)
+        window_rewards.append(reward)
+        if len(buffer) >= cfg.update_every:
+            stats = ppo_update(
+                buffer, self.policy, self.value_net, cfg,
+                self.policy_opt, self.value_opt, self.update_rng,
+            )
+            mean_stats = np.array(stats).mean(axis=0)
+            log.append(TrainLogEntry(
+                update_index=len(log),
+                mean_reward=float(np.mean(window_rewards)),
+                policy_loss=float(mean_stats[0]),
+                value_loss=float(mean_stats[1]),
+                entropy=float(mean_stats[2]),
+            ))
+            window_rewards = []
+    return log
+
+
 # -- comparison ---------------------------------------------------------------
 
 
@@ -362,3 +502,49 @@ def test_every_scheduler_prices_as_the_reference_on_shared_tables(env):
         for node_selection in (False, True):
             assert outcome(lambda: agent.build_schedule(queue, stages, node_selection)) == \
                 outcome(lambda: reference_build_schedule(agent, queue, stages, node_selection))
+
+
+def training_agents(j_max, variant="plain", catalog_edit=None):
+    """Two equal agents on one network. ``update_every`` = 7 j_max + 3 is not
+    a multiple of ``j_max`` above j_max 1, so a window's last episode
+    overfills the buffer there."""
+    network = build_network(6, 3, MIXES[1], seed=j_max)
+    params = unit_exec_params()
+    catalog = default_catalog(network, params)
+    if catalog_edit:
+        catalog = catalog_edit(catalog)
+    config = PpoConfig(j_max=j_max, minibatch=8, update_every=7 * j_max + 3, epochs=2,
+                       reward_variant=variant, seed=j_max)
+    return [PpoAgent(config, network, params, catalog) for _ in range(2)]
+
+
+@pytest.mark.parametrize("variant", REWARD_VARIANTS)
+@pytest.mark.parametrize("j_max", [1, 2, 5, 8])
+def test_lockstep_training_matches_the_sequential_loop(j_max, variant):
+    """Three full windows and two episodes of a fourth, which ends the run
+    without an update: the logs, both nets and all three generators agree."""
+    ours, theirs = training_agents(j_max, variant)
+    episodes = 3 * math.ceil(ours.config.update_every / j_max) + 2
+    log = ours.train(episodes, bias_alpha=0.5)
+    assert len(log) == 3
+    assert repr(log) == repr(reference_train(theirs, episodes, bias_alpha=0.5))
+    for a, b in ((ours.policy, theirs.policy), (ours.value_net, theirs.value_net)):
+        assert np.array_equal(a.flat_parameters(), b.flat_parameters())
+    for rng in ("action_rng", "env_rng", "update_rng"):
+        assert getattr(ours, rng).bit_generator.state == \
+            getattr(theirs, rng).bit_generator.state
+    assert ours.train(0) == reference_train(theirs, 0) == []
+
+
+def test_lockstep_training_rejects_the_first_bad_queue_as_the_sequential_loop():
+    """A 7-QPU catalog entry on 6 nodes: both loops name the same job of the
+    same episode."""
+    def widen(catalog):
+        return (*catalog[:3], dataclasses.replace(catalog[3], required_qpus=7), *catalog[4:])
+
+    errors = []
+    for train, agent in zip((PpoAgent.train, reference_train), training_agents(5, "plain", widen)):
+        with pytest.raises(SchedulingError, match="requires 7 QPUs") as exc:
+            train(agent, 200)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
