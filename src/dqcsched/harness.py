@@ -23,7 +23,7 @@ from .configfile import ConfigError, ParsedConfig, parse_config_file
 from .execmodel import ExecModelParams
 from .netmodel import Network, build_network, quality_probabilities
 from .ppo import REWARD_VARIANTS
-from .schedulers import SCHEDULER_NAMES, check_selection_size, get_scheduler
+from .schedulers import SCHEDULER_NAMES, _validate_queue, check_selection_size, get_scheduler
 
 PPO_SCHEDULER_NAMES = ("ppo", "ppo-ns")
 KNOWN_SCHEDULERS = SCHEDULER_NAMES + PPO_SCHEDULER_NAMES
@@ -146,16 +146,19 @@ def build_catalog(config: ExperimentConfig, network: Network):
     return workload.sorted_catalog(config.catalog_entries, network, config.exec_params())
 
 
-def _resolve_scheduler(name: str, ppo_agent):
-    """A classical scheduler by name, or ``ppo_agent`` scheduling with node
-    selection for ``ppo-ns`` and without it for ``ppo``."""
+def _cell_scheduler(name: str, ppo_agent):
+    """A function of a cell's checked queues, network and params giving their
+    schedules: a classical scheduler's, queue by queue, or ``ppo_agent``'s from
+    one lockstep rollout, placed with node selection for ``ppo-ns`` only."""
     if name not in PPO_SCHEDULER_NAMES:
-        return get_scheduler(name)
+        run = get_scheduler(name)
+        return lambda queues, net, params: [run(queue, net, params) for queue in queues]
     if ppo_agent is None:
         raise ConfigError(f"scheduler {name!r} requires trained weights (train-ppo first)")
     node_selection = name == "ppo-ns"
-    return lambda queue, net, params: ppo_agent.schedule(
-        queue, node_selection=node_selection, network=net, exec_params=params)
+    return lambda queues, net, params: [
+        ppo_agent.build_schedule(queue, stages, node_selection, net, params)
+        for queue, (stages, _) in zip(queues, ppo_agent._rollouts(queues, net.n_nodes, None))]
 
 
 def run_experiment(config: ExperimentConfig, ppo_agent=None) -> SlotTable:
@@ -163,13 +166,13 @@ def run_experiment(config: ExperimentConfig, ppo_agent=None) -> SlotTable:
 
     Per seed one network and one catalog are built and shared by every
     setting and scheduler; per (setting, seed) the job stream is generated
-    once and fed to every scheduler, so comparisons are paired. Each cell's
-    non-empty schedules are reduced to metric columns in one pass, which the
-    table takes as they are, with None inserted for each empty slot.
+    and checked once and fed to every scheduler, so comparisons are paired.
+    Each cell's non-empty schedules are reduced to metric columns in one
+    pass, which the table takes as they are, with None for each empty slot.
     """
     config.validate()
     exec_params = config.exec_params()
-    run_fns = {name: _resolve_scheduler(name, ppo_agent) for name in config.schedulers}
+    run_cells = {name: _cell_scheduler(name, ppo_agent) for name in config.schedulers}
     environments = {}
     for seed in config.seeds:
         net = build_network(config.n_nodes, config.qpu_capacity,
@@ -189,9 +192,11 @@ def run_experiment(config: ExperimentConfig, ppo_agent=None) -> SlotTable:
             rng = _workload_rng(seed)
             queues = [workload.generate_slot_jobs(wcfg, rng) for _ in range(n_slots)]
             empty = [i for i, queue in enumerate(queues) if not queue]
-            for name, run_fn in run_fns.items():
-                cell = metrics_mod.metric_columns(
-                    [run_fn(queue, net, exec_params) for queue in queues if queue], config.n_nodes)
+            jobs = [queue for queue in queues if queue]
+            for queue in jobs:
+                _validate_queue(queue, net)
+            for name, run_cell in run_cells.items():
+                cell = metrics_mod.metric_columns(run_cell(jobs, net, exec_params), config.n_nodes)
                 columns["setting"] += [setting.label] * n_slots
                 columns["scheduler"] += [name] * n_slots
                 columns["seed"] += [seed] * n_slots

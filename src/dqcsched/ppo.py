@@ -11,12 +11,10 @@ entropy terms on a from-scratch network (:mod:`dqcsched.nn`).
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 import operator
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,35 +79,16 @@ class Transition:
     ret: float = 0.0
 
 
-@dataclass
-class _Episode:
-    """One queue's rollout so far, and the rows and stage nodes it has left."""
-
-    node_counts: list[int]
-    rows: list[int]
-    uniforms: list[float]  # one a pick, drawn in advance; empty for argmax picks
-    cap: int = 0  # no stage is open yet
-    stages: list[list[int]] = field(default_factory=list)
-    transitions: list[Transition] = field(default_factory=list)
-
-
 def encode_state(queue, j_max: int, time_scale: float) -> PpoState:
     """Queue to feature matrix; time estimates normalized by ``time_scale``."""
     if len(queue) > j_max:
         raise ValueError(f"queue of {len(queue)} jobs exceeds j_max={j_max}")
     if time_scale <= 0:
         raise ValueError(f"time_scale must be > 0, got {time_scale}")
-    matrix = np.zeros((j_max, N_FEATURES))
-    padding = np.ones(j_max, dtype=bool)
-    for row, job in enumerate(queue):
-        matrix[row] = (
-            job.required_qpus,
-            job.nonlocal_gates,
-            job.nonlocal_gates,
-            job.est_exec_ns / time_scale,
-        )
-        padding[row] = False
-    return PpoState(matrix=matrix, padding=padding)
+    matrix = np.array([(job.required_qpus, job.nonlocal_gates, job.nonlocal_gates,
+                        job.est_exec_ns / time_scale) for job in queue]
+                      + [(0.0,) * N_FEATURES] * (j_max - len(queue)), dtype=float)
+    return PpoState(matrix=matrix, padding=np.arange(j_max) >= len(queue))
 
 
 def stage_latencies(
@@ -178,17 +157,17 @@ def epr_reward(
     return r_epr, -r_lat + r_epr
 
 
-def sample_index(probs, u: float) -> int:
-    """``rng.choice(len(probs), p=probs)`` for a list or an array, by numpy's
-    own algorithm (``cumsum`` over its last entry, then ``searchsorted``),
-    given the uniform ``u = rng.random()`` that it draws."""
-    values = probs.tolist() if isinstance(probs, np.ndarray) else list(probs)
-    cdf = list(itertools.accumulate(values))
-    # The check sums in numpy's order, which is left to right below 8 entries.
-    total = cdf[-1] if 0 < len(cdf) < 8 else np.add.reduce(values)
-    if not abs(total - 1.0) <= _PROB_SUM_TOL or min(values) < 0.0:
-        raise ValueError(f"not a probability vector: {values}")
-    return bisect.bisect_right([c / cdf[-1] for c in cdf], u)
+def sample_index(probs, u):
+    """``rng.choice(n, p=row)`` for a row of ``probs`` (list or array) or each
+    row of an ``(L, n)`` stack, by numpy's own algorithm (the sum checked with
+    ``np.add.reduce``, ``cumsum`` over its last entry, then ``searchsorted``),
+    given the uniform ``u = rng.random()`` it draws, or an ``(L,)`` array."""
+    rows = np.atleast_2d(np.asarray(probs, dtype=float))
+    if not (abs(np.add.reduce(rows, axis=1) - 1.0) <= _PROB_SUM_TOL).all() or (rows < 0).any():
+        raise ValueError(f"not a probability vector: {np.asarray(probs).tolist()}")
+    cdf = np.cumsum(rows, axis=1)  # left to right, as itertools.accumulate
+    picks = (cdf / cdf[:, -1:] <= np.reshape(u, (-1, 1))).sum(axis=1)  # bisect_right
+    return picks if np.ndim(probs) > 1 else int(picks[0])
 
 
 def policy_loss_parts(
@@ -347,65 +326,71 @@ class PpoAgent:
 
     # -- action ------------------------------------------------------------
 
-    def select_stage(self, live: list[_Episode], obs: np.ndarray, n_max: int,
-                     sample: bool) -> None:
-        """One pick of each live episode, whose row of ``obs``, the ``(L, 1, n)``
-        stack of the live episodes' policy inputs, is zeroed.
+    def select_stage(self, scaled: np.ndarray, need: np.ndarray, cap: np.ndarray,
+                     n_max: int, u: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        """One pick of each of L live episodes, given their ``scaled`` job rows
+        ``(L, j_max, N_FEATURES)``, each job's node count ``need`` ``(L, j_max)``
+        (``inf`` once picked, and for padding) and the nodes left in each open
+        stage, ``cap`` ``(L,)`` (0 before the first), both updated in place.
 
-        An episode picks from the softmax over its rows that fit the nodes
-        left in its stage, or opens a stage of ``n_max`` nodes. The nets run
-        once over the stack, for which numpy's matmul makes each row's own
-        single-row gemv (or dot) call, so picks match :func:`masked_softmax`
-        and a one-episode loop bit for bit, as do one ``np.exp`` and one row
-        sum over all rows. Only sampled picks keep transitions.
-        """
-        x = obs.copy() if sample else obs  # transitions keep rows of the copy
-        logits = self.policy(x)[:, 0].tolist()
-        values = self.value_net(x)[:, 0, 0].tolist() if sample else None
-        feasibles, shifted = [], []
-        for ep, row in zip(live, logits):
-            if not (feasible := [r for r in ep.rows if ep.node_counts[r] <= ep.cap]):
-                ep.stages.append([])  # the next stage, which every checked job fits
-                ep.cap, feasible = n_max, list(ep.rows)
-            top = max([row[r] for r in feasible])
-            shifted.append(masked := [-math.inf] * len(row))
-            for r in feasible:
-                masked[r] = row[r] - top
-            feasibles.append(feasible)
-        exp = np.exp(shifted)
-        totals = np.add.reduce(exp, axis=1).tolist()  # exp.sum(axis=1), minus a wrapper
-        for i, (ep, feasible, row, total) in enumerate(zip(live, feasibles, exp.tolist(), totals)):
-            probs = [e / total for e in row]
-            if sample:
-                action = sample_index(probs, ep.uniforms[len(ep.transitions)])
-                mask = np.zeros(len(probs), dtype=bool)
-                mask[feasible] = True
-                ep.transitions.append(Transition(
-                    obs=x[i, 0], mask=mask, action=action, logp=float(np.log(probs[action])),
-                    value=values[i]))
-            else:
-                action = max(feasible, key=probs.__getitem__)  # first max, as np.argmax
-            ep.stages[-1].append(action)
-            ep.rows.remove(action)
-            ep.cap -= ep.node_counts[action]
-            obs[i, 0, action * N_FEATURES:(action + 1) * N_FEATURES] = 0.0
+        An episode picks from the masked softmax over its jobs that fit
+        ``cap``, or over all of them in a new stage of ``n_max`` nodes: the
+        first most likely job, or one drawn with its uniform in ``u``. The
+        policy runs once over the ``(L, 1, n)`` stack of inputs, each row its
+        own single-row gemv in numpy's matmul, so a stack picks as its
+        episodes would one at a time. Returns the picks, which episodes opened
+        a stage, and the inputs, masks, log-probabilities and values (0 for
+        argmax picks, which keep no transitions)."""
+        alive = need < math.inf
+        x = np.where(alive[..., None], scaled, 0.0).reshape(len(need), 1, -1)
+        feasible = need <= cap[:, None]
+        opened = ~feasible.any(axis=1)
+        cap[opened] = n_max
+        feasible[opened] = alive[opened]
+        probs = masked_softmax(self.policy(x)[:, 0], feasible)
+        action = probs.argmax(axis=1) if u is None else sample_index(probs, u)
+        rows = np.arange(len(need))
+        cap -= need[rows, action]
+        need[rows, action] = math.inf
+        values = np.zeros(len(need)) if u is None else self.value_net(x)[:, 0, 0]
+        return action, opened, x[:, 0], feasible, np.log(probs[rows, action]), values
 
     def _rollouts(self, queues: list, n_max: int, draws: np.ndarray | None
                   ) -> list[tuple[list[list[int]], list[Transition]]]:
         """Stages and transitions of each checked queue, its episodes stepped
         in lockstep; ``draws`` holds the action uniforms of a sampled rollout
-        in episode-then-pick order, as one-episode loops would draw them."""
-        matrices = [encode_state(q, self.config.j_max, self.time_scale).matrix for q in queues]
-        obs = (np.array(matrices) / self.feature_scales).reshape(len(queues), 1, -1)
-        uniforms = iter(draws.tolist() if draws is not None else ())
-        episodes = [_Episode([job.required_qpus for job in q], list(range(len(q))),
-                             list(itertools.islice(uniforms, len(q)))) for q in queues]
-        live = episodes
-        while keep := [i for i, ep in enumerate(live) if ep.rows]:
-            if len(keep) < len(live):  # finished episodes leave the stack
-                live, obs = [live[i] for i in keep], obs[keep]
-            self.select_stage(live, obs, n_max, draws is not None)
-        return [(ep.stages, ep.transitions) for ep in episodes]
+        in episode-then-pick order, as one-episode loops would draw them.
+        Episodes step longest first, so the live ones are a prefix of the
+        stack, and each picks once a step: its pick t goes to entry t after
+        its first of the pick arrays, which are thus in ``draws`` order. Each
+        stage starts at a pick that opened one."""
+        j_max = self.config.j_max
+        lengths = np.array([len(q) for q in queues], dtype=int)
+        firsts = np.cumsum(lengths) - lengths  # each episode's first pick in draws order
+        by_length = np.argsort(-lengths, kind="stable")
+        raw = np.array([encode_state(queues[i], j_max, self.time_scale).matrix
+                        for i in by_length]).reshape(len(queues), j_max, N_FEATURES)
+        scaled = raw / self.feature_scales
+        need = np.where(np.arange(j_max) < lengths[by_length, None], raw[..., 0], math.inf)
+        cap = np.zeros(len(queues))
+        n_picks = int(lengths.sum())  # one array entry a pick, in draws order
+        action, opened = np.zeros(n_picks, dtype=int), np.zeros(n_picks, dtype=bool)
+        obs, masks = np.zeros((n_picks, j_max * N_FEATURES)), np.zeros((n_picks, j_max), dtype=bool)
+        logp, values = np.zeros(n_picks), np.zeros(n_picks)
+        for t in range(lengths.max(initial=0)):
+            k = np.count_nonzero(lengths > t)  # the live episodes: the longest k
+            at = firsts[by_length[:k]] + t
+            u = None if draws is None else draws[at]
+            action[at], opened[at], obs[at], masks[at], logp[at], values[at] = \
+                self.select_stage(scaled[:k], need[:k], cap[:k], n_max, u)
+        picks, starts = action.tolist(), np.flatnonzero(opened)
+        transitions = [] if draws is None else list(map(
+            Transition, obs, masks, picks, logp.tolist(), values.tolist()))
+        bounds = starts.tolist() + [n_picks]
+        stages = [picks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        cuts = starts.searchsorted(np.append(firsts, n_picks)).tolist()  # by episode
+        return [(stages[a:b], transitions[lo:lo + n]) for a, b, lo, n
+                in zip(cuts, cuts[1:], firsts.tolist(), lengths.tolist())]
 
     def rollout(self, queue, sample: bool = False, network: Network | None = None
                 ) -> tuple[list[list[int]], list[Transition]]:
@@ -454,7 +439,8 @@ class PpoAgent:
         """Roll out fixed-size slots, updating every ``update_every`` picks.
 
         The episodes of an update window roll out in lockstep, their queues
-        and action uniforms drawn first, in episode order. Every transition
+        and action uniforms drawn first, in episode order: one draw of the
+        window's catalog picks, one of its action uniforms. Every transition
         of an episode receives the episode reward; advantages come from
         generalized advantage estimation.
         """
@@ -465,14 +451,16 @@ class PpoAgent:
             bias_alpha=bias_alpha,
             fixed_count=cfg.j_max,
         )
+        per_window = -(-cfg.update_every // cfg.j_max)  # the episodes that fill the buffer
         log: list[TrainLogEntry] = []
         while episodes > 0:
-            queues, n_picks = [], 0  # a window: the episodes that fill the buffer
-            while episodes > 0 and n_picks < cfg.update_every:
-                queues.append(workload.generate_slot_jobs(wcfg, self.env_rng))
-                _validate_queue(queues[-1], self.network)
-                n_picks += len(queues[-1])  # one transition per job
-                episodes -= 1
+            n_picks = cfg.j_max * min(episodes, per_window)  # one transition per job
+            episodes -= n_picks // cfg.j_max
+            picks = wcfg.cumulative.searchsorted(self.env_rng.random(n_picks), side="right")
+            queues = [workload.catalog_copies(wcfg.catalog, picks[lo:lo + cfg.j_max].tolist())
+                      for lo in range(0, n_picks, cfg.j_max)]
+            for queue in queues:
+                _validate_queue(queue, self.network)
             draws = self.action_rng.random(n_picks)
             buffer: list[Transition] = []
             window_rewards: list[float] = []

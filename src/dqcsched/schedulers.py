@@ -11,6 +11,7 @@ asynchronously as jobs complete.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -98,6 +99,16 @@ def _validate_queue(queue, network: Network) -> None:
                                   f"network has {network.n_nodes}")
 
 
+def _checked(core):
+    """``core``, a scheduler of (queue, network, ...), behind the queue check;
+    ``get_scheduler`` hands out the unchecked ``core``, its ``__wrapped__``."""
+    @functools.wraps(core)
+    def scheduler(queue, network: Network, *args, **kwargs) -> Schedule:
+        _validate_queue(queue, network)
+        return core(queue, network, *args, **kwargs)
+    return scheduler
+
+
 def _place_stages(stages, network: Network, exec_params: ExecModelParams,
                   node_selection: bool = False) -> Schedule:
     """Barrier-staged placement of ``stages``, an iterable of job lists.
@@ -174,6 +185,7 @@ def _in_order_stages(queue, n_nodes: int, strict_order: bool = True):
         remaining = deferred
 
 
+@_checked
 def fifo_schedule(queue, network: Network, exec_params: ExecModelParams) -> Schedule:
     """Strict arrival order; consecutive jobs share a stage while they fit.
 
@@ -181,18 +193,18 @@ def fifo_schedule(queue, network: Network, exec_params: ExecModelParams) -> Sche
     nodes, and the next stage starts once every job of the current stage
     has finished.
     """
-    _validate_queue(queue, network)
     return _place_stages(_in_order_stages(queue, network.n_nodes), network, exec_params)
 
 
+@_checked
 def list_schedule(queue, network: Network, exec_params: ExecModelParams) -> Schedule:
     """FIFO ordering, but any later job that fits the free nodes joins the
     stage; the stage closes when no remaining job fits."""
-    _validate_queue(queue, network)
     return _place_stages(_in_order_stages(queue, network.n_nodes, strict_order=False),
                          network, exec_params)
 
 
+@_checked
 def resource_prioritize_schedule(queue, network: Network,
                                  exec_params: ExecModelParams) -> Schedule:
     """Each round runs the job subset with maximal total QPU demand.
@@ -202,7 +214,6 @@ def resource_prioritize_schedule(queue, network: Network,
     first ``ENUMERATION_CAP`` remaining jobs (arrival order), which bounds
     the exponential search.
     """
-    _validate_queue(queue, network)
     ascending = all(a.id < b.id for a, b in itertools.pairwise(queue))
 
     def stages(remaining):
@@ -313,6 +324,7 @@ def _min_weight_subset(free_sorted, k: int, delay_ns) -> tuple[int, ...]:
     return tuple(combos[np.argmin(weight)].tolist())
 
 
+@_checked
 def epr_schedule(
     queue,
     network: Network,
@@ -327,12 +339,12 @@ def epr_schedule(
     continues. With ``node_selection`` each placed job picks the free node
     subset with the best internal links instead of the lowest ids.
     """
-    _validate_queue(queue, network)
     remaining = sorted(queue, key=lambda j: (j.nonlocal_gates, j.est_exec_ns, j.id))
     return _place_stages(_in_order_stages(remaining, network.n_nodes, strict_order),
                          network, exec_params, node_selection)
 
 
+@_checked
 def asap_schedule(queue, network: Network, exec_params: ExecModelParams) -> Schedule:
     """Nodes are released asynchronously; freed nodes go to the first
     pending jobs (arrival order) that fit them.
@@ -343,7 +355,6 @@ def asap_schedule(queue, network: Network, exec_params: ExecModelParams) -> Sche
     The round hands out the nodes free at that time in id order, counting
     them down as it places.
     """
-    _validate_queue(queue, network)
     schedule = Schedule()
     add_id, add_nodes, add_start, add_finish, add_stage = schedule.appenders()
     prices = network._price_tables.setdefault(exec_params.key, {})
@@ -385,14 +396,15 @@ def asap_schedule(queue, network: Network, exec_params: ExecModelParams) -> Sche
 
 
 def get_scheduler(name: str):
-    """Resolve a scheduler name to a callable of (queue, network, params)."""
+    """A name's scheduler of (queue, network, params) for queues that passed
+    ``_validate_queue``; on a job wider than the network it may not return."""
     table = {
-        "fifo": fifo_schedule,
-        "list": list_schedule,
-        "resource": resource_prioritize_schedule,
-        "epr": epr_schedule,
-        "epr-ns": lambda q, n, p: epr_schedule(q, n, p, node_selection=True),
-        "asap": asap_schedule,
+        "fifo": fifo_schedule.__wrapped__,
+        "list": list_schedule.__wrapped__,
+        "resource": resource_prioritize_schedule.__wrapped__,
+        "epr": epr_schedule.__wrapped__,
+        "epr-ns": lambda q, n, p: epr_schedule.__wrapped__(q, n, p, node_selection=True),
+        "asap": asap_schedule.__wrapped__,
     }
     if name not in table:
         raise ValueError(f"unknown scheduler: {name!r}")

@@ -322,8 +322,12 @@ def generate_slot_jobs(config: WorkloadConfig, rng: np.random.Generator) -> list
     # Generator.choice(n, size=count, p=probabilities), without its per-call
     # checks and running sum: the same draws and generator state.
     picks = config.cumulative.searchsorted(rng.random(count), side="right")
-    # Copies of catalog entries under fresh ids, price keys carried, not re-derived
-    jobs = [object.__new__(JobDescriptor) for _ in range(count)]
-    for k, (job, i) in enumerate(zip(jobs, picks.tolist())):
-        job.__dict__.update(config.catalog[i].__dict__, id=k)
+    return catalog_copies(config.catalog, picks.tolist())
+
+
+def catalog_copies(catalog, picks: list[int]) -> list[JobDescriptor]:
+    """Catalog entries at ``picks``, copied under ids 0, 1, ... with their price keys."""
+    jobs = [object.__new__(JobDescriptor) for _ in picks]
+    for k, (job, i) in enumerate(zip(jobs, picks)):
+        job.__dict__.update(catalog[i].__dict__, id=k)
     return jobs

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqcsched import cli, harness, metrics, ppo, workload
+from dqcsched import cli, harness, metrics, ppo, schedulers, workload
 from dqcsched.configfile import ConfigError, parse_config_text
 from dqcsched.harness import (
     METRIC_FIELDS,
@@ -244,6 +244,30 @@ class TestRunExperiment:
         assert run_experiment(config) == table
         catalog.unlink()
         assert run_experiment(config) == table
+
+    def test_one_queue_check_per_non_empty_queue(self, monkeypatch):
+        """All eight schedulers on one run: the harness checks each non-empty
+        queue once, before any scheduler sees it, and no scheduler checks it
+        again."""
+        config = ExperimentConfig(
+            settings=(SettingSpec("f5", fixed_count=5), SettingSpec("sparse", lam=0.7)),
+            schedulers=harness.KNOWN_SCHEDULERS, seeds=(0, 1), n_slots=10)
+        params = config.exec_params()
+        net = build_network(6, 3, config.quality_mix, seed=0)
+        agent = ppo.PpoAgent(ppo.PpoConfig(), net, params, default_catalog(net, params))
+        checked = []
+
+        def counted(queue, network):
+            checked.append(queue)  # kept, so no two hold one id
+            original(queue, network)
+
+        original = schedulers._validate_queue
+        for module in (schedulers, harness, ppo):
+            monkeypatch.setattr(module, "_validate_queue", counted)
+        table = run_experiment(config, agent)
+        n_queues = sum(n > 0 for n in table.n_jobs) // len(harness.KNOWN_SCHEDULERS)
+        assert 20 < n_queues < 40  # every f5 slot and some sparse ones
+        assert len(checked) == len(set(map(id, checked))) == n_queues
 
     def test_ppo_without_weights_rejected(self):
         config = ExperimentConfig(

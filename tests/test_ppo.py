@@ -223,6 +223,43 @@ class TestLockstepNumerics:
             assert np.array_equal(one, e), "np.exp over rows no longer matches one row"
             assert one.sum() == total, "a row sum no longer adds in a lone row's order"
 
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_row_cumsum_like_accumulate(self, width):
+        rng = make_rng(69, width)
+        probs = rng.random((300, width)) * rng.choice([1e-3, 1.0, 1e3], (300, 1))
+        probs[rng.random((300, width)) < 0.3] = 0.0
+        for row, cdf in zip(probs, np.cumsum(probs, axis=1)):
+            assert cdf.tolist() == list(itertools.accumulate(row.tolist())), \
+                "a row of np.cumsum no longer adds left to right"
+
+    def test_log_of_gathered_probabilities_like_each_float(self):
+        rng = make_rng(70)
+        logits = rng.normal(size=(500, 9)) * rng.choice([0.1, 1.0, 30.0, 700.0], (500, 1))
+        probs = masked_softmax(logits, np.ones((500, 9), dtype=bool))
+        action = [rng.choice(np.flatnonzero(row > 0.0)) for row in probs]  # tiny ones too
+        gathered = probs[np.arange(500), action]
+        assert np.log(gathered).tolist() == [float(np.log(p)) for p in gathered.tolist()], \
+            "np.log over a gathered array no longer matches np.log of each float"
+
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_masked_softmax_stack_like_hand_built_pick(self, width):
+        """``masked_softmax`` on an ``(L, n)`` stack against the pick it replaced:
+        Python ``-inf`` lists, one ``np.exp``, one ``np.add.reduce`` row sum and
+        Python division."""
+        rng = make_rng(71, width)
+        logits = rng.normal(size=(400, width)) * rng.choice([0.1, 1.0, 30.0, 800.0], (400, 1))
+        mask = rng.random((400, width)) < 0.6
+        mask[np.arange(400), rng.integers(0, width, 400)] = True
+        shifted = []
+        for row, keep in zip(logits.tolist(), mask.tolist()):
+            top = max(x for x, k in zip(row, keep) if k)
+            shifted.append([x - top if k else -math.inf for x, k in zip(row, keep)])
+        exp = np.exp(shifted)
+        totals = np.add.reduce(exp, axis=1).tolist()
+        want = [[e / total for e in row] for row, total in zip(exp.tolist(), totals)]
+        assert masked_softmax(logits, mask).tolist() == want, \
+            "masked_softmax on a stack no longer rounds like the hand-built pick"
+
     def test_generator_random_k_like_k_calls(self):
         batch, single = make_rng(68), make_rng(68)
         for k in (0, 1, 5, 1025, 4100):
@@ -284,6 +321,20 @@ class TestBitExactRewrites:
             probs = masked_softmax(rng.normal(size=k) * rng.choice([0.1, 1.0, 10.0]), mask)
             assert sample_index(probs, ours.random()) == theirs.choice(k, p=probs)
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_sample_index_stack_draws_like_generator_choice(self):
+        """Each row of an ``(L, n)`` stack, with its own uniform, picks what
+        ``Generator.choice`` picks for that row alone."""
+        rng = make_rng(73)
+        for width in range(1, 10):
+            ours, theirs = make_rng(74, width), make_rng(74, width)
+            mask = rng.random((500, width)) < 0.6
+            mask[np.arange(500), rng.integers(0, width, 500)] = True
+            probs = masked_softmax(rng.normal(size=(500, width)) * rng.choice(
+                [0.1, 1.0, 30.0], (500, 1)), mask)
+            picks = sample_index(probs, ours.random(500))
+            assert picks.tolist() == [theirs.choice(width, p=row) for row in probs]
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_sample_index_at_the_ends_of_the_uniform_range(self):
         low, high = 0.0, np.nextafter(1.0, 0.0)
@@ -372,7 +423,8 @@ class TestSelectStageMatchesReference:
     Each case steps a batch of queues of mixed lengths, so episodes finish
     at different steps and the stacked forwards shrink as they do. With 8 or
     more entries numpy's sum no longer adds left to right, so the j_max 8
-    and 9 cases catch a Python-order normalising sum.
+    and 9 cases catch a Python-order normalising sum, and they run the
+    probability check on numpy's pairwise ``np.add.reduce``.
     """
 
     @staticmethod
@@ -402,10 +454,13 @@ class TestSelectStageMatchesReference:
             if tied:
                 agent.policy.biases[-1][...] = rng.integers(1, 3, size=j_max) * 0.5
             n_max = int(rng.integers(1, n_nodes))
+            # every third case: one queue of each length 0..j_max, shuffled, so
+            # each step drops an episode and the longest-first order permutes them
+            lengths = rng.permutation(j_max + 1).tolist() if case % 3 == 2 else [
+                int(rng.integers(0 if k else 1, j_max + 1)) for k in range(int(rng.integers(1, 5)))]
             queues = [[make_job(i, int(rng.integers(1, n_max + 1)), int(rng.integers(1, 90)),
                                 epr=int(rng.integers(0, 12)))
-                       for i in range(int(rng.integers(0 if k else 1, j_max + 1)))]
-                      for k in range(int(rng.integers(1, 5)))]
+                       for i in range(n)] for n in lengths]
             sample = bool(case % 2)
             start = agent.action_rng.bit_generator.state
             draws = agent.action_rng.random(sum(map(len, queues))) if sample else None

@@ -372,6 +372,13 @@ def reference_train(self, episodes: int, bias_alpha: float = 0.0) -> list[TrainL
 # -- comparison ---------------------------------------------------------------
 
 
+def run_checked(name, queue, network, params):
+    """``name``'s schedule as the run path makes it: the queue check, then the
+    unchecked scheduler that ``get_scheduler`` returns."""
+    _validate_queue(queue, network)
+    return get_scheduler(name)(queue, network, params)
+
+
 def outcome(run):
     """A schedule's five columns, or the scheduling error's message."""
     try:
@@ -446,7 +453,7 @@ def test_max_demand_subset_matches_reference_search(args):
 @given(env=environments())
 def test_staged_schedulers_match_reference_loops(name, env):
     network, params, queue = env
-    got = outcome(lambda: get_scheduler(name)(queue, network, params))
+    got = outcome(lambda: run_checked(name, queue, network, params))
     assert got == outcome(lambda: REFERENCES[name](queue, network, params))
 
 
@@ -493,7 +500,7 @@ def test_every_scheduler_prices_as_the_reference_on_shared_tables(env):
     for policy in EPR_POLICIES:
         params = dataclasses.replace(params, epr_serialization=policy)
         for name in SCHEDULER_NAMES:
-            assert outcome(lambda: get_scheduler(name)(queue, network, params)) == \
+            assert outcome(lambda: run_checked(name, queue, network, params)) == \
                 outcome(lambda: REFERENCES[name](queue, network, params))
         agent = PpoAgent(PpoConfig(j_max=12), network, params, default_catalog(network, params))
         if any(job.required_qpus > network.n_nodes for job in queue):
