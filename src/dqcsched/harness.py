@@ -147,18 +147,18 @@ def build_catalog(config: ExperimentConfig, network: Network):
 
 
 def _cell_scheduler(name: str, ppo_agent):
-    """A function of a cell's checked queues, network and params giving their
-    schedules: a classical scheduler's, queue by queue, or ``ppo_agent``'s from
-    one lockstep rollout, placed with node selection for ``ppo-ns`` only."""
+    """A function of a cell's checked queues, network, params and PPO stages
+    giving their schedules: a classical scheduler's, queue by queue, or
+    ``ppo_agent``'s placement of the stages, node selection for ``ppo-ns`` only."""
     if name not in PPO_SCHEDULER_NAMES:
         run = get_scheduler(name)
-        return lambda queues, net, params: [run(queue, net, params) for queue in queues]
+        return lambda queues, net, params, _: [run(queue, net, params) for queue in queues]
     if ppo_agent is None:
         raise ConfigError(f"scheduler {name!r} requires trained weights (train-ppo first)")
     node_selection = name == "ppo-ns"
-    return lambda queues, net, params: [
+    return lambda queues, net, params, all_stages: [
         ppo_agent.build_schedule(queue, stages, node_selection, net, params)
-        for queue, (stages, _) in zip(queues, ppo_agent._rollouts(queues, net.n_nodes, None))]
+        for queue, stages in zip(queues, all_stages)]
 
 
 def run_experiment(config: ExperimentConfig, ppo_agent=None) -> SlotTable:
@@ -166,7 +166,8 @@ def run_experiment(config: ExperimentConfig, ppo_agent=None) -> SlotTable:
 
     Per seed one network and one catalog are built and shared by every
     setting and scheduler; per (setting, seed) the job stream is generated
-    and checked once and fed to every scheduler, so comparisons are paired.
+    and checked once and fed to every scheduler, so comparisons are paired;
+    ``ppo`` and ``ppo-ns`` share one lockstep rollout's (node-blind) stages.
     Each cell's non-empty schedules are reduced to metric columns in one
     pass, which the table takes as they are, with None for each empty slot.
     """
@@ -195,8 +196,11 @@ def run_experiment(config: ExperimentConfig, ppo_agent=None) -> SlotTable:
             jobs = [queue for queue in queues if queue]
             for queue in jobs:
                 _validate_queue(queue, net)
+            stages = (ppo_agent._rollouts(jobs, net.n_nodes, None)[0]
+                      if set(PPO_SCHEDULER_NAMES) & set(run_cells) else None)
             for name, run_cell in run_cells.items():
-                cell = metrics_mod.metric_columns(run_cell(jobs, net, exec_params), config.n_nodes)
+                schedules = run_cell(jobs, net, exec_params, stages)
+                cell = metrics_mod.metric_columns(schedules, config.n_nodes)
                 columns["setting"] += [setting.label] * n_slots
                 columns["scheduler"] += [name] * n_slots
                 columns["seed"] += [seed] * n_slots

@@ -12,95 +12,111 @@ import numpy as np
 
 
 class Mlp:
-    """Feed-forward net: affine layers, tanh on hidden layers, linear output."""
+    """Feed-forward net: affine layers, tanh on hidden layers, linear output.
+    Its weights and biases are views of its slice ``flat`` of a flat parameter
+    vector (see :func:`bind`), and ``grads`` the same views of a gradient one."""
 
     def __init__(self, layer_sizes: list[int], rng: np.random.Generator):
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
+        self.weights, self.biases = [], []
         for i, (fan_in, fan_out) in enumerate(zip(layer_sizes, layer_sizes[1:])):
-            scale = 1.0 / np.sqrt(fan_in)
-            w = rng.normal(0.0, scale, size=(fan_in, fan_out))
-            if i == len(layer_sizes) - 2:
-                w = w * 0.01  # near-uniform initial outputs
-            self.weights.append(w)
+            w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
+            # near-uniform initial outputs
+            self.weights.append(w * 0.01 if i == len(layer_sizes) - 2 else w)
             self.biases.append(np.zeros(fan_out))
+        bind([self])
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Returns (output, cache of per-layer activations) for a batch."""
         activations = [np.atleast_2d(np.asarray(x, dtype=float))]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            activations.append(np.tanh(activations[-1] @ w + b))
-        out = activations[-1] @ self.weights[-1] + self.biases[-1]
+            h = activations[-1] @ w
+            h += b
+            activations.append(np.tanh(h, out=h))
+        out = activations[-1] @ self.weights[-1]
+        out += self.biases[-1]
         activations.append(out)
         return out, activations
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Output of :meth:`forward` without the activation cache. A float64
-        batch or stack of ``1 × n`` rows is used as given, as normalising would."""
-        if not (type(x) is np.ndarray and x.ndim > 1 and x.dtype == np.float64):
-            x = np.atleast_2d(np.asarray(x, dtype=float))
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            x = np.tanh(x @ w + b)
-        return x @ self.weights[-1] + self.biases[-1]
+        """The output of :meth:`forward`, for a batch or a stack of rows."""
+        return self.forward(x)[0]
 
     def backward(self, activations: list[np.ndarray], grad_out: np.ndarray
                  ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Gradients of a scalar loss wrt all parameters, given dL/d(output).
-
-        ``activations`` is the cache from :meth:`forward`; returns one
-        (dW, db) pair per layer, first layer first.
-        """
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.weights)
+        """Gradients of a scalar loss wrt all parameters, given dL/d(output)
+        and the cache from :meth:`forward`, written into ``grads``; returns
+        their (dW, db) views, first layer first, which the next call overwrites."""
         delta = np.atleast_2d(grad_out)
         for i in range(len(self.weights) - 1, -1, -1):
-            h_in = activations[i]
-            grads[i] = (h_in.T @ delta, delta.sum(axis=0))
+            np.matmul(activations[i].T, delta, out=self.grads[2 * i])
+            np.add.reduce(delta, axis=0, out=self.grads[2 * i + 1])
             if i > 0:
                 # tanh'(z) expressed through the cached activation value
                 delta = (delta @ self.weights[i].T) * (1.0 - activations[i] ** 2)
-        return grads
+        return list(zip(self.grads[::2], self.grads[1::2]))
 
     def parameters(self) -> list[np.ndarray]:
         return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def flat_parameters(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.parameters()])
+        return self.flat.copy()
 
     def set_flat_parameters(self, flat: np.ndarray) -> None:
-        offset = 0
-        for p in self.parameters():
-            p[...] = flat[offset: offset + p.size].reshape(p.shape)
-            offset += p.size
-        if offset != flat.size:
+        if np.shape(flat) != self.flat.shape:
             raise ValueError("flat parameter vector has wrong length")
+        self.flat[...] = flat
+
+
+def bind(nets: list[Mlp]) -> tuple[np.ndarray, np.ndarray]:
+    """A flat vector of the parameters of ``nets`` in order and a zeroed flat
+    gradient vector; each net's parameters and ``grads`` become views of them."""
+    params = [p for net in nets for p in net.parameters()]
+    bounds = np.cumsum([0] + [p.size for p in params]).tolist()
+    flat = np.concatenate([p.ravel() for p in params])
+    grad = np.zeros_like(flat)
+    views, grads = ([vec[lo:hi].reshape(p.shape) for lo, hi, p in zip(bounds, bounds[1:], params)]
+                    for vec in (flat, grad))
+    at = 0
+    for net in nets:
+        k = 2 * len(net.weights)
+        net.flat = flat[bounds[at]:bounds[at + k]]
+        net.weights, net.biases = views[at:at + k:2], views[at + 1:at + k:2]
+        net.grads, at = grads[at:at + k], at + k
+    return flat, grad
 
 
 class Adam:
-    """Adaptive-moment gradient descent; moments are flat over all parameters.
-    The moment decay rates and ``EPS`` are the defaults of Kingma & Ba (2015)."""
+    """Adaptive-moment gradient descent on a flat parameter vector, in place:
+    each step reads the flat gradient vector of the same layout. The moment
+    decay rates and ``EPS`` are the defaults of Kingma & Ba (2015)."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: list[np.ndarray], lr: float = 3e-4):
-        self.params = params
-        self.lr = lr
-        self._bounds = np.cumsum([0] + [p.size for p in params]).tolist()
-        self.m = np.zeros(self._bounds[-1])
-        self.v = np.zeros(self._bounds[-1])
+    def __init__(self, flat: np.ndarray, grad: np.ndarray, lr: float = 3e-4):
+        self.flat, self.grad, self.lr = flat, grad, lr
+        self.m, self.v = np.zeros_like(flat), np.zeros_like(flat)
+        self._scratch = np.empty_like(flat), np.empty_like(flat)
         self.t = 0
 
-    def step(self, grads: list[np.ndarray]) -> None:
+    def step(self) -> None:
+        """``m = BETA1*m + (1-BETA1)*g``, ``v = BETA2*v + ((1-BETA2)*g)*g`` and
+        ``flat -= (lr*(m/b1t)) / (sqrt(v/b2t) + EPS)``, rounded alike, in place."""
         self.t += 1
         b1t = 1.0 - self.BETA1 ** self.t
         b2t = 1.0 - self.BETA2 ** self.t
-        g = np.concatenate([grad.ravel() for grad in grads])
-        self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * g
-        self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * g * g
-        update = self.lr * (self.m / b1t) / (np.sqrt(self.v / b2t) + self.EPS)
-        for p, lo, hi in zip(self.params, self._bounds, self._bounds[1:]):
-            p -= update[lo:hi].reshape(p.shape)
+        g, m, v, (update, denom) = self.grad, self.m, self.v, self._scratch
+        m *= self.BETA1
+        m += np.multiply(g, 1.0 - self.BETA1, out=update)
+        v *= self.BETA2
+        np.multiply(g, 1.0 - self.BETA2, out=update)
+        v += np.multiply(update, g, out=update)
+        np.sqrt(np.divide(v, b2t, out=denom), out=denom)
+        denom += self.EPS
+        np.divide(m, b1t, out=update)
+        update *= self.lr
+        self.flat -= np.divide(update, denom, out=update)
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:

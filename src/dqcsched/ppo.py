@@ -21,7 +21,7 @@ import numpy as np
 from . import workload
 from .execmodel import ExecModelParams
 from .netmodel import Network
-from .nn import Adam, Mlp, masked_softmax
+from .nn import Adam, Mlp, bind, masked_softmax
 from .schedulers import Schedule, _place_stages, _validate_queue
 
 REWARD_VARIANTS = ("plain", "node_selection")
@@ -39,7 +39,7 @@ DISCOUNT = 0.99
 class PpoConfig:
     """Hyperparameters of the RL scheduler that a run or a test sets.
 
-    ``update_every`` counts buffered transitions between gradient updates.
+    ``update_every`` counts the picks between gradient updates.
     """
 
     j_max: int = 5
@@ -51,6 +51,9 @@ class PpoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("j_max", "minibatch", "update_every", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.minibatch > self.update_every:
             raise ValueError("minibatch must not exceed update_every")
         if self.reward_variant not in REWARD_VARIANTS:
@@ -63,20 +66,6 @@ class PpoState:
 
     matrix: np.ndarray  # (j_max, N_FEATURES): [n_j, g_j, g_j, t_hat]
     padding: np.ndarray  # (j_max,) bool, True where no job exists
-
-
-@dataclass
-class Transition:
-    """One greedy pick and everything the update step needs about it."""
-
-    obs: np.ndarray
-    mask: np.ndarray
-    action: int
-    logp: float
-    value: float
-    reward: float = 0.0
-    advantage: float = 0.0
-    ret: float = 0.0
 
 
 def encode_state(queue, j_max: int, time_scale: float) -> PpoState:
@@ -212,65 +201,58 @@ def value_loss_parts(values: np.ndarray, returns: np.ndarray) -> tuple[float, np
     return float((err ** 2).mean()), 2.0 * err / err.shape[0]
 
 
-def compute_gae(transitions: list[Transition], discount: float, lam: float) -> None:
-    """Fill advantages and returns over one episode, in place."""
-    next_value = 0.0
-    adv = 0.0
-    for tr in reversed(transitions):
-        delta = tr.reward + discount * next_value - tr.value
-        adv = delta + discount * lam * adv
-        tr.advantage = adv
-        tr.ret = adv + tr.value
-        next_value = tr.value
+def compute_gae(rewards: np.ndarray, values: np.ndarray, discount: float, lam: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Advantages and returns of equal-length episodes, given their values as
+    an ``(episodes, steps)`` array and the reward each episode gives every
+    step: one step back per column, with a per-transition loop's elementwise
+    ops."""
+    advantages = np.empty_like(values)
+    next_value = adv = 0.0
+    for t in range(values.shape[1] - 1, -1, -1):
+        delta = rewards + discount * next_value - values[:, t]
+        adv = advantages[:, t] = delta + discount * lam * adv
+        next_value = values[:, t]
+    return advantages, advantages + values
 
 
 def ppo_update(
-    buffer: list[Transition],
+    batch: tuple[np.ndarray, ...],
     policy: Mlp,
     value_net: Mlp,
     config: PpoConfig,
-    policy_opt: Adam,
-    value_opt: Adam,
+    optimizer: Adam,
     rng: np.random.Generator,
 ) -> list[tuple[float, float, float]]:
-    """Minibatch gradient steps on the combined loss; clears the buffer.
-
-    Returns the per-epoch means of (policy loss, value loss, entropy).
-    """
-    if not buffer:
-        raise ValueError("ppo_update requires a non-empty buffer")
-
-    obs = np.stack([tr.obs for tr in buffer])
-    masks = np.stack([tr.mask for tr in buffer])
-    actions = np.array([tr.action for tr in buffer])
-    logp_old = np.array([tr.logp for tr in buffer])
-    adv = np.array([tr.advantage for tr in buffer])
-    rets = np.array([tr.ret for tr in buffer])
+    """Minibatch gradient steps on the combined loss over ``batch``, a
+    window's (inputs, masks, actions, log-probabilities, advantages, returns),
+    one row per pick. ``optimizer`` steps both nets' flat vector once per
+    minibatch, after both backward passes, as the nets share no parameter.
+    Returns the per-epoch means of (policy loss, value loss, entropy)."""
+    obs, masks, actions, logp_old, adv, rets = batch
+    n = len(obs)
+    if not n:
+        raise ValueError("ppo_update requires a non-empty batch")
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-
-    n = len(buffer)
     epoch_stats: list[tuple[float, float, float]] = []
     for _ in range(config.epochs):
-        order = rng.permutation(n)
+        order = rng.permutation(n)  # each epoch's arrays gathered once, then sliced
+        e_obs, e_masks, e_actions, e_logp, e_adv, e_rets = (
+            a[order] for a in (obs, masks, actions, logp_old, adv, rets))
         stats = []
         for lo in range(0, n, config.minibatch):
-            mb = order[lo: lo + config.minibatch]
-            logits, cache_p = policy.forward(obs[mb])
+            mb = slice(lo, lo + config.minibatch)
+            logits, cache_p = policy.forward(e_obs[mb])
             loss_pi, d_pi, entropy, d_ent = policy_loss_parts(
-                logits, masks[mb], actions[mb], logp_old[mb], adv[mb], CLIP_EPS
+                logits, e_masks[mb], e_actions[mb], e_logp[mb], e_adv[mb], CLIP_EPS
             )
-            dlogits = d_pi - ENTROPY_COEF * d_ent
-            grads_p = policy.backward(cache_p, dlogits)
-            policy_opt.step([g for pair in grads_p for g in pair])
-
-            values, cache_v = value_net.forward(obs[mb])
-            loss_v, d_v = value_loss_parts(values[:, 0], rets[mb])
-            grads_v = value_net.backward(cache_v, (VALUE_COEF * d_v)[:, None])
-            value_opt.step([g for pair in grads_v for g in pair])
+            policy.backward(cache_p, d_pi - ENTROPY_COEF * d_ent)
+            values, cache_v = value_net.forward(e_obs[mb])
+            loss_v, d_v = value_loss_parts(values[:, 0], e_rets[mb])
+            value_net.backward(cache_v, (VALUE_COEF * d_v)[:, None])
+            optimizer.step()
             stats.append((loss_pi, loss_v, entropy))
-        arr = np.array(stats)
-        epoch_stats.append(tuple(arr.mean(axis=0)))
-    buffer.clear()
+        epoch_stats.append(tuple(np.array(stats).mean(axis=0)))
     return epoch_stats
 
 
@@ -321,8 +303,7 @@ class PpoAgent:
         in_dim = config.j_max * N_FEATURES
         self.policy = Mlp([in_dim, *config.hidden, config.j_max], init_rng)
         self.value_net = Mlp([in_dim, *config.hidden, 1], init_rng)
-        self.policy_opt = Adam(self.policy.parameters())
-        self.value_opt = Adam(self.value_net.parameters())
+        self.optimizer = Adam(*bind([self.policy, self.value_net]))
 
     # -- action ------------------------------------------------------------
 
@@ -340,7 +321,7 @@ class PpoAgent:
         own single-row gemv in numpy's matmul, so a stack picks as its
         episodes would one at a time. Returns the picks, which episodes opened
         a stage, and the inputs, masks, log-probabilities and values (0 for
-        argmax picks, which keep no transitions)."""
+        argmax picks, which no update reads)."""
         alive = need < math.inf
         x = np.where(alive[..., None], scaled, 0.0).reshape(len(need), 1, -1)
         feasible = need <= cap[:, None]
@@ -356,14 +337,15 @@ class PpoAgent:
         return action, opened, x[:, 0], feasible, np.log(probs[rows, action]), values
 
     def _rollouts(self, queues: list, n_max: int, draws: np.ndarray | None
-                  ) -> list[tuple[list[list[int]], list[Transition]]]:
-        """Stages and transitions of each checked queue, its episodes stepped
-        in lockstep; ``draws`` holds the action uniforms of a sampled rollout
-        in episode-then-pick order, as one-episode loops would draw them.
-        Episodes step longest first, so the live ones are a prefix of the
-        stack, and each picks once a step: its pick t goes to entry t after
-        its first of the pick arrays, which are thus in ``draws`` order. Each
-        stage starts at a pick that opened one."""
+                  ) -> tuple[list[list[list[int]]], tuple[np.ndarray, ...]]:
+        """The stages of each checked queue, its episodes stepped in lockstep,
+        and the pick arrays (inputs, masks, actions, log-probabilities and
+        values) of all of them; ``draws`` holds the action uniforms of a
+        sampled rollout in episode-then-pick order, as one-episode loops would
+        draw them. Episodes step longest first, so the live ones are a prefix
+        of the stack, and each picks once a step: its pick t goes to entry t
+        after its first of the pick arrays, which are thus in ``draws`` order.
+        Each stage starts at a pick that opened one."""
         j_max = self.config.j_max
         lengths = np.array([len(q) for q in queues], dtype=int)
         firsts = np.cumsum(lengths) - lengths  # each episode's first pick in draws order
@@ -384,22 +366,22 @@ class PpoAgent:
             action[at], opened[at], obs[at], masks[at], logp[at], values[at] = \
                 self.select_stage(scaled[:k], need[:k], cap[:k], n_max, u)
         picks, starts = action.tolist(), np.flatnonzero(opened)
-        transitions = [] if draws is None else list(map(
-            Transition, obs, masks, picks, logp.tolist(), values.tolist()))
         bounds = starts.tolist() + [n_picks]
         stages = [picks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         cuts = starts.searchsorted(np.append(firsts, n_picks)).tolist()  # by episode
-        return [(stages[a:b], transitions[lo:lo + n]) for a, b, lo, n
-                in zip(cuts, cuts[1:], firsts.tolist(), lengths.tolist())]
+        return ([stages[a:b] for a, b in zip(cuts, cuts[1:])],
+                (obs, masks, action, logp, values))
 
     def rollout(self, queue, sample: bool = False, network: Network | None = None
-                ) -> tuple[list[list[int]], list[Transition]]:
-        """Pick indices per stage and transitions for one queue on ``network``
-        (default: the agent's); a job that does not fit it is a SchedulingError."""
+                ) -> tuple[list[list[int]], tuple[np.ndarray, ...]]:
+        """Pick indices per stage and the pick arrays for one queue on
+        ``network`` (default: the agent's); a job that does not fit it is a
+        SchedulingError."""
         network = network if network is not None else self.network
         _validate_queue(queue, network)
         draws = self.action_rng.random(len(queue)) if sample else None
-        return self._rollouts([queue], network.n_nodes, draws)[0]
+        stages, arrays = self._rollouts([queue], network.n_nodes, draws)
+        return stages[0], arrays
 
     # -- schedule construction -------------------------------------------
 
@@ -440,9 +422,11 @@ class PpoAgent:
 
         The episodes of an update window roll out in lockstep, their queues
         and action uniforms drawn first, in episode order: one draw of the
-        window's catalog picks, one of its action uniforms. Every transition
-        of an episode receives the episode reward; advantages come from
-        generalized advantage estimation.
+        window's catalog picks, one of its action uniforms. Every pick of an
+        episode receives the episode reward; advantages come from generalized
+        advantage estimation over the window. A last window too short for an
+        update draws its queues and uniforms but is not rolled out, since no
+        result of it is kept.
         """
         cfg = self.config
         node_selection = cfg.reward_variant == "node_selection"
@@ -454,7 +438,7 @@ class PpoAgent:
         per_window = -(-cfg.update_every // cfg.j_max)  # the episodes that fill the buffer
         log: list[TrainLogEntry] = []
         while episodes > 0:
-            n_picks = cfg.j_max * min(episodes, per_window)  # one transition per job
+            n_picks = cfg.j_max * min(episodes, per_window)  # one pick per job
             episodes -= n_picks // cfg.j_max
             picks = wcfg.cumulative.searchsorted(self.env_rng.random(n_picks), side="right")
             queues = [workload.catalog_copies(wcfg.catalog, picks[lo:lo + cfg.j_max].tolist())
@@ -462,30 +446,17 @@ class PpoAgent:
             for queue in queues:
                 _validate_queue(queue, self.network)
             draws = self.action_rng.random(n_picks)
-            buffer: list[Transition] = []
-            window_rewards: list[float] = []
-            for queue, (stages, transitions) in zip(
-                    queues, self._rollouts(queues, self.network.n_nodes, draws)):
-                schedule = self.build_schedule(queue, stages, node_selection)
-                reward = self.episode_reward(queue, stages, schedule)
-                for tr in transitions:
-                    tr.reward = reward
-                compute_gae(transitions, DISCOUNT, GAE_LAMBDA)
-                buffer.extend(transitions)
-                window_rewards.append(reward)
-            if n_picks >= cfg.update_every:
-                stats = ppo_update(
-                    buffer, self.policy, self.value_net, cfg,
-                    self.policy_opt, self.value_opt, self.update_rng,
-                )
-                mean_stats = np.array(stats).mean(axis=0)
-                log.append(TrainLogEntry(
-                    update_index=len(log),
-                    mean_reward=float(np.mean(window_rewards)),
-                    policy_loss=float(mean_stats[0]),
-                    value_loss=float(mean_stats[1]),
-                    entropy=float(mean_stats[2]),
-                ))
+            if n_picks < cfg.update_every:
+                continue
+            all_stages, (obs, masks, action, logp, values) = self._rollouts(
+                queues, self.network.n_nodes, draws)
+            rewards = np.array([self.episode_reward(q, s, self.build_schedule(q, s, node_selection))
+                                for q, s in zip(queues, all_stages)])
+            adv, rets = compute_gae(rewards, values.reshape(-1, cfg.j_max), DISCOUNT, GAE_LAMBDA)
+            stats = ppo_update((obs, masks, action, logp, adv.ravel(), rets.ravel()),
+                               self.policy, self.value_net, cfg, self.optimizer, self.update_rng)
+            log.append(TrainLogEntry(len(log), float(np.mean(rewards)),
+                                     *np.array(stats).mean(axis=0).tolist()))
         return log
 
 
@@ -614,10 +585,5 @@ def load_agent(
         config, network, exec_params, catalog,
         feature_scales=arrays[0], time_scale=meta["time_scale"],
     )
-    params = arrays[1:]
-    n_policy = len(agent.policy.parameters())
-    for target, source in zip(agent.policy.parameters(), params[:n_policy]):
-        target[...] = source
-    for target, source in zip(agent.value_net.parameters(), params[n_policy:]):
-        target[...] = source
+    agent.optimizer.flat[...] = np.concatenate([a.ravel() for a in arrays[1:]])
     return agent

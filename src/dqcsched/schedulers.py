@@ -28,10 +28,10 @@ MAX_SELECTION_SUBSETS = 250_000  # C(20, 10) = 184 756 fits: a 15 MB array of su
 
 
 class SchedulingError(Exception):
-    """A job cannot be scheduled on the given network."""
+    """A job (None: some queued job) cannot be scheduled on the network."""
 
     def __init__(self, job_id, message: str):
-        super().__init__(f"job {job_id}: {message}")
+        super().__init__(message if job_id is None else f"job {job_id}: {message}")
         self.job_id = job_id
 
 
@@ -115,7 +115,9 @@ def _place_stages(stages, network: Network, exec_params: ExecModelParams,
     A stage's jobs start together at the previous stage's end, in order,
     each on the lowest free ids or, with ``node_selection``, on the free
     subset with the best internal links. A stage ends at its latest finish,
-    kept as a running max from its start since durations are never negative."""
+    kept as a running max from its start since durations are never negative.
+    An empty stage, which a job wider than the network leaves, is a
+    SchedulingError: the stages would never end."""
     schedule = Schedule()
     add_id, add_nodes, add_start, add_finish, add_stage = schedule.appenders()
     prices = network._price_tables.setdefault(exec_params.key, {})
@@ -123,6 +125,9 @@ def _place_stages(stages, network: Network, exec_params: ExecModelParams,
     everyone = (1 << network.n_nodes) - 1
     barrier = 0
     for stage, jobs in enumerate(stages):
+        if not jobs:
+            raise SchedulingError(None, f"stage {stage} is empty: a queued job is wider "
+                                  f"than the network's {network.n_nodes} nodes")
         end, free = barrier, everyone  # free: node bit mask
         for job in jobs:
             nodes, free = picks.get((free, job.required_qpus)) or _pick(
@@ -364,7 +369,10 @@ def asap_schedule(queue, network: Network, exec_params: ExecModelParams) -> Sche
     stage, t, free, n_free = 0, 0, (1 << network.n_nodes) - 1, network.n_nodes
     while remaining:
         if stage:
-            t = sorted(avail)[min([job.required_qpus for job in remaining]) - 1]
+            need = min([job.required_qpus for job in remaining])
+            if need > network.n_nodes:  # every job left is wider than the network
+                _validate_queue(remaining, network)
+            t = sorted(avail)[need - 1]
             free = n_free = 0
             for n, release in enumerate(avail):
                 if release <= t:
@@ -396,8 +404,8 @@ def asap_schedule(queue, network: Network, exec_params: ExecModelParams) -> Sche
 
 
 def get_scheduler(name: str):
-    """A name's scheduler of (queue, network, params) for queues that passed
-    ``_validate_queue``; on a job wider than the network it may not return."""
+    """A name's scheduler of (queue, network, params), which skips
+    ``_validate_queue``; a job wider than the network is a SchedulingError."""
     table = {
         "fifo": fifo_schedule.__wrapped__,
         "list": list_schedule.__wrapped__,

@@ -79,9 +79,10 @@ def test_traced_ppo_train_and_run_report_every_ppo_metric(tmp_path):
     assert counts["ppo.train.calls"] == 1 and counts["ppo.ppo_update.calls"] == 1
     # The run places each cell's queues from one lockstep rollout, not through
     # PpoAgent.schedule: 205 training episodes, then 3 slots for each of ppo
-    # and ppo-ns. Every queue holds 5 jobs, and an episode picks once a step.
+    # and ppo-ns. Every queue holds 5 jobs, and an episode picks once a step;
+    # ppo and ppo-ns place the stages of one shared rollout.
     assert counts["ppo.build_schedule.calls"] == 205 + 6 and counts["cli.main.calls"] == 2
-    assert counts["ppo.select_stage.calls"] == 5 + 2 * 5
+    assert counts["ppo.select_stage.calls"] == 5 + 5
     assert counts["ppo.schedule.calls"] == counts["ppo.rollout.calls"] == 0
     missing = [name for name in per_layer_names()
                if name.startswith(("ppo.", "nn.")) and name not in {**counts, **self_times}]

@@ -10,11 +10,12 @@ import pytest
 
 from conftest import make_job, make_rng, unit_exec_params
 from dqcsched.netmodel import homogeneous_network
-from dqcsched.nn import Adam, Mlp, masked_softmax
+from dqcsched.nn import Adam, Mlp, bind, masked_softmax
 from dqcsched.ppo import (
+    DISCOUNT,
+    GAE_LAMBDA,
     PpoAgent,
     PpoConfig,
-    Transition,
     compute_gae,
     encode_state,
     epr_reward,
@@ -34,6 +35,33 @@ PARAMS = unit_exec_params()
 
 
 # -- references: the per-row / per-array code the faster paths replaced ------
+
+
+@dataclasses.dataclass
+class Transition:
+    """The per-pick record that rollouts built before their arrays went to
+    the update as they are."""
+
+    obs: np.ndarray
+    mask: np.ndarray
+    action: int
+    logp: float
+    value: float
+    reward: float = 0.0
+    advantage: float = 0.0
+    ret: float = 0.0
+
+
+def reference_compute_gae(transitions, discount, lam):
+    """The per-transition loop over one episode that ``compute_gae`` replaced."""
+    next_value = 0.0
+    adv = 0.0
+    for tr in reversed(transitions):
+        delta = tr.reward + discount * next_value - tr.value
+        adv = delta + discount * lam * adv
+        tr.advantage = adv
+        tr.ret = adv + tr.value
+        next_value = tr.value
 
 
 def reference_masked_softmax(logits, mask):
@@ -285,9 +313,8 @@ class TestBitExactRewrites:
                 assert len(cache) == len(ref_cache)
 
     def test_single_rows_as_given_or_normalised_agree(self):
-        """A float64 ``1 × n`` row skips the input normalisation; 1-D,
-        list, float32-exact and Fortran-ordered forms of it go through
-        it, and every form gives the reference forward's bits."""
+        """A float64 ``1 × n`` row and its 1-D, list, float32-exact and
+        Fortran-ordered forms all give the reference forward's bits."""
         rng = make_rng(59)
         net = Mlp([20, 64, 64, 5], rng)
         row = rng.normal(size=(1, 20)).astype(np.float32).astype(float)
@@ -297,19 +324,62 @@ class TestBitExactRewrites:
             assert np.array_equal(net(x), want)
 
     def test_flat_adam_equals_per_array_adam(self):
+        """Two nets on one flat vector, stepped together in place, against a
+        per-array Adam for each net: parameters and moments bit for bit."""
         rng = make_rng(58)
-        params = [rng.normal(size=shape) for shape in ((20, 64), (64,), (64, 5), (5,))]
-        ours = [p.copy() for p in params]
-        theirs = [p.copy() for p in params]
-        opt, ref = Adam(ours, lr=1e-2), ReferenceAdam(theirs, lr=1e-2)
-        for _ in range(5):
-            grads = [rng.normal(size=p.shape) * rng.choice([1e-6, 1.0, 1e3])
-                     for p in params]
-            opt.step(grads)
-            ref.step(grads)
-            assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
-        assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in ref.m]))
-        assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
+        nets = [Mlp([20, 64, 64, 5], rng), Mlp([20, 64, 64, 1], rng)]
+        theirs = [[p.copy() for p in net.parameters()] for net in nets]
+        opt = Adam(*bind(nets), lr=1e-2)
+        refs = [ReferenceAdam(params, lr=1e-2) for params in theirs]
+        for _ in range(8):
+            for net, ref in zip(nets, refs):
+                grads = [rng.normal(size=g.shape) * rng.choice([1e-6, 1.0, 1e3])
+                         for g in net.grads]
+                for view, g in zip(net.grads, grads):
+                    view[...] = g
+                ref.step(grads)
+            opt.step()
+            for net, params in zip(nets, theirs):
+                assert all(np.array_equal(a, b) for a, b in zip(net.parameters(), params))
+        for moment in ("m", "v"):
+            want = np.concatenate([a.ravel() for ref in refs for a in getattr(ref, moment)])
+            assert np.array_equal(getattr(opt, moment), want)
+        assert np.shares_memory(opt.flat, nets[1].weights[0])
+
+    @pytest.mark.parametrize("rows", [1, 2, 64, 65])
+    def test_gradients_into_views_like_fresh_arrays(self, rows):
+        """``matmul`` and ``add.reduce`` writing into views of one flat
+        gradient vector, at offsets that are not 16-byte aligned, round as
+        they do into fresh arrays."""
+        rng = make_rng(71, rows)
+        grad = np.zeros(1 + 64 * 5 + 5 + 20 * 64 + 64)
+        w_out, b_out = grad[1:321].reshape(64, 5), grad[321:326]
+        w_in, b_in = grad[326:1606].reshape(20, 64), grad[1606:]
+        for _ in range(50):
+            h, delta = np.tanh(rng.normal(size=(rows, 64))), rng.normal(size=(rows, 5))
+            x, delta_in = rng.random((rows, 20)), rng.normal(size=(rows, 64)) / rows
+            np.matmul(h.T, delta, out=w_out)
+            np.add.reduce(delta, axis=0, out=b_out)
+            np.matmul(x.T, delta_in, out=w_in)
+            np.add.reduce(delta_in, axis=0, out=b_in)
+            assert np.array_equal(w_out, h.T @ delta) and np.array_equal(b_out, delta.sum(axis=0))
+            assert np.array_equal(w_in, x.T @ delta_in) and np.array_equal(
+                b_in, delta_in.sum(axis=0))
+
+    @pytest.mark.parametrize("j_max", [1, 2, 5, 8])
+    def test_gae_by_columns_like_per_transition_loop(self, j_max):
+        rng = make_rng(72, j_max)
+        for _ in range(30):
+            episodes = int(rng.integers(1, 210))
+            values = rng.normal(size=(episodes, j_max)) * rng.choice([0.01, 1.0, 30.0])
+            rewards = rng.normal(size=episodes) * rng.choice([0.1, 1.0, 5.0])
+            adv, rets = compute_gae(rewards, values, DISCOUNT, GAE_LAMBDA)
+            for e in range(episodes):
+                trs = [Transition(None, None, 0, 0.0, v, reward=float(rewards[e]))
+                       for v in values[e].tolist()]
+                reference_compute_gae(trs, DISCOUNT, GAE_LAMBDA)
+                assert adv[e].tolist() == [tr.advantage for tr in trs]
+                assert rets[e].tolist() == [tr.ret for tr in trs]
 
     def test_sample_index_draws_like_generator_choice(self):
         rng = make_rng(59)
@@ -396,18 +466,18 @@ class TestSelectStage:
             jobs = [make_job(i, int(rng.integers(1, 6)), int(rng.integers(1, 50)))
                     for i in range(5)]
             sample = bool(trial % 2)
-            stages, transitions = agent.rollout(jobs, sample=sample)
+            stages, (obs, masks, actions, logp, _) = agent.rollout(jobs, sample=sample)
             seen = []
             for picks in stages:
                 assert sum(jobs[i].required_qpus for i in picks) <= 6
                 seen.extend(picks)
             assert sorted(seen) == list(range(5))
-            # one transition per sampled pick; argmax rollouts keep none
-            assert [tr.action for tr in transitions] == (seen if sample else [])
-            for tr in transitions:
-                assert tr.mask[tr.action]
-                assert abs(np.exp(tr.logp) - masked_softmax(
-                    agent.policy(tr.obs)[0], tr.mask)[tr.action]) < 1e-12
+            # one array row per pick, in pick order
+            assert actions.tolist() == seen
+            for x, mask, action, lp in zip(obs, masks, actions, logp):
+                assert mask[action]
+                assert abs(np.exp(lp) - masked_softmax(
+                    agent.policy(x)[0], mask)[action]) < 1e-12
 
     def test_padding_never_selected(self):
         agent = small_agent()
@@ -464,23 +534,20 @@ class TestSelectStageMatchesReference:
             sample = bool(case % 2)
             start = agent.action_rng.bit_generator.state
             draws = agent.action_rng.random(sum(map(len, queues))) if sample else None
-            ours = agent._rollouts(queues, n_max, draws)
+            ours, arrays = agent._rollouts(queues, n_max, draws)
             after = agent.action_rng.bit_generator.state
             agent.action_rng.bit_generator.state = start
             theirs = [self.reference_rollout(agent, jobs, n_max, sample) for jobs in queues]
             assert agent.action_rng.bit_generator.state == after
-            assert [stages for stages, _ in ours] == [stages for stages, _ in theirs]
-            ours_trs = [tr for _, trs in ours for tr in trs]
+            assert ours == [stages for stages, _ in theirs]
             theirs_trs = [tr for _, trs in theirs for tr in trs]
-            assert len(ours_trs) == len(theirs_trs)
-            assert len(ours_trs) == (sum(map(len, queues)) if sample else 0)
-            for a, b in zip(ours_trs, theirs_trs):
-                for f in dataclasses.fields(Transition):
-                    x, y = getattr(a, f.name), getattr(b, f.name)
-                    if isinstance(y, np.ndarray):
-                        assert x.dtype == y.dtype and np.array_equal(x, y), f.name
-                    else:
-                        assert x == y, f.name
+            assert all(len(a) == sum(map(len, queues)) for a in arrays)
+            assert len(theirs_trs) == (len(arrays[0]) if sample else 0)
+            # the pick arrays, row by row, hold the sampled rollout's transitions
+            for got, f in zip(arrays, ("obs", "mask", "action", "logp", "value")):
+                if sample:
+                    want = np.array([getattr(tr, f) for tr in theirs_trs])
+                    assert got.dtype == want.dtype and np.array_equal(got, want), f
 
 
 class TestStageLatencies:
@@ -672,16 +739,13 @@ class TestGradientChecks:
 
 class TestGae:
     def test_two_step_hand_computation(self):
-        trs = [
-            Transition(obs=None, mask=None, action=0, logp=0.0, value=1.0, reward=2.0),
-            Transition(obs=None, mask=None, action=0, logp=0.0, value=0.5, reward=2.0),
-        ]
-        compute_gae(trs, discount=0.9, lam=0.8)
+        (adv,), (ret,) = compute_gae(np.array([2.0]), np.array([[1.0, 0.5]]),
+                                     discount=0.9, lam=0.8)
         delta1 = 2.0 + 0.9 * 0.0 - 0.5
-        assert abs(trs[1].advantage - delta1) < 1e-12
+        assert abs(adv[1] - delta1) < 1e-12
         delta0 = 2.0 + 0.9 * 0.5 - 1.0
-        assert abs(trs[0].advantage - (delta0 + 0.9 * 0.8 * delta1)) < 1e-12
-        assert abs(trs[0].ret - (trs[0].advantage + 1.0)) < 1e-12
+        assert abs(adv[0] - (delta0 + 0.9 * 0.8 * delta1)) < 1e-12
+        assert abs(ret[0] - (adv[0] + 1.0)) < 1e-12
 
 
 class TestPpoSchedule:
@@ -779,9 +843,17 @@ class TestTraining:
 
     def test_update_requires_buffer(self):
         agent = small_agent()
-        with pytest.raises(ValueError):
-            ppo_update([], agent.policy, agent.value_net, agent.config,
-                       agent.policy_opt, agent.value_opt, agent.update_rng)
+        empty = (np.zeros((0, 20)), np.zeros((0, 5), dtype=bool), np.zeros(0, dtype=int),
+                 np.zeros(0), np.zeros(0), np.zeros(0))
+        with pytest.raises(ValueError, match="non-empty"):
+            ppo_update(empty, agent.policy, agent.value_net, agent.config,
+                       agent.optimizer, agent.update_rng)
+
+    @pytest.mark.parametrize("field", ["j_max", "minibatch", "update_every", "epochs"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_sizes_below_one_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1, got {value}$"):
+            PpoConfig(**{field: value})
 
 
 class TestPersistence:

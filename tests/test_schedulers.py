@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import itertools
+import signal
 import weakref
 from collections import Counter
 
@@ -724,3 +725,23 @@ def test_registry_resolves_every_name(name, good_network):
 def test_unknown_scheduler_name():
     with pytest.raises(ValueError):
         get_scheduler("sjf")
+
+
+@pytest.mark.parametrize("name", SCHEDULER_NAMES)
+def test_unchecked_scheduler_rejects_a_job_wider_than_the_network(name):
+    """``get_scheduler``'s schedulers skip the queue check, so a 5-QPU job on
+    4 nodes reaches the stage loops: each raises SchedulingError instead of
+    yielding empty stages forever or indexing past the nodes. A SIGALRM turns
+    a hang into a failure."""
+    def hung(signum, frame):
+        raise TimeoutError(f"{name} did not return")
+
+    queue = [make_job(0, 1, 10), make_job(1, 5, 10)]
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        with pytest.raises(SchedulingError, match="job 1: requires 5 QPUs|wider than"):
+            get_scheduler(name)(queue, homogeneous_network(4, 3, "good"), PARAMS)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -22,8 +22,16 @@ and networks.
 PPO training has its own oracle: ``reference_train``, the sequential
 episode loop that lockstep rollouts replaced, with the ``rollout``,
 ``select_stage``, ``encode`` and ``sample_index`` it called, copied
-verbatim as functions of the agent. One edit: ``reference_encode`` sets
-``node_counts``, which ``encode_state`` no longer returns.
+verbatim as functions of the agent, and the update it called before the
+update moved onto one flat parameter vector: ``ppo_update`` with the
+``Transition`` records, ``compute_gae``, ``Adam`` (two optimizers, one per
+net) and ``Mlp.forward``/``backward`` it ran on, also verbatim. Edits:
+``reference_encode`` sets ``node_counts``, which ``encode_state`` no longer
+returns; the copied functions call one another where they called the
+library's names, and the rollout's forwards (``Mlp.__call__``, then the
+same arithmetic as ``forward``) go through ``reference_forward``; the agent
+keeps its two reference optimizers in ``reference_opts``, built on first use
+over its nets' parameter arrays.
 """
 import bisect
 import dataclasses
@@ -50,14 +58,16 @@ from dqcsched.ppo import (
     DISCOUNT,
     GAE_LAMBDA,
     REWARD_VARIANTS,
+    CLIP_EPS,
+    ENTROPY_COEF,
+    VALUE_COEF,
     PpoAgent,
     PpoConfig,
     PpoState,
     TrainLogEntry,
-    Transition,
-    compute_gae,
     encode_state,
-    ppo_update,
+    policy_loss_parts,
+    value_loss_parts,
 )
 from dqcsched.schedulers import (
     SCHEDULER_NAMES,
@@ -255,6 +265,136 @@ REFERENCES = {
 # -- references: PPO training as it was before lockstep rollouts -------------
 
 
+@dataclasses.dataclass
+class Transition:
+    """One greedy pick and everything the update step needs about it."""
+
+    obs: np.ndarray
+    mask: np.ndarray
+    action: int
+    logp: float
+    value: float
+    reward: float = 0.0
+    advantage: float = 0.0
+    ret: float = 0.0
+
+
+def reference_forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Returns (output, cache of per-layer activations) for a batch."""
+    activations = [np.atleast_2d(np.asarray(x, dtype=float))]
+    for w, b in zip(self.weights[:-1], self.biases[:-1]):
+        activations.append(np.tanh(activations[-1] @ w + b))
+    out = activations[-1] @ self.weights[-1] + self.biases[-1]
+    activations.append(out)
+    return out, activations
+
+
+def reference_backward(self, activations: list[np.ndarray], grad_out: np.ndarray
+                       ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Gradients of a scalar loss wrt all parameters, given dL/d(output).
+
+    ``activations`` is the cache from :meth:`forward`; returns one
+    (dW, db) pair per layer, first layer first.
+    """
+    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.weights)
+    delta = np.atleast_2d(grad_out)
+    for i in range(len(self.weights) - 1, -1, -1):
+        h_in = activations[i]
+        grads[i] = (h_in.T @ delta, delta.sum(axis=0))
+        if i > 0:
+            # tanh'(z) expressed through the cached activation value
+            delta = (delta @ self.weights[i].T) * (1.0 - activations[i] ** 2)
+    return grads
+
+
+class ReferenceAdam:
+    """Adaptive-moment gradient descent; moments are flat over all parameters.
+    The moment decay rates and ``EPS`` are the defaults of Kingma & Ba (2015)."""
+
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[np.ndarray], lr: float = 3e-4):
+        self.params = params
+        self.lr = lr
+        self._bounds = np.cumsum([0] + [p.size for p in params]).tolist()
+        self.m = np.zeros(self._bounds[-1])
+        self.v = np.zeros(self._bounds[-1])
+        self.t = 0
+
+    def step(self, grads: list[np.ndarray]) -> None:
+        self.t += 1
+        b1t = 1.0 - self.BETA1 ** self.t
+        b2t = 1.0 - self.BETA2 ** self.t
+        g = np.concatenate([grad.ravel() for grad in grads])
+        self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * g
+        self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * g * g
+        update = self.lr * (self.m / b1t) / (np.sqrt(self.v / b2t) + self.EPS)
+        for p, lo, hi in zip(self.params, self._bounds, self._bounds[1:]):
+            p -= update[lo:hi].reshape(p.shape)
+
+
+def reference_compute_gae(transitions: list[Transition], discount: float, lam: float) -> None:
+    """Fill advantages and returns over one episode, in place."""
+    next_value = 0.0
+    adv = 0.0
+    for tr in reversed(transitions):
+        delta = tr.reward + discount * next_value - tr.value
+        adv = delta + discount * lam * adv
+        tr.advantage = adv
+        tr.ret = adv + tr.value
+        next_value = tr.value
+
+
+def reference_ppo_update(
+    buffer: list[Transition],
+    policy,
+    value_net,
+    config: PpoConfig,
+    policy_opt: ReferenceAdam,
+    value_opt: ReferenceAdam,
+    rng: np.random.Generator,
+) -> list[tuple[float, float, float]]:
+    """Minibatch gradient steps on the combined loss; clears the buffer.
+
+    Returns the per-epoch means of (policy loss, value loss, entropy).
+    """
+    if not buffer:
+        raise ValueError("ppo_update requires a non-empty buffer")
+
+    obs = np.stack([tr.obs for tr in buffer])
+    masks = np.stack([tr.mask for tr in buffer])
+    actions = np.array([tr.action for tr in buffer])
+    logp_old = np.array([tr.logp for tr in buffer])
+    adv = np.array([tr.advantage for tr in buffer])
+    rets = np.array([tr.ret for tr in buffer])
+    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+
+    n = len(buffer)
+    epoch_stats: list[tuple[float, float, float]] = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        stats = []
+        for lo in range(0, n, config.minibatch):
+            mb = order[lo: lo + config.minibatch]
+            logits, cache_p = reference_forward(policy, obs[mb])
+            loss_pi, d_pi, entropy, d_ent = policy_loss_parts(
+                logits, masks[mb], actions[mb], logp_old[mb], adv[mb], CLIP_EPS
+            )
+            dlogits = d_pi - ENTROPY_COEF * d_ent
+            grads_p = reference_backward(policy, cache_p, dlogits)
+            policy_opt.step([g for pair in grads_p for g in pair])
+
+            values, cache_v = reference_forward(value_net, obs[mb])
+            loss_v, d_v = value_loss_parts(values[:, 0], rets[mb])
+            grads_v = reference_backward(value_net, cache_v, (VALUE_COEF * d_v)[:, None])
+            value_opt.step([g for pair in grads_v for g in pair])
+            stats.append((loss_pi, loss_v, entropy))
+        arr = np.array(stats)
+        epoch_stats.append(tuple(arr.mean(axis=0)))
+    buffer.clear()
+    return epoch_stats
+
+
 def reference_sample_index(probs, rng: np.random.Generator) -> int:
     """``rng.choice(len(probs), p=probs)`` for a list or an array, by numpy's
     own algorithm (``cumsum`` over its last entry, then ``searchsorted``)."""
@@ -290,7 +430,7 @@ def reference_select_stage(
     cap = n_max
     while feasible := [r for r in rows if n_vals[r] <= cap]:
         x = flat.copy() if sample else flat
-        logits = self.policy(x)[0].tolist()
+        logits = reference_forward(self.policy, x)[0][0].tolist()
         top = max(logits[r] for r in feasible)
         shifted = [-math.inf] * len(logits)
         for r in feasible:
@@ -304,7 +444,7 @@ def reference_select_stage(
             mask[feasible] = True
             transitions.append(Transition(
                 obs=x[0], mask=mask, action=action, logp=float(np.log(probs[action])),
-                value=float(self.value_net(x)[0, 0])))
+                value=float(reference_forward(self.value_net, x)[0][0, 0])))
         else:
             action = max(feasible, key=probs.__getitem__)  # first max, as np.argmax
         picks.append(action)
@@ -349,13 +489,16 @@ def reference_train(self, episodes: int, bias_alpha: float = 0.0) -> list[TrainL
         reward = self.episode_reward(queue, stages, schedule)
         for tr in transitions:
             tr.reward = reward
-        compute_gae(transitions, DISCOUNT, GAE_LAMBDA)
+        reference_compute_gae(transitions, DISCOUNT, GAE_LAMBDA)
         buffer.extend(transitions)
         window_rewards.append(reward)
         if len(buffer) >= cfg.update_every:
-            stats = ppo_update(
+            policy_opt, value_opt = self.__dict__.setdefault("reference_opts", (
+                ReferenceAdam(self.policy.parameters()),
+                ReferenceAdam(self.value_net.parameters())))
+            stats = reference_ppo_update(
                 buffer, self.policy, self.value_net, cfg,
-                self.policy_opt, self.value_opt, self.update_rng,
+                policy_opt, value_opt, self.update_rng,
             )
             mean_stats = np.array(stats).mean(axis=0)
             log.append(TrainLogEntry(
