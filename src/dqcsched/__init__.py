@@ -10,11 +10,9 @@ from .netmodel import (
     Network,
     build_network,
     entanglement_success_probability,
-    homogeneous_network,
     state_delay,
 )
 from .schedulers import (
-    Placement,
     Schedule,
     SchedulingError,
     asap_schedule,
@@ -30,7 +28,6 @@ from .workload import (
     JobDescriptor,
     WorkloadConfig,
     build_circuit_profile,
-    default_catalog,
     generate_slot_jobs,
     partition_job,
     sample_arrival_count,

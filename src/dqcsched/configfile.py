@@ -40,29 +40,18 @@ class Section:
         """A ConfigError about the section itself that names its header's line."""
         return ConfigError(f"{self.source}:{self.line}: section [{self.name}] {message}")
 
-    def raw(self, key: str, default: str | None = None) -> str | None:
+    def get_str(self, key: str, default: str | None = None) -> str | None:
+        """``key``'s raw text, marked read; ``default`` if the section lacks it.
+        The typed accessors below read through it."""
         if key not in self.entries:
             return default
         self.read.add(key)
         return self.entries[key][0]
 
-    def _require(self, key: str) -> tuple[str, int]:
-        if key not in self.entries:
-            raise ConfigError(
-                f"{self.source}: section [{self.name}] is missing key {key!r}"
-            )
-        self.read.add(key)
-        return self.entries[key]
-
-    def get_str(self, key: str, default: str | None = None) -> str | None:
-        if key not in self.entries and default is not None:
-            return default
-        return self._require(key)[0]
-
     def _number(self, key: str, default, kind, expects: str):
-        if key not in self.entries:
+        value = self.get_str(key)
+        if value is None:
             return default
-        value, _ = self._require(key)
         try:
             return kind(value)
         except ValueError:
@@ -77,9 +66,9 @@ class Section:
     def get_list(self, key: str, default: list | None = None, kind=str,
                  expects: str = "a comma-separated list") -> list | None:
         """Comma-separated items converted by ``kind``, none of them repeated."""
-        if key not in self.entries:
+        value = self.get_str(key)
+        if value is None:
             return default
-        value, _ = self._require(key)
         try:
             items = [kind(item.strip()) for item in value.split(",") if item.strip()]
         except ValueError:
@@ -97,9 +86,9 @@ class Section:
     def get_mapping(self, key: str, default: dict[str, float] | None = None
                     ) -> dict[str, float] | None:
         """Parse ``name:number, name:number`` pairs."""
-        if key not in self.entries:
+        value = self.get_str(key)
+        if value is None:
             return default
-        value, _ = self._require(key)
         out: dict[str, float] = {}
         for item in value.split(","):
             item = item.strip()

@@ -30,6 +30,10 @@ KNOWN_SCHEDULERS = SCHEDULER_NAMES + PPO_SCHEDULER_NAMES
 SLOTS_CSV = "slots.csv"
 MAX_SEED_COUNT = 10**6  # each seed is a whole network's run: a million is days of simulation
 MAX_LOCAL_GATE_NS = 10**6  # 1 ms a layer keeps the int64 sums of metrics far from overflow
+# The most jobs a slot may draw, bounding lambda, fixed_count and [ppo] j_max (each
+# training episode draws j_max jobs): 125 times the shipped lambda = 8, and small
+# enough that one train-ppo update at j_max = 1 000 peaks near 260 MB.
+MAX_SLOT_JOBS = 1000
 
 
 @dataclass(frozen=True)
@@ -347,36 +351,6 @@ def write_cdf_csv(rows: list[tuple[str, float, float]], path: str) -> None:
         fh.write("scheduler,value,cum_prob\n" + text)
 
 
-def metric_values(table: SlotTable, setting: str, scheduler: str,
-                  metric: str) -> np.ndarray:
-    """Non-empty per-slot values of one cell, ordered by (seed, slot)."""
-    rows = zip(table.setting, table.scheduler, table.seed, table.slot, getattr(table, metric))
-    selected = sorted((row for row in rows if row[:2] == (setting, scheduler)
-                       and row[4] is not None), key=lambda row: row[2:4])
-    return np.array([row[4] for row in selected], dtype=float)
-
-
-def bootstrap_mean_diff_ci(
-    a: np.ndarray,
-    b: np.ndarray,
-    n_boot: int = 1000,
-    seed: int = 0,
-    confidence: float = 0.95,
-) -> tuple[float, float]:
-    """Percentile bootstrap CI of mean(a) - mean(b) over paired samples."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.size == 0:
-        raise ValueError("bootstrap requires equal-length non-empty samples")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    n = a.size
-    idx = rng.integers(0, n, size=(n_boot, n))
-    diffs = a[idx].mean(axis=1) - b[idx].mean(axis=1)
-    lo = float(np.quantile(diffs, (1.0 - confidence) / 2.0))
-    hi = float(np.quantile(diffs, 1.0 - (1.0 - confidence) / 2.0))
-    return lo, hi
-
-
 # -- config file binding -------------------------------------------------------
 
 
@@ -406,7 +380,7 @@ def _catalog_entries(wl, net, capacity: int, n_nodes: int) -> tuple[tuple[str, i
     job lines, read once, or every circuit family at each ``qubit_sizes``
     entry. One loop checks each entry's shape and QPU need; an error names
     the catalog file's path and line, or the key that set the entry."""
-    path = wl.raw("catalog_file")
+    path = wl.get_str("catalog_file")
     reps = wl.get_int("reps", 1)
     sizes = wl.get_int_list("qubit_sizes", list(workload.QUBIT_SIZES))
     if path is None:
@@ -456,10 +430,9 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
         if not sec.name[len("setting"):][:1].isspace():
             raise sec.header_error("is not named [setting <label>]")
         lam = sec.get_float("lambda")
-        if lam is not None and not 0.0 <= lam <= workload.POISSON_LAM_MAX:
-            raise sec.error("lambda", f"must lie in [0, {workload.POISSON_LAM_MAX:.6g}] "
-                            f"(numpy's Poisson limit), got {lam}")
-        fixed = _int_at_least(sec, "fixed_count", None, 1)
+        if lam is not None and not 0.0 <= lam <= MAX_SLOT_JOBS:
+            raise sec.error("lambda", f"must lie in [0, {MAX_SLOT_JOBS}], got {lam}")
+        fixed = _int_at_least(sec, "fixed_count", None, 1, MAX_SLOT_JOBS)
         bias = sec.get_float("bias_alpha", 0.0)
         if not 0.0 <= bias <= 1.0:
             raise sec.error("bias_alpha", f"must lie in [0, 1], got {bias}")
@@ -516,9 +489,9 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
         seeds=tuple(seeds),
         ppo_updates=_int_at_least(ppo_sec, "updates", base.ppo_updates, 1),
         ppo_variant=variant,
-        ppo_j_max=_int_at_least(ppo_sec, "j_max", base.ppo_j_max, 1),
+        ppo_j_max=_int_at_least(ppo_sec, "j_max", base.ppo_j_max, 1, MAX_SLOT_JOBS),
         ppo_seed=_int_at_least(ppo_sec, "seed", base.ppo_seed, 0),
-        ppo_weights=ppo_sec.raw("weights_file"),
+        ppo_weights=ppo_sec.get_str("weights_file"),
     )
     parsed.reject_unread()
     return config

@@ -115,7 +115,7 @@ class Network:
     """Immutable, fully connected QPU network with per-pair link profiles.
 
     ``delay_ns`` is the n x n matrix of link state delays (zero diagonal),
-    read by the execution model and by node selection. Placement picks and
+    read by the execution model and by node selection. A scheduler picks and
     prices through three tables, each filled on first use. The pick tables,
     ``_selection_memo`` for node selection and ``_lowest_picks`` for the
     lowest free ids, map (free-node bit mask, k) to the k picked nodes and
@@ -202,7 +202,3 @@ def build_network(
     links = dict(zip(pairs, map(profiles.__getitem__, picks.tolist())))
     return Network(n_nodes=n_nodes, qpu_capacity=qpu_capacity, links=links)
 
-
-def homogeneous_network(n_nodes: int, qpu_capacity: int, quality: str = "good") -> Network:
-    """All-identical-links network; handy for isolating ordering effects."""
-    return build_network(n_nodes, qpu_capacity, {quality: 1.0}, seed=0)

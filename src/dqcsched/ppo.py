@@ -54,6 +54,8 @@ class PpoConfig:
         for name in ("j_max", "minibatch", "update_every", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if min(self.hidden, default=1) < 1:
+            raise ValueError(f"hidden sizes must be at least 1, got {self.hidden}")
         if self.minibatch > self.update_every:
             raise ValueError("minibatch must not exceed update_every")
         if self.reward_variant not in REWARD_VARIANTS:
@@ -545,12 +547,13 @@ def load_weights(path: str) -> tuple[dict, list[np.ndarray]]:
             "hidden": tuple(int(h) for h in meta_vec[5:]),
         }
         # Every entry must be the exact code save_weights writes: no
-        # fractions, no negative (wrapping) variant index, latency code 0.
+        # fractions, no negative (wrapping) variant index, latency code 0,
+        # no j_max or hidden size below 1.
         valid = np.array_equal(meta_vec, [
             meta["j_max"], meta["n_features"],
             REWARD_VARIANTS.index(meta["reward_variant"]), 0,
             meta["time_scale"], *meta["hidden"],
-        ]) and meta["n_features"] == N_FEATURES
+        ]) and meta["n_features"] == N_FEATURES and min(meta["j_max"], *meta["hidden"]) >= 1
     except (IndexError, ValueError, OverflowError):
         valid = False
     if not valid:

@@ -2,7 +2,7 @@
 node selection), and ASAP.
 
 All schedulers consume the node-blind execution estimate for their
-decisions, but the emitted placements record actual durations computed
+decisions, but the emitted schedules record actual durations computed
 from the links of the chosen nodes. Except for ASAP, scheduling proceeds
 in synchronized stages: every job of a stage starts together and the next
 stage begins once the whole stage has finished. ASAP releases nodes
@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,57 +34,25 @@ class SchedulingError(Exception):
         self.job_id = job_id
 
 
-@dataclass(frozen=True)
-class Placement:
-    """One job's slice of the schedule."""
-
-    job_id: int
-    assigned_nodes: tuple[int, ...]
-    start_ns: int
-    finish_ns: int
-    stage_index: int
-
-    @property
-    def duration_ns(self) -> int:
-        return self.finish_ns - self.start_ns
-
-
 class Schedule:
     """Scheduler output as five parallel columns, one entry per job in
-    placement order: job id, node tuple, start, finish and stage.
-
-    ``Schedule(placements)`` builds the columns from :class:`Placement`
-    objects, and :attr:`placements` is a view built on demand.
-    """
+    placement order: job id, node tuple, start, finish and stage."""
 
     __slots__ = ("job_id", "assigned_nodes", "start_ns", "finish_ns", "stage_index")
 
-    def __init__(self, placements=()):
-        rows = [(p.job_id, p.assigned_nodes, p.start_ns, p.finish_ns, p.stage_index)
-                for p in placements] if placements else ()
+    def __init__(self):
         self.job_id, self.assigned_nodes, self.start_ns, self.finish_ns, self.stage_index = (
-            map(list, zip(*rows)) if rows else ([], [], [], [], []))
-
-    @property
-    def placements(self) -> list[Placement]:
-        return list(map(Placement, self.job_id, self.assigned_nodes, self.start_ns,
-                        self.finish_ns, self.stage_index))
+            [], [], [], [], [])
 
     def __len__(self) -> int:
         return len(self.job_id)
-
-    def stages(self) -> list[list[Placement]]:
-        grouped: list[list[Placement]] = [[] for _ in range(max(self.stage_index, default=-1) + 1)]
-        for p in self.placements:
-            grouped[p.stage_index].append(p)
-        return grouped
 
     def makespan_ns(self) -> int:
         return max(self.finish_ns) - min(self.start_ns) if self.job_id else 0
 
     def appenders(self) -> tuple:
         """The ``append`` of each column, in column order: what a scheduler
-        places a job through, so no :class:`Placement` is built."""
+        places a job through."""
         return (self.job_id.append, self.assigned_nodes.append, self.start_ns.append,
                 self.finish_ns.append, self.stage_index.append)
 

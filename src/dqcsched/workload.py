@@ -25,8 +25,6 @@ QUBIT_SIZES = (5, 10, 15)  # the default catalog: every circuit family at each s
 MIN_QUBITS = 2
 MAX_QUBITS = 64
 MAX_REPS = 64  # a circuit's gate list grows with reps, and is built for every seed
-# numpy's largest Poisson mean: Generator.poisson raises "lam value too large" above it
-POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
 
 @dataclass(frozen=True)
@@ -229,17 +227,6 @@ class WorkloadConfig:
         cumulative /= cumulative[-1]
         cumulative.flags.writeable = False
         object.__setattr__(self, "cumulative", cumulative)
-
-
-def default_catalog(
-    network: Network,
-    exec_params: ExecModelParams,
-    qubit_sizes: tuple[int, ...] = QUBIT_SIZES,
-    reps: int = 1,
-) -> tuple[JobDescriptor, ...]:
-    """All five families at each size, sorted ascending by non-local gates."""
-    entries = [(kind, n, reps) for kind in CIRCUIT_KINDS for n in qubit_sizes]
-    return sorted_catalog(entries, network, exec_params)
 
 
 def read_catalog_file(path: str) -> list[tuple[int, str, int, int]]:

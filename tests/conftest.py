@@ -9,15 +9,22 @@ import pytest
 
 from dqcsched import execmodel
 from dqcsched.execmodel import ExecModelParams
+from dqcsched.harness import SlotTable
 from dqcsched.netmodel import (
     LINK_PRESETS,
     QUALITY_CLASSES,
     LinkProfile,
     Network,
     build_network,
-    homogeneous_network,
 )
-from dqcsched.workload import CircuitProfile, JobDescriptor
+from dqcsched.schedulers import Schedule
+from dqcsched.workload import (
+    CIRCUIT_KINDS,
+    QUBIT_SIZES,
+    CircuitProfile,
+    JobDescriptor,
+    sorted_catalog,
+)
 
 MIXES = ({"good": 1.0}, {"bad": 0.2, "medium": 0.3, "good": 0.5}, {"bad": 0.5, "good": 0.5})
 
@@ -41,6 +48,84 @@ def make_job(job_id: int, q: int, t_ns: int, epr: int = 0) -> JobDescriptor:
         id=job_id, required_qpus=q, nonlocal_gates=epr,
         est_exec_ns=t_ns, profile=profile, cross_block_pairs=(),
     )
+
+
+def homogeneous_network(n_nodes: int, qpu_capacity: int, quality: str = "good") -> Network:
+    """All-identical-links network; handy for isolating ordering effects."""
+    return build_network(n_nodes, qpu_capacity, {quality: 1.0}, seed=0)
+
+
+def default_catalog(
+    network: Network,
+    exec_params: ExecModelParams,
+    qubit_sizes: tuple[int, ...] = QUBIT_SIZES,
+    reps: int = 1,
+) -> tuple[JobDescriptor, ...]:
+    """All five families at each size, sorted ascending by non-local gates."""
+    entries = [(kind, n, reps) for kind in CIRCUIT_KINDS for n in qubit_sizes]
+    return sorted_catalog(entries, network, exec_params)
+
+
+def schedule_of(rows) -> Schedule:
+    """A schedule of ``(job_id, nodes, start_ns, finish_ns, stage)`` rows,
+    built through its appenders."""
+    schedule = Schedule()
+    appenders = schedule.appenders()
+    for row in rows:
+        for add, value in zip(appenders, row, strict=True):
+            add(value)
+    return schedule
+
+
+def schedule_rows(schedule: Schedule) -> list[tuple]:
+    """A schedule's ``(job_id, nodes, start_ns, finish_ns, stage)`` rows, in
+    placement order."""
+    return list(zip(schedule.job_id, schedule.assigned_nodes, schedule.start_ns,
+                    schedule.finish_ns, schedule.stage_index))
+
+
+def stage_rows(schedule: Schedule) -> list[list[tuple]]:
+    """A schedule's rows grouped by stage, stage 0 first, each group in
+    placement order."""
+    grouped: list[list[tuple]] = [[] for _ in range(max(schedule.stage_index, default=-1) + 1)]
+    for row in schedule_rows(schedule):
+        grouped[row[4]].append(row)
+    return grouped
+
+
+def stage_ids(schedule: Schedule) -> list[set[int]]:
+    """The job ids of each stage, stage 0 first."""
+    return [{row[0] for row in stage} for stage in stage_rows(schedule)]
+
+
+def metric_values(table: SlotTable, setting: str, scheduler: str,
+                  metric: str) -> np.ndarray:
+    """Non-empty per-slot values of one cell, ordered by (seed, slot)."""
+    rows = zip(table.setting, table.scheduler, table.seed, table.slot, getattr(table, metric))
+    selected = sorted((row for row in rows if row[:2] == (setting, scheduler)
+                       and row[4] is not None), key=lambda row: row[2:4])
+    return np.array([row[4] for row in selected], dtype=float)
+
+
+def bootstrap_mean_diff_ci(
+    a: np.ndarray,
+    b: np.ndarray,
+    n_boot: int = 1000,
+    seed: int = 0,
+    confidence: float = 0.95,
+) -> tuple[float, float]:
+    """Percentile bootstrap CI of mean(a) - mean(b) over paired samples."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.size == 0:
+        raise ValueError("bootstrap requires equal-length non-empty samples")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = a.size
+    idx = rng.integers(0, n, size=(n_boot, n))
+    diffs = a[idx].mean(axis=1) - b[idx].mean(axis=1)
+    lo = float(np.quantile(diffs, (1.0 - confidence) / 2.0))
+    hi = float(np.quantile(diffs, 1.0 - (1.0 - confidence) / 2.0))
+    return lo, hi
 
 
 def reference_pricer(schedule, network: Network, params: ExecModelParams):

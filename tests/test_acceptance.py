@@ -14,7 +14,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import make_job, make_rng, unit_exec_params
+from conftest import (bootstrap_mean_diff_ci, default_catalog, homogeneous_network, make_job,
+                      make_rng, metric_values, schedule_of, schedule_rows, stage_ids,
+                      unit_exec_params)
 from dqcsched import harness
 from dqcsched.execmodel import ExecModelParams
 from dqcsched.metrics import compute_report
@@ -22,7 +24,6 @@ from dqcsched.netmodel import (
     LINK_PRESETS,
     build_network,
     entanglement_success_probability,
-    homogeneous_network,
     state_delay,
 )
 from dqcsched.nn import Mlp, masked_softmax
@@ -35,8 +36,6 @@ from dqcsched.ppo import (
     value_loss_parts,
 )
 from dqcsched.schedulers import (
-    Placement,
-    Schedule,
     asap_schedule,
     epr_schedule,
     fifo_schedule,
@@ -44,7 +43,7 @@ from dqcsched.schedulers import (
     resource_prioritize_schedule,
     select_nodes,
 )
-from dqcsched.workload import WorkloadConfig, default_catalog, generate_slot_jobs
+from dqcsched.workload import WorkloadConfig, generate_slot_jobs
 
 UNIT = unit_exec_params()
 
@@ -103,9 +102,9 @@ def test_criterion_2_metric_oracles():
         for i in range(k):
             start = int(rng.integers(0, 1000))
             dur = int(rng.integers(1, 500))
-            entries.append(Placement(i, (i % 6,), start, start + dur, 0))
+            entries.append((i, (i % 6,), start, start + dur, 0))
             intervals.append((start, start + dur))
-        schedule = Schedule(entries)
+        schedule = schedule_of(entries)
         t_overlap = compute_report(schedule, 6).t_overlap_ns
         ok &= t_overlap == sweep_line_overlap(intervals)
 
@@ -135,28 +134,28 @@ def _trace_fixtures_hold() -> bool:
     ok = True
     q = [make_job(0, 2, 10), make_job(1, 2, 20), make_job(2, 3, 5)]
     s = fifo_schedule(q, net4, UNIT)
-    ok &= {p.job_id: (p.start_ns, p.finish_ns) for p in s.placements} == \
+    ok &= {j: (st, f) for j, _, st, f, _ in schedule_rows(s)} == \
         {0: (0, 10), 1: (0, 20), 2: (20, 25)}
     ok &= s.makespan_ns() == 25
 
     q = [make_job(0, 3, 10), make_job(1, 2, 5), make_job(2, 1, 10)]
     s = list_schedule(q, net4, UNIT)
-    ok &= [{p.job_id for p in st} for st in s.stages()] == [{0, 2}, {1}]
+    ok &= stage_ids(s) == [{0, 2}, {1}]
 
     q = [make_job(0, 2, 10), make_job(1, 2, 20), make_job(2, 3, 5)]
     s = resource_prioritize_schedule(q, net4, UNIT)
-    ok &= [{p.job_id for p in st} for st in s.stages()] == [{0, 1}, {2}]
+    ok &= stage_ids(s) == [{0, 1}, {2}]
 
     q = [make_job(0, 2, 10, epr=0), make_job(1, 3, 10, epr=1),
          make_job(2, 1, 10, epr=2)]
     strict = epr_schedule(q, net4, UNIT, strict_order=True)
     skip = epr_schedule(q, net4, UNIT, strict_order=False)
-    ok &= {p.job_id for p in strict.stages()[0]} == {0}
-    ok &= {p.job_id for p in skip.stages()[0]} == {0, 2}
+    ok &= stage_ids(strict)[0] == {0}
+    ok &= stage_ids(skip)[0] == {0, 2}
 
     q = [make_job(0, 2, 10), make_job(1, 2, 20), make_job(2, 2, 5)]
     s = asap_schedule(q, net4, UNIT)
-    ok &= {p.job_id: (p.start_ns, p.finish_ns) for p in s.placements} == \
+    ok &= {j: (st, f) for j, _, st, f, _ in schedule_rows(s)} == \
         {0: (0, 10), 1: (0, 20), 2: (10, 15)}
 
     from conftest import weighted_network
@@ -166,18 +165,18 @@ def _trace_fixtures_hold() -> bool:
 
 
 def _invariants_hold(queue, schedule, n_nodes) -> bool:
-    if Counter(p.job_id for p in schedule.placements) != \
+    if Counter(schedule.job_id) != \
             Counter(j.id for j in queue):
         return False
     by_job = {j.id: j for j in queue}
     per_node = {}
-    for p in schedule.placements:
-        if len(p.assigned_nodes) != by_job[p.job_id].required_qpus:
+    for job_id, nodes, start, finish, _ in schedule_rows(schedule):
+        if len(nodes) != by_job[job_id].required_qpus:
             return False
-        for node in p.assigned_nodes:
+        for node in nodes:
             if not 0 <= node < n_nodes:
                 return False
-            per_node.setdefault(node, []).append((p.start_ns, p.finish_ns))
+            per_node.setdefault(node, []).append((start, finish))
     for intervals in per_node.values():
         intervals.sort()
         for (s1, f1), (s2, f2) in zip(intervals, intervals[1:]):
@@ -212,7 +211,7 @@ def test_criterion_3_scheduler_fixtures_and_invariants():
         for queue in queues:
             s1 = fn(queue, net, UNIT)
             s2 = fn(queue, net, UNIT)
-            if s1.placements != s2.placements or not _invariants_hold(queue, s1, 5):
+            if schedule_rows(s1) != schedule_rows(s2) or not _invariants_hold(queue, s1, 5):
                 ok = False
                 break
     elapsed = time.monotonic() - t0
@@ -284,8 +283,8 @@ CLASSICAL = ("fifo", "list", "resource", "epr", "epr-ns", "asap")
 
 
 def paired(records, setting, metric, sched_a, sched_b):
-    a = harness.metric_values(records, setting, sched_a, metric)
-    b = harness.metric_values(records, setting, sched_b, metric)
+    a = metric_values(records, setting, sched_a, metric)
+    b = metric_values(records, setting, sched_b, metric)
     assert a.shape == b.shape
     return a, b
 
@@ -298,7 +297,7 @@ def test_criterion_5a_epr_ns_lowest_makespan(benchmark_records):
             if other == "epr-ns":
                 continue
             a, b = paired(benchmark_records, setting, "makespan_ns", "epr-ns", other)
-            lo, hi = harness.bootstrap_mean_diff_ci(a, b, seed=50)
+            lo, hi = bootstrap_mean_diff_ci(a, b, seed=50)
             if hi >= 0.0:
                 ok = False
                 details.append(f"{setting}: not below {other}")
@@ -315,7 +314,7 @@ def test_criterion_5b_resource_highest_utilization(benchmark_records):
                 continue
             a, b = paired(benchmark_records, setting, "qpu_utilization",
                           "resource", other)
-            lo, hi = harness.bootstrap_mean_diff_ci(a, b, seed=51)
+            lo, hi = bootstrap_mean_diff_ci(a, b, seed=51)
             if lo <= 0.0:
                 ok = False
                 details.append(f"{setting}: not above {other} (CI [{lo:.4f}, {hi:.4f}])")
@@ -332,7 +331,7 @@ def test_criterion_5c_epr_highest_selp_and_fairness(benchmark_records):
                 if other == "epr":
                     continue
                 a, b = paired(benchmark_records, setting, metric, "epr", other)
-                lo, hi = harness.bootstrap_mean_diff_ci(a, b, seed=52)
+                lo, hi = bootstrap_mean_diff_ci(a, b, seed=52)
                 if lo <= 0.0:
                     ok = False
                     details.append(f"{metric}/{setting}: not above {other}")
@@ -345,7 +344,7 @@ def test_criterion_5d_asap_below_fifo(benchmark_records):
     details = []
     for setting in SETTINGS:
         a, b = paired(benchmark_records, setting, "makespan_ns", "asap", "fifo")
-        lo, hi = harness.bootstrap_mean_diff_ci(a, b, seed=53)
+        lo, hi = bootstrap_mean_diff_ci(a, b, seed=53)
         if hi >= 0.0:
             ok = False
             details.append(f"{setting}: CI [{lo:.3e}, {hi:.3e}]")

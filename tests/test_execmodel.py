@@ -4,13 +4,13 @@ import dataclasses
 
 import pytest
 
-from conftest import make_job, weighted_network
+from conftest import homogeneous_network, make_job, weighted_network
 from dqcsched.execmodel import (
     ExecModelParams,
     estimate_execution_time,
     nominal_execution_time,
 )
-from dqcsched.netmodel import LINK_PRESETS, LinkProfile, build_network, homogeneous_network
+from dqcsched.netmodel import LINK_PRESETS, LinkProfile, build_network
 from dqcsched.workload import build_circuit_profile, partition_job
 
 GOOD_DELAY = LinkProfile.from_params(LINK_PRESETS["good"]).state_delay_ns

@@ -1,7 +1,9 @@
 """Experiment harness: config parsing, pairing, aggregation, CSV, CLI."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import math
 import os
 import re
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bootstrap_mean_diff_ci, default_catalog, metric_values, schedule_of
 from dqcsched import cli, harness, metrics, ppo, schedulers, workload
 from dqcsched.configfile import ConfigError, parse_config_text
 from dqcsched.harness import (
@@ -23,11 +26,9 @@ from dqcsched.harness import (
     SettingSpec,
     SlotTable,
     SummaryRow,
-    bootstrap_mean_diff_ci,
     cdf_export,
     default_benchmark_config,
     default_config_text,
-    metric_values,
     read_slots_csv,
     run_experiment,
     summarize,
@@ -38,12 +39,10 @@ from dqcsched.execmodel import ExecModelParams
 from dqcsched.netmodel import build_network
 from dqcsched.schedulers import (
     MAX_SELECTION_SUBSETS,
-    Placement,
-    Schedule,
     SchedulingError,
     check_selection_size,
 )
-from dqcsched.workload import default_catalog, sorted_catalog
+from dqcsched.workload import sorted_catalog
 
 TINY = ExperimentConfig(
     settings=(SettingSpec("lam3", lam=3.0),),
@@ -211,7 +210,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(metrics.MetricsReport, "__init__", forbidden)
         with pytest.raises(AssertionError, match="run path"):
-            metrics.compute_reports([Schedule([Placement(0, (0,), 0, 10, 0)])], 6)
+            metrics.compute_reports([schedule_of([(0, (0,), 0, 10, 0)])], 6)
         table = run_experiment(TINY)
         assert len(table) == len(TINY.schedulers) * 2 * 8
         assert None not in table.makespan_ns
@@ -512,6 +511,12 @@ class TestCli:
         ("n_slots = 5", "n_slots = 0"),
         ("local_gate_ns = 1000", "local_gate_ns = 0"),
         ("epr_serialization = serial", "epr_serialization = bogus"),
+        ("lambda = 5", "lambda = 1e12"),
+        ("lambda = 5", f"lambda = {harness.MAX_SLOT_JOBS + 1}"),
+        ("lambda = 5", "fixed_count = 1000000000000"),
+        ("lambda = 5", f"fixed_count = {harness.MAX_SLOT_JOBS + 1}"),
+        ("j_max = 5", "j_max = 1000000000000"),
+        ("j_max = 5", f"j_max = {harness.MAX_SLOT_JOBS + 1}"),
     ])
     def test_bad_value_rejected_at_parse_time(self, tmp_path, capsys, old, new):
         """A repeated list item or a value no run can use is a config error:
@@ -528,7 +533,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {cfg}:{line}: key '{new.split()[0]}' ")
         for numpy_message in ("lam < 0", "lam value too large", "negative dimensions",
-                              "division by zero", "Probabilities", "non-negative"):
+                              "division by zero", "Probabilities", "non-negative",
+                              "Unable to allocate"):
             assert numpy_message not in err
         assert not out.exists()
 
@@ -1060,3 +1066,48 @@ class TestColumnarMatchesRowReference:
                 assert np.array_equal(
                     metric_values(table, setting, scheduler, metric),
                     ref_metric_values(records, setting, scheduler, metric))
+
+
+BENCHMARK_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "benchmark.cfg")
+# Value tokens: integers and floats of every size and sign, nan, inf, empty, words
+# and lists. No '#' or newline, which would change the file's structure.
+TOKENS = st.one_of(
+    st.integers(-10**30, 10**30).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "nan", "inf", "-inf", "1e300", "-1e300", "1e12", "-0", "0x10",
+                     "1_000", "5.0", "good:1", "fifo, fifo", "5, 5", "plain", "node-selection"]),
+    st.text(st.sampled_from("abcdefghijklmnopqrstuvwxyz0123456789-_.,: "), max_size=12),
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_benchmark_config_parses_or_names_its_line(data):
+    """``configs/benchmark.cfg`` with one key's value replaced by a drawn
+    token: ``load_config`` either returns or raises a ConfigError that opens
+    with ``<path>:<line>:``, and ``run`` on a rejected config exits 2 with
+    only that error on stderr. This checks parsing only: an accepted value
+    is not run."""
+    with open(BENCHMARK_CFG, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    at = data.draw(st.sampled_from([k for k, row in enumerate(lines) if "=" in row]))
+    token = data.draw(TOKENS)
+    lines[at] = f"{lines[at].partition('=')[0].strip()} = {token}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzzed.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        try:
+            harness.load_config(path)
+            return
+        except ConfigError as exc:
+            message = str(exc)
+        assert re.match(rf"{re.escape(path)}:\d+: ", message), message
+        out, err = os.path.join(tmp, "out"), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(["run", "--config", path, "--out", out]) == 2
+        assert err.getvalue() == f"config error: {message}\n"
+        for fragment in ("numpy", "Unable to allocate", "invalid literal", "could not convert",
+                         "cannot convert", "overflow", "Traceback"):
+            assert fragment not in message
+        assert not os.path.exists(out)

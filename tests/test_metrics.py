@@ -12,43 +12,37 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_job, make_rng, unit_exec_params
+from conftest import (homogeneous_network, make_job, make_rng, schedule_of, schedule_rows,
+                      unit_exec_params)
 from dqcsched.metrics import (EmptyScheduleError, compute_report, compute_reports,
                               metric_columns)
-from dqcsched.netmodel import homogeneous_network
-from dqcsched.schedulers import Placement, Schedule, fifo_schedule
-
-
-def raw_schedule(entries):
-    """entries: (job_id, nodes, start, finish, stage)."""
-    return Schedule([Placement(*e) for e in entries])
+from dqcsched.schedulers import Schedule, fifo_schedule
 
 
 def report(entries, n_qpu=4):
-    return compute_report(raw_schedule(entries), n_qpu)
+    return compute_report(schedule_of(entries), n_qpu)
 
 
 def overlap_terms(schedule):
     """Pairwise overlap time and its ceiling (sum of pairwise duration sums)."""
-    ps = schedule.placements
+    spans = list(zip(schedule.start_ns, schedule.finish_ns))
     t_overlap = 0
     t_max = 0
-    for i in range(len(ps)):
-        for j in range(i + 1, len(ps)):
-            t_overlap += max(
-                0, min(ps[i].finish_ns, ps[j].finish_ns) - max(ps[i].start_ns, ps[j].start_ns)
-            )
-            t_max += ps[i].duration_ns + ps[j].duration_ns
+    for i in range(len(spans)):
+        for j in range(i + 1, len(spans)):
+            (s1, f1), (s2, f2) = spans[i], spans[j]
+            t_overlap += max(0, min(f1, f2) - max(s1, s2))
+            t_max += (f1 - s1) + (f2 - s2)
     return t_overlap, t_max
 
 
 def oracle_report(schedule, n_qpu, slot_arrival_ns=0):
     """The per-slot reduction, field for field in MetricsReport order."""
-    ps = schedule.placements
-    makespan = max(p.finish_ns for p in ps) - min(p.start_ns for p in ps)
-    busy = sum(p.duration_ns * len(p.assigned_nodes) for p in ps)
+    rows = schedule_rows(schedule)
+    makespan = max(f for _, _, _, f, _ in rows) - min(s for _, _, s, _, _ in rows)
+    busy = sum((f - s) * len(nodes) for _, nodes, s, f, _ in rows)
     t_overlap, t_max = overlap_terms(schedule)
-    elp = [p.duration_ns / (p.finish_ns - slot_arrival_ns) for p in ps]
+    elp = [(f - s) / (f - slot_arrival_ns) for _, _, s, f, _ in rows]
     arr = np.asarray(elp)
     selp = float(np.exp(np.mean(np.log(arr))))
     fairness = 1.0 - float(np.std(arr))
@@ -76,7 +70,7 @@ class TestMakespan:
 
     def test_empty_schedule_is_error(self):
         with pytest.raises(EmptyScheduleError):
-            compute_report(Schedule([]), 4)
+            compute_report(Schedule(), 4)
 
 
 class TestQpuUtilization:
@@ -127,7 +121,7 @@ class TestOverlapOracle:
                 dur = int(rng.integers(1, 300))
                 entries.append((i, (i,), start, start + dur, 0))
                 intervals.append((start, start + dur))
-            schedule = raw_schedule(entries)
+            schedule = schedule_of(entries)
             rep = compute_report(schedule, 4)
             assert rep.t_overlap_ns == sweep_line_overlap(intervals)
             assert (rep.t_overlap_ns, rep.t_max_ns) == overlap_terms(schedule)
@@ -211,17 +205,16 @@ def slot_schedules(draw, n_jobs=st.integers(1, 20)):
             durations = draw(st.lists(DURATIONS, min_size=size, max_size=size))
             for d in durations:
                 i = len(placements)
-                placements.append(Placement(i, tuple(range(widths[i])), barrier,
-                                            barrier + d, stage))
+                placements.append((i, tuple(range(widths[i])), barrier, barrier + d, stage))
             barrier += max(durations)
             stage += 1
     else:
         starts = draw(st.lists(st.integers(0, 10**9), min_size=n, max_size=n))
         durations = draw(st.lists(DURATIONS, min_size=n, max_size=n))
-        placements = [Placement(i, tuple(range(w)), s, s + d, 0)
+        placements = [(i, tuple(range(w)), s, s + d, 0)
                       for i, (w, s, d) in enumerate(zip(widths, starts, durations))]
     order = draw(st.permutations(range(n)))
-    return Schedule([placements[k] for k in order])
+    return schedule_of([placements[k] for k in order])
 
 
 CELLS = st.lists(slot_schedules(), min_size=1, max_size=12)
@@ -243,22 +236,22 @@ def wide_cells(draw):
         starts = rng.integers(0, 10**9, n, endpoint=True).tolist()
         durations = rng.integers(1, 10**9, n, endpoint=True).tolist()
         widths = rng.integers(1, 7, n).tolist()
-        cell.append(raw_schedule([(i, tuple(range(w)), s, s + d, 0) for i, (s, d, w)
+        cell.append(schedule_of([(i, tuple(range(w)), s, s + d, 0) for i, (s, d, w)
                                   in enumerate(zip(starts, durations, widths))]))
     return cell
 
 
 def uniform_cell(counts):
     """One schedule per count, job i of each running [0, 1 + 7 * i)."""
-    return [raw_schedule([(i, (0,), 0, 1 + 7 * i, 0) for i in range(n)]) for n in counts]
+    return [schedule_of([(i, (0,), 0, 1 + 7 * i, 0) for i in range(n)]) for n in counts]
 
 
 class TestCellReduction:
     @PROPERTY
     @given(cell=CELLS, n_qpu=st.integers(6, 12))
-    @example(cell=[raw_schedule([(0, (0,), 0, 10, 0)]),
-                   raw_schedule([(0, (0,), 0, 10, 0), (1, (1,), 0, 10, 0)]),
-                   raw_schedule([(0, (0, 1), 3, 9, 0)])], n_qpu=6)
+    @example(cell=[schedule_of([(0, (0,), 0, 10, 0)]),
+                   schedule_of([(0, (0,), 0, 10, 0), (1, (1,), 0, 10, 0)]),
+                   schedule_of([(0, (0, 1), 3, 9, 0)])], n_qpu=6)
     def test_matches_per_slot_oracle_repr_exactly(self, cell, n_qpu):
         reports = compute_reports(cell, n_qpu)
         assert len(reports) == len(cell)
@@ -279,7 +272,7 @@ class TestCellReduction:
     @PROPERTY
     @given(cell=CELLS, at=st.integers(0, 12))
     def test_non_positive_latency_raises(self, cell, at):
-        bad = raw_schedule([(7, (0,), 0, 0, 0)])
+        bad = schedule_of([(7, (0,), 0, 0, 0)])
         with pytest.raises(ValueError, match="job 7 has non-positive latency 0"):
             compute_reports(cell[:at] + [bad] + cell[at:], 6)
 
@@ -287,7 +280,7 @@ class TestCellReduction:
     @given(cell=CELLS, at=st.integers(0, 12))
     def test_empty_schedule_in_cell_raises(self, cell, at):
         with pytest.raises(EmptyScheduleError):
-            compute_reports(cell[:at] + [Schedule([])] + cell[at:], 6)
+            compute_reports(cell[:at] + [Schedule()] + cell[at:], 6)
 
     def test_empty_cell_has_no_reports(self):
         assert compute_reports([], 6) == []
@@ -295,4 +288,4 @@ class TestCellReduction:
 
     def test_n_qpu_must_be_positive(self):
         with pytest.raises(ValueError, match="n_qpu"):
-            compute_report(raw_schedule([(0, (0,), 0, 10, 0)]), 0)
+            compute_report(schedule_of([(0, (0,), 0, 10, 0)]), 0)

@@ -6,14 +6,13 @@ import math
 
 import pytest
 
-from conftest import MIXES, reference_build_network
+from conftest import MIXES, homogeneous_network, reference_build_network
 from dqcsched.netmodel import (
     LINK_PRESETS,
     LinkParams,
     LinkProfile,
     build_network,
     entanglement_success_probability,
-    homogeneous_network,
     state_delay,
 )
 

@@ -3,13 +3,14 @@
 import dataclasses
 import itertools
 import math
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from conftest import make_job, make_rng, unit_exec_params
-from dqcsched.netmodel import homogeneous_network
+from conftest import (default_catalog, homogeneous_network, make_job, make_rng, schedule_rows,
+                      stage_ids, stage_rows, unit_exec_params)
 from dqcsched.nn import Adam, Mlp, bind, masked_softmax
 from dqcsched.ppo import (
     DISCOUNT,
@@ -29,7 +30,7 @@ from dqcsched.ppo import (
     value_loss_parts,
 )
 from dqcsched.schedulers import SchedulingError, epr_schedule, fifo_schedule
-from dqcsched.workload import build_circuit_profile, default_catalog, partition_job
+from dqcsched.workload import build_circuit_profile, partition_job
 
 PARAMS = unit_exec_params()
 
@@ -754,19 +755,19 @@ class TestPpoSchedule:
         jobs = [make_job(i, q, 10 * (i + 1), epr=i)
                 for i, q in enumerate((2, 3, 1, 5, 2))]
         schedule = agent.schedule(jobs, node_selection=False)
-        assert sorted(p.job_id for p in schedule.placements) == list(range(5))
-        for stage in schedule.stages():
+        assert sorted(schedule.job_id) == list(range(5))
+        for stage in stage_rows(schedule):
             used = set()
-            for p in stage:
-                assert not used & set(p.assigned_nodes)
-                used.update(p.assigned_nodes)
+            for _, nodes, *_ in stage:
+                assert not used & set(nodes)
+                used.update(nodes)
 
     def test_deterministic_inference(self):
         agent = small_agent(seed=4)
         jobs = [make_job(i, 2, 10 + i, epr=i) for i in range(5)]
         s1 = agent.schedule(jobs, node_selection=False)
         s2 = agent.schedule(jobs, node_selection=False)
-        assert s1.placements == s2.placements
+        assert schedule_rows(s1) == schedule_rows(s2)
 
     def test_epr_biased_policy_mimics_epr_scheduler(self):
         agent = small_agent()
@@ -783,12 +784,12 @@ class TestPpoSchedule:
         stages, _ = agent.rollout(jobs)
         ppo_sets = [{jobs[i].id for i in picks} for picks in stages]
         reference = epr_schedule(jobs, net, PARAMS, strict_order=False)
-        ref_sets = [{p.job_id for p in stage} for stage in reference.stages()]
+        ref_sets = stage_ids(reference)
         assert ppo_sets == ref_sets
 
     def test_empty_queue(self):
         agent = small_agent()
-        assert agent.schedule([], node_selection=False).placements == []
+        assert schedule_rows(agent.schedule([], node_selection=False)) == []
 
     @pytest.mark.parametrize("node_selection", [False, True])
     def test_overfull_stage_rejected(self, node_selection):
@@ -855,6 +856,14 @@ class TestTraining:
         with pytest.raises(ValueError, match=f"^{field} must be at least 1, got {value}$"):
             PpoConfig(**{field: value})
 
+    @pytest.mark.parametrize("hidden", [(0,), (-1,), (64, 0)])
+    def test_hidden_sizes_below_one_rejected_at_construction(self, hidden):
+        """A zero-width layer only warned of a division by zero, and a
+        negative one failed inside numpy."""
+        with pytest.raises(ValueError, match=rf"^hidden sizes must be at least 1, got "
+                                             rf"{re.escape(str(hidden))}$"):
+            PpoConfig(hidden=hidden)
+
 
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
@@ -868,7 +877,7 @@ class TestPersistence:
         assert (loaded.value_net.flat_parameters()
                 == agent.value_net.flat_parameters()).all()
         jobs = [make_job(i, 2, 10 + 3 * i, epr=i) for i in range(5)]
-        assert loaded.schedule(jobs).placements == agent.schedule(jobs).placements
+        assert schedule_rows(loaded.schedule(jobs)) == schedule_rows(agent.schedule(jobs))
         meta, _ = load_weights(path)  # the latency code is checked, not returned
         assert set(meta) == {"j_max", "n_features", "reward_variant", "time_scale", "hidden"}
 
@@ -922,6 +931,20 @@ class TestPersistence:
         assert struct.unpack_from("<2d", data, table_end) == (5.0, 4.0)
         five = data[:table_end + 8] + struct.pack("<d", 5.0) + data[table_end + 16:]
         self.assert_rejected(tmp_path / "features.bin", five, agent, "bad metadata")
+
+    def test_hidden_size_below_one_rejected(self, tmp_path):
+        """A file whose metadata and arrays agree on a zero-width hidden
+        layer, as one saved from ``PpoConfig(hidden=(0,))`` was, is bad
+        metadata: there is no such network."""
+        agent, _ = self.saved_bytes(tmp_path)
+        meta = np.array([5, 4, 0, 0, agent.time_scale, 0], dtype=float)
+        arrays = [meta, agent.feature_scales]
+        for n_out in (5, 1):
+            arrays += [np.zeros((20, 0)), np.zeros(0), np.zeros((0, n_out)), np.zeros(n_out)]
+        data = b"DQSW" + struct.pack("<II", 1, len(arrays))
+        data += b"".join(struct.pack(f"<{a.ndim + 1}I", a.ndim, *a.shape) for a in arrays)
+        data += b"".join(a.astype("<f8").tobytes() for a in arrays)
+        self.assert_rejected(tmp_path / "hidden.bin", data, agent, r"bad metadata")
 
     def test_latency_code_other_than_cumulative_rejected(self, tmp_path):
         # [j_max, n_features, variant, latency, ...]: save_weights writes

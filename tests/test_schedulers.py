@@ -11,21 +11,26 @@ import numpy as np
 import pytest
 
 from conftest import (
+    default_catalog,
+    homogeneous_network,
     make_job,
     make_rng,
     reference_pricer,
     reference_select_nodes,
+    schedule_of,
+    schedule_rows,
+    stage_ids,
+    stage_rows,
     unit_exec_params,
     weighted_network,
 )
 from dqcsched import execmodel, schedulers
 from dqcsched.execmodel import ExecModelParams, estimate_execution_time
-from dqcsched.netmodel import LINK_PRESETS, LinkProfile, build_network, homogeneous_network
+from dqcsched.netmodel import LINK_PRESETS, LinkProfile, build_network
 from dqcsched.ppo import PpoAgent, PpoConfig
 from dqcsched.schedulers import (
     ENUMERATION_CAP,
     SCHEDULER_NAMES,
-    Placement,
     Schedule,
     SchedulingError,
     _validate_queue,
@@ -37,32 +42,24 @@ from dqcsched.schedulers import (
     resource_prioritize_schedule,
     select_nodes,
 )
-from dqcsched.workload import default_catalog
 
 PARAMS = unit_exec_params()
 
 
-def by_stage(schedule):
-    return [
-        {p.job_id for p in stage}
-        for stage in schedule.stages()
-    ]
-
-
 def job_times(schedule):
-    return {p.job_id: (p.start_ns, p.finish_ns) for p in schedule.placements}
+    return dict(zip(schedule.job_id, zip(schedule.start_ns, schedule.finish_ns)))
 
 
 class TestFifo:
     def test_trace(self, four_node_network):
         queue = [make_job(0, 2, 10), make_job(1, 2, 20), make_job(2, 3, 5)]
         s = fifo_schedule(queue, four_node_network, PARAMS)
-        assert by_stage(s) == [{0, 1}, {2}]
+        assert stage_ids(s) == [{0, 1}, {2}]
         assert job_times(s) == {0: (0, 10), 1: (0, 20), 2: (20, 25)}
         assert s.makespan_ns() == 25
 
     def test_empty_queue(self, four_node_network):
-        assert fifo_schedule([], four_node_network, PARAMS).placements == []
+        assert schedule_rows(fifo_schedule([], four_node_network, PARAMS)) == []
 
     def test_single_full_width_job(self, four_node_network):
         s = fifo_schedule([make_job(0, 4, 7)], four_node_network, PARAMS)
@@ -78,30 +75,30 @@ class TestList:
     def test_trace(self, four_node_network):
         queue = [make_job(0, 3, 10), make_job(1, 2, 5), make_job(2, 1, 10)]
         s = list_schedule(queue, four_node_network, PARAMS)
-        assert by_stage(s) == [{0, 2}, {1}]
+        assert stage_ids(s) == [{0, 2}, {1}]
         assert job_times(s) == {0: (0, 10), 2: (0, 10), 1: (10, 15)}
 
     def test_full_width_jobs_reduce_to_fifo(self, four_node_network):
         queue = [make_job(i, 4, 5 + i) for i in range(4)]
-        assert (list_schedule(queue, four_node_network, PARAMS).placements
-                == fifo_schedule(queue, four_node_network, PARAMS).placements)
+        assert (schedule_rows(list_schedule(queue, four_node_network, PARAMS))
+                == schedule_rows(fifo_schedule(queue, four_node_network, PARAMS)))
 
 
 class TestResourcePrioritize:
     def test_trace(self, four_node_network):
         queue = [make_job(0, 2, 10), make_job(1, 2, 20), make_job(2, 3, 5)]
         s = resource_prioritize_schedule(queue, four_node_network, PARAMS)
-        assert by_stage(s) == [{0, 1}, {2}]
+        assert stage_ids(s) == [{0, 1}, {2}]
 
     def test_mean_time_tie_break(self, four_node_network):
         queue = [make_job(0, 2, 10), make_job(1, 2, 2), make_job(2, 2, 50)]
         s = resource_prioritize_schedule(queue, four_node_network, PARAMS)
         # all pairs reach utilization 4; {0, 1} has the smallest mean time
-        assert by_stage(s)[0] == {0, 1}
+        assert stage_ids(s)[0] == {0, 1}
 
     def test_single_job(self, four_node_network):
         s = resource_prioritize_schedule([make_job(3, 2, 9)], four_node_network, PARAMS)
-        assert by_stage(s) == [{3}]
+        assert stage_ids(s) == [{3}]
 
     def oracle_round(self, jobs, n_nodes):
         """Independent subset search: explicit exhaustive enumeration."""
@@ -128,9 +125,9 @@ class TestResourcePrioritize:
             ]
             s = resource_prioritize_schedule(jobs, four_node_network, PARAMS)
             remaining = list(jobs)
-            for stage_ids in by_stage(s):
+            for ids in stage_ids(s):
                 expected = self.oracle_round(remaining, 4)
-                assert stage_ids == expected
+                assert ids == expected
                 remaining = [j for j in remaining if j.id not in expected]
             assert remaining == []
 
@@ -180,7 +177,7 @@ def reference_resource_schedule(queue, network, exec_params):
 def assert_resource_matches_reference(queue, net):
     got = resource_prioritize_schedule(queue, net, PARAMS)
     want = reference_resource_schedule(queue, net, PARAMS)
-    assert got.placements == want.placements
+    assert schedule_rows(got) == schedule_rows(want)
 
 
 @pytest.mark.parametrize("n_nodes", [6, 12])
@@ -286,7 +283,7 @@ class TestDurationMemo:
             for params in all_params:
                 for schedule in (fifo_schedule([job], net, params),
                                  asap_schedule([job], net, params)):
-                    prices.append(schedule.placements[0].duration_ns)
+                    prices.append(schedule.finish_ns[0] - schedule.start_ns[0])
                     assert prices[-1] == estimate_execution_time(job, nodes, net, params)
         assert len(set(prices)) == 4
         assert [len(net._price_tables) for net in nets] == [2, 2]
@@ -303,7 +300,7 @@ class TestDurationMemo:
         for queue in ([wide, narrow], [narrow, wide]):
             schedule = fifo_schedule(queue, net, PARAMS)
             assert schedule.assigned_nodes == [tuple(range(j.required_qpus)) for j in queue]
-            assert [p.duration_ns for p in schedule.placements] == [10, 10]
+            assert [f - s for s, f in zip(schedule.start_ns, schedule.finish_ns)] == [10, 10]
         assert net._price_tables[PARAMS.key] == {(wide.price_key, (0, 1, 2)): 10,
                                                  (narrow.price_key, (0, 1)): 10}
         assert all(len(nodes) == d for (_, d), (nodes, _) in net._lowest_picks.items())
@@ -355,11 +352,11 @@ class TestDurationMemo:
             queue = [dataclasses.replace(catalog[k], id=i)
                      for i, k in enumerate(rng.integers(0, len(catalog), size=8))]
             for name in SCHEDULER_NAMES:
-                for p in get_scheduler(name)(queue, net, params).placements:
-                    job = queue[p.job_id]
-                    assert p.duration_ns == estimate_execution_time(
-                        job, p.assigned_nodes, net, params)
-                    placed.add((job.price_key, p.assigned_nodes))
+                schedule = get_scheduler(name)(queue, net, params)
+                for job_id, nodes, start, finish, _ in schedule_rows(schedule):
+                    job = queue[job_id]
+                    assert finish - start == estimate_execution_time(job, nodes, net, params)
+                    placed.add((job.price_key, nodes))
         assert len(counted) == len(placed) == self.n_entries(net)
 
     def test_fifo_and_asap_share_pick_and_price_entries(self, counted):
@@ -406,7 +403,7 @@ class TestEpr:
         queue = [make_job(0, 1, 5, epr=5), make_job(1, 1, 5, epr=0),
                  make_job(2, 1, 5, epr=2)]
         s = epr_schedule(queue, four_node_network, PARAMS)
-        order = [p.job_id for p in s.placements]
+        order = s.job_id
         assert order == [1, 2, 0]
 
     def test_strict_versus_skip(self, four_node_network):
@@ -414,8 +411,8 @@ class TestEpr:
                  make_job(2, 1, 10, epr=2)]
         strict = epr_schedule(queue, four_node_network, PARAMS, strict_order=True)
         skip = epr_schedule(queue, four_node_network, PARAMS, strict_order=False)
-        assert by_stage(strict)[0] == {0}
-        assert by_stage(skip)[0] == {0, 2}
+        assert stage_ids(strict)[0] == {0}
+        assert stage_ids(skip)[0] == {0, 2}
 
     def test_stage_zero_has_minimum_epr(self, four_node_network):
         rng = make_rng(32)
@@ -427,7 +424,7 @@ class TestEpr:
                 for i in range(n)
             ]
             s = epr_schedule(queue, four_node_network, PARAMS, strict_order=True)
-            stages = by_stage(s)
+            stages = stage_ids(s)
             eprs = {j.id: j.nonlocal_gates for j in queue}
             stage0_min = min(eprs[i] for i in stages[0])
             for later in stages[1:]:
@@ -437,7 +434,7 @@ class TestEpr:
         net = weighted_network(3, {(0, 1): 1, (0, 2): 5, (1, 2): 2})
         queue = [make_job(0, 2, 10)]
         s = epr_schedule(queue, net, PARAMS, node_selection=True)
-        assert s.placements[0].assigned_nodes == (0, 1)
+        assert s.assigned_nodes == [(0, 1)]
 
 
 class TestSelectNodes:
@@ -553,15 +550,17 @@ class TestAsap:
 
 
 def place_directly(job, nodes, start_ns, stage, network, exec_params):
-    """A placement priced by a direct exec-model call, with no memo."""
+    """A ``(job_id, nodes, start_ns, finish_ns, stage)`` row priced by a
+    direct exec-model call, with no memo."""
     nodes = tuple(sorted(nodes))
     finish = start_ns + estimate_execution_time(job, nodes, network, exec_params)
-    return Placement(job.id, nodes, start_ns, finish, stage)
+    return job.id, nodes, start_ns, finish, stage
 
 
 def reference_asap_schedule(queue, network, exec_params):
     """The release-time scan ``asap_schedule`` replaced, verbatim but for
-    pricing each placement by a direct exec-model call."""
+    pricing each placement by a direct exec-model call and returning its
+    ``(job_id, nodes, start_ns, finish_ns, stage)`` rows."""
     _validate_queue(queue, network)
     placements = []
     avail = [0] * network.n_nodes
@@ -577,10 +576,10 @@ def reference_asap_schedule(queue, network, exec_params):
                 free = [n for n in candidates if n not in used]
                 if job.required_qpus <= len(free):
                     nodes = tuple(free[: job.required_qpus])
-                    p = place_directly(job, nodes, t, stage, network, exec_params)
-                    placements.append(p)
+                    row = place_directly(job, nodes, t, stage, network, exec_params)
+                    placements.append(row)
                     for n in nodes:
-                        avail[n] = p.finish_ns
+                        avail[n] = row[3]
                     used.update(nodes)
                     placed_any = True
                 else:
@@ -589,7 +588,7 @@ def reference_asap_schedule(queue, network, exec_params):
                 remaining = deferred
                 break
         stage += 1
-    return Schedule(placements)
+    return placements
 
 
 @pytest.mark.parametrize("n_nodes", [4, 6, 12])
@@ -620,31 +619,31 @@ def test_asap_matches_release_scan(n_nodes):
             queue = [make_job(i, int(q), int(t)) for i, q, t in zip(ids, sizes, times)]
             params = PARAMS
         got = asap_schedule(queue, nets[k], params)
-        assert got.placements == reference_asap_schedule(queue, nets[k], params).placements
+        assert schedule_rows(got) == reference_asap_schedule(queue, nets[k], params)
 
 
 COLUMNS = ("job_id", "assigned_nodes", "start_ns", "finish_ns", "stage_index")
 
 
-def assert_columns_match_placements(schedule):
-    """``schedule`` against one rebuilt from ``Placement`` objects made
-    directly from its columns, and against per-``Placement`` stage and
-    makespan rules."""
+def assert_columns_agree_with_rows(schedule):
+    """``schedule`` against one rebuilt through its appenders from its rows,
+    and against per-row stage and makespan rules."""
     columns = [getattr(schedule, name) for name in COLUMNS]
-    direct = [Placement(*row) for row in zip(*columns)]
-    rebuilt = Schedule(direct)
+    assert len({len(column) for column in columns}) == 1
+    direct = list(zip(*columns))
+    assert schedule_rows(schedule) == direct
+    rebuilt = schedule_of(direct)
     assert [getattr(rebuilt, name) for name in COLUMNS] == columns
-    assert Schedule(schedule.placements).placements == schedule.placements == direct
-    n_stages = max((p.stage_index for p in direct), default=-1) + 1
-    stages = [[p for p in direct if p.stage_index == k] for k in range(n_stages)]
-    assert schedule.stages() == rebuilt.stages() == stages
-    makespan = (max(p.finish_ns for p in direct) - min(p.start_ns for p in direct)
+    n_stages = max((row[4] for row in direct), default=-1) + 1
+    stages = [[row for row in direct if row[4] == k] for k in range(n_stages)]
+    assert stage_rows(schedule) == stage_rows(rebuilt) == stages
+    makespan = (max(row[3] for row in direct) - min(row[2] for row in direct)
                 if direct else 0)
     assert schedule.makespan_ns() == rebuilt.makespan_ns() == makespan
     assert len(schedule) == len(rebuilt) == len(direct)
 
 
-def test_columns_round_trip_through_placements():
+def test_columns_agree_with_rows():
     """Every scheduler and an untrained PPO agent, with and without node
     selection, on random queues of 0-8 jobs over a mixed network."""
     net = build_network(6, 3, {"bad": 0.2, "medium": 0.3, "good": 0.5}, seed=9)
@@ -657,34 +656,33 @@ def test_columns_round_trip_through_placements():
                           epr=int(rng.integers(0, 20)))
                  for i in range(int(rng.integers(0, 9)))]
         for _, fn in runs:
-            assert_columns_match_placements(fn(queue, net, PARAMS))
-    assert_columns_match_placements(Schedule())
-    assert Schedule([]).placements == [] and Schedule().stages() == []
+            assert_columns_agree_with_rows(fn(queue, net, PARAMS))
+    assert_columns_agree_with_rows(Schedule())
+    assert schedule_rows(Schedule()) == [] and stage_rows(Schedule()) == []
 
 
 def check_invariants(queue, schedule, n_nodes):
     # conservation: exactly one placement per job
-    assert Counter(p.job_id for p in schedule.placements) == \
-        Counter(j.id for j in queue)
+    assert Counter(schedule.job_id) == Counter(j.id for j in queue)
     by_job = {j.id: j for j in queue}
     per_node: dict[int, list] = {}
-    for p in schedule.placements:
-        assert len(p.assigned_nodes) == by_job[p.job_id].required_qpus
-        assert p.finish_ns > p.start_ns
-        for node in p.assigned_nodes:
+    for job_id, nodes, start, finish, _ in schedule_rows(schedule):
+        assert len(nodes) == by_job[job_id].required_qpus
+        assert finish > start
+        for node in nodes:
             assert 0 <= node < n_nodes
-            per_node.setdefault(node, []).append((p.start_ns, p.finish_ns))
+            per_node.setdefault(node, []).append((start, finish))
     # capacity: per-node busy intervals never overlap
     for intervals in per_node.values():
         intervals.sort()
         for (s1, f1), (s2, f2) in zip(intervals, intervals[1:]):
             assert f1 <= s2
     # stages: disjoint node sets within a stage
-    for stage in schedule.stages():
+    for stage in stage_rows(schedule):
         seen = set()
-        for p in stage:
-            assert not seen & set(p.assigned_nodes)
-            seen.update(p.assigned_nodes)
+        for _, nodes, *_ in stage:
+            assert not seen & set(nodes)
+            seen.update(nodes)
 
 
 ALL_SCHEDULERS = [
@@ -711,7 +709,7 @@ def test_invariants_and_determinism_random_queues(name, fn):
         ]
         s1 = fn(queue, net, PARAMS)
         s2 = fn(queue, net, PARAMS)
-        assert s1.placements == s2.placements
+        assert schedule_rows(s1) == schedule_rows(s2)
         check_invariants(queue, s1, 5)
 
 
@@ -719,7 +717,7 @@ def test_invariants_and_determinism_random_queues(name, fn):
 def test_registry_resolves_every_name(name, good_network):
     queue = [make_job(0, 2, 10, epr=1)]
     schedule = get_scheduler(name)(queue, good_network, PARAMS)
-    assert len(schedule.placements) == 1
+    assert len(schedule) == 1
 
 
 def test_unknown_scheduler_name():

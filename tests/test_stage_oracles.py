@@ -45,6 +45,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     MIXES,
+    default_catalog,
     make_job,
     reference_pricer,
     reference_select_nodes,
@@ -80,7 +81,6 @@ from dqcsched.schedulers import (
     get_scheduler,
     resource_prioritize_schedule,
 )
-from dqcsched.workload import default_catalog
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 COLUMNS = ("job_id", "assigned_nodes", "start_ns", "finish_ns", "stage_index")

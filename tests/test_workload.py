@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_rng, unit_exec_params
+from conftest import default_catalog, homogeneous_network, make_rng, unit_exec_params
 from dqcsched import harness
 from dqcsched.configfile import parse_config_text
 from dqcsched.execmodel import (
@@ -15,14 +15,13 @@ from dqcsched.execmodel import (
     estimate_execution_time,
     nominal_execution_time,
 )
-from dqcsched.netmodel import build_network, homogeneous_network
+from dqcsched.netmodel import build_network
 from dqcsched.schedulers import asap_schedule
 from dqcsched.workload import (
     CIRCUIT_KINDS,
     JobDescriptor,
     WorkloadConfig,
     build_circuit_profile,
-    default_catalog,
     generate_slot_jobs,
     partition_job,
     read_catalog_file,
@@ -351,9 +350,10 @@ class TestPriceKey:
                 queue = [j for j in generate_slot_jobs(cfg, rng) if j.required_qpus <= 6]
                 schedule = asap_schedule(queue, net, params)
                 by_id = {j.id: j for j in queue}
-                for p in schedule.placements:
-                    assert p.duration_ns == estimate_execution_time(
-                        by_id[p.job_id], p.assigned_nodes, net, params)
+                for job_id, nodes, start, finish in zip(schedule.job_id, schedule.assigned_nodes,
+                                                        schedule.start_ns, schedule.finish_ns):
+                    assert finish - start == estimate_execution_time(
+                        by_id[job_id], nodes, net, params)
         assert len(net._price_tables[params.key]) > 20
 
 
@@ -403,10 +403,11 @@ class TestCatalogMatchesReference:
     PARAMS = [ExecModelParams(), ExecModelParams(700, "per-link-parallel")]
 
     def test_default_catalog(self):
+        """Every family at each size, as the default config lists them."""
         for net, params, reps in itertools.product(self.NETWORKS, self.PARAMS, (1, 2)):
             for sizes in ((5, 10, 15), (2, 3, 4, 7), tuple(range(5, 31))):
                 entries = [(kind, n, reps) for kind in CIRCUIT_KINDS for n in sizes]
-                got = default_catalog(net, params, qubit_sizes=sizes, reps=reps)
+                got = sorted_catalog(entries, net, params)
                 want = reference_sorted_catalog(entries, net, params)
                 assert [vars(job) for job in got] == [vars(job) for job in want]
 
