@@ -2,7 +2,7 @@
 jobs over a fully connected, heterogeneous QPU network."""
 
 from .execmodel import ExecModelParams, estimate_execution_time, nominal_execution_time
-from .metrics import MetricsReport, compute_report, compute_reports, metric_columns
+from .metrics import MetricsReport, compute_report, metric_columns
 from .netmodel import (
     LINK_PRESETS,
     LinkParams,
@@ -30,7 +30,6 @@ from .workload import (
     build_circuit_profile,
     generate_slot_jobs,
     partition_job,
-    sample_arrival_count,
     selection_probabilities,
 )
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import math
 import os
 import sys
 
@@ -42,17 +41,13 @@ def _cmd_train_ppo(args) -> int:
                       seed=config.ppo_seed),
         network, config.exec_params(), catalog,
     )
-    per_update = math.ceil(agent.config.update_every / agent.config.j_max)
-    log = agent.train(per_update * updates)
+    log = agent.train(updates)
     ppo.save_weights(args.out, agent)
     log_path = args.log if args.log else args.out + ".log.csv"
     with open(log_path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("update", "mean_reward", "policy_loss", "value_loss", "entropy"))
-        for entry in log:
-            writer.writerow([entry.update_index, repr(entry.mean_reward),
-                             repr(entry.policy_loss), repr(entry.value_loss),
-                             repr(entry.entropy)])
+        writer.writerows(map(dataclasses.astuple, log))
     print(f"trained {len(log)} updates; weights -> {args.out}, log -> {log_path}")
     return 0
 

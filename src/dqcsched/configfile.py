@@ -80,9 +80,6 @@ class Section:
             raise self.error(key, f"lists {repeated!r} more than once")
         return items
 
-    def get_int_list(self, key: str, default: list[int] | None = None) -> list[int] | None:
-        return self.get_list(key, default, int, "a list of integers")
-
     def get_mapping(self, key: str, default: dict[str, float] | None = None
                     ) -> dict[str, float] | None:
         """Parse ``name:number, name:number`` pairs."""

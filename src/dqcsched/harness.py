@@ -34,6 +34,8 @@ MAX_LOCAL_GATE_NS = 10**6  # 1 ms a layer keeps the int64 sums of metrics far fr
 # training episode draws j_max jobs): 125 times the shipped lambda = 8, and small
 # enough that one train-ppo update at j_max = 1 000 peaks near 260 MB.
 MAX_SLOT_JOBS = 1000
+MAX_N_SLOTS = 10_000  # a run holds every slot's queue of a (setting, seed) at once
+MAX_NODES = 256  # a network's link table is O(nodes²) and a run keeps one per seed
 
 
 @dataclass(frozen=True)
@@ -150,21 +152,6 @@ def build_catalog(config: ExperimentConfig, network: Network):
     return workload.sorted_catalog(config.catalog_entries, network, config.exec_params())
 
 
-def _cell_scheduler(name: str, ppo_agent):
-    """A function of a cell's checked queues, network, params and PPO stages
-    giving their schedules: a classical scheduler's, queue by queue, or
-    ``ppo_agent``'s placement of the stages, node selection for ``ppo-ns`` only."""
-    if name not in PPO_SCHEDULER_NAMES:
-        run = get_scheduler(name)
-        return lambda queues, net, params, _: [run(queue, net, params) for queue in queues]
-    if ppo_agent is None:
-        raise ConfigError(f"scheduler {name!r} requires trained weights (train-ppo first)")
-    node_selection = name == "ppo-ns"
-    return lambda queues, net, params, all_stages: [
-        ppo_agent.build_schedule(queue, stages, node_selection, net, params)
-        for queue, stages in zip(queues, all_stages)]
-
-
 def run_experiment(config: ExperimentConfig, ppo_agent=None) -> SlotTable:
     """Run every (setting, seed, scheduler) cell and collect the slot table.
 
@@ -177,7 +164,11 @@ def run_experiment(config: ExperimentConfig, ppo_agent=None) -> SlotTable:
     """
     config.validate()
     exec_params = config.exec_params()
-    run_cells = {name: _cell_scheduler(name, ppo_agent) for name in config.schedulers}
+    use_ppo = bool(set(PPO_SCHEDULER_NAMES) & set(config.schedulers))
+    if use_ppo and ppo_agent is None:
+        raise ConfigError("the ppo schedulers require trained weights (train-ppo first)")
+    classical = {name: get_scheduler(name) for name in config.schedulers
+                 if name not in PPO_SCHEDULER_NAMES}
     environments = {}
     for seed in config.seeds:
         net = build_network(config.n_nodes, config.qpu_capacity,
@@ -200,10 +191,14 @@ def run_experiment(config: ExperimentConfig, ppo_agent=None) -> SlotTable:
             jobs = [queue for queue in queues if queue]
             for queue in jobs:
                 _validate_queue(queue, net)
-            stages = (ppo_agent._rollouts(jobs, net.n_nodes, None)[0]
-                      if set(PPO_SCHEDULER_NAMES) & set(run_cells) else None)
-            for name, run_cell in run_cells.items():
-                schedules = run_cell(jobs, net, exec_params, stages)
+            stages = ppo_agent._rollouts(jobs, net.n_nodes, None)[0] if use_ppo else None
+            for name in config.schedulers:
+                if name in classical:
+                    schedules = [classical[name](queue, net, exec_params) for queue in jobs]
+                else:  # a PPO placement of the shared stages; node selection for ppo-ns
+                    schedules = [ppo_agent.build_schedule(queue, picks, name == "ppo-ns",
+                                                          net, exec_params)
+                                 for queue, picks in zip(jobs, stages)]
                 cell = metrics_mod.metric_columns(schedules, config.n_nodes)
                 columns["setting"] += [setting.label] * n_slots
                 columns["scheduler"] += [name] * n_slots
@@ -282,19 +277,8 @@ def read_slots_csv(path: str) -> SlotTable:
 # -- aggregation -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    setting: str
-    scheduler: str
-    makespan_ns: float
-    qpu_utilization: float
-    nonlocal_gate_density: float
-    selp: float
-    fairness: float
-
-
-def summarize(table: SlotTable) -> list[SummaryRow]:
-    """Mean of each metric per (setting, scheduler), empty slots excluded.
+def summarize(table: SlotTable) -> list[tuple]:
+    """(setting, scheduler, mean of each metric) per group, empty slots excluded.
 
     Groups come in first-seen order; each mean is ``np.mean`` over the
     group's values in table order.
@@ -309,17 +293,16 @@ def summarize(table: SlotTable) -> list[SummaryRow]:
     for (setting, scheduler), indices in groups.items():
         indices = [i for i in indices if table.makespan_ns[i] is not None]
         if indices:
-            rows.append(SummaryRow(setting, scheduler, *(
+            rows.append((setting, scheduler, *(
                 float(np.mean([col[i] for i in indices])) for col in metrics)))
     return rows
 
 
-def write_summary_csv(rows: list[SummaryRow], path: str) -> None:
+def write_summary_csv(rows: list[tuple], path: str) -> None:
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("setting", "scheduler") + METRIC_FIELDS)
-        writer.writerows([row.setting, row.scheduler] + [getattr(row, f) for f in METRIC_FIELDS]
-                         for row in rows)
+        writer.writerows(rows)
 
 
 def cdf_export(
@@ -382,7 +365,7 @@ def _catalog_entries(wl, net, capacity: int, n_nodes: int) -> tuple[tuple[str, i
     the catalog file's path and line, or the key that set the entry."""
     path = wl.get_str("catalog_file")
     reps = wl.get_int("reps", 1)
-    sizes = wl.get_int_list("qubit_sizes", list(workload.QUBIT_SIZES))
+    sizes = wl.get_list("qubit_sizes", list(workload.QUBIT_SIZES), int, "a list of integers")
     if path is None:
         _check(wl, "reps", workload.check_circuit_shape, workload.MIN_QUBITS, reps)
         lines = [(None, kind, size, reps) for kind in workload.CIRCUIT_KINDS for size in sizes]
@@ -442,7 +425,7 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
     if not settings:
         raise ConfigError(f"{parsed.source}: at least one [setting ...] is required")
 
-    seeds = run.get_int_list("seeds")
+    seeds = run.get_list("seeds", None, int, "a list of integers")
     if seeds is None:
         seeds = list(range(_int_at_least(run, "seed_count", len(base.seeds), 1, MAX_SEED_COUNT)))
     elif min(seeds) < 0:
@@ -454,7 +437,7 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
         raise ppo_sec.error("variant", f"must be plain or node-selection, "
                             f"got {listed_variant!r}")
     variant = (variant or listed_variant).replace("-", "_")  # REWARD_VARIANTS' spelling
-    n_nodes = _int_at_least(net, "nodes", base.n_nodes, 2)
+    n_nodes = _int_at_least(net, "nodes", base.n_nodes, 2, MAX_NODES)
     capacity = net.get_int("qpu_capacity", base.qpu_capacity)
     _check(net, "qpu_capacity", workload.required_qpus, workload.MIN_QUBITS, capacity)
     quality_mix = MappingProxyType(net.get_mapping("quality_mix", base.quality_mix))
@@ -482,7 +465,7 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
         quality_mix=quality_mix,
         local_gate_ns=local_gate_ns,
         epr_serialization=policy,
-        n_slots=_int_at_least(wl, "n_slots", base.n_slots, 1),
+        n_slots=_int_at_least(wl, "n_slots", base.n_slots, 1, MAX_N_SLOTS),
         catalog_entries=catalog_entries,
         settings=tuple(settings),
         schedulers=schedulers,

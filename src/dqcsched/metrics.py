@@ -114,14 +114,7 @@ def metric_columns(schedules: list[Schedule], n_qpu: int):
             t_overlap, t_max, elp)
 
 
-def compute_reports(schedules: list[Schedule], n_qpu: int) -> list[MetricsReport]:
-    """All five metrics for each schedule of a cell, in input order."""
-    *columns, elp = metric_columns(schedules, n_qpu)
-    elp, bounds = elp.tolist(), list(accumulate(map(len, schedules), initial=0))
-    return [MetricsReport(m, u, d, tuple(elp[a:b]), s, f, o, tm)
-            for m, u, d, s, f, o, tm, a, b in zip(*columns, bounds, bounds[1:])]
-
-
 def compute_report(schedule: Schedule, n_qpu: int) -> MetricsReport:
     """All five metrics for one schedule."""
-    return compute_reports([schedule], n_qpu)[0]
+    (m,), (u,), (d,), (s,), (f,), (o,), (tm,), elp = metric_columns([schedule], n_qpu)
+    return MetricsReport(m, u, d, tuple(elp.tolist()), s, f, o, tm)

@@ -43,11 +43,9 @@ class Mlp:
         """The output of :meth:`forward`, for a batch or a stack of rows."""
         return self.forward(x)[0]
 
-    def backward(self, activations: list[np.ndarray], grad_out: np.ndarray
-                 ) -> list[tuple[np.ndarray, np.ndarray]]:
+    def backward(self, activations: list[np.ndarray], grad_out: np.ndarray) -> None:
         """Gradients of a scalar loss wrt all parameters, given dL/d(output)
-        and the cache from :meth:`forward`, written into ``grads``; returns
-        their (dW, db) views, first layer first, which the next call overwrites."""
+        and the cache from :meth:`forward`, written into ``grads``."""
         delta = np.atleast_2d(grad_out)
         for i in range(len(self.weights) - 1, -1, -1):
             np.matmul(activations[i].T, delta, out=self.grads[2 * i])
@@ -55,18 +53,9 @@ class Mlp:
             if i > 0:
                 # tanh'(z) expressed through the cached activation value
                 delta = (delta @ self.weights[i].T) * (1.0 - activations[i] ** 2)
-        return list(zip(self.grads[::2], self.grads[1::2]))
 
     def parameters(self) -> list[np.ndarray]:
         return [p for pair in zip(self.weights, self.biases) for p in pair]
-
-    def flat_parameters(self) -> np.ndarray:
-        return self.flat.copy()
-
-    def set_flat_parameters(self, flat: np.ndarray) -> None:
-        if np.shape(flat) != self.flat.shape:
-            raise ValueError("flat parameter vector has wrong length")
-        self.flat[...] = flat
 
 
 def bind(nets: list[Mlp]) -> tuple[np.ndarray, np.ndarray]:

@@ -62,24 +62,15 @@ class PpoConfig:
             raise ValueError(f"unknown reward variant: {self.reward_variant!r}")
 
 
-@dataclass
-class PpoState:
-    """Fixed-size observation: one feature row per job, zero rows padded."""
-
-    matrix: np.ndarray  # (j_max, N_FEATURES): [n_j, g_j, g_j, t_hat]
-    padding: np.ndarray  # (j_max,) bool, True where no job exists
-
-
-def encode_state(queue, j_max: int, time_scale: float) -> PpoState:
-    """Queue to feature matrix; time estimates normalized by ``time_scale``."""
+def encode_state(queue, j_max: int, time_scale: float) -> np.ndarray:
+    """Queue to (j_max, N_FEATURES) rows [n_j, g_j, g_j, t_hat / time_scale], zero-padded."""
     if len(queue) > j_max:
         raise ValueError(f"queue of {len(queue)} jobs exceeds j_max={j_max}")
     if time_scale <= 0:
         raise ValueError(f"time_scale must be > 0, got {time_scale}")
-    matrix = np.array([(job.required_qpus, job.nonlocal_gates, job.nonlocal_gates,
-                        job.est_exec_ns / time_scale) for job in queue]
-                      + [(0.0,) * N_FEATURES] * (j_max - len(queue)), dtype=float)
-    return PpoState(matrix=matrix, padding=np.arange(j_max) >= len(queue))
+    return np.array([(job.required_qpus, job.nonlocal_gates, job.nonlocal_gates,
+                      job.est_exec_ns / time_scale) for job in queue]
+                    + [(0.0,) * N_FEATURES] * (j_max - len(queue)), dtype=float)
 
 
 def stage_latencies(
@@ -352,7 +343,7 @@ class PpoAgent:
         lengths = np.array([len(q) for q in queues], dtype=int)
         firsts = np.cumsum(lengths) - lengths  # each episode's first pick in draws order
         by_length = np.argsort(-lengths, kind="stable")
-        raw = np.array([encode_state(queues[i], j_max, self.time_scale).matrix
+        raw = np.array([encode_state(queues[i], j_max, self.time_scale)
                         for i in by_length]).reshape(len(queues), j_max, N_FEATURES)
         scaled = raw / self.feature_scales
         need = np.where(np.arange(j_max) < lengths[by_length, None], raw[..., 0], math.inf)
@@ -419,16 +410,15 @@ class PpoAgent:
 
     # -- training ----------------------------------------------------------
 
-    def train(self, episodes: int, bias_alpha: float = 0.0) -> list[TrainLogEntry]:
-        """Roll out fixed-size slots, updating every ``update_every`` picks.
+    def train(self, updates: int, bias_alpha: float = 0.0) -> list[TrainLogEntry]:
+        """``updates`` gradient updates, each on a window of fixed-size slots:
+        the fewest whole episodes that hold ``update_every`` picks.
 
-        The episodes of an update window roll out in lockstep, their queues
-        and action uniforms drawn first, in episode order: one draw of the
-        window's catalog picks, one of its action uniforms. Every pick of an
-        episode receives the episode reward; advantages come from generalized
-        advantage estimation over the window. A last window too short for an
-        update draws its queues and uniforms but is not rolled out, since no
-        result of it is kept.
+        The episodes of a window roll out in lockstep, their queues and action
+        uniforms drawn first, in episode order: one draw of the window's
+        catalog picks, one of its action uniforms. Every pick of an episode
+        receives the episode reward; advantages come from generalized
+        advantage estimation over the window.
         """
         cfg = self.config
         node_selection = cfg.reward_variant == "node_selection"
@@ -437,19 +427,15 @@ class PpoAgent:
             bias_alpha=bias_alpha,
             fixed_count=cfg.j_max,
         )
-        per_window = -(-cfg.update_every // cfg.j_max)  # the episodes that fill the buffer
+        n_picks = -(-cfg.update_every // cfg.j_max) * cfg.j_max  # one pick per job
         log: list[TrainLogEntry] = []
-        while episodes > 0:
-            n_picks = cfg.j_max * min(episodes, per_window)  # one pick per job
-            episodes -= n_picks // cfg.j_max
+        for index in range(updates):
             picks = wcfg.cumulative.searchsorted(self.env_rng.random(n_picks), side="right")
             queues = [workload.catalog_copies(wcfg.catalog, picks[lo:lo + cfg.j_max].tolist())
                       for lo in range(0, n_picks, cfg.j_max)]
             for queue in queues:
                 _validate_queue(queue, self.network)
             draws = self.action_rng.random(n_picks)
-            if n_picks < cfg.update_every:
-                continue
             all_stages, (obs, masks, action, logp, values) = self._rollouts(
                 queues, self.network.n_nodes, draws)
             rewards = np.array([self.episode_reward(q, s, self.build_schedule(q, s, node_selection))
@@ -457,7 +443,7 @@ class PpoAgent:
             adv, rets = compute_gae(rewards, values.reshape(-1, cfg.j_max), DISCOUNT, GAE_LAMBDA)
             stats = ppo_update((obs, masks, action, logp, adv.ravel(), rets.ravel()),
                                self.policy, self.value_net, cfg, self.optimizer, self.update_rng)
-            log.append(TrainLogEntry(len(log), float(np.mean(rewards)),
+            log.append(TrainLogEntry(index, float(np.mean(rewards)),
                                      *np.array(stats).mean(axis=0).tolist()))
         return log
 

@@ -180,12 +180,6 @@ def partition_job(
     entangled-pair demand. The nominal execution estimate is
     attached so schedulers can rank the job before placement. The id is -1.
     """
-    return JobDescriptor(-1, *_job_fields(profile, qpu_capacity, network, exec_params))
-
-
-def _job_fields(profile: CircuitProfile, qpu_capacity: int, network: Network,
-                exec_params: ExecModelParams) -> tuple:
-    """:func:`partition_job`'s ``JobDescriptor`` fields after the id, in order."""
     required = required_qpus(profile.n_qubits, qpu_capacity)
     cross = tuple(
         (min(a // qpu_capacity, b // qpu_capacity), max(a // qpu_capacity, b // qpu_capacity))
@@ -193,7 +187,7 @@ def _job_fields(profile: CircuitProfile, qpu_capacity: int, network: Network,
         if a // qpu_capacity != b // qpu_capacity
     )
     est = execmodel.nominal_execution_time(profile.local_depth, cross, network, exec_params)
-    return required, len(cross), est, profile, cross
+    return JobDescriptor(-1, required, len(cross), est, profile, cross)
 
 
 @dataclass(frozen=True)
@@ -265,19 +259,11 @@ def read_catalog_file(path: str) -> list[tuple[int, str, int, int]]:
 def sorted_catalog(entries, network: Network, exec_params: ExecModelParams
                    ) -> tuple[JobDescriptor, ...]:
     """One job per (kind, n_qubits, reps) entry, sorted by (non-local gates,
-    estimate, kind, size) and numbered 0.. in that order: each job is built
-    once, under its final id."""
-    jobs = [_job_fields(build_circuit_profile(kind, n, reps), network.qpu_capacity,
-                        network, exec_params) for kind, n, reps in entries]
-    jobs.sort(key=lambda f: (f[1], f[2], f[3].kind, f[3].n_qubits))
-    return tuple(JobDescriptor(i, *fields) for i, fields in enumerate(jobs))
-
-
-def sample_arrival_count(lam: float, rng: np.random.Generator) -> int:
-    """Number of jobs arriving in one slot, Poisson distributed."""
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    return int(rng.poisson(lam))
+    estimate, kind, size) and numbered 0.. in that order."""
+    jobs = [partition_job(build_circuit_profile(kind, n, reps), network.qpu_capacity,
+                          network, exec_params) for kind, n, reps in entries]
+    jobs.sort(key=lambda j: (j.nonlocal_gates, j.est_exec_ns, j.profile.kind, j.profile.n_qubits))
+    return tuple(catalog_copies(jobs, range(len(jobs))))
 
 
 def selection_probabilities(n: int, bias_alpha: float) -> np.ndarray:
@@ -303,7 +289,7 @@ def generate_slot_jobs(config: WorkloadConfig, rng: np.random.Generator) -> list
     if config.fixed_count is not None:
         count = config.fixed_count
     else:
-        count = sample_arrival_count(config.lam, rng)
+        count = int(rng.poisson(config.lam))
     if count == 0:
         return []
     # Generator.choice(n, size=count, p=probabilities), without its per-call

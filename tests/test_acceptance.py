@@ -7,7 +7,6 @@ this execution model (see README, "Install and test"); their tests state
 the criteria faithfully and fail honestly.
 """
 
-import math
 import time
 from collections import Counter
 
@@ -395,27 +394,27 @@ def test_criterion_6_rl_machinery():
     rets = grad_rng.normal(size=3)
 
     def fd(loss_fn, netw, h=1e-6):
-        flat = netw.flat_parameters()
+        flat = netw.flat.copy()
         grad = np.zeros_like(flat)
         for i in range(flat.size):
             for sign in (1.0, -1.0):
-                probe = flat.copy()
-                probe[i] += sign * h
-                netw.set_flat_parameters(probe)
+                netw.flat[i] = flat[i] + sign * h
                 grad[i] += sign * loss_fn()
-        netw.set_flat_parameters(flat)
+            netw.flat[i] = flat[i]
         return grad / (2 * h)
 
-    def flat(grads):
-        return np.concatenate([g.ravel() for pair in grads for g in pair])
+    def backward(netw, cache, grad_out):
+        """The flat gradient ``netw.backward`` writes into ``netw.grads``."""
+        netw.backward(cache, grad_out)
+        return np.concatenate([g.ravel() for g in netw.grads])
 
     def rel(a, b):
         return np.abs(a - b).max() / max(np.abs(a).max(), np.abs(b).max(), 1e-12)
 
     loss_pi, d_pi, entropy, d_ent = policy_loss_parts(
         logits, masks, actions, logp_old, adv, 0.2)
-    analytic_pi = flat(policy.backward(cache, d_pi))
-    analytic_h = flat(policy.backward(cache, d_ent))
+    analytic_pi = backward(policy, cache, d_pi)
+    analytic_h = backward(policy, cache, d_ent)
     numeric_pi = fd(lambda: policy_loss_parts(
         policy.forward(obs)[0], masks, actions, logp_old, adv, 0.2)[0], policy)
     numeric_h = fd(lambda: policy_loss_parts(
@@ -425,7 +424,7 @@ def test_criterion_6_rl_machinery():
 
     values, cache_v = value.forward(obs)
     _, d_v = value_loss_parts(values[:, 0], rets)
-    analytic_v = flat(value.backward(cache_v, d_v[:, None]))
+    analytic_v = backward(value, cache_v, d_v[:, None])
     numeric_v = fd(lambda: value_loss_parts(
         value.forward(obs)[0][:, 0], rets)[0], value)
     ok &= rel(analytic_v, numeric_v) < 1e-4
@@ -469,8 +468,7 @@ def test_criterion_7_training_sanity():
     catalog = default_catalog(net, params)
     config = PpoConfig(seed=11, reward_variant="node_selection")
     agent = PpoAgent(config, net, params, catalog)
-    episodes_per_update = math.ceil(config.update_every / config.j_max)
-    log = agent.train(episodes_per_update * 200)
+    log = agent.train(200)
     first10 = float(np.mean([e.mean_reward for e in log[:10]]))
     last10 = float(np.mean([e.mean_reward for e in log[-10:]]))
     improved = last10 > first10

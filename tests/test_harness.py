@@ -25,7 +25,6 @@ from dqcsched.harness import (
     ExperimentConfig,
     SettingSpec,
     SlotTable,
-    SummaryRow,
     cdf_export,
     default_benchmark_config,
     default_config_text,
@@ -175,9 +174,9 @@ class TestRunExperiment:
     def test_deterministic_reruns(self):
         assert run_experiment(TINY) == run_experiment(TINY)
 
-    def test_metric_columns_are_compute_reports_fields(self):
+    def test_metric_columns_are_compute_report_fields(self):
         """Each cell's metric columns, rebuilt slot by slot from the same job
-        stream through ``compute_reports``, compared ``repr``-exactly."""
+        stream through ``compute_report``, compared ``repr``-exactly."""
         config = ExperimentConfig(
             settings=(SettingSpec("lam1", lam=1.0), SettingSpec("lam8", lam=8.0)),
             seeds=(0, 1), n_slots=12)
@@ -196,9 +195,8 @@ class TestRunExperiment:
                           for _ in range(config.n_slots)]
                 for name in config.schedulers:
                     run = harness.get_scheduler(name)
-                    reports = iter(metrics.compute_reports(
-                        [run(q, net, params) for q in queues if q], config.n_nodes))
-                    per_slot = [next(reports) if q else None for q in queues]
+                    per_slot = [metrics.compute_report(run(q, net, params), config.n_nodes)
+                                if q else None for q in queues]
                     for f in METRIC_FIELDS:
                         expected[f] += [None if r is None else getattr(r, f) for r in per_slot]
         for f in METRIC_FIELDS:
@@ -210,7 +208,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(metrics.MetricsReport, "__init__", forbidden)
         with pytest.raises(AssertionError, match="run path"):
-            metrics.compute_reports([schedule_of([(0, (0,), 0, 10, 0)])], 6)
+            metrics.compute_report(schedule_of([(0, (0,), 0, 10, 0)]), 6)
         table = run_experiment(TINY)
         assert len(table) == len(TINY.schedulers) * 2 * 8
         assert None not in table.makespan_ns
@@ -312,17 +310,15 @@ class TestCsvRoundtrip:
 class TestSummarize:
     def test_single_record_is_its_own_summary(self):
         rows = summarize(table_of(("s", "fifo", 0, 0, 2, 100, 0.5, 0.25, 0.8, 0.9)))
-        assert len(rows) == 1
-        row = rows[0]
-        assert (row.makespan_ns, row.qpu_utilization, row.selp) == (100.0, 0.5, 0.8)
+        assert rows == [("s", "fifo", 100.0, 0.5, 0.25, 0.8, 0.9)]
 
     def test_mean_over_known_records(self):
         row = summarize(table_of(*(
             ("s", "fifo", 0, i, 1, m, u, 0.0, 1.0, 1.0)
             for i, (m, u) in enumerate([(100, 0.2), (300, 0.6)])
         )))[0]
-        assert row.makespan_ns == 200.0
-        assert row.qpu_utilization == pytest.approx(0.4)
+        assert row[:3] == ("s", "fifo", 200.0)
+        assert row[3] == pytest.approx(0.4)
 
     def test_row_count_four_settings(self):
         config = ExperimentConfig(
@@ -517,6 +513,10 @@ class TestCli:
         ("lambda = 5", f"fixed_count = {harness.MAX_SLOT_JOBS + 1}"),
         ("j_max = 5", "j_max = 1000000000000"),
         ("j_max = 5", f"j_max = {harness.MAX_SLOT_JOBS + 1}"),
+        ("n_slots = 5", f"n_slots = {harness.MAX_N_SLOTS + 1}"),
+        ("n_slots = 5", "n_slots = 100000000000"),
+        ("nodes = 6", f"nodes = {harness.MAX_NODES + 1}"),
+        ("nodes = 6", "nodes = 100000000000"),
     ])
     def test_bad_value_rejected_at_parse_time(self, tmp_path, capsys, old, new):
         """A repeated list item or a value no run can use is a config error:
@@ -537,6 +537,20 @@ class TestCli:
                               "Unable to allocate"):
             assert numpy_message not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("nodes", [harness.MAX_NODES + 1, 100000000000])
+    def test_node_count_bounded_without_node_selection(self, tmp_path, capsys, nodes):
+        """With no node-selecting scheduler the subset-count check does not
+        apply, and only the nodes bound stops a network too large to build."""
+        text = self.write_config_text().replace("nodes = 6", f"nodes = {nodes}", 1)
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(text.replace("schedulers = fifo, list, resource, epr, epr-ns, asap",
+                                    "schedulers = fifo"))
+        line = text.splitlines().index(f"nodes = {nodes}") + 1
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (f"config error: {cfg}:{line}: key 'nodes' must be "
+                                           f"<= {harness.MAX_NODES}, got {nodes}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_catalog_file_leaves_sizes_and_reps_unchecked(self, tmp_path):
         """With a ``catalog_file`` the file sets the sizes and reps, so a
@@ -970,10 +984,7 @@ def ref_summarize(records):
         if r.makespan_ns is not None:
             groups[key].append(r)
     return [
-        SummaryRow(setting=key[0], scheduler=key[1], **{
-            f: float(np.mean([getattr(r, f) for r in groups[key]]))
-            for f in METRIC_FIELDS
-        })
+        (*key, *(float(np.mean([getattr(r, f) for r in groups[key]])) for f in METRIC_FIELDS))
         for key in order if groups[key]
     ]
 

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (homogeneous_network, make_job, make_rng, schedule_of, schedule_rows,
                       unit_exec_params)
-from dqcsched.metrics import (EmptyScheduleError, compute_report, compute_reports,
-                              metric_columns)
+from dqcsched.metrics import EmptyScheduleError, compute_report, metric_columns
 from dqcsched.schedulers import Schedule, fifo_schedule
 
 
@@ -48,6 +47,22 @@ def oracle_report(schedule, n_qpu, slot_arrival_ns=0):
     fairness = 1.0 - float(np.std(arr))
     return (makespan, busy / (makespan * n_qpu), (t_overlap / t_max) if t_max else 0.0,
             tuple(elp), selp, fairness, t_overlap, t_max)
+
+
+def oracle_columns(cell, n_qpu):
+    """The per-slot oracle of each schedule in ``metric_columns``' layout:
+    seven lists of one entry per schedule, then every job's ELP in order."""
+    rows = [oracle_report(schedule, n_qpu) for schedule in cell]
+    m, u, d, elp, s, f, o, tm = (list(col) for col in zip(*rows)) if rows else ([],) * 8
+    return m, u, d, s, f, o, tm, [e for slot in elp for e in slot]
+
+
+def assert_columns_match_oracle(cell, n_qpu):
+    *columns, elp = metric_columns(cell, n_qpu)
+    *expected, expected_elp = oracle_columns(cell, n_qpu)
+    assert repr(columns) == repr(expected)
+    assert repr(elp.tolist()) == repr(expected_elp)
+    return columns
 
 
 def as_fields(rep):
@@ -253,38 +268,36 @@ class TestCellReduction:
                    schedule_of([(0, (0,), 0, 10, 0), (1, (1,), 0, 10, 0)]),
                    schedule_of([(0, (0, 1), 3, 9, 0)])], n_qpu=6)
     def test_matches_per_slot_oracle_repr_exactly(self, cell, n_qpu):
-        reports = compute_reports(cell, n_qpu)
-        assert len(reports) == len(cell)
-        for schedule, rep in zip(cell, reports):
+        columns = assert_columns_match_oracle(cell, n_qpu)
+        assert all(len(col) == len(cell) for col in columns)
+        for schedule, density in zip(cell, columns[2]):
+            rep = compute_report(schedule, n_qpu)
             assert repr(as_fields(rep)) == repr(oracle_report(schedule, n_qpu))
             if len(schedule) == 1:
-                assert rep.nonlocal_gate_density == 0.0
+                assert density == rep.nonlocal_gate_density == 0.0
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(cell=wide_cells(), n_qpu=st.integers(6, 12))
     @example(cell=uniform_cell([40, 7, 8, 40, 9, 16, 17, 8, 33, 32, 31, 7, 1, 40]), n_qpu=6)
     def test_wide_cells_match_per_slot_oracle_repr_exactly(self, cell, n_qpu):
-        reports = compute_reports(cell, n_qpu)
-        assert [len(rep.elp) for rep in reports] == [len(s) for s in cell]
-        for schedule, rep in zip(cell, reports):
-            assert repr(as_fields(rep)) == repr(oracle_report(schedule, n_qpu))
+        assert_columns_match_oracle(cell, n_qpu)
 
     @PROPERTY
     @given(cell=CELLS, at=st.integers(0, 12))
     def test_non_positive_latency_raises(self, cell, at):
         bad = schedule_of([(7, (0,), 0, 0, 0)])
         with pytest.raises(ValueError, match="job 7 has non-positive latency 0"):
-            compute_reports(cell[:at] + [bad] + cell[at:], 6)
+            metric_columns(cell[:at] + [bad] + cell[at:], 6)
 
     @PROPERTY
     @given(cell=CELLS, at=st.integers(0, 12))
     def test_empty_schedule_in_cell_raises(self, cell, at):
         with pytest.raises(EmptyScheduleError):
-            compute_reports(cell[:at] + [Schedule()] + cell[at:], 6)
+            metric_columns(cell[:at] + [Schedule()] + cell[at:], 6)
 
     def test_empty_cell_has_no_reports(self):
-        assert compute_reports([], 6) == []
         assert metric_columns([], 6)[:7] == ([],) * 7
+        assert metric_columns([], 6)[7].size == 0
 
     def test_n_qpu_must_be_positive(self):
         with pytest.raises(ValueError, match="n_qpu"):

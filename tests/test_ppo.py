@@ -84,14 +84,14 @@ def reference_sample_index(probs, rng):
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def reference_select_stage(agent, state, selected, n_max, sample=False):
-    n_vals = state.matrix[:, 0].astype(int)
-    scaled = state.matrix / agent.feature_scales
+def reference_select_stage(agent, matrix, padding, selected, n_max, sample=False):
+    n_vals = matrix[:, 0].astype(int)
+    scaled = matrix / agent.feature_scales
     picks = []
     transitions = []
     cap = n_max
     while True:
-        mask = ~state.padding & ~selected & (n_vals <= cap)
+        mask = ~padding & ~selected & (n_vals <= cap)
         if not mask.any():
             break
         obs = np.where(selected[:, None], 0.0, scaled).ravel()
@@ -151,26 +151,25 @@ def small_agent(j_max=5, seed=0, **cfg_kwargs):
 
 class TestEncodeState:
     def test_empty_queue_all_padding(self):
-        state = encode_state([], 5, time_scale=100.0)
-        assert state.matrix.shape == (5, 4)
-        assert not state.matrix.any()
-        assert state.padding.all()
+        matrix = encode_state([], 5, time_scale=100.0)
+        assert matrix.shape == (5, 4)
+        assert not matrix.any()
 
     def test_identical_jobs_identical_rows(self):
         jobs = [make_job(i, 2, 50, epr=3) for i in range(5)]
-        state = encode_state(jobs, 5, time_scale=100.0)
-        assert not state.padding.any()
-        assert all((state.matrix[i] == state.matrix[0]).all() for i in range(5))
+        matrix = encode_state(jobs, 5, time_scale=100.0)
+        assert matrix[0].any()
+        assert all((matrix[i] == matrix[0]).all() for i in range(5))
 
     def test_ghz_row_features(self):
         net = homogeneous_network(6, 3, "good")
         job = partition_job(build_circuit_profile("GHZ", 5), 3, net, PARAMS)
         scale = float(job.est_exec_ns * 4)
-        state = encode_state([job], 5, time_scale=scale)
-        row = state.matrix[0]
+        matrix = encode_state([job], 5, time_scale=scale)
+        row = matrix[0]
         assert row[0] == 2 and row[1] == 2 and row[2] == 2
         assert abs(row[3] - 0.25) < 1e-12
-        assert state.padding.tolist() == [False, True, True, True, True]
+        assert matrix.shape == (5, 4) and not matrix[1:].any()
 
     def test_overflow_rejected(self):
         jobs = [make_job(i, 1, 10) for i in range(6)]
@@ -500,11 +499,12 @@ class TestSelectStageMatchesReference:
 
     @staticmethod
     def reference_rollout(agent, jobs, n_max, sample):
-        state = encode_state(jobs, agent.config.j_max, agent.time_scale)
-        selected = state.padding.copy()
+        matrix = encode_state(jobs, agent.config.j_max, agent.time_scale)
+        padding = np.arange(agent.config.j_max) >= len(jobs)
+        selected = padding.copy()
         stages, transitions = [], []
         while not selected.all():
-            picks, trs = reference_select_stage(agent, state, selected, n_max, sample)
+            picks, trs = reference_select_stage(agent, matrix, padding, selected, n_max, sample)
             stages.append(picks)
             transitions.extend(trs)
         return stages, transitions
@@ -662,20 +662,20 @@ class TestLossParts:
 
 
 def finite_difference(loss_fn, net, h=1e-6):
-    flat = net.flat_parameters()
+    """Central differences of ``loss_fn`` in each entry of ``net.flat``."""
+    flat = net.flat.copy()
     grad = np.zeros_like(flat)
     for i in range(flat.size):
         for sign in (1.0, -1.0):
-            probe = flat.copy()
-            probe[i] += sign * h
-            net.set_flat_parameters(probe)
+            net.flat[i] = flat[i] + sign * h
             grad[i] += sign * loss_fn()
-    net.set_flat_parameters(flat)
+        net.flat[i] = flat[i]
     return grad / (2.0 * h)
 
 
-def flatten_grads(grads):
-    return np.concatenate([g.ravel() for pair in grads for g in pair])
+def flatten_grads(net):
+    """The gradients the last ``net.backward`` wrote, in ``net.flat``'s order."""
+    return np.concatenate([g.ravel() for g in net.grads])
 
 
 class TestGradientChecks:
@@ -709,7 +709,8 @@ class TestGradientChecks:
         logits, cache = self.policy.forward(self.obs)
         _, d_pi, _, _ = policy_loss_parts(logits, self.masks, self.actions,
                                           self.logp_old, self.adv, 0.2)
-        analytic = flatten_grads(self.policy.backward(cache, d_pi))
+        self.policy.backward(cache, d_pi)
+        analytic = flatten_grads(self.policy)
         numeric = finite_difference(loss, self.policy)
         assert self.rel_diff(analytic, numeric) < 1e-4
 
@@ -722,7 +723,8 @@ class TestGradientChecks:
         logits, cache = self.policy.forward(self.obs)
         _, _, _, d_ent = policy_loss_parts(logits, self.masks, self.actions,
                                            self.logp_old, self.adv, 0.2)
-        analytic = flatten_grads(self.policy.backward(cache, d_ent))
+        self.policy.backward(cache, d_ent)
+        analytic = flatten_grads(self.policy)
         numeric = finite_difference(entropy, self.policy)
         assert self.rel_diff(analytic, numeric) < 1e-4
 
@@ -733,7 +735,8 @@ class TestGradientChecks:
 
         values, cache = self.value.forward(self.obs)
         _, d_v = value_loss_parts(values[:, 0], self.rets)
-        analytic = flatten_grads(self.value.backward(cache, d_v[:, None]))
+        self.value.backward(cache, d_v[:, None])
+        analytic = flatten_grads(self.value)
         numeric = finite_difference(loss, self.value)
         assert self.rel_diff(analytic, numeric) < 1e-4
 
@@ -818,27 +821,27 @@ class TestPpoSchedule:
         wide = dataclasses.replace(agent.catalog[-1], required_qpus=7)
         agent.catalog = (*agent.catalog[:-1], wide)
         with pytest.raises(SchedulingError, match="requires 7 QPUs but the network has 6"):
-            agent.train(episodes=20, bias_alpha=1.0)
+            agent.train(1, bias_alpha=1.0)
 
 
 class TestTraining:
     def test_zero_episodes_leaves_policy_unchanged(self):
         agent = small_agent(seed=9)
-        before = agent.policy.flat_parameters().copy()
+        before = agent.policy.flat.copy()
         log = agent.train(0)
         assert log == []
-        assert (agent.policy.flat_parameters() == before).all()
+        assert (agent.policy.flat == before).all()
 
     def test_buffer_flush_and_update_stats(self):
         agent = small_agent(seed=10, update_every=64, minibatch=16, epochs=2)
-        log = agent.train(episodes=30)
-        assert len(log) >= 1
+        log = agent.train(2)
+        assert [e.update_index for e in log] == [0, 1]
         assert all(np.isfinite((e.policy_loss, e.value_loss, e.entropy)).all()
                    for e in log)
 
     def test_training_is_seed_deterministic(self):
-        log1 = small_agent(seed=12, update_every=64).train(episodes=20)
-        log2 = small_agent(seed=12, update_every=64).train(episodes=20)
+        log1 = small_agent(seed=12, update_every=64).train(2)
+        log2 = small_agent(seed=12, update_every=64).train(2)
         assert [(e.mean_reward, e.policy_loss) for e in log1] == \
                [(e.mean_reward, e.policy_loss) for e in log2]
 
@@ -868,14 +871,12 @@ class TestTraining:
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         agent = small_agent(seed=13)
-        agent.train(episodes=64)
+        agent.train(1)
         path = str(tmp_path / "weights.bin")
         save_weights(path, agent)
         loaded = load_agent(path, agent.network, PARAMS, agent.catalog)
-        assert (loaded.policy.flat_parameters()
-                == agent.policy.flat_parameters()).all()
-        assert (loaded.value_net.flat_parameters()
-                == agent.value_net.flat_parameters()).all()
+        assert (loaded.policy.flat == agent.policy.flat).all()
+        assert (loaded.value_net.flat == agent.value_net.flat).all()
         jobs = [make_job(i, 2, 10 + 3 * i, epr=i) for i in range(5)]
         assert schedule_rows(loaded.schedule(jobs)) == schedule_rows(agent.schedule(jobs))
         meta, _ = load_weights(path)  # the latency code is checked, not returned

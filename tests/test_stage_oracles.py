@@ -26,12 +26,15 @@ verbatim as functions of the agent, and the update it called before the
 update moved onto one flat parameter vector: ``ppo_update`` with the
 ``Transition`` records, ``compute_gae``, ``Adam`` (two optimizers, one per
 net) and ``Mlp.forward``/``backward`` it ran on, also verbatim. Edits:
-``reference_encode`` sets ``node_counts``, which ``encode_state`` no longer
-returns; the copied functions call one another where they called the
-library's names, and the rollout's forwards (``Mlp.__call__``, then the
-same arithmetic as ``forward``) go through ``reference_forward``; the agent
-keeps its two reference optimizers in ``reference_opts``, built on first use
-over its nets' parameter arrays.
+``reference_encode`` returns the node counts and scaled rows of
+``encode_state``'s matrix, and ``reference_rollout`` marks the padding rows
+itself, since ``encode_state`` returns neither; ``reference_train`` takes a
+number of updates and runs ceil(update_every / j_max) episodes for each, as
+the library's ``train`` does; the copied functions call one another where
+they called the library's names, and the rollout's forwards
+(``Mlp.__call__``, then the same arithmetic as ``forward``) go through
+``reference_forward``; the agent keeps its two reference optimizers in
+``reference_opts``, built on first use over its nets' parameter arrays.
 """
 import bisect
 import dataclasses
@@ -64,7 +67,6 @@ from dqcsched.ppo import (
     VALUE_COEF,
     PpoAgent,
     PpoConfig,
-    PpoState,
     TrainLogEntry,
     encode_state,
     policy_loss_parts,
@@ -407,24 +409,24 @@ def reference_sample_index(probs, rng: np.random.Generator) -> int:
     return bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())
 
 
-def reference_encode(self, queue) -> PpoState:
-    state = encode_state(queue, self.config.j_max, self.time_scale)
-    state.node_counts = state.matrix[:, 0].astype(int).tolist()
-    state.scaled = state.matrix / self.feature_scales
-    return state
+def reference_encode(self, queue) -> tuple[list[int], np.ndarray]:
+    matrix = encode_state(queue, self.config.j_max, self.time_scale)
+    return matrix[:, 0].astype(int).tolist(), matrix / self.feature_scales
 
 
 def reference_select_stage(
     self,
-    state: PpoState,
+    node_counts: list[int],
+    scaled: np.ndarray,
+    padding: np.ndarray,
     selected: np.ndarray,
     n_max: int,
     sample: bool = False,
 ) -> tuple[list[int], list[Transition]]:
-    n_vals = state.node_counts
-    obs = np.where(selected[:, None], 0.0, state.scaled)  # a picked row is zeroed
+    n_vals = node_counts
+    obs = np.where(selected[:, None], 0.0, scaled)  # a picked row is zeroed
     flat = obs.reshape(1, -1)  # the policy's 1 × n input row, a view of obs
-    rows = [r for r, taken in enumerate((state.padding | selected).tolist()) if not taken]
+    rows = [r for r, taken in enumerate((padding | selected).tolist()) if not taken]
     picks: list[int] = []
     transitions: list[Transition] = []
     cap = n_max
@@ -460,19 +462,22 @@ def reference_rollout(self, queue, sample: bool = False, network: Network | None
     network = network if network is not None else self.network
     _validate_queue(queue, network)
     n_max = network.n_nodes
-    state = reference_encode(self, queue)
-    selected = state.padding.copy()
+    node_counts, scaled = reference_encode(self, queue)
+    padding = np.arange(self.config.j_max) >= len(queue)
+    selected = padding.copy()
     stages: list[list[int]] = []
     transitions: list[Transition] = []
     while not all(selected.tolist()):
-        picks, trs = reference_select_stage(self, state, selected, n_max, sample=sample)
+        picks, trs = reference_select_stage(self, node_counts, scaled, padding, selected, n_max,
+                                            sample=sample)
         stages.append(picks)
         transitions.extend(trs)
     return stages, transitions
 
 
-def reference_train(self, episodes: int, bias_alpha: float = 0.0) -> list[TrainLogEntry]:
+def reference_train(self, updates: int, bias_alpha: float = 0.0) -> list[TrainLogEntry]:
     cfg = self.config
+    episodes = updates * math.ceil(cfg.update_every / cfg.j_max)
     node_selection = cfg.reward_variant == "node_selection"
     wcfg = workload.WorkloadConfig(
         catalog=self.catalog,
@@ -671,15 +676,13 @@ def training_agents(j_max, variant="plain", catalog_edit=None):
 @pytest.mark.parametrize("variant", REWARD_VARIANTS)
 @pytest.mark.parametrize("j_max", [1, 2, 5, 8])
 def test_lockstep_training_matches_the_sequential_loop(j_max, variant):
-    """Three full windows and two episodes of a fourth, which ends the run
-    without an update: the logs, both nets and all three generators agree."""
+    """Three updates: the logs, both nets and all three generators agree."""
     ours, theirs = training_agents(j_max, variant)
-    episodes = 3 * math.ceil(ours.config.update_every / j_max) + 2
-    log = ours.train(episodes, bias_alpha=0.5)
+    log = ours.train(3, bias_alpha=0.5)
     assert len(log) == 3
-    assert repr(log) == repr(reference_train(theirs, episodes, bias_alpha=0.5))
+    assert repr(log) == repr(reference_train(theirs, 3, bias_alpha=0.5))
     for a, b in ((ours.policy, theirs.policy), (ours.value_net, theirs.value_net)):
-        assert np.array_equal(a.flat_parameters(), b.flat_parameters())
+        assert np.array_equal(a.flat, b.flat)
     for rng in ("action_rng", "env_rng", "update_rng"):
         assert getattr(ours, rng).bit_generator.state == \
             getattr(theirs, rng).bit_generator.state

@@ -26,7 +26,6 @@ from dqcsched.workload import (
     partition_job,
     read_catalog_file,
     required_qpus,
-    sample_arrival_count,
     selection_probabilities,
     sorted_catalog,
 )
@@ -149,25 +148,28 @@ class TestPartitionJob:
 
 
 class TestArrivals:
+    """Slot batch sizes: Poisson(lam) draws through ``generate_slot_jobs``."""
+
+    CATALOG = default_catalog(homogeneous_network(6, 3, "good"), unit_exec_params())
+
+    def counts(self, lam, rng, slots):
+        config = WorkloadConfig(catalog=self.CATALOG, lam=lam)
+        return [len(generate_slot_jobs(config, rng)) for _ in range(slots)]
+
     def test_lambda_zero_always_empty(self):
-        rng = make_rng(1)
-        assert all(sample_arrival_count(0.0, rng) == 0 for _ in range(100))
+        assert self.counts(0.0, make_rng(1), 100) == [0] * 100
 
     def test_moments(self):
-        rng = make_rng(123, 9)
-        draws = np.array([sample_arrival_count(5.0, rng) for _ in range(100_000)])
+        draws = np.array(self.counts(5.0, make_rng(123, 9), 100_000))
         assert 4.9 <= draws.mean() <= 5.1
         assert 4.8 <= draws.var() <= 5.2
 
     def test_deterministic_per_seed(self):
-        rng1, rng2 = make_rng(5), make_rng(5)
-        seq1 = [sample_arrival_count(3.0, rng1) for _ in range(50)]
-        seq2 = [sample_arrival_count(3.0, rng2) for _ in range(50)]
-        assert seq1 == seq2
+        assert self.counts(3.0, make_rng(5), 50) == self.counts(3.0, make_rng(5), 50)
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            sample_arrival_count(-1.0, make_rng(0))
+        with pytest.raises(ValueError, match="lam must be >= 0"):
+            WorkloadConfig(catalog=self.CATALOG, lam=-1.0)
 
 
 class TestSelectionProbabilities:
