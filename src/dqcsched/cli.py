@@ -112,15 +112,18 @@ def _scheduler_list(value: str) -> tuple[str, ...]:
     return names
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer that is at least ``low``."""
+def _int_at_least(low: int, high: int | None = None):
+    """An argparse type: an integer that is at least ``low`` and at most ``high``, if given."""
     def parse(value: str) -> int:
         try:
-            if int(value) >= low:
-                return int(value)
+            number = int(value)
         except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expects an integer >= {low}, got {value!r}")
+            number = low - 1  # reported as below ``low``
+        if number < low:
+            raise argparse.ArgumentTypeError(f"expects an integer >= {low}, got {value!r}")
+        if high is not None and number > high:
+            raise argparse.ArgumentTypeError(f"expects an integer <= {high}, got {value!r}")
+        return number
     return parse
 
 
@@ -156,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train-ppo", help="train the RL scheduler")
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--out", required=True, help="weights file to write")
-    p_train.add_argument("--updates", type=_int_at_least(1))
+    p_train.add_argument("--updates", type=_int_at_least(1, harness.MAX_PPO_UPDATES))
     p_train.add_argument("--variant", choices=["plain", "node-selection"])
     p_train.add_argument("--log", help="training log CSV path")
     p_train.set_defaults(func=_cmd_train_ppo)

@@ -36,6 +36,7 @@ MAX_LOCAL_GATE_NS = 10**6  # 1 ms a layer keeps the int64 sums of metrics far fr
 MAX_SLOT_JOBS = 1000
 MAX_N_SLOTS = 10_000  # a run holds every slot's queue of a (setting, seed) at once
 MAX_NODES = 256  # a network's link table is O(nodes²) and a run keeps one per seed
+MAX_PPO_UPDATES = 10**5  # about an hour of training, and one training-log row an update
 
 
 @dataclass(frozen=True)
@@ -470,7 +471,7 @@ def config_from_parsed(parsed: ParsedConfig, schedulers=None, variant=None
         settings=tuple(settings),
         schedulers=schedulers,
         seeds=tuple(seeds),
-        ppo_updates=_int_at_least(ppo_sec, "updates", base.ppo_updates, 1),
+        ppo_updates=_int_at_least(ppo_sec, "updates", base.ppo_updates, 1, MAX_PPO_UPDATES),
         ppo_variant=variant,
         ppo_j_max=_int_at_least(ppo_sec, "j_max", base.ppo_j_max, 1, MAX_SLOT_JOBS),
         ppo_seed=_int_at_least(ppo_sec, "seed", base.ppo_seed, 0),

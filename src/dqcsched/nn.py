@@ -44,15 +44,15 @@ class Mlp:
         return self.forward(x)[0]
 
     def backward(self, activations: list[np.ndarray], grad_out: np.ndarray) -> None:
-        """Gradients of a scalar loss wrt all parameters, given dL/d(output)
-        and the cache from :meth:`forward`, written into ``grads``."""
-        delta = np.atleast_2d(grad_out)
+        """Gradients of a scalar loss wrt all parameters, given the batch's
+        dL/d(output) rows and the cache from :meth:`forward`, written into ``grads``."""
+        delta = grad_out
         for i in range(len(self.weights) - 1, -1, -1):
             np.matmul(activations[i].T, delta, out=self.grads[2 * i])
             np.add.reduce(delta, axis=0, out=self.grads[2 * i + 1])
-            if i > 0:
-                # tanh'(z) expressed through the cached activation value
-                delta = (delta @ self.weights[i].T) * (1.0 - activations[i] ** 2)
+            if i > 0:  # tanh'(z) = 1 - a², in place on a square of the cached a
+                slope = np.square(activations[i])
+                delta = (delta @ self.weights[i].T) * np.subtract(1.0, slope, out=slope)
 
     def parameters(self) -> list[np.ndarray]:
         return [p for pair in zip(self.weights, self.biases) for p in pair]
@@ -117,8 +117,7 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     if not mask.any(axis=-1).all():
         raise ValueError("masked_softmax needs at least one selectable entry")
-    shifted = np.where(mask, logits, -np.inf)
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    exp = np.where(mask, np.exp(shifted), 0.0)
+    exp = np.where(mask, logits, -np.inf)
+    exp = np.exp(exp - exp.max(axis=-1, keepdims=True))  # exp(-inf) is +0.0: masked out
     return exp / exp.sum(axis=-1, keepdims=True)
 

@@ -12,7 +12,6 @@ entropy terms on a from-scratch network (:mod:`dqcsched.nn`).
 from __future__ import annotations
 
 import math
-import operator
 import struct
 from dataclasses import dataclass
 
@@ -73,70 +72,67 @@ def encode_state(queue, j_max: int, time_scale: float) -> np.ndarray:
                     + [(0.0,) * N_FEATURES] * (j_max - len(queue)), dtype=float)
 
 
-def stage_latencies(
-    stage_exec: list[list[float]],
-) -> tuple[list[float], float, float, float]:
-    """Per-job latencies, their sum, the serial worst case, and the ratio.
-
-    Each job's latency is its execution time plus a stage waiting offset,
-    the sum of all preceding stage maxima (the ``cumulative`` mode). The
-    worst case is the fully serialized descending ordering.
-    """
-    if not stage_exec or any(not s for s in stage_exec):
-        raise ValueError("stage_latencies requires non-empty stages")
-    latencies: list[float] = []
-    offset = 0.0
-    for stage in stage_exec:
-        latencies.extend(e + offset for e in stage)
-        offset += max(stage)
-    total = sum(latencies)
-    all_exec = sorted((e for s in stage_exec for e in s), reverse=True)
-    n = len(all_exec)
-    worst = sum((n - k) * e for k, e in enumerate(all_exec))
-    return latencies, total, worst, total / worst
-
-
-def epr_reward(
-    stages: list[list[tuple[float, float]]],
-    variant: str = "plain",
-    alpha: float = 1.0,
-    gamma: float = 1.0,
-    beta: float = 1.0,
-) -> tuple[float, float]:
-    """EPR-aware incentive and the combined episode reward.
-
-    ``stages`` holds, per stage in intra-stage execution order, pairs of
-    (entangled-pair demand d_i, execution time e_i). Each job contributes
-    1/(d_i + gamma * D_prev) in the plain variant, with D_prev the
-    previous stage's maximum demand, or 1/(beta * d_i * (o_i + 1) +
-    gamma * D_prev) in the node-selection variant with o_i the intra-stage
-    order. An otherwise-zero denominator is floored at 1. Returns
-    (incentive, incentive - latency_ratio).
-    """
+def reward_columns(demand: np.ndarray, duration: np.ndarray, opened: np.ndarray,
+                   variant: str = "plain", alpha: float = 1.0, gamma: float = 1.0,
+                   beta: float = 1.0) -> tuple[np.ndarray, ...]:
+    """Each episode's reward terms from ``(episodes, picks)`` float arrays of
+    entangled-pair demand d_i, execution time e_i and stage-opening flags, in
+    pick order; the column loops add left to right, as one episode's loop did.
+    A job's latency is e_i plus the sum of all preceding stage maxima (the
+    ``cumulative`` mode); the worst case is the serial descending ordering. A
+    job's incentive term is 1/(d_i + gamma * D_prev), D_prev the previous
+    stage's maximum demand, or in the node-selection variant 1/(beta * d_i *
+    (o_i + 1) + gamma * D_prev), o_i the intra-stage order; a zero denominator
+    is floored at 1. Returns the latencies, their sums, the worst cases and
+    the incentives, alpha times the mean term."""
     if variant not in REWARD_VARIANTS:
         raise ValueError(f"unknown reward variant: {variant!r}")
-    if not stages or any(not s for s in stages):
-        raise ValueError("epr_reward requires non-empty stages")
-    total = 0.0
-    count = 0
-    d_prev = 0.0
-    for stage in stages:
-        for order, (demand, _exec) in enumerate(stage):
-            if demand < 0:
-                raise ValueError(f"negative EPR demand {demand}")
-            if variant == "plain":
-                denom = demand + gamma * d_prev
-            else:
-                denom = beta * demand * (order + 1) + gamma * d_prev
-            if denom == 0.0:
-                denom = 1.0
-            total += 1.0 / denom
-            count += 1
-        d_prev = max(d for d, _ in stage)
-    r_epr = alpha * total / count
-    stage_exec = [[e for _, e in stage] for stage in stages]
-    _, _, _, r_lat = stage_latencies(stage_exec)
-    return r_epr, -r_lat + r_epr
+    if (demand < 0).any():
+        raise ValueError(f"negative EPR demand {demand[demand < 0][0]}")
+    latencies, n = np.empty_like(duration), duration.shape[1]
+    offset = stage_end = d_prev = d_max = order = total = terms = worst = np.zeros(len(duration))
+    for t in range(n):  # each step rebinds its names, so the shared zeros stay zero
+        new, e, d = opened[:, t], duration[:, t], demand[:, t]
+        offset = np.where(new, offset + stage_end, offset)
+        stage_end = np.where(new, e, np.maximum(stage_end, e))
+        total = total + np.add(e, offset, out=latencies[:, t])
+        d_prev = np.where(new, d_max, d_prev)
+        d_max = np.where(new, d, np.maximum(d_max, d))
+        order = np.where(new, 1.0, order + 1.0)  # o_i + 1
+        denom = (d if variant == "plain" else beta * d * order) + gamma * d_prev
+        terms = terms + 1.0 / np.where(denom == 0.0, 1.0, denom)
+    for k, e in enumerate(np.sort(duration, axis=1)[:, ::-1].T):
+        worst = worst + (n - k) * e
+    return latencies, total, worst, alpha * terms / n
+
+
+def _one_row(stages: list[list], caller: str) -> tuple[np.ndarray, np.ndarray]:
+    """Stages of values as a row of values in pick order and one of stage-opening flags."""
+    if not stages or not all(stages):
+        raise ValueError(f"{caller} requires non-empty stages")
+    opened = np.zeros((1, sum(map(len, stages))), dtype=bool)
+    opened[0, np.cumsum([0, *map(len, stages[:-1])])] = True
+    return np.array([[v for stage in stages for v in stage]], dtype=float), opened
+
+
+def stage_latencies(stage_exec: list[list[float]]) -> tuple[list[float], float, float, float]:
+    """Per-job latencies, their sum, the serial worst case, and the ratio, of
+    one episode's stages of execution times: a row of :func:`reward_columns`."""
+    duration, opened = _one_row(stage_exec, "stage_latencies")
+    latencies, total, worst, _ = reward_columns(np.zeros_like(duration), duration, opened)
+    return latencies[0].tolist(), total.item(), worst.item(), total.item() / worst.item()
+
+
+def epr_reward(stages: list[list[tuple[float, float]]], variant: str = "plain",
+               alpha: float = 1.0, gamma: float = 1.0, beta: float = 1.0) -> tuple[float, float]:
+    """EPR-aware incentive and the combined episode reward of one episode's
+    ``stages``, which hold per stage, in intra-stage execution order, pairs of
+    (entangled-pair demand d_i, execution time e_i): a row of
+    :func:`reward_columns`. Returns (incentive, incentive - latency_ratio)."""
+    row, opened = _one_row(stages, "epr_reward")
+    _, total, worst, r_epr = reward_columns(row[..., 0], row[..., 1], opened,
+                                            variant, alpha, gamma, beta)
+    return r_epr.item(), -(total.item() / worst.item()) + r_epr.item()
 
 
 def sample_index(probs, u):
@@ -167,31 +163,28 @@ def policy_loss_parts(
     """
     n = logits.shape[0]
     probs = masked_softmax(logits, masks)
-    idx = np.arange(n)
-    logp_new = np.log(probs[idx, actions])
-    ratio = np.exp(logp_new - logp_old)
+    onehot = actions[:, None] == np.arange(probs.shape[1])
+    ratio = np.exp(np.log(probs[onehot]) - logp_old)  # a row's one True, in row order
     unclipped = ratio * advantages
-    clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * advantages
-    loss_pi = float(-np.minimum(unclipped, clipped).mean())
+    clipped = np.minimum(np.maximum(ratio, 1.0 - clip_eps), 1.0 + clip_eps) * advantages
+    loss_pi = float(-np.add.reduce(np.minimum(unclipped, clipped)) / n)  # minus the mean
 
     active = unclipped <= clipped  # min() takes the unclipped branch
-    dlogp = np.where(active, -advantages * ratio, 0.0) / n
-    onehot = np.zeros_like(probs)
-    onehot[idx, actions] = 1.0
-    dlogits_pi = dlogp[:, None] * (onehot - probs)
+    dlogits_pi = onehot - probs
+    dlogits_pi *= (np.where(active, -advantages * ratio, 0.0) / n)[:, None]
 
-    safe_log = np.where(probs > 0.0, np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
-    ent_rows = -(probs * safe_log).sum(axis=1)
-    entropy = float(ent_rows.mean())
-    dlogits_ent = -(probs * (safe_log + ent_rows[:, None])) / n
-    dlogits_ent[~masks] = 0.0
+    safe_log = np.log(np.where(probs > 0.0, probs, 1.0))  # log(1) is +0.0
+    ent_rows = -np.add.reduce(probs * safe_log, axis=1)
+    entropy = float(np.add.reduce(ent_rows) / n)
+    dlogits_ent = probs * (safe_log + ent_rows[:, None])  # +0.0 where masked: p = 0
+    np.divide(dlogits_ent, -n, out=dlogits_ent, where=masks)  # the rest stays +0.0
     return loss_pi, dlogits_pi, entropy, dlogits_ent
 
 
 def value_loss_parts(values: np.ndarray, returns: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared error between value predictions and returns, plus grad."""
     err = values - returns
-    return float((err ** 2).mean()), 2.0 * err / err.shape[0]
+    return float(np.add.reduce(np.square(err)) / len(err)), 2.0 * err / len(err)
 
 
 def compute_gae(rewards: np.ndarray, values: np.ndarray, discount: float, lam: float
@@ -329,22 +322,24 @@ class PpoAgent:
         values = np.zeros(len(need)) if u is None else self.value_net(x)[:, 0, 0]
         return action, opened, x[:, 0], feasible, np.log(probs[rows, action]), values
 
-    def _rollouts(self, queues: list, n_max: int, draws: np.ndarray | None
+    def _rollouts(self, queues, n_max: int, draws: np.ndarray | None
                   ) -> tuple[list[list[list[int]]], tuple[np.ndarray, ...]]:
-        """The stages of each checked queue, its episodes stepped in lockstep,
-        and the pick arrays (inputs, masks, actions, log-probabilities and
-        values) of all of them; ``draws`` holds the action uniforms of a
-        sampled rollout in episode-then-pick order, as one-episode loops would
-        draw them. Episodes step longest first, so the live ones are a prefix
-        of the stack, and each picks once a step: its pick t goes to entry t
-        after its first of the pick arrays, which are thus in ``draws`` order.
-        Each stage starts at a pick that opened one."""
+        """The stages of each checked queue (a list, or the ``encode_state``
+        rows of full ones as an array), its episodes stepped in lockstep, and
+        the pick arrays (inputs, masks, actions, log-probabilities, values and
+        stage-opening flags) of all of them; ``draws`` holds the action
+        uniforms of a sampled rollout in episode-then-pick order, as
+        one-episode loops would draw them. Episodes step longest first, so the
+        live ones are a prefix of the stack, and each picks once a step: its
+        pick t goes to entry t after its first of the pick arrays, which are
+        thus in ``draws`` order. Each stage starts at a pick that opened one."""
         j_max = self.config.j_max
         lengths = np.array([len(q) for q in queues], dtype=int)
         firsts = np.cumsum(lengths) - lengths  # each episode's first pick in draws order
         by_length = np.argsort(-lengths, kind="stable")
-        raw = np.array([encode_state(queues[i], j_max, self.time_scale)
-                        for i in by_length]).reshape(len(queues), j_max, N_FEATURES)
+        raw = queues[by_length] if isinstance(queues, np.ndarray) else np.array(
+            [encode_state(queues[i], j_max, self.time_scale) for i in by_length]
+        ).reshape(len(queues), j_max, N_FEATURES)
         scaled = raw / self.feature_scales
         need = np.where(np.arange(j_max) < lengths[by_length, None], raw[..., 0], math.inf)
         cap = np.zeros(len(queues))
@@ -363,18 +358,18 @@ class PpoAgent:
         stages = [picks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         cuts = starts.searchsorted(np.append(firsts, n_picks)).tolist()  # by episode
         return ([stages[a:b] for a, b in zip(cuts, cuts[1:])],
-                (obs, masks, action, logp, values))
+                (obs, masks, action, logp, values, opened))
 
     def rollout(self, queue, sample: bool = False, network: Network | None = None
                 ) -> tuple[list[list[int]], tuple[np.ndarray, ...]]:
-        """Pick indices per stage and the pick arrays for one queue on
-        ``network`` (default: the agent's); a job that does not fit it is a
-        SchedulingError."""
+        """Pick indices per stage and the pick arrays an update reads for one
+        queue on ``network`` (default: the agent's); a job that does not fit
+        it is a SchedulingError."""
         network = network if network is not None else self.network
         _validate_queue(queue, network)
         draws = self.action_rng.random(len(queue)) if sample else None
         stages, arrays = self._rollouts([queue], network.n_nodes, draws)
-        return stages[0], arrays
+        return stages[0], arrays[:5]
 
     # -- schedule construction -------------------------------------------
 
@@ -397,16 +392,19 @@ class PpoAgent:
         stages, _ = self.rollout(queue, sample=False, network=network)
         return self.build_schedule(queue, stages, node_selection, network, exec_params)
 
-    def episode_reward(self, queue, stages: list[list[int]],
-                       schedule: Schedule) -> float:
-        # build_schedule appends in pick order
-        durations = map(operator.sub, schedule.finish_ns, schedule.start_ns)
-        reward_stages = [
-            [(float(queue[row].nonlocal_gates), float(next(durations)))
-             for row in picks]
-            for picks in stages
-        ]
-        return epr_reward(reward_stages, variant=self.config.reward_variant)[1]
+    def episode_reward(self, queue, stages: list, schedule: Schedule) -> np.ndarray | float:
+        """The reward of each episode of ``stages``, runs of ``j_max`` picks of
+        ``queue``'s rows, which ``schedule`` placed in pick order as
+        ``build_schedule`` does: one :func:`reward_columns` call. Returns the
+        ``(episodes,)`` rewards, or a lone episode's as a float."""
+        demand, opened = _one_row([[queue[r].nonlocal_gates for r in p] for p in stages],
+                                  "episode_reward")
+        duration = np.subtract(schedule.finish_ns, schedule.start_ns, dtype=float)
+        _, total, worst, incentive = reward_columns(*(
+            np.reshape(a, (-1, self.config.j_max)) for a in (demand, duration, opened)),
+            self.config.reward_variant)
+        rewards = -(total / worst) + incentive
+        return rewards if len(rewards) > 1 else rewards.item()
 
     # -- training ----------------------------------------------------------
 
@@ -416,9 +414,10 @@ class PpoAgent:
 
         The episodes of a window roll out in lockstep, their queues and action
         uniforms drawn first, in episode order: one draw of the window's
-        catalog picks, one of its action uniforms. Every pick of an episode
-        receives the episode reward; advantages come from generalized
-        advantage estimation over the window.
+        catalog picks, whose rows are gathered from the catalog's, and one of
+        its action uniforms. One placement and one reward call cover the
+        window; every pick of an episode receives the episode reward, and
+        advantages come from generalized advantage estimation over the window.
         """
         cfg = self.config
         node_selection = cfg.reward_variant == "node_selection"
@@ -428,18 +427,24 @@ class PpoAgent:
             fixed_count=cfg.j_max,
         )
         n_picks = -(-cfg.update_every // cfg.j_max) * cfg.j_max  # one pick per job
+        rows = encode_state(self.catalog, len(self.catalog), self.time_scale)  # a row a job
+        wide = (rows[:, 0] < 1) | (rows[:, 0] > self.network.n_nodes)
+        firsts = np.arange(n_picks) // cfg.j_max * cfg.j_max  # each pick's episode's first
         log: list[TrainLogEntry] = []
         for index in range(updates):
             picks = wcfg.cumulative.searchsorted(self.env_rng.random(n_picks), side="right")
-            queues = [workload.catalog_copies(wcfg.catalog, picks[lo:lo + cfg.j_max].tolist())
-                      for lo in range(0, n_picks, cfg.j_max)]
-            for queue in queues:
-                _validate_queue(queue, self.network)
+            if wide[picks].any():  # the error a check of each queue in turn raises first
+                lo = firsts[wide[picks].argmax()]
+                _validate_queue(workload.catalog_copies(self.catalog, picks[lo:lo + cfg.j_max]),
+                                self.network)
             draws = self.action_rng.random(n_picks)
-            all_stages, (obs, masks, action, logp, values) = self._rollouts(
-                queues, self.network.n_nodes, draws)
-            rewards = np.array([self.episode_reward(q, s, self.build_schedule(q, s, node_selection))
-                                for q, s in zip(queues, all_stages)])
+            _, (obs, masks, action, logp, values, opened) = self._rollouts(
+                rows[picks].reshape(-1, cfg.j_max, N_FEATURES), self.network.n_nodes, draws)
+            jobs = [self.catalog[c] for c in picks[firsts + action].tolist()]  # in pick order
+            bounds = np.flatnonzero(opened).tolist() + [n_picks]
+            stages = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+            rewards = self.episode_reward(jobs, stages, self.build_schedule(
+                jobs, stages, node_selection))
             adv, rets = compute_gae(rewards, values.reshape(-1, cfg.j_max), DISCOUNT, GAE_LAMBDA)
             stats = ppo_update((obs, masks, action, logp, adv.ravel(), rets.ravel()),
                                self.policy, self.value_net, cfg, self.optimizer, self.update_rng)

@@ -504,6 +504,8 @@ class TestCli:
         ("seed = 0", "seed = -1"),
         ("updates = 200", "updates = 0"),
         ("updates = 200", "updates = -3"),
+        ("updates = 200", f"updates = {harness.MAX_PPO_UPDATES + 1}"),
+        ("updates = 200", "updates = 1000000000000"),
         ("n_slots = 5", "n_slots = 0"),
         ("local_gate_ns = 1000", "local_gate_ns = 0"),
         ("epr_serialization = serial", "epr_serialization = bogus"),
@@ -599,6 +601,30 @@ class TestCli:
         low = 0 if flag == "--seed" else 1
         assert f"error: argument {flag}: expects an integer >= {low}, got '{value}'" in err
         assert not out.exists()
+
+    def test_updates_flag_bounded_above(self, tmp_path, capsys, monkeypatch):
+        """``train-ppo --updates`` takes ``harness.MAX_PPO_UPDATES`` and no
+        more: one above is a usage error naming the flag, exit 2 before any
+        training or output. Training is stubbed, so no bound runs for hours."""
+        trained = []
+        monkeypatch.setattr(ppo.PpoAgent, "train",
+                            lambda agent, updates: trained.append(updates) or [])
+        config = self.write_config(tmp_path)
+        for updates in (harness.MAX_PPO_UPDATES, harness.MAX_PPO_UPDATES + 1):
+            out = tmp_path / f"w{updates}.bin"
+            argv = ["train-ppo", "--config", config, "--out", str(out), "--updates", str(updates)]
+            if updates == harness.MAX_PPO_UPDATES:
+                assert cli.main(argv) == 0 and out.exists()
+                continue
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: dqcsched train-ppo")
+            assert (f"error: argument --updates: expects an integer <= "
+                    f"{harness.MAX_PPO_UPDATES}, got '{updates}'") in err
+            assert not out.exists()
+        assert trained == [harness.MAX_PPO_UPDATES]
 
     def test_ppo_rejects_a_job_wider_than_the_network(self, tmp_path, capsys):
         """A 30-qubit catalog needs 10 QPUs per job on 6 nodes. ``train-ppo``

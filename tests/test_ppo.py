@@ -5,9 +5,12 @@ import itertools
 import math
 import re
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (default_catalog, homogeneous_network, make_job, make_rng, schedule_rows,
                       stage_ids, stage_rows, unit_exec_params)
@@ -15,6 +18,7 @@ from dqcsched.nn import Adam, Mlp, bind, masked_softmax
 from dqcsched.ppo import (
     DISCOUNT,
     GAE_LAMBDA,
+    REWARD_VARIANTS,
     PpoAgent,
     PpoConfig,
     compute_gae,
@@ -24,6 +28,7 @@ from dqcsched.ppo import (
     load_weights,
     policy_loss_parts,
     ppo_update,
+    reward_columns,
     sample_index,
     save_weights,
     stage_latencies,
@@ -63,6 +68,49 @@ def reference_compute_gae(transitions, discount, lam):
         tr.advantage = adv
         tr.ret = adv + tr.value
         next_value = tr.value
+
+
+def reference_stage_latencies(stage_exec):
+    """``stage_latencies`` as it was before the reward kernel, its two ``sum``
+    calls written as the left-to-right loops they ran on Python 3.11: from
+    3.12 on, ``sum`` of floats is compensated and rounds differently."""
+    latencies = []
+    offset = 0.0
+    for stage in stage_exec:
+        latencies.extend(e + offset for e in stage)
+        offset += max(stage)
+    total = 0.0
+    for latency in latencies:
+        total += latency
+    all_exec = sorted((e for s in stage_exec for e in s), reverse=True)
+    n = len(all_exec)
+    worst = 0.0
+    for k, e in enumerate(all_exec):
+        worst += (n - k) * e
+    return latencies, total, worst, total / worst
+
+
+def reference_epr_reward(stages, variant="plain", alpha=1.0, gamma=1.0, beta=1.0):
+    """``epr_reward`` as it was before the reward kernel, without its argument
+    checks, on ``reference_stage_latencies``."""
+    total = 0.0
+    count = 0
+    d_prev = 0.0
+    for stage in stages:
+        for order, (demand, _exec) in enumerate(stage):
+            if variant == "plain":
+                denom = demand + gamma * d_prev
+            else:
+                denom = beta * demand * (order + 1) + gamma * d_prev
+            if denom == 0.0:
+                denom = 1.0
+            total += 1.0 / denom
+            count += 1
+        d_prev = max(d for d, _ in stage)
+    r_epr = alpha * total / count
+    stage_exec = [[e for _, e in stage] for stage in stages]
+    _, _, _, r_lat = reference_stage_latencies(stage_exec)
+    return r_epr, -r_lat + r_epr
 
 
 def reference_masked_softmax(logits, mask):
@@ -287,6 +335,92 @@ class TestLockstepNumerics:
         want = [[e / total for e in row] for row, total in zip(exp.tolist(), totals)]
         assert masked_softmax(logits, mask).tolist() == want, \
             "masked_softmax on a stack no longer rounds like the hand-built pick"
+
+    @staticmethod
+    def minibatch_rows(seed, n=300, width=5):
+        """Logits with masked entries and, shifted by their feasible maximum,
+        ``-inf`` ones; their probabilities, with masked zeros and, at the
+        largest scales, feasible ones that underflow to 0; one action a row,
+        of a positive probability, as a sampled pick's."""
+        rng = make_rng(72, seed)
+        logits = rng.normal(size=(n, width)) * rng.choice([0.1, 1.0, 30.0, 800.0], (n, 1))
+        masks = rng.random((n, width)) < 0.6
+        masks[np.arange(n), rng.integers(0, width, n)] = True
+        shifted = np.where(masks, logits, -math.inf)
+        shifted -= shifted.max(axis=1, keepdims=True)
+        probs = masked_softmax(logits, masks)
+        actions = np.array([rng.choice(np.flatnonzero(p > 0.0)) for p in probs])
+        return rng, shifted, masks, probs, actions
+
+    @staticmethod
+    def same_bits(a, b):
+        """Equal arrays down to the sign of every zero."""
+        a, b = np.asarray(a), np.asarray(b)
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 5, 9])
+    def test_exp_of_minus_inf_is_plus_zero(self, width):
+        """``masked_softmax`` takes no second ``np.where`` for masked entries."""
+        _, shifted, masks, _, _ = self.minibatch_rows(width, width=width)
+        assert self.same_bits(np.exp(shifted), np.where(masks, np.exp(shifted), 0.0)), \
+            "np.exp(-inf) is no longer +0.0"
+
+    @pytest.mark.parametrize("width", [1, 5, 9])
+    def test_log_of_one_is_plus_zero(self, width):
+        """The entropy's safe log takes no outer ``np.where``."""
+        _, _, _, probs, _ = self.minibatch_rows(width, width=width)
+        inner = np.log(np.where(probs > 0.0, probs, 1.0))
+        assert self.same_bits(inner, np.where(probs > 0.0, inner, 0.0)), \
+            "np.log(1.0) is no longer +0.0"
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 64, 65, 1025])
+    def test_add_reduce_over_n_like_mean(self, n):
+        """Each mean of the losses is ``np.add.reduce(x) / n``, and the value
+        loss squares with ``np.square``."""
+        rng = make_rng(73, n)
+        x = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e6], n)
+        assert self.same_bits(np.add.reduce(x) / n, x.mean()), \
+            "np.add.reduce(x) / n no longer rounds like x.mean()"
+        assert self.same_bits(np.square(x), x ** 2), "np.square no longer rounds like x ** 2"
+
+    def test_boolean_onehot_gathers_and_subtracts_like_a_float_one(self):
+        """``policy_loss_parts`` gathers the taken probabilities through a
+        boolean one-hot and subtracts the probabilities from it."""
+        _, _, _, probs, actions = self.minibatch_rows(1)
+        onehot = actions[:, None] == np.arange(probs.shape[1])
+        floats = np.zeros_like(probs)
+        floats[np.arange(len(probs)), actions] = 1.0
+        assert self.same_bits(probs[onehot], probs[np.arange(len(probs)), actions])
+        assert self.same_bits(onehot - probs, floats - probs), \
+            "a boolean one-hot no longer subtracts like a float one"
+
+    def test_minimum_of_maximum_like_clip(self):
+        """The ratio is clipped with ``np.minimum(np.maximum(...))``."""
+        rng, _, _, probs, actions = self.minibatch_rows(2)
+        ratio = np.exp(np.log(probs[np.arange(len(probs)), actions])
+                       - np.log(rng.random(len(probs))))
+        assert self.same_bits(np.minimum(np.maximum(ratio, 0.8), 1.2), np.clip(ratio, 0.8, 1.2))
+
+    def test_divide_where_masked_like_negate_divide_and_zero(self):
+        """The entropy's logit gradient divides by ``-n`` only where the mask
+        holds, keeping the +0.0 that masked entries compute, as negating,
+        dividing by n and zeroing masked entries did."""
+        _, _, masks, probs, _ = self.minibatch_rows(3)
+        n = len(probs)
+        safe_log = np.log(np.where(probs > 0.0, probs, 1.0))
+        ent_rows = -np.add.reduce(probs * safe_log, axis=1)
+        want = -(probs * (safe_log + ent_rows[:, None])) / n
+        want[~masks] = 0.0
+        got = probs * (safe_log + ent_rows[:, None])
+        np.divide(got, -n, out=got, where=masks)
+        assert self.same_bits(got, want)
+
+    def test_one_minus_square_in_place_like_fresh(self):
+        """``Mlp.backward`` computes tanh's slope ``1 - a²`` into the square."""
+        _, shifted, _, _, _ = self.minibatch_rows(4)
+        a = np.tanh(np.where(np.isinf(shifted), -0.0, shifted))
+        slope = np.square(a)
+        assert self.same_bits(np.subtract(1.0, slope, out=slope), 1.0 - a ** 2)
 
     def test_generator_random_k_like_k_calls(self):
         batch, single = make_rng(68), make_rng(68)
@@ -633,6 +767,79 @@ class TestEprReward:
         _, r_asc = epr_reward(ascending)
         _, r_desc = epr_reward(descending)
         assert r_asc >= r_desc
+
+
+@st.composite
+def reward_windows(draw):
+    """(variant, (alpha, gamma, beta), demand, duration, opened): a window of
+    1-8 episodes of 1-9 picks. Pick 0 of an episode always opens a stage, later picks at random.
+    Demands come from few values, 0 among them, so stage maxima tie and
+    denominators hit the floor; durations are integers up to 10^12, from few
+    small values or spread wide, at least one of them positive an episode."""
+    episodes, picks = draw(st.integers(1, 8)), draw(st.integers(1, 9))
+    demands = draw(st.sampled_from([(0, 1, 2), (0, 3, 40), (0,), (5, 17, 60, 230)]))
+    times = st.one_of(st.integers(0, 4), st.integers(0, 10**12))
+    demand = [draw(st.lists(st.sampled_from(demands), min_size=picks, max_size=picks))
+              for _ in range(episodes)]
+    duration = [draw(st.lists(times, min_size=picks, max_size=picks).filter(any))
+                for _ in range(episodes)]
+    opened = [[True] + draw(st.lists(st.booleans(), min_size=picks - 1, max_size=picks - 1))
+              for _ in range(episodes)]
+    coefs = draw(st.sampled_from([(1.0, 1.0, 1.0), (0.5, 0.3, 2.0), (2.0, 0.0, 0.7)]))
+    return (draw(st.sampled_from(REWARD_VARIANTS)), coefs, np.array(demand, dtype=float),
+            np.array(duration, dtype=float), np.array(opened))
+
+
+class TestRewardKernel:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(window=reward_windows())
+    def test_kernel_matches_per_episode_loops(self, window):
+        """``reward_columns`` on a window, ``PpoAgent.episode_reward`` on its
+        jobs and placement, and the one-row ``stage_latencies`` and
+        ``epr_reward`` give each episode's latencies, sums, worst case,
+        incentive and reward as the per-episode loops do, compared by ``==``.
+        ``episode_reward`` takes the coefficients' defaults, 1."""
+        variant, coefs, demand, duration, opened = window
+        episodes, picks = demand.shape
+        latencies, total, worst, incentive = reward_columns(demand, duration, opened, variant,
+                                                            *coefs)
+        starts = np.flatnonzero(opened.ravel()).tolist() + [opened.size]
+        stages = [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
+        queue = [SimpleNamespace(nonlocal_gates=int(d)) for d in demand.ravel()]
+        placed = SimpleNamespace(start_ns=[0] * opened.size,
+                                 finish_ns=[int(e) for e in duration.ravel()])
+        owner = SimpleNamespace(config=PpoConfig(j_max=picks, reward_variant=variant))
+        rewards = np.atleast_1d(PpoAgent.episode_reward(owner, queue, stages, placed))
+        for k in range(episodes):
+            cuts = np.flatnonzero(opened[k]).tolist() + [picks]
+            pairs = [list(zip(demand[k, a:b].tolist(), duration[k, a:b].tolist()))
+                     for a, b in zip(cuts, cuts[1:])]
+            times = [[e for _, e in stage] for stage in pairs]
+            want = reference_stage_latencies(times)
+            assert (latencies[k].tolist(), total[k], worst[k]) == want[:3]
+            assert stage_latencies(times) == want
+            r_epr, reward = reference_epr_reward(pairs, variant, *coefs)
+            assert incentive[k] == r_epr
+            assert epr_reward(pairs, variant, *coefs) == (r_epr, reward)
+            assert rewards[k] == reference_epr_reward(pairs, variant)[1]
+
+    def test_lone_episode_reward_is_a_float(self):
+        owner = SimpleNamespace(config=PpoConfig(j_max=2))
+        placed = SimpleNamespace(start_ns=[0, 0], finish_ns=[3, 5])
+        queue = [SimpleNamespace(nonlocal_gates=g) for g in (1, 2)]
+        reward = PpoAgent.episode_reward(owner, queue, [[1], [0]], placed)
+        assert type(reward) is float
+        assert reward == epr_reward([[(2.0, 3.0)], [(1.0, 5.0)]])[1]
+
+    def test_negative_demand_and_empty_stage_rejected(self):
+        with pytest.raises(ValueError, match="negative EPR demand -1.0"):
+            reward_columns(np.array([[1.0, -1.0]]), np.ones((1, 2)), np.array([[True, False]]))
+        with pytest.raises(ValueError, match="epr_reward requires non-empty stages"):
+            epr_reward([[(1.0, 1.0)], []])
+        with pytest.raises(ValueError, match="stage_latencies requires non-empty stages"):
+            stage_latencies([])
+        with pytest.raises(ValueError, match="unknown reward variant"):
+            epr_reward([[(1.0, 1.0)]], variant="bogus")
 
 
 class TestLossParts:
