@@ -73,18 +73,17 @@ def encode_state(queue, j_max: int, time_scale: float) -> np.ndarray:
 
 
 def reward_columns(demand: np.ndarray, duration: np.ndarray, opened: np.ndarray,
-                   variant: str = "plain", alpha: float = 1.0, gamma: float = 1.0,
-                   beta: float = 1.0) -> tuple[np.ndarray, ...]:
+                   variant: str = "plain") -> tuple[np.ndarray, ...]:
     """Each episode's reward terms from ``(episodes, picks)`` float arrays of
     entangled-pair demand d_i, execution time e_i and stage-opening flags, in
     pick order; the column loops add left to right, as one episode's loop did.
     A job's latency is e_i plus the sum of all preceding stage maxima (the
     ``cumulative`` mode); the worst case is the serial descending ordering. A
-    job's incentive term is 1/(d_i + gamma * D_prev), D_prev the previous
-    stage's maximum demand, or in the node-selection variant 1/(beta * d_i *
-    (o_i + 1) + gamma * D_prev), o_i the intra-stage order; a zero denominator
-    is floored at 1. Returns the latencies, their sums, the worst cases and
-    the incentives, alpha times the mean term."""
+    job's incentive term is 1/(d_i + D_prev), D_prev the previous stage's
+    maximum demand, or in the node-selection variant 1/(d_i * (o_i + 1) +
+    D_prev), o_i the intra-stage order; a zero denominator is floored at 1.
+    Returns the latencies, their sums, the worst cases and the incentives,
+    each an episode's mean term."""
     if variant not in REWARD_VARIANTS:
         raise ValueError(f"unknown reward variant: {variant!r}")
     if (demand < 0).any():
@@ -99,53 +98,22 @@ def reward_columns(demand: np.ndarray, duration: np.ndarray, opened: np.ndarray,
         d_prev = np.where(new, d_max, d_prev)
         d_max = np.where(new, d, np.maximum(d_max, d))
         order = np.where(new, 1.0, order + 1.0)  # o_i + 1
-        denom = (d if variant == "plain" else beta * d * order) + gamma * d_prev
+        denom = (d if variant == "plain" else d * order) + d_prev
         terms = terms + 1.0 / np.where(denom == 0.0, 1.0, denom)
     for k, e in enumerate(np.sort(duration, axis=1)[:, ::-1].T):
         worst = worst + (n - k) * e
-    return latencies, total, worst, alpha * terms / n
+    return latencies, total, worst, terms / n
 
 
-def _one_row(stages: list[list], caller: str) -> tuple[np.ndarray, np.ndarray]:
-    """Stages of values as a row of values in pick order and one of stage-opening flags."""
-    if not stages or not all(stages):
-        raise ValueError(f"{caller} requires non-empty stages")
-    opened = np.zeros((1, sum(map(len, stages))), dtype=bool)
-    opened[0, np.cumsum([0, *map(len, stages[:-1])])] = True
-    return np.array([[v for stage in stages for v in stage]], dtype=float), opened
-
-
-def stage_latencies(stage_exec: list[list[float]]) -> tuple[list[float], float, float, float]:
-    """Per-job latencies, their sum, the serial worst case, and the ratio, of
-    one episode's stages of execution times: a row of :func:`reward_columns`."""
-    duration, opened = _one_row(stage_exec, "stage_latencies")
-    latencies, total, worst, _ = reward_columns(np.zeros_like(duration), duration, opened)
-    return latencies[0].tolist(), total.item(), worst.item(), total.item() / worst.item()
-
-
-def epr_reward(stages: list[list[tuple[float, float]]], variant: str = "plain",
-               alpha: float = 1.0, gamma: float = 1.0, beta: float = 1.0) -> tuple[float, float]:
-    """EPR-aware incentive and the combined episode reward of one episode's
-    ``stages``, which hold per stage, in intra-stage execution order, pairs of
-    (entangled-pair demand d_i, execution time e_i): a row of
-    :func:`reward_columns`. Returns (incentive, incentive - latency_ratio)."""
-    row, opened = _one_row(stages, "epr_reward")
-    _, total, worst, r_epr = reward_columns(row[..., 0], row[..., 1], opened,
-                                            variant, alpha, gamma, beta)
-    return r_epr.item(), -(total.item() / worst.item()) + r_epr.item()
-
-
-def sample_index(probs, u):
-    """``rng.choice(n, p=row)`` for a row of ``probs`` (list or array) or each
-    row of an ``(L, n)`` stack, by numpy's own algorithm (the sum checked with
-    ``np.add.reduce``, ``cumsum`` over its last entry, then ``searchsorted``),
-    given the uniform ``u = rng.random()`` it draws, or an ``(L,)`` array."""
-    rows = np.atleast_2d(np.asarray(probs, dtype=float))
+def sample_index(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``rng.choice(n, p=row)`` for each row of an ``(L, n)`` stack, given the
+    ``(L,)`` uniforms ``u`` it draws, by numpy's own algorithm: the sum checked
+    with ``np.add.reduce``, ``cumsum`` over its last entry, then ``searchsorted``."""
+    rows = np.asarray(probs, dtype=float)
     if not (abs(np.add.reduce(rows, axis=1) - 1.0) <= _PROB_SUM_TOL).all() or (rows < 0).any():
-        raise ValueError(f"not a probability vector: {np.asarray(probs).tolist()}")
+        raise ValueError(f"not a probability vector: {rows.tolist()}")
     cdf = np.cumsum(rows, axis=1)  # left to right, as itertools.accumulate
-    picks = (cdf / cdf[:, -1:] <= np.reshape(u, (-1, 1))).sum(axis=1)  # bisect_right
-    return picks if np.ndim(probs) > 1 else int(picks[0])
+    return (cdf / cdf[:, -1:] <= u[:, None]).sum(axis=1)  # bisect_right
 
 
 def policy_loss_parts(
@@ -360,51 +328,39 @@ class PpoAgent:
         return ([stages[a:b] for a, b in zip(cuts, cuts[1:])],
                 (obs, masks, action, logp, values, opened))
 
-    def rollout(self, queue, sample: bool = False, network: Network | None = None
+    def rollout(self, queue, sample: bool = False
                 ) -> tuple[list[list[int]], tuple[np.ndarray, ...]]:
         """Pick indices per stage and the pick arrays an update reads for one
-        queue on ``network`` (default: the agent's); a job that does not fit
-        it is a SchedulingError."""
-        network = network if network is not None else self.network
-        _validate_queue(queue, network)
+        queue; a job that does not fit the agent's network is a
+        SchedulingError."""
+        _validate_queue(queue, self.network)
         draws = self.action_rng.random(len(queue)) if sample else None
-        stages, arrays = self._rollouts([queue], network.n_nodes, draws)
+        stages, arrays = self._rollouts([queue], self.network.n_nodes, draws)
         return stages[0], arrays[:5]
 
     # -- schedule construction -------------------------------------------
 
-    def build_schedule(self, queue, stages: list[list[int]],
-                       node_selection: bool,
-                       network: Network | None = None,
-                       exec_params: ExecModelParams | None = None) -> Schedule:
+    def build_schedule(self, queue, stages: list[list[int]], node_selection: bool,
+                       network: Network, exec_params: ExecModelParams) -> Schedule:
         """Barrier-synchronized placement of the rolled-out stages."""
         return _place_stages(([queue[r] for r in picks] for picks in stages),
-                             network if network is not None else self.network,
-                             exec_params if exec_params is not None else self.exec_params,
-                             node_selection)
+                             network, exec_params, node_selection)
 
-    def schedule(self, queue, node_selection: bool | None = None,
-                 network: Network | None = None,
-                 exec_params: ExecModelParams | None = None) -> Schedule:
+    def schedule(self, queue, node_selection: bool | None = None) -> Schedule:
         """Deterministic (argmax) scheduling of one queue."""
         if node_selection is None:
             node_selection = self.config.reward_variant == "node_selection"
-        stages, _ = self.rollout(queue, sample=False, network=network)
-        return self.build_schedule(queue, stages, node_selection, network, exec_params)
+        stages, _ = self.rollout(queue, sample=False)
+        return self.build_schedule(queue, stages, node_selection, self.network, self.exec_params)
 
-    def episode_reward(self, queue, stages: list, schedule: Schedule) -> np.ndarray | float:
-        """The reward of each episode of ``stages``, runs of ``j_max`` picks of
-        ``queue``'s rows, which ``schedule`` placed in pick order as
-        ``build_schedule`` does: one :func:`reward_columns` call. Returns the
-        ``(episodes,)`` rewards, or a lone episode's as a float."""
-        demand, opened = _one_row([[queue[r].nonlocal_gates for r in p] for p in stages],
-                                  "episode_reward")
-        duration = np.subtract(schedule.finish_ns, schedule.start_ns, dtype=float)
-        _, total, worst, incentive = reward_columns(*(
-            np.reshape(a, (-1, self.config.j_max)) for a in (demand, duration, opened)),
-            self.config.reward_variant)
-        rewards = -(total / worst) + incentive
-        return rewards if len(rewards) > 1 else rewards.item()
+    def episode_reward(self, demand: np.ndarray, duration: np.ndarray,
+                       opened: np.ndarray) -> np.ndarray:
+        """The ``(episodes,)`` rewards of a window's ``(episodes, j_max)``
+        demand, execution time and stage-opening arrays, in pick order: the
+        incentive minus the latency ratio, of one :func:`reward_columns` call."""
+        _, total, worst, incentive = reward_columns(demand, duration, opened,
+                                                    self.config.reward_variant)
+        return -(total / worst) + incentive
 
     # -- training ----------------------------------------------------------
 
@@ -440,11 +396,14 @@ class PpoAgent:
             draws = self.action_rng.random(n_picks)
             _, (obs, masks, action, logp, values, opened) = self._rollouts(
                 rows[picks].reshape(-1, cfg.j_max, N_FEATURES), self.network.n_nodes, draws)
-            jobs = [self.catalog[c] for c in picks[firsts + action].tolist()]  # in pick order
+            chosen = picks[firsts + action]  # each pick's catalog entry, in pick order
             bounds = np.flatnonzero(opened).tolist() + [n_picks]
-            stages = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-            rewards = self.episode_reward(jobs, stages, self.build_schedule(
-                jobs, stages, node_selection))
+            placed = self.build_schedule([self.catalog[c] for c in chosen.tolist()],
+                                         [range(a, b) for a, b in zip(bounds, bounds[1:])],
+                                         node_selection, self.network, self.exec_params)
+            duration = np.subtract(placed.finish_ns, placed.start_ns, dtype=float)
+            rewards = self.episode_reward(*(a.reshape(-1, cfg.j_max) for a in (
+                rows[chosen, 1], duration, opened)))  # column 1: nonlocal_gates
             adv, rets = compute_gae(rewards, values.reshape(-1, cfg.j_max), DISCOUNT, GAE_LAMBDA)
             stats = ppo_update((obs, masks, action, logp, adv.ravel(), rets.ravel()),
                                self.policy, self.value_net, cfg, self.optimizer, self.update_rng)
@@ -559,6 +518,9 @@ def load_weights(path: str) -> tuple[dict, list[np.ndarray]]:
     for k, (arr, shape) in enumerate(zip(arrays, expected)):
         if arr.shape != shape:
             raise ValueError(f"{path}: array {k} has shape {arr.shape}, expected {shape}")
+    if meta["time_scale"] <= 0 or (arrays[1] <= 0).any():
+        raise ValueError(f"{path}: time_scale {meta['time_scale']} and feature scales "
+                         f"{arrays[1].tolist()} must be > 0")
     return meta, arrays[1:]
 
 

@@ -17,7 +17,8 @@ from dqcsched.netmodel import (
     Network,
     build_network,
 )
-from dqcsched.schedulers import Schedule
+from dqcsched.ppo import PpoAgent, reward_columns
+from dqcsched.schedulers import Schedule, _validate_queue
 from dqcsched.workload import (
     CIRCUIT_KINDS,
     QUBIT_SIZES,
@@ -160,6 +161,82 @@ def reference_pricer(schedule, network: Network, params: ExecModelParams):
         return finish
 
     return place
+
+
+def reference_stage_latencies(stage_exec):
+    """One episode's latencies, their sum, the serial worst case and the
+    ratio, from its stages of execution times: the per-episode loop that
+    ``reward_columns`` replaced, its two ``sum`` calls written as the
+    left-to-right loops they ran on Python 3.11 (from 3.12 on, ``sum`` of
+    floats is compensated and rounds differently)."""
+    latencies = []
+    offset = 0.0
+    for stage in stage_exec:
+        latencies.extend(e + offset for e in stage)
+        offset += max(stage)
+    total = 0.0
+    for latency in latencies:
+        total += latency
+    all_exec = sorted((e for s in stage_exec for e in s), reverse=True)
+    n = len(all_exec)
+    worst = 0.0
+    for k, e in enumerate(all_exec):
+        worst += (n - k) * e
+    return latencies, total, worst, total / worst
+
+
+def reference_epr_reward(stages, variant="plain"):
+    """One episode's (incentive, reward), from its stages of (demand,
+    execution time) pairs in pick order: the per-episode loop that
+    ``reward_columns`` replaced, without its argument checks and its three
+    weights, which were 1 on every path."""
+    total = 0.0
+    count = 0
+    d_prev = 0.0
+    for stage in stages:
+        for order, (demand, _exec) in enumerate(stage):
+            denom = demand + d_prev if variant == "plain" else demand * (order + 1) + d_prev
+            if denom == 0.0:
+                denom = 1.0
+            total += 1.0 / denom
+            count += 1
+        d_prev = max(d for d, _ in stage)
+    r_epr = total / count
+    _, _, _, r_lat = reference_stage_latencies([[e for _, e in stage] for stage in stages])
+    return r_epr, -r_lat + r_epr
+
+
+def one_row(stages):
+    """One episode's stages of values as a ``(1, picks)`` float row in pick
+    order and one of stage-opening flags, the window of ``reward_columns``."""
+    opened = np.zeros((1, sum(map(len, stages))), dtype=bool)
+    opened[0, np.cumsum([0, *map(len, stages[:-1])])] = True
+    return np.array([[v for stage in stages for v in stage]], dtype=float), opened
+
+
+def row_latencies(stage_exec):
+    """One episode's (latencies, sum, worst case, ratio), from its stages of
+    execution times, by ``reward_columns``."""
+    duration, opened = one_row(stage_exec)
+    latencies, total, worst, _ = reward_columns(np.zeros_like(duration), duration, opened)
+    return latencies[0].tolist(), total.item(), worst.item(), total.item() / worst.item()
+
+
+def row_reward(stages, variant="plain"):
+    """One episode's (incentive, incentive - latency ratio), from its stages
+    of (demand, execution time) pairs, by ``reward_columns``."""
+    row, opened = one_row(stages)
+    _, total, worst, incentive = reward_columns(row[..., 0], row[..., 1], opened, variant)
+    return incentive.item(), -(total.item() / worst.item()) + incentive.item()
+
+
+def schedule_on(agent: PpoAgent, queue, network: Network, exec_params: ExecModelParams,
+                node_selection: bool = False) -> Schedule:
+    """``agent.schedule`` of ``queue`` on another network: the queue check,
+    the argmax rollout on the network's nodes, then the placement."""
+    _validate_queue(queue, network)
+    stages = agent._rollouts([queue], network.n_nodes, None)[0][0]
+    return agent.build_schedule(queue, stages, node_selection, network, exec_params)
 
 
 def reference_build_network(n_nodes: int, qpu_capacity: int,

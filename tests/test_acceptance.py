@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import (bootstrap_mean_diff_ci, default_catalog, homogeneous_network, make_job,
-                      make_rng, metric_values, schedule_of, schedule_rows, stage_ids,
-                      unit_exec_params)
+                      make_rng, metric_values, row_latencies, row_reward, schedule_of,
+                      schedule_rows, stage_ids, unit_exec_params)
 from dqcsched import harness
 from dqcsched.execmodel import ExecModelParams
 from dqcsched.metrics import compute_report
@@ -29,9 +29,7 @@ from dqcsched.nn import Mlp, masked_softmax
 from dqcsched.ppo import (
     PpoAgent,
     PpoConfig,
-    epr_reward,
     policy_loss_parts,
-    stage_latencies,
     value_loss_parts,
 )
 from dqcsched.schedulers import (
@@ -439,16 +437,15 @@ def test_criterion_6_rl_machinery():
             w = int(rng.integers(1, n - i + 1))
             stages.append(execs[i: i + w])
             i += w
-        ratio = stage_latencies(stages)[3]
+        ratio = row_latencies(stages)[3]
         ok &= 0.0 < ratio <= 1.0 + 1e-12
     serial = [[e] for e in sorted((5.0, 3.0, 2.0, 9.0), reverse=True)]
-    ok &= abs(stage_latencies(serial)[3] - 1.0) < 1e-12
+    ok &= abs(row_latencies(serial)[3] - 1.0) < 1e-12
 
     # the three worked reward values, exact to 1e-12
-    r1, rw1 = epr_reward([[(1.0, 5.0)]], alpha=1.0, gamma=1.0)
-    r2, _ = epr_reward([[(1.0, 1.0)], [(1.0, 1.0)]], alpha=1.0, gamma=1.0)
-    r3, _ = epr_reward([[(2.0, 1.0), (2.0, 1.0)]], variant="node_selection",
-                       alpha=1.0, beta=1.0, gamma=1.0)
+    r1, rw1 = row_reward([[(1.0, 5.0)]])
+    r2, _ = row_reward([[(1.0, 1.0)], [(1.0, 1.0)]])
+    r3, _ = row_reward([[(2.0, 1.0), (2.0, 1.0)]], variant="node_selection")
     ok &= abs(r1 - 1.0) < 1e-12 and abs(rw1 - 0.0) < 1e-12
     ok &= abs(r2 - 0.75) < 1e-12
     ok &= abs(r3 - 0.375) < 1e-12

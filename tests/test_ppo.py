@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (default_catalog, homogeneous_network, make_job, make_rng, schedule_rows,
-                      stage_ids, stage_rows, unit_exec_params)
+from conftest import (default_catalog, homogeneous_network, make_job, make_rng,
+                      reference_epr_reward, reference_stage_latencies, row_latencies, row_reward,
+                      schedule_on, schedule_rows, stage_ids, stage_rows, unit_exec_params)
 from dqcsched.nn import Adam, Mlp, bind, masked_softmax
 from dqcsched.ppo import (
     DISCOUNT,
@@ -23,7 +24,6 @@ from dqcsched.ppo import (
     PpoConfig,
     compute_gae,
     encode_state,
-    epr_reward,
     load_agent,
     load_weights,
     policy_loss_parts,
@@ -31,7 +31,6 @@ from dqcsched.ppo import (
     reward_columns,
     sample_index,
     save_weights,
-    stage_latencies,
     value_loss_parts,
 )
 from dqcsched.schedulers import SchedulingError, epr_schedule, fifo_schedule
@@ -68,49 +67,6 @@ def reference_compute_gae(transitions, discount, lam):
         tr.advantage = adv
         tr.ret = adv + tr.value
         next_value = tr.value
-
-
-def reference_stage_latencies(stage_exec):
-    """``stage_latencies`` as it was before the reward kernel, its two ``sum``
-    calls written as the left-to-right loops they ran on Python 3.11: from
-    3.12 on, ``sum`` of floats is compensated and rounds differently."""
-    latencies = []
-    offset = 0.0
-    for stage in stage_exec:
-        latencies.extend(e + offset for e in stage)
-        offset += max(stage)
-    total = 0.0
-    for latency in latencies:
-        total += latency
-    all_exec = sorted((e for s in stage_exec for e in s), reverse=True)
-    n = len(all_exec)
-    worst = 0.0
-    for k, e in enumerate(all_exec):
-        worst += (n - k) * e
-    return latencies, total, worst, total / worst
-
-
-def reference_epr_reward(stages, variant="plain", alpha=1.0, gamma=1.0, beta=1.0):
-    """``epr_reward`` as it was before the reward kernel, without its argument
-    checks, on ``reference_stage_latencies``."""
-    total = 0.0
-    count = 0
-    d_prev = 0.0
-    for stage in stages:
-        for order, (demand, _exec) in enumerate(stage):
-            if variant == "plain":
-                denom = demand + gamma * d_prev
-            else:
-                denom = beta * demand * (order + 1) + gamma * d_prev
-            if denom == 0.0:
-                denom = 1.0
-            total += 1.0 / denom
-            count += 1
-        d_prev = max(d for d, _ in stage)
-    r_epr = alpha * total / count
-    stage_exec = [[e for _, e in stage] for stage in stages]
-    _, _, _, r_lat = reference_stage_latencies(stage_exec)
-    return r_epr, -r_lat + r_epr
 
 
 def reference_masked_softmax(logits, mask):
@@ -523,7 +479,7 @@ class TestBitExactRewrites:
             mask = rng.random(k) < 0.6
             mask[int(rng.integers(0, k))] = True
             probs = masked_softmax(rng.normal(size=k) * rng.choice([0.1, 1.0, 10.0]), mask)
-            assert sample_index(probs, ours.random()) == theirs.choice(k, p=probs)
+            assert sample_index(probs[None], ours.random(1)).tolist() == [theirs.choice(k, p=probs)]
         assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_sample_index_stack_draws_like_generator_choice(self):
@@ -541,13 +497,17 @@ class TestBitExactRewrites:
             assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_sample_index_at_the_ends_of_the_uniform_range(self):
+        def pick(mask, u):  # the draw of a (1, n) stack of uniform probabilities
+            return sample_index(masked_softmax(np.zeros((1, len(mask))), [mask]),
+                                np.array([u])).tolist()
+
         low, high = 0.0, np.nextafter(1.0, 0.0)
         # a leading masked entry is never drawn, not even by u = 0
-        assert sample_index(masked_softmax(np.zeros(2), [False, True]), low) == 1
+        assert pick([False, True], low) == [1]
         # ten 0.1 entries sum to the largest double below 1; the top draw
         # still lands on the last entry, and never past a masked tail
-        assert sample_index(masked_softmax(np.zeros(10), np.ones(10, bool)), high) == 9
-        assert sample_index(masked_softmax(np.zeros(4), [True] * 3 + [False]), high) == 2
+        assert pick([True] * 10, high) == [9]
+        assert pick([True] * 3 + [False], high) == [2]
 
     def test_sample_index_takes_lists_and_arrays(self):
         rng = make_rng(62)
@@ -557,15 +517,15 @@ class TestBitExactRewrites:
             mask = rng.random(k) < 0.6
             mask[int(rng.integers(0, k))] = True
             probs = masked_softmax(rng.normal(size=k) * rng.choice([0.1, 1.0, 10.0]), mask)
-            expected = theirs.choice(k, p=probs)
-            assert sample_index(probs.tolist(), from_list.random()) == expected
-            assert sample_index(probs, from_array.random()) == expected
+            expected = [theirs.choice(k, p=probs)]
+            assert sample_index([probs.tolist()], from_list.random(1)).tolist() == expected
+            assert sample_index(probs[None], from_array.random(1)).tolist() == expected
         assert from_list.bit_generator.state == theirs.bit_generator.state
         assert from_array.bit_generator.state == theirs.bit_generator.state
         for probs in ([], [0.5, 0.6], [1.2, -0.2], [0.5, math.nan], [math.nan, 0.5],
                       [0.1] * 8 + [0.25], [0.2] * 8 + [-0.6]):
             with pytest.raises(ValueError, match="probability"):
-                sample_index(probs, rng.random())
+                sample_index([probs], rng.random(1))
 
     def test_numpy_sums_left_to_right_below_eight_entries(self):
         # sample_index's check sums in numpy's order and the pick loop keeps
@@ -583,15 +543,15 @@ class TestBitExactRewrites:
         rng = make_rng(61)
         for probs in ([0.5, 0.6], [1.2, -0.2], [0.5, np.nan], [0.25, 0.25]):
             with pytest.raises(ValueError, match="probability"):
-                sample_index(np.array(probs), rng.random())
+                sample_index(np.array([probs]), rng.random(1))
 
 
 class TestSelectStage:
     def test_resource_budget_one_per_stage(self):
         agent = small_agent(j_max=2)
         jobs = [make_job(0, 3, 10), make_job(1, 3, 10)]
-        stages, _ = agent.rollout(jobs, network=homogeneous_network(4, 3, "good"))
-        assert sorted(stages) == [[0], [1]]
+        placed = schedule_on(agent, jobs, homogeneous_network(4, 3, "good"), PARAMS)
+        assert sorted(map(sorted, stage_ids(placed))) == [[0], [1]]
 
     def test_feasibility_and_no_duplicates(self):
         agent = small_agent()
@@ -686,8 +646,10 @@ class TestSelectStageMatchesReference:
 
 
 class TestStageLatencies:
+    """One episode's latency terms, by ``reward_columns`` on a one-row window."""
+
     def test_one_stage_two_unit_jobs(self):
-        lats, total, worst, ratio = stage_latencies([[1.0, 1.0]])
+        lats, total, worst, ratio = row_latencies([[1.0, 1.0]])
         assert lats == [1.0, 1.0]
         assert total == 2.0
         assert worst == 3.0
@@ -695,17 +657,17 @@ class TestStageLatencies:
 
     def test_serial_descending_saturates(self):
         execs = [9.0, 7.0, 4.0, 1.0]
-        _, total, worst, ratio = stage_latencies([[e] for e in execs])
+        _, total, worst, ratio = row_latencies([[e] for e in execs])
         assert abs(ratio - 1.0) < 1e-12
         assert total == worst
 
     def test_single_job_is_one(self):
-        _, total, worst, ratio = stage_latencies([[5.0]])
+        _, total, worst, ratio = row_latencies([[5.0]])
         assert (total, worst, ratio) == (5.0, 5.0, 1.0)
 
     def test_parallelizing_equal_jobs_reduces_ratio(self):
-        serial = stage_latencies([[4.0], [4.0]])[3]
-        parallel = stage_latencies([[4.0, 4.0]])[3]
+        serial = row_latencies([[4.0], [4.0]])[3]
+        parallel = row_latencies([[4.0, 4.0]])[3]
         assert parallel < serial
 
     def test_ratio_in_unit_interval_random_partitions(self):
@@ -719,44 +681,43 @@ class TestStageLatencies:
                 width = int(rng.integers(1, n - i + 1))
                 stages.append(execs[i: i + width])
                 i += width
-            ratio = stage_latencies(stages)[3]
+            ratio = row_latencies(stages)[3]
             assert 0.0 < ratio <= 1.0 + 1e-12
 
     def test_offset_is_the_sum_of_preceding_stage_maxima(self):
-        assert stage_latencies([[4.0], [2.0, 3.0], [1.0]])[0] == [4.0, 6.0, 7.0, 8.0]
+        assert row_latencies([[4.0], [2.0, 3.0], [1.0]])[0] == [4.0, 6.0, 7.0, 8.0]
 
 
 class TestEprReward:
+    """One episode's incentive and reward, by ``reward_columns`` on a
+    one-row window."""
+
     def test_single_job(self):
-        r_epr, reward = epr_reward([[(1.0, 5.0)]], alpha=1.0, gamma=1.0)
+        r_epr, reward = row_reward([[(1.0, 5.0)]])
         assert abs(r_epr - 1.0) < 1e-12
         assert abs(reward - 0.0) < 1e-12  # latency ratio is 1 for one job
 
     def test_two_stages_with_pressure(self):
-        r_epr, _ = epr_reward([[(1.0, 1.0)], [(1.0, 1.0)]], alpha=1.0, gamma=1.0)
+        r_epr, _ = row_reward([[(1.0, 1.0)], [(1.0, 1.0)]])
         assert abs(r_epr - 0.75) < 1e-12
 
     def test_node_selection_variant_positional(self):
-        r_epr, _ = epr_reward([[(2.0, 1.0), (2.0, 1.0)]],
-                              variant="node_selection", alpha=1.0, beta=1.0,
-                              gamma=1.0)
+        r_epr, _ = row_reward([[(2.0, 1.0), (2.0, 1.0)]], variant="node_selection")
         assert abs(r_epr - 0.375) < 1e-12
 
     def test_zero_denominator_floored(self):
-        r_epr, _ = epr_reward([[(0.0, 1.0)]], alpha=1.0, gamma=1.0)
+        r_epr, _ = row_reward([[(0.0, 1.0)]])
         assert abs(r_epr - 1.0) < 1e-12
 
     def test_low_epr_first_never_worse(self):
-        # Positive demands only: the d = 0 floor can invert the ordering
-        # when the pressure factor is below 1.
+        # Positive demands only: the d = 0 floor can invert the ordering.
         rng = make_rng(54)
         for _ in range(100):
             d_low = float(rng.integers(1, 5))
             d_high = float(d_low + rng.integers(1, 20))
             e = float(rng.integers(1, 10))
-            gamma = float(rng.random())
-            low_first, _ = epr_reward([[(d_low, e)], [(d_high, e)]], gamma=gamma)
-            high_first, _ = epr_reward([[(d_high, e)], [(d_low, e)]], gamma=gamma)
+            low_first, _ = row_reward([[(d_low, e)], [(d_high, e)]])
+            high_first, _ = row_reward([[(d_high, e)], [(d_low, e)]])
             assert low_first >= high_first - 1e-12
 
     def test_epr_order_beats_reversed_order(self):
@@ -764,15 +725,15 @@ class TestEprReward:
         jobs = [(1.0, 2.0), (3.0, 4.0), (8.0, 9.0), (20.0, 21.0)]
         ascending = [[jobs[0], jobs[1]], [jobs[2], jobs[3]]]
         descending = [[jobs[3], jobs[2]], [jobs[1], jobs[0]]]
-        _, r_asc = epr_reward(ascending)
-        _, r_desc = epr_reward(descending)
+        _, r_asc = row_reward(ascending)
+        _, r_desc = row_reward(descending)
         assert r_asc >= r_desc
 
 
 @st.composite
 def reward_windows(draw):
-    """(variant, (alpha, gamma, beta), demand, duration, opened): a window of
-    1-8 episodes of 1-9 picks. Pick 0 of an episode always opens a stage, later picks at random.
+    """(variant, demand, duration, opened): a window of 1-8 episodes of 1-9
+    picks. Pick 0 of an episode always opens a stage, later picks at random.
     Demands come from few values, 0 among them, so stage maxima tie and
     denominators hit the floor; durations are integers up to 10^12, from few
     small values or spread wide, at least one of them positive an episode."""
@@ -785,8 +746,7 @@ def reward_windows(draw):
                 for _ in range(episodes)]
     opened = [[True] + draw(st.lists(st.booleans(), min_size=picks - 1, max_size=picks - 1))
               for _ in range(episodes)]
-    coefs = draw(st.sampled_from([(1.0, 1.0, 1.0), (0.5, 0.3, 2.0), (2.0, 0.0, 0.7)]))
-    return (draw(st.sampled_from(REWARD_VARIANTS)), coefs, np.array(demand, dtype=float),
+    return (draw(st.sampled_from(REWARD_VARIANTS)), np.array(demand, dtype=float),
             np.array(duration, dtype=float), np.array(opened))
 
 
@@ -794,52 +754,30 @@ class TestRewardKernel:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(window=reward_windows())
     def test_kernel_matches_per_episode_loops(self, window):
-        """``reward_columns`` on a window, ``PpoAgent.episode_reward`` on its
-        jobs and placement, and the one-row ``stage_latencies`` and
-        ``epr_reward`` give each episode's latencies, sums, worst case,
-        incentive and reward as the per-episode loops do, compared by ``==``.
-        ``episode_reward`` takes the coefficients' defaults, 1."""
-        variant, coefs, demand, duration, opened = window
+        """``reward_columns`` and ``PpoAgent.episode_reward`` on a window give
+        each episode's latencies, sums, worst case, incentive and reward as
+        the per-episode loops do, compared by ``==``."""
+        variant, demand, duration, opened = window
         episodes, picks = demand.shape
-        latencies, total, worst, incentive = reward_columns(demand, duration, opened, variant,
-                                                            *coefs)
-        starts = np.flatnonzero(opened.ravel()).tolist() + [opened.size]
-        stages = [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
-        queue = [SimpleNamespace(nonlocal_gates=int(d)) for d in demand.ravel()]
-        placed = SimpleNamespace(start_ns=[0] * opened.size,
-                                 finish_ns=[int(e) for e in duration.ravel()])
+        latencies, total, worst, incentive = reward_columns(demand, duration, opened, variant)
         owner = SimpleNamespace(config=PpoConfig(j_max=picks, reward_variant=variant))
-        rewards = np.atleast_1d(PpoAgent.episode_reward(owner, queue, stages, placed))
+        rewards = PpoAgent.episode_reward(owner, demand, duration, opened)
+        assert rewards.shape == (episodes,)
         for k in range(episodes):
             cuts = np.flatnonzero(opened[k]).tolist() + [picks]
             pairs = [list(zip(demand[k, a:b].tolist(), duration[k, a:b].tolist()))
                      for a, b in zip(cuts, cuts[1:])]
-            times = [[e for _, e in stage] for stage in pairs]
-            want = reference_stage_latencies(times)
+            want = reference_stage_latencies([[e for _, e in stage] for stage in pairs])
             assert (latencies[k].tolist(), total[k], worst[k]) == want[:3]
-            assert stage_latencies(times) == want
-            r_epr, reward = reference_epr_reward(pairs, variant, *coefs)
+            r_epr, reward = reference_epr_reward(pairs, variant)
             assert incentive[k] == r_epr
-            assert epr_reward(pairs, variant, *coefs) == (r_epr, reward)
-            assert rewards[k] == reference_epr_reward(pairs, variant)[1]
+            assert rewards[k] == reward
 
-    def test_lone_episode_reward_is_a_float(self):
-        owner = SimpleNamespace(config=PpoConfig(j_max=2))
-        placed = SimpleNamespace(start_ns=[0, 0], finish_ns=[3, 5])
-        queue = [SimpleNamespace(nonlocal_gates=g) for g in (1, 2)]
-        reward = PpoAgent.episode_reward(owner, queue, [[1], [0]], placed)
-        assert type(reward) is float
-        assert reward == epr_reward([[(2.0, 3.0)], [(1.0, 5.0)]])[1]
-
-    def test_negative_demand_and_empty_stage_rejected(self):
+    def test_negative_demand_and_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="negative EPR demand -1.0"):
             reward_columns(np.array([[1.0, -1.0]]), np.ones((1, 2)), np.array([[True, False]]))
-        with pytest.raises(ValueError, match="epr_reward requires non-empty stages"):
-            epr_reward([[(1.0, 1.0)], []])
-        with pytest.raises(ValueError, match="stage_latencies requires non-empty stages"):
-            stage_latencies([])
-        with pytest.raises(ValueError, match="unknown reward variant"):
-            epr_reward([[(1.0, 1.0)]], variant="bogus")
+        with pytest.raises(ValueError, match="unknown reward variant: 'bogus'"):
+            reward_columns(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1), bool), "bogus")
 
 
 class TestLossParts:
@@ -1006,7 +944,7 @@ class TestPpoSchedule:
         agent = small_agent()
         jobs = [make_job(0, 4, 10), make_job(1, 3, 10)]
         with pytest.raises(SchedulingError, match="job 1: stage exceeds free nodes"):
-            agent.build_schedule(jobs, [[0, 1]], node_selection)
+            agent.build_schedule(jobs, [[0, 1]], node_selection, agent.network, PARAMS)
 
     def test_job_wider_than_network_rejected_not_dropped(self):
         """The rollout rejects a job no stage can hold with FIFO's error,
@@ -1024,7 +962,7 @@ class TestPpoSchedule:
             agent.schedule(jobs)
         four = homogeneous_network(4, 3, "good")
         with pytest.raises(SchedulingError, match="job 3: requires 5 QPUs but the network has 4"):
-            agent.schedule([make_job(3, 5, 10)], network=four)
+            schedule_on(agent, [make_job(3, 5, 10)], four, PARAMS)
         wide = dataclasses.replace(agent.catalog[-1], required_qpus=7)
         agent.catalog = (*agent.catalog[:-1], wide)
         with pytest.raises(SchedulingError, match="requires 7 QPUs but the network has 6"):
@@ -1178,6 +1116,30 @@ class TestPersistence:
             self.assert_rejected(tmp_path / "nan.bin", patched, agent, "array 2 holds")
             last = data[:-8] + struct.pack("<d", value)
             self.assert_rejected(tmp_path / "inf.bin", last, agent, f"array {n_arr - 1} holds")
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("entry", range(4))
+    def test_non_positive_feature_scale_rejected(self, tmp_path, entry, value):
+        """A zero scale once failed mid-run as an overfull stage, and a
+        negative one ran; save_weights never writes either."""
+        agent, data = self.saved_bytes(tmp_path)
+        at = len(data) - 8 * sum(a.size for a in [agent.feature_scales]
+                                 + agent.policy.parameters() + agent.value_net.parameters())
+        assert struct.unpack_from("<4d", data, at) == tuple(agent.feature_scales)
+        patched = data[:at + 8 * entry] + struct.pack("<d", value) + data[at + 8 * entry + 8:]
+        self.assert_rejected(tmp_path / "scales.bin", patched, agent, "must be > 0")
+
+    @pytest.mark.parametrize("value", [0.0, -5.0])
+    def test_non_positive_time_scale_rejected(self, tmp_path, value):
+        """[j_max, n_features, variant, latency, time_scale, ...]: a time
+        scale of 0 or below once failed only at rollout, without the path."""
+        agent, data = self.saved_bytes(tmp_path)
+        table_end = len(data) - 8 * sum(
+            a.size for a in [np.zeros(7), agent.feature_scales]
+            + agent.policy.parameters() + agent.value_net.parameters())
+        assert struct.unpack_from("<d", data, table_end + 32) == (agent.time_scale,)
+        patched = data[:table_end + 32] + struct.pack("<d", value) + data[table_end + 40:]
+        self.assert_rejected(tmp_path / "time.bin", patched, agent, "time_scale .* must be > 0")
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

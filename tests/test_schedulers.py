@@ -18,6 +18,7 @@ from conftest import (
     reference_pricer,
     reference_select_nodes,
     schedule_of,
+    schedule_on,
     schedule_rows,
     stage_ids,
     stage_rows,
@@ -649,7 +650,8 @@ def test_columns_agree_with_rows():
     net = build_network(6, 3, {"bad": 0.2, "medium": 0.3, "good": 0.5}, seed=9)
     agent = PpoAgent(PpoConfig(j_max=8), net, PARAMS, default_catalog(net, PARAMS))
     runs = ALL_SCHEDULERS + [
-        (f"ppo-{ns}", lambda q, n, p, ns=ns: agent.schedule(q, ns, n, p)) for ns in (False, True)]
+        (f"ppo-{ns}", lambda q, n, p, ns=ns: schedule_on(agent, q, n, p, ns))
+        for ns in (False, True)]
     rng = make_rng(72)
     for _ in range(60):
         queue = [make_job(i, int(rng.integers(1, 7)), int(rng.integers(1, 40)),

@@ -30,7 +30,11 @@ net) and ``Mlp.forward``/``backward`` it ran on, also verbatim. Edits:
 ``encode_state``'s matrix, and ``reference_rollout`` marks the padding rows
 itself, since ``encode_state`` returns neither; ``reference_train`` takes a
 number of updates and runs ceil(update_every / j_max) episodes for each, as
-the library's ``train`` does; the copied functions call one another where
+the library's ``train`` does, passes the agent's network and parameters to
+``build_schedule``, which requires them, and rewards each episode by
+``reference_epr_reward`` (``conftest.py``) on its demands and placed
+durations in pick order, where it called ``episode_reward`` on one episode,
+which that method no longer takes; the copied functions call one another where
 they called the library's names, and the rollout's forwards
 (``Mlp.__call__``, then the same arithmetic as ``forward``) go through
 ``reference_forward``; the agent keeps its two reference optimizers in
@@ -50,6 +54,7 @@ from conftest import (
     MIXES,
     default_catalog,
     make_job,
+    reference_epr_reward,
     reference_pricer,
     reference_select_nodes,
     unit_exec_params,
@@ -490,8 +495,12 @@ def reference_train(self, updates: int, bias_alpha: float = 0.0) -> list[TrainLo
     for _ in range(episodes):
         queue = workload.generate_slot_jobs(wcfg, self.env_rng)
         stages, transitions = reference_rollout(self, queue, sample=True)
-        schedule = self.build_schedule(queue, stages, node_selection)
-        reward = self.episode_reward(queue, stages, schedule)
+        schedule = self.build_schedule(queue, stages, node_selection, self.network,
+                                       self.exec_params)
+        durations = iter(np.subtract(schedule.finish_ns, schedule.start_ns, dtype=float).tolist())
+        _, reward = reference_epr_reward([[(float(queue[r].nonlocal_gates), next(durations))
+                                           for r in picks] for picks in stages],
+                                         cfg.reward_variant)
         for tr in transitions:
             tr.reward = reward
         reference_compute_gae(transitions, DISCOUNT, GAE_LAMBDA)
@@ -627,7 +636,7 @@ def test_ppo_build_schedule_matches_reference_loop(env, data, node_selection):
     cuts = sorted(data.draw(st.sets(st.integers(1, len(rows) - 1)))) if len(rows) > 1 else []
     stages = [list(rows[a:b]) for a, b in zip([0, *cuts], [*cuts, len(rows)]) if a < b]
     agent = PpoAgent(PpoConfig(j_max=12), network, params, default_catalog(network, params))
-    got = outcome(lambda: agent.build_schedule(queue, stages, node_selection))
+    got = outcome(lambda: agent.build_schedule(queue, stages, node_selection, network, params))
     assert got == outcome(lambda: reference_build_schedule(
         agent, queue, stages, node_selection))
     other = build_network(network.n_nodes, 3, MIXES[1], seed=99)
@@ -655,7 +664,8 @@ def test_every_scheduler_prices_as_the_reference_on_shared_tables(env):
             continue  # the rollout rejects the queue, as every scheduler did above
         stages, _ = agent.rollout(queue)
         for node_selection in (False, True):
-            assert outcome(lambda: agent.build_schedule(queue, stages, node_selection)) == \
+            assert outcome(lambda: agent.build_schedule(
+                queue, stages, node_selection, network, params)) == \
                 outcome(lambda: reference_build_schedule(agent, queue, stages, node_selection))
 
 
