@@ -23,6 +23,8 @@ import numpy as np
 
 from .schedulers import Schedule
 
+INT64_MAX = int(np.iinfo(np.int64).max)  # the largest event key of a cell's sort
+
 
 class EmptyScheduleError(ValueError):
     """Metrics over an empty schedule are undefined."""
@@ -66,10 +68,10 @@ def metric_columns(schedules: list[Schedule], n_qpu: int):
     if not schedules:
         return [], [], [], [], [], [], [], np.empty(0)
     total = sum(sizes)
-    start = np.array(list(chain.from_iterable(s.start_ns for s in schedules)), np.int64)
-    finish = np.array(list(chain.from_iterable(s.finish_ns for s in schedules)), np.int64)
-    width = np.array(list(map(len, chain.from_iterable(s.assigned_nodes for s in schedules))),
-                     np.int64)
+    start = np.fromiter(chain.from_iterable(s.start_ns for s in schedules), np.int64, total)
+    finish = np.fromiter(chain.from_iterable(s.finish_ns for s in schedules), np.int64, total)
+    width = np.fromiter(map(len, chain.from_iterable(s.assigned_nodes for s in schedules)),
+                        np.int64, total)
     if (finish <= 0).any():
         bad = int(np.argmax(finish <= 0))
         job_id = list(chain.from_iterable(s.job_id for s in schedules))[bad]
@@ -82,11 +84,17 @@ def metric_columns(schedules: list[Schedule], n_qpu: int):
     busy = np.add.reduceat(duration * width, offsets).tolist()
     t_max = ((counts - 1) * np.add.reduceat(duration, offsets)).tolist()
 
-    # Events sorted by (slot, time); every slot ends with c(t) back at 0,
-    # so the segment between two slots carries no pairs.
-    slot = np.arange(len(schedules)).repeat(counts)
+    # Events sorted by (slot, time): one stable sort of the key slot * span
+    # + (time - low). Every slot ends with c(t) back at 0, so the segment
+    # between two slots carries no pairs.
     times = np.concatenate((start, finish))
-    order = np.lexsort((times, np.concatenate((slot, slot))))
+    low = int(times.min())
+    span = int(times.max()) - low + 1
+    if len(schedules) * span - 1 > INT64_MAX:
+        raise ValueError(f"the cell's event keys reach {len(schedules) * span - 1}, "
+                         f"above the int64 bound {INT64_MAX}")
+    slot = np.arange(len(schedules), dtype=np.int64).repeat(counts) * span
+    order = (np.concatenate((slot, slot)) + (times - low)).argsort(kind="stable")
     times = times[order]
     running = np.add.accumulate(np.where(order < total, 1, -1))[:-1]
     pair_time = running * (running - 1) // 2 * (times[1:] - times[:-1])

@@ -10,8 +10,10 @@ optional bias toward jobs late in the catalog.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
@@ -24,7 +26,7 @@ QUBIT_SIZES = (5, 10, 15)  # the default catalog: every circuit family at each s
 
 MIN_QUBITS = 2
 MAX_QUBITS = 64
-MAX_REPS = 64  # a circuit's gate list grows with reps, and is built for every seed
+MAX_REPS = 64  # a circuit's gate list grows with reps; each entry's is built once per process
 
 
 @dataclass(frozen=True)
@@ -166,6 +168,16 @@ def required_qpus(n_qubits: int, qpu_capacity: int) -> int:
     return math.ceil(n_qubits / qpu_capacity)
 
 
+def _cut(profile: CircuitProfile, qpu_capacity: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The QPUs ``profile`` needs in blocks of ``qpu_capacity``, and its cross-block pairs."""
+    required = required_qpus(profile.n_qubits, qpu_capacity)
+    return required, tuple(
+        (min(a // qpu_capacity, b // qpu_capacity), max(a // qpu_capacity, b // qpu_capacity))
+        for a, b in profile.two_qubit_gates
+        if a // qpu_capacity != b // qpu_capacity
+    )
+
+
 def partition_job(
     profile: CircuitProfile,
     qpu_capacity: int,
@@ -180,12 +192,7 @@ def partition_job(
     entangled-pair demand. The nominal execution estimate is
     attached so schedulers can rank the job before placement. The id is -1.
     """
-    required = required_qpus(profile.n_qubits, qpu_capacity)
-    cross = tuple(
-        (min(a // qpu_capacity, b // qpu_capacity), max(a // qpu_capacity, b // qpu_capacity))
-        for a, b in profile.two_qubit_gates
-        if a // qpu_capacity != b // qpu_capacity
-    )
+    required, cross = _cut(profile, qpu_capacity)
     est = execmodel.nominal_execution_time(profile.local_depth, cross, network, exec_params)
     return JobDescriptor(-1, required, len(cross), est, profile, cross)
 
@@ -256,14 +263,34 @@ def read_catalog_file(path: str) -> list[tuple[int, str, int, int]]:
     return entries
 
 
+@functools.lru_cache(maxsize=1)
+def _skeleton(entries: tuple, qpu_capacity: int) -> tuple[JobDescriptor, ...]:
+    """A catalog's network-independent half: each entry's job, id -1, estimate 0."""
+    jobs = []
+    for kind, n, reps in entries:
+        profile = build_circuit_profile(kind, n, reps)
+        required, cross = _cut(profile, qpu_capacity)
+        jobs.append(JobDescriptor(-1, required, len(cross), 0, profile, cross))
+    return tuple(jobs)
+
+
 def sorted_catalog(entries, network: Network, exec_params: ExecModelParams
                    ) -> tuple[JobDescriptor, ...]:
     """One job per (kind, n_qubits, reps) entry, sorted by (non-local gates,
-    estimate, kind, size) and numbered 0.. in that order."""
-    jobs = [partition_job(build_circuit_profile(kind, n, reps), network.qpu_capacity,
-                          network, exec_params) for kind, n, reps in entries]
-    jobs.sort(key=lambda j: (j.nonlocal_gates, j.est_exec_ns, j.profile.kind, j.profile.n_qubits))
-    return tuple(catalog_copies(jobs, range(len(jobs))))
+    estimate, kind, size) and numbered 0.. in that order. The entries' jobs
+    without their estimates are built once per process; each network adds
+    its estimates to one copy of each."""
+    # Keyed on exact ints: a float size fails as it always did, not by an equal int's hit.
+    skeleton = _skeleton(tuple((kind, index(n), index(reps)) for kind, n, reps in entries),
+                         network.qpu_capacity)
+    est = [execmodel.nominal_execution_time(job.profile.local_depth, job.cross_block_pairs,
+                                            network, exec_params) for job in skeleton]
+    order = sorted(range(len(skeleton)), key=lambda i: (
+        skeleton[i].nonlocal_gates, est[i], skeleton[i].profile.kind, skeleton[i].profile.n_qubits))
+    jobs = [object.__new__(JobDescriptor) for _ in order]
+    for k, (job, i) in enumerate(zip(jobs, order)):
+        job.__dict__.update(skeleton[i].__dict__, id=k, est_exec_ns=est[i])
+    return tuple(jobs)
 
 
 def selection_probabilities(n: int, bias_alpha: float) -> np.ndarray:

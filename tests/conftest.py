@@ -24,6 +24,9 @@ from dqcsched.workload import (
     QUBIT_SIZES,
     CircuitProfile,
     JobDescriptor,
+    build_circuit_profile,
+    catalog_copies,
+    partition_job,
     sorted_catalog,
 )
 
@@ -65,6 +68,17 @@ def default_catalog(
     """All five families at each size, sorted ascending by non-local gates."""
     entries = [(kind, n, reps) for kind in CIRCUIT_KINDS for n in qubit_sizes]
     return sorted_catalog(entries, network, exec_params)
+
+
+def reference_catalog(entries, network: Network, exec_params: ExecModelParams
+                      ) -> tuple[JobDescriptor, ...]:
+    """``sorted_catalog`` without its per-process skeleton: every entry's
+    profile built and partitioned on ``network``, the jobs sorted by (non-local
+    gates, estimate, kind, size), then copied under ids 0, 1, ..."""
+    jobs = [partition_job(build_circuit_profile(kind, n, reps), network.qpu_capacity,
+                          network, exec_params) for kind, n, reps in entries]
+    jobs.sort(key=lambda j: (j.nonlocal_gates, j.est_exec_ns, j.profile.kind, j.profile.n_qubits))
+    return tuple(catalog_copies(jobs, range(len(jobs))))
 
 
 def schedule_of(rows) -> Schedule:

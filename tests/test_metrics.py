@@ -267,6 +267,11 @@ class TestCellReduction:
     @example(cell=[schedule_of([(0, (0,), 0, 10, 0)]),
                    schedule_of([(0, (0,), 0, 10, 0), (1, (1,), 0, 10, 0)]),
                    schedule_of([(0, (0, 1), 3, 9, 0)])], n_qpu=6)
+    @example(cell=[schedule_of([(0, (0,), 0, 10, 0), (1, (1,), 10, 20, 0), (2, (2,), 10, 20, 0),
+                                (3, (3,), 0, 20, 0), (4, (4,), 20, 30, 0)]),
+                   schedule_of([(0, (0,), 0, 20, 0), (1, (1,), 20, 30, 0), (2, (2,), 20, 30, 0)]),
+                   schedule_of([(0, (0, 1), 0, 20, 0), (1, (2,), 0, 20, 0)])],
+             n_qpu=6)  # ties: jobs end as others start, and finishes repeat across slots
     def test_matches_per_slot_oracle_repr_exactly(self, cell, n_qpu):
         columns = assert_columns_match_oracle(cell, n_qpu)
         assert all(len(col) == len(cell) for col in columns)
@@ -294,6 +299,17 @@ class TestCellReduction:
     def test_empty_schedule_in_cell_raises(self, cell, at):
         with pytest.raises(EmptyScheduleError):
             metric_columns(cell[:at] + [Schedule()] + cell[at:], 6)
+
+    def test_event_keys_beyond_int64_raise(self):
+        """The events sort on slot * span + (time - earliest): a cell whose
+        largest key would pass 2**63 - 1 is refused, one that reaches it is not."""
+        def far(finish):
+            return schedule_of([(0, (0,), 0, finish, 0)])
+
+        columns = metric_columns([far(2**62 - 1), far(2**62 - 1)], 6)
+        assert columns[0] == [2**62 - 1] * 2
+        with pytest.raises(ValueError, match=f"above the int64 bound {2**63 - 1}"):
+            metric_columns([far(2**62), far(1)], 6)
 
     def test_empty_cell_has_no_reports(self):
         assert metric_columns([], 6)[:7] == ([],) * 7

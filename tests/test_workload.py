@@ -3,12 +3,16 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import default_catalog, homogeneous_network, make_rng, unit_exec_params
-from dqcsched import harness
+from conftest import (default_catalog, homogeneous_network, make_rng, reference_catalog,
+                      unit_exec_params)
+from dqcsched import harness, workload
 from dqcsched.configfile import parse_config_text
 from dqcsched.execmodel import (
     ExecModelParams,
@@ -453,3 +457,63 @@ class TestCatalogMatchesReference:
                 profile = build_circuit_profile(kind, n, 2)
                 assert vars(partition_job(profile, net.qpu_capacity, net, params)) == \
                     vars(reference_partition_job(profile, net.qpu_capacity, net, params))
+
+
+class TestCatalogSkeleton:
+    """``sorted_catalog`` takes each entry's profile, blocks and price key from
+    a per-process skeleton and adds only the network's estimates: the same
+    catalog, field for field, as building every entry on the network."""
+
+    MIX = {"bad": 0.2, "medium": 0.3, "good": 0.5}
+    PARAMS = [ExecModelParams(), ExecModelParams(700, "per-link-parallel")]
+
+    def test_matches_per_entry_construction(self, tmp_path):
+        path = tmp_path / "catalog.txt"
+        path.write_text("VQE 8 3\nGHZ 5 1\nQAOA 6 2\nQFT 12 1\nGHZ 5 1\nVQE 8 1\n"
+                        "GraphState 9 4\n")
+        sources = [[(kind, n, reps) for kind in CIRCUIT_KINDS for n in (5, 10, 15, 20)]
+                   for reps in (1, 2)]
+        sources.append([line[1:] for line in read_catalog_file(str(path))])
+        for entries, capacity, params in itertools.product(sources, (2, 3), self.PARAMS):
+            for seed in (0, 7, 11, 29):
+                net = build_network(12, capacity, self.MIX, seed)
+                got = sorted_catalog(entries, net, params)
+                assert [vars(job) for job in got] == \
+                    [vars(job) for job in reference_catalog(entries, net, params)]
+
+    def test_seeds_share_profiles_and_pairs(self):
+        entries = [(kind, n, 2) for kind in CIRCUIT_KINDS for n in (5, 10, 15)]
+        first, second = ({(j.profile.kind, j.profile.n_qubits): j for j in
+                          sorted_catalog(entries, build_network(6, 3, self.MIX, seed),
+                                         ExecModelParams())} for seed in (3, 4))
+        assert first.keys() == second.keys()
+        for key, job in first.items():
+            assert job.profile is second[key].profile
+            assert job.cross_block_pairs is second[key].cross_block_pairs
+            assert job.price_key is second[key].price_key
+
+    def test_float_size_fails_with_or_without_a_cached_int(self):
+        """The cache compares entries by value, so ``5.0`` would find the
+        skeleton of ``5``; a float size fails as building it does, cached or not."""
+        net = build_network(6, 3, self.MIX, 0)
+        for _ in range(2):
+            with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+                sorted_catalog([("GHZ", 5.0, 1)], net, ExecModelParams())
+            sorted_catalog([("GHZ", 5, 1)], net, ExecModelParams())
+
+    def test_cache_keeps_one_skeleton(self):
+        """A run, and ``train-ppo`` before it, build catalogs of one config."""
+        net = build_network(6, 3, self.MIX, 0)
+        for size in range(2, 6):
+            sorted_catalog([("GHZ", size, 1), ("VQE", size, 2)], net, ExecModelParams())
+            info = workload._skeleton.cache_info()
+            assert (info.maxsize, info.currsize) == (1, 1)
+
+    def test_import_builds_no_skeleton(self):
+        src = os.path.dirname(os.path.dirname(workload.__file__))
+        probe = ("import dqcsched.cli, dqcsched.workload as workload\n"
+                 "print(workload._skeleton.cache_info().currsize)\n")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0\n"
