@@ -159,9 +159,10 @@ def run_experiment(config: ExperimentConfig, ppo_agent=None) -> SlotTable:
     Per seed one network and one catalog are built and shared by every
     setting and scheduler; per (setting, seed) the job stream is generated
     and checked once and fed to every scheduler, so comparisons are paired;
-    ``ppo`` and ``ppo-ns`` share one lockstep rollout's (node-blind) stages.
-    Each cell's non-empty schedules are reduced to metric columns in one
-    pass, which the table takes as they are, with None for each empty slot.
+    ``ppo`` and ``ppo-ns`` share one lockstep rollout's (node-blind) picks.
+    Each cell's non-empty queues are placed in one scheduler call, and their
+    placements reduced to metric columns in one pass, which the table takes
+    as they are, with None for each empty slot.
     """
     config.validate()
     exec_params = config.exec_params()
@@ -192,15 +193,17 @@ def run_experiment(config: ExperimentConfig, ppo_agent=None) -> SlotTable:
             jobs = [queue for queue in queues if queue]
             for queue in jobs:
                 _validate_queue(queue, net)
-            stages = ppo_agent._rollouts(jobs, net.n_nodes, None)[0] if use_ppo else None
+            if use_ppo:  # the picked jobs in pick order: queue by queue, one pick a job
+                _, _, action, _, _, opened = ppo_agent._rollouts(jobs, net.n_nodes, None)
+                actions = iter(action.tolist())
+                picked = [queue[next(actions)] for queue in jobs for _ in queue]
             for name in config.schedulers:
                 if name in classical:
-                    schedules = [classical[name](queue, net, exec_params) for queue in jobs]
-                else:  # a PPO placement of the shared stages; node selection for ppo-ns
-                    schedules = [ppo_agent.build_schedule(queue, picks, name == "ppo-ns",
-                                                          net, exec_params)
-                                 for queue, picks in zip(jobs, stages)]
-                cell = metrics_mod.metric_columns(schedules, config.n_nodes)
+                    cell = classical[name](jobs, net, exec_params)
+                else:  # a PPO placement of the shared picks; node selection for ppo-ns
+                    cell = ppo_agent.build_schedule(picked, opened, list(map(len, jobs)),
+                                                    name == "ppo-ns", net, exec_params)
+                cell = metrics_mod.metric_columns(cell, config.n_nodes)
                 columns["setting"] += [setting.label] * n_slots
                 columns["scheduler"] += [name] * n_slots
                 columns["seed"] += [seed] * n_slots

@@ -17,11 +17,11 @@ both round differently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
-from .schedulers import Schedule
+from .schedulers import Cell, Schedule
 
 INT64_MAX = int(np.iinfo(np.int64).max)  # the largest event key of a cell's sort
 
@@ -42,10 +42,10 @@ class MetricsReport:
     t_max_ns: int
 
 
-def metric_columns(schedules: list[Schedule], n_qpu: int):
-    """The cell's metrics as lists, one entry per schedule: makespan_ns,
+def metric_columns(cell: Cell, n_qpu: int):
+    """The cell's metrics as lists, one entry per queue: makespan_ns,
     qpu_utilization, nonlocal_gate_density, selp, fairness, t_overlap_ns and
-    t_max_ns; then every job's ELP as one flat array in schedule order.
+    t_max_ns; then every job's ELP as one flat array in cell order.
 
     - Makespan is latest finish minus earliest start; utilization is
       sum(duration * nodes) / (makespan * n_qpu).
@@ -62,26 +62,20 @@ def metric_columns(schedules: list[Schedule], n_qpu: int):
     """
     if n_qpu < 1:
         raise ValueError(f"n_qpu must be >= 1, got {n_qpu}")
-    sizes = [len(s.job_id) for s in schedules]
-    if not all(sizes):
+    counts, start, finish = cell.counts, cell.start_ns, cell.finish_ns
+    if not counts.all():
         raise EmptyScheduleError("metrics of an empty schedule are undefined")
-    if not schedules:
+    if not len(counts):
         return [], [], [], [], [], [], [], np.empty(0)
-    total = sum(sizes)
-    start = np.fromiter(chain.from_iterable(s.start_ns for s in schedules), np.int64, total)
-    finish = np.fromiter(chain.from_iterable(s.finish_ns for s in schedules), np.int64, total)
-    width = np.fromiter(map(len, chain.from_iterable(s.assigned_nodes for s in schedules)),
-                        np.int64, total)
+    total = len(start)
     if (finish <= 0).any():
         bad = int(np.argmax(finish <= 0))
-        job_id = list(chain.from_iterable(s.job_id for s in schedules))[bad]
-        raise ValueError(f"job {job_id} has non-positive latency {finish[bad]}")
-    counts = np.array(sizes)
+        raise ValueError(f"job {cell.job_id[bad]} has non-positive latency {finish[bad]}")
     offsets = np.add.accumulate(counts) - counts
     duration = finish - start
     makespans = (np.maximum.reduceat(finish, offsets)
                  - np.minimum.reduceat(start, offsets)).tolist()
-    busy = np.add.reduceat(duration * width, offsets).tolist()
+    busy = np.add.reduceat(duration * cell.width, offsets).tolist()
     t_max = ((counts - 1) * np.add.reduceat(duration, offsets)).tolist()
 
     # Events sorted by (slot, time): one stable sort of the key slot * span
@@ -90,10 +84,10 @@ def metric_columns(schedules: list[Schedule], n_qpu: int):
     times = np.concatenate((start, finish))
     low = int(times.min())
     span = int(times.max()) - low + 1
-    if len(schedules) * span - 1 > INT64_MAX:
-        raise ValueError(f"the cell's event keys reach {len(schedules) * span - 1}, "
+    if len(counts) * span - 1 > INT64_MAX:
+        raise ValueError(f"the cell's event keys reach {len(counts) * span - 1}, "
                          f"above the int64 bound {INT64_MAX}")
-    slot = np.arange(len(schedules), dtype=np.int64).repeat(counts) * span
+    slot = np.arange(len(counts), dtype=np.int64).repeat(counts) * span
     order = (np.concatenate((slot, slot)) + (times - low)).argsort(kind="stable")
     times = times[order]
     running = np.add.accumulate(np.where(order < total, 1, -1))[:-1]
@@ -124,5 +118,6 @@ def metric_columns(schedules: list[Schedule], n_qpu: int):
 
 def compute_report(schedule: Schedule, n_qpu: int) -> MetricsReport:
     """All five metrics for one schedule."""
-    (m,), (u,), (d,), (s,), (f,), (o,), (tm,), elp = metric_columns([schedule], n_qpu)
+    cell = Cell.of(schedule, [len(schedule)])
+    (m,), (u,), (d,), (s,), (f,), (o,), (tm,), elp = metric_columns(cell, n_qpu)
     return MetricsReport(m, u, d, tuple(elp.tolist()), s, f, o, tm)

@@ -21,7 +21,7 @@ from . import workload
 from .execmodel import ExecModelParams
 from .netmodel import Network
 from .nn import Adam, Mlp, bind, masked_softmax
-from .schedulers import Schedule, _place_stages, _validate_queue
+from .schedulers import Cell, Schedule, _place_stages, _validate_queue
 
 REWARD_VARIANTS = ("plain", "node_selection")
 _PROB_SUM_TOL = math.sqrt(np.finfo(float).eps)  # Generator.choice's tolerance
@@ -291,16 +291,16 @@ class PpoAgent:
         return action, opened, x[:, 0], feasible, np.log(probs[rows, action]), values
 
     def _rollouts(self, queues, n_max: int, draws: np.ndarray | None
-                  ) -> tuple[list[list[list[int]]], tuple[np.ndarray, ...]]:
-        """The stages of each checked queue (a list, or the ``encode_state``
-        rows of full ones as an array), its episodes stepped in lockstep, and
-        the pick arrays (inputs, masks, actions, log-probabilities, values and
-        stage-opening flags) of all of them; ``draws`` holds the action
-        uniforms of a sampled rollout in episode-then-pick order, as
-        one-episode loops would draw them. Episodes step longest first, so the
-        live ones are a prefix of the stack, and each picks once a step: its
-        pick t goes to entry t after its first of the pick arrays, which are
-        thus in ``draws`` order. Each stage starts at a pick that opened one."""
+                  ) -> tuple[np.ndarray, ...]:
+        """The pick arrays (inputs, masks, actions, log-probabilities, values
+        and stage-opening flags) of the checked queues (a list, or the
+        ``encode_state`` rows of full ones as an array), their episodes
+        stepped in lockstep; ``draws`` holds the action uniforms of a sampled
+        rollout in episode-then-pick order, as one-episode loops would draw
+        them. Episodes step longest first, so the live ones are a prefix of
+        the stack, and each picks once a step: its pick t goes to entry t
+        after its first of the pick arrays, which are thus in ``draws``
+        order. Each stage starts at a pick that opened one."""
         j_max = self.config.j_max
         lengths = np.array([len(q) for q in queues], dtype=int)
         firsts = np.cumsum(lengths) - lengths  # each episode's first pick in draws order
@@ -321,12 +321,7 @@ class PpoAgent:
             u = None if draws is None else draws[at]
             action[at], opened[at], obs[at], masks[at], logp[at], values[at] = \
                 self.select_stage(scaled[:k], need[:k], cap[:k], n_max, u)
-        picks, starts = action.tolist(), np.flatnonzero(opened)
-        bounds = starts.tolist() + [n_picks]
-        stages = [picks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        cuts = starts.searchsorted(np.append(firsts, n_picks)).tolist()  # by episode
-        return ([stages[a:b] for a, b in zip(cuts, cuts[1:])],
-                (obs, masks, action, logp, values, opened))
+        return obs, masks, action, logp, values, opened
 
     def rollout(self, queue, sample: bool = False
                 ) -> tuple[list[list[int]], tuple[np.ndarray, ...]]:
@@ -335,23 +330,28 @@ class PpoAgent:
         SchedulingError."""
         _validate_queue(queue, self.network)
         draws = self.action_rng.random(len(queue)) if sample else None
-        stages, arrays = self._rollouts([queue], self.network.n_nodes, draws)
-        return stages[0], arrays[:5]
+        arrays = self._rollouts([queue], self.network.n_nodes, draws)
+        picks, bounds = arrays[2].tolist(), np.flatnonzero(arrays[5]).tolist() + [len(queue)]
+        return [picks[a:b] for a, b in zip(bounds, bounds[1:])], arrays[:5]
 
     # -- schedule construction -------------------------------------------
 
-    def build_schedule(self, queue, stages: list[list[int]], node_selection: bool,
-                       network: Network, exec_params: ExecModelParams) -> Schedule:
-        """Barrier-synchronized placement of the rolled-out stages."""
-        return _place_stages(([queue[r] for r in picks] for picks in stages),
-                             network, exec_params, node_selection)
+    def build_schedule(self, jobs, opened: np.ndarray, counts, node_selection: bool,
+                       network: Network, exec_params: ExecModelParams) -> Cell:
+        """Barrier-synchronized placement of a rollout's picked ``jobs``, in
+        pick order and ``counts`` to an episode, a stage opening at each
+        pick that ``opened`` flags."""
+        return _place_stages(jobs, np.flatnonzero(opened), counts, network, exec_params,
+                             node_selection)
 
     def schedule(self, queue, node_selection: bool | None = None) -> Schedule:
         """Deterministic (argmax) scheduling of one queue."""
         if node_selection is None:
             node_selection = self.config.reward_variant == "node_selection"
-        stages, _ = self.rollout(queue, sample=False)
-        return self.build_schedule(queue, stages, node_selection, self.network, self.exec_params)
+        _validate_queue(queue, self.network)
+        _, _, action, _, _, opened = self._rollouts([queue], self.network.n_nodes, None)
+        return self.build_schedule([queue[a] for a in action.tolist()], opened, [len(queue)],
+                                   node_selection, self.network, self.exec_params).schedule()
 
     def episode_reward(self, demand: np.ndarray, duration: np.ndarray,
                        opened: np.ndarray) -> np.ndarray:
@@ -394,13 +394,12 @@ class PpoAgent:
                 _validate_queue(workload.catalog_copies(self.catalog, picks[lo:lo + cfg.j_max]),
                                 self.network)
             draws = self.action_rng.random(n_picks)
-            _, (obs, masks, action, logp, values, opened) = self._rollouts(
+            obs, masks, action, logp, values, opened = self._rollouts(
                 rows[picks].reshape(-1, cfg.j_max, N_FEATURES), self.network.n_nodes, draws)
             chosen = picks[firsts + action]  # each pick's catalog entry, in pick order
-            bounds = np.flatnonzero(opened).tolist() + [n_picks]
-            placed = self.build_schedule([self.catalog[c] for c in chosen.tolist()],
-                                         [range(a, b) for a, b in zip(bounds, bounds[1:])],
-                                         node_selection, self.network, self.exec_params)
+            placed = self.build_schedule([self.catalog[c] for c in chosen.tolist()], opened,
+                                         [cfg.j_max] * (n_picks // cfg.j_max), node_selection,
+                                         self.network, self.exec_params)
             duration = np.subtract(placed.finish_ns, placed.start_ns, dtype=float)
             rewards = self.episode_reward(*(a.reshape(-1, cfg.j_max) for a in (
                 rows[chosen, 1], duration, opened)))  # column 1: nonlocal_gates

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +58,40 @@ class Schedule:
                 self.finish_ns.append, self.stage_index.append)
 
 
+class Cell(NamedTuple):
+    """A cell's placements as flat int64 columns, queue after queue, each
+    queue's in placement order: job id, first node, width, start, finish and
+    stage; each queue's placement count; and the node tuples, or None where
+    job k holds the ``width[k]`` ids from ``first[k]`` on."""
+
+    job_id: np.ndarray
+    first: np.ndarray | None
+    width: np.ndarray
+    start_ns: np.ndarray
+    finish_ns: np.ndarray
+    stage_index: np.ndarray
+    counts: np.ndarray
+    nodes: list | None
+
+    @classmethod
+    def of(cls, schedule: Schedule, counts) -> Cell:
+        """The cell of ``schedule``'s rows, queues of ``counts`` rows."""
+        job_id, start, finish, stage = (np.array(c, dtype=np.int64) for c in (
+            schedule.job_id, schedule.start_ns, schedule.finish_ns, schedule.stage_index))
+        width = np.fromiter(map(len, schedule.assigned_nodes), np.int64, len(schedule))
+        return cls(job_id, None, width, start, finish, stage, np.array(counts, dtype=np.int64),
+                   schedule.assigned_nodes)
+
+    def schedule(self) -> Schedule:
+        """The cell's rows as one Schedule: a one-queue cell's schedule."""
+        schedule = Schedule()
+        schedule.job_id, schedule.start_ns, schedule.finish_ns, schedule.stage_index = (
+            c.tolist() for c in (self.job_id, self.start_ns, self.finish_ns, self.stage_index))
+        schedule.assigned_nodes = self.nodes if self.nodes is not None else [
+            tuple(range(f, f + w)) for f, w in zip(self.first.tolist(), self.width.tolist())]
+        return schedule
+
+
 def _validate_queue(queue, network: Network) -> None:
     for job in queue:
         if job.required_qpus < 1:
@@ -67,52 +102,101 @@ def _validate_queue(queue, network: Network) -> None:
 
 
 def _checked(core):
-    """``core``, a scheduler of (queue, network, ...), behind the queue check;
+    """``core``, a scheduler of a cell's (queues, network, ...), as the
+    scheduler of one queue's Schedule behind the queue check;
     ``get_scheduler`` hands out the unchecked ``core``, its ``__wrapped__``."""
     @functools.wraps(core)
     def scheduler(queue, network: Network, *args, **kwargs) -> Schedule:
         _validate_queue(queue, network)
-        return core(queue, network, *args, **kwargs)
+        return core([queue], network, *args, **kwargs).schedule()
     return scheduler
 
 
-def _place_stages(stages, network: Network, exec_params: ExecModelParams,
-                  node_selection: bool = False) -> Schedule:
-    """Barrier-staged placement of ``stages``, an iterable of job lists.
-    A stage's jobs start together at the previous stage's end, in order,
-    each on the lowest free ids or, with ``node_selection``, on the free
-    subset with the best internal links. A stage ends at its latest finish,
-    kept as a running max from its start since durations are never negative.
+def _place_queues(stage_lists, network: Network, exec_params: ExecModelParams,
+                  node_selection: bool = False) -> Cell:
+    """``_place_stages`` of each queue's stages, an iterable of job lists.
     An empty stage, which a job wider than the network leaves, is a
     SchedulingError: the stages would never end."""
-    schedule = Schedule()
-    add_id, add_nodes, add_start, add_finish, add_stage = schedule.appenders()
+    jobs, sizes, counts = [], [], []
+    for stages in stage_lists:
+        placed = len(jobs)
+        for stage, members in enumerate(stages):
+            if not members:
+                raise SchedulingError(None, f"stage {stage} is empty: a queued job is wider "
+                                      f"than the network's {network.n_nodes} nodes")
+            jobs += members
+            sizes.append(len(members))
+        counts.append(len(jobs) - placed)
+    sizes = np.array(sizes, dtype=np.int64)
+    return _place_stages(jobs, sizes.cumsum() - sizes, counts, network, exec_params,
+                         node_selection)
+
+
+def _place_stages(jobs, starts: np.ndarray, counts, network: Network,
+                  exec_params: ExecModelParams, node_selection: bool = False) -> Cell:
+    """Barrier-staged placement of ``jobs``, queues of ``counts`` jobs in
+    turn, a stage opening at each offset in ``starts`` (each queue's first
+    job among them). A stage's jobs start together when their queue's
+    previous stage ends, or at 0, and the stage lasts its longest job. Each
+    stage starts on every node, so job k takes the lowest free ids D_k ..
+    D_k + d_k - 1, D_k the demand placed before it in its stage, priced by
+    (price class, D_k) in ``_span_prices``; with ``node_selection`` a walk
+    picks each job's free subset with the best links instead. D_k + d_k
+    above the node count is a SchedulingError."""
+    ids = np.array([job.id for job in jobs], dtype=np.int64)
+    need = np.array([job.required_qpus for job in jobs], dtype=np.int64)
+    sizes = np.append(starts[1:], len(jobs)) - starts
+    placed = need.cumsum() - need
+    first = placed - placed[starts].repeat(sizes)
+    if (over := first + need > network.n_nodes).any():
+        raise SchedulingError(int(ids[over.argmax()]), "stage exceeds free nodes")
     prices = network._price_tables.setdefault(exec_params.key, {})
-    picks = network._selection_memo if node_selection else network._lowest_picks
-    everyone = (1 << network.n_nodes) - 1
-    barrier = 0
-    for stage, jobs in enumerate(stages):
-        if not jobs:
-            raise SchedulingError(None, f"stage {stage} is empty: a queued job is wider "
-                                  f"than the network's {network.n_nodes} nodes")
-        end, free = barrier, everyone  # free: node bit mask
-        for job in jobs:
-            nodes, free = picks.get((free, job.required_qpus)) or _pick(
-                job, free, network, node_selection)
-            duration = prices.get((job.price_key, nodes))
-            if duration is None:
-                duration = prices[job.price_key, nodes] = execmodel.estimate_execution_time(
-                    job, nodes, network, exec_params)
-            finish = barrier + duration
-            add_id(job.id)
-            add_nodes(nodes)
-            add_start(barrier)
-            add_finish(finish)
-            add_stage(stage)
-            if finish > end:
-                end = finish
-        barrier = end
-    return schedule
+    if node_selection:
+        everyone, free, nodes, first = (1 << network.n_nodes) - 1, 0, [], None
+        opens = np.zeros(len(jobs), dtype=bool)
+        opens[starts] = True
+        for job, new in zip(jobs, opens.tolist()):
+            free = everyone if new else free
+            picked, free = network._selection_memo.get((free, job.required_qpus)) or _pick(
+                job, free, network, True)
+            nodes.append(picked)
+        duration = np.array([_price(job, picked, prices, network, exec_params)
+                             for job, picked in zip(jobs, nodes)], dtype=np.int64)
+    else:
+        nodes, keys = None, [job.price_key for job in jobs]
+        classes, table = network._span_prices.get(exec_params.key) or (
+            {}, np.zeros((0, network.n_nodes), dtype=np.int64))
+        for key in dict.fromkeys(keys):
+            classes.setdefault(key, len(classes))
+        if len(classes) > len(table):  # rows of unfilled entries for the new classes
+            table = np.vstack((table, np.full((len(classes) - len(table), network.n_nodes), -1)))
+        network._span_prices[exec_params.key] = classes, table
+        cls = np.fromiter(map(classes.__getitem__, keys), np.intp, len(keys))
+        for k in np.flatnonzero(table[cls, first] < 0).tolist():
+            if table[cls[k], f := int(first[k])] < 0:  # not filled by a job before it
+                table[cls[k], f] = _price(jobs[k], tuple(range(f, f + int(need[k]))), prices,
+                                          network, exec_params)
+        duration = table[cls, first]
+    longest = np.maximum.reduceat(duration, starts)
+    counts = np.asarray(counts, dtype=np.int64)
+    # each queue's first stage, and each stage's queue's first stage
+    opening = starts.searchsorted(counts.cumsum() - counts)
+    base = opening.repeat(np.append(opening[1:], len(starts)) - opening)
+    begin = longest.cumsum() - longest
+    start = (begin - begin[base]).repeat(sizes)
+    return Cell(ids, first, need, start, start + duration,
+                (np.arange(len(starts)) - base).repeat(sizes), counts, nodes)
+
+
+def _price(job, nodes: tuple[int, ...], prices: dict, network: Network,
+           exec_params: ExecModelParams) -> int:
+    """``job``'s duration on ``nodes`` from the flat price table ``prices``,
+    filled by one exec-model call on a miss."""
+    duration = prices.get((job.price_key, nodes))
+    if duration is None:
+        duration = prices[job.price_key, nodes] = execmodel.estimate_execution_time(
+            job, nodes, network, exec_params)
+    return duration
 
 
 def _pick(job, free: int, network: Network, node_selection: bool
@@ -158,27 +242,28 @@ def _in_order_stages(queue, n_nodes: int, strict_order: bool = True):
 
 
 @_checked
-def fifo_schedule(queue, network: Network, exec_params: ExecModelParams) -> Schedule:
+def fifo_schedule(queues, network: Network, exec_params: ExecModelParams) -> Cell:
     """Strict arrival order; consecutive jobs share a stage while they fit.
 
     The stage closes at the first job that does not fit the remaining free
     nodes, and the next stage starts once every job of the current stage
     has finished.
     """
-    return _place_stages(_in_order_stages(queue, network.n_nodes), network, exec_params)
-
-
-@_checked
-def list_schedule(queue, network: Network, exec_params: ExecModelParams) -> Schedule:
-    """FIFO ordering, but any later job that fits the free nodes joins the
-    stage; the stage closes when no remaining job fits."""
-    return _place_stages(_in_order_stages(queue, network.n_nodes, strict_order=False),
+    return _place_queues([_in_order_stages(queue, network.n_nodes) for queue in queues],
                          network, exec_params)
 
 
 @_checked
-def resource_prioritize_schedule(queue, network: Network,
-                                 exec_params: ExecModelParams) -> Schedule:
+def list_schedule(queues, network: Network, exec_params: ExecModelParams) -> Cell:
+    """FIFO ordering, but any later job that fits the free nodes joins the
+    stage; the stage closes when no remaining job fits."""
+    return _place_queues([_in_order_stages(queue, network.n_nodes, strict_order=False)
+                          for queue in queues], network, exec_params)
+
+
+@_checked
+def resource_prioritize_schedule(queues, network: Network,
+                                 exec_params: ExecModelParams) -> Cell:
     """Each round runs the job subset with maximal total QPU demand.
 
     Ties are broken by smaller mean estimated time, then by the
@@ -186,16 +271,15 @@ def resource_prioritize_schedule(queue, network: Network,
     first ``ENUMERATION_CAP`` remaining jobs (arrival order), which bounds
     the exponential search.
     """
-    ascending = all(a.id < b.id for a, b in itertools.pairwise(queue))
-
     def stages(remaining):
+        ascending = all(a.id < b.id for a, b in itertools.pairwise(remaining))
         while remaining:
             pool = remaining[:ENUMERATION_CAP]
             chosen = _max_demand_subset(pool, network.n_nodes, ascending)
             yield [job for k, job in enumerate(pool) if chosen >> k & 1]
             remaining = [j for i, j in enumerate(remaining) if not chosen >> i & 1]
 
-    return _place_stages(stages(list(queue)), network, exec_params)
+    return _place_queues([stages(list(queue)) for queue in queues], network, exec_params)
 
 
 def _max_demand_subset(pool, n_nodes: int, ascending: bool = False) -> int:
@@ -298,12 +382,12 @@ def _min_weight_subset(free_sorted, k: int, delay_ns) -> tuple[int, ...]:
 
 @_checked
 def epr_schedule(
-    queue,
+    queues,
     network: Network,
     exec_params: ExecModelParams,
     node_selection: bool = False,
     strict_order: bool = True,
-) -> Schedule:
+) -> Cell:
     """Jobs sorted ascending by entangled-pair demand, scheduled in rounds.
 
     Under ``strict_order`` (default) a round ends at the first job that
@@ -311,13 +395,13 @@ def epr_schedule(
     continues. With ``node_selection`` each placed job picks the free node
     subset with the best internal links instead of the lowest ids.
     """
-    remaining = sorted(queue, key=lambda j: (j.nonlocal_gates, j.est_exec_ns, j.id))
-    return _place_stages(_in_order_stages(remaining, network.n_nodes, strict_order),
-                         network, exec_params, node_selection)
+    return _place_queues([_in_order_stages(
+        sorted(queue, key=lambda j: (j.nonlocal_gates, j.est_exec_ns, j.id)), network.n_nodes,
+        strict_order) for queue in queues], network, exec_params, node_selection)
 
 
 @_checked
-def asap_schedule(queue, network: Network, exec_params: ExecModelParams) -> Schedule:
+def asap_schedule(queues, network: Network, exec_params: ExecModelParams) -> Cell:
     """Nodes are released asynchronously; freed nodes go to the first
     pending jobs (arrival order) that fit them.
 
@@ -327,52 +411,50 @@ def asap_schedule(queue, network: Network, exec_params: ExecModelParams) -> Sche
     The round hands out the nodes free at that time in id order, counting
     them down as it places.
     """
-    schedule = Schedule()
-    add_id, add_nodes, add_start, add_finish, add_stage = schedule.appenders()
     prices = network._price_tables.setdefault(exec_params.key, {})
     picks = network._lowest_picks
-    avail = [0] * network.n_nodes
-    remaining = list(queue)
-    stage, t, free, n_free = 0, 0, (1 << network.n_nodes) - 1, network.n_nodes
-    while remaining:
-        if stage:
-            need = min([job.required_qpus for job in remaining])
-            if need > network.n_nodes:  # every job left is wider than the network
-                _validate_queue(remaining, network)
-            t = sorted(avail)[need - 1]
-            free = n_free = 0
-            for n, release in enumerate(avail):
-                if release <= t:
-                    free |= 1 << n
-                    n_free += 1
-        deferred: list = []
-        for job in remaining:
-            if job.required_qpus > n_free:
-                deferred.append(job)
-                continue
-            n_free -= job.required_qpus
-            nodes, free = picks.get((free, job.required_qpus)) or _pick(
-                job, free, network, False)
-            duration = prices.get((job.price_key, nodes))
-            if duration is None:
-                duration = prices[job.price_key, nodes] = execmodel.estimate_execution_time(
-                    job, nodes, network, exec_params)
-            finish = t + duration
-            add_id(job.id)
-            add_nodes(nodes)
-            add_start(t)
-            add_finish(finish)
-            add_stage(stage)
-            for n in nodes:
-                avail[n] = finish
-        remaining = deferred
-        stage += 1
-    return schedule
+    schedule = Schedule()
+    add_id, add_nodes, add_start, add_finish, add_stage = schedule.appenders()
+    for queue in queues:  # every job of a queue is placed once
+        avail = [0] * network.n_nodes
+        remaining = list(queue)
+        stage, t, free, n_free = 0, 0, (1 << network.n_nodes) - 1, network.n_nodes
+        while remaining:
+            if stage:
+                need = min([job.required_qpus for job in remaining])
+                if need > network.n_nodes:  # every job left is wider than the network
+                    _validate_queue(remaining, network)
+                t = sorted(avail)[need - 1]
+                free = n_free = 0
+                for n, release in enumerate(avail):
+                    if release <= t:
+                        free |= 1 << n
+                        n_free += 1
+            deferred: list = []
+            for job in remaining:
+                if job.required_qpus > n_free:
+                    deferred.append(job)
+                    continue
+                n_free -= job.required_qpus
+                nodes, free = picks.get((free, job.required_qpus)) or _pick(
+                    job, free, network, False)
+                finish = t + _price(job, nodes, prices, network, exec_params)
+                add_id(job.id)
+                add_nodes(nodes)
+                add_start(t)
+                add_finish(finish)
+                add_stage(stage)
+                for n in nodes:
+                    avail[n] = finish
+            remaining = deferred
+            stage += 1
+    return Cell.of(schedule, [len(queue) for queue in queues])
 
 
 def get_scheduler(name: str):
-    """A name's scheduler of (queue, network, params), which skips
-    ``_validate_queue``; a job wider than the network is a SchedulingError."""
+    """A name's scheduler of a cell's (queues, network, params), returning
+    the Cell and skipping ``_validate_queue``; a job wider than the network
+    is a SchedulingError."""
     table = {
         "fifo": fifo_schedule.__wrapped__,
         "list": list_schedule.__wrapped__,

@@ -18,7 +18,7 @@ from dqcsched.netmodel import (
     build_network,
 )
 from dqcsched.ppo import PpoAgent, reward_columns
-from dqcsched.schedulers import Schedule, _validate_queue
+from dqcsched.schedulers import Cell, Schedule, _validate_queue
 from dqcsched.workload import (
     CIRCUIT_KINDS,
     QUBIT_SIZES,
@@ -90,6 +90,12 @@ def schedule_of(rows) -> Schedule:
         for add, value in zip(appenders, row, strict=True):
             add(value)
     return schedule
+
+
+def cell_of(schedules) -> Cell:
+    """The cell of ``schedules``, one a queue: their rows in turn."""
+    return Cell.of(schedule_of(row for s in schedules for row in schedule_rows(s)),
+                   [len(s) for s in schedules])
 
 
 def schedule_rows(schedule: Schedule) -> list[tuple]:
@@ -249,8 +255,39 @@ def schedule_on(agent: PpoAgent, queue, network: Network, exec_params: ExecModel
     """``agent.schedule`` of ``queue`` on another network: the queue check,
     the argmax rollout on the network's nodes, then the placement."""
     _validate_queue(queue, network)
-    stages = agent._rollouts([queue], network.n_nodes, None)[0][0]
-    return agent.build_schedule(queue, stages, node_selection, network, exec_params)
+    stages = rollout_stages(agent._rollouts([queue], network.n_nodes, None), [len(queue)])[0]
+    return place_rows(agent, queue, stages, node_selection, network, exec_params)
+
+
+def rollout_stages(arrays, lengths) -> list[list[list[int]]]:
+    """Each episode's stages, lists of its picks' queue rows, from the pick
+    arrays of a rollout of queues of ``lengths`` (actions at 2, stage-opening
+    flags at 5), one stage from each opening pick to the next."""
+    picks, opens = arrays[2].tolist(), arrays[5].tolist()
+    episodes, at = [], 0
+    for n in lengths:
+        stages: list[list[int]] = []
+        for k in range(at, at + n):
+            if opens[k]:
+                stages.append([])
+            stages[-1].append(picks[k])
+        episodes.append(stages)
+        at += n
+    return episodes
+
+
+def place_rows(agent: PpoAgent, queue, stages, node_selection: bool,
+               network: Network | None = None, exec_params: ExecModelParams | None = None
+               ) -> Schedule:
+    """``agent.build_schedule`` of one queue's ``stages``, lists of queue rows
+    (on the agent's network and parameters unless given), as its Schedule."""
+    rows = [r for picks in stages for r in picks]
+    sizes = np.array([len(picks) for picks in stages], dtype=int)
+    opened = np.zeros(len(rows), dtype=bool)
+    opened[np.cumsum(sizes) - sizes] = True
+    return agent.build_schedule([queue[r] for r in rows], opened, [len(rows)], node_selection,
+                                network or agent.network, exec_params or agent.exec_params
+                                ).schedule()
 
 
 def reference_build_network(n_nodes: int, qpu_capacity: int,

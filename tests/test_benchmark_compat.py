@@ -79,10 +79,10 @@ def test_traced_ppo_train_and_run_report_every_ppo_metric(tmp_path):
     assert counts["ppo.train.calls"] == 1 and counts["ppo.ppo_update.calls"] == 1
     # Training places the stages of a whole window (205 episodes) in one call,
     # and rewards them in one. The run places each cell's queues from one
-    # lockstep rollout, not through PpoAgent.schedule: 3 slots for each of ppo
-    # and ppo-ns. Every queue holds 5 jobs, and an episode picks once a step;
-    # ppo and ppo-ns place the stages of one shared rollout.
-    assert counts["ppo.build_schedule.calls"] == 1 + 6 and counts["cli.main.calls"] == 2
+    # lockstep rollout in one call, not through PpoAgent.schedule: one cell
+    # each of ppo and ppo-ns. Every queue holds 5 jobs, and an episode picks
+    # once a step; ppo and ppo-ns place the picks of one shared rollout.
+    assert counts["ppo.build_schedule.calls"] == 1 + 2 and counts["cli.main.calls"] == 2
     assert counts["ppo.episode_reward.calls"] == 1  # one reward call per window
     assert counts["ppo.select_stage.calls"] == 5 + 5
     assert counts["ppo.schedule.calls"] == counts["ppo.rollout.calls"] == 0

@@ -195,7 +195,8 @@ class TestRunExperiment:
                           for _ in range(config.n_slots)]
                 for name in config.schedulers:
                     run = harness.get_scheduler(name)
-                    per_slot = [metrics.compute_report(run(q, net, params), config.n_nodes)
+                    per_slot = [metrics.compute_report(run([q], net, params).schedule(),
+                                                       config.n_nodes)
                                 if q else None for q in queues]
                     for f in METRIC_FIELDS:
                         expected[f] += [None if r is None else getattr(r, f) for r in per_slot]

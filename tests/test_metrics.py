@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (homogeneous_network, make_job, make_rng, schedule_of, schedule_rows,
-                      unit_exec_params)
+from conftest import (cell_of, homogeneous_network, make_job, make_rng, schedule_of,
+                      schedule_rows, unit_exec_params)
 from dqcsched.metrics import EmptyScheduleError, compute_report, metric_columns
 from dqcsched.schedulers import Schedule, fifo_schedule
 
@@ -58,7 +58,7 @@ def oracle_columns(cell, n_qpu):
 
 
 def assert_columns_match_oracle(cell, n_qpu):
-    *columns, elp = metric_columns(cell, n_qpu)
+    *columns, elp = metric_columns(cell_of(cell), n_qpu)
     *expected, expected_elp = oracle_columns(cell, n_qpu)
     assert repr(columns) == repr(expected)
     assert repr(elp.tolist()) == repr(expected_elp)
@@ -292,13 +292,13 @@ class TestCellReduction:
     def test_non_positive_latency_raises(self, cell, at):
         bad = schedule_of([(7, (0,), 0, 0, 0)])
         with pytest.raises(ValueError, match="job 7 has non-positive latency 0"):
-            metric_columns(cell[:at] + [bad] + cell[at:], 6)
+            metric_columns(cell_of(cell[:at] + [bad] + cell[at:]), 6)
 
     @PROPERTY
     @given(cell=CELLS, at=st.integers(0, 12))
     def test_empty_schedule_in_cell_raises(self, cell, at):
         with pytest.raises(EmptyScheduleError):
-            metric_columns(cell[:at] + [Schedule()] + cell[at:], 6)
+            metric_columns(cell_of(cell[:at] + [Schedule()] + cell[at:]), 6)
 
     def test_event_keys_beyond_int64_raise(self):
         """The events sort on slot * span + (time - earliest): a cell whose
@@ -306,14 +306,14 @@ class TestCellReduction:
         def far(finish):
             return schedule_of([(0, (0,), 0, finish, 0)])
 
-        columns = metric_columns([far(2**62 - 1), far(2**62 - 1)], 6)
+        columns = metric_columns(cell_of([far(2**62 - 1), far(2**62 - 1)]), 6)
         assert columns[0] == [2**62 - 1] * 2
         with pytest.raises(ValueError, match=f"above the int64 bound {2**63 - 1}"):
-            metric_columns([far(2**62), far(1)], 6)
+            metric_columns(cell_of([far(2**62), far(1)]), 6)
 
     def test_empty_cell_has_no_reports(self):
-        assert metric_columns([], 6)[:7] == ([],) * 7
-        assert metric_columns([], 6)[7].size == 0
+        assert metric_columns(cell_of([]), 6)[:7] == ([],) * 7
+        assert metric_columns(cell_of([]), 6)[7].size == 0
 
     def test_n_qpu_must_be_positive(self):
         with pytest.raises(ValueError, match="n_qpu"):

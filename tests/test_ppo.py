@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (default_catalog, homogeneous_network, make_job, make_rng,
-                      reference_epr_reward, reference_stage_latencies, row_latencies, row_reward,
-                      schedule_on, schedule_rows, stage_ids, stage_rows, unit_exec_params)
+from conftest import (default_catalog, homogeneous_network, make_job, make_rng, place_rows,
+                      reference_epr_reward, reference_stage_latencies, rollout_stages,
+                      row_latencies, row_reward, schedule_on, schedule_rows, stage_ids,
+                      stage_rows, unit_exec_params)
 from dqcsched.nn import Adam, Mlp, bind, masked_softmax
 from dqcsched.ppo import (
     DISCOUNT,
@@ -629,7 +630,8 @@ class TestSelectStageMatchesReference:
             sample = bool(case % 2)
             start = agent.action_rng.bit_generator.state
             draws = agent.action_rng.random(sum(map(len, queues))) if sample else None
-            ours, arrays = agent._rollouts(queues, n_max, draws)
+            arrays = agent._rollouts(queues, n_max, draws)
+            ours = rollout_stages(arrays, [len(q) for q in queues])
             after = agent.action_rng.bit_generator.state
             agent.action_rng.bit_generator.state = start
             theirs = [self.reference_rollout(agent, jobs, n_max, sample) for jobs in queues]
@@ -944,7 +946,7 @@ class TestPpoSchedule:
         agent = small_agent()
         jobs = [make_job(0, 4, 10), make_job(1, 3, 10)]
         with pytest.raises(SchedulingError, match="job 1: stage exceeds free nodes"):
-            agent.build_schedule(jobs, [[0, 1]], node_selection, agent.network, PARAMS)
+            place_rows(agent, jobs, [[0, 1]], node_selection)
 
     def test_job_wider_than_network_rejected_not_dropped(self):
         """The rollout rejects a job no stage can hold with FIFO's error,

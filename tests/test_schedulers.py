@@ -9,8 +9,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    MIXES,
     default_catalog,
     homogeneous_network,
     make_job,
@@ -26,7 +29,7 @@ from conftest import (
     weighted_network,
 )
 from dqcsched import execmodel, schedulers
-from dqcsched.execmodel import ExecModelParams, estimate_execution_time
+from dqcsched.execmodel import EPR_POLICIES, ExecModelParams, estimate_execution_time
 from dqcsched.netmodel import LINK_PRESETS, LinkProfile, build_network
 from dqcsched.ppo import PpoAgent, PpoConfig
 from dqcsched.schedulers import (
@@ -45,6 +48,7 @@ from dqcsched.schedulers import (
 )
 
 PARAMS = unit_exec_params()
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def job_times(schedule):
@@ -291,10 +295,11 @@ class TestDurationMemo:
         assert [self.n_entries(net) for net in nets] == [2, 2]
 
     def test_wrong_length_rejected_on_warm_memo(self):
-        """Jobs of one price key but two demands never share an entry: a
-        pick's length is its job's demand, so each demand keys its own node
-        tuples. A tuple of the wrong length reaches only the exec model,
-        which raises, warm table or not."""
+        """Jobs of one price key but two demands share the staged span
+        table's entry of a first node: block a of either runs on node first
+        + a, so their prices agree. The flat table and ASAP's pick table key
+        each demand's own node tuples, so a tuple of the wrong length reaches
+        only the exec model, which raises, warm table or not."""
         net = homogeneous_network(4, 3, "good")
         wide, narrow = make_job(0, 3, 10), make_job(1, 2, 10)
         assert wide.price_key == narrow.price_key
@@ -302,6 +307,12 @@ class TestDurationMemo:
             schedule = fifo_schedule(queue, net, PARAMS)
             assert schedule.assigned_nodes == [tuple(range(j.required_qpus)) for j in queue]
             assert [f - s for s, f in zip(schedule.start_ns, schedule.finish_ns)] == [10, 10]
+        assert net._price_tables[PARAMS.key] == {(wide.price_key, (0, 1, 2)): 10}
+        classes, table = net._span_prices[PARAMS.key]
+        assert classes == {wide.price_key: 0} and table.tolist() == [[10, -1, -1, -1]]
+        for queue in ([wide, narrow], [narrow, wide]):
+            schedule = asap_schedule(queue, net, PARAMS)
+            assert schedule.assigned_nodes == [tuple(range(j.required_qpus)) for j in queue]
         assert net._price_tables[PARAMS.key] == {(wide.price_key, (0, 1, 2)): 10,
                                                  (narrow.price_key, (0, 1)): 10}
         assert all(len(nodes) == d for (_, d), (nodes, _) in net._lowest_picks.items())
@@ -324,7 +335,7 @@ class TestDurationMemo:
         net = build_network(12, 3, self.MIXED, seed=3)
         queue = list(default_catalog(net, PARAMS))[:8]
         for name in SCHEDULER_NAMES:
-            get_scheduler(name)(queue, net, PARAMS)
+            get_scheduler(name)([queue], net, PARAMS)
         agent = PpoAgent(PpoConfig(j_max=8), net, PARAMS, default_catalog(net, PARAMS))
         agent.schedule(queue, node_selection=True)
         del agent
@@ -341,9 +352,10 @@ class TestDurationMemo:
     @pytest.mark.parametrize("policy", ["serial", "per-link-parallel"])
     def test_schedulers_share_one_call_per_class_and_nodes(self, counted, policy):
         """All six schedulers on one network: lowest-id and selected picks
-        share the price table, so the exec model is called once per distinct
-        (price key, nodes) the placements hold, and every duration is its
-        answer."""
+        share the flat price table, which also fills the staged span table,
+        so the exec model is called at most once per distinct (price key,
+        nodes) the placements hold, each call fills one flat entry, and
+        every duration is its answer."""
         net = build_network(6, 3, self.MIXED, seed=11)
         params = ExecModelParams(epr_serialization=policy)
         catalog = default_catalog(net, params)
@@ -353,17 +365,20 @@ class TestDurationMemo:
             queue = [dataclasses.replace(catalog[k], id=i)
                      for i, k in enumerate(rng.integers(0, len(catalog), size=8))]
             for name in SCHEDULER_NAMES:
-                schedule = get_scheduler(name)(queue, net, params)
+                schedule = get_scheduler(name)([queue], net, params).schedule()
                 for job_id, nodes, start, finish, _ in schedule_rows(schedule):
                     job = queue[job_id]
                     assert finish - start == estimate_execution_time(job, nodes, net, params)
                     placed.add((job.price_key, nodes))
-        assert len(counted) == len(placed) == self.n_entries(net)
+        calls = {(job.price_key, tuple(nodes)) for job, nodes, *_ in counted}
+        assert len(counted) == len(calls) == self.n_entries(net) <= len(placed)
+        assert calls <= placed
 
     def test_fifo_and_asap_share_pick_and_price_entries(self, counted):
         """A queue that fits one stage places alike under FIFO and ASAP, and
-        whichever runs second finds every pick and price in the tables the
-        first filled: no new entry, no exec-model call, no node selection."""
+        whichever runs second finds every price in the flat table the first
+        filled: no new flat entry, no exec-model call, no node selection.
+        Only ASAP fills the lowest-ids pick table; FIFO's nodes are spans."""
         catalog = default_catalog(build_network(6, 3, self.MIXED, seed=5), PARAMS,
                                   qubit_sizes=(5, 10))
         queue = [dataclasses.replace(catalog[k], id=i) for i, k in enumerate((-1, 0))]
@@ -372,11 +387,12 @@ class TestDurationMemo:
             net = build_network(6, 3, self.MIXED, seed=5)
             placed = first(queue, net, PARAMS).assigned_nodes
             assert placed == [(0, 1, 2, 3), (4, 5)]
-            tables = dict(net._lowest_picks), dict(net._price_tables[PARAMS.key])
-            assert len(tables[0]) == len(tables[1]) == len(counted) == 2
+            prices = dict(net._price_tables[PARAMS.key])
+            assert len(prices) == len(counted) == 2
             assert second(queue, net, PARAMS).assigned_nodes == placed
-            assert (net._lowest_picks, net._price_tables[PARAMS.key]) == tables
+            assert net._price_tables[PARAMS.key] == prices
             assert len(counted) == 2 and net._selection_memo == {}
+            assert sorted(nodes for nodes, _ in net._lowest_picks.values()) == sorted(placed)
             counted.clear()
 
     def test_lowest_pick_oracle_on_every_mask(self):
@@ -397,6 +413,152 @@ class TestDurationMemo:
         assert len(net._lowest_picks) == sum(
             1 for free in range(1 << 8) for d in range(1, free.bit_count() + 1))
         assert net._selection_memo == {}
+
+
+def first_fit_bins(queue, n_nodes):
+    """First-fit bin packing in queue order: each job joins the first bin
+    whose remaining nodes hold it, or opens a bin of ``n_nodes``."""
+    bins, room = [], []
+    for job in queue:
+        k = next((k for k, left in enumerate(room) if job.required_qpus <= left), len(bins))
+        if k == len(bins):
+            bins.append([])
+            room.append(n_nodes)
+        bins[k].append(job.id)
+        room[k] -= job.required_qpus
+    return bins
+
+
+@PROPERTY
+@given(n_nodes=st.integers(2, 12), data=st.data())
+def test_list_stages_are_first_fit_bins(n_nodes, data):
+    """LIST's stages, each in placement order, are the first-fit bins of the
+    queue: a job joins the first stage whose remaining nodes hold it."""
+    demands = data.draw(st.lists(st.integers(1, n_nodes), max_size=14))
+    queue = [make_job(i, d, 10 + i % 3) for i, d in enumerate(demands)]
+    schedule = list_schedule(queue, homogeneous_network(n_nodes, 3), PARAMS)
+    assert [[row[0] for row in stage] for stage in stage_rows(schedule)] == \
+        first_fit_bins(queue, n_nodes)
+
+
+@st.composite
+def staged_cells(draw):
+    """(network, queues of job stages): a mixed ``build_network`` of 2-12
+    nodes and 1-4 queues of catalog jobs that fit it, cut into stages of at
+    most the network's nodes, each job under its queue's next id."""
+    n_nodes = draw(st.integers(2, 12))
+    network = build_network(n_nodes, 3, draw(st.sampled_from(MIXES)),
+                            seed=draw(st.integers(0, 30)))
+    catalog = [job for job in default_catalog(network, PARAMS) if job.required_qpus <= n_nodes]
+    queues = []
+    for _ in range(draw(st.integers(1, 4))):
+        picks = draw(st.lists(st.integers(0, len(catalog) - 1), max_size=10))
+        stages, room = [], 0
+        for i, k in enumerate(picks):
+            job = dataclasses.replace(catalog[k], id=i)
+            if job.required_qpus > room or draw(st.booleans()):
+                stages.append([])
+                room = n_nodes
+            stages[-1].append(job)
+            room -= job.required_qpus
+        queues.append(stages)
+    return network, queues
+
+
+def walked_placement(queues, network, node_selection):
+    """Each queue's (job id, nodes, start, finish, stage) rows as the per-job
+    loop placed them: a stage picks through ``_pick`` from the full mask and
+    starts at its queue's previous stage's latest finish, or at 0; every
+    duration is a direct exec-model call."""
+    rows = []
+    for stages in queues:
+        barrier = 0
+        for stage, jobs in enumerate(stages):
+            free, end = (1 << network.n_nodes) - 1, barrier
+            for job in jobs:
+                nodes, free = schedulers._pick(job, free, network, node_selection)
+                finish = barrier + estimate_execution_time(job, nodes, network, PARAMS)
+                rows.append((job.id, nodes, barrier, finish, stage))
+                end = max(end, finish)
+            barrier = end
+    return rows
+
+
+def engine_rows(cell):
+    return schedule_rows(cell.schedule())
+
+
+class TestStageEngine:
+    """``_place_stages`` against the per-job walk it replaced, and its tables."""
+
+    @PROPERTY
+    @given(env=staged_cells(), node_selection=st.booleans())
+    def test_span_nodes_and_barriers_equal_the_pick_walk(self, env, node_selection):
+        """A whole cell in one call: job k's span D_k .. D_k + d_k - 1 is the
+        lowest-ids pick from a full mask, each queue's barriers start at 0,
+        and each price is a direct call, on both EPR policies in turn."""
+        network, queues = env
+        want = walked_placement(queues, network, node_selection)
+        for policy in EPR_POLICIES:  # the second policy meets a warm selection memo
+            params = dataclasses.replace(PARAMS, epr_serialization=policy)
+            cell = schedulers._place_queues(queues, network, params, node_selection)
+            assert cell.counts.tolist() == [sum(map(len, stages)) for stages in queues]
+            if policy == "serial":
+                assert engine_rows(cell) == want
+            else:
+                assert [row[:2] + row[4:] for row in engine_rows(cell)] == \
+                    [row[:2] + row[4:] for row in want]
+
+    @PROPERTY
+    @given(env=staged_cells())
+    def test_every_span_entry_equals_a_direct_call(self, env):
+        """Every filled entry of the dense table, by (price class, first
+        node), is the exec model's price of each job of that class on the
+        span from that node; no two price keys share a class."""
+        network, queues = env
+        jobs = {job.price_key: job for stages in queues for jobs in stages for job in jobs}
+        for policy in EPR_POLICIES:
+            params = dataclasses.replace(PARAMS, epr_serialization=policy)
+            schedulers._place_queues(queues, network, params)
+            schedulers._place_queues(queues[::-1], network, params)
+            classes, table = network._span_prices[params.key]
+            assert classes.keys() == jobs.keys() and len(set(classes.values())) == len(classes)
+            assert table.shape == (len(classes), network.n_nodes)
+            for key, c in classes.items():
+                d = jobs[key].required_qpus
+                for f in range(network.n_nodes):
+                    if table[c, f] >= 0:
+                        assert f + d <= network.n_nodes
+                        assert table[c, f] == estimate_execution_time(
+                            jobs[key], range(f, f + d), network, params)
+
+    @pytest.mark.parametrize("node_selection", [False, True])
+    def test_overfull_stage_keeps_its_error(self, node_selection):
+        net = homogeneous_network(4, 3, "good")
+        jobs = [make_job(0, 1, 10), make_job(1, 4, 10), make_job(2, 3, 10)]
+        with pytest.raises(SchedulingError, match="^job 2: stage exceeds free nodes$"):
+            schedulers._place_stages(jobs, np.array([0, 1]), [1, 2], net, PARAMS,
+                                     node_selection)
+        with pytest.raises(SchedulingError, match="^job 1: stage exceeds free nodes$"):
+            schedulers._place_queues([[jobs[:2]]], net, PARAMS, node_selection)
+
+    def test_empty_stage_keeps_its_error(self):
+        net = homogeneous_network(4, 3, "good")
+        message = "^stage 1 is empty: a queued job is wider than the network's 4 nodes$"
+        with pytest.raises(SchedulingError, match=message):
+            schedulers._place_queues([[[make_job(0, 1, 10)]], [[make_job(0, 2, 10)], []]],
+                                     net, PARAMS)
+        wide = [make_job(0, 5, 10)]
+        with pytest.raises(SchedulingError, match=message.replace("1", "0")):
+            get_scheduler("list")([wide], net, PARAMS)
+
+    def test_empty_cell_and_empty_queues(self):
+        net = homogeneous_network(4, 3, "good")
+        cell = schedulers._place_queues([[], [[make_job(0, 2, 10)]], []], net, PARAMS)
+        assert cell.counts.tolist() == [0, 1, 0]
+        assert engine_rows(cell) == [(0, (0, 1), 0, 10, 0)]
+        cell = schedulers._place_queues([], net, PARAMS)
+        assert cell.counts.size == cell.job_id.size == cell.start_ns.size == 0
 
 
 class TestEpr:
@@ -718,8 +880,8 @@ def test_invariants_and_determinism_random_queues(name, fn):
 @pytest.mark.parametrize("name", SCHEDULER_NAMES)
 def test_registry_resolves_every_name(name, good_network):
     queue = [make_job(0, 2, 10, epr=1)]
-    schedule = get_scheduler(name)(queue, good_network, PARAMS)
-    assert len(schedule) == 1
+    cell = get_scheduler(name)([queue, [], queue], good_network, PARAMS)
+    assert cell.counts.tolist() == [1, 0, 1] and cell.job_id.tolist() == [0, 0]
 
 
 def test_unknown_scheduler_name():
@@ -741,7 +903,7 @@ def test_unchecked_scheduler_rejects_a_job_wider_than_the_network(name):
     signal.alarm(10)
     try:
         with pytest.raises(SchedulingError, match="job 1: requires 5 QPUs|wider than"):
-            get_scheduler(name)(queue, homogeneous_network(4, 3, "good"), PARAMS)
+            get_scheduler(name)([queue], homogeneous_network(4, 3, "good"), PARAMS)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

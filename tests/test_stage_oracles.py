@@ -17,7 +17,8 @@ verbatim copy of ``_max_demand_subset`` from before the search took its
 state as arguments, so the loop oracle does not check the search against
 itself. Every test compares the library's schedule with the reference's
 column for column, or both errors word for word, on hypothesis-drawn queues
-and networks.
+and networks; the library places a one-queue cell, and ``build_schedule``
+a queue's stages of rows through ``place_rows`` (``conftest.py``).
 
 PPO training has its own oracle: ``reference_train``, the sequential
 episode loop that lockstep rollouts replaced, with the ``rollout``,
@@ -30,8 +31,10 @@ net) and ``Mlp.forward``/``backward`` it ran on, also verbatim. Edits:
 ``encode_state``'s matrix, and ``reference_rollout`` marks the padding rows
 itself, since ``encode_state`` returns neither; ``reference_train`` takes a
 number of updates and runs ceil(update_every / j_max) episodes for each, as
-the library's ``train`` does, passes the agent's network and parameters to
-``build_schedule``, which requires them, and rewards each episode by
+the library's ``train`` does, places each episode's stages of queue rows
+through ``place_rows`` (``conftest.py``), ``build_schedule`` on the
+agent's network and parameters, where it called ``build_schedule`` with
+them, and rewards each episode by
 ``reference_epr_reward`` (``conftest.py``) on its demands and placed
 durations in pick order, where it called ``episode_reward`` on one episode,
 which that method no longer takes; the copied functions call one another where
@@ -54,6 +57,7 @@ from conftest import (
     MIXES,
     default_catalog,
     make_job,
+    place_rows,
     reference_epr_reward,
     reference_pricer,
     reference_select_nodes,
@@ -495,8 +499,7 @@ def reference_train(self, updates: int, bias_alpha: float = 0.0) -> list[TrainLo
     for _ in range(episodes):
         queue = workload.generate_slot_jobs(wcfg, self.env_rng)
         stages, transitions = reference_rollout(self, queue, sample=True)
-        schedule = self.build_schedule(queue, stages, node_selection, self.network,
-                                       self.exec_params)
+        schedule = place_rows(self, queue, stages, node_selection)
         durations = iter(np.subtract(schedule.finish_ns, schedule.start_ns, dtype=float).tolist())
         _, reward = reference_epr_reward([[(float(queue[r].nonlocal_gates), next(durations))
                                            for r in picks] for picks in stages],
@@ -531,9 +534,10 @@ def reference_train(self, updates: int, bias_alpha: float = 0.0) -> list[TrainLo
 
 def run_checked(name, queue, network, params):
     """``name``'s schedule as the run path makes it: the queue check, then the
-    unchecked scheduler that ``get_scheduler`` returns."""
+    unchecked scheduler that ``get_scheduler`` returns, on a cell of that
+    one queue."""
     _validate_queue(queue, network)
-    return get_scheduler(name)(queue, network, params)
+    return get_scheduler(name)([queue], network, params).schedule()
 
 
 def outcome(run):
@@ -636,11 +640,11 @@ def test_ppo_build_schedule_matches_reference_loop(env, data, node_selection):
     cuts = sorted(data.draw(st.sets(st.integers(1, len(rows) - 1)))) if len(rows) > 1 else []
     stages = [list(rows[a:b]) for a, b in zip([0, *cuts], [*cuts, len(rows)]) if a < b]
     agent = PpoAgent(PpoConfig(j_max=12), network, params, default_catalog(network, params))
-    got = outcome(lambda: agent.build_schedule(queue, stages, node_selection, network, params))
+    got = outcome(lambda: place_rows(agent, queue, stages, node_selection, network, params))
     assert got == outcome(lambda: reference_build_schedule(
         agent, queue, stages, node_selection))
     other = build_network(network.n_nodes, 3, MIXES[1], seed=99)
-    assert outcome(lambda: agent.build_schedule(queue, stages, node_selection, other, params)) \
+    assert outcome(lambda: place_rows(agent, queue, stages, node_selection, other, params)) \
         == outcome(lambda: reference_build_schedule(agent, queue, stages, node_selection,
                                                     other, params))
 
@@ -664,8 +668,8 @@ def test_every_scheduler_prices_as_the_reference_on_shared_tables(env):
             continue  # the rollout rejects the queue, as every scheduler did above
         stages, _ = agent.rollout(queue)
         for node_selection in (False, True):
-            assert outcome(lambda: agent.build_schedule(
-                queue, stages, node_selection, network, params)) == \
+            assert outcome(lambda: place_rows(
+                agent, queue, stages, node_selection, network, params)) == \
                 outcome(lambda: reference_build_schedule(agent, queue, stages, node_selection))
 
 
