@@ -13,7 +13,7 @@ from .netmodel import (
     state_delay,
 )
 from .schedulers import (
-    Schedule,
+    Cell,
     SchedulingError,
     asap_schedule,
     epr_schedule,

@@ -21,7 +21,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .schedulers import Cell, Schedule
+from .schedulers import Cell
 
 INT64_MAX = int(np.iinfo(np.int64).max)  # the largest event key of a cell's sort
 
@@ -116,8 +116,9 @@ def metric_columns(cell: Cell, n_qpu: int):
             t_overlap, t_max, elp)
 
 
-def compute_report(schedule: Schedule, n_qpu: int) -> MetricsReport:
-    """All five metrics for one schedule."""
-    cell = Cell.of(schedule, [len(schedule)])
+def compute_report(cell: Cell, n_qpu: int) -> MetricsReport:
+    """All five metrics for a cell of one queue."""
+    if len(cell.counts) != 1:
+        raise ValueError(f"compute_report takes a cell of one queue, got {len(cell.counts)}")
     (m,), (u,), (d,), (s,), (f,), (o,), (tm,), elp = metric_columns(cell, n_qpu)
     return MetricsReport(m, u, d, tuple(elp.tolist()), s, f, o, tm)

@@ -21,7 +21,7 @@ from . import workload
 from .execmodel import ExecModelParams
 from .netmodel import Network
 from .nn import Adam, Mlp, bind, masked_softmax
-from .schedulers import Cell, Schedule, _place_stages, _validate_queue
+from .schedulers import Cell, _place_stages, _validate_queue
 
 REWARD_VARIANTS = ("plain", "node_selection")
 _PROB_SUM_TOL = math.sqrt(np.finfo(float).eps)  # Generator.choice's tolerance
@@ -344,14 +344,14 @@ class PpoAgent:
         return _place_stages(jobs, np.flatnonzero(opened), counts, network, exec_params,
                              node_selection)
 
-    def schedule(self, queue, node_selection: bool | None = None) -> Schedule:
-        """Deterministic (argmax) scheduling of one queue."""
+    def schedule(self, queue, node_selection: bool | None = None) -> Cell:
+        """Deterministic (argmax) scheduling of one queue, as its cell."""
         if node_selection is None:
             node_selection = self.config.reward_variant == "node_selection"
         _validate_queue(queue, self.network)
         _, _, action, _, _, opened = self._rollouts([queue], self.network.n_nodes, None)
         return self.build_schedule([queue[a] for a in action.tolist()], opened, [len(queue)],
-                                   node_selection, self.network, self.exec_params).schedule()
+                                   node_selection, self.network, self.exec_params)
 
     def episode_reward(self, demand: np.ndarray, duration: np.ndarray,
                        opened: np.ndarray) -> np.ndarray:

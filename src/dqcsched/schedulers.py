@@ -35,34 +35,11 @@ class SchedulingError(Exception):
         self.job_id = job_id
 
 
-class Schedule:
-    """Scheduler output as five parallel columns, one entry per job in
-    placement order: job id, node tuple, start, finish and stage."""
-
-    __slots__ = ("job_id", "assigned_nodes", "start_ns", "finish_ns", "stage_index")
-
-    def __init__(self):
-        self.job_id, self.assigned_nodes, self.start_ns, self.finish_ns, self.stage_index = (
-            [], [], [], [], [])
-
-    def __len__(self) -> int:
-        return len(self.job_id)
-
-    def makespan_ns(self) -> int:
-        return max(self.finish_ns) - min(self.start_ns) if self.job_id else 0
-
-    def appenders(self) -> tuple:
-        """The ``append`` of each column, in column order: what a scheduler
-        places a job through."""
-        return (self.job_id.append, self.assigned_nodes.append, self.start_ns.append,
-                self.finish_ns.append, self.stage_index.append)
-
-
 class Cell(NamedTuple):
-    """A cell's placements as flat int64 columns, queue after queue, each
-    queue's in placement order: job id, first node, width, start, finish and
-    stage; each queue's placement count; and the node tuples, or None where
-    job k holds the ``width[k]`` ids from ``first[k]`` on."""
+    """Every scheduler's output: a cell's placements as flat int64 columns,
+    queue after queue, each queue's in placement order: job id, first node,
+    width, start, finish and stage; each queue's placement count; and the node
+    tuples, or None where job k holds the ``width[k]`` ids from ``first[k]`` on."""
 
     job_id: np.ndarray
     first: np.ndarray | None
@@ -72,24 +49,6 @@ class Cell(NamedTuple):
     stage_index: np.ndarray
     counts: np.ndarray
     nodes: list | None
-
-    @classmethod
-    def of(cls, schedule: Schedule, counts) -> Cell:
-        """The cell of ``schedule``'s rows, queues of ``counts`` rows."""
-        job_id, start, finish, stage = (np.array(c, dtype=np.int64) for c in (
-            schedule.job_id, schedule.start_ns, schedule.finish_ns, schedule.stage_index))
-        width = np.fromiter(map(len, schedule.assigned_nodes), np.int64, len(schedule))
-        return cls(job_id, None, width, start, finish, stage, np.array(counts, dtype=np.int64),
-                   schedule.assigned_nodes)
-
-    def schedule(self) -> Schedule:
-        """The cell's rows as one Schedule: a one-queue cell's schedule."""
-        schedule = Schedule()
-        schedule.job_id, schedule.start_ns, schedule.finish_ns, schedule.stage_index = (
-            c.tolist() for c in (self.job_id, self.start_ns, self.finish_ns, self.stage_index))
-        schedule.assigned_nodes = self.nodes if self.nodes is not None else [
-            tuple(range(f, f + w)) for f, w in zip(self.first.tolist(), self.width.tolist())]
-        return schedule
 
 
 def _validate_queue(queue, network: Network) -> None:
@@ -102,13 +61,14 @@ def _validate_queue(queue, network: Network) -> None:
 
 
 def _checked(core):
-    """``core``, a scheduler of a cell's (queues, network, ...), as the
-    scheduler of one queue's Schedule behind the queue check;
-    ``get_scheduler`` hands out the unchecked ``core``, its ``__wrapped__``."""
+    """``core``, a scheduler of a cell's (queues, network, ...), behind the
+    check of every queue; ``get_scheduler`` hands out the unchecked
+    ``core``, its ``__wrapped__``."""
     @functools.wraps(core)
-    def scheduler(queue, network: Network, *args, **kwargs) -> Schedule:
-        _validate_queue(queue, network)
-        return core([queue], network, *args, **kwargs).schedule()
+    def scheduler(queues, network: Network, *args, **kwargs) -> Cell:
+        for queue in queues:
+            _validate_queue(queue, network)
+        return core(queues, network, *args, **kwargs)
     return scheduler
 
 
@@ -413,8 +373,8 @@ def asap_schedule(queues, network: Network, exec_params: ExecModelParams) -> Cel
     """
     prices = network._price_tables.setdefault(exec_params.key, {})
     picks = network._lowest_picks
-    schedule = Schedule()
-    add_id, add_nodes, add_start, add_finish, add_stage = schedule.appenders()
+    ids, placed, starts, finishes, stages = columns = [], [], [], [], []
+    add_id, add_nodes, add_start, add_finish, add_stage = (c.append for c in columns)
     for queue in queues:  # every job of a queue is placed once
         avail = [0] * network.n_nodes
         remaining = list(queue)
@@ -448,7 +408,10 @@ def asap_schedule(queues, network: Network, exec_params: ExecModelParams) -> Cel
                     avail[n] = finish
             remaining = deferred
             stage += 1
-    return Cell.of(schedule, [len(queue) for queue in queues])
+    job_id, start, finish, stage = (np.array(c, dtype=np.int64)
+                                    for c in (ids, starts, finishes, stages))
+    return Cell(job_id, None, np.fromiter(map(len, placed), np.int64, len(placed)), start,
+                finish, stage, np.array([len(queue) for queue in queues], dtype=np.int64), placed)
 
 
 def get_scheduler(name: str):

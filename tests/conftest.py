@@ -18,7 +18,7 @@ from dqcsched.netmodel import (
     build_network,
 )
 from dqcsched.ppo import PpoAgent, reward_columns
-from dqcsched.schedulers import Cell, Schedule, _validate_queue
+from dqcsched.schedulers import Cell, _validate_queue
 from dqcsched.workload import (
     CIRCUIT_KINDS,
     QUBIT_SIZES,
@@ -81,42 +81,52 @@ def reference_catalog(entries, network: Network, exec_params: ExecModelParams
     return tuple(catalog_copies(jobs, range(len(jobs))))
 
 
-def schedule_of(rows) -> Schedule:
-    """A schedule of ``(job_id, nodes, start_ns, finish_ns, stage)`` rows,
-    built through its appenders."""
-    schedule = Schedule()
-    appenders = schedule.appenders()
+def cell_of(rows_per_queue) -> Cell:
+    """The cell of one list of ``(job_id, nodes, start_ns, finish_ns, stage)``
+    rows per queue, queue after queue, with its node tuples."""
+    rows_per_queue = [list(rows) for rows in rows_per_queue]
+    rows = [row for rows in rows_per_queue for row in rows]
+    job_id, nodes, start, finish, stage = map(list, zip(*rows)) if rows else ([],) * 5
+    job_id, width, start, finish, stage, counts = (np.array(c, dtype=np.int64) for c in (
+        job_id, list(map(len, nodes)), start, finish, stage, list(map(len, rows_per_queue))))
+    return Cell(job_id, None, width, start, finish, stage, counts, nodes)
+
+
+def schedule_rows(cell: Cell) -> list[tuple]:
+    """A cell's ``(job_id, nodes, start_ns, finish_ns, stage)`` rows, queue
+    after queue, each queue's in placement order; the node tuples are
+    ``cell.nodes`` or the ``width`` ids from ``first`` on."""
+    nodes = cell.nodes if cell.nodes is not None else [
+        tuple(range(f, f + w)) for f, w in zip(cell.first.tolist(), cell.width.tolist())]
+    return list(zip(cell.job_id.tolist(), nodes, cell.start_ns.tolist(),
+                    cell.finish_ns.tolist(), cell.stage_index.tolist()))
+
+
+def queue_rows(cell: Cell) -> list[list[tuple]]:
+    """Each queue's rows of a cell, cut by its ``counts``."""
+    rows, ends = schedule_rows(cell), np.cumsum(cell.counts).tolist()
+    return [rows[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def makespans(cell: Cell) -> list[int]:
+    """Each queue's latest finish minus its earliest start, 0 for no jobs."""
+    return [max(r[3] for r in rows) - min(r[2] for r in rows) if rows else 0
+            for rows in queue_rows(cell)]
+
+
+def stage_rows(cell: Cell) -> list[list[tuple]]:
+    """A one-queue cell's rows grouped by stage, stage 0 first, each group in
+    placement order."""
+    rows = schedule_rows(cell)
+    grouped: list[list[tuple]] = [[] for _ in range(max((r[4] for r in rows), default=-1) + 1)]
     for row in rows:
-        for add, value in zip(appenders, row, strict=True):
-            add(value)
-    return schedule
-
-
-def cell_of(schedules) -> Cell:
-    """The cell of ``schedules``, one a queue: their rows in turn."""
-    return Cell.of(schedule_of(row for s in schedules for row in schedule_rows(s)),
-                   [len(s) for s in schedules])
-
-
-def schedule_rows(schedule: Schedule) -> list[tuple]:
-    """A schedule's ``(job_id, nodes, start_ns, finish_ns, stage)`` rows, in
-    placement order."""
-    return list(zip(schedule.job_id, schedule.assigned_nodes, schedule.start_ns,
-                    schedule.finish_ns, schedule.stage_index))
-
-
-def stage_rows(schedule: Schedule) -> list[list[tuple]]:
-    """A schedule's rows grouped by stage, stage 0 first, each group in
-    placement order."""
-    grouped: list[list[tuple]] = [[] for _ in range(max(schedule.stage_index, default=-1) + 1)]
-    for row in schedule_rows(schedule):
         grouped[row[4]].append(row)
     return grouped
 
 
-def stage_ids(schedule: Schedule) -> list[set[int]]:
-    """The job ids of each stage, stage 0 first."""
-    return [{row[0] for row in stage} for stage in stage_rows(schedule)]
+def stage_ids(cell: Cell) -> list[set[int]]:
+    """The job ids of each stage of a one-queue cell, stage 0 first."""
+    return [{row[0] for row in stage} for stage in stage_rows(cell)]
 
 
 def metric_values(table: SlotTable, setting: str, scheduler: str,
@@ -149,11 +159,14 @@ def bootstrap_mean_diff_ci(
     return lo, hi
 
 
-def reference_pricer(schedule, network: Network, params: ExecModelParams):
-    """``Schedule.pricer`` as it was before price tables replaced it, kept as
-    the price oracle for the schedulers' tables. One edit: the memo is a dict
-    of this pricer's own, where it was one per network, so each reference
-    schedule prices every new (params, price key, nodes) afresh.
+def reference_pricer(rows: list, network: Network, params: ExecModelParams):
+    """``Schedule.pricer``, of the five-column type that ``Cell`` replaced, as
+    it was before price tables replaced it, kept as the price oracle for the
+    schedulers' tables. Two edits: the memo is a dict of this pricer's own,
+    where it was one per network, so each reference schedule prices every
+    new (params, price key, nodes) afresh; and each placement is appended to
+    ``rows`` as a ``(job_id, nodes, start_ns, finish_ns, stage)`` row, where
+    it went to five columns.
 
     The step every scheduler places through: ``place(job, nodes,
     start_ns, stage)`` prices ``job`` on ``nodes``, given in ascending id
@@ -161,9 +174,6 @@ def reference_pricer(schedule, network: Network, params: ExecModelParams):
     network by (``params.key``, the job's price key, nodes); a wrong-length
     node tuple always reaches the exec model, which raises."""
     memo, params_key = {}, params.key
-    add_id, add_nodes, add_start, add_finish, add_stage = (
-        schedule.job_id.append, schedule.assigned_nodes.append, schedule.start_ns.append,
-        schedule.finish_ns.append, schedule.stage_index.append)
 
     def place(job, nodes, start_ns: int, stage: int) -> int:
         nodes = tuple(nodes)
@@ -173,11 +183,7 @@ def reference_pricer(schedule, network: Network, params: ExecModelParams):
             duration = memo[key] = execmodel.estimate_execution_time(
                 job, nodes, network, params)
         finish = start_ns + duration
-        add_id(job.id)
-        add_nodes(nodes)
-        add_start(start_ns)
-        add_finish(finish)
-        add_stage(stage)
+        rows.append((job.id, nodes, start_ns, finish, stage))
         return finish
 
     return place
@@ -251,7 +257,7 @@ def row_reward(stages, variant="plain"):
 
 
 def schedule_on(agent: PpoAgent, queue, network: Network, exec_params: ExecModelParams,
-                node_selection: bool = False) -> Schedule:
+                node_selection: bool = False) -> Cell:
     """``agent.schedule`` of ``queue`` on another network: the queue check,
     the argmax rollout on the network's nodes, then the placement."""
     _validate_queue(queue, network)
@@ -278,16 +284,15 @@ def rollout_stages(arrays, lengths) -> list[list[list[int]]]:
 
 def place_rows(agent: PpoAgent, queue, stages, node_selection: bool,
                network: Network | None = None, exec_params: ExecModelParams | None = None
-               ) -> Schedule:
+               ) -> Cell:
     """``agent.build_schedule`` of one queue's ``stages``, lists of queue rows
-    (on the agent's network and parameters unless given), as its Schedule."""
+    (on the agent's network and parameters unless given), as its cell."""
     rows = [r for picks in stages for r in picks]
     sizes = np.array([len(picks) for picks in stages], dtype=int)
     opened = np.zeros(len(rows), dtype=bool)
     opened[np.cumsum(sizes) - sizes] = True
     return agent.build_schedule([queue[r] for r in rows], opened, [len(rows)], node_selection,
-                                network or agent.network, exec_params or agent.exec_params
-                                ).schedule()
+                                network or agent.network, exec_params or agent.exec_params)
 
 
 def reference_build_network(n_nodes: int, qpu_capacity: int,

@@ -13,9 +13,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import (bootstrap_mean_diff_ci, default_catalog, homogeneous_network, make_job,
-                      make_rng, metric_values, row_latencies, row_reward, schedule_of,
-                      schedule_rows, stage_ids, unit_exec_params)
+from conftest import (bootstrap_mean_diff_ci, cell_of, default_catalog, homogeneous_network,
+                      make_job, make_rng, makespans, metric_values, queue_rows, row_latencies,
+                      row_reward, schedule_rows, stage_ids, unit_exec_params)
 from dqcsched import harness
 from dqcsched.execmodel import ExecModelParams
 from dqcsched.metrics import compute_report
@@ -101,13 +101,12 @@ def test_criterion_2_metric_oracles():
             dur = int(rng.integers(1, 500))
             entries.append((i, (i % 6,), start, start + dur, 0))
             intervals.append((start, start + dur))
-        schedule = schedule_of(entries)
-        t_overlap = compute_report(schedule, 6).t_overlap_ns
+        t_overlap = compute_report(cell_of([entries]), 6).t_overlap_ns
         ok &= t_overlap == sweep_line_overlap(intervals)
 
         queue = [make_job(i, int(rng.integers(1, 7)), int(rng.integers(1, 100)))
                  for i in range(k)]
-        rep = compute_report(fifo_schedule(queue, net, UNIT), 6)
+        rep = compute_report(fifo_schedule([queue], net, UNIT), 6)
         ok &= 0.0 <= rep.qpu_utilization <= 1.0
         ok &= 0.0 <= rep.nonlocal_gate_density <= 1.0
         product = float(np.prod(rep.elp)) ** (1.0 / len(rep.elp))
@@ -130,28 +129,28 @@ def _trace_fixtures_hold() -> bool:
     net4 = homogeneous_network(4, 3, "good")
     ok = True
     q = [make_job(0, 2, 10), make_job(1, 2, 20), make_job(2, 3, 5)]
-    s = fifo_schedule(q, net4, UNIT)
+    s = fifo_schedule([q], net4, UNIT)
     ok &= {j: (st, f) for j, _, st, f, _ in schedule_rows(s)} == \
         {0: (0, 10), 1: (0, 20), 2: (20, 25)}
-    ok &= s.makespan_ns() == 25
+    ok &= makespans(s) == [25]
 
     q = [make_job(0, 3, 10), make_job(1, 2, 5), make_job(2, 1, 10)]
-    s = list_schedule(q, net4, UNIT)
+    s = list_schedule([q], net4, UNIT)
     ok &= stage_ids(s) == [{0, 2}, {1}]
 
     q = [make_job(0, 2, 10), make_job(1, 2, 20), make_job(2, 3, 5)]
-    s = resource_prioritize_schedule(q, net4, UNIT)
+    s = resource_prioritize_schedule([q], net4, UNIT)
     ok &= stage_ids(s) == [{0, 1}, {2}]
 
     q = [make_job(0, 2, 10, epr=0), make_job(1, 3, 10, epr=1),
          make_job(2, 1, 10, epr=2)]
-    strict = epr_schedule(q, net4, UNIT, strict_order=True)
-    skip = epr_schedule(q, net4, UNIT, strict_order=False)
+    strict = epr_schedule([q], net4, UNIT, strict_order=True)
+    skip = epr_schedule([q], net4, UNIT, strict_order=False)
     ok &= stage_ids(strict)[0] == {0}
     ok &= stage_ids(skip)[0] == {0, 2}
 
     q = [make_job(0, 2, 10), make_job(1, 2, 20), make_job(2, 2, 5)]
-    s = asap_schedule(q, net4, UNIT)
+    s = asap_schedule([q], net4, UNIT)
     ok &= {j: (st, f) for j, _, st, f, _ in schedule_rows(s)} == \
         {0: (0, 10), 1: (0, 20), 2: (10, 15)}
 
@@ -161,13 +160,13 @@ def _trace_fixtures_hold() -> bool:
     return ok
 
 
-def _invariants_hold(queue, schedule, n_nodes) -> bool:
-    if Counter(schedule.job_id) != \
+def _invariants_hold(queue, rows, n_nodes) -> bool:
+    if Counter(row[0] for row in rows) != \
             Counter(j.id for j in queue):
         return False
     by_job = {j.id: j for j in queue}
     per_node = {}
-    for job_id, nodes, start, finish, _ in schedule_rows(schedule):
+    for job_id, nodes, start, finish, _ in rows:
         if len(nodes) != by_job[job_id].required_qpus:
             return False
         for node in nodes:
@@ -204,13 +203,12 @@ def test_criterion_3_scheduler_fixtures_and_invariants():
                      epr=int(rng.integers(0, 25)))
             for i in range(n)
         ])
-    for fn in schedulers:
-        for queue in queues:
-            s1 = fn(queue, net, UNIT)
-            s2 = fn(queue, net, UNIT)
-            if schedule_rows(s1) != schedule_rows(s2) or not _invariants_hold(queue, s1, 5):
-                ok = False
-                break
+    for fn in schedulers:  # each scheduler places every queue as one cell, twice
+        cell = fn(queues, net, UNIT)
+        ok &= schedule_rows(cell) == schedule_rows(fn(queues, net, UNIT))
+        ok &= cell.counts.tolist() == list(map(len, queues))
+        ok &= all(_invariants_hold(queue, rows, 5)
+                  for queue, rows in zip(queues, queue_rows(cell), strict=True))
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 60.0
     assert report("criterion 3 (scheduler fixtures and invariants)", ok,
@@ -237,9 +235,9 @@ def test_criterion_4_list_dominance():
     t0 = time.monotonic()
     net, queues = _dominance_corpus()
     violations = sum(
-        1 for q in queues
-        if list_schedule(q, net, UNIT).makespan_ns()
-        > fifo_schedule(q, net, UNIT).makespan_ns()
+        1 for a, b in zip(makespans(list_schedule(queues, net, UNIT)),
+                          makespans(fifo_schedule(queues, net, UNIT)))
+        if a > b
     )
     elapsed = time.monotonic() - t0
     ok = violations == 0 and elapsed < 60.0
@@ -251,9 +249,9 @@ def test_criterion_4_asap_dominance():
     t0 = time.monotonic()
     net, queues = _dominance_corpus()
     violations = sum(
-        1 for q in queues
-        if asap_schedule(q, net, UNIT).makespan_ns()
-        > fifo_schedule(q, net, UNIT).makespan_ns()
+        1 for a, b in zip(makespans(asap_schedule(queues, net, UNIT)),
+                          makespans(fifo_schedule(queues, net, UNIT)))
+        if a > b
     )
     elapsed = time.monotonic() - t0
     ok = violations == 0 and elapsed < 60.0
@@ -476,8 +474,8 @@ def test_criterion_7_training_sanity():
     trained_ms, untrained_ms = [], []
     for _ in range(100):
         queue = generate_slot_jobs(wcfg, eval_rng)
-        trained_ms.append(agent.schedule(queue).makespan_ns())
-        untrained_ms.append(untrained.schedule(queue).makespan_ns())
+        trained_ms += makespans(agent.schedule(queue))
+        untrained_ms += makespans(untrained.schedule(queue))
     mean_trained = float(np.mean(trained_ms))
     mean_untrained = float(np.mean(untrained_ms))
     not_worse = mean_trained <= mean_untrained

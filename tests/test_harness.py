@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bootstrap_mean_diff_ci, default_catalog, metric_values, schedule_of
+from conftest import bootstrap_mean_diff_ci, cell_of, default_catalog, metric_values
 from dqcsched import cli, harness, metrics, ppo, schedulers, workload
 from dqcsched.configfile import ConfigError, parse_config_text
 from dqcsched.harness import (
@@ -195,8 +195,7 @@ class TestRunExperiment:
                           for _ in range(config.n_slots)]
                 for name in config.schedulers:
                     run = harness.get_scheduler(name)
-                    per_slot = [metrics.compute_report(run([q], net, params).schedule(),
-                                                       config.n_nodes)
+                    per_slot = [metrics.compute_report(run([q], net, params), config.n_nodes)
                                 if q else None for q in queues]
                     for f in METRIC_FIELDS:
                         expected[f] += [None if r is None else getattr(r, f) for r in per_slot]
@@ -209,7 +208,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(metrics.MetricsReport, "__init__", forbidden)
         with pytest.raises(AssertionError, match="run path"):
-            metrics.compute_report(schedule_of([(0, (0,), 0, 10, 0)]), 6)
+            metrics.compute_report(cell_of([[(0, (0,), 0, 10, 0)]]), 6)
         table = run_experiment(TINY)
         assert len(table) == len(TINY.schedulers) * 2 * 8
         assert None not in table.makespan_ns

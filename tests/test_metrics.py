@@ -12,19 +12,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (cell_of, homogeneous_network, make_job, make_rng, schedule_of,
-                      schedule_rows, unit_exec_params)
+from conftest import cell_of, homogeneous_network, make_job, make_rng, unit_exec_params
 from dqcsched.metrics import EmptyScheduleError, compute_report, metric_columns
-from dqcsched.schedulers import Schedule, fifo_schedule
+from dqcsched.schedulers import fifo_schedule
 
 
-def report(entries, n_qpu=4):
-    return compute_report(schedule_of(entries), n_qpu)
+def report(rows, n_qpu=4):
+    """``compute_report`` of the one-queue cell of ``(job_id, nodes, start_ns,
+    finish_ns, stage)`` rows."""
+    return compute_report(cell_of([rows]), n_qpu)
 
 
-def overlap_terms(schedule):
+def overlap_terms(rows):
     """Pairwise overlap time and its ceiling (sum of pairwise duration sums)."""
-    spans = list(zip(schedule.start_ns, schedule.finish_ns))
+    spans = [(s, f) for _, _, s, f, _ in rows]
     t_overlap = 0
     t_max = 0
     for i in range(len(spans)):
@@ -35,12 +36,12 @@ def overlap_terms(schedule):
     return t_overlap, t_max
 
 
-def oracle_report(schedule, n_qpu, slot_arrival_ns=0):
-    """The per-slot reduction, field for field in MetricsReport order."""
-    rows = schedule_rows(schedule)
+def oracle_report(rows, n_qpu, slot_arrival_ns=0):
+    """The per-slot reduction of a slot's rows, field for field in
+    MetricsReport order."""
     makespan = max(f for _, _, _, f, _ in rows) - min(s for _, _, s, _, _ in rows)
     busy = sum((f - s) * len(nodes) for _, nodes, s, f, _ in rows)
-    t_overlap, t_max = overlap_terms(schedule)
+    t_overlap, t_max = overlap_terms(rows)
     elp = [(f - s) / (f - slot_arrival_ns) for _, _, s, f, _ in rows]
     arr = np.asarray(elp)
     selp = float(np.exp(np.mean(np.log(arr))))
@@ -50,9 +51,9 @@ def oracle_report(schedule, n_qpu, slot_arrival_ns=0):
 
 
 def oracle_columns(cell, n_qpu):
-    """The per-slot oracle of each schedule in ``metric_columns``' layout:
-    seven lists of one entry per schedule, then every job's ELP in order."""
-    rows = [oracle_report(schedule, n_qpu) for schedule in cell]
+    """The per-slot oracle of each slot's rows in ``metric_columns``' layout:
+    seven lists of one entry per slot, then every job's ELP in order."""
+    rows = [oracle_report(slot, n_qpu) for slot in cell]
     m, u, d, elp, s, f, o, tm = (list(col) for col in zip(*rows)) if rows else ([],) * 8
     return m, u, d, s, f, o, tm, [e for slot in elp for e in slot]
 
@@ -85,7 +86,7 @@ class TestMakespan:
 
     def test_empty_schedule_is_error(self):
         with pytest.raises(EmptyScheduleError):
-            compute_report(Schedule(), 4)
+            compute_report(cell_of([[]]), 4)
 
 
 class TestQpuUtilization:
@@ -136,10 +137,9 @@ class TestOverlapOracle:
                 dur = int(rng.integers(1, 300))
                 entries.append((i, (i,), start, start + dur, 0))
                 intervals.append((start, start + dur))
-            schedule = schedule_of(entries)
-            rep = compute_report(schedule, 4)
+            rep = report(entries)
             assert rep.t_overlap_ns == sweep_line_overlap(intervals)
-            assert (rep.t_overlap_ns, rep.t_max_ns) == overlap_terms(schedule)
+            assert (rep.t_overlap_ns, rep.t_max_ns) == overlap_terms(entries)
 
 
 class TestElpSelpFairness:
@@ -195,7 +195,7 @@ class TestBoundsOnSchedulerOutput:
                 make_job(i, int(rng.integers(1, 6)), int(rng.integers(1, 100)))
                 for i in range(n)
             ]
-            report = compute_report(fifo_schedule(queue, net, params), 5)
+            report = compute_report(fifo_schedule([queue], net, params), 5)
             assert 0.0 <= report.qpu_utilization <= 1.0
             assert 0.0 <= report.nonlocal_gate_density <= 1.0
             assert all(0.0 < e <= 1.0 for e in report.elp)
@@ -210,7 +210,7 @@ DURATIONS = st.integers(1, 10**9)
 
 @st.composite
 def slot_schedules(draw, n_jobs=st.integers(1, 20)):
-    """A staged (barrier) schedule or an ASAP-like one with free overlaps."""
+    """A staged (barrier) slot's rows or an ASAP-like slot's with free overlaps."""
     n = draw(n_jobs)
     widths = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
     if draw(st.booleans()):
@@ -229,7 +229,7 @@ def slot_schedules(draw, n_jobs=st.integers(1, 20)):
         placements = [(i, tuple(range(w)), s, s + d, 0)
                       for i, (w, s, d) in enumerate(zip(widths, starts, durations))]
     order = draw(st.permutations(range(n)))
-    return schedule_of([placements[k] for k in order])
+    return [placements[k] for k in order]
 
 
 CELLS = st.lists(slot_schedules(), min_size=1, max_size=12)
@@ -251,34 +251,34 @@ def wide_cells(draw):
         starts = rng.integers(0, 10**9, n, endpoint=True).tolist()
         durations = rng.integers(1, 10**9, n, endpoint=True).tolist()
         widths = rng.integers(1, 7, n).tolist()
-        cell.append(schedule_of([(i, tuple(range(w)), s, s + d, 0) for i, (s, d, w)
-                                  in enumerate(zip(starts, durations, widths))]))
+        cell.append([(i, tuple(range(w)), s, s + d, 0) for i, (s, d, w)
+                     in enumerate(zip(starts, durations, widths))])
     return cell
 
 
 def uniform_cell(counts):
-    """One schedule per count, job i of each running [0, 1 + 7 * i)."""
-    return [schedule_of([(i, (0,), 0, 1 + 7 * i, 0) for i in range(n)]) for n in counts]
+    """One slot's rows per count, job i of each running [0, 1 + 7 * i)."""
+    return [[(i, (0,), 0, 1 + 7 * i, 0) for i in range(n)] for n in counts]
 
 
 class TestCellReduction:
     @PROPERTY
     @given(cell=CELLS, n_qpu=st.integers(6, 12))
-    @example(cell=[schedule_of([(0, (0,), 0, 10, 0)]),
-                   schedule_of([(0, (0,), 0, 10, 0), (1, (1,), 0, 10, 0)]),
-                   schedule_of([(0, (0, 1), 3, 9, 0)])], n_qpu=6)
-    @example(cell=[schedule_of([(0, (0,), 0, 10, 0), (1, (1,), 10, 20, 0), (2, (2,), 10, 20, 0),
-                                (3, (3,), 0, 20, 0), (4, (4,), 20, 30, 0)]),
-                   schedule_of([(0, (0,), 0, 20, 0), (1, (1,), 20, 30, 0), (2, (2,), 20, 30, 0)]),
-                   schedule_of([(0, (0, 1), 0, 20, 0), (1, (2,), 0, 20, 0)])],
+    @example(cell=[[(0, (0,), 0, 10, 0)],
+                   [(0, (0,), 0, 10, 0), (1, (1,), 0, 10, 0)],
+                   [(0, (0, 1), 3, 9, 0)]], n_qpu=6)
+    @example(cell=[[(0, (0,), 0, 10, 0), (1, (1,), 10, 20, 0), (2, (2,), 10, 20, 0),
+                    (3, (3,), 0, 20, 0), (4, (4,), 20, 30, 0)],
+                   [(0, (0,), 0, 20, 0), (1, (1,), 20, 30, 0), (2, (2,), 20, 30, 0)],
+                   [(0, (0, 1), 0, 20, 0), (1, (2,), 0, 20, 0)]],
              n_qpu=6)  # ties: jobs end as others start, and finishes repeat across slots
     def test_matches_per_slot_oracle_repr_exactly(self, cell, n_qpu):
         columns = assert_columns_match_oracle(cell, n_qpu)
         assert all(len(col) == len(cell) for col in columns)
-        for schedule, density in zip(cell, columns[2]):
-            rep = compute_report(schedule, n_qpu)
-            assert repr(as_fields(rep)) == repr(oracle_report(schedule, n_qpu))
-            if len(schedule) == 1:
+        for rows, density in zip(cell, columns[2]):
+            rep = report(rows, n_qpu)
+            assert repr(as_fields(rep)) == repr(oracle_report(rows, n_qpu))
+            if len(rows) == 1:
                 assert density == rep.nonlocal_gate_density == 0.0
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -290,7 +290,7 @@ class TestCellReduction:
     @PROPERTY
     @given(cell=CELLS, at=st.integers(0, 12))
     def test_non_positive_latency_raises(self, cell, at):
-        bad = schedule_of([(7, (0,), 0, 0, 0)])
+        bad = [(7, (0,), 0, 0, 0)]
         with pytest.raises(ValueError, match="job 7 has non-positive latency 0"):
             metric_columns(cell_of(cell[:at] + [bad] + cell[at:]), 6)
 
@@ -298,13 +298,13 @@ class TestCellReduction:
     @given(cell=CELLS, at=st.integers(0, 12))
     def test_empty_schedule_in_cell_raises(self, cell, at):
         with pytest.raises(EmptyScheduleError):
-            metric_columns(cell_of(cell[:at] + [Schedule()] + cell[at:]), 6)
+            metric_columns(cell_of(cell[:at] + [[]] + cell[at:]), 6)
 
     def test_event_keys_beyond_int64_raise(self):
         """The events sort on slot * span + (time - earliest): a cell whose
         largest key would pass 2**63 - 1 is refused, one that reaches it is not."""
         def far(finish):
-            return schedule_of([(0, (0,), 0, finish, 0)])
+            return [(0, (0,), 0, finish, 0)]
 
         columns = metric_columns(cell_of([far(2**62 - 1), far(2**62 - 1)]), 6)
         assert columns[0] == [2**62 - 1] * 2
@@ -317,4 +317,14 @@ class TestCellReduction:
 
     def test_n_qpu_must_be_positive(self):
         with pytest.raises(ValueError, match="n_qpu"):
-            compute_report(schedule_of([(0, (0,), 0, 10, 0)]), 0)
+            report([(0, (0,), 0, 10, 0)], 0)
+
+    @pytest.mark.parametrize("slots", [0, 2, 3])
+    def test_report_takes_a_cell_of_one_queue(self, slots):
+        """A cell of 0 or of 2+ queues is a ValueError naming the count, not an
+        unpack error; an empty one-queue cell is an EmptyScheduleError."""
+        cell = cell_of([[(0, (0,), 0, 10, 0)]] * slots)
+        with pytest.raises(ValueError, match=f"^compute_report takes a cell of one queue, "
+                                             f"got {slots}$") as raised:
+            compute_report(cell, 6)
+        assert type(raised.value) is ValueError

@@ -905,7 +905,7 @@ class TestPpoSchedule:
         jobs = [make_job(i, q, 10 * (i + 1), epr=i)
                 for i, q in enumerate((2, 3, 1, 5, 2))]
         schedule = agent.schedule(jobs, node_selection=False)
-        assert sorted(schedule.job_id) == list(range(5))
+        assert sorted(schedule.job_id.tolist()) == list(range(5))
         for stage in stage_rows(schedule):
             used = set()
             for _, nodes, *_ in stage:
@@ -933,7 +933,7 @@ class TestPpoSchedule:
                 make_job(4, 1, 10, epr=2)]
         stages, _ = agent.rollout(jobs)
         ppo_sets = [{jobs[i].id for i in picks} for picks in stages]
-        reference = epr_schedule(jobs, net, PARAMS, strict_order=False)
+        reference = epr_schedule([jobs], net, PARAMS, strict_order=False)
         ref_sets = stage_ids(reference)
         assert ppo_sets == ref_sets
 
@@ -956,7 +956,7 @@ class TestPpoSchedule:
         jobs = [make_job(0, 1, 10), make_job(1, 10, 10), make_job(2, 1, 10)]
         message = "job 1: requires 10 QPUs but the network has 6"
         with pytest.raises(SchedulingError, match=message):
-            fifo_schedule(jobs, agent.network, PARAMS)
+            fifo_schedule([jobs], agent.network, PARAMS)
         for sample in (False, True):
             with pytest.raises(SchedulingError, match=message):
                 agent.rollout(jobs, sample=sample)

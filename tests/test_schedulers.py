@@ -14,13 +14,15 @@ from hypothesis import strategies as st
 
 from conftest import (
     MIXES,
+    cell_of,
     default_catalog,
     homogeneous_network,
     make_job,
     make_rng,
+    makespans,
+    queue_rows,
     reference_pricer,
     reference_select_nodes,
-    schedule_of,
     schedule_on,
     schedule_rows,
     stage_ids,
@@ -35,7 +37,6 @@ from dqcsched.ppo import PpoAgent, PpoConfig
 from dqcsched.schedulers import (
     ENUMERATION_CAP,
     SCHEDULER_NAMES,
-    Schedule,
     SchedulingError,
     _validate_queue,
     asap_schedule,
@@ -51,58 +52,58 @@ PARAMS = unit_exec_params()
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
-def job_times(schedule):
-    return dict(zip(schedule.job_id, zip(schedule.start_ns, schedule.finish_ns)))
+def job_times(cell):
+    return {job_id: (start, finish) for job_id, _, start, finish, _ in schedule_rows(cell)}
 
 
 class TestFifo:
     def test_trace(self, four_node_network):
         queue = [make_job(0, 2, 10), make_job(1, 2, 20), make_job(2, 3, 5)]
-        s = fifo_schedule(queue, four_node_network, PARAMS)
+        s = fifo_schedule([queue], four_node_network, PARAMS)
         assert stage_ids(s) == [{0, 1}, {2}]
         assert job_times(s) == {0: (0, 10), 1: (0, 20), 2: (20, 25)}
-        assert s.makespan_ns() == 25
+        assert makespans(s) == [25]
 
     def test_empty_queue(self, four_node_network):
-        assert schedule_rows(fifo_schedule([], four_node_network, PARAMS)) == []
+        assert schedule_rows(fifo_schedule([[]], four_node_network, PARAMS)) == []
 
     def test_single_full_width_job(self, four_node_network):
-        s = fifo_schedule([make_job(0, 4, 7)], four_node_network, PARAMS)
+        s = fifo_schedule([[make_job(0, 4, 7)]], four_node_network, PARAMS)
         assert job_times(s) == {0: (0, 7)}
-        assert s.makespan_ns() == 7
+        assert makespans(s) == [7]
 
     def test_oversized_job_rejected(self, four_node_network):
         with pytest.raises(SchedulingError, match="job 9"):
-            fifo_schedule([make_job(9, 5, 1)], four_node_network, PARAMS)
+            fifo_schedule([[make_job(9, 5, 1)]], four_node_network, PARAMS)
 
 
 class TestList:
     def test_trace(self, four_node_network):
         queue = [make_job(0, 3, 10), make_job(1, 2, 5), make_job(2, 1, 10)]
-        s = list_schedule(queue, four_node_network, PARAMS)
+        s = list_schedule([queue], four_node_network, PARAMS)
         assert stage_ids(s) == [{0, 2}, {1}]
         assert job_times(s) == {0: (0, 10), 2: (0, 10), 1: (10, 15)}
 
     def test_full_width_jobs_reduce_to_fifo(self, four_node_network):
         queue = [make_job(i, 4, 5 + i) for i in range(4)]
-        assert (schedule_rows(list_schedule(queue, four_node_network, PARAMS))
-                == schedule_rows(fifo_schedule(queue, four_node_network, PARAMS)))
+        assert (schedule_rows(list_schedule([queue], four_node_network, PARAMS))
+                == schedule_rows(fifo_schedule([queue], four_node_network, PARAMS)))
 
 
 class TestResourcePrioritize:
     def test_trace(self, four_node_network):
         queue = [make_job(0, 2, 10), make_job(1, 2, 20), make_job(2, 3, 5)]
-        s = resource_prioritize_schedule(queue, four_node_network, PARAMS)
+        s = resource_prioritize_schedule([queue], four_node_network, PARAMS)
         assert stage_ids(s) == [{0, 1}, {2}]
 
     def test_mean_time_tie_break(self, four_node_network):
         queue = [make_job(0, 2, 10), make_job(1, 2, 2), make_job(2, 2, 50)]
-        s = resource_prioritize_schedule(queue, four_node_network, PARAMS)
+        s = resource_prioritize_schedule([queue], four_node_network, PARAMS)
         # all pairs reach utilization 4; {0, 1} has the smallest mean time
         assert stage_ids(s)[0] == {0, 1}
 
     def test_single_job(self, four_node_network):
-        s = resource_prioritize_schedule([make_job(3, 2, 9)], four_node_network, PARAMS)
+        s = resource_prioritize_schedule([[make_job(3, 2, 9)]], four_node_network, PARAMS)
         assert stage_ids(s) == [{3}]
 
     def oracle_round(self, jobs, n_nodes):
@@ -128,7 +129,7 @@ class TestResourcePrioritize:
                 make_job(i, int(rng.integers(1, 5)), int(rng.integers(1, 100)))
                 for i in range(n)
             ]
-            s = resource_prioritize_schedule(jobs, four_node_network, PARAMS)
+            s = resource_prioritize_schedule([jobs], four_node_network, PARAMS)
             remaining = list(jobs)
             for ids in stage_ids(s):
                 expected = self.oracle_round(remaining, 4)
@@ -140,8 +141,8 @@ class TestResourcePrioritize:
 def reference_resource_schedule(queue, network, exec_params):
     """The subset search with per-stage tables and a bit-scanning tie-break."""
     _validate_queue(queue, network)
-    schedule = Schedule()
-    place = reference_pricer(schedule, network, exec_params)
+    rows: list[tuple] = []
+    place = reference_pricer(rows, network, exec_params)
     remaining = list(queue)
     barrier = 0
     stage = 0
@@ -167,22 +168,22 @@ def reference_resource_schedule(queue, network, exec_params):
                 best_mask = c
         chosen_idx = [k for k in range(m) if bits[best_mask, k]]
         free = list(range(network.n_nodes))
-        stage_start = len(schedule)
+        stage_start = len(rows)
         for k in chosen_idx:
             job = pool[k]
             nodes, free = free[: job.required_qpus], free[job.required_qpus:]
             place(job, nodes, barrier, stage)
-        barrier = max(schedule.finish_ns[stage_start:])
+        barrier = max(row[3] for row in rows[stage_start:])
         stage += 1
         chosen_set = set(chosen_idx)
         remaining = [j for i, j in enumerate(remaining) if i not in chosen_set]
-    return schedule
+    return rows
 
 
 def assert_resource_matches_reference(queue, net):
-    got = resource_prioritize_schedule(queue, net, PARAMS)
+    got = resource_prioritize_schedule([queue], net, PARAMS)
     want = reference_resource_schedule(queue, net, PARAMS)
-    assert schedule_rows(got) == schedule_rows(want)
+    assert schedule_rows(got) == want
 
 
 @pytest.mark.parametrize("n_nodes", [6, 12])
@@ -286,8 +287,8 @@ class TestDurationMemo:
         prices = []
         for net in nets:
             for params in all_params:
-                for schedule in (fifo_schedule([job], net, params),
-                                 asap_schedule([job], net, params)):
+                for schedule in (fifo_schedule([[job]], net, params),
+                                 asap_schedule([[job]], net, params)):
                     prices.append(schedule.finish_ns[0] - schedule.start_ns[0])
                     assert prices[-1] == estimate_execution_time(job, nodes, net, params)
         assert len(set(prices)) == 4
@@ -304,15 +305,16 @@ class TestDurationMemo:
         wide, narrow = make_job(0, 3, 10), make_job(1, 2, 10)
         assert wide.price_key == narrow.price_key
         for queue in ([wide, narrow], [narrow, wide]):
-            schedule = fifo_schedule(queue, net, PARAMS)
-            assert schedule.assigned_nodes == [tuple(range(j.required_qpus)) for j in queue]
-            assert [f - s for s, f in zip(schedule.start_ns, schedule.finish_ns)] == [10, 10]
+            schedule = fifo_schedule([queue], net, PARAMS)
+            assert [row[1] for row in schedule_rows(schedule)] == [
+                tuple(range(j.required_qpus)) for j in queue]
+            assert (schedule.finish_ns - schedule.start_ns).tolist() == [10, 10]
         assert net._price_tables[PARAMS.key] == {(wide.price_key, (0, 1, 2)): 10}
         classes, table = net._span_prices[PARAMS.key]
         assert classes == {wide.price_key: 0} and table.tolist() == [[10, -1, -1, -1]]
         for queue in ([wide, narrow], [narrow, wide]):
-            schedule = asap_schedule(queue, net, PARAMS)
-            assert schedule.assigned_nodes == [tuple(range(j.required_qpus)) for j in queue]
+            schedule = asap_schedule([queue], net, PARAMS)
+            assert schedule.nodes == [tuple(range(j.required_qpus)) for j in queue]
         assert net._price_tables[PARAMS.key] == {(wide.price_key, (0, 1, 2)): 10,
                                                  (narrow.price_key, (0, 1)): 10}
         assert all(len(nodes) == d for (_, d), (nodes, _) in net._lowest_picks.items())
@@ -365,7 +367,7 @@ class TestDurationMemo:
             queue = [dataclasses.replace(catalog[k], id=i)
                      for i, k in enumerate(rng.integers(0, len(catalog), size=8))]
             for name in SCHEDULER_NAMES:
-                schedule = get_scheduler(name)([queue], net, params).schedule()
+                schedule = get_scheduler(name)([queue], net, params)
                 for job_id, nodes, start, finish, _ in schedule_rows(schedule):
                     job = queue[job_id]
                     assert finish - start == estimate_execution_time(job, nodes, net, params)
@@ -385,11 +387,11 @@ class TestDurationMemo:
         assert [job.required_qpus for job in queue] == [4, 2]
         for first, second in ((fifo_schedule, asap_schedule), (asap_schedule, fifo_schedule)):
             net = build_network(6, 3, self.MIXED, seed=5)
-            placed = first(queue, net, PARAMS).assigned_nodes
+            placed = [row[1] for row in schedule_rows(first([queue], net, PARAMS))]
             assert placed == [(0, 1, 2, 3), (4, 5)]
             prices = dict(net._price_tables[PARAMS.key])
             assert len(prices) == len(counted) == 2
-            assert second(queue, net, PARAMS).assigned_nodes == placed
+            assert [row[1] for row in schedule_rows(second([queue], net, PARAMS))] == placed
             assert net._price_tables[PARAMS.key] == prices
             assert len(counted) == 2 and net._selection_memo == {}
             assert sorted(nodes for nodes, _ in net._lowest_picks.values()) == sorted(placed)
@@ -436,7 +438,7 @@ def test_list_stages_are_first_fit_bins(n_nodes, data):
     queue: a job joins the first stage whose remaining nodes hold it."""
     demands = data.draw(st.lists(st.integers(1, n_nodes), max_size=14))
     queue = [make_job(i, d, 10 + i % 3) for i, d in enumerate(demands)]
-    schedule = list_schedule(queue, homogeneous_network(n_nodes, 3), PARAMS)
+    schedule = list_schedule([queue], homogeneous_network(n_nodes, 3), PARAMS)
     assert [[row[0] for row in stage] for stage in stage_rows(schedule)] == \
         first_fit_bins(queue, n_nodes)
 
@@ -484,10 +486,6 @@ def walked_placement(queues, network, node_selection):
     return rows
 
 
-def engine_rows(cell):
-    return schedule_rows(cell.schedule())
-
-
 class TestStageEngine:
     """``_place_stages`` against the per-job walk it replaced, and its tables."""
 
@@ -504,9 +502,9 @@ class TestStageEngine:
             cell = schedulers._place_queues(queues, network, params, node_selection)
             assert cell.counts.tolist() == [sum(map(len, stages)) for stages in queues]
             if policy == "serial":
-                assert engine_rows(cell) == want
+                assert schedule_rows(cell) == want
             else:
-                assert [row[:2] + row[4:] for row in engine_rows(cell)] == \
+                assert [row[:2] + row[4:] for row in schedule_rows(cell)] == \
                     [row[:2] + row[4:] for row in want]
 
     @PROPERTY
@@ -556,7 +554,7 @@ class TestStageEngine:
         net = homogeneous_network(4, 3, "good")
         cell = schedulers._place_queues([[], [[make_job(0, 2, 10)]], []], net, PARAMS)
         assert cell.counts.tolist() == [0, 1, 0]
-        assert engine_rows(cell) == [(0, (0, 1), 0, 10, 0)]
+        assert schedule_rows(cell) == [(0, (0, 1), 0, 10, 0)]
         cell = schedulers._place_queues([], net, PARAMS)
         assert cell.counts.size == cell.job_id.size == cell.start_ns.size == 0
 
@@ -565,15 +563,14 @@ class TestEpr:
     def test_processing_order_sorted_by_epr(self, four_node_network):
         queue = [make_job(0, 1, 5, epr=5), make_job(1, 1, 5, epr=0),
                  make_job(2, 1, 5, epr=2)]
-        s = epr_schedule(queue, four_node_network, PARAMS)
-        order = s.job_id
-        assert order == [1, 2, 0]
+        s = epr_schedule([queue], four_node_network, PARAMS)
+        assert s.job_id.tolist() == [1, 2, 0]
 
     def test_strict_versus_skip(self, four_node_network):
         queue = [make_job(0, 2, 10, epr=0), make_job(1, 3, 10, epr=1),
                  make_job(2, 1, 10, epr=2)]
-        strict = epr_schedule(queue, four_node_network, PARAMS, strict_order=True)
-        skip = epr_schedule(queue, four_node_network, PARAMS, strict_order=False)
+        strict = epr_schedule([queue], four_node_network, PARAMS, strict_order=True)
+        skip = epr_schedule([queue], four_node_network, PARAMS, strict_order=False)
         assert stage_ids(strict)[0] == {0}
         assert stage_ids(skip)[0] == {0, 2}
 
@@ -586,7 +583,7 @@ class TestEpr:
                          epr=int(rng.integers(0, 30)))
                 for i in range(n)
             ]
-            s = epr_schedule(queue, four_node_network, PARAMS, strict_order=True)
+            s = epr_schedule([queue], four_node_network, PARAMS, strict_order=True)
             stages = stage_ids(s)
             eprs = {j.id: j.nonlocal_gates for j in queue}
             stage0_min = min(eprs[i] for i in stages[0])
@@ -596,8 +593,8 @@ class TestEpr:
     def test_node_selection_picks_best_pair(self):
         net = weighted_network(3, {(0, 1): 1, (0, 2): 5, (1, 2): 2})
         queue = [make_job(0, 2, 10)]
-        s = epr_schedule(queue, net, PARAMS, node_selection=True)
-        assert s.assigned_nodes == [(0, 1)]
+        s = epr_schedule([queue], net, PARAMS, node_selection=True)
+        assert [row[1] for row in schedule_rows(s)] == [(0, 1)]
 
 
 class TestSelectNodes:
@@ -699,16 +696,16 @@ class TestSelectNodes:
 class TestAsap:
     def test_trace(self, four_node_network):
         queue = [make_job(0, 2, 10), make_job(1, 2, 20), make_job(2, 2, 5)]
-        s = asap_schedule(queue, four_node_network, PARAMS)
+        s = asap_schedule([queue], four_node_network, PARAMS)
         assert job_times(s) == {0: (0, 10), 1: (0, 20), 2: (10, 15)}
-        assert s.makespan_ns() == 20
+        assert makespans(s) == [20]
         # contrast: the strict in-order scheduler waits for the whole stage
-        fifo = fifo_schedule(queue, four_node_network, PARAMS)
-        assert fifo.makespan_ns() == 25
+        fifo = fifo_schedule([queue], four_node_network, PARAMS)
+        assert makespans(fifo) == [25]
 
     def test_full_width_jobs_serialize(self, four_node_network):
         queue = [make_job(i, 4, 10) for i in range(3)]
-        s = asap_schedule(queue, four_node_network, PARAMS)
+        s = asap_schedule([queue], four_node_network, PARAMS)
         assert job_times(s) == {0: (0, 10), 1: (10, 20), 2: (20, 30)}
 
 
@@ -781,29 +778,30 @@ def test_asap_matches_release_scan(n_nodes):
             times = rng.choice([10, 20, 30], size=n)
             queue = [make_job(i, int(q), int(t)) for i, q, t in zip(ids, sizes, times)]
             params = PARAMS
-        got = asap_schedule(queue, nets[k], params)
+        got = asap_schedule([queue], nets[k], params)
         assert schedule_rows(got) == reference_asap_schedule(queue, nets[k], params)
 
 
-COLUMNS = ("job_id", "assigned_nodes", "start_ns", "finish_ns", "stage_index")
+INT_COLUMNS = ("job_id", "width", "start_ns", "finish_ns", "stage_index")
 
 
-def assert_columns_agree_with_rows(schedule):
-    """``schedule`` against one rebuilt through its appenders from its rows,
-    and against per-row stage and makespan rules."""
-    columns = [getattr(schedule, name) for name in COLUMNS]
-    assert len({len(column) for column in columns}) == 1
-    direct = list(zip(*columns))
-    assert schedule_rows(schedule) == direct
-    rebuilt = schedule_of(direct)
-    assert [getattr(rebuilt, name) for name in COLUMNS] == columns
-    n_stages = max((row[4] for row in direct), default=-1) + 1
-    stages = [[row for row in direct if row[4] == k] for k in range(n_stages)]
-    assert stage_rows(schedule) == stage_rows(rebuilt) == stages
-    makespan = (max(row[3] for row in direct) - min(row[2] for row in direct)
-                if direct else 0)
-    assert schedule.makespan_ns() == rebuilt.makespan_ns() == makespan
-    assert len(schedule) == len(rebuilt) == len(direct)
+def assert_columns_agree_with_rows(cell):
+    """A one-queue ``cell`` against one rebuilt by ``cell_of`` from its rows,
+    and against per-row width, stage and makespan rules."""
+    rows = schedule_rows(cell)
+    assert cell.counts.tolist() == [len(rows)]
+    for name in INT_COLUMNS:
+        assert getattr(cell, name).dtype == np.int64 and len(getattr(cell, name)) == len(rows)
+    assert cell.width.tolist() == [len(row[1]) for row in rows]
+    rebuilt = cell_of([rows])
+    assert schedule_rows(rebuilt) == rows
+    for name in (*INT_COLUMNS, "counts"):
+        assert np.array_equal(getattr(rebuilt, name), getattr(cell, name))
+    n_stages = max((row[4] for row in rows), default=-1) + 1
+    stages = [[row for row in rows if row[4] == k] for k in range(n_stages)]
+    assert stage_rows(cell) == stage_rows(rebuilt) == stages
+    makespan = max(row[3] for row in rows) - min(row[2] for row in rows) if rows else 0
+    assert makespans(cell) == makespans(rebuilt) == [makespan]
 
 
 def test_columns_agree_with_rows():
@@ -812,7 +810,7 @@ def test_columns_agree_with_rows():
     net = build_network(6, 3, {"bad": 0.2, "medium": 0.3, "good": 0.5}, seed=9)
     agent = PpoAgent(PpoConfig(j_max=8), net, PARAMS, default_catalog(net, PARAMS))
     runs = ALL_SCHEDULERS + [
-        (f"ppo-{ns}", lambda q, n, p, ns=ns: schedule_on(agent, q, n, p, ns))
+        (f"ppo-{ns}", lambda queues, n, p, ns=ns: schedule_on(agent, queues[0], n, p, ns))
         for ns in (False, True)]
     rng = make_rng(72)
     for _ in range(60):
@@ -820,17 +818,19 @@ def test_columns_agree_with_rows():
                           epr=int(rng.integers(0, 20)))
                  for i in range(int(rng.integers(0, 9)))]
         for _, fn in runs:
-            assert_columns_agree_with_rows(fn(queue, net, PARAMS))
-    assert_columns_agree_with_rows(Schedule())
-    assert schedule_rows(Schedule()) == [] and stage_rows(Schedule()) == []
+            assert_columns_agree_with_rows(fn([queue], net, PARAMS))
+    assert_columns_agree_with_rows(cell_of([[]]))
+    assert schedule_rows(cell_of([])) == [] and queue_rows(cell_of([])) == []
 
 
-def check_invariants(queue, schedule, n_nodes):
+def check_invariants(queue, rows, n_nodes):
+    """One queue's rows of a cell against the queue: one placement per job,
+    no node busy twice at once, disjoint nodes within a stage."""
     # conservation: exactly one placement per job
-    assert Counter(schedule.job_id) == Counter(j.id for j in queue)
+    assert Counter(row[0] for row in rows) == Counter(j.id for j in queue)
     by_job = {j.id: j for j in queue}
     per_node: dict[int, list] = {}
-    for job_id, nodes, start, finish, _ in schedule_rows(schedule):
+    for job_id, nodes, start, finish, _ in rows:
         assert len(nodes) == by_job[job_id].required_qpus
         assert finish > start
         for node in nodes:
@@ -842,11 +842,10 @@ def check_invariants(queue, schedule, n_nodes):
         for (s1, f1), (s2, f2) in zip(intervals, intervals[1:]):
             assert f1 <= s2
     # stages: disjoint node sets within a stage
-    for stage in stage_rows(schedule):
-        seen = set()
-        for _, nodes, *_ in stage:
-            assert not seen & set(nodes)
-            seen.update(nodes)
+    taken: dict[int, set] = {}
+    for _, nodes, _, _, stage in rows:
+        assert not taken.setdefault(stage, set()) & set(nodes)
+        taken[stage].update(nodes)
 
 
 ALL_SCHEDULERS = [
@@ -862,19 +861,95 @@ ALL_SCHEDULERS = [
 
 @pytest.mark.parametrize("name,fn", ALL_SCHEDULERS)
 def test_invariants_and_determinism_random_queues(name, fn):
+    """300 random queues as one cell, placed twice; each queue's rows, cut
+    by the cell's counts, hold the invariants."""
     net = homogeneous_network(5, 3, "good")
     rng = make_rng(34)
+    queues = []
     for _ in range(300):
         n = int(rng.integers(0, 9))
-        queue = [
+        queues.append([
             make_job(i, int(rng.integers(1, 6)), int(rng.integers(1, 200)),
                      epr=int(rng.integers(0, 20)))
             for i in range(n)
-        ]
-        s1 = fn(queue, net, PARAMS)
-        s2 = fn(queue, net, PARAMS)
-        assert schedule_rows(s1) == schedule_rows(s2)
-        check_invariants(queue, s1, 5)
+        ])
+    cell = fn(queues, net, PARAMS)
+    assert schedule_rows(cell) == schedule_rows(fn(queues, net, PARAMS))
+    assert cell.counts.tolist() == list(map(len, queues))
+    for queue, rows in zip(queues, queue_rows(cell), strict=True):
+        check_invariants(queue, rows, 5)
+
+
+@st.composite
+def random_cells(draw):
+    """(network, params, queues): a mixed ``build_network`` of 2-12 nodes and
+    1-5 queues of 0-8 jobs that fit it, some of them empty. Half the cells
+    hold synthetic jobs, whose durations come from four values, so stage
+    ends tie; the other half catalog jobs, whose prices depend on their
+    nodes."""
+    n_nodes = draw(st.integers(2, 12))
+    network = build_network(n_nodes, 3, draw(st.sampled_from(MIXES)),
+                            seed=draw(st.integers(0, 30)))
+    sizes = draw(st.lists(st.integers(0, 8), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        catalog = [j for j in default_catalog(network, PARAMS) if j.required_qpus <= n_nodes]
+        return network, [[dataclasses.replace(draw(st.sampled_from(catalog)), id=i)
+                          for i in range(n)] for n in sizes]
+    return network, [[make_job(i, draw(st.integers(1, n_nodes)),
+                               draw(st.sampled_from((5, 10, 20, 35))), epr=draw(st.integers(0, 6)))
+                      for i in range(n)] for n in sizes]
+
+
+def assert_cell_is_its_queues(cell, singles, queues):
+    """``cell`` equals, column by column, the concatenation of the one-queue
+    cells ``singles``, node tuples compared as tuples, and counts the queues."""
+    assert cell.counts.tolist() == list(map(len, queues))
+    assert [single.counts.tolist() for single in singles] == [[len(q)] for q in queues]
+    for name in INT_COLUMNS:
+        assert np.array_equal(getattr(cell, name),
+                              np.concatenate([getattr(single, name) for single in singles]))
+    assert (cell.first is None) == all(single.first is None for single in singles)
+    if cell.first is not None:
+        assert np.array_equal(cell.first, np.concatenate([single.first for single in singles]))
+    assert schedule_rows(cell) == [row for single in singles for row in schedule_rows(single)]
+
+
+def cell_columns(cell):
+    """A cell's int64 columns and counts as lists, its first nodes (None
+    where it holds node tuples) and its rows."""
+    return ([getattr(cell, name).tolist() for name in (*INT_COLUMNS, "counts")],
+            None if cell.first is None else cell.first.tolist(), schedule_rows(cell))
+
+
+@PROPERTY
+@given(env=random_cells())
+def test_cell_of_queues_is_their_one_queue_cells(env):
+    """Every scheduler, EPR without strict order, and an untrained agent's
+    ``build_schedule`` with and without node selection: a cell of several
+    queues is the concatenation of its one-queue cells. Each checked public
+    scheduler equals ``get_scheduler``'s unchecked one."""
+    network, queues = env
+    unchecked = {name: get_scheduler(name) for name in SCHEDULER_NAMES}
+    unchecked["epr-skip"] = lambda q, n, p: epr_schedule.__wrapped__(q, n, p, strict_order=False)
+    for name, checked in ALL_SCHEDULERS:
+        cell = unchecked[name](queues, network, PARAMS)
+        assert_cell_is_its_queues(cell, [unchecked[name]([q], network, PARAMS) for q in queues],
+                                  queues)
+        assert cell_columns(checked(queues, network, PARAMS)) == cell_columns(cell)
+    agent = PpoAgent(PpoConfig(j_max=8), network, PARAMS, default_catalog(network, PARAMS))
+    _, _, action, _, _, opened = agent._rollouts(queues, network.n_nodes, None)
+    picks = action.tolist()
+    ends = np.cumsum(list(map(len, queues))).tolist()
+    picked = [[q[a] for a in picks[lo:hi]] for q, lo, hi in zip(queues, [0, *ends], ends)]
+    for node_selection in (False, True):
+        def place(jobs, flags, counts):
+            return agent.build_schedule(jobs, flags, counts, node_selection, network, PARAMS)
+
+        cell = place([job for jobs in picked for job in jobs], opened, list(map(len, queues)))
+        singles = [place(jobs, opened[lo:hi], [len(jobs)])
+                   for jobs, lo, hi in zip(picked, [0, *ends], ends)]
+        assert_cell_is_its_queues(cell, singles, queues)
+
 
 
 @pytest.mark.parametrize("name", SCHEDULER_NAMES)

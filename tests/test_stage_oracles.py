@@ -5,8 +5,9 @@ The references are the stage loops that ``_place_stages`` replaced, copied
 verbatim: ``_place_stage`` with ``_in_order_stages`` (FIFO, LIST, EPR and
 EPR-NS), the ``resource`` round loop, and ``PpoAgent.build_schedule``; and
 ASAP's loop as it was before price tables. All of them price through
-``reference_pricer`` (``conftest.py``), a copy of ``Schedule.pricer``, where
-they called that method. Three other edits: the stage loop picks nodes
+``reference_pricer`` (``conftest.py``), a copy of ``Schedule.pricer`` that
+appends ``(job_id, nodes, start_ns, finish_ns, stage)`` rows, where they
+called that method, and return those rows. Three other edits: the stage loop picks nodes
 through ``reference_select_nodes`` (``conftest.py``), a memo-free copy of
 ``select_nodes`` from before its free-mask table, so a wrong table entry
 cannot reach both sides; EPR's sort key read ``epr_pairs``, a field that
@@ -15,10 +16,10 @@ as an argument that no run set, where it now reads ``ENUMERATION_CAP``.
 The ``resource`` loop searches through ``reference_max_demand_subset``, a
 verbatim copy of ``_max_demand_subset`` from before the search took its
 state as arguments, so the loop oracle does not check the search against
-itself. Every test compares the library's schedule with the reference's
-column for column, or both errors word for word, on hypothesis-drawn queues
-and networks; the library places a one-queue cell, and ``build_schedule``
-a queue's stages of rows through ``place_rows`` (``conftest.py``).
+itself. Every test compares the rows of the library's cell with the
+reference's, or both errors word for word, on hypothesis-drawn queues and
+networks; the library places a one-queue cell, and ``build_schedule`` a
+queue's stages of rows through ``place_rows`` (``conftest.py``).
 
 PPO training has its own oracle: ``reference_train``, the sequential
 episode loop that lockstep rollouts replaced, with the ``rollout``,
@@ -58,6 +59,7 @@ from conftest import (
     default_catalog,
     make_job,
     place_rows,
+    schedule_rows,
     reference_epr_reward,
     reference_pricer,
     reference_select_nodes,
@@ -83,7 +85,6 @@ from dqcsched.ppo import (
 )
 from dqcsched.schedulers import (
     SCHEDULER_NAMES,
-    Schedule,
     SchedulingError,
     _max_demand_subset,
     ENUMERATION_CAP,
@@ -94,7 +95,6 @@ from dqcsched.schedulers import (
 )
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
-COLUMNS = ("job_id", "assigned_nodes", "start_ns", "finish_ns", "stage_index")
 
 
 # -- references: the stage loops as they were before ``_place_stages`` --------
@@ -123,12 +123,12 @@ def reference_place_stage(place, jobs, network: Network, barrier: int, stage: in
 
 def reference_in_order_stages(queue, network: Network, exec_params: ExecModelParams,
                               node_selection: bool = False,
-                              strict_order: bool = True) -> Schedule:
+                              strict_order: bool = True) -> list[tuple]:
     """Stages filled from ``queue`` in order: each remaining job that fits
     the free nodes joins the stage; under ``strict_order`` the stage closes
     at the first job that does not fit."""
-    schedule = Schedule()
-    place = reference_pricer(schedule, network, exec_params)
+    rows: list[tuple] = []
+    place = reference_pricer(rows, network, exec_params)
     remaining = list(queue)
     barrier = stage = 0
     while remaining:
@@ -145,7 +145,7 @@ def reference_in_order_stages(queue, network: Network, exec_params: ExecModelPar
         barrier = reference_place_stage(place, jobs, network, barrier, stage, node_selection)
         remaining = deferred
         stage += 1
-    return schedule
+    return rows
 
 
 def reference_max_demand_subset(pool, n_nodes: int) -> int:
@@ -188,10 +188,10 @@ def reference_max_demand_subset(pool, n_nodes: int) -> int:
 
 
 def reference_resource_schedule(queue, network: Network,
-                                exec_params: ExecModelParams) -> Schedule:
+                                exec_params: ExecModelParams) -> list[tuple]:
     _validate_queue(queue, network)
-    schedule = Schedule()
-    place = reference_pricer(schedule, network, exec_params)
+    rows: list[tuple] = []
+    place = reference_pricer(rows, network, exec_params)
     remaining = list(queue)
     barrier = stage = 0
     while remaining:
@@ -201,21 +201,21 @@ def reference_resource_schedule(queue, network: Network,
         barrier = reference_place_stage(place, jobs, network, barrier, stage)
         stage += 1
         remaining = [j for i, j in enumerate(remaining) if not chosen >> i & 1]
-    return schedule
+    return rows
 
 
-def reference_fifo_schedule(queue, network, exec_params) -> Schedule:
+def reference_fifo_schedule(queue, network, exec_params) -> list[tuple]:
     _validate_queue(queue, network)
     return reference_in_order_stages(queue, network, exec_params)
 
 
-def reference_list_schedule(queue, network, exec_params) -> Schedule:
+def reference_list_schedule(queue, network, exec_params) -> list[tuple]:
     _validate_queue(queue, network)
     return reference_in_order_stages(queue, network, exec_params, strict_order=False)
 
 
 def reference_epr_schedule(queue, network, exec_params, node_selection=False,
-                           strict_order=True) -> Schedule:
+                           strict_order=True) -> list[tuple]:
     _validate_queue(queue, network)
     remaining = sorted(queue, key=lambda j: (j.nonlocal_gates, j.est_exec_ns, j.id))
     return reference_in_order_stages(remaining, network, exec_params, node_selection,
@@ -225,23 +225,23 @@ def reference_epr_schedule(queue, network, exec_params, node_selection=False,
 def reference_build_schedule(self, queue, stages: list[list[int]],
                              node_selection: bool,
                              network: Network | None = None,
-                             exec_params: ExecModelParams | None = None) -> Schedule:
+                             exec_params: ExecModelParams | None = None) -> list[tuple]:
     """Barrier-synchronized placement of the rolled-out stages."""
     network = network if network is not None else self.network
     exec_params = exec_params if exec_params is not None else self.exec_params
-    schedule = Schedule()
-    place = reference_pricer(schedule, network, exec_params)
+    rows: list[tuple] = []
+    place = reference_pricer(rows, network, exec_params)
     barrier = 0
     for stage_idx, picks in enumerate(stages):
         barrier = reference_place_stage(place, [queue[row] for row in picks], network,
                                         barrier, stage_idx, node_selection)
-    return schedule
+    return rows
 
 
-def reference_asap_schedule(queue, network: Network, exec_params: ExecModelParams) -> Schedule:
+def reference_asap_schedule(queue, network: Network, exec_params: ExecModelParams) -> list[tuple]:
     _validate_queue(queue, network)
-    schedule = Schedule()
-    place = reference_pricer(schedule, network, exec_params)
+    rows: list[tuple] = []
+    place = reference_pricer(rows, network, exec_params)
     avail = [0] * network.n_nodes
     remaining = list(queue)
     stage = 0
@@ -259,7 +259,7 @@ def reference_asap_schedule(queue, network: Network, exec_params: ExecModelParam
                 deferred.append(job)
         remaining = deferred
         stage += 1
-    return schedule
+    return rows
 
 
 REFERENCES = {
@@ -499,8 +499,8 @@ def reference_train(self, updates: int, bias_alpha: float = 0.0) -> list[TrainLo
     for _ in range(episodes):
         queue = workload.generate_slot_jobs(wcfg, self.env_rng)
         stages, transitions = reference_rollout(self, queue, sample=True)
-        schedule = place_rows(self, queue, stages, node_selection)
-        durations = iter(np.subtract(schedule.finish_ns, schedule.start_ns, dtype=float).tolist())
+        cell = place_rows(self, queue, stages, node_selection)
+        durations = iter(np.subtract(cell.finish_ns, cell.start_ns, dtype=float).tolist())
         _, reward = reference_epr_reward([[(float(queue[r].nonlocal_gates), next(durations))
                                            for r in picks] for picks in stages],
                                          cfg.reward_variant)
@@ -537,16 +537,17 @@ def run_checked(name, queue, network, params):
     unchecked scheduler that ``get_scheduler`` returns, on a cell of that
     one queue."""
     _validate_queue(queue, network)
-    return get_scheduler(name)([queue], network, params).schedule()
+    return get_scheduler(name)([queue], network, params)
 
 
 def outcome(run):
-    """A schedule's five columns, or the scheduling error's message."""
+    """The rows of a placement, a cell or a reference's rows, or the
+    scheduling error's message."""
     try:
-        schedule = run()
+        placed = run()
     except SchedulingError as exc:
         return "error", str(exc)
-    return "ok", [getattr(schedule, name) for name in COLUMNS]
+    return "ok", placed if isinstance(placed, list) else schedule_rows(placed)
 
 
 @st.composite
@@ -623,9 +624,9 @@ def test_staged_schedulers_match_reference_loops(name, env):
 def test_resource_cap_and_epr_skip_match_reference_loops(env, node_selection):
     """Queues of up to 20 jobs, so ``resource`` pools overflow the cap of 12."""
     network, params, queue = env
-    assert outcome(lambda: resource_prioritize_schedule(queue, network, params)) == \
+    assert outcome(lambda: resource_prioritize_schedule([queue], network, params)) == \
         outcome(lambda: reference_resource_schedule(queue, network, params))
-    assert outcome(lambda: epr_schedule(queue, network, params, node_selection, False)) == \
+    assert outcome(lambda: epr_schedule([queue], network, params, node_selection, False)) == \
         outcome(lambda: reference_epr_schedule(queue, network, params, node_selection, False))
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (default_catalog, homogeneous_network, make_rng, reference_catalog,
-                      unit_exec_params)
+                      schedule_rows, unit_exec_params)
 from dqcsched import harness, workload
 from dqcsched.configfile import parse_config_text
 from dqcsched.execmodel import (
@@ -354,10 +354,9 @@ class TestPriceKey:
             for catalog in catalogs:
                 cfg = WorkloadConfig(catalog=catalog, lam=5.0)
                 queue = [j for j in generate_slot_jobs(cfg, rng) if j.required_qpus <= 6]
-                schedule = asap_schedule(queue, net, params)
+                schedule = asap_schedule([queue], net, params)
                 by_id = {j.id: j for j in queue}
-                for job_id, nodes, start, finish in zip(schedule.job_id, schedule.assigned_nodes,
-                                                        schedule.start_ns, schedule.finish_ns):
+                for job_id, nodes, start, finish, _ in schedule_rows(schedule):
                     assert finish - start == estimate_execution_time(
                         by_id[job_id], nodes, net, params)
         assert len(net._price_tables[params.key]) > 20
