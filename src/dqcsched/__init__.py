@@ -19,6 +19,7 @@ from .schedulers import (
     epr_schedule,
     fifo_schedule,
     get_scheduler,
+    job_table,
     list_schedule,
     resource_prioritize_schedule,
     select_nodes,

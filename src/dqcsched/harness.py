@@ -23,7 +23,8 @@ from .configfile import ConfigError, ParsedConfig, parse_config_file
 from .execmodel import ExecModelParams
 from .netmodel import Network, build_network, quality_probabilities
 from .ppo import REWARD_VARIANTS
-from .schedulers import SCHEDULER_NAMES, _validate_queue, check_selection_size, get_scheduler
+from .schedulers import (SCHEDULER_NAMES, Cell, _validate_queue, check_selection_size,
+                         get_scheduler, job_table)
 
 PPO_SCHEDULER_NAMES = ("ppo", "ppo-ns")
 KNOWN_SCHEDULERS = SCHEDULER_NAMES + PPO_SCHEDULER_NAMES
@@ -160,9 +161,9 @@ def run_experiment(config: ExperimentConfig, ppo_agent=None) -> SlotTable:
     setting and scheduler; per (setting, seed) the job stream is generated
     and checked once and fed to every scheduler, so comparisons are paired;
     ``ppo`` and ``ppo-ns`` share one lockstep rollout's (node-blind) picks.
-    Each cell's non-empty queues are placed in one scheduler call, and their
-    placements reduced to metric columns in one pass, which the table takes
-    as they are, with None for each empty slot.
+    Each cell's non-empty queues form one job table, which each scheduler
+    places in one call; all schedulers' placements reduce to metric columns
+    in one pass, which the table takes as they are, None for an empty slot.
     """
     config.validate()
     exec_params = config.exec_params()
@@ -193,23 +194,25 @@ def run_experiment(config: ExperimentConfig, ppo_agent=None) -> SlotTable:
             jobs = [queue for queue in queues if queue]
             for queue in jobs:
                 _validate_queue(queue, net)
-            if use_ppo:  # the picked jobs in pick order: queue by queue, one pick a job
+            table = job_table(jobs, net, exec_params)
+            if use_ppo:  # the picked rows in pick order: queue by queue, one pick a row
                 _, _, action, _, _, opened = ppo_agent._rollouts(jobs, net.n_nodes, None)
-                actions = iter(action.tolist())
-                picked = [queue[next(actions)] for queue in jobs for _ in queue]
-            for name in config.schedulers:
-                if name in classical:
-                    cell = classical[name](jobs, net, exec_params)
-                else:  # a PPO placement of the shared picks; node selection for ppo-ns
-                    cell = ppo_agent.build_schedule(picked, opened, list(map(len, jobs)),
-                                                    name == "ppo-ns", net, exec_params)
-                cell = metrics_mod.metric_columns(cell, config.n_nodes)
+                picks = (table.counts.cumsum() - table.counts).repeat(table.counts) + action
+            metric_lists = metrics_mod.metric_columns(Cell(*(  # every scheduler's cell, joined
+                None if f in ("first", "nodes") else np.concatenate(parts)
+                for f, parts in zip(Cell._fields, zip(*[  # ppo-ns: with node selection
+                    classical[name](table, net, exec_params) if name in classical
+                    else ppo_agent.build_schedule(table, picks, opened, table.counts,
+                                                  name == "ppo-ns", net, exec_params)
+                    for name in config.schedulers])))), config.n_nodes)
+            for k, name in enumerate(config.schedulers):
                 columns["setting"] += [setting.label] * n_slots
                 columns["scheduler"] += [name] * n_slots
                 columns["seed"] += [seed] * n_slots
                 columns["slot"] += range(n_slots)
                 columns["n_jobs"] += map(len, queues)
-                for f, values in zip(METRIC_FIELDS, cell):
+                for f, values in zip(METRIC_FIELDS, metric_lists):
+                    values = values[k * len(jobs):(k + 1) * len(jobs)]
                     for i in empty:  # ascending, so each None lands at its slot
                         values.insert(i, None)
                     columns[f] += values

@@ -89,9 +89,9 @@ def metric_columns(cell: Cell, n_qpu: int):
                          f"above the int64 bound {INT64_MAX}")
     slot = np.arange(len(counts), dtype=np.int64).repeat(counts) * span
     order = (np.concatenate((slot, slot)) + (times - low)).argsort(kind="stable")
-    times = times[order]
+    times = np.diff(times[order])  # the gap before each event after the first
     running = np.add.accumulate(np.where(order < total, 1, -1))[:-1]
-    pair_time = running * (running - 1) // 2 * (times[1:] - times[:-1])
+    pair_time = running * (running - 1) // 2 * times
     t_overlap = np.add.reduceat(pair_time, 2 * offsets).tolist()
 
     elp = duration / finish

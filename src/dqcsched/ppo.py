@@ -21,7 +21,7 @@ from . import workload
 from .execmodel import ExecModelParams
 from .netmodel import Network
 from .nn import Adam, Mlp, bind, masked_softmax
-from .schedulers import Cell, _place_stages, _validate_queue
+from .schedulers import Cell, JobTable, _place_stages, _validate_queue, job_table
 
 REWARD_VARIANTS = ("plain", "node_selection")
 _PROB_SUM_TOL = math.sqrt(np.finfo(float).eps)  # Generator.choice's tolerance
@@ -336,13 +336,13 @@ class PpoAgent:
 
     # -- schedule construction -------------------------------------------
 
-    def build_schedule(self, jobs, opened: np.ndarray, counts, node_selection: bool,
+    def build_schedule(self, table: JobTable, picks, opened, counts, node_selection: bool,
                        network: Network, exec_params: ExecModelParams) -> Cell:
-        """Barrier-synchronized placement of a rollout's picked ``jobs``, in
-        pick order and ``counts`` to an episode, a stage opening at each
-        pick that ``opened`` flags."""
-        return _place_stages(jobs, np.flatnonzero(opened), counts, network, exec_params,
-                             node_selection)
+        """Barrier-synchronized placement of a rollout's picked rows of the
+        job ``table``, in pick order and ``counts`` (int64) to an episode, a
+        stage opening at each pick that ``opened`` flags."""
+        return _place_stages(table, picks, np.flatnonzero(opened), counts, network,
+                             exec_params, node_selection)
 
     def schedule(self, queue, node_selection: bool | None = None) -> Cell:
         """Deterministic (argmax) scheduling of one queue, as its cell."""
@@ -350,8 +350,9 @@ class PpoAgent:
             node_selection = self.config.reward_variant == "node_selection"
         _validate_queue(queue, self.network)
         _, _, action, _, _, opened = self._rollouts([queue], self.network.n_nodes, None)
-        return self.build_schedule([queue[a] for a in action.tolist()], opened, [len(queue)],
-                                   node_selection, self.network, self.exec_params)
+        table = job_table([queue], self.network, self.exec_params)
+        return self.build_schedule(table, action, opened, table.counts, node_selection,
+                                   self.network, self.exec_params)
 
     def episode_reward(self, demand: np.ndarray, duration: np.ndarray,
                        opened: np.ndarray) -> np.ndarray:
@@ -386,6 +387,7 @@ class PpoAgent:
         rows = encode_state(self.catalog, len(self.catalog), self.time_scale)  # a row a job
         wide = (rows[:, 0] < 1) | (rows[:, 0] > self.network.n_nodes)
         firsts = np.arange(n_picks) // cfg.j_max * cfg.j_max  # each pick's episode's first
+        catalog = job_table([self.catalog], self.network, self.exec_params)
         log: list[TrainLogEntry] = []
         for index in range(updates):
             picks = wcfg.cumulative.searchsorted(self.env_rng.random(n_picks), side="right")
@@ -397,8 +399,8 @@ class PpoAgent:
             obs, masks, action, logp, values, opened = self._rollouts(
                 rows[picks].reshape(-1, cfg.j_max, N_FEATURES), self.network.n_nodes, draws)
             chosen = picks[firsts + action]  # each pick's catalog entry, in pick order
-            placed = self.build_schedule([self.catalog[c] for c in chosen.tolist()], opened,
-                                         [cfg.j_max] * (n_picks // cfg.j_max), node_selection,
+            placed = self.build_schedule(catalog, chosen, opened,
+                                         np.full(n_picks // cfg.j_max, cfg.j_max), node_selection,
                                          self.network, self.exec_params)
             duration = np.subtract(placed.finish_ns, placed.start_ns, dtype=float)
             rewards = self.episode_reward(*(a.reshape(-1, cfg.j_max) for a in (

@@ -60,85 +60,122 @@ def _validate_queue(queue, network: Network) -> None:
                                   f"network has {network.n_nodes}")
 
 
+class JobTable(NamedTuple):
+    """A cell's jobs, read by each of its schedulers: the flat job list, queue
+    after queue in arrival order; each queue's count; int64 columns of job id,
+    demand and price class, numbered by ``classes``; and a memo of stage plans."""
+
+    jobs: list
+    counts: np.ndarray
+    ids: np.ndarray
+    need: np.ndarray
+    cls: np.ndarray
+    classes: dict
+    plans: dict
+
+
+def job_table(queues, network: Network, exec_params: ExecModelParams) -> JobTable:
+    """The job table of ``queues``; a new price key is a new class, a row of -1
+    (unfilled) entries in ``network``'s dense span table for ``exec_params``."""
+    jobs = [job for queue in queues for job in queue]
+    classes, dense = network._span_prices.get(exec_params.key) or (
+        {}, np.zeros((0, network.n_nodes), dtype=np.int64))
+    cls = np.array([classes.setdefault(job.price_key, len(classes)) for job in jobs], np.intp)
+    if len(classes) > len(dense):
+        dense = np.vstack((dense, np.full((len(classes) - len(dense), network.n_nodes), -1)))
+    network._span_prices[exec_params.key] = classes, dense
+    return JobTable(jobs, np.array([len(queue) for queue in queues], np.int64),
+                    np.array([job.id for job in jobs], np.int64),
+                    np.array([job.required_qpus for job in jobs], np.int64), cls, classes, {})
+
+
 def _checked(core):
-    """``core``, a scheduler of a cell's (queues, network, ...), behind the
-    check of every queue; ``get_scheduler`` hands out the unchecked
-    ``core``, its ``__wrapped__``."""
+    """``core``, a job table's scheduler, as a scheduler of checked queues."""
     @functools.wraps(core)
-    def scheduler(queues, network: Network, *args, **kwargs) -> Cell:
+    def scheduler(queues, network, exec_params, *args, **kwargs) -> Cell:
         for queue in queues:
             _validate_queue(queue, network)
-        return core(queues, network, *args, **kwargs)
+        return core(job_table(queues, network, exec_params), network, exec_params, *args, **kwargs)
     return scheduler
 
 
-def _place_queues(stage_lists, network: Network, exec_params: ExecModelParams,
+def _stage_plan(table: JobTable, network: Network, strict: bool, by_epr: bool = False) -> tuple:
+    """The placement order of the table's rows and the offsets in it where
+    stages open, each queue taken in arrival order or ``by_epr``. Each job
+    joins its queue's first stage with room for it, as first-fit bins do;
+    under ``strict`` only the last stage, so a stage closes at the first job
+    that does not fit. The queues step in lockstep, one numpy step a queue
+    position, longest first, so the live ones are a prefix of the (queues x
+    stages) room matrix. The table keeps each plan: EPR and EPR-NS share one."""
+    if (plan := table.plans.get((strict, by_epr))) is not None:
+        return plan
+    counts, order = table.counts, np.arange(len(table.jobs))
+    if by_epr:  # by (non-local gates, estimate, id) within each queue
+        gates = np.array([job.nonlocal_gates for job in table.jobs], dtype=np.int64)
+        estimate = np.array([job.est_exec_ns for job in table.jobs], dtype=np.int64)
+        order = np.lexsort((table.ids, estimate, gates, np.arange(len(counts)).repeat(counts)))
+    need = table.need[order]
+    if (wide := need > network.n_nodes).any():  # it would never fit a stage
+        _validate_queue([table.jobs[order[wide.argmax()]]], network)
+    position = np.arange(len(need)) - (counts.cumsum() - counts).repeat(counts)
+    steps = np.lexsort((-counts.repeat(counts), position))  # then longest, then first queue
+    longest = int(counts.max(initial=0))
+    room = np.full((len(counts), longest), network.n_nodes)
+    last, rows = np.zeros(len(counts), dtype=np.intp), np.arange(len(counts))
+    stage, demand, at = np.empty_like(steps), need[steps], 0
+    for k in np.bincount(position, minlength=longest).tolist():
+        d = demand[at:at + k]
+        if strict:
+            bins = last[:k] = last[:k] + (room[rows[:k], last[:k]] < d)
+        else:
+            bins = (room[:k] >= d[:, None]).argmax(axis=1)
+        room[rows[:k], bins] -= d
+        stage[at:at + k], at = bins, at + k
+    key = np.arange(len(counts)).repeat(counts) * longest
+    key[steps] += stage
+    placed = key.argsort(kind="stable")
+    table.plans[strict, by_epr] = order[placed], np.flatnonzero(np.diff(key[placed], prepend=-1))
+    return table.plans[strict, by_epr]
+
+
+def _place_stages(table: JobTable, order: np.ndarray, starts: np.ndarray, counts,
+                  network: Network, exec_params: ExecModelParams,
                   node_selection: bool = False) -> Cell:
-    """``_place_stages`` of each queue's stages, an iterable of job lists.
-    An empty stage, which a job wider than the network leaves, is a
-    SchedulingError: the stages would never end."""
-    jobs, sizes, counts = [], [], []
-    for stages in stage_lists:
-        placed = len(jobs)
-        for stage, members in enumerate(stages):
-            if not members:
-                raise SchedulingError(None, f"stage {stage} is empty: a queued job is wider "
-                                      f"than the network's {network.n_nodes} nodes")
-            jobs += members
-            sizes.append(len(members))
-        counts.append(len(jobs) - placed)
-    sizes = np.array(sizes, dtype=np.int64)
-    return _place_stages(jobs, sizes.cumsum() - sizes, counts, network, exec_params,
-                         node_selection)
-
-
-def _place_stages(jobs, starts: np.ndarray, counts, network: Network,
-                  exec_params: ExecModelParams, node_selection: bool = False) -> Cell:
-    """Barrier-staged placement of ``jobs``, queues of ``counts`` jobs in
-    turn, a stage opening at each offset in ``starts`` (each queue's first
-    job among them). A stage's jobs start together when their queue's
-    previous stage ends, or at 0, and the stage lasts its longest job. Each
-    stage starts on every node, so job k takes the lowest free ids D_k ..
-    D_k + d_k - 1, D_k the demand placed before it in its stage, priced by
-    (price class, D_k) in ``_span_prices``; with ``node_selection`` a walk
-    picks each job's free subset with the best links instead. D_k + d_k
-    above the node count is a SchedulingError."""
-    ids = np.array([job.id for job in jobs], dtype=np.int64)
-    need = np.array([job.required_qpus for job in jobs], dtype=np.int64)
-    sizes = np.append(starts[1:], len(jobs)) - starts
+    """Barrier-staged placement of the table's rows at ``order``, queues of
+    ``counts`` (int64) jobs in turn, a stage opening at each offset in
+    ``starts``, each queue's first job among them. A stage starts when its
+    queue's previous one ends, or at 0, on every node, and lasts its longest
+    job: job k takes ids D_k .. D_k + d_k - 1, D_k the demand placed before
+    it in its stage, priced by (price class, D_k) in the dense span table;
+    with ``node_selection`` a walk picks the free subset with the best links.
+    D_k + d_k above the node count is a SchedulingError."""
+    classes, dense = network._span_prices.get(exec_params.key, (None, None))
+    if classes is not table.classes:
+        raise ValueError("the job table's price classes are not this network's")
+    ids, need = table.ids[order], table.need[order]
+    sizes = np.append(starts[1:], len(order)) - starts
     placed = need.cumsum() - need
     first = placed - placed[starts].repeat(sizes)
     if (over := first + need > network.n_nodes).any():
         raise SchedulingError(int(ids[over.argmax()]), "stage exceeds free nodes")
     prices = network._price_tables.setdefault(exec_params.key, {})
     if node_selection:
-        everyone, free, nodes, first = (1 << network.n_nodes) - 1, 0, [], None
-        opens = np.zeros(len(jobs), dtype=bool)
-        opens[starts] = True
-        for job, new in zip(jobs, opens.tolist()):
-            free = everyone if new else free
+        everyone, free, nodes, duration = (1 << network.n_nodes) - 1, 0, [], []
+        for k, before in zip(order.tolist(), first.tolist()):  # before = 0: a stage opens
+            job, free = table.jobs[k], free if before else everyone
             picked, free = network._selection_memo.get((free, job.required_qpus)) or _pick(
                 job, free, network, True)
             nodes.append(picked)
-        duration = np.array([_price(job, picked, prices, network, exec_params)
-                             for job, picked in zip(jobs, nodes)], dtype=np.int64)
+            duration.append(_price(job, picked, prices, network, exec_params))
+        first, duration = None, np.array(duration, dtype=np.int64)
     else:
-        nodes, keys = None, [job.price_key for job in jobs]
-        classes, table = network._span_prices.get(exec_params.key) or (
-            {}, np.zeros((0, network.n_nodes), dtype=np.int64))
-        for key in dict.fromkeys(keys):
-            classes.setdefault(key, len(classes))
-        if len(classes) > len(table):  # rows of unfilled entries for the new classes
-            table = np.vstack((table, np.full((len(classes) - len(table), network.n_nodes), -1)))
-        network._span_prices[exec_params.key] = classes, table
-        cls = np.fromiter(map(classes.__getitem__, keys), np.intp, len(keys))
-        for k in np.flatnonzero(table[cls, first] < 0).tolist():
-            if table[cls[k], f := int(first[k])] < 0:  # not filled by a job before it
-                table[cls[k], f] = _price(jobs[k], tuple(range(f, f + int(need[k]))), prices,
-                                          network, exec_params)
-        duration = table[cls, first]
+        nodes, cls = None, table.cls[order]
+        for k in np.flatnonzero(dense[cls, first] < 0).tolist():
+            if dense[cls[k], f := int(first[k])] < 0:  # not filled by a job before it
+                dense[cls[k], f] = _price(table.jobs[order[k]], tuple(range(f, f + int(need[k]))),
+                                          prices, network, exec_params)
+        duration = dense[cls, first]
     longest = np.maximum.reduceat(duration, starts)
-    counts = np.asarray(counts, dtype=np.int64)
     # each queue's first stage, and each stage's queue's first stage
     opening = starts.searchsorted(counts.cumsum() - counts)
     base = opening.repeat(np.append(opening[1:], len(starts)) - opening)
@@ -181,48 +218,28 @@ def _pick(job, free: int, network: Network, node_selection: bool
     return hit
 
 
-def _in_order_stages(queue, n_nodes: int, strict_order: bool = True):
-    """Job lists, one per stage, filled from ``queue`` in order: each remaining
-    job that fits the free nodes joins the stage; under ``strict_order`` the
-    stage closes at the first job that does not fit."""
-    remaining = list(queue)
-    while remaining:
-        jobs, deferred, n_free = [], [], n_nodes
-        for idx, job in enumerate(remaining):
-            if job.required_qpus <= n_free:
-                jobs.append(job)
-                n_free -= job.required_qpus
-            elif strict_order:
-                deferred = remaining[idx:]
-                break
-            else:
-                deferred.append(job)
-        yield jobs
-        remaining = deferred
-
-
 @_checked
-def fifo_schedule(queues, network: Network, exec_params: ExecModelParams) -> Cell:
+def fifo_schedule(table: JobTable, network: Network, exec_params: ExecModelParams) -> Cell:
     """Strict arrival order; consecutive jobs share a stage while they fit.
 
     The stage closes at the first job that does not fit the remaining free
     nodes, and the next stage starts once every job of the current stage
     has finished.
     """
-    return _place_queues([_in_order_stages(queue, network.n_nodes) for queue in queues],
-                         network, exec_params)
+    return _place_stages(table, *_stage_plan(table, network, True), table.counts, network,
+                         exec_params)
 
 
 @_checked
-def list_schedule(queues, network: Network, exec_params: ExecModelParams) -> Cell:
+def list_schedule(table: JobTable, network: Network, exec_params: ExecModelParams) -> Cell:
     """FIFO ordering, but any later job that fits the free nodes joins the
     stage; the stage closes when no remaining job fits."""
-    return _place_queues([_in_order_stages(queue, network.n_nodes, strict_order=False)
-                          for queue in queues], network, exec_params)
+    return _place_stages(table, *_stage_plan(table, network, False), table.counts, network,
+                         exec_params)
 
 
 @_checked
-def resource_prioritize_schedule(queues, network: Network,
+def resource_prioritize_schedule(table: JobTable, network: Network,
                                  exec_params: ExecModelParams) -> Cell:
     """Each round runs the job subset with maximal total QPU demand.
 
@@ -231,15 +248,22 @@ def resource_prioritize_schedule(queues, network: Network,
     first ``ENUMERATION_CAP`` remaining jobs (arrival order), which bounds
     the exponential search.
     """
-    def stages(remaining):
-        ascending = all(a.id < b.id for a, b in itertools.pairwise(remaining))
+    jobs, ids, ends = table.jobs, table.ids.tolist(), table.counts.cumsum().tolist()
+    rows, starts = [], []  # the placement order, and where each stage opens in it
+    for lo, hi in zip([0, *ends], ends):  # a queue's rows
+        ascending = all(a < b for a, b in itertools.pairwise(ids[lo:hi]))
+        remaining = list(range(lo, hi))
         while remaining:
             pool = remaining[:ENUMERATION_CAP]
-            chosen = _max_demand_subset(pool, network.n_nodes, ascending)
-            yield [job for k, job in enumerate(pool) if chosen >> k & 1]
-            remaining = [j for i, j in enumerate(remaining) if not chosen >> i & 1]
-
-    return _place_queues([stages(list(queue)) for queue in queues], network, exec_params)
+            chosen = _max_demand_subset(list(map(jobs.__getitem__, pool)), network.n_nodes,
+                                        ascending)
+            if not chosen:  # every job of the pool is wider than the network
+                _validate_queue([jobs[pool[0]]], network)
+            starts.append(len(rows))
+            rows += [row for k, row in enumerate(pool) if chosen >> k & 1]
+            remaining = [row for k, row in enumerate(remaining) if not chosen >> k & 1]
+    return _place_stages(table, np.array(rows, dtype=np.intp), np.array(starts, dtype=np.intp),
+                         table.counts, network, exec_params)
 
 
 def _max_demand_subset(pool, n_nodes: int, ascending: bool = False) -> int:
@@ -342,7 +366,7 @@ def _min_weight_subset(free_sorted, k: int, delay_ns) -> tuple[int, ...]:
 
 @_checked
 def epr_schedule(
-    queues,
+    table: JobTable,
     network: Network,
     exec_params: ExecModelParams,
     node_selection: bool = False,
@@ -355,13 +379,12 @@ def epr_schedule(
     continues. With ``node_selection`` each placed job picks the free node
     subset with the best internal links instead of the lowest ids.
     """
-    return _place_queues([_in_order_stages(
-        sorted(queue, key=lambda j: (j.nonlocal_gates, j.est_exec_ns, j.id)), network.n_nodes,
-        strict_order) for queue in queues], network, exec_params, node_selection)
+    return _place_stages(table, *_stage_plan(table, network, strict_order, by_epr=True),
+                         table.counts, network, exec_params, node_selection)
 
 
 @_checked
-def asap_schedule(queues, network: Network, exec_params: ExecModelParams) -> Cell:
+def asap_schedule(table: JobTable, network: Network, exec_params: ExecModelParams) -> Cell:
     """Nodes are released asynchronously; freed nodes go to the first
     pending jobs (arrival order) that fit them.
 
@@ -375,9 +398,10 @@ def asap_schedule(queues, network: Network, exec_params: ExecModelParams) -> Cel
     picks = network._lowest_picks
     ids, placed, starts, finishes, stages = columns = [], [], [], [], []
     add_id, add_nodes, add_start, add_finish, add_stage = (c.append for c in columns)
-    for queue in queues:  # every job of a queue is placed once
+    ends = table.counts.cumsum().tolist()
+    for lo, hi in zip([0, *ends], ends):  # every job of a queue is placed once
         avail = [0] * network.n_nodes
-        remaining = list(queue)
+        remaining = table.jobs[lo:hi]
         stage, t, free, n_free = 0, 0, (1 << network.n_nodes) - 1, network.n_nodes
         while remaining:
             if stage:
@@ -411,11 +435,11 @@ def asap_schedule(queues, network: Network, exec_params: ExecModelParams) -> Cel
     job_id, start, finish, stage = (np.array(c, dtype=np.int64)
                                     for c in (ids, starts, finishes, stages))
     return Cell(job_id, None, np.fromiter(map(len, placed), np.int64, len(placed)), start,
-                finish, stage, np.array([len(queue) for queue in queues], dtype=np.int64), placed)
+                finish, stage, table.counts, placed)
 
 
 def get_scheduler(name: str):
-    """A name's scheduler of a cell's (queues, network, params), returning
+    """A name's scheduler of a cell's (job table, network, params), returning
     the Cell and skipping ``_validate_queue``; a job wider than the network
     is a SchedulingError."""
     table = {
@@ -423,7 +447,7 @@ def get_scheduler(name: str):
         "list": list_schedule.__wrapped__,
         "resource": resource_prioritize_schedule.__wrapped__,
         "epr": epr_schedule.__wrapped__,
-        "epr-ns": lambda q, n, p: epr_schedule.__wrapped__(q, n, p, node_selection=True),
+        "epr-ns": lambda t, n, p: epr_schedule.__wrapped__(t, n, p, node_selection=True),
         "asap": asap_schedule.__wrapped__,
     }
     if name not in table:

@@ -18,7 +18,7 @@ from dqcsched.netmodel import (
     build_network,
 )
 from dqcsched.ppo import PpoAgent, reward_columns
-from dqcsched.schedulers import Cell, _validate_queue
+from dqcsched.schedulers import Cell, _validate_queue, get_scheduler, job_table
 from dqcsched.workload import (
     CIRCUIT_KINDS,
     QUBIT_SIZES,
@@ -287,12 +287,20 @@ def place_rows(agent: PpoAgent, queue, stages, node_selection: bool,
                ) -> Cell:
     """``agent.build_schedule`` of one queue's ``stages``, lists of queue rows
     (on the agent's network and parameters unless given), as its cell."""
+    network, exec_params = network or agent.network, exec_params or agent.exec_params
     rows = [r for picks in stages for r in picks]
     sizes = np.array([len(picks) for picks in stages], dtype=int)
     opened = np.zeros(len(rows), dtype=bool)
     opened[np.cumsum(sizes) - sizes] = True
-    return agent.build_schedule([queue[r] for r in rows], opened, [len(rows)], node_selection,
-                                network or agent.network, exec_params or agent.exec_params)
+    return agent.build_schedule(job_table([queue], network, exec_params),
+                                np.array(rows, dtype=np.intp), opened, np.array([len(rows)]),
+                                node_selection, network, exec_params)
+
+
+def run_unchecked(name: str, queues, network: Network, exec_params: ExecModelParams) -> Cell:
+    """``get_scheduler(name)``, which skips the queue check, on the job
+    table of ``queues``."""
+    return get_scheduler(name)(job_table(queues, network, exec_params), network, exec_params)
 
 
 def reference_build_network(n_nodes: int, qpu_capacity: int,

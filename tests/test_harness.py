@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bootstrap_mean_diff_ci, cell_of, default_catalog, metric_values
+from conftest import (bootstrap_mean_diff_ci, cell_of, default_catalog, metric_values,
+                      run_unchecked)
 from dqcsched import cli, harness, metrics, ppo, schedulers, workload
 from dqcsched.configfile import ConfigError, parse_config_text
 from dqcsched.harness import (
@@ -171,6 +172,28 @@ class TestRunExperiment:
         assert table.n_jobs == (0, 0, 0)
         assert all(getattr(table, f) == (None,) * 3 for f in METRIC_FIELDS)
 
+    @pytest.mark.parametrize("schedulers", [
+        ("epr-ns", "epr"), ("epr-ns",), ("asap", "resource", "epr-ns", "list", "epr", "fifo")])
+    def test_scheduler_order_changes_no_row(self, schedulers):
+        """The schedulers of a cell share its job table, EPR's stage plan and
+        one metrics pass, so neither their order nor their company changes a
+        scheduler's rows; the idle setting's cells hold no job at all."""
+        config = ExperimentConfig(
+            settings=(SettingSpec("idle", lam=0.0), SettingSpec("lam3", lam=3.0),
+                      SettingSpec("lam8", lam=8.0)),
+            seeds=(0, 1), n_slots=8)
+
+        def rows_by_scheduler(table):
+            rows: dict[str, list] = {}
+            for row in zip(*table.columns()):
+                rows.setdefault(row[1], []).append(row)
+            return rows
+
+        want = rows_by_scheduler(run_experiment(config))
+        got = rows_by_scheduler(run_experiment(dataclasses.replace(config, schedulers=schedulers)))
+        assert list(got) == list(schedulers)
+        assert all(repr(got[name]) == repr(want[name]) for name in schedulers)
+
     def test_deterministic_reruns(self):
         assert run_experiment(TINY) == run_experiment(TINY)
 
@@ -194,8 +217,8 @@ class TestRunExperiment:
                 queues = [harness.workload.generate_slot_jobs(wcfg, rng)
                           for _ in range(config.n_slots)]
                 for name in config.schedulers:
-                    run = harness.get_scheduler(name)
-                    per_slot = [metrics.compute_report(run([q], net, params), config.n_nodes)
+                    per_slot = [metrics.compute_report(run_unchecked(name, [q], net, params),
+                                                       config.n_nodes)
                                 if q else None for q in queues]
                     for f in METRIC_FIELDS:
                         expected[f] += [None if r is None else getattr(r, f) for r in per_slot]

@@ -311,6 +311,29 @@ class TestCellReduction:
         with pytest.raises(ValueError, match=f"above the int64 bound {2**63 - 1}"):
             metric_columns(cell_of([far(2**62), far(1)]), 6)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(cells=st.lists(CELLS, min_size=1, max_size=4), n_qpu=st.integers(6, 12))
+    def test_joined_cells_reduce_as_each_cell(self, cells, n_qpu):
+        """A run reduces every scheduler's cell of a (setting, seed) in one
+        pass over the cells joined: each cell's columns are its slice of the
+        joined ones, every float equal by ``float.hex``."""
+        def exact(columns):
+            return [[v.hex() if isinstance(v, float) else v for v in list(col)]
+                    for col in (*columns[:7], columns[7].tolist())]
+
+        joined = exact(metric_columns(cell_of([rows for cell in cells for rows in cell]), n_qpu))
+        apart = [exact(metric_columns(cell_of(cell), n_qpu)) for cell in cells]
+        assert joined == [sum((columns[k] for columns in apart), []) for k in range(8)]
+
+    def test_joined_cells_beyond_int64_raise(self):
+        """Joining multiplies the slots of the event key: two cells that each
+        reduce alone are refused together once the largest key passes 2**63 - 1."""
+        cells = [[[(0, (0,), 0, 2**62, 0)]], [[(0, (0,), 0, 1, 0)]]]
+        for cell in cells:
+            metric_columns(cell_of(cell), 6)
+        with pytest.raises(ValueError, match=f"above the int64 bound {2**63 - 1}"):
+            metric_columns(cell_of(cells[0] + cells[1]), 6)
+
     def test_empty_cell_has_no_reports(self):
         assert metric_columns(cell_of([]), 6)[:7] == ([],) * 7
         assert metric_columns(cell_of([]), 6)[7].size == 0

@@ -23,6 +23,7 @@ from conftest import (
     queue_rows,
     reference_pricer,
     reference_select_nodes,
+    run_unchecked,
     schedule_on,
     schedule_rows,
     stage_ids,
@@ -43,6 +44,7 @@ from dqcsched.schedulers import (
     epr_schedule,
     fifo_schedule,
     get_scheduler,
+    job_table,
     list_schedule,
     resource_prioritize_schedule,
     select_nodes,
@@ -337,7 +339,7 @@ class TestDurationMemo:
         net = build_network(12, 3, self.MIXED, seed=3)
         queue = list(default_catalog(net, PARAMS))[:8]
         for name in SCHEDULER_NAMES:
-            get_scheduler(name)([queue], net, PARAMS)
+            run_unchecked(name, [queue], net, PARAMS)
         agent = PpoAgent(PpoConfig(j_max=8), net, PARAMS, default_catalog(net, PARAMS))
         agent.schedule(queue, node_selection=True)
         del agent
@@ -367,7 +369,7 @@ class TestDurationMemo:
             queue = [dataclasses.replace(catalog[k], id=i)
                      for i, k in enumerate(rng.integers(0, len(catalog), size=8))]
             for name in SCHEDULER_NAMES:
-                schedule = get_scheduler(name)([queue], net, params)
+                schedule = run_unchecked(name, [queue], net, params)
                 for job_id, nodes, start, finish, _ in schedule_rows(schedule):
                     job = queue[job_id]
                     assert finish - start == estimate_execution_time(job, nodes, net, params)
@@ -486,6 +488,16 @@ def walked_placement(queues, network, node_selection):
     return rows
 
 
+def place_stage_lists(queues, network, params, node_selection=False):
+    """``_place_stages`` of each queue's stages, lists of jobs, over the job
+    table of the queues' jobs in stage order."""
+    table = job_table([[job for stage in stages for job in stage] for stages in queues],
+                      network, params)
+    sizes = np.array([len(stage) for stages in queues for stage in stages], dtype=np.int64)
+    return schedulers._place_stages(table, np.arange(len(table.jobs)), sizes.cumsum() - sizes,
+                                    table.counts, network, params, node_selection)
+
+
 class TestStageEngine:
     """``_place_stages`` against the per-job walk it replaced, and its tables."""
 
@@ -499,7 +511,7 @@ class TestStageEngine:
         want = walked_placement(queues, network, node_selection)
         for policy in EPR_POLICIES:  # the second policy meets a warm selection memo
             params = dataclasses.replace(PARAMS, epr_serialization=policy)
-            cell = schedulers._place_queues(queues, network, params, node_selection)
+            cell = place_stage_lists(queues, network, params, node_selection)
             assert cell.counts.tolist() == [sum(map(len, stages)) for stages in queues]
             if policy == "serial":
                 assert schedule_rows(cell) == want
@@ -517,8 +529,8 @@ class TestStageEngine:
         jobs = {job.price_key: job for stages in queues for jobs in stages for job in jobs}
         for policy in EPR_POLICIES:
             params = dataclasses.replace(PARAMS, epr_serialization=policy)
-            schedulers._place_queues(queues, network, params)
-            schedulers._place_queues(queues[::-1], network, params)
+            place_stage_lists(queues, network, params)
+            place_stage_lists(queues[::-1], network, params)
             classes, table = network._span_prices[params.key]
             assert classes.keys() == jobs.keys() and len(set(classes.values())) == len(classes)
             assert table.shape == (len(classes), network.n_nodes)
@@ -535,27 +547,29 @@ class TestStageEngine:
         net = homogeneous_network(4, 3, "good")
         jobs = [make_job(0, 1, 10), make_job(1, 4, 10), make_job(2, 3, 10)]
         with pytest.raises(SchedulingError, match="^job 2: stage exceeds free nodes$"):
-            schedulers._place_stages(jobs, np.array([0, 1]), [1, 2], net, PARAMS,
-                                     node_selection)
+            schedulers._place_stages(job_table([jobs], net, PARAMS), np.arange(3),
+                                     np.array([0, 1]), [1, 2], net, PARAMS, node_selection)
         with pytest.raises(SchedulingError, match="^job 1: stage exceeds free nodes$"):
-            schedulers._place_queues([[jobs[:2]]], net, PARAMS, node_selection)
+            place_stage_lists([[jobs[:2]]], net, PARAMS, node_selection)
 
-    def test_empty_stage_keeps_its_error(self):
+    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    def test_wide_job_raises_the_queue_check_error(self, name):
+        """Unchecked, each scheduler rejects the first job wider than the
+        network, in its processing order, with the queue check's message;
+        a stage loop would never end on it."""
         net = homogeneous_network(4, 3, "good")
-        message = "^stage 1 is empty: a queued job is wider than the network's 4 nodes$"
-        with pytest.raises(SchedulingError, match=message):
-            schedulers._place_queues([[[make_job(0, 1, 10)]], [[make_job(0, 2, 10)], []]],
-                                     net, PARAMS)
-        wide = [make_job(0, 5, 10)]
-        with pytest.raises(SchedulingError, match=message.replace("1", "0")):
-            get_scheduler("list")([wide], net, PARAMS)
+        queues = [[make_job(0, 1, 10)], [make_job(0, 1, 10), make_job(1, 5, 10),
+                                         make_job(2, 6, 10)]]
+        with pytest.raises(SchedulingError, match="^job 1: requires 5 QPUs but the network "
+                                                  "has 4$"):
+            run_unchecked(name, queues, net, PARAMS)
 
     def test_empty_cell_and_empty_queues(self):
         net = homogeneous_network(4, 3, "good")
-        cell = schedulers._place_queues([[], [[make_job(0, 2, 10)]], []], net, PARAMS)
+        cell = place_stage_lists([[], [[make_job(0, 2, 10)]], []], net, PARAMS)
         assert cell.counts.tolist() == [0, 1, 0]
         assert schedule_rows(cell) == [(0, (0, 1), 0, 10, 0)]
-        cell = schedulers._place_queues([], net, PARAMS)
+        cell = place_stage_lists([], net, PARAMS)
         assert cell.counts.size == cell.job_id.size == cell.start_ns.size == 0
 
 
@@ -930,24 +944,27 @@ def test_cell_of_queues_is_their_one_queue_cells(env):
     scheduler equals ``get_scheduler``'s unchecked one."""
     network, queues = env
     unchecked = {name: get_scheduler(name) for name in SCHEDULER_NAMES}
-    unchecked["epr-skip"] = lambda q, n, p: epr_schedule.__wrapped__(q, n, p, strict_order=False)
+    unchecked["epr-skip"] = lambda t, n, p: epr_schedule.__wrapped__(t, n, p, strict_order=False)
     for name, checked in ALL_SCHEDULERS:
-        cell = unchecked[name](queues, network, PARAMS)
-        assert_cell_is_its_queues(cell, [unchecked[name]([q], network, PARAMS) for q in queues],
-                                  queues)
+        def run(qs):
+            return unchecked[name](job_table(qs, network, PARAMS), network, PARAMS)
+
+        cell = run(queues)
+        assert_cell_is_its_queues(cell, [run([q]) for q in queues], queues)
         assert cell_columns(checked(queues, network, PARAMS)) == cell_columns(cell)
     agent = PpoAgent(PpoConfig(j_max=8), network, PARAMS, default_catalog(network, PARAMS))
     _, _, action, _, _, opened = agent._rollouts(queues, network.n_nodes, None)
-    picks = action.tolist()
-    ends = np.cumsum(list(map(len, queues))).tolist()
-    picked = [[q[a] for a in picks[lo:hi]] for q, lo, hi in zip(queues, [0, *ends], ends)]
+    counts = list(map(len, queues))
+    ends = np.cumsum(counts).tolist()
     for node_selection in (False, True):
-        def place(jobs, flags, counts):
-            return agent.build_schedule(jobs, flags, counts, node_selection, network, PARAMS)
+        def place(qs, picks, flags):
+            table = job_table(qs, network, PARAMS)
+            return agent.build_schedule(table, picks, flags, table.counts, node_selection,
+                                        network, PARAMS)
 
-        cell = place([job for jobs in picked for job in jobs], opened, list(map(len, queues)))
-        singles = [place(jobs, opened[lo:hi], [len(jobs)])
-                   for jobs, lo, hi in zip(picked, [0, *ends], ends)]
+        cell = place(queues, np.repeat(np.array(ends) - counts, counts) + action, opened)
+        singles = [place([q], action[lo:hi], opened[lo:hi])
+                   for q, lo, hi in zip(queues, [0, *ends], ends)]
         assert_cell_is_its_queues(cell, singles, queues)
 
 
@@ -955,7 +972,7 @@ def test_cell_of_queues_is_their_one_queue_cells(env):
 @pytest.mark.parametrize("name", SCHEDULER_NAMES)
 def test_registry_resolves_every_name(name, good_network):
     queue = [make_job(0, 2, 10, epr=1)]
-    cell = get_scheduler(name)([queue, [], queue], good_network, PARAMS)
+    cell = run_unchecked(name, [queue, [], queue], good_network, PARAMS)
     assert cell.counts.tolist() == [1, 0, 1] and cell.job_id.tolist() == [0, 0]
 
 
@@ -978,7 +995,7 @@ def test_unchecked_scheduler_rejects_a_job_wider_than_the_network(name):
     signal.alarm(10)
     try:
         with pytest.raises(SchedulingError, match="job 1: requires 5 QPUs|wider than"):
-            get_scheduler(name)([queue], homogeneous_network(4, 3, "good"), PARAMS)
+            run_unchecked(name, [queue], homogeneous_network(4, 3, "good"), PARAMS)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

@@ -63,6 +63,7 @@ from conftest import (
     reference_epr_reward,
     reference_pricer,
     reference_select_nodes,
+    run_unchecked,
     unit_exec_params,
 )
 from dqcsched.execmodel import EPR_POLICIES, ExecModelParams
@@ -91,6 +92,7 @@ from dqcsched.schedulers import (
     _validate_queue,
     epr_schedule,
     get_scheduler,
+    job_table,
     resource_prioritize_schedule,
 )
 
@@ -537,7 +539,7 @@ def run_checked(name, queue, network, params):
     unchecked scheduler that ``get_scheduler`` returns, on a cell of that
     one queue."""
     _validate_queue(queue, network)
-    return get_scheduler(name)([queue], network, params)
+    return run_unchecked(name, [queue], network, params)
 
 
 def outcome(run):
@@ -628,6 +630,50 @@ def test_resource_cap_and_epr_skip_match_reference_loops(env, node_selection):
         outcome(lambda: reference_resource_schedule(queue, network, params))
     assert outcome(lambda: epr_schedule([queue], network, params, node_selection, False)) == \
         outcome(lambda: reference_epr_schedule(queue, network, params, node_selection, False))
+
+
+@st.composite
+def planner_cells(draw):
+    """(network, exec params, queues): a ``build_network`` of 2-12 nodes and
+    0-6 queues of 0-14 catalog jobs that fit it, empty queues among them,
+    each queue's ids distinct and not in arrival order, so EPR's id
+    tie-break decides between copies of one catalog entry."""
+    n_nodes = draw(st.integers(2, 12))
+    network = build_network(n_nodes, 3, draw(st.sampled_from(MIXES)),
+                            seed=draw(st.integers(0, 30)))
+    params = ExecModelParams(epr_serialization=draw(st.sampled_from(EPR_POLICIES)))
+    catalog = [j for j in default_catalog(network, params) if j.required_qpus <= n_nodes]
+    queues = []
+    for _ in range(draw(st.integers(0, 6))):
+        n_jobs = draw(st.integers(0, 14))
+        ids = draw(st.lists(st.integers(0, 99), min_size=n_jobs, max_size=n_jobs, unique=True))
+        picks = draw(st.lists(st.sampled_from(catalog), min_size=n_jobs, max_size=n_jobs))
+        queues.append([dataclasses.replace(job, id=i) for job, i in zip(picks, ids)])
+    return network, params, queues
+
+
+PLANNED = ("fifo", "list", "epr", "epr-ns", "epr-skip")
+
+
+@PROPERTY
+@given(env=planner_cells(), order=st.permutations(PLANNED))
+def test_lockstep_stage_plans_match_reference_in_order_stages(env, order):
+    """FIFO, LIST, EPR, EPR-NS and EPR without strict order plan every queue
+    of a cell at once, in lockstep, from one shared job table, in a drawn
+    order, so a scheduler may meet a plan that another one left in the
+    table's memo. Each cell is the queues' ``reference_in_order_stages`` rows
+    in turn."""
+    network, params, queues = env
+    library = {name: get_scheduler(name) for name in PLANNED if name != "epr-skip"}
+    library["epr-skip"] = lambda t, n, p: epr_schedule.__wrapped__(t, n, p, strict_order=False)
+    references = {**REFERENCES, "epr-skip": lambda q, n, p: reference_epr_schedule(
+        q, n, p, strict_order=False)}
+    table = job_table(queues, network, params)
+    for name in order:
+        cell = library[name](table, network, params)
+        assert cell.counts.tolist() == list(map(len, queues))
+        assert schedule_rows(cell) == [row for queue in queues
+                                       for row in references[name](queue, network, params)]
 
 
 @PROPERTY
