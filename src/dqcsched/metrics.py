@@ -73,26 +73,26 @@ def metric_columns(cell: Cell, n_qpu: int):
         raise ValueError(f"job {cell.job_id[bad]} has non-positive latency {finish[bad]}")
     offsets = np.add.accumulate(counts) - counts
     duration = finish - start
-    makespans = (np.maximum.reduceat(finish, offsets)
-                 - np.minimum.reduceat(start, offsets)).tolist()
-    busy = np.add.reduceat(duration * cell.width, offsets).tolist()
-    t_max = ((counts - 1) * np.add.reduceat(duration, offsets)).tolist()
 
     # Events sorted by (slot, time): one stable sort of the key slot * span
-    # + (time - low). Every slot ends with c(t) back at 0, so the segment
-    # between two slots carries no pairs.
+    # + (time - low), built in place, whose gaps are the time gaps. Every slot
+    # ends with c(t) back at 0, so the gap between two slots carries no pairs.
     times = np.concatenate((start, finish))
     low = int(times.min())
     span = int(times.max()) - low + 1
     if len(counts) * span - 1 > INT64_MAX:
         raise ValueError(f"the cell's event keys reach {len(counts) * span - 1}, "
                          f"above the int64 bound {INT64_MAX}")
-    slot = np.arange(len(counts), dtype=np.int64).repeat(counts) * span
-    order = (np.concatenate((slot, slot)) + (times - low)).argsort(kind="stable")
+    times.reshape(2, total)[:] += np.arange(len(counts), dtype=np.int64).repeat(counts) * span - low
+    order = times.argsort(kind="stable")
     times = np.diff(times[order])  # the gap before each event after the first
-    running = np.add.accumulate(np.where(order < total, 1, -1))[:-1]
-    pair_time = running * (running - 1) // 2 * times
-    t_overlap = np.add.reduceat(pair_time, 2 * offsets).tolist()
+    running = np.add.accumulate(np.where(order < total, 1, -1), out=order)[:-1]
+    t_overlap = np.add.reduceat(running * (running - 1) // 2 * times, 2 * offsets).tolist()
+    del times, order, running  # freed before the per-queue lists and the ELPs
+    makespans = (np.maximum.reduceat(finish, offsets)
+                 - np.minimum.reduceat(start, offsets)).tolist()
+    busy = np.add.reduceat(duration * cell.width, offsets).tolist()
+    t_max = ((counts - 1) * np.add.reduceat(duration, offsets)).tolist()
 
     elp = duration / finish
     rows = counts.argsort(kind="stable")  # each count's rows become one block

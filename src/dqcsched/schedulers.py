@@ -24,6 +24,7 @@ from .netmodel import Network
 
 SCHEDULER_NAMES = ("fifo", "list", "resource", "epr", "epr-ns", "asap")
 ENUMERATION_CAP = 12  # resource searches subsets of at most this many queued jobs
+SUBSET_CHUNK = 1 << 14  # the most (pool, subset, position) entries resource gathers at once
 MAX_SELECTION_SUBSETS = 250_000  # C(20, 10) = 184 756 fits: a 15 MB array of subsets
 
 
@@ -63,12 +64,14 @@ def _validate_queue(queue, network: Network) -> None:
 class JobTable(NamedTuple):
     """A cell's jobs, read by each of its schedulers: the flat job list, queue
     after queue in arrival order; each queue's count; int64 columns of job id,
-    demand and price class, numbered by ``classes``; and a memo of stage plans."""
+    demand, estimate, non-local gates and price class (``classes``); a plan memo."""
 
     jobs: list
     counts: np.ndarray
     ids: np.ndarray
     need: np.ndarray
+    est: np.ndarray
+    gates: np.ndarray
     cls: np.ndarray
     classes: dict
     plans: dict
@@ -84,9 +87,9 @@ def job_table(queues, network: Network, exec_params: ExecModelParams) -> JobTabl
     if len(classes) > len(dense):
         dense = np.vstack((dense, np.full((len(classes) - len(dense), network.n_nodes), -1)))
     network._span_prices[exec_params.key] = classes, dense
-    return JobTable(jobs, np.array([len(queue) for queue in queues], np.int64),
-                    np.array([job.id for job in jobs], np.int64),
-                    np.array([job.required_qpus for job in jobs], np.int64), cls, classes, {})
+    return JobTable(jobs, np.array([len(queue) for queue in queues], np.int64), *(
+        np.array([getattr(job, f) for job in jobs], np.int64)
+        for f in ("id", "required_qpus", "est_exec_ns", "nonlocal_gates")), cls, classes, {})
 
 
 def _checked(core):
@@ -111,9 +114,8 @@ def _stage_plan(table: JobTable, network: Network, strict: bool, by_epr: bool = 
         return plan
     counts, order = table.counts, np.arange(len(table.jobs))
     if by_epr:  # by (non-local gates, estimate, id) within each queue
-        gates = np.array([job.nonlocal_gates for job in table.jobs], dtype=np.int64)
-        estimate = np.array([job.est_exec_ns for job in table.jobs], dtype=np.int64)
-        order = np.lexsort((table.ids, estimate, gates, np.arange(len(counts)).repeat(counts)))
+        order = np.lexsort((table.ids, table.est, table.gates,
+                            np.arange(len(counts)).repeat(counts)))
     need = table.need[order]
     if (wide := need > network.n_nodes).any():  # it would never fit a stage
         _validate_queue([table.jobs[order[wide.argmax()]]], network)
@@ -248,70 +250,68 @@ def resource_prioritize_schedule(table: JobTable, network: Network,
     first ``ENUMERATION_CAP`` remaining jobs (arrival order), which bounds
     the exponential search.
     """
-    jobs, ids, ends = table.jobs, table.ids.tolist(), table.counts.cumsum().tolist()
-    rows, starts = [], []  # the placement order, and where each stage opens in it
-    for lo, hi in zip([0, *ends], ends):  # a queue's rows
-        ascending = all(a < b for a, b in itertools.pairwise(ids[lo:hi]))
-        remaining = list(range(lo, hi))
-        while remaining:
-            pool = remaining[:ENUMERATION_CAP]
-            chosen = _max_demand_subset(list(map(jobs.__getitem__, pool)), network.n_nodes,
-                                        ascending)
-            if not chosen:  # every job of the pool is wider than the network
-                _validate_queue([jobs[pool[0]]], network)
-            starts.append(len(rows))
-            rows += [row for k, row in enumerate(pool) if chosen >> k & 1]
-            remaining = [row for k, row in enumerate(remaining) if not chosen >> k & 1]
-    return _place_stages(table, np.array(rows, dtype=np.intp), np.array(starts, dtype=np.intp),
-                         table.counts, network, exec_params)
+    return _place_stages(table, *_resource_plan(table, network), table.counts, network,
+                         exec_params)
 
 
-def _max_demand_subset(pool, n_nodes: int, ascending: bool = False) -> int:
-    """Bit mask (bit k: ``pool[k]``) of the subset with maximal demand <=
-    ``n_nodes``, then minimal mean estimate, sorted ids and mask. Demands
-    are at least 1, so a pool that fits whole is its own answer; any other
-    is searched by ``_extend``. ``ascending``: the pool's ids strictly ascend.
-    Integer estimates sum exactly in a double, so each mean is bit-exact.
-    """
-    n = len(pool)
-    demand, est, reach, total = [0] * n, [0] * n, [0] * n, 0  # reach[k]: pool[k:]'s demand
-    for k in range(n - 1, -1, -1):
-        demand[k], est[k] = pool[k].required_qpus, pool[k].est_exec_ns
-        total = reach[k] = total + demand[k]
-    if total <= n_nodes:
-        return (1 << n) - 1
-    best = [0, math.inf, 0]  # demand, mean, mask
-    _extend(None if ascending else [j.id for j in pool], demand, est, reach, n_nodes, best,
-            0, 0, 0, 0, 0)
-    return best[2]
+def _resource_plan(table: JobTable, network: Network) -> tuple:
+    """The placement order of the table's rows and the offsets in it where
+    stages open, every queue in lockstep, a round at a time. A queue's row of
+    ``left`` holds its rows left, then ``rows`` (a job too wide to fit), then
+    ``rows + 1`` (no job), which position -1 of a subset reads. A round groups
+    the pools (a row's first ``cap``) by m, the most of their smallest demands
+    that fit, and sums demand and estimate over each pool's subsets of at most
+    m jobs in lexicographic order: where ids ascend, the first best is the
+    (sorted ids, mask) least. Estimate sums are exact doubles below 2**53."""
+    n, cap, rows, counts = network.n_nodes, ENUMERATION_CAP, len(table.jobs), table.counts
+    if (wide := table.need > n).any():  # it would never fit a stage
+        _validate_queue([table.jobs[wide.argmax()]], network)
+    if rows and (top := int(table.est.max())) * cap >= 2 ** 53:
+        raise ValueError(f"job {table.ids[table.est.argmax()]}: estimate {top} ns times {cap} "
+                         "reaches 2**53, where resource's mean estimates are no longer exact")
+    queue, width = np.arange(len(counts)).repeat(counts), max(int(counts.max(initial=0)), cap)
+    left = np.full((len(counts), width + 1), [rows] * width + [rows + 1])
+    left[queue, np.arange(rows) - (counts.cumsum() - counts).repeat(counts)] = np.arange(rows)
+    need, est = np.append(table.need, (n + 1, 0)), np.append(table.est, (0, 0)).astype(float)
+    falls = queue[1:][(np.diff(table.ids) <= 0) & (np.diff(queue) == 0)]  # ids not ascending
+    mixed, key, r = np.isin(queue, falls), queue * rows, 0  # key: queue, then stage r
+    while len(left := left[left[:, 0] < rows]):
+        fit = (np.sort(need[left[:, :cap]]).cumsum(axis=1) <= n).sum(axis=1)
+        left, fit = left[by := fit.argsort(kind="stable")], fit[by]
+        demand, cost, lo = need[left], est[left], 0
+        while lo < len(left):  # a chunk of the pools of one m
+            index, member, count = _subsets(m := int(fit[lo]))
+            hi = min(lo + max(1, SUBSET_CHUNK // index.size), int(fit.searchsorted(m + 1)))
+            total, spent = demand[lo:hi, index].sum(axis=1), cost[lo:hi, index].sum(axis=1)
+            slack = np.subtract(n, total, out=total).view(np.uint64)  # too wide: above any fit
+            np.copyto(spent, np.inf, where=slack != slack.min(axis=1, keepdims=True))
+            best = np.divide(spent, count, out=spent) == spent.min(axis=1, keepdims=True)
+            win = best.argmax(axis=1)  # the first: the least sorted ids where they ascend
+            for i in np.flatnonzero(mixed[left[lo:hi, 0]]).tolist() if falls.size else ():
+                ids = table.ids[left[lo + i, :cap].clip(max=rows - 1)]  # ties hold jobs only
+                win[i] = min(np.flatnonzero(best[i]).tolist(), key=lambda k: (
+                    sorted(ids[member[k]].tolist()), member[k, ::-1].tolist()))
+            key[left[lo:hi, :cap][member[win]]] += r
+            left[lo:hi, :cap][member[win]], lo = rows, hi
+        left[:, :width].sort(axis=1)
+        r += 1
+    placed = key.argsort(kind="stable")
+    return placed, np.flatnonzero(np.diff(key[placed], prepend=-1))
 
 
-def _extend(ids, demand, est, reach, n_nodes: int, best: list,
-            start: int, used: int, total: int, count: int, mask: int) -> None:
-    """Depth-first search from the subset ``mask`` (``count`` jobs, demand
-    ``used``, estimate sum ``total``) over the jobs from ``start`` on, cut
-    where the rest of the pool cannot reach the demand in ``best``. Subsets
-    come in lexicographic order of their indices, the order of their sorted
-    ids when those ascend (``ids`` None), so a tie then keeps the incumbent."""
-    for k in range(start, len(demand)):
-        if used + reach[k] < best[0]:
-            break
-        d = used + demand[k]
-        if d > n_nodes:
-            continue
-        sub_total, sub_mask = total + est[k], mask | 1 << k
-        if d >= best[0]:
-            mean = sub_total / (count + 1)
-            if d > best[0] or mean < best[1] or mean == best[1] and ids is not None and (
-                    _tie_key(ids, sub_mask) < _tie_key(ids, best[2])):
-                best[:] = d, mean, sub_mask
-        if d < n_nodes:
-            _extend(ids, demand, est, reach, n_nodes, best, k + 1, d, sub_total, count + 1,
-                    sub_mask)
-
-
-def _tie_key(ids, mask: int) -> tuple[list, int]:
-    return sorted(i for k, i in enumerate(ids) if mask >> k & 1), mask
+@functools.cache
+def _subsets(m: int) -> tuple:
+    """The non-empty subsets of at most ``m`` of a pool's ``ENUMERATION_CAP``
+    positions in lexicographic order: their (m, K) int8 positions, padded
+    with -1; their (K, cap) bool membership; and their uint8 sizes. Built
+    from the bit masks, with no Python object per subset."""
+    cap, bit = ENUMERATION_CAP, np.arange(ENUMERATION_CAP, dtype=np.int16)
+    member = (np.arange(1, 1 << cap, dtype=np.int16)[:, None] >> bit & 1).astype(bool)
+    member = member[member.sum(axis=1) <= m]
+    index = np.sort(np.where(member, bit.astype(np.int8), cap), axis=1)[:, :m]
+    index[index == cap] = -1  # the padding sorts first, as a prefix does
+    order = np.lexsort(index.T[::-1])
+    return index[order].T, member[order], member[order].sum(axis=1, dtype=np.uint8)
 
 
 def check_selection_size(n_free: int, k: int) -> None:

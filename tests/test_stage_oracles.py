@@ -16,7 +16,9 @@ as an argument that no run set, where it now reads ``ENUMERATION_CAP``.
 The ``resource`` loop searches through ``reference_max_demand_subset``, a
 verbatim copy of ``_max_demand_subset`` from before the search took its
 state as arguments, so the loop oracle does not check the search against
-itself. Every test compares the rows of the library's cell with the
+itself; the lockstep ``resource`` planner that replaced both is compared
+with the loop queue by queue, and its first stage with the search on
+single pools. Every test compares the rows of the library's cell with the
 reference's, or both errors word for word, on hypothesis-drawn queues and
 networks; the library places a one-queue cell, and ``build_schedule`` a
 queue's stages of rows through ``place_rows`` (``conftest.py``).
@@ -51,7 +53,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -87,7 +89,7 @@ from dqcsched.ppo import (
 from dqcsched.schedulers import (
     SCHEDULER_NAMES,
     SchedulingError,
-    _max_demand_subset,
+    _resource_plan,
     ENUMERATION_CAP,
     _validate_queue,
     epr_schedule,
@@ -602,14 +604,19 @@ def pools(draw):
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(args=pools())
 def test_max_demand_subset_matches_reference_search(args):
-    """The search on both of its paths: the general tie-break on every pool,
-    and the one that keeps the incumbent on every pool whose ids strictly
-    ascend."""
+    """The resource planner's first stage on a one-queue table of the pool
+    is the search's subset, whether the ids ascend, are shuffled or repeat,
+    and so is its first stage on the pool's copy under ascending ids."""
     pool, n_nodes = args
-    want = reference_max_demand_subset(pool, n_nodes)
-    assert _max_demand_subset(pool, n_nodes) == want
-    if all(a.id < b.id for a, b in itertools.pairwise(pool)):
-        assert _max_demand_subset(pool, n_nodes, ascending=True) == want
+    network = build_network(n_nodes, 3, MIXES[0], seed=0) if n_nodes > 1 else Network(1, 3, {})
+
+    def first_stage(queue):
+        order, starts = _resource_plan(job_table([queue], network, unit_exec_params()), network)
+        return sum(1 << k for k in order[:np.append(starts, len(order))[1]].tolist())
+
+    assert first_stage(pool) == reference_max_demand_subset(pool, n_nodes)
+    ascending = [dataclasses.replace(job, id=k) for k, job in enumerate(pool)]
+    assert first_stage(ascending) == reference_max_demand_subset(ascending, n_nodes)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCES))
@@ -674,6 +681,70 @@ def test_lockstep_stage_plans_match_reference_in_order_stages(env, order):
         assert cell.counts.tolist() == list(map(len, queues))
         assert schedule_rows(cell) == [row for queue in queues
                                        for row in references[name](queue, network, params)]
+
+
+def unit_queue(ids, n_twos: int = 1) -> list:
+    """Demand-1 jobs under ``ids``, the first ``n_twos`` of demand 2, with
+    two estimates, so that many subsets tie on demand and mean."""
+    return [make_job(i, 1 + (k < n_twos), (5, 10)[i % 2]) for k, i in enumerate(ids)]
+
+
+@st.composite
+def resource_cells(draw):
+    """``planner_cells`` and, in about half the cells, a queue of 11-14
+    synthetic jobs of demand 1 or 2 under ids in any order: on 12 nodes its
+    pools leave up to 11 of the cap's 12 jobs that fit together, the largest
+    subset tables. In one cell in four, a job one node wider than the network
+    stands somewhere in one of the queues."""
+    network, params, queues = draw(planner_cells())
+    if draw(st.booleans()):
+        ids = draw(st.permutations(range(100, 100 + draw(st.integers(11, 14)))))
+        queues.insert(draw(st.integers(0, len(queues))), [
+            make_job(i, draw(st.sampled_from((1, 1, 1, 2))), draw(st.sampled_from((5, 10))))
+            for i in ids])
+    if queues and draw(st.integers(0, 3)) == 0:
+        queue = queues[draw(st.integers(0, len(queues) - 1))]
+        queue.insert(draw(st.integers(0, len(queue))), make_job(999, network.n_nodes + 1, 5))
+    return network, params, queues
+
+
+WIDE = build_network(12, 3, MIXES[1], seed=3)
+
+
+@PROPERTY
+@given(env=resource_cells())
+@example(env=(WIDE, unit_exec_params(), [unit_queue(range(14)[::k % 2 * 2 - 1])
+                                         for k in range(20)]))
+@example(env=(WIDE, unit_exec_params(), [unit_queue(range(13), n_twos=0),
+                                         unit_queue(range(30, 17, -1), n_twos=2)]))
+def test_lockstep_resource_plan_matches_reference_per_queue(env):
+    """``resource`` plans every queue of a cell at once: each queue's rows
+    are its ``reference_resource_schedule`` rows, or both sides name the
+    same job wider than the network. The examples are 12-node cells of
+    demand-1 queues: twenty whose pools fit 11 of their 12 jobs, so a round
+    scores 4 094 subsets a queue in more than one chunk, their ids
+    descending in every other queue; and one whose pool
+    fits whole beside one whose pools fit 10 or 12."""
+    network, params, queues = env
+    want = outcome(lambda: [row for queue in queues
+                            for row in reference_resource_schedule(queue, network, params)])
+    assert outcome(lambda: run_unchecked("resource", queues, network, params)) == want
+    assert outcome(lambda: resource_prioritize_schedule(queues, network, params)) == want
+
+
+def test_resource_plan_rejects_estimates_whose_sums_leave_exact_doubles():
+    """The planner's means are exact while an estimate times the cap is below
+    2**53: at the largest such estimate it still matches the reference,
+    whose sums are Python integers, and one more raises naming the job."""
+    network, params = WIDE, unit_exec_params()
+    top = (2 ** 53 - 1) // ENUMERATION_CAP
+    queue = [dataclasses.replace(job, est_exec_ns=top - job.est_exec_ns % 2)
+             for job in unit_queue([4, 2, 7, 1, 9, 3, 8, 5, 6, 0, 11, 10, 12], n_twos=3)]
+    assert schedule_rows(run_unchecked("resource", [queue], network, params)) == \
+        reference_resource_schedule(queue, network, params)
+    queue[5] = dataclasses.replace(queue[5], est_exec_ns=top + 1)
+    with pytest.raises(ValueError, match=f"job 3: estimate {top + 1} ns"):
+        run_unchecked("resource", [[], queue], network, params)
 
 
 @PROPERTY
