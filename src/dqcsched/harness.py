@@ -23,7 +23,7 @@ from .configfile import ConfigError, ParsedConfig, parse_config_file
 from .execmodel import ExecModelParams
 from .netmodel import Network, build_network, quality_probabilities
 from .ppo import REWARD_VARIANTS
-from .schedulers import (SCHEDULER_NAMES, Cell, _validate_queue, check_selection_size,
+from .schedulers import (SCHEDULER_NAMES, Catalog, Cell, _check_demand, check_selection_size,
                          get_scheduler, job_table)
 
 PPO_SCHEDULER_NAMES = ("ppo", "ppo-ns")
@@ -150,20 +150,22 @@ def _workload_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
 
 
-def build_catalog(config: ExperimentConfig, network: Network):
-    return workload.sorted_catalog(config.catalog_entries, network, config.exec_params())
+def build_catalog(config: ExperimentConfig, network: Network) -> Catalog:
+    entries, params = config.catalog_entries, config.exec_params()
+    return Catalog(workload.sorted_catalog(entries, network, params), network, params)
 
 
 def run_experiment(config: ExperimentConfig, ppo_agent=None) -> SlotTable:
     """Run every (setting, seed, scheduler) cell and collect the slot table.
 
     Per seed one network and one catalog are built and shared by every
-    setting and scheduler; per (setting, seed) the job stream is generated
-    and checked once and fed to every scheduler, so comparisons are paired;
-    ``ppo`` and ``ppo-ns`` share one lockstep rollout's (node-blind) picks.
-    Each cell's non-empty queues form one job table, which each scheduler
-    places in one call; all schedulers' placements reduce to metric columns
-    in one pass, which the table takes as they are, None for an empty slot.
+    setting and scheduler; per (setting, seed) the job stream is drawn as
+    catalog rows, its demand checked at once, and fed to every scheduler, so
+    comparisons are paired; ``ppo`` and ``ppo-ns`` share one lockstep
+    rollout's (node-blind) picks. Each cell's non-empty queues form one job
+    table, each queue's ids 0, 1, ..., which each scheduler places in one
+    call; all schedulers' placements reduce to metric columns in one pass,
+    which the table takes as they are, None for an empty slot.
     """
     config.validate()
     exec_params = config.exec_params()
@@ -182,22 +184,18 @@ def run_experiment(config: ExperimentConfig, ppo_agent=None) -> SlotTable:
     for setting in config.settings:
         for seed in config.seeds:
             net, catalog = environments[seed]
-            wcfg = workload.WorkloadConfig(
-                catalog=catalog,
-                lam=setting.lam if setting.lam is not None else 0.0,
-                bias_alpha=setting.bias_alpha,
-                fixed_count=setting.fixed_count,
-            )
+            wcfg = workload.WorkloadConfig(catalog, setting.lam or 0.0, setting.bias_alpha,
+                                           setting.fixed_count)
             rng = _workload_rng(seed)
-            queues = [workload.generate_slot_jobs(wcfg, rng) for _ in range(n_slots)]
-            empty = [i for i, queue in enumerate(queues) if not queue]
-            jobs = [queue for queue in queues if queue]
-            for queue in jobs:
-                _validate_queue(queue, net)
-            table = job_table(jobs, net, exec_params)
+            drawn = [workload.generate_slot_jobs(wcfg, rng) for _ in range(n_slots)]
+            sizes = np.array([len(rows) for rows in drawn])
+            counts = sizes[sizes > 0]
+            ids = np.arange(counts.sum()) - (counts.cumsum() - counts).repeat(counts)
+            table = job_table(catalog, np.concatenate(drawn), counts, ids)
+            _check_demand(ids, table.need, net)
+            empty, sizes = np.flatnonzero(sizes == 0).tolist(), sizes.tolist()
             if use_ppo:  # the picked rows in pick order: queue by queue, one pick a row
-                _, _, action, _, _, opened = ppo_agent._rollouts(jobs, net.n_nodes, None)
-                picks = (table.counts.cumsum() - table.counts).repeat(table.counts) + action
+                picks, opened = ppo_agent.table_picks(table, net.n_nodes)
             metric_lists = metrics_mod.metric_columns(Cell(*(  # every scheduler's cell, joined
                 None if f in ("first", "nodes") else np.concatenate(parts)
                 for f, parts in zip(Cell._fields, zip(*[  # ppo-ns: with node selection
@@ -210,9 +208,9 @@ def run_experiment(config: ExperimentConfig, ppo_agent=None) -> SlotTable:
                 columns["scheduler"] += [name] * n_slots
                 columns["seed"] += [seed] * n_slots
                 columns["slot"] += range(n_slots)
-                columns["n_jobs"] += map(len, queues)
+                columns["n_jobs"] += sizes
                 for f, values in zip(METRIC_FIELDS, metric_lists):
-                    values = values[k * len(jobs):(k + 1) * len(jobs)]
+                    values = values[k * len(counts):(k + 1) * len(counts)]
                     for i in empty:  # ascending, so each None lands at its slot
                         values.insert(i, None)
                     columns[f] += values

@@ -116,16 +116,14 @@ class Network:
 
     ``delay_ns`` is the n x n matrix of link state delays (zero diagonal),
     read by the execution model and by node selection. A scheduler picks and
-    prices through four tables, each filled on first use. The pick tables,
+    prices through three tables, each filled on first use. The pick tables,
     ``_selection_memo`` for node selection and ``_lowest_picks`` for ASAP's
     lowest free ids, map (free-node bit mask, k) to the k picked nodes and
     the mask of the nodes left free. ``_price_tables`` holds one dict per
     ``ExecModelParams.key``, mapping (job price key, node tuple) to the
-    duration. ``_span_prices`` holds, per key, the staged placements' dense
-    table: a dict numbering price keys as classes, and the int64 durations
-    by (class, first node) of a job on consecutive ids, -1 where unfilled.
-    All live and die with the instance, so a cached answer can never be
-    served to another network.
+    duration. All live and die with the instance, so a cached answer can
+    never be served to another network. Span prices are built with each
+    ``schedulers.Catalog``, not filled on first use.
     """
 
     n_nodes: int
@@ -140,9 +138,6 @@ class Network:
         init=False, repr=False, compare=False, default_factory=dict
     )
     _price_tables: dict = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _span_prices: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 

@@ -21,7 +21,7 @@ from . import workload
 from .execmodel import ExecModelParams
 from .netmodel import Network
 from .nn import Adam, Mlp, bind, masked_softmax
-from .schedulers import Cell, JobTable, _place_stages, _validate_queue, job_table
+from .schedulers import Cell, JobTable, _check_demand, _place_stages, queue_table
 
 REWARD_VARIANTS = ("plain", "node_selection")
 _PROB_SUM_TOL = math.sqrt(np.finfo(float).eps)  # Generator.choice's tolerance
@@ -235,17 +235,10 @@ class PpoAgent:
         self.network = network
         self.exec_params = exec_params
         self.catalog = catalog
-        if time_scale is None:
-            time_scale = float(max(j.est_exec_ns for j in catalog))
-        self.time_scale = time_scale
-        if feature_scales is None:
-            feature_scales = np.array([
-                max(max(j.required_qpus for j in catalog), 1),
-                max(max(j.nonlocal_gates for j in catalog), 1),
-                max(max(j.nonlocal_gates for j in catalog), 1),
-                1.0,
-            ], dtype=float)
-        self.feature_scales = feature_scales
+        rows = encode_state(catalog, len(catalog), 1.0)  # demand, gates, gates, estimate
+        self.time_scale = float(rows[:, 3].max()) if time_scale is None else time_scale
+        self.feature_scales = (np.append(np.maximum(rows[:, :3].max(axis=0), 1.0), 1.0)
+                               if feature_scales is None else feature_scales)
 
         ss = np.random.SeedSequence(config.seed)
         init_ss, act_ss, env_ss, upd_ss = ss.spawn(4)
@@ -290,27 +283,23 @@ class PpoAgent:
         values = np.zeros(len(need)) if u is None else self.value_net(x)[:, 0, 0]
         return action, opened, x[:, 0], feasible, np.log(probs[rows, action]), values
 
-    def _rollouts(self, queues, n_max: int, draws: np.ndarray | None
+    def _rollouts(self, states: np.ndarray, n_max: int, draws: np.ndarray | None
                   ) -> tuple[np.ndarray, ...]:
         """The pick arrays (inputs, masks, actions, log-probabilities, values
-        and stage-opening flags) of the checked queues (a list, or the
-        ``encode_state`` rows of full ones as an array), their episodes
-        stepped in lockstep; ``draws`` holds the action uniforms of a sampled
-        rollout in episode-then-pick order, as one-episode loops would draw
-        them. Episodes step longest first, so the live ones are a prefix of
-        the stack, and each picks once a step: its pick t goes to entry t
-        after its first of the pick arrays, which are thus in ``draws``
-        order. Each stage starts at a pick that opened one."""
-        j_max = self.config.j_max
-        lengths = np.array([len(q) for q in queues], dtype=int)
+        and stage-opening flags) of checked queues, given as their stacked
+        ``encode_state`` rows (a job's demand, its first entry, is at least 1;
+        padding is 0), their episodes stepped in lockstep; ``draws`` holds the
+        action uniforms of a sampled rollout in episode-then-pick order, as
+        one-episode loops would draw them. Episodes step longest first, so the
+        live ones are a prefix of the stack, and each picks once a step: its
+        pick t goes to entry t after its first of the pick arrays, which are
+        thus in ``draws`` order. Each stage starts at a pick that opened one."""
+        j_max, lengths = self.config.j_max, (states[..., 0] > 0).sum(axis=1)
         firsts = np.cumsum(lengths) - lengths  # each episode's first pick in draws order
         by_length = np.argsort(-lengths, kind="stable")
-        raw = queues[by_length] if isinstance(queues, np.ndarray) else np.array(
-            [encode_state(queues[i], j_max, self.time_scale) for i in by_length]
-        ).reshape(len(queues), j_max, N_FEATURES)
-        scaled = raw / self.feature_scales
-        need = np.where(np.arange(j_max) < lengths[by_length, None], raw[..., 0], math.inf)
-        cap = np.zeros(len(queues))
+        raw = states[by_length]  # padding rows are 0: no job, so no node count to fit
+        scaled, need = raw / self.feature_scales, np.where(raw[..., 0] > 0, raw[..., 0], math.inf)
+        cap = np.zeros(len(states))
         n_picks = int(lengths.sum())  # one array entry a pick, in draws order
         action, opened = np.zeros(n_picks, dtype=int), np.zeros(n_picks, dtype=bool)
         obs, masks = np.zeros((n_picks, j_max * N_FEATURES)), np.zeros((n_picks, j_max), dtype=bool)
@@ -328,13 +317,28 @@ class PpoAgent:
         """Pick indices per stage and the pick arrays an update reads for one
         queue; a job that does not fit the agent's network is a
         SchedulingError."""
-        _validate_queue(queue, self.network)
+        _check_demand([j.id for j in queue], [j.required_qpus for j in queue], self.network)
         draws = self.action_rng.random(len(queue)) if sample else None
-        arrays = self._rollouts([queue], self.network.n_nodes, draws)
+        arrays = self._rollouts(encode_state(queue, self.config.j_max, self.time_scale)[None],
+                                self.network.n_nodes, draws)
         picks, bounds = arrays[2].tolist(), np.flatnonzero(arrays[5]).tolist() + [len(queue)]
         return [picks[a:b] for a, b in zip(bounds, bounds[1:])], arrays[:5]
 
     # -- schedule construction -------------------------------------------
+
+    def table_picks(self, table: JobTable, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """The argmax rollout of a job ``table``'s checked queues on ``n_max``
+        nodes: the picked table rows in pick order, and the stage-opening flags.
+        The ``encode_state`` rows are gathered from the catalog's, and a zero row."""
+        j_max, counts, catalog = self.config.j_max, table.counts, table.catalog
+        if (longest := int(counts.max(initial=0))) > j_max:
+            raise ValueError(f"queue of {longest} jobs exceeds j_max={j_max}")
+        states = encode_state(catalog, len(catalog) + 1, self.time_scale)  # last: zeros
+        firsts = (counts.cumsum() - counts).repeat(counts)
+        padded = np.full((len(counts), j_max), len(catalog))
+        padded[np.arange(len(counts)).repeat(counts), np.arange(len(firsts)) - firsts] = table.rows
+        _, _, action, _, _, opened = self._rollouts(states[padded], n_max, None)
+        return firsts + action, opened
 
     def build_schedule(self, table: JobTable, picks, opened, counts, node_selection: bool,
                        network: Network, exec_params: ExecModelParams) -> Cell:
@@ -348,11 +352,10 @@ class PpoAgent:
         """Deterministic (argmax) scheduling of one queue, as its cell."""
         if node_selection is None:
             node_selection = self.config.reward_variant == "node_selection"
-        _validate_queue(queue, self.network)
-        _, _, action, _, _, opened = self._rollouts([queue], self.network.n_nodes, None)
-        table = job_table([queue], self.network, self.exec_params)
-        return self.build_schedule(table, action, opened, table.counts, node_selection,
-                                   self.network, self.exec_params)
+        table = queue_table([queue], self.network, self.exec_params)
+        _check_demand(table.ids, table.need, self.network)
+        return self.build_schedule(table, *self.table_picks(table, self.network.n_nodes),
+                                   table.counts, node_selection, self.network, self.exec_params)
 
     def episode_reward(self, demand: np.ndarray, duration: np.ndarray,
                        opened: np.ndarray) -> np.ndarray:
@@ -378,23 +381,15 @@ class PpoAgent:
         """
         cfg = self.config
         node_selection = cfg.reward_variant == "node_selection"
-        wcfg = workload.WorkloadConfig(
-            catalog=self.catalog,
-            bias_alpha=bias_alpha,
-            fixed_count=cfg.j_max,
-        )
+        wcfg = workload.WorkloadConfig(self.catalog, bias_alpha=bias_alpha, fixed_count=cfg.j_max)
         n_picks = -(-cfg.update_every // cfg.j_max) * cfg.j_max  # one pick per job
         rows = encode_state(self.catalog, len(self.catalog), self.time_scale)  # a row a job
-        wide = (rows[:, 0] < 1) | (rows[:, 0] > self.network.n_nodes)
         firsts = np.arange(n_picks) // cfg.j_max * cfg.j_max  # each pick's episode's first
-        catalog = job_table([self.catalog], self.network, self.exec_params)
+        catalog = queue_table([self.catalog], self.network, self.exec_params)
         log: list[TrainLogEntry] = []
         for index in range(updates):
             picks = wcfg.cumulative.searchsorted(self.env_rng.random(n_picks), side="right")
-            if wide[picks].any():  # the error a check of each queue in turn raises first
-                lo = firsts[wide[picks].argmax()]
-                _validate_queue(workload.catalog_copies(self.catalog, picks[lo:lo + cfg.j_max]),
-                                self.network)
+            _check_demand(np.arange(n_picks) - firsts, catalog.need[picks], self.network)
             draws = self.action_rng.random(n_picks)
             obs, masks, action, logp, values, opened = self._rollouts(
                 rows[picks].reshape(-1, cfg.j_max, N_FEATURES), self.network.n_nodes, draws)

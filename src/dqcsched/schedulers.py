@@ -52,53 +52,81 @@ class Cell(NamedTuple):
     nodes: list | None
 
 
-def _validate_queue(queue, network: Network) -> None:
-    for job in queue:
-        if job.required_qpus < 1:
-            raise SchedulingError(job.id, "requires fewer than one QPU")
-        if job.required_qpus > network.n_nodes:
-            raise SchedulingError(job.id, f"requires {job.required_qpus} QPUs but the "
-                                  f"network has {network.n_nodes}")
+def _check_demand(ids, need, network: Network) -> None:
+    """The queue check: a SchedulingError for the first job, in the order
+    given, that needs fewer than one QPU or more than the network has."""
+    need = np.asarray(need, np.int64)
+    if (bad := (need < 1) | (need > network.n_nodes)).any():
+        k = int(bad.argmax())
+        raise SchedulingError(int(ids[k]), "requires fewer than one QPU" if need[k] < 1 else
+                              f"requires {need[k]} QPUs but the network has {network.n_nodes}")
+
+
+class Catalog(tuple):
+    """Jobs in catalog order with the tables their job tables gather from,
+    built with them for one network and ``ExecModelParams``: int64 columns of
+    id, demand, estimate, non-local gates and price class (a price key's
+    number), and the read-only ``spans``, by (class, first node) the price on
+    consecutive ids, -1 where no job of the class fits. Block a runs on node
+    first + a, so one job of a class's least demand prices its row."""
+
+    def __new__(cls, jobs, network: Network, params: ExecModelParams):
+        catalog, classes, least, n = super().__new__(cls, jobs), {}, {}, network.n_nodes
+        for job in catalog:  # number the price keys; keep each class's narrowest job that fits
+            c = classes.setdefault(job.price_key, len(classes))
+            if 1 <= job.required_qpus < least.get(c, (n + 1,))[0]:
+                least[c] = job.required_qpus, job
+        catalog.ids, catalog.need, catalog.est, catalog.gates = (
+            np.array([getattr(job, f) for job in catalog], np.int64)
+            for f in ("id", "required_qpus", "est_exec_ns", "nonlocal_gates"))
+        catalog.cls = np.array([classes[job.price_key] for job in catalog], np.intp)
+        rows, prices = [[-1] * n for _ in classes], network._price_tables.setdefault(params.key, {})
+        for c, (d, job) in least.items():
+            rows[c][:n - d + 1] = [_price(job, tuple(range(f, f + d)), prices, network, params)
+                                   for f in range(n - d + 1)]
+        catalog.spans = np.array(rows, np.int64).reshape(len(classes), n)
+        catalog.spans.flags.writeable = False
+        return catalog
 
 
 class JobTable(NamedTuple):
-    """A cell's jobs, read by each of its schedulers: the flat job list, queue
-    after queue in arrival order; each queue's count; int64 columns of job id,
-    demand, estimate, non-local gates and price class (``classes``); a plan memo."""
+    """A cell's jobs, read by each of its schedulers: their catalog; each
+    job's catalog row, queue after queue in arrival order; each queue's count;
+    the rows' columns of id, demand, estimate, gates and class; a plan memo."""
 
-    jobs: list
+    catalog: Catalog
+    rows: np.ndarray
     counts: np.ndarray
     ids: np.ndarray
     need: np.ndarray
     est: np.ndarray
     gates: np.ndarray
     cls: np.ndarray
-    classes: dict
     plans: dict
 
 
-def job_table(queues, network: Network, exec_params: ExecModelParams) -> JobTable:
-    """The job table of ``queues``; a new price key is a new class, a row of -1
-    (unfilled) entries in ``network``'s dense span table for ``exec_params``."""
-    jobs = [job for queue in queues for job in queue]
-    classes, dense = network._span_prices.get(exec_params.key) or (
-        {}, np.zeros((0, network.n_nodes), dtype=np.int64))
-    cls = np.array([classes.setdefault(job.price_key, len(classes)) for job in jobs], np.intp)
-    if len(classes) > len(dense):
-        dense = np.vstack((dense, np.full((len(classes) - len(dense), network.n_nodes), -1)))
-    network._span_prices[exec_params.key] = classes, dense
-    return JobTable(jobs, np.array([len(queue) for queue in queues], np.int64), *(
-        np.array([getattr(job, f) for job in jobs], np.int64)
-        for f in ("id", "required_qpus", "est_exec_ns", "nonlocal_gates")), cls, classes, {})
+def job_table(catalog: Catalog, rows, counts, ids) -> JobTable:
+    """The job table of queues of ``counts`` jobs that hold, queue after
+    queue, the ``catalog``'s ``rows`` under ``ids`` (int arrays): its columns,
+    gathered."""
+    return JobTable(catalog, rows, counts, ids, catalog.need[rows], catalog.est[rows],
+                    catalog.gates[rows], catalog.cls[rows], {})
+
+
+def queue_table(queues, network: Network, exec_params: ExecModelParams) -> JobTable:
+    """The job table of ``queues``, lists of jobs, whose flat list is the catalog."""
+    catalog = Catalog([job for queue in queues for job in queue], network, exec_params)
+    return job_table(catalog, np.arange(len(catalog)),
+                     np.array([len(queue) for queue in queues], np.int64), catalog.ids)
 
 
 def _checked(core):
     """``core``, a job table's scheduler, as a scheduler of checked queues."""
     @functools.wraps(core)
     def scheduler(queues, network, exec_params, *args, **kwargs) -> Cell:
-        for queue in queues:
-            _validate_queue(queue, network)
-        return core(job_table(queues, network, exec_params), network, exec_params, *args, **kwargs)
+        table = queue_table(queues, network, exec_params)
+        _check_demand(table.ids, table.need, network)
+        return core(table, network, exec_params, *args, **kwargs)
     return scheduler
 
 
@@ -112,13 +140,13 @@ def _stage_plan(table: JobTable, network: Network, strict: bool, by_epr: bool = 
     stages) room matrix. The table keeps each plan: EPR and EPR-NS share one."""
     if (plan := table.plans.get((strict, by_epr))) is not None:
         return plan
-    counts, order = table.counts, np.arange(len(table.jobs))
+    counts, order = table.counts, np.arange(len(table.rows))
     if by_epr:  # by (non-local gates, estimate, id) within each queue
         order = np.lexsort((table.ids, table.est, table.gates,
                             np.arange(len(counts)).repeat(counts)))
     need = table.need[order]
-    if (wide := need > network.n_nodes).any():  # it would never fit a stage
-        _validate_queue([table.jobs[order[wide.argmax()]]], network)
+    if (need > network.n_nodes).any():  # it would never fit a stage
+        _check_demand(table.ids[order], need, network)
     position = np.arange(len(need)) - (counts.cumsum() - counts).repeat(counts)
     steps = np.lexsort((-counts.repeat(counts), position))  # then longest, then first queue
     longest = int(counts.max(initial=0))
@@ -148,35 +176,27 @@ def _place_stages(table: JobTable, order: np.ndarray, starts: np.ndarray, counts
     ``starts``, each queue's first job among them. A stage starts when its
     queue's previous one ends, or at 0, on every node, and lasts its longest
     job: job k takes ids D_k .. D_k + d_k - 1, D_k the demand placed before
-    it in its stage, priced by (price class, D_k) in the dense span table;
+    it in its stage, priced by (price class, D_k) in the catalog's spans;
     with ``node_selection`` a walk picks the free subset with the best links.
     D_k + d_k above the node count is a SchedulingError."""
-    classes, dense = network._span_prices.get(exec_params.key, (None, None))
-    if classes is not table.classes:
-        raise ValueError("the job table's price classes are not this network's")
     ids, need = table.ids[order], table.need[order]
     sizes = np.append(starts[1:], len(order)) - starts
     placed = need.cumsum() - need
     first = placed - placed[starts].repeat(sizes)
     if (over := first + need > network.n_nodes).any():
         raise SchedulingError(int(ids[over.argmax()]), "stage exceeds free nodes")
-    prices = network._price_tables.setdefault(exec_params.key, {})
-    if node_selection:
+    if node_selection:  # subset prices stay a lazy per-network memo
+        prices = network._price_tables.setdefault(exec_params.key, {})
         everyone, free, nodes, duration = (1 << network.n_nodes) - 1, 0, [], []
-        for k, before in zip(order.tolist(), first.tolist()):  # before = 0: a stage opens
-            job, free = table.jobs[k], free if before else everyone
-            picked, free = network._selection_memo.get((free, job.required_qpus)) or _pick(
+        for row, d, before in zip(table.rows[order].tolist(), need.tolist(), first.tolist()):
+            job, free = table.catalog[row], free if before else everyone  # 0: a stage opens
+            picked, free = network._selection_memo.get((free, d)) or _pick(
                 job, free, network, True)
             nodes.append(picked)
             duration.append(_price(job, picked, prices, network, exec_params))
         first, duration = None, np.array(duration, dtype=np.int64)
     else:
-        nodes, cls = None, table.cls[order]
-        for k in np.flatnonzero(dense[cls, first] < 0).tolist():
-            if dense[cls[k], f := int(first[k])] < 0:  # not filled by a job before it
-                dense[cls[k], f] = _price(table.jobs[order[k]], tuple(range(f, f + int(need[k]))),
-                                          prices, network, exec_params)
-        duration = dense[cls, first]
+        nodes, duration = None, table.catalog.spans[table.cls[order], first]
     longest = np.maximum.reduceat(duration, starts)
     # each queue's first stage, and each stage's queue's first stage
     opening = starts.searchsorted(counts.cumsum() - counts)
@@ -263,9 +283,9 @@ def _resource_plan(table: JobTable, network: Network) -> tuple:
     that fit, and sums demand and estimate over each pool's subsets of at most
     m jobs in lexicographic order: where ids ascend, the first best is the
     (sorted ids, mask) least. Estimate sums are exact doubles below 2**53."""
-    n, cap, rows, counts = network.n_nodes, ENUMERATION_CAP, len(table.jobs), table.counts
-    if (wide := table.need > n).any():  # it would never fit a stage
-        _validate_queue([table.jobs[wide.argmax()]], network)
+    n, cap, rows, counts = network.n_nodes, ENUMERATION_CAP, len(table.rows), table.counts
+    if (table.need > n).any():  # it would never fit a stage
+        _check_demand(table.ids, table.need, network)
     if rows and (top := int(table.est.max())) * cap >= 2 ** 53:
         raise ValueError(f"job {table.ids[table.est.argmax()]}: estimate {top} ns times {cap} "
                          "reaches 2**53, where resource's mean estimates are no longer exact")
@@ -395,35 +415,35 @@ def asap_schedule(table: JobTable, network: Network, exec_params: ExecModelParam
     them down as it places.
     """
     prices = network._price_tables.setdefault(exec_params.key, {})
-    picks = network._lowest_picks
+    picks, catalog, rows = network._lowest_picks, table.catalog, table.rows.tolist()
+    job_ids, need = table.ids.tolist(), table.need.tolist()
     ids, placed, starts, finishes, stages = columns = [], [], [], [], []
     add_id, add_nodes, add_start, add_finish, add_stage = (c.append for c in columns)
     ends = table.counts.cumsum().tolist()
     for lo, hi in zip([0, *ends], ends):  # every job of a queue is placed once
-        avail = [0] * network.n_nodes
-        remaining = table.jobs[lo:hi]
+        avail, remaining = [0] * network.n_nodes, range(lo, hi)  # the table rows left
         stage, t, free, n_free = 0, 0, (1 << network.n_nodes) - 1, network.n_nodes
         while remaining:
             if stage:
-                need = min([job.required_qpus for job in remaining])
-                if need > network.n_nodes:  # every job left is wider than the network
-                    _validate_queue(remaining, network)
-                t = sorted(avail)[need - 1]
+                least = min([need[k] for k in remaining])
+                if least > network.n_nodes:  # every job left is wider than the network
+                    _check_demand(table.ids[remaining], table.need[remaining], network)
+                t = sorted(avail)[least - 1]
                 free = n_free = 0
                 for n, release in enumerate(avail):
                     if release <= t:
                         free |= 1 << n
                         n_free += 1
             deferred: list = []
-            for job in remaining:
-                if job.required_qpus > n_free:
-                    deferred.append(job)
+            for k in remaining:
+                if (d := need[k]) > n_free:
+                    deferred.append(k)
                     continue
-                n_free -= job.required_qpus
-                nodes, free = picks.get((free, job.required_qpus)) or _pick(
-                    job, free, network, False)
+                n_free -= d
+                job = catalog[rows[k]]
+                nodes, free = picks.get((free, d)) or _pick(job, free, network, False)
                 finish = t + _price(job, nodes, prices, network, exec_params)
-                add_id(job.id)
+                add_id(job_ids[k])
                 add_nodes(nodes)
                 add_start(t)
                 add_finish(finish)
@@ -440,7 +460,7 @@ def asap_schedule(table: JobTable, network: Network, exec_params: ExecModelParam
 
 def get_scheduler(name: str):
     """A name's scheduler of a cell's (job table, network, params), returning
-    the Cell and skipping ``_validate_queue``; a job wider than the network
+    the Cell and skipping the queue check; a job wider than the network
     is a SchedulingError."""
     table = {
         "fifo": fifo_schedule.__wrapped__,

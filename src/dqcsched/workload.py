@@ -307,27 +307,18 @@ def selection_probabilities(n: int, bias_alpha: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def generate_slot_jobs(config: WorkloadConfig, rng: np.random.Generator) -> list[JobDescriptor]:
-    """Draw one slot's job batch from the catalog.
+def generate_slot_jobs(config: WorkloadConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw one slot's job batch from the catalog: its catalog rows (intp),
+    in arrival order, under the slot's ids 0..count-1.
 
-    Batch size is Poisson(lam) unless ``fixed_count`` is set. Ids are fresh
-    per slot (0..count-1).
+    Batch size is Poisson(lam) unless ``fixed_count`` is set.
     """
     if config.fixed_count is not None:
         count = config.fixed_count
     else:
         count = int(rng.poisson(config.lam))
     if count == 0:
-        return []
+        return np.empty(0, dtype=np.intp)
     # Generator.choice(n, size=count, p=probabilities), without its per-call
     # checks and running sum: the same draws and generator state.
-    picks = config.cumulative.searchsorted(rng.random(count), side="right")
-    return catalog_copies(config.catalog, picks.tolist())
-
-
-def catalog_copies(catalog, picks: list[int]) -> list[JobDescriptor]:
-    """Catalog entries at ``picks``, copied under ids 0, 1, ... with their price keys."""
-    jobs = [object.__new__(JobDescriptor) for _ in picks]
-    for k, (job, i) in enumerate(zip(jobs, picks)):
-        job.__dict__.update(catalog[i].__dict__, id=k)
-    return jobs
+    return config.cumulative.searchsorted(rng.random(count), side="right")

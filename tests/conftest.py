@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -17,15 +18,16 @@ from dqcsched.netmodel import (
     Network,
     build_network,
 )
-from dqcsched.ppo import PpoAgent, reward_columns
-from dqcsched.schedulers import Cell, _validate_queue, get_scheduler, job_table
+from dqcsched.ppo import N_FEATURES, PpoAgent, encode_state, reward_columns
+from dqcsched.schedulers import Cell, SchedulingError, get_scheduler, queue_table
 from dqcsched.workload import (
     CIRCUIT_KINDS,
     QUBIT_SIZES,
     CircuitProfile,
     JobDescriptor,
+    WorkloadConfig,
     build_circuit_profile,
-    catalog_copies,
+    generate_slot_jobs,
     partition_job,
     sorted_catalog,
 )
@@ -79,6 +81,29 @@ def reference_catalog(entries, network: Network, exec_params: ExecModelParams
                           network, exec_params) for kind, n, reps in entries]
     jobs.sort(key=lambda j: (j.nonlocal_gates, j.est_exec_ns, j.profile.kind, j.profile.n_qubits))
     return tuple(catalog_copies(jobs, range(len(jobs))))
+
+
+def catalog_copies(catalog, picks) -> list[JobDescriptor]:
+    """Catalog entries at ``picks``, copied under ids 0, 1, ... with their price keys."""
+    return [dataclasses.replace(catalog[i], id=k) for k, i in enumerate(picks)]
+
+
+def slot_queue(config: WorkloadConfig, rng: np.random.Generator) -> list[JobDescriptor]:
+    """One slot's queue: the catalog rows ``generate_slot_jobs`` draws, as
+    catalog copies under the slot's ids 0, 1, ..."""
+    return catalog_copies(config.catalog, generate_slot_jobs(config, rng).tolist())
+
+
+def validate_queue(queue, network: Network) -> None:
+    """The per-job queue check, kept as the oracle of the library's vector
+    check: the first job that needs fewer than one QPU, or more than the
+    network has, is a SchedulingError."""
+    for job in queue:
+        if job.required_qpus < 1:
+            raise SchedulingError(job.id, "requires fewer than one QPU")
+        if job.required_qpus > network.n_nodes:
+            raise SchedulingError(job.id, f"requires {job.required_qpus} QPUs but the "
+                                  f"network has {network.n_nodes}")
 
 
 def cell_of(rows_per_queue) -> Cell:
@@ -260,9 +285,16 @@ def schedule_on(agent: PpoAgent, queue, network: Network, exec_params: ExecModel
                 node_selection: bool = False) -> Cell:
     """``agent.schedule`` of ``queue`` on another network: the queue check,
     the argmax rollout on the network's nodes, then the placement."""
-    _validate_queue(queue, network)
-    stages = rollout_stages(agent._rollouts([queue], network.n_nodes, None), [len(queue)])[0]
+    validate_queue(queue, network)
+    stages = rollout_stages(agent._rollouts(agent_states(agent, [queue]), network.n_nodes, None),
+                            [len(queue)])[0]
     return place_rows(agent, queue, stages, node_selection, network, exec_params)
+
+
+def agent_states(agent: PpoAgent, queues) -> np.ndarray:
+    """The stacked ``encode_state`` rows of ``queues`` for ``agent._rollouts``."""
+    return np.array([encode_state(queue, agent.config.j_max, agent.time_scale)
+                     for queue in queues]).reshape(len(queues), agent.config.j_max, N_FEATURES)
 
 
 def rollout_stages(arrays, lengths) -> list[list[list[int]]]:
@@ -292,7 +324,7 @@ def place_rows(agent: PpoAgent, queue, stages, node_selection: bool,
     sizes = np.array([len(picks) for picks in stages], dtype=int)
     opened = np.zeros(len(rows), dtype=bool)
     opened[np.cumsum(sizes) - sizes] = True
-    return agent.build_schedule(job_table([queue], network, exec_params),
+    return agent.build_schedule(queue_table([queue], network, exec_params),
                                 np.array(rows, dtype=np.intp), opened, np.array([len(rows)]),
                                 node_selection, network, exec_params)
 
@@ -300,7 +332,7 @@ def place_rows(agent: PpoAgent, queue, stages, node_selection: bool,
 def run_unchecked(name: str, queues, network: Network, exec_params: ExecModelParams) -> Cell:
     """``get_scheduler(name)``, which skips the queue check, on the job
     table of ``queues``."""
-    return get_scheduler(name)(job_table(queues, network, exec_params), network, exec_params)
+    return get_scheduler(name)(queue_table(queues, network, exec_params), network, exec_params)
 
 
 def reference_build_network(n_nodes: int, qpu_capacity: int,

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import (bootstrap_mean_diff_ci, cell_of, default_catalog, homogeneous_network,
                       make_job, make_rng, makespans, metric_values, queue_rows, row_latencies,
-                      row_reward, schedule_rows, stage_ids, unit_exec_params)
+                      row_reward, schedule_rows, slot_queue, stage_ids, unit_exec_params)
 from dqcsched import harness
 from dqcsched.execmodel import ExecModelParams
 from dqcsched.metrics import compute_report
@@ -40,7 +40,7 @@ from dqcsched.schedulers import (
     resource_prioritize_schedule,
     select_nodes,
 )
-from dqcsched.workload import WorkloadConfig, generate_slot_jobs
+from dqcsched.workload import WorkloadConfig
 
 UNIT = unit_exec_params()
 
@@ -225,7 +225,7 @@ def _dominance_corpus():
     for seed in range(1000):
         rng = make_rng(seed, 2)
         cfg = WorkloadConfig(catalog=catalog, lam=5.0)
-        queue = generate_slot_jobs(cfg, rng)
+        queue = slot_queue(cfg, rng)
         if queue:
             queues.append(queue)
     return net, queues
@@ -473,7 +473,7 @@ def test_criterion_7_training_sanity():
     eval_rng = make_rng(99)
     trained_ms, untrained_ms = [], []
     for _ in range(100):
-        queue = generate_slot_jobs(wcfg, eval_rng)
+        queue = slot_queue(wcfg, eval_rng)
         trained_ms += makespans(agent.schedule(queue))
         untrained_ms += makespans(untrained.schedule(queue))
     mean_trained = float(np.mean(trained_ms))

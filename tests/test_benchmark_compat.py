@@ -60,6 +60,8 @@ def test_traced_run_reports_every_per_layer_metric(tmp_path):
     counts, self_times = traced_passes(
         [lambda k: ["run", "--config", str(config), "--out", str(tmp_path / str(k))]])
     assert counts["schedulers.epr-ns.calls"] > 0 and counts["cli.main.calls"] == 1
+    # the run path draws each slot through generate_slot_jobs: 4 settings x 1 seed x 3 slots
+    assert counts["workload.generate_slot_jobs.calls"] == 4 * 1 * 3
     missing = [name for name in per_layer_names()
                if not name.startswith("trace.") and name not in {**counts, **self_times}]
     assert missing == []

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (bootstrap_mean_diff_ci, cell_of, default_catalog, metric_values,
-                      run_unchecked)
+                      run_unchecked, slot_queue)
 from dqcsched import cli, harness, metrics, ppo, schedulers, workload
 from dqcsched.configfile import ConfigError, parse_config_text
 from dqcsched.harness import (
@@ -214,7 +214,7 @@ class TestRunExperiment:
                 wcfg = harness.workload.WorkloadConfig(
                     catalog=harness.build_catalog(config, net), lam=setting.lam)
                 rng = harness._workload_rng(seed)
-                queues = [harness.workload.generate_slot_jobs(wcfg, rng)
+                queues = [slot_queue(wcfg, rng)
                           for _ in range(config.n_slots)]
                 for name in config.schedulers:
                     per_slot = [metrics.compute_report(run_unchecked(name, [q], net, params),
@@ -265,10 +265,11 @@ class TestRunExperiment:
         catalog.unlink()
         assert run_experiment(config) == table
 
-    def test_one_queue_check_per_non_empty_queue(self, monkeypatch):
-        """All eight schedulers on one run: the harness checks each non-empty
-        queue once, before any scheduler sees it, and no scheduler checks it
-        again."""
+    def test_one_demand_check_per_setting_and_seed(self, monkeypatch):
+        """All eight schedulers on one run: the harness checks each (setting,
+        seed)'s drawn jobs once, in one check of every non-empty queue's
+        demand under the queue's ids 0, 1, ..., before any scheduler sees them,
+        and no scheduler checks them again."""
         config = ExperimentConfig(
             settings=(SettingSpec("f5", fixed_count=5), SettingSpec("sparse", lam=0.7)),
             schedulers=harness.KNOWN_SCHEDULERS, seeds=(0, 1), n_slots=10)
@@ -277,17 +278,19 @@ class TestRunExperiment:
         agent = ppo.PpoAgent(ppo.PpoConfig(), net, params, default_catalog(net, params))
         checked = []
 
-        def counted(queue, network):
-            checked.append(queue)  # kept, so no two hold one id
-            original(queue, network)
+        def counted(ids, need, network):
+            checked.append(np.array(ids).tolist())
+            original(ids, need, network)
 
-        original = schedulers._validate_queue
+        original = schedulers._check_demand
         for module in (schedulers, harness, ppo):
-            monkeypatch.setattr(module, "_validate_queue", counted)
+            monkeypatch.setattr(module, "_check_demand", counted)
         table = run_experiment(config, agent)
         n_queues = sum(n > 0 for n in table.n_jobs) // len(harness.KNOWN_SCHEDULERS)
         assert 20 < n_queues < 40  # every f5 slot and some sparse ones
-        assert len(checked) == len(set(map(id, checked))) == n_queues
+        assert len(checked) == len(config.settings) * len(config.seeds)
+        assert checked[0] == [i for n in table.n_jobs[:config.n_slots] for i in range(n)]
+        assert sum(map(len, checked)) * len(harness.KNOWN_SCHEDULERS) == sum(table.n_jobs)
 
     def test_ppo_without_weights_rejected(self):
         config = ExperimentConfig(

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (default_catalog, homogeneous_network, make_job, make_rng, place_rows,
-                      reference_epr_reward, reference_stage_latencies, rollout_stages,
+from conftest import (agent_states, default_catalog, homogeneous_network, make_job, make_rng,
+                      place_rows, reference_epr_reward, reference_stage_latencies, rollout_stages,
                       row_latencies, row_reward, schedule_on, schedule_rows, stage_ids,
                       stage_rows, unit_exec_params)
 from dqcsched.nn import Adam, Mlp, bind, masked_softmax
@@ -630,7 +630,7 @@ class TestSelectStageMatchesReference:
             sample = bool(case % 2)
             start = agent.action_rng.bit_generator.state
             draws = agent.action_rng.random(sum(map(len, queues))) if sample else None
-            arrays = agent._rollouts(queues, n_max, draws)
+            arrays = agent._rollouts(agent_states(agent, queues), n_max, draws)
             ours = rollout_stages(arrays, [len(q) for q in queues])
             after = agent.action_rng.bit_generator.state
             agent.action_rng.bit_generator.state = start

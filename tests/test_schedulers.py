@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     MIXES,
+    agent_states,
     cell_of,
     default_catalog,
     homogeneous_network,
@@ -29,6 +30,7 @@ from conftest import (
     stage_ids,
     stage_rows,
     unit_exec_params,
+    validate_queue,
     weighted_network,
 )
 from dqcsched import execmodel, schedulers
@@ -39,13 +41,12 @@ from dqcsched.schedulers import (
     ENUMERATION_CAP,
     SCHEDULER_NAMES,
     SchedulingError,
-    _validate_queue,
     asap_schedule,
     epr_schedule,
     fifo_schedule,
     get_scheduler,
-    job_table,
     list_schedule,
+    queue_table,
     resource_prioritize_schedule,
     select_nodes,
 )
@@ -142,7 +143,7 @@ class TestResourcePrioritize:
 
 def reference_resource_schedule(queue, network, exec_params):
     """The subset search with per-stage tables and a bit-scanning tie-break."""
-    _validate_queue(queue, network)
+    validate_queue(queue, network)
     rows: list[tuple] = []
     place = reference_pricer(rows, network, exec_params)
     remaining = list(queue)
@@ -295,30 +296,32 @@ class TestDurationMemo:
                     assert prices[-1] == estimate_execution_time(job, nodes, net, params)
         assert len(set(prices)) == 4
         assert [len(net._price_tables) for net in nets] == [2, 2]
-        assert [self.n_entries(net) for net in nets] == [2, 2]
+        # each (network, params) prices the job's spans from nodes 0 and 1 once,
+        # and ASAP's lowest ids are the first of them
+        assert [self.n_entries(net) for net in nets] == [4, 4]
 
     def test_wrong_length_rejected_on_warm_memo(self):
         """Jobs of one price key but two demands share the staged span
         table's entry of a first node: block a of either runs on node first
-        + a, so their prices agree. The flat table and ASAP's pick table key
-        each demand's own node tuples, so a tuple of the wrong length reaches
-        only the exec model, which raises, warm table or not."""
+        + a, so their prices agree, and the class's narrowest job fills its
+        row. The flat table and ASAP's pick table key each demand's own node
+        tuples, so a tuple of the wrong length reaches only the exec model,
+        which raises, warm table or not."""
         net = homogeneous_network(4, 3, "good")
         wide, narrow = make_job(0, 3, 10), make_job(1, 2, 10)
         assert wide.price_key == narrow.price_key
         for queue in ([wide, narrow], [narrow, wide]):
+            assert queue_table([queue], net, PARAMS).catalog.spans.tolist() == [[10, 10, 10, -1]]
             schedule = fifo_schedule([queue], net, PARAMS)
             assert [row[1] for row in schedule_rows(schedule)] == [
                 tuple(range(j.required_qpus)) for j in queue]
             assert (schedule.finish_ns - schedule.start_ns).tolist() == [10, 10]
-        assert net._price_tables[PARAMS.key] == {(wide.price_key, (0, 1, 2)): 10}
-        classes, table = net._span_prices[PARAMS.key]
-        assert classes == {wide.price_key: 0} and table.tolist() == [[10, -1, -1, -1]]
+        spans = {(narrow.price_key, (f, f + 1)): 10 for f in range(3)}
+        assert net._price_tables[PARAMS.key] == spans
         for queue in ([wide, narrow], [narrow, wide]):
             schedule = asap_schedule([queue], net, PARAMS)
             assert schedule.nodes == [tuple(range(j.required_qpus)) for j in queue]
-        assert net._price_tables[PARAMS.key] == {(wide.price_key, (0, 1, 2)): 10,
-                                                 (narrow.price_key, (0, 1)): 10}
+        assert net._price_tables[PARAMS.key] == {**spans, (wide.price_key, (0, 1, 2)): 10}
         assert all(len(nodes) == d for (_, d), (nodes, _) in net._lowest_picks.items())
         with pytest.raises(ValueError, match="requires 2 nodes, got 3"):
             estimate_execution_time(narrow, (0, 1, 2), net, PARAMS)
@@ -356,18 +359,24 @@ class TestDurationMemo:
     @pytest.mark.parametrize("policy", ["serial", "per-link-parallel"])
     def test_schedulers_share_one_call_per_class_and_nodes(self, counted, policy):
         """All six schedulers on one network: lowest-id and selected picks
-        share the flat price table, which also fills the staged span table,
-        so the exec model is called at most once per distinct (price key,
-        nodes) the placements hold, each call fills one flat entry, and
-        every duration is its answer."""
+        share the flat price table, which also fills each job table's span
+        prices, so the exec model is called at most once per distinct (price
+        key, nodes) that the placements or the span rows hold (a class's row
+        priced on its narrowest job's spans), each call fills one flat entry,
+        and every duration is its answer."""
         net = build_network(6, 3, self.MIXED, seed=11)
         params = ExecModelParams(epr_serialization=policy)
         catalog = default_catalog(net, params)
         rng = make_rng(71)
-        placed = set()
+        placed, spanned = set(), set()
         for _ in range(40):
             queue = [dataclasses.replace(catalog[k], id=i)
                      for i, k in enumerate(rng.integers(0, len(catalog), size=8))]
+            least = {}
+            for job in queue:
+                least[job.price_key] = min(least.get(job.price_key, 6), job.required_qpus)
+            spanned |= {(key, tuple(range(f, f + d))) for key, d in least.items()
+                        for f in range(6 - d + 1)}
             for name in SCHEDULER_NAMES:
                 schedule = run_unchecked(name, [queue], net, params)
                 for job_id, nodes, start, finish, _ in schedule_rows(schedule):
@@ -375,14 +384,16 @@ class TestDurationMemo:
                     assert finish - start == estimate_execution_time(job, nodes, net, params)
                     placed.add((job.price_key, nodes))
         calls = {(job.price_key, tuple(nodes)) for job, nodes, *_ in counted}
-        assert len(counted) == len(calls) == self.n_entries(net) <= len(placed)
-        assert calls <= placed
+        assert len(counted) == len(calls) == self.n_entries(net)
+        assert spanned <= calls <= placed | spanned
 
     def test_fifo_and_asap_share_pick_and_price_entries(self, counted):
         """A queue that fits one stage places alike under FIFO and ASAP, and
         whichever runs second finds every price in the flat table the first
         filled: no new flat entry, no exec-model call, no node selection.
-        Only ASAP fills the lowest-ids pick table; FIFO's nodes are spans."""
+        Both fill the span rows of the queue's two classes (3 + 5 spans),
+        which hold every placement. Only ASAP fills the lowest-ids pick
+        table; FIFO's nodes are spans."""
         catalog = default_catalog(build_network(6, 3, self.MIXED, seed=5), PARAMS,
                                   qubit_sizes=(5, 10))
         queue = [dataclasses.replace(catalog[k], id=i) for i, k in enumerate((-1, 0))]
@@ -392,10 +403,10 @@ class TestDurationMemo:
             placed = [row[1] for row in schedule_rows(first([queue], net, PARAMS))]
             assert placed == [(0, 1, 2, 3), (4, 5)]
             prices = dict(net._price_tables[PARAMS.key])
-            assert len(prices) == len(counted) == 2
+            assert len(prices) == len(counted) == 3 + 5
             assert [row[1] for row in schedule_rows(second([queue], net, PARAMS))] == placed
             assert net._price_tables[PARAMS.key] == prices
-            assert len(counted) == 2 and net._selection_memo == {}
+            assert len(counted) == 3 + 5 and net._selection_memo == {}
             assert sorted(nodes for nodes, _ in net._lowest_picks.values()) == sorted(placed)
             counted.clear()
 
@@ -491,10 +502,10 @@ def walked_placement(queues, network, node_selection):
 def place_stage_lists(queues, network, params, node_selection=False):
     """``_place_stages`` of each queue's stages, lists of jobs, over the job
     table of the queues' jobs in stage order."""
-    table = job_table([[job for stage in stages for job in stage] for stages in queues],
-                      network, params)
+    table = queue_table([[job for stage in stages for job in stage] for stages in queues],
+                        network, params)
     sizes = np.array([len(stage) for stages in queues for stage in stages], dtype=np.int64)
-    return schedulers._place_stages(table, np.arange(len(table.jobs)), sizes.cumsum() - sizes,
+    return schedulers._place_stages(table, np.arange(len(table.rows)), sizes.cumsum() - sizes,
                                     table.counts, network, params, node_selection)
 
 
@@ -522,32 +533,35 @@ class TestStageEngine:
     @PROPERTY
     @given(env=staged_cells())
     def test_every_span_entry_equals_a_direct_call(self, env):
-        """Every filled entry of the dense table, by (price class, first
-        node), is the exec model's price of each job of that class on the
-        span from that node; no two price keys share a class."""
+        """A job table's span prices, by (price class, first node), are
+        read-only and built with it: each job's entry of every first node from
+        which it fits is the exec model's price of the job on the span from
+        that node, and the entries from which no job of its class fits are
+        -1. Price keys and classes correspond one to one."""
         network, queues = env
-        jobs = {job.price_key: job for stages in queues for jobs in stages for job in jobs}
+        n = network.n_nodes
         for policy in EPR_POLICIES:
             params = dataclasses.replace(PARAMS, epr_serialization=policy)
-            place_stage_lists(queues, network, params)
-            place_stage_lists(queues[::-1], network, params)
-            classes, table = network._span_prices[params.key]
-            assert classes.keys() == jobs.keys() and len(set(classes.values())) == len(classes)
-            assert table.shape == (len(classes), network.n_nodes)
-            for key, c in classes.items():
-                d = jobs[key].required_qpus
-                for f in range(network.n_nodes):
-                    if table[c, f] >= 0:
-                        assert f + d <= network.n_nodes
-                        assert table[c, f] == estimate_execution_time(
-                            jobs[key], range(f, f + d), network, params)
+            catalog = queue_table([[job for stages in queues for jobs in stages for job in jobs]],
+                                  network, params).catalog
+            classes = dict(zip([job.price_key for job in catalog], catalog.cls.tolist()))
+            assert len(set(classes.values())) == len(classes) == len(catalog.spans)
+            assert catalog.cls.tolist() == [classes[job.price_key] for job in catalog]
+            assert catalog.spans.shape == (len(classes), n) and not catalog.spans.flags.writeable
+            least = {}
+            for job, c in zip(catalog, catalog.cls.tolist()):
+                least[c] = min(least.get(c, n), job.required_qpus)
+                for f in range(n - job.required_qpus + 1):
+                    assert catalog.spans[c, f] == estimate_execution_time(
+                        job, range(f, f + job.required_qpus), network, params)
+            assert [(row < 0).sum() for row in catalog.spans] == [d - 1 for d in least.values()]
 
     @pytest.mark.parametrize("node_selection", [False, True])
     def test_overfull_stage_keeps_its_error(self, node_selection):
         net = homogeneous_network(4, 3, "good")
         jobs = [make_job(0, 1, 10), make_job(1, 4, 10), make_job(2, 3, 10)]
         with pytest.raises(SchedulingError, match="^job 2: stage exceeds free nodes$"):
-            schedulers._place_stages(job_table([jobs], net, PARAMS), np.arange(3),
+            schedulers._place_stages(queue_table([jobs], net, PARAMS), np.arange(3),
                                      np.array([0, 1]), [1, 2], net, PARAMS, node_selection)
         with pytest.raises(SchedulingError, match="^job 1: stage exceeds free nodes$"):
             place_stage_lists([[jobs[:2]]], net, PARAMS, node_selection)
@@ -735,7 +749,7 @@ def reference_asap_schedule(queue, network, exec_params):
     """The release-time scan ``asap_schedule`` replaced, verbatim but for
     pricing each placement by a direct exec-model call and returning its
     ``(job_id, nodes, start_ns, finish_ns, stage)`` rows."""
-    _validate_queue(queue, network)
+    validate_queue(queue, network)
     placements = []
     avail = [0] * network.n_nodes
     remaining = list(queue)
@@ -947,18 +961,19 @@ def test_cell_of_queues_is_their_one_queue_cells(env):
     unchecked["epr-skip"] = lambda t, n, p: epr_schedule.__wrapped__(t, n, p, strict_order=False)
     for name, checked in ALL_SCHEDULERS:
         def run(qs):
-            return unchecked[name](job_table(qs, network, PARAMS), network, PARAMS)
+            return unchecked[name](queue_table(qs, network, PARAMS), network, PARAMS)
 
         cell = run(queues)
         assert_cell_is_its_queues(cell, [run([q]) for q in queues], queues)
         assert cell_columns(checked(queues, network, PARAMS)) == cell_columns(cell)
     agent = PpoAgent(PpoConfig(j_max=8), network, PARAMS, default_catalog(network, PARAMS))
-    _, _, action, _, _, opened = agent._rollouts(queues, network.n_nodes, None)
+    _, _, action, _, _, opened = agent._rollouts(agent_states(agent, queues), network.n_nodes,
+                                                 None)
     counts = list(map(len, queues))
     ends = np.cumsum(counts).tolist()
     for node_selection in (False, True):
         def place(qs, picks, flags):
-            table = job_table(qs, network, PARAMS)
+            table = queue_table(qs, network, PARAMS)
             return agent.build_schedule(table, picks, flags, table.counts, node_selection,
                                         network, PARAMS)
 

@@ -66,7 +66,9 @@ from conftest import (
     reference_pricer,
     reference_select_nodes,
     run_unchecked,
+    slot_queue,
     unit_exec_params,
+    validate_queue,
 )
 from dqcsched.execmodel import EPR_POLICIES, ExecModelParams
 from dqcsched.netmodel import Network, build_network
@@ -91,10 +93,9 @@ from dqcsched.schedulers import (
     SchedulingError,
     _resource_plan,
     ENUMERATION_CAP,
-    _validate_queue,
     epr_schedule,
     get_scheduler,
-    job_table,
+    queue_table,
     resource_prioritize_schedule,
 )
 
@@ -193,7 +194,7 @@ def reference_max_demand_subset(pool, n_nodes: int) -> int:
 
 def reference_resource_schedule(queue, network: Network,
                                 exec_params: ExecModelParams) -> list[tuple]:
-    _validate_queue(queue, network)
+    validate_queue(queue, network)
     rows: list[tuple] = []
     place = reference_pricer(rows, network, exec_params)
     remaining = list(queue)
@@ -209,18 +210,18 @@ def reference_resource_schedule(queue, network: Network,
 
 
 def reference_fifo_schedule(queue, network, exec_params) -> list[tuple]:
-    _validate_queue(queue, network)
+    validate_queue(queue, network)
     return reference_in_order_stages(queue, network, exec_params)
 
 
 def reference_list_schedule(queue, network, exec_params) -> list[tuple]:
-    _validate_queue(queue, network)
+    validate_queue(queue, network)
     return reference_in_order_stages(queue, network, exec_params, strict_order=False)
 
 
 def reference_epr_schedule(queue, network, exec_params, node_selection=False,
                            strict_order=True) -> list[tuple]:
-    _validate_queue(queue, network)
+    validate_queue(queue, network)
     remaining = sorted(queue, key=lambda j: (j.nonlocal_gates, j.est_exec_ns, j.id))
     return reference_in_order_stages(remaining, network, exec_params, node_selection,
                                      strict_order)
@@ -243,7 +244,7 @@ def reference_build_schedule(self, queue, stages: list[list[int]],
 
 
 def reference_asap_schedule(queue, network: Network, exec_params: ExecModelParams) -> list[tuple]:
-    _validate_queue(queue, network)
+    validate_queue(queue, network)
     rows: list[tuple] = []
     place = reference_pricer(rows, network, exec_params)
     avail = [0] * network.n_nodes
@@ -473,7 +474,7 @@ def reference_select_stage(
 def reference_rollout(self, queue, sample: bool = False, network: Network | None = None
                       ) -> tuple[list[list[int]], list[Transition]]:
     network = network if network is not None else self.network
-    _validate_queue(queue, network)
+    validate_queue(queue, network)
     n_max = network.n_nodes
     node_counts, scaled = reference_encode(self, queue)
     padding = np.arange(self.config.j_max) >= len(queue)
@@ -501,7 +502,7 @@ def reference_train(self, updates: int, bias_alpha: float = 0.0) -> list[TrainLo
     window_rewards: list[float] = []
     log: list[TrainLogEntry] = []
     for _ in range(episodes):
-        queue = workload.generate_slot_jobs(wcfg, self.env_rng)
+        queue = slot_queue(wcfg, self.env_rng)
         stages, transitions = reference_rollout(self, queue, sample=True)
         cell = place_rows(self, queue, stages, node_selection)
         durations = iter(np.subtract(cell.finish_ns, cell.start_ns, dtype=float).tolist())
@@ -540,7 +541,7 @@ def run_checked(name, queue, network, params):
     """``name``'s schedule as the run path makes it: the queue check, then the
     unchecked scheduler that ``get_scheduler`` returns, on a cell of that
     one queue."""
-    _validate_queue(queue, network)
+    validate_queue(queue, network)
     return run_unchecked(name, [queue], network, params)
 
 
@@ -611,7 +612,7 @@ def test_max_demand_subset_matches_reference_search(args):
     network = build_network(n_nodes, 3, MIXES[0], seed=0) if n_nodes > 1 else Network(1, 3, {})
 
     def first_stage(queue):
-        order, starts = _resource_plan(job_table([queue], network, unit_exec_params()), network)
+        order, starts = _resource_plan(queue_table([queue], network, unit_exec_params()), network)
         return sum(1 << k for k in order[:np.append(starts, len(order))[1]].tolist())
 
     assert first_stage(pool) == reference_max_demand_subset(pool, n_nodes)
@@ -675,7 +676,7 @@ def test_lockstep_stage_plans_match_reference_in_order_stages(env, order):
     library["epr-skip"] = lambda t, n, p: epr_schedule.__wrapped__(t, n, p, strict_order=False)
     references = {**REFERENCES, "epr-skip": lambda q, n, p: reference_epr_schedule(
         q, n, p, strict_order=False)}
-    table = job_table(queues, network, params)
+    table = queue_table(queues, network, params)
     for name in order:
         cell = library[name](table, network, params)
         assert cell.counts.tolist() == list(map(len, queues))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (default_catalog, homogeneous_network, make_rng, reference_catalog,
-                      schedule_rows, unit_exec_params)
+                      schedule_rows, slot_queue, unit_exec_params)
 from dqcsched import harness, workload
 from dqcsched.configfile import parse_config_text
 from dqcsched.execmodel import (
@@ -20,7 +20,7 @@ from dqcsched.execmodel import (
     nominal_execution_time,
 )
 from dqcsched.netmodel import build_network
-from dqcsched.schedulers import asap_schedule
+from dqcsched.schedulers import Catalog, asap_schedule, job_table
 from dqcsched.workload import (
     CIRCUIT_KINDS,
     JobDescriptor,
@@ -208,18 +208,16 @@ class TestSlotGeneration:
 
     def test_lambda_zero_empty_queue(self):
         cfg = WorkloadConfig(catalog=self.catalog, lam=0.0)
-        assert generate_slot_jobs(cfg, make_rng(0)) == []
+        rows = generate_slot_jobs(cfg, make_rng(0))
+        assert rows.dtype == np.intp and rows.tolist() == []
 
     def test_fixed_count_mode(self):
         cfg = WorkloadConfig(catalog=self.catalog, lam=5.0, fixed_count=5)
         rng = make_rng(4)
         for _ in range(20):
-            queue = generate_slot_jobs(cfg, rng)
-            assert len(queue) == 5
-            assert [j.id for j in queue] == list(range(5))
-            # every other field is copied from a catalog entry
-            assert all(any(dataclasses.replace(j, id=c.id) == c for c in self.catalog)
-                       for j in queue)
+            rows = generate_slot_jobs(cfg, rng)
+            assert rows.dtype == np.intp and len(rows) == 5
+            assert 0 <= rows.min() and rows.max() < len(self.catalog)  # catalog rows
 
     def test_probabilities_fixed_and_read_only(self):
         cfg = WorkloadConfig(catalog=self.catalog, lam=5.0, bias_alpha=0.5)
@@ -235,11 +233,10 @@ class TestSlotGeneration:
     def test_draws_match_generator_choice(self, n, alpha):
         net = homogeneous_network(12, 3, "good")
         catalog = default_catalog(net, self.params, qubit_sizes=(5, 10, 15, 20, 25, 30))[:n]
-        index_of = {id(job.profile): job.id for job in catalog}
         for size in range(1, 40):
             cfg = WorkloadConfig(catalog=catalog, fixed_count=size, bias_alpha=alpha)
             rng, reference = make_rng(size), make_rng(size)
-            drawn = np.array([index_of[id(j.profile)] for j in generate_slot_jobs(cfg, rng)])
+            drawn = generate_slot_jobs(cfg, rng)
             expected = reference.choice(n, size=size, p=selection_probabilities(n, alpha))
             assert np.array_equal(drawn, expected)
             assert rng.bit_generator.state == reference.bit_generator.state
@@ -254,7 +251,7 @@ class TestSlotGeneration:
             rng = make_rng(77)
             gates, jobs = 0, 0
             for _ in range(10_000):
-                for job in generate_slot_jobs(cfg, rng):
+                for job in slot_queue(cfg, rng):
                     gates += job.nonlocal_gates
                     jobs += 1
             totals[name] = gates / jobs
@@ -262,9 +259,9 @@ class TestSlotGeneration:
 
     def test_same_seed_same_stream(self):
         cfg = WorkloadConfig(catalog=self.catalog, lam=4.0, bias_alpha=0.5)
-        stream1 = [tuple(j.profile.kind for j in generate_slot_jobs(cfg, make_rng(9, t)))
+        stream1 = [tuple(j.profile.kind for j in slot_queue(cfg, make_rng(9, t)))
                    for t in range(30)]
-        stream2 = [tuple(j.profile.kind for j in generate_slot_jobs(cfg, make_rng(9, t)))
+        stream2 = [tuple(j.profile.kind for j in slot_queue(cfg, make_rng(9, t)))
                    for t in range(30)]
         assert stream1 == stream2
 
@@ -332,15 +329,21 @@ class TestPriceKey:
         assert dataclasses.replace(job, id=99).price_key == job.price_key
 
     def test_drawn_jobs_carry_their_catalog_key(self):
-        catalog = self.catalogs(homogeneous_network(6, 3, "good"))[1]
-        index_of = {id(job.profile): job.id for job in catalog}
+        """A job table of drawn catalog rows prices each job by its catalog
+        entry's class, and two entries share a class exactly when they share
+        a price key."""
+        net = homogeneous_network(6, 3, "good")
+        catalog = Catalog(self.catalogs(net)[1], net, unit_exec_params())
+        keys = [job.price_key for job in catalog]
+        assert all((keys[a] == keys[b]) == (catalog.cls[a] == catalog.cls[b])
+                   for a, b in itertools.combinations(range(len(catalog)), 2))
         cfg = WorkloadConfig(catalog=catalog, lam=6.0, bias_alpha=0.5)
         rng = make_rng(81)
         for _ in range(200):
-            for job in generate_slot_jobs(cfg, rng):
-                entry = catalog[index_of[id(job.profile)]]
-                assert job.price_key is entry.price_key
-                assert dataclasses.replace(job, id=entry.id) == entry
+            rows = generate_slot_jobs(cfg, rng)
+            table = job_table(catalog, rows, np.array([len(rows)]), np.arange(len(rows)))
+            assert table.cls.tolist() == [catalog.cls[r] for r in rows.tolist()]
+            assert table.need.tolist() == [catalog[r].required_qpus for r in rows.tolist()]
 
     def test_catalogs_sharing_a_network_never_hit_stale(self):
         """Catalogs of two capacities and two size sets, drawn and priced on
@@ -353,7 +356,7 @@ class TestPriceKey:
         for _ in range(3):
             for catalog in catalogs:
                 cfg = WorkloadConfig(catalog=catalog, lam=5.0)
-                queue = [j for j in generate_slot_jobs(cfg, rng) if j.required_qpus <= 6]
+                queue = [j for j in slot_queue(cfg, rng) if j.required_qpus <= 6]
                 schedule = asap_schedule([queue], net, params)
                 by_id = {j.id: j for j in queue}
                 for job_id, nodes, start, finish, _ in schedule_rows(schedule):
